@@ -129,18 +129,12 @@ func BenchmarkNodeIntern(b *testing.B) {
 	if len(instrs) == 0 {
 		b.Fatal("no instructions")
 	}
+	// The sub-benchmark name keeps the recorded BENCH_*.json series.
 	b.Run("dense", func(b *testing.B) {
-		g := depgraph.NewSized(prog, 15, false)
+		g := depgraph.NewSized(prog, 15)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			g.TouchFast(instrs[i%len(instrs)], i&15)
-		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		g := depgraph.NewSized(prog, 15, true)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g.Touch(instrs[i%len(instrs)], i&15)
 		}
 	})
 }
@@ -290,24 +284,17 @@ func BenchmarkCostBenefitAnalysis(b *testing.B) {
 	if err := m.Run(); err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		cfg  costben.Config
-	}{
-		{"frozen", costben.Config{}},
-		{"legacy", costben.Config{Legacy: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a := costben.NewAnalysisWith(p.G, mode.cfg)
-				ranked := a.RankBySite(costben.DefaultTreeHeight)
-				if len(ranked) == 0 {
-					b.Fatal("empty ranking")
-				}
+	// The sub-benchmark name keeps the gated BENCH_*.json series.
+	b.Run("frozen", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			a := costben.NewAnalysis(p.G)
+			ranked := a.RankBySite(costben.DefaultTreeHeight)
+			if len(ranked) == 0 {
+				b.Fatal("empty ranking")
 			}
-		})
-	}
+		}
+	})
 }
 
 func BenchmarkDeadness(b *testing.B) {
@@ -500,20 +487,14 @@ func BenchmarkLoopForest(b *testing.B) {
 	b.ReportMetric(float64(loops), "loops")
 }
 
-// BenchmarkVetEngines compares the SSA vet engine against the dense
-// bit-vector reference over the same workload.
+// BenchmarkVetEngines times the SSA vet suite over one workload; the
+// sub-benchmark name keeps the recorded BENCH_*.json series.
 func BenchmarkVetEngines(b *testing.B) {
 	prog := mustCompileWorkload(b, "eclipse")
 	b.Run("ssa", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			staticanalysis.Vet(prog)
-		}
-	})
-	b.Run("dense", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			staticanalysis.VetDense(prog)
 		}
 	})
 }

@@ -28,7 +28,6 @@ type Spec struct {
 	Traditional  bool `json:"traditional,omitempty"`
 	TrackControl bool `json:"track_control,omitempty"`
 	Prune        bool `json:"prune,omitempty"`
-	Legacy       bool `json:"legacy,omitempty"`
 
 	// Static-analysis configuration (kinds slice and audit).
 	Mode   string `json:"mode,omitempty"`
@@ -128,7 +127,6 @@ type ProfileRequest struct {
 	Traditional  bool   `json:"traditional,omitempty"`
 	TrackControl bool   `json:"track_control,omitempty"`
 	Prune        bool   `json:"prune,omitempty"`
-	Legacy       bool   `json:"legacy,omitempty"`
 	Top          int    `json:"top,omitempty"`
 }
 

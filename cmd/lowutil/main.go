@@ -44,10 +44,9 @@
 //
 // vet reports, without running the program: dead stores, write-only fields,
 // unused allocations, unreachable code, and possibly-uninitialized reads.
-// It exits 1 when it finds anything. -engine selects the analysis engine:
-// ssa (default: sparse analyses over SSA form, which also flag transitively
-// dead stores and constant-propagation-unreachable code) or dense (the
-// bit-vector reaching-definitions reference).
+// It exits 1 when it finds anything. The analyses are sparse, over SSA
+// form, so they also flag transitively dead stores and
+// constant-propagation-unreachable code.
 //
 // ssa dumps the pruned SSA form of every method (-m Class.method for one):
 // phi placement, SCCP constant and dead-block verdicts, value-numbering
@@ -218,7 +217,6 @@ func cmdDisasm(args []string) error {
 
 func cmdVet(args []string) error {
 	fs := flag.NewFlagSet("vet", flag.ContinueOnError)
-	engine := fs.String("engine", "ssa", "analysis engine: ssa (sparse, SSA-based) or dense (bit-vector reference)")
 	path, err := oneFile(fs, args)
 	if err != nil {
 		return err
@@ -227,10 +225,7 @@ func cmdVet(args []string) error {
 	if err != nil {
 		return err
 	}
-	findings, err := prog.VetEngine(*engine)
-	if err != nil {
-		return err
-	}
+	findings := prog.Vet()
 	if len(findings) == 0 {
 		fmt.Println("no findings")
 		return nil
@@ -323,7 +318,6 @@ func cmdProfile(args []string) error {
 	hops := fs.Int("hops", 1, "heap-to-heap hops for multi-hop cost/benefit")
 	save := fs.String("save", "", "write the profile (Gcost + metadata) to this file for offline analysis")
 	load := fs.String("load", "", "analyze a previously saved profile instead of re-running")
-	legacy := fs.Bool("legacy", false, "run on the reference engine (switch dispatch, map-backed Gcost)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after the run to this file")
 	path, err := oneFile(fs, args)
@@ -363,9 +357,6 @@ func cmdProfile(args []string) error {
 		}
 		if *prune {
 			opts = append(opts, lowutil.WithPrune())
-		}
-		if *legacy {
-			opts = append(opts, lowutil.WithLegacyEngine())
 		}
 		profile, err = prog.ProfileContext(context.Background(), opts...)
 		if err != nil {

@@ -103,18 +103,15 @@ func TestCmdSlice(t *testing.T) {
 	}
 }
 
-// TestCmdVetAndSSA drives the vet engines and the SSA dump command.
+// TestCmdVetAndSSA drives the vet and SSA dump commands.
 func TestCmdVetAndSSA(t *testing.T) {
-	// chart.mj is vet-clean under both engines; a finding would surface as
-	// a non-nil "N finding(s)" error.
+	// A finding would surface as a non-nil "N finding(s)" error.
 	if err := cmdVet([]string{chartMJ}); err != nil && !strings.Contains(err.Error(), "finding") {
 		t.Fatalf("vet: %v", err)
 	}
-	if err := cmdVet([]string{"-engine", "dense", chartMJ}); err != nil && !strings.Contains(err.Error(), "finding") {
-		t.Fatalf("vet -engine dense: %v", err)
-	}
-	if err := cmdVet([]string{"-engine", "bogus", chartMJ}); err == nil {
-		t.Error("want unknown-engine error")
+	// vet takes no -engine flag.
+	if err := cmdVet([]string{"-engine", "dense", chartMJ}); err == nil || strings.Contains(err.Error(), "finding") {
+		t.Errorf("vet -engine: got %v, want a flag error", err)
 	}
 	if err := cmdSSA([]string{chartMJ}); err != nil {
 		t.Fatalf("ssa: %v", err)

@@ -8,7 +8,7 @@
 //	workbench -profile eclipse -scale 2 -s 16 -top 10
 //	workbench -slice eclipse -mode rta -objctx -top 10
 //	workbench -audit eclipse -mode rta -top 10
-//	workbench -vet bloat -engine ssa
+//	workbench -vet bloat
 //	workbench -ssa fop -m TreeGen.gen
 //	workbench -dump bloat > bloat.mj
 package main
@@ -39,9 +39,7 @@ func main() {
 	top := flag.Int("top", lowutil.DefaultTop, "findings to print")
 	mode := flag.String("mode", "rta", "slice call-graph construction: cha or rta")
 	objctx := flag.Bool("objctx", false, "slice with one level of receiver-object context")
-	engine := flag.String("engine", "ssa", "vet engine: ssa or dense")
 	method := flag.String("m", "", "restrict -ssa to one method (Class.method)")
-	legacy := flag.Bool("legacy", false, "profile on the reference engine (switch dispatch, map-backed Gcost)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	flag.Parse()
@@ -94,11 +92,7 @@ func main() {
 		fmt.Printf("steps=%d allocs=%d nativeWork=%d\n", res.Steps, res.Allocs, res.NativeWork)
 	case *profileName != "":
 		prog := compile(*profileName, *scale)
-		opts := []lowutil.ProfileOption{lowutil.WithSlots(*slots)}
-		if *legacy {
-			opts = append(opts, lowutil.WithLegacyEngine())
-		}
-		profile, err := prog.ProfileContext(context.Background(), opts...)
+		profile, err := prog.ProfileContext(context.Background(), lowutil.WithSlots(*slots))
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -119,10 +113,7 @@ func main() {
 		fmt.Print(rep)
 	case *vetName != "":
 		prog := compile(*vetName, *scale)
-		findings, err := prog.VetEngine(*engine)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		findings := prog.Vet()
 		if len(findings) == 0 {
 			fmt.Println("no findings")
 			return

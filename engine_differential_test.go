@@ -1,10 +1,12 @@
-// Differential proof that the hot-path engine — handler-table dispatch with
-// inline caches over the dense interned Gcost — is observationally identical
-// to the reference engine (switch dispatch, map-backed graph): byte-identical
-// profile reports, serialized profiles, multi-hop slices, and client-analysis
-// stats on every workload, plus a race check that two concurrent profiles
-// share no state and a fuzz harness for inline-cache invalidation under
-// receiver-class rebinding.
+// Differential proof that the product engine — handler-table dispatch with
+// inline caches — is observationally identical to the reference switch
+// dispatch (interp.Machine.RunReference) under the same profiler options:
+// equal Gcost encoding, step count and context conflict ratio, and
+// therefore byte-identical profile reports, serialized profiles, multi-hop
+// slices, and client-analysis stats on every workload. Also race checks
+// that concurrent profiles share no state and that concurrent queries on
+// one profile need no lock, and a fuzz harness for inline-cache
+// invalidation under receiver-class rebinding.
 package lowutil
 
 import (
@@ -12,9 +14,12 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
+	"lowutil/internal/costben"
 	"lowutil/internal/interp"
+	"lowutil/internal/profiler"
 	"lowutil/internal/workloads"
 )
 
@@ -48,18 +53,10 @@ func compileWorkload(t testing.TB, w *workloads.Workload, scale int) *Program {
 }
 
 // profileOutputs captures every engine-sensitive output the CLI can print
-// for a profile run: the ranked report, the serialized profile bytes, the
+// for a profile: the ranked report, the serialized profile bytes, the
 // multi-hop slice report, and the client-analysis stats.
-func profileOutputs(t *testing.T, prog *Program, legacy bool) (report, saved, multihop, stats string) {
+func profileOutputs(t testing.TB, profile *Profile) (report, saved, multihop, stats string) {
 	t.Helper()
-	var opts []ProfileOption
-	if legacy {
-		opts = append(opts, WithLegacyEngine())
-	}
-	profile, err := prog.ProfileContext(context.Background(), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	if err := profile.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -74,36 +71,89 @@ func profileOutputs(t *testing.T, prog *Program, legacy bool) (report, saved, mu
 		fmt.Sprintf("%+v %+v steps=%d", gs, ds, profile.Steps())
 }
 
-// TestEngineDifferentialAllWorkloads proves the dense-graph handler-table
-// engine and the legacy engine produce byte-identical outputs on every
-// workload. Report, saved profile, multi-hop slice, and stats must each
-// match exactly — any divergence in dispatch order, inline-cache fills, or
-// graph iteration order would surface here.
+// productProfile profiles prog through the facade with default options.
+func productProfile(t testing.TB, prog *Program) *Profile {
+	t.Helper()
+	profile, err := prog.ProfileContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return profile
+}
+
+// referenceProfile profiles prog on the reference switch-dispatch engine
+// under the profiler options ProfileContext uses by default.
+func referenceProfile(t testing.TB, prog *Program) *Profile {
+	t.Helper()
+	prof := profiler.New(prog.prog, profiler.Options{Slots: DefaultSlots, TrackCR: true})
+	m := interp.New(prog.prog)
+	m.Tracer = prof
+	if err := m.RunReference(); err != nil {
+		t.Fatal(err)
+	}
+	return &Profile{
+		prog:   prog.prog,
+		prof:   prof,
+		steps:  m.Steps,
+		an:     costben.NewAnalysis(prof.G),
+		height: DefaultTreeHeight,
+	}
+}
+
+// sameProfile compares a product profile with a reference one: first the
+// inputs every report is rendered from (Gcost encoding, step count, context
+// conflict ratio), then the rendered outputs themselves.
+func sameProfile(t testing.TB, product, ref *Profile) {
+	t.Helper()
+	var pg, rg bytes.Buffer
+	if err := product.prof.G.Encode(&pg); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.prof.G.Encode(&rg); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pg.Bytes(), rg.Bytes()) {
+		t.Errorf("Gcost encoding differs (%d vs %d bytes)", pg.Len(), rg.Len())
+	}
+	if product.steps != ref.steps {
+		t.Errorf("steps differ: product %d, reference %d", product.steps, ref.steps)
+	}
+	if pcr, rcr := product.prof.CR().AverageCR(), ref.prof.CR().AverageCR(); pcr != rcr {
+		t.Errorf("context conflict ratio differs: product %v, reference %v", pcr, rcr)
+	}
+	report, saved, multihop, stats := profileOutputs(t, product)
+	rreport, rsaved, rmultihop, rstats := profileOutputs(t, ref)
+	if report != rreport {
+		t.Errorf("report differs:\n--- product ---\n%s\n--- reference ---\n%s", report, rreport)
+	}
+	if saved != rsaved {
+		t.Errorf("serialized profile differs (%d vs %d bytes)", len(saved), len(rsaved))
+	}
+	if multihop != rmultihop {
+		t.Errorf("multi-hop slice differs:\n--- product ---\n%s\n--- reference ---\n%s", multihop, rmultihop)
+	}
+	if stats != rstats {
+		t.Errorf("stats differ: product %q vs reference %q", stats, rstats)
+	}
+}
+
+// TestEngineDifferentialAllWorkloads proves the product engine and the
+// reference engine produce byte-identical profiles on every workload. Any
+// divergence in dispatch order, inline-cache fills, or tracer event order
+// would surface here.
 func TestEngineDifferentialAllWorkloads(t *testing.T) {
 	for _, w := range diffWorkloads(t) {
 		t.Run(w.Name, func(t *testing.T) {
 			prog := compileWorkload(t, w, 1)
-			report, saved, multihop, stats := profileOutputs(t, prog, false)
-			lreport, lsaved, lmultihop, lstats := profileOutputs(t, prog, true)
-			if report != lreport {
-				t.Errorf("report differs:\n--- dense ---\n%s\n--- legacy ---\n%s", report, lreport)
-			}
-			if saved != lsaved {
-				t.Errorf("serialized profile differs (%d vs %d bytes)", len(saved), len(lsaved))
-			}
-			if multihop != lmultihop {
-				t.Errorf("multi-hop slice differs:\n--- dense ---\n%s\n--- legacy ---\n%s", multihop, lmultihop)
-			}
-			if stats != lstats {
-				t.Errorf("stats differ: dense %q vs legacy %q", stats, lstats)
-			}
+			sameProfile(t, productProfile(t, prog), referenceProfile(t, prog))
 		})
 	}
 }
 
 // TestInterpreterDifferentialAllWorkloads pins the uninstrumented engines
 // against each other: handler-table dispatch must execute every workload to
-// the same output, step count, and allocation count as the legacy switch.
+// the same output, step count, and allocation count as the reference
+// switch.
 func TestInterpreterDifferentialAllWorkloads(t *testing.T) {
 	for _, w := range diffWorkloads(t) {
 		t.Run(w.Name, func(t *testing.T) {
@@ -116,8 +166,7 @@ func TestInterpreterDifferentialAllWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			m2 := interp.New(src)
-			m2.LegacyDispatch = true
-			if err := m2.Run(); err != nil {
+			if err := m2.RunReference(); err != nil {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(m1.Output) != fmt.Sprint(m2.Output) {
@@ -139,7 +188,7 @@ func TestInterpreterDifferentialAllWorkloads(t *testing.T) {
 func TestConcurrentProfilesShareNoState(t *testing.T) {
 	w := workloads.ByName("eclipse")
 	prog := compileWorkload(t, w, 1)
-	ref, _, _, _ := profileOutputs(t, prog, false)
+	ref, _, _, _ := profileOutputs(t, productProfile(t, prog))
 
 	results := make([]string, 2)
 	errs := make([]error, 2)
@@ -163,6 +212,61 @@ func TestConcurrentProfilesShareNoState(t *testing.T) {
 		}
 		if results[i] != ref {
 			t.Errorf("concurrent profile %d diverged from sequential reference", i)
+		}
+	}
+}
+
+// profileQueries renders every query a memoized profile answers, keyed by
+// name. The server runs these concurrently on one cached Profile.
+var profileQueries = []struct {
+	name string
+	run  func(*Profile) string
+}{
+	{"Report", func(pr *Profile) string { return pr.Report(DefaultTop) }},
+	{"TopStructures", func(pr *Profile) string { return fmt.Sprint(pr.TopStructures(DefaultTop)) }},
+	{"TopStructuresMultiHop", func(pr *Profile) string { return fmt.Sprint(pr.TopStructuresMultiHop(DefaultTop, 2)) }},
+	{"Save", func(pr *Profile) string {
+		var buf bytes.Buffer
+		if err := pr.Save(&buf); err != nil {
+			return "error: " + err.Error()
+		}
+		return buf.String()
+	}},
+	{"CacheReports", func(pr *Profile) string { return fmt.Sprint(pr.CacheReports(1)) }},
+	{"Collections", func(pr *Profile) string { return fmt.Sprint(pr.Collections(DefaultTop)) }},
+	{"Deadness", func(pr *Profile) string { return fmt.Sprint(pr.Deadness()) }},
+}
+
+// TestConcurrentQueriesOnOneProfile starts every query at once on a cold
+// profile (no query has run yet, so the lazily built analysis state is
+// built under contention) and requires each answer to match the same
+// query run alone on a separate profile. Under -race this proves a
+// memoized Profile needs no lock around its queries.
+func TestConcurrentQueriesOnOneProfile(t *testing.T) {
+	prog := compileWorkload(t, workloads.ByName("eclipse"), 1)
+	want := make(map[string]string)
+	for _, q := range profileQueries {
+		want[q.name] = q.run(productProfile(t, prog))
+	}
+
+	cold := productProfile(t, prog)
+	const rounds = 3
+	got := make([]string, rounds*len(profileQueries))
+	var wg sync.WaitGroup
+	for r := 0; r < rounds; r++ {
+		for i, q := range profileQueries {
+			wg.Add(1)
+			go func(slot int, run func(*Profile) string) {
+				defer wg.Done()
+				got[slot] = run(cold)
+			}(r*len(profileQueries)+i, q.run)
+		}
+	}
+	wg.Wait()
+	for slot, g := range got {
+		q := profileQueries[slot%len(profileQueries)]
+		if g != want[q.name] {
+			t.Errorf("%s under concurrency differs from a lone run", q.name)
 		}
 	}
 }
@@ -206,7 +310,7 @@ class Main {
 
 // FuzzInlineCacheInvalidation drives the inline-cache invalidation protocol
 // with arbitrary receiver-class rebinding sequences. The oracle is the
-// legacy switch interpreter: for every sequence, both engines must print
+// reference switch interpreter: for every sequence, both engines must print
 // the same output and take the same number of steps, profiled or not.
 func FuzzInlineCacheInvalidation(f *testing.F) {
 	f.Add([]byte{0})
@@ -222,24 +326,22 @@ func FuzzInlineCacheInvalidation(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated program failed to compile: %v", err)
 		}
-		run := func(legacy bool) (string, int64) {
+		run := func(reference bool) (string, int64) {
 			m := interp.New(prog.prog)
-			m.LegacyDispatch = legacy
-			if err := m.Run(); err != nil {
+			run := m.Run
+			if reference {
+				run = m.RunReference
+			}
+			if err := run(); err != nil {
 				t.Fatal(err)
 			}
 			return fmt.Sprint(m.Output), m.Steps
 		}
 		out, steps := run(false)
-		lout, lsteps := run(true)
-		if out != lout || steps != lsteps {
-			t.Fatalf("engines diverge on seq %v: %q/%d vs %q/%d", seq, out, steps, lout, lsteps)
+		rout, rsteps := run(true)
+		if out != rout || steps != rsteps {
+			t.Fatalf("engines diverge on seq %v: %q/%d vs %q/%d", seq, out, steps, rout, rsteps)
 		}
-		report, _, _, _ := profileOutputs(t, prog, false)
-		lreport, _, _, _ := profileOutputs(t, prog, true)
-		if report != lreport {
-			t.Fatalf("profiled reports diverge on seq %v:\n--- dense ---\n%s\n--- legacy ---\n%s",
-				seq, report, lreport)
-		}
+		sameProfile(t, productProfile(t, prog), referenceProfile(t, prog))
 	})
 }

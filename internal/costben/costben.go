@@ -35,55 +35,34 @@ const ConsumedRAB = 1e7
 // complex container classes in the Java collection framework".
 const DefaultTreeHeight = 4
 
-// Config selects the analysis implementation.
+// Config tunes the analysis.
 type Config struct {
-	// Legacy switches back to the per-query graph traversal the frozen DP
-	// replaced. Legacy caches are not goroutine-safe, so legacy analyses
-	// always rank serially.
-	Legacy bool
 	// Workers bounds the ranking worker pool; 0 means GOMAXPROCS.
 	Workers int
 }
 
-// Analysis computes the paper's metrics over a finished Gcost. The default
-// implementation freezes the graph into a CSR snapshot and computes
-// HRAC/HRAB for all nodes in one condensed DP sweep; Config.Legacy restores
-// the per-query traversal path.
+// Analysis computes the paper's metrics over a finished Gcost. It freezes
+// the graph into a CSR snapshot and computes HRAC/HRAB for all nodes in one
+// condensed DP sweep. Every query is safe for concurrent use.
 type Analysis struct {
 	G   *depgraph.Graph
 	cfg Config
 
-	// Frozen path: snapshot plus the snapshot-memoized DP arrays, attached
-	// on first use.
+	// snap is the frozen graph; dp holds the snapshot-memoized DP arrays,
+	// attached on first use.
 	snap   *depgraph.Snapshot
 	dpOnce sync.Once
 	dp     *dpData
-
-	// Legacy path: per-node memo maps.
-	hrac map[*depgraph.Node]int64
-	hrab map[*depgraph.Node]hrabEntry
 }
 
-type hrabEntry struct {
-	sum      int64
-	consumed bool
-}
-
-// NewAnalysis wraps a finished graph with the default (frozen) configuration.
+// NewAnalysis wraps a finished graph with the default configuration.
 func NewAnalysis(g *depgraph.Graph) *Analysis {
 	return NewAnalysisWith(g, Config{})
 }
 
 // NewAnalysisWith wraps a finished graph with an explicit configuration.
 func NewAnalysisWith(g *depgraph.Graph, cfg Config) *Analysis {
-	a := &Analysis{G: g, cfg: cfg}
-	if cfg.Legacy {
-		a.hrac = make(map[*depgraph.Node]int64)
-		a.hrab = make(map[*depgraph.Node]hrabEntry)
-	} else {
-		a.snap = g.Freeze()
-	}
-	return a
+	return &Analysis{G: g, cfg: cfg, snap: g.Freeze()}
 }
 
 // ensureDP attaches the dense HRAC/HRAB/RAC/RAB arrays; safe for concurrent
@@ -96,14 +75,6 @@ func (a *Analysis) ensureDP() {
 
 // HRAC returns the heap-relative abstract cost of a node.
 func (a *Analysis) HRAC(n *depgraph.Node) int64 {
-	if a.cfg.Legacy {
-		if v, ok := a.hrac[n]; ok {
-			return v
-		}
-		v := depgraph.HRAC(n)
-		a.hrac[n] = v
-		return v
-	}
 	a.ensureDP()
 	if id, ok := a.snap.ID(n); ok {
 		return a.dp.hrac[id]
@@ -114,14 +85,6 @@ func (a *Analysis) HRAC(n *depgraph.Node) int64 {
 // HRAB returns the heap-relative abstract benefit of a node and whether the
 // value reached a consumer.
 func (a *Analysis) HRAB(n *depgraph.Node) (int64, bool) {
-	if a.cfg.Legacy {
-		if v, ok := a.hrab[n]; ok {
-			return v.sum, v.consumed
-		}
-		sum, consumed := depgraph.HRAB(n)
-		a.hrab[n] = hrabEntry{sum, consumed}
-		return sum, consumed
-	}
 	a.ensureDP()
 	if id, ok := a.snap.ID(n); ok {
 		return a.dp.hrab[id], a.dp.consumed[id]
@@ -133,23 +96,11 @@ func (a *Analysis) HRAB(n *depgraph.Node) (int64, bool) {
 // HRAC of the store nodes that write it (Definition 5). Locations never
 // written have RAC 0.
 func (a *Analysis) RAC(loc depgraph.Loc) float64 {
-	if !a.cfg.Legacy {
-		a.ensureDP()
-		if li, ok := a.snap.LocID(loc); ok {
-			return a.dp.rac[li]
-		}
-		return 0 // unknown location: never stored or loaded
+	a.ensureDP()
+	if li, ok := a.snap.LocID(loc); ok {
+		return a.dp.rac[li]
 	}
-	var sum int64
-	n := 0
-	a.G.StoresOf(loc, func(s *depgraph.Node) {
-		sum += a.HRAC(s)
-		n++
-	})
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
+	return 0 // unknown location: never stored or loaded
 }
 
 // RAB returns the relative abstract benefit of an abstract location: the
@@ -157,31 +108,11 @@ func (a *Analysis) RAC(loc depgraph.Loc) float64 {
 // any read value reaches a predicate or native consumer; 0 if the location
 // is never read.
 func (a *Analysis) RAB(loc depgraph.Loc) float64 {
-	if !a.cfg.Legacy {
-		a.ensureDP()
-		if li, ok := a.snap.LocID(loc); ok {
-			return a.dp.rab[li]
-		}
-		return 0
+	a.ensureDP()
+	if li, ok := a.snap.LocID(loc); ok {
+		return a.dp.rab[li]
 	}
-	var sum int64
-	n := 0
-	infinite := false
-	a.G.LoadsOf(loc, func(l *depgraph.Node) {
-		s, consumed := a.HRAB(l)
-		if consumed {
-			infinite = true
-		}
-		sum += s
-		n++
-	})
-	if infinite {
-		return InfiniteRAB
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
+	return 0
 }
 
 // Tree is the object reference tree RT_n of Definition 7: the set of
@@ -217,12 +148,10 @@ func (a *Analysis) ObjectTree(root *depgraph.Node, height int) *Tree {
 // RACs of every field of every object strictly inside the tree (depth < n,
 // so that the field's target — if any — is still within RT_n).
 func (a *Analysis) NRAC(root *depgraph.Node, height int) float64 {
-	if !a.cfg.Legacy {
-		a.ensureDP()
-		if id, ok := a.snap.ID(root); ok {
-			v, _ := aggregateFrozen(a.snap, a.dp, id, height, false)
-			return v
-		}
+	a.ensureDP()
+	if id, ok := a.snap.ID(root); ok {
+		v, _ := aggregateFrozen(a.snap, a.dp, id, height, false)
+		return v
 	}
 	v, _ := a.aggregate(root, height, a.RAC)
 	return v
@@ -239,11 +168,9 @@ func (a *Analysis) NRAB(root *depgraph.Node, height int) float64 {
 // NRABDetail is NRAB plus the consumed flag: true when at least one
 // aggregated field's values reach a predicate or native consumer.
 func (a *Analysis) NRABDetail(root *depgraph.Node, height int) (float64, bool) {
-	if !a.cfg.Legacy {
-		a.ensureDP()
-		if id, ok := a.snap.ID(root); ok {
-			return aggregateFrozen(a.snap, a.dp, id, height, true)
-		}
+	a.ensureDP()
+	if id, ok := a.snap.ID(root); ok {
+		return aggregateFrozen(a.snap, a.dp, id, height, true)
 	}
 	return a.aggregate(root, height, a.RAB)
 }
@@ -327,14 +254,9 @@ func (a *Analysis) RankStructures(height int) []*StructureReport {
 			allocs = append(allocs, n)
 		}
 	})
-	workers := a.cfg.Workers
-	if a.cfg.Legacy {
-		workers = 1 // legacy memo maps are not goroutine-safe
-	} else {
-		a.ensureDP() // build the shared DP arrays before workers start
-	}
+	a.ensureDP() // build the shared DP arrays before workers start
 	out := make([]*StructureReport, len(allocs))
-	par.ForEach(len(allocs), workers, func(i int) {
+	par.ForEach(len(allocs), a.cfg.Workers, func(i int) {
 		n := allocs[i]
 		cost := a.NRAC(n, height)
 		ben, consumed := a.NRABDetail(n, height)
@@ -348,27 +270,38 @@ func (a *Analysis) RankStructures(height int) []*StructureReport {
 			AllocFreq: n.Freq(),
 		}
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rate != out[j].Rate {
-			return out[i].Rate > out[j].Rate
-		}
-		if out[i].NRAC != out[j].NRAC {
-			return out[i].NRAC > out[j].NRAC
-		}
-		if out[i].Site.AllocSite != out[j].Site.AllocSite {
-			return out[i].Site.AllocSite < out[j].Site.AllocSite
-		}
-		return out[i].Alloc.D < out[j].Alloc.D
-	})
+	sortStructures(out)
 	return out
+}
+
+// sortStructures orders a ranking most suspicious first: by rate, then by
+// higher cost, then by site ID and context for determinism.
+func sortStructures(rs []*StructureReport) {
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].Rate != rs[j].Rate {
+			return rs[i].Rate > rs[j].Rate
+		}
+		if rs[i].NRAC != rs[j].NRAC {
+			return rs[i].NRAC > rs[j].NRAC
+		}
+		if rs[i].Site.AllocSite != rs[j].Site.AllocSite {
+			return rs[i].Site.AllocSite < rs[j].Site.AllocSite
+		}
+		return rs[i].Alloc.D < rs[j].Alloc.D
+	})
 }
 
 // RankBySite aggregates RankStructures entries per static allocation site
 // (summing across contexts), most suspicious first. This is the per-site
 // view used when comparing against planted bloat.
 func (a *Analysis) RankBySite(height int) []*SiteReport {
+	return bySite(a.RankStructures(height))
+}
+
+// bySite folds a structure ranking into the per-site ranking.
+func bySite(ranked []*StructureReport) []*SiteReport {
 	perSite := make(map[int]*SiteReport)
-	for _, r := range a.RankStructures(height) {
+	for _, r := range ranked {
 		s := perSite[r.Site.AllocSite]
 		if s == nil {
 			s = &SiteReport{Site: r.Site}

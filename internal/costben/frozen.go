@@ -14,7 +14,8 @@ package costben
 // edges in one descending pass (components are in reverse topological
 // order), and each component adds its weight to every source whose bit
 // reached it. Per-component weights encode the paper's counting rules, so
-// the result is bit-identical to the legacy per-node traversal.
+// the result is bit-identical to the per-node traversal (depgraph.HRAC and
+// depgraph.HRAB), which the differential test keeps as the reference.
 
 import (
 	"math/bits"
@@ -110,9 +111,9 @@ func putScratch(sc *treeScratch) {
 
 // aggregateFrozen is the CSR counterpart of Analysis.aggregate: a BFS over
 // the points-to child rows collects RT_root (first visit keeps the
-// shallowest depth, like the legacy ObjectTree), and every field of every
+// shallowest depth, like ObjectTree), and every field of every
 // owner at depth < height contributes its precomputed per-location metric.
-// Values are summed in sorted order, exactly like the legacy path, so the
+// Values are summed in sorted order, exactly like aggregate, so the
 // float result is bit-identical.
 func aggregateFrozen(s *depgraph.Snapshot, dp *dpData, root int32, height int, benefit bool) (float64, bool) {
 	sc := getScratch(s.NumNodes())
@@ -205,7 +206,7 @@ func closureSums(s *depgraph.Snapshot, forward bool) (vals []int64, consumed []b
 	// and its cycle-mates count themselves) and one per boundary node
 	// (seeded with the components of its direct targets; its own component
 	// is excluded so a cycle back to a consumer seed does not re-count it —
-	// the legacy walk marks the seed visited up front).
+	// the per-node walk marks the seed visited up front).
 	type source struct {
 		node int32 // boundary node ID, or -1 for an interior component
 		comp int32

@@ -77,8 +77,8 @@ func pct(num, den int64) float64 {
 // The analysis runs over the frozen CSR snapshot: one condensation of the
 // def→use direction, then outcome propagation in component index order
 // (components come out in reverse topological order, so successors are
-// always resolved first). analyzeLegacy keeps the map-based path for the
-// differential test.
+// always resolved first). The differential test keeps the original
+// map-based propagation as its reference.
 func Analyze(g *depgraph.Graph, totalInstances int64) *Result {
 	s := g.Freeze()
 	c := s.Condense(true, nil)
@@ -131,71 +131,6 @@ func Analyze(g *depgraph.Graph, totalInstances int64) *Result {
 			res.PredFreq += s.Freq[i]
 		}
 	}
-	res.TotalInstances = totalInstances
-	if res.TotalInstances == 0 {
-		res.TotalInstances = res.Instances
-	}
-	return res
-}
-
-// analyzeLegacy is the original map-based propagation, retained to prove the
-// frozen path equivalent.
-func analyzeLegacy(g *depgraph.Graph, totalInstances int64) *Result {
-	comps, compOf := g.SCC()
-
-	// comps is in reverse topological order: every def→use edge goes from a
-	// component with a smaller index (the use side was emitted first by
-	// Tarjan)… Tarjan emits a component only after all components reachable
-	// from it, so successors have smaller indices. Process components in
-	// index order: successors are already resolved.
-	outOf := make([]Outcome, len(comps))
-	for ci, comp := range comps {
-		var out Outcome
-		hasExternalSucc := false
-		consumerOnly := true
-		for _, n := range comp {
-			if n.IsConsumer() {
-				if n.IsPredicate() {
-					out |= OutPredicate
-				} else {
-					out |= OutNative
-				}
-				continue
-			}
-			consumerOnly = false
-			n.Uses(func(u *depgraph.Node) {
-				uc := compOf[u]
-				if uc == ci {
-					return // intra-component edge
-				}
-				hasExternalSucc = true
-				out |= outOf[uc]
-			})
-		}
-		if !consumerOnly && !hasExternalSucc && out == 0 {
-			// A use-free (or internally cyclic) non-consumer component: D.
-			out = OutDead
-		}
-		outOf[ci] = out
-	}
-
-	res := &Result{Out: make(map[*depgraph.Node]Outcome, g.NumNodes())}
-	g.Nodes(func(n *depgraph.Node) {
-		res.Nodes++
-		out := outOf[compOf[n]]
-		res.Out[n] = out
-		if n.IsConsumer() {
-			return
-		}
-		res.Instances += n.Freq()
-		switch out {
-		case OutDead:
-			res.DeadFreq += n.Freq()
-			res.DeadNodes++
-		case OutPredicate:
-			res.PredFreq += n.Freq()
-		}
-	})
 	res.TotalInstances = totalInstances
 	if res.TotalInstances == 0 {
 		res.TotalInstances = res.Instances

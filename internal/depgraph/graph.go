@@ -14,11 +14,12 @@
 // location whose last writer was an instance of b. Both directions are kept
 // so that cost (backward) and benefit (forward) traversals are linear.
 //
-// Two representations back the same API. The default dense representation
-// interns nodes through a flat (instruction × domain-element) index with an
-// arena for node records and append-only edge/location lists, so the online
-// profiler does no map operations on its hot path. The original map-backed
-// representation is kept behind NewLegacy as a differential reference.
+// The representation is dense: nodes are interned through a flat
+// (instruction × domain-element) index with an arena for node records and
+// append-only edge/location lists, so the online profiler does no map
+// operations on its hot path. The original map-backed representation
+// survives only as a model in the package tests (model_test.go), which
+// drives both through the same mutation sequences and compares every read.
 package depgraph
 
 import (
@@ -100,7 +101,7 @@ func (l Loc) String() string {
 // locRef is a node-side record of one abstract location the node accessed,
 // with the graph's dense index for it. The per-node lists are almost always
 // length one (a store instruction writes one abstract location per context),
-// so a linear scan replaces the per-event map probe of the legacy layout.
+// so a linear scan replaces a per-event map probe.
 type locRef struct {
 	loc Loc
 	li  int32
@@ -140,9 +141,9 @@ type Node struct {
 	// and the frozen snapshot's dense permutation key off it.
 	id int32
 
-	// storeLocs/loadLocs record, in dense graphs, which locations this node
-	// was registered as storing/loading (the inverse of the graph's
-	// per-location lists, used for O(1) duplicate suppression).
+	// storeLocs/loadLocs record which locations this node was registered
+	// as storing/loading (the inverse of the graph's per-location lists,
+	// used for O(1) duplicate suppression).
 	storeLocs []locRef
 	loadLocs  []locRef
 }
@@ -201,8 +202,8 @@ type nodeKey struct {
 // locEntry is the dense graph's per-location record: append-only store/load
 // node-ID lists (deduplicated through the node-side locRef lists) and the
 // points-to children set. accessed distinguishes locations that were ever
-// loaded or stored from children-only entries, matching the legacy Locs
-// semantics.
+// loaded or stored from children-only entries, which Locs and FieldsOf
+// skip.
 type locEntry struct {
 	loc      Loc
 	stores   []int32
@@ -215,15 +216,11 @@ type locEntry struct {
 type Graph struct {
 	Prog *ir.Program
 
-	// legacy selects the map-backed reference representation.
-	legacy bool
 	// width is the dense direct-index row width: domain elements in
 	// [-1, width-2] hit the flat index, everything else the overflow map.
-	// Legacy graphs record it too so ApproxBytes models both identically.
 	width int
 
-	// all lists every node in intern order (both representations); a node's
-	// id indexes this slice.
+	// all lists every node in intern order; a node's id indexes this slice.
 	all []*Node
 	// freq holds node frequencies by intern id — a flat table so the
 	// profiler's per-event increment is one dense array write rather than a
@@ -258,13 +255,6 @@ type Graph struct {
 	lastLocID  int32 // usually touch the same abstract location
 	haveLast   bool
 
-	// Legacy representation.
-	nodes       map[nodeKey]*Node
-	ptChildren  map[Loc]map[*Node]struct{}
-	locStores   map[Loc]map[*Node]struct{}
-	locLoads    map[Loc]map[*Node]struct{}
-	locsByOwner map[*Node]map[int]struct{}
-
 	// edge counters (deduplicated)
 	numDep int
 	numRef int
@@ -276,43 +266,24 @@ type Graph struct {
 
 // New returns an empty dense graph over prog sized for the default context
 // domain.
-func New(prog *ir.Program) *Graph { return NewSized(prog, defaultMaxD, false) }
-
-// NewLegacy returns an empty map-backed graph over prog — the differential
-// reference for the dense representation.
-func NewLegacy(prog *ir.Program) *Graph { return NewSized(prog, defaultMaxD, true) }
+func New(prog *ir.Program) *Graph { return NewSized(prog, defaultMaxD) }
 
 // NewSized returns an empty graph whose dense direct index covers domain
 // elements d ∈ [NoContext, maxD]; elements outside the range fall back to an
-// overflow map. legacy selects the map-backed representation (maxD then only
-// parameterizes the ApproxBytes model, keeping reports identical across
-// representations).
-func NewSized(prog *ir.Program, maxD int, legacy bool) *Graph {
+// overflow map.
+func NewSized(prog *ir.Program, maxD int) *Graph {
 	if maxD < 0 {
 		maxD = 0
 	}
-	g := &Graph{
-		Prog:   prog,
-		legacy: legacy,
-		width:  maxD + 2,
+	width := maxD + 2
+	return &Graph{
+		Prog:     prog,
+		width:    width,
+		idx:      make([]int32, prog.NumInstrs()*width),
+		overflow: make(map[nodeKey]*Node),
+		locIDs:   make(map[Loc]int32),
 	}
-	if legacy {
-		g.nodes = make(map[nodeKey]*Node)
-		g.ptChildren = make(map[Loc]map[*Node]struct{})
-		g.locStores = make(map[Loc]map[*Node]struct{})
-		g.locLoads = make(map[Loc]map[*Node]struct{})
-		g.locsByOwner = make(map[*Node]map[int]struct{})
-		return g
-	}
-	g.idx = make([]int32, prog.NumInstrs()*g.width)
-	g.overflow = make(map[nodeKey]*Node)
-	g.locIDs = make(map[Loc]int32)
-	return g
 }
-
-// Legacy reports whether the graph uses the map-backed reference
-// representation.
-func (g *Graph) Legacy() bool { return g.legacy }
 
 // NumNodes returns the number of nodes (|V| of Table 1's #N column).
 func (g *Graph) NumNodes() int { return len(g.all) }
@@ -359,16 +330,6 @@ func (g *Graph) At(r Ref) *Node {
 // Node returns the node for (in, d), creating it if needed. It does not
 // touch Freq; call Touch for that.
 func (g *Graph) Node(in *ir.Instr, d int) *Node {
-	if g.legacy {
-		k := nodeKey{in.ID, d}
-		if n, ok := g.nodes[k]; ok {
-			return n
-		}
-		n := g.newNode(in, d)
-		g.nodes[k] = n
-		g.Invalidate()
-		return n
-	}
 	if dd := d + 1; uint(dd) < uint(g.width) {
 		slot := &g.idx[in.ID*g.width+dd]
 		if *slot != 0 {
@@ -391,9 +352,6 @@ func (g *Graph) Node(in *ir.Instr, d int) *Node {
 
 // Lookup returns the node for (in, d) or nil.
 func (g *Graph) Lookup(in *ir.Instr, d int) *Node {
-	if g.legacy {
-		return g.nodes[nodeKey{in.ID, d}]
-	}
 	if dd := d + 1; uint(dd) < uint(g.width) {
 		if slot := g.idx[in.ID*g.width+dd]; slot != 0 {
 			return g.all[slot-1]
@@ -417,9 +375,9 @@ func (g *Graph) Touch(in *ir.Instr, d int) *Node {
 // guarantee an Invalidate (or any mutating API call) happens before the next
 // Freeze observes the updated frequencies. The body is the dense direct-index
 // hit path, small enough to inline into the profiler's event switch; misses
-// and legacy graphs take touchSlow.
+// take touchSlow.
 func (g *Graph) TouchFast(in *ir.Instr, d int) *Node {
-	if dd := d + 1; !g.legacy && uint(dd) < uint(g.width) {
+	if dd := d + 1; uint(dd) < uint(g.width) {
 		if v := g.idx[in.ID*g.width+dd]; v != 0 {
 			g.freq[v-1]++
 			return g.all[v-1]
@@ -441,7 +399,7 @@ func (g *Graph) touchSlow(in *ir.Instr, d int) *Node {
 // into the graph. Idx[in.ID*Width + d+1] holds intern id + 1 (0 = absent) —
 // the same encoding as Ref — and Freq is indexed by intern id. Idx never
 // reallocates; Freq grows on intern, so the view must be re-fetched after
-// any miss. Empty for legacy graphs.
+// any miss.
 type DenseTables struct {
 	Idx   []int32
 	Freq  []int64
@@ -450,9 +408,6 @@ type DenseTables struct {
 
 // DenseTables returns the current dense-table view (see type doc).
 func (g *Graph) DenseTables() DenseTables {
-	if g.legacy {
-		return DenseTables{}
-	}
 	return DenseTables{Idx: g.idx, Freq: g.freq, Width: g.width}
 }
 
@@ -577,12 +532,6 @@ func (g *Graph) locIndex(loc Loc) int32 {
 
 // AddLocStore records that node n wrote abstract location loc.
 func (g *Graph) AddLocStore(loc Loc, n *Node) {
-	if g.legacy {
-		addToLocSet(g.locStores, loc, n)
-		g.indexLoc(loc)
-		g.Invalidate()
-		return
-	}
 	for i := range n.storeLocs {
 		if n.storeLocs[i].loc == loc {
 			return
@@ -598,12 +547,6 @@ func (g *Graph) AddLocStore(loc Loc, n *Node) {
 
 // AddLocLoad records that node n read abstract location loc.
 func (g *Graph) AddLocLoad(loc Loc, n *Node) {
-	if g.legacy {
-		addToLocSet(g.locLoads, loc, n)
-		g.indexLoc(loc)
-		g.Invalidate()
-		return
-	}
 	for i := range n.loadLocs {
 		if n.loadLocs[i].loc == loc {
 			return
@@ -617,27 +560,6 @@ func (g *Graph) AddLocLoad(loc Loc, n *Node) {
 	g.Invalidate()
 }
 
-func addToLocSet(m map[Loc]map[*Node]struct{}, loc Loc, n *Node) {
-	set := m[loc]
-	if set == nil {
-		set = make(map[*Node]struct{}, 2)
-		m[loc] = set
-	}
-	set[n] = struct{}{}
-}
-
-func (g *Graph) indexLoc(loc Loc) {
-	if loc.Alloc == nil {
-		return
-	}
-	fields := g.locsByOwner[loc.Alloc]
-	if fields == nil {
-		fields = make(map[int]struct{}, 4)
-		g.locsByOwner[loc.Alloc] = fields
-	}
-	fields[loc.Field] = struct{}{}
-}
-
 // nodeLess is the canonical node order: (instruction ID, context slot). The
 // frozen snapshot assigns dense IDs in this order, so sorted-by-ID and
 // sorted-by-nodeLess iterations agree.
@@ -646,16 +568,6 @@ func nodeLess(a, b *Node) bool {
 		return a.In.ID < b.In.ID
 	}
 	return a.D < b.D
-}
-
-// sortedSetNodes flattens a node set into a slice sorted by nodeLess.
-func sortedSetNodes(set map[*Node]struct{}) []*Node {
-	out := make([]*Node, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return nodeLess(out[i], out[j]) })
-	return out
 }
 
 // sortedIDNodes maps intern IDs to nodes sorted by nodeLess.
@@ -692,12 +604,6 @@ func (g *Graph) StoresOf(loc Loc, f func(*Node)) {
 		s.storesOf(loc, f)
 		return
 	}
-	if g.legacy {
-		for _, n := range sortedSetNodes(g.locStores[loc]) {
-			f(n)
-		}
-		return
-	}
 	if li, ok := g.locIDs[loc]; ok {
 		for _, n := range g.sortedIDNodes(g.locEntries[li].stores) {
 			f(n)
@@ -712,12 +618,6 @@ func (g *Graph) LoadsOf(loc Loc, f func(*Node)) {
 		s.loadsOf(loc, f)
 		return
 	}
-	if g.legacy {
-		for _, n := range sortedSetNodes(g.locLoads[loc]) {
-			f(n)
-		}
-		return
-	}
 	if li, ok := g.locIDs[loc]; ok {
 		for _, n := range g.sortedIDNodes(g.locEntries[li].loads) {
 			f(n)
@@ -729,23 +629,18 @@ func (g *Graph) LoadsOf(loc Loc, f func(*Node)) {
 // allocated at owner that was ever loaded or stored, in ascending field
 // order.
 func (g *Graph) FieldsOf(owner *Node, f func(field int)) {
+	if owner == nil {
+		return // statics belong to no allocated object
+	}
 	if s := g.frozen; s != nil {
 		s.fieldsOf(owner, f)
 		return
 	}
 	var fields []int
-	if g.legacy {
-		set := g.locsByOwner[owner]
-		fields = make([]int, 0, len(set))
-		for field := range set {
-			fields = append(fields, field)
-		}
-	} else {
-		for i := range g.locEntries {
-			e := &g.locEntries[i]
-			if e.accessed && e.loc.Alloc == owner {
-				fields = append(fields, e.loc.Field)
-			}
+	for i := range g.locEntries {
+		e := &g.locEntries[i]
+		if e.accessed && e.loc.Alloc == owner {
+			fields = append(fields, e.loc.Field)
 		}
 	}
 	sort.Ints(fields)
@@ -764,23 +659,9 @@ func (g *Graph) Locs(f func(Loc)) {
 		return
 	}
 	var locs []Loc
-	if g.legacy {
-		seen := make(map[Loc]struct{}, len(g.locStores)+len(g.locLoads))
-		locs = make([]Loc, 0, len(seen))
-		for loc := range g.locStores {
-			seen[loc] = struct{}{}
-			locs = append(locs, loc)
-		}
-		for loc := range g.locLoads {
-			if _, dup := seen[loc]; !dup {
-				locs = append(locs, loc)
-			}
-		}
-	} else {
-		for i := range g.locEntries {
-			if g.locEntries[i].accessed {
-				locs = append(locs, g.locEntries[i].loc)
-			}
+	for i := range g.locEntries {
+		if g.locEntries[i].accessed {
+			locs = append(locs, g.locEntries[i].loc)
 		}
 	}
 	sort.Slice(locs, func(i, j int) bool { return locLess(locs[i], locs[j]) })
@@ -793,16 +674,6 @@ func (g *Graph) Locs(f func(Loc)) {
 // at child (a points-to edge used to build object reference trees).
 func (g *Graph) AddChild(loc Loc, child *Node) {
 	if child == nil {
-		return
-	}
-	if g.legacy {
-		set := g.ptChildren[loc]
-		if set == nil {
-			set = make(map[*Node]struct{}, 2)
-			g.ptChildren[loc] = set
-		}
-		set[child] = struct{}{}
-		g.Invalidate()
 		return
 	}
 	li := g.locIndex(loc)
@@ -822,25 +693,14 @@ func (g *Graph) Children(owner *Node, f func(field int, child *Node)) {
 		child *Node
 	}
 	var pairs []pair
-	if g.legacy {
-		for loc, set := range g.ptChildren {
-			if loc.Alloc != owner {
-				continue
-			}
-			for c := range set {
-				pairs = append(pairs, pair{loc.Field, c})
-			}
+	for i := range g.locEntries {
+		e := &g.locEntries[i]
+		if e.loc.Alloc != owner {
+			continue
 		}
-	} else {
-		for i := range g.locEntries {
-			e := &g.locEntries[i]
-			if e.loc.Alloc != owner {
-				continue
-			}
-			e.children.each(g.all, func(c *Node) {
-				pairs = append(pairs, pair{e.loc.Field, c})
-			})
-		}
+		e.children.each(g.all, func(c *Node) {
+			pairs = append(pairs, pair{e.loc.Field, c})
+		})
 	}
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].field != pairs[j].field {
@@ -897,10 +757,36 @@ func (g *Graph) TotalFreq() int64 {
 // ApproxBytes estimates the memory footprint of the graph in bytes, the
 // analogue of Table 1's M(Mb) column. The model follows the dense layout —
 // arena node records, the flat intern index, append-only edge and location
-// lists with their dedup-table slack — and is computed from representation-
-// independent counts, so legacy and dense graphs over the same profile
-// report the same figure (reports stay byte-identical across engines).
-func (g *Graph) ApproxBytes() int64 {
+// lists with their dedup-table slack — and is computed from entry counts
+// alone, so it does not depend on how far any table's capacity has grown.
+func (g *Graph) ApproxBytes() int64 { return g.footprint().bytes() }
+
+// footprint holds the entry counts ApproxBytes charges for.
+type footprint struct {
+	nodes, indexSlots, overflow, depEdges, refEdges int
+	locs, stores, loads, children                   int
+}
+
+// footprint counts the graph's entries.
+func (g *Graph) footprint() footprint {
+	f := footprint{
+		nodes:      len(g.all),
+		indexSlots: len(g.idx),
+		overflow:   len(g.overflow),
+		depEdges:   g.numDep,
+		refEdges:   g.numRef,
+		locs:       len(g.locEntries),
+	}
+	for i := range g.locEntries {
+		e := &g.locEntries[i]
+		f.stores += len(e.stores)
+		f.loads += len(e.loads)
+		f.children += e.children.len()
+	}
+	return f
+}
+
+func (f footprint) bytes() int64 {
 	var (
 		nodeBytes = int64(unsafe.Sizeof(Node{}))
 		setBytes  = int64(unsafe.Sizeof(nodeSet{}))
@@ -914,8 +800,6 @@ func (g *Graph) ApproxBytes() int64 {
 		ptrEntry   = 8
 	)
 
-	nLocs, nStores, nLoads, nChildren, nOverflow := g.locStats()
-
 	// Per node: the arena record plus its slots in the parallel tables —
 	// the intern-list pointer, the frequency word, the dep0 memo, and the
 	// three edge-set headers. The parallel tables are append-grown by
@@ -924,51 +808,15 @@ func (g *Graph) ApproxBytes() int64 {
 	// slack. Arena chunks are replaced, not copied, so node records are
 	// charged at size.
 	perNode := nodeBytes + 2*(ptrEntry+8+4+3*setBytes)
-	b := int64(len(g.all)) * perNode
-	b += int64(g.Prog.NumInstrs()*g.width) * 4 // flat intern index
-	b += int64(nOverflow) * mapEntry
-	b += int64(g.numDep) * 2 * (listEntry + tableSlack) // both directions
-	b += int64(g.numRef) * (listEntry + tableSlack)
-	b += int64(nLocs) * locBytes
+	b := int64(f.nodes) * perNode
+	b += int64(f.indexSlots) * 4 // flat intern index
+	b += int64(f.overflow) * mapEntry
+	b += int64(f.depEdges) * 2 * (listEntry + tableSlack) // both directions
+	b += int64(f.refEdges) * (listEntry + tableSlack)
+	b += int64(f.locs) * locBytes
 	// Store/load registrations appear twice: an int32 in the per-location
 	// list and a locRef in the node-side dedup list.
-	b += int64(nStores+nLoads) * (4 + locRefSz)
-	b += int64(nChildren) * (listEntry + tableSlack)
+	b += int64(f.stores+f.loads) * (4 + locRefSz)
+	b += int64(f.children) * (listEntry + tableSlack)
 	return b
-}
-
-// locStats counts location-table entries identically for both
-// representations.
-func (g *Graph) locStats() (nLocs, nStores, nLoads, nChildren, nOverflow int) {
-	if g.legacy {
-		seen := make(map[Loc]struct{}, len(g.locStores)+len(g.locLoads)+len(g.ptChildren))
-		for loc, set := range g.locStores {
-			seen[loc] = struct{}{}
-			nStores += len(set)
-		}
-		for loc, set := range g.locLoads {
-			seen[loc] = struct{}{}
-			nLoads += len(set)
-		}
-		for loc, set := range g.ptChildren {
-			seen[loc] = struct{}{}
-			nChildren += len(set)
-		}
-		nLocs = len(seen)
-		for _, n := range g.all {
-			if dd := n.D + 1; uint(dd) >= uint(g.width) {
-				nOverflow++
-			}
-		}
-		return
-	}
-	nLocs = len(g.locEntries)
-	for i := range g.locEntries {
-		e := &g.locEntries[i]
-		nStores += len(e.stores)
-		nLoads += len(e.loads)
-		nChildren += e.children.len()
-	}
-	nOverflow = len(g.overflow)
-	return
 }

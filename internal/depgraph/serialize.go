@@ -119,38 +119,23 @@ func (g *Graph) Encode(w io.Writer) error {
 		})
 		return out
 	}
-	if g.legacy {
-		locEdges := func(m map[Loc]map[*Node]struct{}) []serialLocEdge {
-			var out []serialLocEdge
-			for loc, set := range m {
-				for n := range set {
-					out = append(out, serialLocEdge{Alloc: nodeIdx(loc.Alloc), Field: loc.Field, Node: idx[n]})
-				}
-			}
-			return sortLocEdges(out)
+	var children, stores, loads []serialLocEdge
+	for i := range g.locEntries {
+		e := &g.locEntries[i]
+		a, f := nodeIdx(e.loc.Alloc), e.loc.Field
+		e.children.each(g.all, func(c *Node) {
+			children = append(children, serialLocEdge{Alloc: a, Field: f, Node: idx[c]})
+		})
+		for _, id := range e.stores {
+			stores = append(stores, serialLocEdge{Alloc: a, Field: f, Node: idx[g.all[id]]})
 		}
-		sg.Children = locEdges(g.ptChildren)
-		sg.LocStores = locEdges(g.locStores)
-		sg.LocLoads = locEdges(g.locLoads)
-	} else {
-		var children, stores, loads []serialLocEdge
-		for i := range g.locEntries {
-			e := &g.locEntries[i]
-			a, f := nodeIdx(e.loc.Alloc), e.loc.Field
-			e.children.each(g.all, func(c *Node) {
-				children = append(children, serialLocEdge{Alloc: a, Field: f, Node: idx[c]})
-			})
-			for _, id := range e.stores {
-				stores = append(stores, serialLocEdge{Alloc: a, Field: f, Node: idx[g.all[id]]})
-			}
-			for _, id := range e.loads {
-				loads = append(loads, serialLocEdge{Alloc: a, Field: f, Node: idx[g.all[id]]})
-			}
+		for _, id := range e.loads {
+			loads = append(loads, serialLocEdge{Alloc: a, Field: f, Node: idx[g.all[id]]})
 		}
-		sg.Children = sortLocEdges(children)
-		sg.LocStores = sortLocEdges(stores)
-		sg.LocLoads = sortLocEdges(loads)
 	}
+	sg.Children = sortLocEdges(children)
+	sg.LocStores = sortLocEdges(stores)
+	sg.LocLoads = sortLocEdges(loads)
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(&sg)
@@ -164,32 +149,40 @@ func Decode(r io.Reader, prog *ir.Program) (*Graph, error) {
 		return nil, fmt.Errorf("depgraph: decode: %w", err)
 	}
 	if sg.Version != serialVersion {
-		return nil, fmt.Errorf("depgraph: unsupported version %d", sg.Version)
+		return nil, &DecodeError{fmt.Sprintf("unsupported version %d", sg.Version)}
 	}
 	if sg.NumInstrs != prog.NumInstrs() || sg.NumSites != prog.NumAllocSites() {
-		return nil, fmt.Errorf("depgraph: graph was recorded for a different program (%d/%d instrs, %d/%d sites)",
-			sg.NumInstrs, prog.NumInstrs(), sg.NumSites, prog.NumAllocSites())
+		return nil, &DecodeError{fmt.Sprintf("graph was recorded for a different program (%d/%d instrs, %d/%d sites)",
+			sg.NumInstrs, prog.NumInstrs(), sg.NumSites, prog.NumAllocSites())}
 	}
 
 	g := New(prog)
 	nodes := make([]*Node, len(sg.Nodes))
 	for i, sn := range sg.Nodes {
 		if sn.Instr < 0 || sn.Instr >= prog.NumInstrs() {
-			return nil, fmt.Errorf("depgraph: node %d references bad instruction %d", i, sn.Instr)
+			return nil, &DecodeError{fmt.Sprintf("node %d references bad instruction %d", i, sn.Instr)}
 		}
 		n := g.Node(prog.Instrs[sn.Instr], sn.D)
 		n.SetFreq(sn.Freq)
 		n.Eff = EffectKind(sn.Eff)
 		nodes[i] = n
 	}
+	// at resolves an optional node index (-1 = none: a static location or
+	// a node without a heap effect); node resolves a required one.
 	at := func(i int) (*Node, error) {
 		if i == -1 {
 			return nil, nil
 		}
 		if i < 0 || i >= len(nodes) {
-			return nil, fmt.Errorf("depgraph: bad node index %d", i)
+			return nil, &DecodeError{fmt.Sprintf("bad node index %d", i)}
 		}
 		return nodes[i], nil
+	}
+	node := func(what string, i int) (*Node, error) {
+		if i == -1 {
+			return nil, &DecodeError{what + " has no node"}
+		}
+		return at(i)
 	}
 	for i, sn := range sg.Nodes {
 		alloc, err := at(sn.EffAlloc)
@@ -198,60 +191,56 @@ func Decode(r io.Reader, prog *ir.Program) (*Graph, error) {
 		}
 		nodes[i].EffLoc = Loc{Alloc: alloc, Field: sn.EffField}
 	}
-	for _, e := range sg.DepEdges {
-		from, err := at(e[0])
-		if err != nil {
-			return nil, err
+	edges := func(what string, es [][2]int, add func(from, to *Node)) error {
+		for _, e := range es {
+			from, err := node(what, e[0])
+			if err != nil {
+				return err
+			}
+			to, err := node(what, e[1])
+			if err != nil {
+				return err
+			}
+			add(from, to)
 		}
-		to, err := at(e[1])
-		if err != nil {
-			return nil, err
-		}
-		g.AddDep(from, to)
+		return nil
 	}
-	for _, e := range sg.RefEdges {
-		from, err := at(e[0])
-		if err != nil {
-			return nil, err
+	locEdges := func(what string, les []serialLocEdge, add func(Loc, *Node)) error {
+		for _, le := range les {
+			alloc, err := at(le.Alloc)
+			if err != nil {
+				return err
+			}
+			n, err := node(what, le.Node)
+			if err != nil {
+				return err
+			}
+			add(Loc{Alloc: alloc, Field: le.Field}, n)
 		}
-		to, err := at(e[1])
-		if err != nil {
-			return nil, err
-		}
-		g.AddRef(from, to)
+		return nil
 	}
-	for _, le := range sg.Children {
-		alloc, err := at(le.Alloc)
-		if err != nil {
-			return nil, err
-		}
-		child, err := at(le.Node)
-		if err != nil {
-			return nil, err
-		}
-		g.AddChild(Loc{Alloc: alloc, Field: le.Field}, child)
+	if err := edges("dep edge", sg.DepEdges, g.AddDep); err != nil {
+		return nil, err
 	}
-	for _, le := range sg.LocStores {
-		alloc, err := at(le.Alloc)
-		if err != nil {
-			return nil, err
-		}
-		n, err := at(le.Node)
-		if err != nil {
-			return nil, err
-		}
-		g.AddLocStore(Loc{Alloc: alloc, Field: le.Field}, n)
+	if err := edges("ref edge", sg.RefEdges, g.AddRef); err != nil {
+		return nil, err
 	}
-	for _, le := range sg.LocLoads {
-		alloc, err := at(le.Alloc)
-		if err != nil {
-			return nil, err
-		}
-		n, err := at(le.Node)
-		if err != nil {
-			return nil, err
-		}
-		g.AddLocLoad(Loc{Alloc: alloc, Field: le.Field}, n)
+	if err := locEdges("child edge", sg.Children, g.AddChild); err != nil {
+		return nil, err
+	}
+	if err := locEdges("location store", sg.LocStores, g.AddLocStore); err != nil {
+		return nil, err
+	}
+	if err := locEdges("location load", sg.LocLoads, g.AddLocLoad); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
+
+// DecodeError reports a saved graph that parses as JSON but does not
+// describe a valid graph for the program it is loaded against.
+type DecodeError struct {
+	Msg string
+}
+
+func (e *DecodeError) Error() string { return "depgraph: " + e.Msg }

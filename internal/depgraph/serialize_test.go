@@ -2,6 +2,8 @@ package depgraph_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -110,5 +112,37 @@ func TestLoadGarbageRejected(t *testing.T) {
 	if _, err := depgraph.Decode(strings.NewReader(`{"version":99}`), fig.Prog); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Errorf("want version error, got %v", err)
+	}
+
+	// A location edge without a node ("n": -1) must be rejected with a
+	// DecodeError instead of reaching the graph as a nil node.
+	p := profiler.New(fig.Prog, profiler.Options{Slots: 8})
+	m := interp.New(fig.Prog)
+	m.Tracer = p
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.G.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, section := range []string{"locStores", "locLoads"} {
+		var sg map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &sg); err != nil {
+			t.Fatal(err)
+		}
+		edges, _ := sg[section].([]any)
+		if len(edges) == 0 {
+			t.Fatalf("%s: the test program records no entries", section)
+		}
+		edges[0].(map[string]any)["n"] = -1
+		bad, err := json.Marshal(sg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var de *depgraph.DecodeError
+		if _, err := depgraph.Decode(bytes.NewReader(bad), fig.Prog); !errors.As(err, &de) {
+			t.Errorf("%s entry with n=-1: got %v, want a *DecodeError", section, err)
+		}
 	}
 }

@@ -2,8 +2,9 @@
 // pair in the repository: a seeded, deterministic generator of well-formed
 // MJ programs plus a differential harness that checks, on each generated
 // program, the invariants the fixed 18-workload suites prove — interpreter
-// output/step/alloc parity between the handler-table and legacy engines,
-// byte-identical profile reports dense-vs-legacy, dynamic Gcost containment
+// output/step/alloc parity between the handler-table and reference
+// dispatch engines, equal profiles (Gcost, steps, context conflict ratio)
+// from the facade and from the reference engine, dynamic Gcost containment
 // in the static interprocedural slice (CHA and RTA+ObjCtx), cost-benefit
 // ranking preservation under the static prune, the SSA-vs-dense vet
 // agreement relations, escape-analysis soundness, and byte-stable report

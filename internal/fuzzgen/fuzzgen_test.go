@@ -229,3 +229,25 @@ func TestCorpusMatchesGenerator(t *testing.T) {
 		}
 	}
 }
+
+// TestWideHierarchy generates with up to 8 subclasses: every seed must
+// yield a program that compiles, and the seeds together must reach the
+// eighth subclass.
+func TestWideHierarchy(t *testing.T) {
+	cfg := DefaultConfig
+	cfg.MaxSubclasses = 8
+	widest := false
+	for seed := uint64(1); seed <= 20; seed++ {
+		src := Generate(seed, cfg).Render()
+		if failed, detail := CheckNamed("compiles", src); failed {
+			t.Fatalf("seed %d: %s", seed, detail)
+		}
+		widest = widest || strings.Contains(src, "class SubH extends")
+	}
+	if !widest {
+		t.Error("no seed generated an eighth subclass")
+	}
+	if got := letters(27, 'A'); got != "AB" {
+		t.Errorf("letters(27) = %q, want AB", got)
+	}
+}

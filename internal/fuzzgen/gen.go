@@ -145,7 +145,6 @@ func (g *gen) buildHierarchy() {
 	g.intFlds["Base"] = []string{"fa", "fb"}
 
 	nSubs := g.r.rangeInt(1, g.cfg.MaxSubclasses)
-	subNames := []string{"SubA", "SubB", "SubC", "SubD"}
 	for i := 0; i < nSubs; i++ {
 		// Chain or fan: extend the most recent class half the time to get
 		// depth, otherwise extend Base for width.
@@ -153,8 +152,8 @@ func (g *gen) buildHierarchy() {
 		if i > 0 && g.r.chance(1, 2) {
 			super = g.hier[len(g.hier)-1]
 		}
-		name := subNames[i]
-		own := fmt.Sprintf("g%c", 'a'+i)
+		name := "Sub" + letters(i, 'A')
+		own := "g" + letters(i, 'a')
 		c := &Class{Name: name, Extends: super, Fields: []Field{{Name: own, Type: "int"}}}
 		g.p.Classes = append(g.p.Classes, c)
 		g.hier = append(g.hier, name)
@@ -167,6 +166,16 @@ func (g *gen) buildHierarchy() {
 		c := g.classByName(name)
 		c.Methods = append(c.Methods, g.leafMethod(name, "step", hi), g.tagMethod(name, hi))
 	}
+}
+
+// letters names the i-th subclass in bijective base 26: A..Z, AA, AB, …
+// (from 'a' for field names), so the first four are SubA..SubD and ga..gd.
+func letters(i int, first byte) string {
+	var b []byte
+	for i++; i > 0; i = (i - 1) / 26 {
+		b = append([]byte{first + byte((i-1)%26)}, b...)
+	}
+	return string(b)
 }
 
 // leafMethod builds "int step(int x)" for one hierarchy class: a couple of

@@ -3,6 +3,7 @@ package fuzzgen
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -43,9 +44,11 @@ type Invariant struct {
 // Each entry mirrors an invariant the fixed-workload test suites prove:
 //
 //	compiles               the generator's contract: output is well-formed MJ
-//	interp-parity          dense vs legacy dispatch: output/steps/allocs/native
-//	profile-parity         dense vs legacy profiler engine: byte-identical
-//	                       report, saved profile, multi-hop slice, stats
+//	interp-parity          handler-table vs reference dispatch:
+//	                       output/steps/allocs/native
+//	profile-parity         facade profile vs a reference-dispatch profile
+//	                       under the same options: equal Gcost encoding,
+//	                       steps and context conflict ratio
 //	slice-containment-cha  dynamic Gcost ⊆ static slice under CHA
 //	slice-containment-rta  dynamic Gcost ⊆ static slice under RTA+ObjCtx
 //	prune-ranking          static prune preserves the per-site ranking
@@ -190,50 +193,51 @@ func checkInterpParity(c *caseRun) error {
 	if err != nil {
 		return errSkip
 	}
-	run := func(legacy bool) (*interp.Machine, error) {
+	run := func(reference bool) (*interp.Machine, error) {
 		m := interp.New(prog)
-		m.LegacyDispatch = legacy
 		m.MaxSteps = maxFuzzSteps
-		if err := m.Run(); err != nil {
+		run := m.Run
+		if reference {
+			run = m.RunReference
+		}
+		if err := run(); err != nil {
 			return nil, err
 		}
 		return m, nil
 	}
-	dense, err := run(false)
+	product, err := run(false)
 	if err != nil {
-		return fmt.Errorf("dense run failed: %v", err)
+		return fmt.Errorf("product run failed: %v", err)
 	}
-	legacy, err := run(true)
+	ref, err := run(true)
 	if err != nil {
-		return fmt.Errorf("legacy run failed: %v", err)
+		return fmt.Errorf("reference run failed: %v", err)
 	}
-	if fmt.Sprint(dense.Output) != fmt.Sprint(legacy.Output) {
-		return fmt.Errorf("output differs: dense %v vs legacy %v", dense.Output, legacy.Output)
+	if fmt.Sprint(product.Output) != fmt.Sprint(ref.Output) {
+		return fmt.Errorf("output differs: product %v vs reference %v", product.Output, ref.Output)
 	}
-	if dense.Steps != legacy.Steps || dense.Allocs != legacy.Allocs || dense.NativeWork != legacy.NativeWork {
+	if product.Steps != ref.Steps || product.Allocs != ref.Allocs || product.NativeWork != ref.NativeWork {
 		return fmt.Errorf("counters differ: steps %d/%d allocs %d/%d native %d/%d",
-			dense.Steps, legacy.Steps, dense.Allocs, legacy.Allocs, dense.NativeWork, legacy.NativeWork)
+			product.Steps, ref.Steps, product.Allocs, ref.Allocs, product.NativeWork, ref.NativeWork)
 	}
 	return nil
 }
 
-// profileBundle captures every engine-sensitive profile output, mirroring
-// the CLI surface: ranked report, serialized profile, multi-hop slice, and
-// graph/deadness stats.
+// profileBundle captures every profile output the CLI can print: ranked
+// report, serialized profile, multi-hop slice, and graph/deadness stats.
 type profileBundle struct {
 	report, saved, multihop, stats string
+	avgCR                          float64
 }
 
-func (c *caseRun) profileWith(legacy bool) (*profileBundle, error) {
+// profile runs the facade profiler with default options and renders every
+// output.
+func (c *caseRun) profile() (*profileBundle, error) {
 	fac, err := c.facade()
 	if err != nil {
 		return nil, err
 	}
-	var opts []lowutil.ProfileOption
-	if legacy {
-		opts = append(opts, lowutil.WithLegacyEngine())
-	}
-	profile, err := fac.ProfileContext(context.Background(), opts...)
+	profile, err := fac.ProfileContext(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -245,35 +249,61 @@ func (c *caseRun) profileWith(legacy bool) (*profileBundle, error) {
 	for i, f := range profile.TopStructuresMultiHop(10, 2) {
 		fmt.Fprintf(&mh, "%3d. %s\n", i+1, f)
 	}
+	gs := profile.GraphStats()
 	return &profileBundle{
 		report:   profile.Report(lowutil.DefaultTop),
 		saved:    buf.String(),
 		multihop: mh.String(),
-		stats:    fmt.Sprintf("%+v %+v steps=%d", profile.GraphStats(), profile.Deadness(), profile.Steps()),
+		stats:    fmt.Sprintf("%+v %+v steps=%d", gs, profile.Deadness(), profile.Steps()),
+		avgCR:    gs.AvgCR,
 	}, nil
 }
 
+// checkProfileParity compares the facade's profile with one taken on the
+// reference dispatch engine under the profiler options the facade uses by
+// default. Every report is rendered from the Gcost, the step count and the
+// context conflict ratio, so equal inputs make the reports equal.
 func checkProfileParity(c *caseRun) error {
-	if _, err := c.irProg(); err != nil {
+	prog, err := c.irProg()
+	if err != nil {
 		return errSkip
 	}
-	dense, err := c.profileWith(false)
+	product, err := c.profile()
 	if err != nil {
-		return fmt.Errorf("dense profile failed: %v", err)
+		return fmt.Errorf("product profile failed: %v", err)
 	}
-	legacy, err := c.profileWith(true)
-	if err != nil {
-		return fmt.Errorf("legacy profile failed: %v", err)
+	var saved struct {
+		Steps int64           `json:"steps"`
+		Graph json.RawMessage `json:"graph"`
+	}
+	if err := json.Unmarshal([]byte(product.saved), &saved); err != nil {
+		return fmt.Errorf("saved profile does not parse: %v", err)
+	}
+
+	p := profiler.New(prog, profiler.Options{Slots: lowutil.DefaultSlots, TrackCR: true})
+	m := interp.New(prog)
+	m.Tracer = p
+	m.MaxSteps = maxFuzzSteps
+	if err := m.RunReference(); err != nil {
+		return fmt.Errorf("reference profile failed: %v", err)
+	}
+	var enc, refGraph, productGraph bytes.Buffer
+	if err := p.G.Encode(&enc); err != nil {
+		return err
+	}
+	if err := json.Compact(&refGraph, enc.Bytes()); err != nil {
+		return err
+	}
+	if err := json.Compact(&productGraph, saved.Graph); err != nil {
+		return err
 	}
 	switch {
-	case dense.report != legacy.report:
-		return fmt.Errorf("report differs:\n--- dense ---\n%s--- legacy ---\n%s", dense.report, legacy.report)
-	case dense.saved != legacy.saved:
-		return fmt.Errorf("serialized profile differs (%d vs %d bytes)", len(dense.saved), len(legacy.saved))
-	case dense.multihop != legacy.multihop:
-		return fmt.Errorf("multi-hop slice differs:\n--- dense ---\n%s--- legacy ---\n%s", dense.multihop, legacy.multihop)
-	case dense.stats != legacy.stats:
-		return fmt.Errorf("stats differ: dense %q vs legacy %q", dense.stats, legacy.stats)
+	case saved.Steps != m.Steps:
+		return fmt.Errorf("steps differ: product %d vs reference %d", saved.Steps, m.Steps)
+	case !bytes.Equal(productGraph.Bytes(), refGraph.Bytes()):
+		return fmt.Errorf("Gcost encoding differs (%d vs %d bytes)", productGraph.Len(), refGraph.Len())
+	case product.avgCR != p.CR().AverageCR():
+		return fmt.Errorf("context conflict ratio differs: product %v vs reference %v", product.avgCR, p.CR().AverageCR())
 	}
 	return nil
 }
@@ -552,11 +582,11 @@ func checkReportStability(c *caseRun) error {
 		return err
 	}
 	ctx := context.Background()
-	a, err := c.profileWith(false)
+	a, err := c.profile()
 	if err != nil {
 		return fmt.Errorf("profile failed: %v", err)
 	}
-	b, err := c.profileWith(false)
+	b, err := c.profile()
 	if err != nil {
 		return fmt.Errorf("profile re-run failed: %v", err)
 	}

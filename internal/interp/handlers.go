@@ -19,8 +19,8 @@ package interp
 // receiver's dynamic class, with a bounded polymorphic fallback and a
 // megamorphic regime that degrades to the plain name lookup.
 //
-// The legacy switch interpreter is kept behind Machine.LegacyDispatch as the
-// differential reference.
+// The original switch interpreter survives as the test reference behind
+// Machine.RunReference (reference.go).
 
 import (
 	"sync"
@@ -276,7 +276,7 @@ func buildTab(meth *ir.Method, prune []bool) mtab {
 }
 
 // traced reports whether the event for d should reach the tracer,
-// replicating the legacy prologue: pruned instructions are counted before
+// replicating the reference prologue: pruned instructions are counted before
 // execution, traced ones emit after.
 func (m *Machine) traced(d *dinstr) bool {
 	if m.Tracer == nil {
@@ -720,7 +720,7 @@ func hArrayLen(m *Machine, fr *Frame, d *dinstr) error {
 
 // finishIf branches and reports the branch event. The event fires after a
 // taken branch retargets PC but before a fall-through advances it, matching
-// the legacy switch ordering exactly.
+// the reference switch ordering exactly.
 func finishIf(m *Machine, fr *Frame, d *dinstr, traced, taken bool) error {
 	if taken {
 		fr.PC = int(d.target)
@@ -883,8 +883,8 @@ func (m *Machine) dispatchSlow(d *dinstr, ic *icSite, cls *ir.Class) *ir.Method 
 	return target
 }
 
-// pushCall performs the common tail of both call handlers, mirroring
-// Machine.doCall. Frames come from the machine's pool: a frame popped by a
+// pushCall performs the common tail of both call handlers, mirroring the
+// reference engine's doCall. Frames come from the machine's pool: a frame popped by a
 // return handler is dead (the machine never revisits it, and tracers key
 // their state off the live frame's Shadow), so it is recycled here instead
 // of allocating a frame and locals slice per call.

@@ -104,8 +104,8 @@ type Frame struct {
 	// Shadow is owned by the active Tracer.
 	Shadow any
 
-	// tab is the pre-decoded dispatch table for Method (nil under legacy
-	// switch dispatch) and ics the machine's inline caches for its virtual
+	// tab is the pre-decoded dispatch table for Method (nil under the
+	// reference switch dispatch) and ics the machine's inline caches for its virtual
 	// call sites; both are set when the frame is pushed.
 	tab []dinstr
 	ics []icSite

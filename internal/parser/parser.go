@@ -17,6 +17,17 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
+// MaxNesting bounds how deep statements, and separately expressions, may
+// nest. The parser recurses once per level, so without a bound a hostile
+// source (millions of nested parentheses fit in a few megabytes) would
+// overflow the goroutine stack, which is fatal to the whole process. A
+// statement in a method body is one level deep, and each enclosing block,
+// if, while or for adds one; an operand is one level deep, and each
+// enclosing parenthesis, unary operator, call argument, index or array
+// length adds one. Real programs stay far below the bound: the workloads
+// nest at most 6 blocks and 2 parentheses deep.
+const MaxNesting = 1000
+
 // Parse parses a complete MJ compilation unit.
 func Parse(src string) (*ast.Program, error) {
 	toks, err := lexer.Tokenize(src)
@@ -38,6 +49,9 @@ func Parse(src string) (*ast.Program, error) {
 type parser struct {
 	toks []lexer.Token
 	off  int
+	// stmtDepth and exprDepth count the statements and operands being
+	// parsed, innermost included (see MaxNesting).
+	stmtDepth, exprDepth int
 }
 
 func (p *parser) cur() lexer.Token {
@@ -70,6 +84,18 @@ func (p *parser) next() lexer.Token {
 func (p *parser) errf(pos lexer.Pos, format string, args ...any) error {
 	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
+
+// enter opens one nesting level on *depth, failing past MaxNesting; every
+// enter is paired with a deferred leave.
+func (p *parser) enter(depth *int, what string) error {
+	*depth++
+	if *depth > MaxNesting {
+		return p.errf(p.cur().Pos, "%s nest deeper than %d levels", what, MaxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave(depth *int) { *depth-- }
 
 func (p *parser) expect(k lexer.Kind) (lexer.Token, error) {
 	if !p.at(k) {
@@ -252,6 +278,10 @@ func (p *parser) block() (*ast.Block, error) {
 }
 
 func (p *parser) stmt() (ast.Stmt, error) {
+	defer p.leave(&p.stmtDepth)
+	if err := p.enter(&p.stmtDepth, "statements"); err != nil {
+		return nil, err
+	}
 	switch p.cur().Kind {
 	case lexer.LBrace:
 		return p.block()
@@ -484,6 +514,10 @@ func (p *parser) binExpr(minPrec int) (ast.Expr, error) {
 }
 
 func (p *parser) unary() (ast.Expr, error) {
+	defer p.leave(&p.exprDepth)
+	if err := p.enter(&p.exprDepth, "expressions"); err != nil {
+		return nil, err
+	}
 	switch p.cur().Kind {
 	case lexer.Minus:
 		t := p.next()

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -180,5 +181,45 @@ func TestErrorsCarryPositions(t *testing.T) {
 	_, err := Parse("class C {\n  void f() {\n    int 3;\n  }\n}")
 	if err == nil || !strings.Contains(err.Error(), "3:") {
 		t.Errorf("want line-3 position, got %v", err)
+	}
+}
+
+// TestNestingBound drives each recursive form to MaxNesting and one level
+// past it: at the bound the program parses, past it Parse fails with a
+// positioned *Error instead of recursing further.
+func TestNestingBound(t *testing.T) {
+	wrap := func(body string) string {
+		return "class Main { static void main() { " + body + " } }"
+	}
+	nest := func(open string, k int, inner, close string) string {
+		return strings.Repeat(open, k) + inner + strings.Repeat(close, k)
+	}
+	// Each case builds a program nested exactly `levels` deep.
+	cases := []struct {
+		name  string
+		build func(levels int) string
+	}{
+		// The initializer's operand is one level; each parenthesis adds one.
+		{"parentheses", func(n int) string { return wrap("int x = " + nest("(", n-1, "1", ")") + ";") }},
+		{"unary minus", func(n int) string { return wrap("int x = " + strings.Repeat("-", n-1) + "1;") }},
+		{"unary not", func(n int) string { return wrap("boolean b = " + strings.Repeat("!", n-1) + "true;") }},
+		{"call arguments", func(n int) string { return wrap("int x = " + nest("f(", n-1, "1", ")") + ";") }},
+		{"indexes", func(n int) string { return wrap("int x = " + nest("a[", n-1, "0", "]") + ";") }},
+		// A statement in the body is one level; each block or if adds one.
+		{"blocks", func(n int) string { return wrap(nest("{", n, "", "}")) }},
+		{"if statements", func(n int) string { return wrap(strings.Repeat("if (true) ", n-1) + "f();") }},
+		{"while statements", func(n int) string { return wrap(strings.Repeat("while (true) ", n-1) + "f();") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Parse(tc.build(MaxNesting)); err != nil {
+				t.Fatalf("at the bound: %v", err)
+			}
+			_, err := Parse(tc.build(MaxNesting + 1))
+			var pe *Error
+			if !errors.As(err, &pe) || pe.Pos.Line < 1 || !strings.Contains(pe.Msg, "nest deeper") {
+				t.Fatalf("one past the bound: got %v, want a positioned nesting *Error", err)
+			}
+		})
 	}
 }

@@ -111,16 +111,16 @@ func freqMap(g *depgraph.Graph) map[string]int64 {
 }
 
 // TestDenseFreqMatchesLegacyGraph pins node-frequency parity between the
-// dense fast path and the map-backed legacy graph, which interns through the
-// slow path on every event and therefore cannot lose increments to a stale
-// table view.
+// profiler's fast path, which increments through its cached dense-table
+// view, and the CR-tracking path, which interns through the graph on every
+// event and therefore cannot lose increments to a stale table view.
 func TestDenseFreqMatchesLegacyGraph(t *testing.T) {
 	prog, err := mjc.Compile(freqParitySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile := func(legacy bool) *depgraph.Graph {
-		p := profiler.New(prog, profiler.Options{Slots: 16, LegacyGraph: legacy})
+	profile := func(trackCR bool) *depgraph.Graph {
+		p := profiler.New(prog, profiler.Options{Slots: 16, TrackCR: trackCR})
 		m := interp.New(prog)
 		m.Tracer = p
 		if err := m.Run(); err != nil {
@@ -128,16 +128,16 @@ func TestDenseFreqMatchesLegacyGraph(t *testing.T) {
 		}
 		return p.G
 	}
-	dense := freqMap(profile(false))
-	legacy := freqMap(profile(true))
-	if len(dense) != len(legacy) {
-		t.Fatalf("node count: dense %d, legacy %d", len(dense), len(legacy))
+	fast := freqMap(profile(false))
+	slow := freqMap(profile(true))
+	if len(fast) != len(slow) {
+		t.Fatalf("node count: fast path %d, CR path %d", len(fast), len(slow))
 	}
-	for k, lf := range legacy {
-		if df, ok := dense[k]; !ok {
-			t.Errorf("node %s missing from dense graph", k)
-		} else if df != lf {
-			t.Errorf("node %s: dense freq %d, legacy freq %d", k, df, lf)
+	for k, sf := range slow {
+		if ff, ok := fast[k]; !ok {
+			t.Errorf("node %s missing from the fast-path graph", k)
+		} else if ff != sf {
+			t.Errorf("node %s: fast-path freq %d, CR-path freq %d", k, ff, sf)
 		}
 	}
 }

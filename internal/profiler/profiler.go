@@ -54,9 +54,6 @@ type Options struct {
 	// gate cannot reach. Must be nil when Traditional is set: the proof that
 	// pruned instructions are invisible holds only under thin slicing.
 	Prune []bool
-	// LegacyGraph builds Gcost in the map-backed depgraph representation
-	// instead of the dense interned one — the differential reference.
-	LegacyGraph bool
 }
 
 // frameShadow is the per-frame tracker state: shadow locals plus the encoded
@@ -128,10 +125,10 @@ type Profiler struct {
 	cur      *frameShadow
 
 	// tIdx/tFreq/tW cache the graph's dense-table view (depgraph.DenseTables)
-	// and fast gates the inlined intern probe: set only when the graph is
-	// dense and no per-event extras (conflict tracking, unabstracted domain,
-	// control deps) are configured. tFreq is re-fetched after every intern
-	// miss (the table grows).
+	// and fast gates the inlined intern probe: set only when no per-event
+	// extras (conflict tracking, unabstracted domain, control deps) are
+	// configured. tFreq is re-fetched after every intern miss (the table
+	// grows).
 	tIdx  []int32
 	tFreq []int64
 	tW    int
@@ -157,7 +154,7 @@ func New(prog *ir.Program, opts Options) *Profiler {
 	// d ∈ [NoContext, s). Unabstracted occurrence indices overflow into its
 	// map-backed fallback by design.
 	p := &Profiler{
-		G:       depgraph.NewSized(prog, s-1, opts.LegacyGraph),
+		G:       depgraph.NewSized(prog, s-1),
 		Prog:    prog,
 		slots:   contextenc.NewSlots(s),
 		thin:    !opts.Traditional,
@@ -179,7 +176,7 @@ func New(prog *ir.Program, opts Options) *Profiler {
 			p.unabsCap = 1 << 20
 		}
 	}
-	if !opts.LegacyGraph && !p.unabs && p.cr == nil && !p.control {
+	if !p.unabs && p.cr == nil && !p.control {
 		t := p.G.DenseTables()
 		p.tIdx, p.tFreq, p.tW = t.Idx, t.Freq, t.Width
 		p.fast = true

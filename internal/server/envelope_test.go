@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -37,6 +38,7 @@ func postRaw(t *testing.T, url, body string) (int, http.Header, []byte) {
 // leaking raw errors (or flipping retryability) fails here by name.
 func TestErrorEnvelopeTable(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	id := compileSession(t, ts.URL, workSrc)
 	cases := []struct {
 		name      string
 		method    string
@@ -54,6 +56,9 @@ func TestErrorEnvelopeTable(t *testing.T) {
 		{"negative after", "GET", "/v2/jobs/jnope/events?after=-1", "", http.StatusBadRequest, "bad_request", false},
 		{"non-integer after", "GET", "/v2/jobs/jnope/events?after=abc", "", http.StatusBadRequest, "bad_request", false},
 		{"unknown session run", "POST", "/v2/run", `{"session":"deadbeef"}`, http.StatusNotFound, "not_found", false},
+		{"saved profile with a nodeless location", "POST", "/v2/profile/load",
+			fmt.Sprintf(`{"session":%q,"profile":%s}`, id, nodelessProfile(t, ts.URL, id)),
+			http.StatusBadRequest, "bad_request", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,6 +93,33 @@ func TestErrorEnvelopeTable(t *testing.T) {
 	}
 }
 
+// nodelessProfile saves the session's profile and points its first
+// location-store entry at no node ("n": -1).
+func nodelessProfile(t *testing.T, base, id string) []byte {
+	t.Helper()
+	code, body := postJSON(t, base+"/v2/profile/save", profileRequest{Session: id})
+	if code != http.StatusOK {
+		t.Fatalf("save: %d %s", code, body)
+	}
+	var env struct {
+		Steps int64          `json:"steps"`
+		Graph map[string]any `json:"graph"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	stores, _ := env.Graph["locStores"].([]any)
+	if len(stores) == 0 {
+		t.Fatal("saved profile records no location stores")
+	}
+	stores[0].(map[string]any)["n"] = -1
+	out, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestQueueFullRetryAfter pins the one error that carries a header
 // contract: a 429 from a full job queue must tell clients when to come
 // back, since the SDK's backoff honors Retry-After before its own jitter.
@@ -120,7 +152,7 @@ func TestQueueFullRetryAfter(t *testing.T) {
 func TestRunDeadlineEnvelope(t *testing.T) {
 	_, ts := newTestServer(t, Config{RequestTimeout: 100 * time.Millisecond})
 	id := compileSession(t, ts.URL, spinSrc)
-	code, body := postJSON(t, ts.URL+"/v2/run", vetRequest{Session: id})
+	code, body := postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: id})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline run status = %d, want 504; body %s", code, body)
 	}

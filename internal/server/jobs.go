@@ -57,31 +57,14 @@ func (s *Server) executeSpec(ctx context.Context, spec jobs.Spec) (*jobs.Result,
 		if err != nil {
 			return nil, err
 		}
-		resp := profileResponse{Session: sess.ID, Top: []findingJSON{}}
-		e.use(func(pr *lowutil.Profile) error {
-			resp.Steps = pr.Steps()
-			resp.Pruned = pr.PrunedEvents()
-			for _, f := range pr.TopStructures(topOrDefault(spec.Top)) {
-				resp.Top = append(resp.Top, findingJSON{
-					Site: f.Site, Where: f.Where, Cost: f.Cost, Benefit: f.Benefit,
-					Rate: f.Rate, ReachesConsumer: f.ReachesConsumer, Allocs: f.Allocs,
-				})
-			}
-			return nil
-		})
-		payload = resp
+		payload = newProfileResponse(sess.ID, false, e.prof, topOrDefault(spec.Top))
 
 	case jobs.KindReport:
 		e, _, err := s.cachedProfile(ctx, sess, specProfileParams(spec))
 		if err != nil {
 			return nil, err
 		}
-		resp := reportResponse{Session: sess.ID}
-		e.use(func(pr *lowutil.Profile) error {
-			resp.Report = pr.Report(topOrDefault(spec.Top))
-			return nil
-		})
-		payload = resp
+		payload = reportResponse{Session: sess.ID, Report: e.prof.Report(topOrDefault(spec.Top))}
 
 	case jobs.KindSlice:
 		opts := []lowutil.SliceOption{lowutil.WithTop(spec.Top)}
@@ -159,7 +142,7 @@ func specProfileParams(spec jobs.Spec) profileParams {
 	return profileParams{
 		Slots: spec.Slots, TreeHeight: spec.TreeHeight,
 		Traditional: spec.Traditional, TrackControl: spec.TrackControl,
-		Prune: spec.Prune, Legacy: spec.Legacy,
+		Prune: spec.Prune,
 	}
 }
 

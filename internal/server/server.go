@@ -279,7 +279,6 @@ type profileParams struct {
 	Traditional  bool `json:"traditional,omitempty"`
 	TrackControl bool `json:"track_control,omitempty"`
 	Prune        bool `json:"prune,omitempty"`
-	Legacy       bool `json:"legacy,omitempty"`
 }
 
 func (p profileParams) key() profileKey {
@@ -289,7 +288,6 @@ func (p profileParams) key() profileKey {
 		Traditional:  p.Traditional,
 		TrackControl: p.TrackControl,
 		Prune:        p.Prune,
-		Legacy:       p.Legacy,
 	}
 	if k.Slots <= 0 {
 		k.Slots = lowutil.DefaultSlots
@@ -344,15 +342,13 @@ type auditRequest struct {
 	Top     int    `json:"top,omitempty"`
 }
 
-type vetRequest struct {
+// sessionRequest names a session and nothing else (/v2/vet, /v2/run).
+type sessionRequest struct {
 	Session string `json:"session"`
-	// Engine selects the vet analysis engine: "ssa" (default) or "dense".
-	Engine string `json:"engine,omitempty"`
 }
 
 type vetResponse struct {
 	Session  string   `json:"session"`
-	Engine   string   `json:"engine"`
 	Findings []string `json:"findings"`
 }
 
@@ -426,10 +422,7 @@ func (s *Server) cachedProfile(ctx context.Context, sess *Session, p profilePara
 	} else {
 		s.met.profileMisses.Add(1)
 		if err == nil {
-			e.use(func(pr *lowutil.Profile) error {
-				s.met.profiledSteps.Add(pr.Steps())
-				return nil
-			})
+			s.met.profiledSteps.Add(e.prof.Steps())
 		}
 	}
 	return e, hit, err
@@ -452,19 +445,22 @@ func (s *Server) handleProfile(ctx context.Context, r *http.Request) (any, error
 	if top <= 0 {
 		top = lowutil.DefaultTop
 	}
-	resp := profileResponse{Session: sess.ID, CacheHit: hit, Top: []findingJSON{}}
-	e.use(func(pr *lowutil.Profile) error {
-		resp.Steps = pr.Steps()
-		resp.Pruned = pr.PrunedEvents()
-		for _, f := range pr.TopStructures(top) {
-			resp.Top = append(resp.Top, findingJSON{
-				Site: f.Site, Where: f.Where, Cost: f.Cost, Benefit: f.Benefit,
-				Rate: f.Rate, ReachesConsumer: f.ReachesConsumer, Allocs: f.Allocs,
-			})
-		}
-		return nil
-	})
-	return resp, nil
+	return newProfileResponse(sess.ID, hit, e.prof, top), nil
+}
+
+// newProfileResponse renders the /v2/profile payload for a finished run.
+func newProfileResponse(session string, hit bool, pr *lowutil.Profile, top int) profileResponse {
+	resp := profileResponse{
+		Session: session, CacheHit: hit, Top: []findingJSON{},
+		Steps: pr.Steps(), Pruned: pr.PrunedEvents(),
+	}
+	for _, f := range pr.TopStructures(top) {
+		resp.Top = append(resp.Top, findingJSON{
+			Site: f.Site, Where: f.Where, Cost: f.Cost, Benefit: f.Benefit,
+			Rate: f.Rate, ReachesConsumer: f.ReachesConsumer, Allocs: f.Allocs,
+		})
+	}
+	return resp
 }
 
 func (s *Server) handleReport(ctx context.Context, r *http.Request) (any, error) {
@@ -484,12 +480,7 @@ func (s *Server) handleReport(ctx context.Context, r *http.Request) (any, error)
 	if top <= 0 {
 		top = lowutil.DefaultTop
 	}
-	resp := reportResponse{Session: sess.ID, CacheHit: hit}
-	e.use(func(pr *lowutil.Profile) error {
-		resp.Report = pr.Report(top)
-		return nil
-	})
-	return resp, nil
+	return reportResponse{Session: sess.ID, CacheHit: hit, Report: e.prof.Report(top)}, nil
 }
 
 func (s *Server) handleSlice(ctx context.Context, r *http.Request) (any, error) {
@@ -545,7 +536,7 @@ func (s *Server) handleAudit(ctx context.Context, r *http.Request) (any, error) 
 }
 
 func (s *Server) handleVet(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[vetRequest](r)
+	req, err := decode[sessionRequest](r)
 	if err != nil {
 		return nil, err
 	}
@@ -553,19 +544,11 @@ func (s *Server) handleVet(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs, err := sess.Prog.VetEngine(req.Engine)
-	if err != nil {
-		return nil, &badRequestError{err}
-	}
 	findings := []string{}
-	for _, f := range fs {
+	for _, f := range sess.Prog.Vet() {
 		findings = append(findings, f.Message)
 	}
-	engine := req.Engine
-	if engine == "" {
-		engine = "ssa"
-	}
-	return vetResponse{Session: sess.ID, Engine: engine, Findings: findings}, nil
+	return vetResponse{Session: sess.ID, Findings: findings}, nil
 }
 
 func (s *Server) handleSSA(ctx context.Context, r *http.Request) (any, error) {
@@ -585,7 +568,7 @@ func (s *Server) handleSSA(ctx context.Context, r *http.Request) (any, error) {
 }
 
 func (s *Server) handleRun(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[vetRequest](r)
+	req, err := decode[sessionRequest](r)
 	if err != nil {
 		return nil, err
 	}
@@ -624,7 +607,7 @@ func (s *Server) handleSave(ctx context.Context, r *http.Request) (any, error) {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := e.use(func(pr *lowutil.Profile) error { return pr.Save(&buf) }); err != nil {
+	if err := e.prof.Save(&buf); err != nil {
 		return nil, err
 	}
 	return json.RawMessage(buf.Bytes()), nil

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"lowutil"
+	"lowutil/internal/parser"
 )
 
 // workSrc allocates enough structure for profiling to be non-trivial.
@@ -200,6 +201,79 @@ func TestConcurrentProfiles(t *testing.T) {
 	}
 }
 
+// TestConcurrentQueriesOneSession sends /v2/report, /v2/profile and
+// /v2/profile/save requests for one cold session all at once: the first
+// arrivals race on the profile latch, the rest query the one memoized
+// Profile concurrently with no lock around it. Under -race this proves the
+// session needs none; every answer must equal a lone facade run's.
+func TestConcurrentQueriesOneSession(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxInFlight: 32})
+	id := compileSession(t, ts.URL, workSrc)
+
+	prog, err := lowutil.Compile(workSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := prog.ProfileContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := pr.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	wantReport := pr.Report(lowutil.DefaultTop)
+	wantTop := pr.TopStructures(lowutil.DefaultTop)
+
+	endpoints := []string{"/v2/report", "/v2/profile", "/v2/profile/save"}
+	const rounds = 4
+	codes := make([]int, rounds*len(endpoints))
+	bodies := make([][]byte, rounds*len(endpoints))
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			codes[i], bodies[i] = postJSON(t, ts.URL+endpoints[i%len(endpoints)], profileRequest{Session: id})
+		}(i)
+	}
+	wg.Wait()
+
+	for i, body := range bodies {
+		ep := endpoints[i%len(endpoints)]
+		if codes[i] != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", ep, codes[i], body)
+		}
+		switch ep {
+		case "/v2/report":
+			var rr reportResponse
+			json.Unmarshal(body, &rr)
+			if rr.Report != wantReport {
+				t.Errorf("concurrent report differs from a lone run:\n%s", rr.Report)
+			}
+		case "/v2/profile":
+			var resp profileResponse
+			json.Unmarshal(body, &resp)
+			if len(resp.Top) != len(wantTop) || resp.Steps != pr.Steps() {
+				t.Fatalf("concurrent profile: %d findings, %d steps; want %d, %d",
+					len(resp.Top), resp.Steps, len(wantTop), pr.Steps())
+			}
+			for k, f := range wantTop {
+				if got := resp.Top[k]; got.Site != f.Site || got.Cost != f.Cost || got.Benefit != f.Benefit {
+					t.Errorf("concurrent profile finding %d = %+v, want %+v", k, got, f)
+				}
+			}
+		default:
+			if !bytes.Equal(body, saved.Bytes()) {
+				t.Errorf("concurrent save differs from a lone run (%d vs %d bytes)", len(body), saved.Len())
+			}
+		}
+	}
+	if got := metricValue(t, ts.URL, "lowutil_profile_cache_misses_total"); got != 1 {
+		t.Errorf("profile cache misses = %d, want 1 (one run for all requests)", got)
+	}
+}
+
 // TestCompileSessionCache asserts the second compile of identical source
 // is a session cache hit with the same ID.
 func TestCompileSessionCache(t *testing.T) {
@@ -286,11 +360,33 @@ func TestAdmissionControl(t *testing.T) {
 	if eb := decodeEnvelope(t, body); eb.Code != "at_capacity" || !eb.Retryable {
 		t.Errorf("429 envelope = %+v, want retryable at_capacity", eb)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v2/vet", vetRequest{Session: id}); code != http.StatusOK {
+	if code, _ := postJSON(t, ts.URL+"/v2/vet", sessionRequest{Session: id}); code != http.StatusOK {
 		t.Errorf("light endpoint rejected: %d", code)
 	}
 	if got := metricValue(t, ts.URL, "lowutil_rejected_total"); got != 1 {
 		t.Errorf("rejected = %d, want 1", got)
+	}
+}
+
+// TestTooDeepCompileRejected sends a source nested far past the parser's
+// bound (a few million levels would overflow the stack, which kills the
+// process) and expects an ordinary 422 envelope, after which the server
+// keeps serving.
+func TestTooDeepCompileRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const depth = 50 * parser.MaxNesting
+	src := "class Main { static void main() { int x = " +
+		strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + "; print(x); } }"
+	code, body := postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: src})
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("too-deep compile status = %d, want 422; body %.200s", code, body)
+	}
+	if eb := decodeEnvelope(t, body); eb.Code != "compile_error" || eb.Line <= 0 || eb.Retryable {
+		t.Errorf("422 envelope = %+v, want compile_error with position", eb)
+	}
+	id := compileSession(t, ts.URL, workSrc)
+	if code, body := postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: id}); code != http.StatusOK {
+		t.Errorf("request after the rejected compile: %d %s", code, body)
 	}
 }
 
@@ -367,7 +463,7 @@ func TestMetricsAndHealth(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInFlight: 3})
 	id := compileSession(t, ts.URL, workSrc)
 	postJSON(t, ts.URL+"/v2/profile", profileRequest{Session: id})
-	postJSON(t, ts.URL+"/v2/run", vetRequest{Session: id})
+	postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: id})
 
 	if got := metricValue(t, ts.URL, `lowutil_requests_total{endpoint="compile"}`); got != 1 {
 		t.Errorf("compile requests = %d, want 1", got)
@@ -409,10 +505,10 @@ func TestSessionEviction(t *testing.T) {
 		src := strings.Replace(workSrc, "int total = 0;", fmt.Sprintf("int total = %d;", i), 1)
 		ids[i] = compileSession(t, ts.URL, src)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v2/vet", vetRequest{Session: ids[0]}); code != http.StatusNotFound {
+	if code, _ := postJSON(t, ts.URL+"/v2/vet", sessionRequest{Session: ids[0]}); code != http.StatusNotFound {
 		t.Errorf("evicted session status = %d, want 404", code)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v2/vet", vetRequest{Session: ids[2]}); code != http.StatusOK {
+	if code, _ := postJSON(t, ts.URL+"/v2/vet", sessionRequest{Session: ids[2]}); code != http.StatusOK {
 		t.Errorf("fresh session status = %d, want 200", code)
 	}
 	if got := metricValue(t, ts.URL, "lowutil_session_evictions_total"); got != 1 {
@@ -424,7 +520,7 @@ func TestSessionEviction(t *testing.T) {
 func TestVetAndSlice(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := compileSession(t, ts.URL, workSrc)
-	code, body := postJSON(t, ts.URL+"/v2/vet", vetRequest{Session: id})
+	code, body := postJSON(t, ts.URL+"/v2/vet", sessionRequest{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("vet: %d %s", code, body)
 	}
@@ -553,25 +649,60 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 	}
 }
 
-// TestVetEngineAndSSA covers the vet engine selector and the SSA dump
-// endpoint: both engines answer, an unknown engine 400s, and the dump
+// TestLegacyFieldIgnored: a profile request that still sends the removed
+// "legacy" field selects the same configuration, so it joins the one
+// memoized run instead of starting a second.
+func TestLegacyFieldIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := compileSession(t, ts.URL, workSrc)
+	if code, body := postJSON(t, ts.URL+"/v2/profile", profileRequest{Session: id}); code != http.StatusOK {
+		t.Fatalf("profile: %d %s", code, body)
+	}
+	resp, err := http.Post(ts.URL+"/v2/profile", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"session":%q,"legacy":true}`, id)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var pr profileResponse
+	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("profile with legacy: status %d, decode %v", resp.StatusCode, err)
+	}
+	if !pr.CacheHit {
+		t.Error(`"legacy":true started a second profiling run`)
+	}
+}
+
+// TestVetEngineAndSSA covers the vet endpoint and the SSA dump endpoint:
+// vet answers with the SSA engine's findings whatever "engine" field a
+// request sends (request decoding ignores unknown fields), and the dump
 // carries SSA structure.
 func TestVetEngineAndSSA(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := compileSession(t, ts.URL, workSrc)
-	for _, engine := range []string{"", "ssa", "dense"} {
-		code, body := postJSON(t, ts.URL+"/v2/vet", vetRequest{Session: id, Engine: engine})
-		if code != http.StatusOK {
-			t.Fatalf("vet engine %q: %d %s", engine, code, body)
+	prog, err := lowutil.Compile(workSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{}
+	for _, f := range prog.Vet() {
+		want = append(want, f.Message)
+	}
+	for _, engine := range []string{"", "ssa", "dense", "nope"} {
+		body := fmt.Sprintf(`{"session":%q,"engine":%q}`, id, engine)
+		resp, err := http.Post(ts.URL+"/v2/vet", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
 		var vr vetResponse
-		json.Unmarshal(body, &vr)
-		if engine != "dense" && vr.Engine != "ssa" {
-			t.Errorf("engine %q echoed as %q, want ssa", engine, vr.Engine)
+		err = json.NewDecoder(resp.Body).Decode(&vr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("vet with engine %q: status %d, decode %v", engine, resp.StatusCode, err)
 		}
-	}
-	if code, body := postJSON(t, ts.URL+"/v2/vet", vetRequest{Session: id, Engine: "nope"}); code != http.StatusBadRequest {
-		t.Errorf("unknown engine: %d %s, want 400", code, body)
+		if fmt.Sprint(vr.Findings) != fmt.Sprint(want) {
+			t.Errorf("vet with engine %q: findings %q, want the SSA findings %q", engine, vr.Findings, want)
+		}
 	}
 	code, body := postJSON(t, ts.URL+"/v2/ssa", ssaRequest{Session: id})
 	if code != http.StatusOK {

@@ -40,7 +40,6 @@ type profileKey struct {
 	Traditional  bool
 	TrackControl bool
 	Prune        bool
-	Legacy       bool
 }
 
 // options expands the key into facade options.
@@ -58,28 +57,16 @@ func (k profileKey) options() []lowutil.ProfileOption {
 	if k.Prune {
 		opts = append(opts, lowutil.WithPrune())
 	}
-	if k.Legacy {
-		opts = append(opts, lowutil.WithLegacy())
-	}
 	return opts
 }
 
 // profileEntry latches one profiling run. done closes when prof/err are
-// final; mu serializes analysis queries over the shared Profile (the
-// legacy analysis path memoizes into unsynchronized maps, and serializing
-// report rendering is cheap next to the profiling run itself).
+// final; every query on a finished Profile is safe for concurrent use, so
+// readers need no lock.
 type profileEntry struct {
 	done chan struct{}
 	prof *lowutil.Profile
 	err  error
-	mu   sync.Mutex
-}
-
-// use runs fn with exclusive access to the entry's profile.
-func (e *profileEntry) use(fn func(pr *lowutil.Profile) error) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return fn(e.prof)
 }
 
 // auditKey is the complete static-audit configuration a cached report is

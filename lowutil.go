@@ -23,9 +23,8 @@
 //	profile, err := prog.ProfileContext(ctx, lowutil.WithSlots(16), lowutil.WithPrune())
 //	fmt.Println(profile.Report(10))
 //
-// The context-free Profile/Run/StaticSlice methods remain as deprecated
-// wrappers. `lowutil serve` (internal/server) exposes this facade as a
-// concurrent HTTP JSON API with session and profile caching.
+// `lowutil serve` (internal/server) exposes this facade as a concurrent HTTP
+// JSON API with session and profile caching.
 //
 // The experiment harnesses behind Table 1 and the six case studies live in
 // internal/evalharness and internal/casestudies and are driven by the
@@ -104,27 +103,10 @@ type VetFinding struct {
 // Vet runs the static diagnostics suite — no execution involved — and
 // returns the findings sorted by (class, method, pc) so output is stable
 // across runs. Zero findings means the program is clean under all five
-// checks. Vet uses the SSA-based engine; VetEngine selects explicitly.
+// checks. Vet runs sparse analyses over SSA form, with transitive
+// dead-store chains and SCCP-proven unreachable code.
 func (p *Program) Vet() []VetFinding {
-	return convertFindings(staticanalysis.Vet(p.prog))
-}
-
-// VetEngine runs the vet suite with an explicit engine: "ssa" (the default —
-// sparse analyses over SSA form, with transitive dead-store chains and
-// SCCP-proven unreachable code) or "dense" (the classic bit-vector
-// reaching-definitions engine, kept as the differential-testing reference).
-func (p *Program) VetEngine(engine string) ([]VetFinding, error) {
-	switch engine {
-	case "", "ssa":
-		return convertFindings(staticanalysis.Vet(p.prog)), nil
-	case "dense":
-		return convertFindings(staticanalysis.VetDense(p.prog)), nil
-	default:
-		return nil, fmt.Errorf("lowutil: unknown vet engine %q (want ssa or dense)", engine)
-	}
-}
-
-func convertFindings(fs []staticanalysis.Finding) []VetFinding {
+	fs := staticanalysis.Vet(p.prog)
 	out := make([]VetFinding, 0, len(fs))
 	for _, f := range fs {
 		out = append(out, VetFinding{
@@ -179,56 +161,45 @@ type AnalysisOptions struct {
 	Top int
 }
 
-// SliceOptions is the static slice's view of the shared analysis
-// configuration.
-type SliceOptions = AnalysisOptions
-
-// AuditOptions is the static audit's view of the shared analysis
-// configuration.
-type AuditOptions = AnalysisOptions
-
-// StaticSlice builds the whole-program static thin slice — call graph,
+// StaticSliceContext builds the whole-program static thin slice — call graph,
 // points-to relation, and the static over-approximation of Gcost — and
 // renders its report: graph sizes, the statically write-only stored
 // locations, and the top cost/benefit-bounded candidates. No execution is
 // involved, and every dependence, reference, and ownership edge any run
 // could produce is contained in the static edge sets (the soundness
 // invariant cross-validated by the differential harness). Output is
-// byte-stable across runs.
-// StaticSlice is the v1 entry point for the static slice.
-//
-// Deprecated: use StaticSliceContext, which adds cancellation and
-// functional options. This wrapper remains so existing callers compile.
-func (p *Program) StaticSlice(opts SliceOptions) (string, error) {
-	return p.staticSlice(context.Background(), opts)
-}
-
-// StaticSliceContext builds the whole-program static thin slice under ctx
-// — fixpoint loops poll the context, so deadlines and cancellation abort
-// the analysis promptly with an ErrCanceled-wrapped error. Options fold
-// over the defaults (mode rta, top DefaultTop).
+// byte-stable across runs. Fixpoint loops poll ctx, so deadlines and
+// cancellation abort the analysis promptly with an ErrCanceled-wrapped
+// error. Options fold over the defaults (mode rta, top DefaultTop).
 func (p *Program) StaticSliceContext(ctx context.Context, opts ...SliceOption) (string, error) {
-	return p.staticSlice(ctx, applyAnalysisOptions(opts))
-}
-
-func (p *Program) staticSlice(ctx context.Context, opts AnalysisOptions) (string, error) {
-	cfg := interproc.Config{Mode: interproc.RTA, ObjCtx: opts.ObjCtx}
-	switch opts.Mode {
-	case "", "rta":
-	case "cha":
-		cfg.Mode = interproc.CHA
-	default:
-		return "", fmt.Errorf("lowutil: unknown call-graph mode %q (want cha or rta)", opts.Mode)
-	}
-	top := opts.Top
-	if top <= 0 {
-		top = DefaultTop
+	cfg, top, err := analysisConfig(opts)
+	if err != nil {
+		return "", err
 	}
 	an, err := interproc.AnalyzeContext(ctx, p.prog, cfg)
 	if err != nil {
 		return "", wrapRunErr("slice", err)
 	}
 	return an.Report(top), nil
+}
+
+// analysisConfig folds opts over the defaults into the interprocedural
+// configuration and the report length.
+func analysisConfig(opts []AnalysisOption) (interproc.Config, int, error) {
+	o := applyAnalysisOptions(opts)
+	cfg := interproc.Config{Mode: interproc.RTA, ObjCtx: o.ObjCtx}
+	switch o.Mode {
+	case "", "rta":
+	case "cha":
+		cfg.Mode = interproc.CHA
+	default:
+		return cfg, 0, fmt.Errorf("lowutil: unknown call-graph mode %q (want cha or rta)", o.Mode)
+	}
+	top := o.Top
+	if top <= 0 {
+		top = DefaultTop
+	}
+	return cfg, top, nil
 }
 
 // StaticAudit runs the fully static low-utility audit — the SSA-based
@@ -244,21 +215,9 @@ func (p *Program) staticSlice(ctx context.Context, opts AnalysisOptions) (string
 // with an ErrCanceled-wrapped error. Options fold over the defaults (mode
 // rta, top DefaultTop).
 func (p *Program) StaticAudit(ctx context.Context, opts ...AuditOption) (string, error) {
-	return p.staticAudit(ctx, applyAnalysisOptions(opts))
-}
-
-func (p *Program) staticAudit(ctx context.Context, opts AnalysisOptions) (string, error) {
-	cfg := interproc.Config{Mode: interproc.RTA, ObjCtx: opts.ObjCtx}
-	switch opts.Mode {
-	case "", "rta":
-	case "cha":
-		cfg.Mode = interproc.CHA
-	default:
-		return "", fmt.Errorf("lowutil: unknown call-graph mode %q (want cha or rta)", opts.Mode)
-	}
-	top := opts.Top
-	if top <= 0 {
-		top = DefaultTop
+	cfg, top, err := analysisConfig(opts)
+	if err != nil {
+		return "", err
 	}
 	an, err := interproc.AnalyzeContext(ctx, p.prog, cfg)
 	if err != nil {
@@ -281,14 +240,6 @@ type RunResult struct {
 	Allocs int64
 	// NativeWork is synthetic native cost (database round-trips).
 	NativeWork int64
-}
-
-// Run executes the program without instrumentation.
-//
-// Deprecated: use RunContext, which adds cancellation. This wrapper
-// remains so existing callers compile.
-func (p *Program) Run() (*RunResult, error) {
-	return p.RunContext(context.Background())
 }
 
 // RunContext executes the program without instrumentation under ctx; the
@@ -327,29 +278,11 @@ type ProfileOptions struct {
 	// it is ignored when Traditional is set. Rankings are unchanged; the
 	// trace just gets cheaper.
 	StaticPrune bool
-	// LegacyAnalysis selects the per-query traversal path of the
-	// cost-benefit analysis instead of the frozen-snapshot DP. The results
-	// are identical; this exists for comparison and as an escape hatch.
-	LegacyAnalysis bool
 	// AnalysisWorkers bounds the ranking worker pool (0 = all CPUs).
 	AnalysisWorkers int
 	// MaxSteps bounds the profiled execution to this many instruction
 	// instances (0 = unlimited); exceeding it fails the run.
 	MaxSteps int64
-	// LegacyEngine runs the profiled execution on the reference engine: the
-	// interpreter's switch dispatch and the map-backed Gcost representation,
-	// instead of the handler-table interpreter over the dense interned graph.
-	// Results are identical (the differential tests pin profile, report, and
-	// slice bytes); this exists for comparison and as an escape hatch.
-	LegacyEngine bool
-}
-
-// Profile runs the program under the cost-benefit profiler.
-//
-// Deprecated: use ProfileContext, which adds cancellation and functional
-// options. This wrapper remains so existing callers compile.
-func (p *Program) Profile(opts ProfileOptions) (*Profile, error) {
-	return p.profile(context.Background(), opts)
 }
 
 // ProfileContext runs the program under the cost-benefit profiler with
@@ -362,23 +295,18 @@ func (p *Program) Profile(opts ProfileOptions) (*Profile, error) {
 // satisfies errors.Is(err, ErrCanceled) — and errors.Is(err,
 // context.Canceled) or context.DeadlineExceeded as appropriate.
 func (p *Program) ProfileContext(ctx context.Context, opts ...ProfileOption) (*Profile, error) {
-	return p.profile(ctx, applyProfileOptions(opts))
-}
-
-func (p *Program) profile(ctx context.Context, opts ProfileOptions) (*Profile, error) {
+	o := applyProfileOptions(opts)
 	prof := profiler.New(p.prog, profiler.Options{
-		Slots:        opts.Slots,
-		Traditional:  opts.Traditional,
-		TrackControl: opts.TrackControl,
+		Slots:        o.Slots,
+		Traditional:  o.Traditional,
+		TrackControl: o.TrackControl,
 		TrackCR:      true,
-		LegacyGraph:  opts.LegacyEngine,
 	})
 	m := interp.New(p.prog)
-	m.LegacyDispatch = opts.LegacyEngine
 	m.Tracer = prof
 	m.Ctx = ctx
-	m.MaxSteps = opts.MaxSteps
-	if opts.StaticPrune && !opts.Traditional {
+	m.MaxSteps = o.MaxSteps
+	if o.StaticPrune && !o.Traditional {
 		an, err := interproc.AnalyzeContext(ctx, p.prog, interproc.Config{Mode: interproc.RTA})
 		if err != nil {
 			return nil, wrapRunErr("prune", err)
@@ -388,7 +316,7 @@ func (p *Program) profile(ctx context.Context, opts ProfileOptions) (*Profile, e
 	if err := m.Run(); err != nil {
 		return nil, wrapRunErr("run", err)
 	}
-	height := opts.TreeHeight
+	height := o.TreeHeight
 	if height <= 0 {
 		height = costben.DefaultTreeHeight
 	}
@@ -397,7 +325,7 @@ func (p *Program) profile(ctx context.Context, opts ProfileOptions) (*Profile, e
 		prof:   prof,
 		steps:  m.Steps,
 		pruned: m.PrunedEvents,
-		an:     costben.NewAnalysisWith(prof.G, costben.Config{Legacy: opts.LegacyAnalysis, Workers: opts.AnalysisWorkers}),
+		an:     costben.NewAnalysisWith(prof.G, costben.Config{Workers: o.AnalysisWorkers}),
 		height: height,
 	}, nil
 }

@@ -67,12 +67,6 @@ func WithPrune() ProfileOption {
 	return func(o *ProfileOptions) { o.StaticPrune = true }
 }
 
-// WithLegacy selects the per-query traversal path of the cost-benefit
-// analysis instead of the frozen-snapshot DP. Results are identical.
-func WithLegacy() ProfileOption {
-	return func(o *ProfileOptions) { o.LegacyAnalysis = true }
-}
-
 // WithWorkers bounds the ranking worker pool (0 = all CPUs).
 func WithWorkers(n int) ProfileOption {
 	return func(o *ProfileOptions) { o.AnalysisWorkers = n }
@@ -82,13 +76,6 @@ func WithWorkers(n int) ProfileOption {
 // exceeding it fails the run with a step-limit error (0 = unlimited).
 func WithMaxSteps(n int64) ProfileOption {
 	return func(o *ProfileOptions) { o.MaxSteps = n }
-}
-
-// WithLegacyEngine runs the profiled execution on the reference engine
-// (switch dispatch, map-backed Gcost) instead of the handler-table
-// interpreter over the dense interned graph. Results are identical.
-func WithLegacyEngine() ProfileOption {
-	return func(o *ProfileOptions) { o.LegacyEngine = true }
 }
 
 // applyProfileOptions folds opts over the defaults.
@@ -149,19 +136,3 @@ func applyAnalysisOptions(opts []AnalysisOption) AnalysisOptions {
 	}
 	return o
 }
-
-// WithAuditMode selects call-graph construction for the audit.
-//
-// Deprecated: use WithMode — slice and audit share one option vocabulary.
-func WithAuditMode(mode string) AuditOption { return WithMode(mode) }
-
-// WithAuditObjCtx qualifies allocation sites by receiver-object context
-// during the audit.
-//
-// Deprecated: use WithObjCtx — slice and audit share one option vocabulary.
-func WithAuditObjCtx() AuditOption { return WithObjCtx() }
-
-// WithAuditTop bounds the ranked site list in the audit report.
-//
-// Deprecated: use WithTop — slice and audit share one option vocabulary.
-func WithAuditTop(n int) AuditOption { return WithTop(n) }

@@ -18,6 +18,10 @@ go vet ./...
 # it in the full-suite output.
 go vet -copylocks -unreachable ./...
 go build ./...
+# The benchmark (perfbench/) is its own module, so ./... above never
+# compiles it. Vet and test it here: a facade change that breaks the
+# benchmark must fail the gate, not the next benchmark run.
+(cd perfbench && go vet . && go test -count=1 .)
 # -shuffle=on randomizes test execution order within each package, keeping
 # hidden inter-test state dependencies from taking root.
 go test -shuffle=on ./...
