@@ -56,6 +56,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -109,6 +110,12 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "lowutil: unknown command %q\n", cmd)
 		usage()
+		os.Exit(2)
+	}
+	var slotsErr *lowutil.SlotsError
+	if errors.As(err, &slotsErr) {
+		// A slot count too large for the program is a bad -s, not a failed run.
+		fmt.Fprintf(os.Stderr, "lowutil %s: -s %d exceeds the profiling table budget for this program (at most %d)\n", cmd, slotsErr.Slots, slotsErr.Max)
 		os.Exit(2)
 	}
 	if err != nil {

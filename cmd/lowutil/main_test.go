@@ -1,11 +1,14 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lowutil"
 )
 
 const chartMJ = "testdata/chart.mj"
@@ -170,5 +173,11 @@ func TestCmdErrors(t *testing.T) {
 	}
 	if err := cmdRun([]string{}); err == nil || !strings.Contains(err.Error(), "exactly one") {
 		t.Errorf("want arg-count error, got %v", err)
+	}
+	// An -s too large for the program's tables is refused before the run;
+	// main reports it as a usage error.
+	var se *lowutil.SlotsError
+	if err := cmdProfile([]string{"-s", "1099511627776", chartMJ}); !errors.As(err, &se) {
+		t.Errorf("want *SlotsError for -s 1<<40, got %v", err)
 	}
 }

@@ -58,6 +58,18 @@ func wrapCompileErr(err error) error {
 	return ce
 }
 
+// SlotsError rejects a context-slot count too large for the program.
+// Profiling sizes dense tables at one entry per (instruction, slot) pair
+// under a fixed budget; Max is the largest count that fits it. Nothing is
+// allocated before the error is returned.
+type SlotsError struct {
+	Slots, Max int
+}
+
+func (e *SlotsError) Error() string {
+	return fmt.Sprintf("lowutil: %d context slots exceed the profiling table budget for this program (at most %d)", e.Slots, e.Max)
+}
+
 // ProfileError is a failure inside a profiling or plain run: Stage names
 // the phase ("run", "prune", "analysis") and Err carries the cause —
 // typically a *interp.VMError.

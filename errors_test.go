@@ -112,6 +112,33 @@ class Main {
 	}
 }
 
+// TestSlotsErrorBeforeAllocation asks for slot counts whose tables no
+// machine could hold. ProfileContext must refuse them with a *SlotsError
+// before sizing anything (the process would otherwise die in the
+// allocator), and CheckSlots must draw the line exactly at Max.
+func TestSlotsErrorBeforeAllocation(t *testing.T) {
+	prog, err := Compile(spinSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []int{1 << 40, 1 << 62} {
+		_, err := prog.ProfileContext(context.Background(), WithSlots(s))
+		var se *SlotsError
+		if !errors.As(err, &se) || se.Slots != s {
+			t.Fatalf("WithSlots(%d): want *SlotsError, got %v (%T)", s, err, err)
+		}
+		if se.Max < 1024 {
+			t.Errorf("Max = %d: the budget must admit 1024 slots on a %d-instruction program", se.Max, prog.NumInstructions())
+		}
+		if prog.CheckSlots(se.Max) != nil || prog.CheckSlots(se.Max+1) == nil {
+			t.Errorf("CheckSlots does not draw the line at Max = %d", se.Max)
+		}
+	}
+	if err := prog.CheckSlots(0); err != nil {
+		t.Errorf("CheckSlots(0) (the default) = %v", err)
+	}
+}
+
 func TestProfileContextOptions(t *testing.T) {
 	prog, err := Compile(`
 class Main {

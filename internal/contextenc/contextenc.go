@@ -46,69 +46,82 @@ func NewSlots(s int) Slots {
 func (sl Slots) Slot(g Encoded) int { return int(uint64(g) % uint64(sl.S)) }
 
 // ConflictTracker records the distinct encoded contexts observed per
-// (instruction, slot) pair, for CR computation. It is exact: each
-// instruction holds one small set per used slot.
+// (instruction, slot) pair, for CR computation. It is exact and dense: its
+// tables hold one entry per (instruction, slot), laid out like the
+// dependence graph's intern index for the same s (depgraph.DenseTables) —
+// the entry for instruction i, slot j sits at i*(S+1) + j+1, and column 0,
+// the intern index's context-free column, is unused. Only a slot that sees
+// a second distinct context also gets a set of them.
 type ConflictTracker struct {
 	slots Slots
-	// perInstr[instrID][slot] = set of distinct encodings seen.
-	perInstr []map[int]map[Encoded]struct{}
-	// last[instrID] memoizes the most recent encoding observed at the
-	// instruction. Observation is idempotent set insertion, and contexts are
-	// loop-stable (a method body repeats under one chain), so the common
-	// repeat skips both map probes.
-	last []lastObs
-}
-
-type lastObs struct {
-	g    Encoded
-	seen bool
+	width int
+	// last holds the context most recently observed in each slot;
+	// meaningful only where dc is non-zero.
+	last []Encoded
+	// dc counts the distinct contexts observed in each slot (the dc[j] of
+	// the CR definition); 0 means the slot was never visited.
+	dc []int32
+	// sets holds, by table offset, the distinct contexts of every slot that
+	// has seen more than one.
+	sets map[int]map[Encoded]struct{}
 }
 
 // NewConflictTracker returns a tracker for a program with numInstrs static
 // instructions.
 func NewConflictTracker(slots Slots, numInstrs int) *ConflictTracker {
+	width := slots.S + 1
 	return &ConflictTracker{
-		slots:    slots,
-		perInstr: make([]map[int]map[Encoded]struct{}, numInstrs),
-		last:     make([]lastObs, numInstrs),
+		slots: slots,
+		width: width,
+		last:  make([]Encoded, numInstrs*width),
+		dc:    make([]int32, numInstrs*width),
+		sets:  make(map[int]map[Encoded]struct{}),
 	}
 }
 
+// Last returns the last-context table, for callers that filter repeat
+// observations inline: observing g at instruction i is a no-op when slot
+// j = Slot(g) was visited before and Last()[i*(S+1)+j+1] == g. The table
+// never reallocates.
+func (ct *ConflictTracker) Last() []Encoded { return ct.last }
+
 // Observe records that instruction instrID executed under encoded context g.
 func (ct *ConflictTracker) Observe(instrID int, g Encoded) {
-	l := &ct.last[instrID]
-	if l.seen && l.g == g {
+	off := instrID*ct.width + ct.slots.Slot(g) + 1
+	switch {
+	case ct.dc[off] == 0:
+		ct.dc[off] = 1
+	case ct.last[off] == g:
 		return
+	default:
+		set := ct.sets[off]
+		if set == nil {
+			set = map[Encoded]struct{}{ct.last[off]: {}}
+			ct.sets[off] = set
+		}
+		if _, dup := set[g]; !dup {
+			set[g] = struct{}{}
+			ct.dc[off]++
+		}
 	}
-	l.g, l.seen = g, true
-	m := ct.perInstr[instrID]
-	if m == nil {
-		m = make(map[int]map[Encoded]struct{}, 2)
-		ct.perInstr[instrID] = m
+	ct.last[off] = g
+}
+
+// row returns the largest and the total distinct-context count over the
+// instruction's slots.
+func (ct *ConflictTracker) row(instrID int) (maxDC, sumDC int) {
+	base := instrID * ct.width
+	for _, n := range ct.dc[base+1 : base+ct.width] {
+		maxDC = max(maxDC, int(n))
+		sumDC += int(n)
 	}
-	slot := ct.slots.Slot(g)
-	set := m[slot]
-	if set == nil {
-		set = make(map[Encoded]struct{}, 2)
-		m[slot] = set
-	}
-	set[g] = struct{}{}
+	return maxDC, sumDC
 }
 
 // CR returns the context conflict ratio for one instruction, per §4.1.
 // Instructions never observed have CR 0.
 func (ct *ConflictTracker) CR(instrID int) float64 {
-	m := ct.perInstr[instrID]
-	if len(m) == 0 {
-		return 0
-	}
-	maxDC, sumDC := 0, 0
-	for _, set := range m {
-		if len(set) > maxDC {
-			maxDC = len(set)
-		}
-		sumDC += len(set)
-	}
+	maxDC, sumDC := ct.row(instrID)
 	if maxDC <= 1 {
 		return 0
 	}
@@ -119,8 +132,8 @@ func (ct *ConflictTracker) CR(instrID int) float64 {
 // least once (the "average CR for all instructions in Gcost" of Table 1).
 func (ct *ConflictTracker) AverageCR() float64 {
 	sum, n := 0.0, 0
-	for id := range ct.perInstr {
-		if len(ct.perInstr[id]) == 0 {
+	for id := 0; id < len(ct.dc)/ct.width; id++ {
+		if _, sumDC := ct.row(id); sumDC == 0 {
 			continue
 		}
 		sum += ct.CR(id)
@@ -137,10 +150,8 @@ func (ct *ConflictTracker) AverageCR() float64 {
 // context-sensitive analysis would have to store.
 func (ct *ConflictTracker) DistinctContexts() int {
 	total := 0
-	for _, m := range ct.perInstr {
-		for _, set := range m {
-			total += len(set)
-		}
+	for _, n := range ct.dc {
+		total += int(n)
 	}
 	return total
 }

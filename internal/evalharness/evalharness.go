@@ -149,6 +149,9 @@ func runOne(w *workloads.Workload, opts Options) (*Row, error) {
 	var lastGraph *depgraph.Graph
 	var lastSteps int64
 	for _, s := range opts.Slots {
+		if limit := profiler.MaxSlots(prog.NumInstrs()); s > limit {
+			return nil, fmt.Errorf("%s: %d context slots exceed the profiling table budget (at most %d)", w.Name, s, limit)
+		}
 		p := profiler.New(prog, profiler.Options{Slots: s, TrackCR: true})
 		m := interp.New(prog)
 		m.Tracer = p
@@ -239,6 +242,12 @@ type PhaseResult struct {
 	Reduction  float64
 	FullNodes  int
 	PhaseNodes int
+	// FullEvents and PhaseEvents count the Gcost events each run recorded
+	// while tracking was enabled (the sum of node frequencies): the work
+	// the phase gate saves, deterministic where the wall-clock ratios are
+	// not.
+	FullEvents  int64
+	PhaseEvents int64
 }
 
 // PhaseExperiment profiles the workload twice — whole-program and restricted
@@ -316,11 +325,21 @@ func PhaseExperiment(name string, scale int, fraction float64) (*PhaseResult, er
 		PhaseOverhead: float64(gatedTime) / float64(base),
 		FullNodes:     full.G.NumNodes(),
 		PhaseNodes:    gatedP.G.NumNodes(),
+		FullEvents:    recordedEvents(full.G),
+		PhaseEvents:   recordedEvents(gatedP.G),
 	}
 	if res.PhaseOverhead > 0 {
 		res.Reduction = res.FullOverhead / res.PhaseOverhead
 	}
 	return res, nil
+}
+
+// recordedEvents sums g's node frequencies: one per event the profiler
+// recorded.
+func recordedEvents(g *depgraph.Graph) int64 {
+	var n int64
+	g.Nodes(func(nd *depgraph.Node) { n += nd.Freq() })
+	return n
 }
 
 // ---- §3.2 ablations ----

@@ -100,14 +100,29 @@ func TestTable1UnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestTable1RejectsOversizedSlots: a -slots value whose profiling tables
+// no machine could hold is an error, not an allocator crash.
+func TestTable1RejectsOversizedSlots(t *testing.T) {
+	_, err := Table1(Options{Scale: 1, Slots: []int{8, 1 << 40}, Only: []string{"chart"}, Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "table budget") {
+		t.Fatalf("Table1 with 1<<40 slots: err = %v, want a table-budget error", err)
+	}
+}
+
 func TestPhaseExperimentReducesOverhead(t *testing.T) {
 	res, err := PhaseExperiment("tradebeans", 2, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reduction <= 1 {
-		t.Errorf("phase restriction should reduce overhead: full=%.1fx phase=%.1fx",
-			res.FullOverhead, res.PhaseOverhead)
+	// The saving is asserted on recorded Gcost events, not on the
+	// wall-clock ratios of millisecond runs, which a busy host can invert.
+	// The window is a tenth of the run's steps; allowing for uneven event
+	// density, the gated run must still record under a quarter of the full
+	// run's events. A gate that leaves tracking on past the window records
+	// more than a third.
+	if 4*res.PhaseEvents >= res.FullEvents {
+		t.Errorf("phase restriction should record far fewer events: full=%d phase=%d (overhead full=%.1fx phase=%.1fx)",
+			res.FullEvents, res.PhaseEvents, res.FullOverhead, res.PhaseOverhead)
 	}
 	if res.PhaseNodes >= res.FullNodes {
 		t.Errorf("phase graph (%d nodes) should be smaller than full (%d)",

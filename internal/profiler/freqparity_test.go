@@ -1,4 +1,4 @@
-package profiler_test
+package profiler
 
 import (
 	"testing"
@@ -6,7 +6,6 @@ import (
 	"lowutil/internal/depgraph"
 	"lowutil/internal/interp"
 	"lowutil/internal/mjc"
-	"lowutil/internal/profiler"
 )
 
 // freqParitySrc is a fuzzer-found reproducer (fuzzgen seed
@@ -112,15 +111,18 @@ func freqMap(g *depgraph.Graph) map[string]int64 {
 
 // TestDenseFreqMatchesLegacyGraph pins node-frequency parity between the
 // profiler's fast path, which increments through its cached dense-table
-// view, and the CR-tracking path, which interns through the graph on every
-// event and therefore cannot lose increments to a stale table view.
+// view, and the general path (fast cleared), which interns through the
+// graph on every event and therefore cannot lose increments to a stale
+// table view. Both run the facade's configuration, conflict tracking
+// included.
 func TestDenseFreqMatchesLegacyGraph(t *testing.T) {
 	prog, err := mjc.Compile(freqParitySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile := func(trackCR bool) *depgraph.Graph {
-		p := profiler.New(prog, profiler.Options{Slots: 16, TrackCR: trackCR})
+	profile := func(fast bool) *depgraph.Graph {
+		p := New(prog, Options{Slots: 16, TrackCR: true})
+		p.fast = fast
 		m := interp.New(prog)
 		m.Tracer = p
 		if err := m.Run(); err != nil {
@@ -128,16 +130,41 @@ func TestDenseFreqMatchesLegacyGraph(t *testing.T) {
 		}
 		return p.G
 	}
-	fast := freqMap(profile(false))
-	slow := freqMap(profile(true))
+	fast := freqMap(profile(true))
+	slow := freqMap(profile(false))
 	if len(fast) != len(slow) {
-		t.Fatalf("node count: fast path %d, CR path %d", len(fast), len(slow))
+		t.Fatalf("node count: fast path %d, general path %d", len(fast), len(slow))
 	}
 	for k, sf := range slow {
 		if ff, ok := fast[k]; !ok {
 			t.Errorf("node %s missing from the fast-path graph", k)
 		} else if ff != sf {
-			t.Errorf("node %s: fast-path freq %d, CR-path freq %d", k, ff, sf)
+			t.Errorf("node %s: fast-path freq %d, general-path freq %d", k, ff, sf)
+		}
+	}
+}
+
+// TestFacadeOptionsTakeFastPath pins which configurations run the inlined
+// fast path. The facade always tracks conflicts, so a regression that
+// turned conflict tracking back into a per-event extra would slow every
+// profile without changing a single report byte.
+func TestFacadeOptionsTakeFastPath(t *testing.T) {
+	prog, err := mjc.Compile(freqParitySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		opts Options
+		fast bool
+	}{
+		{Options{Slots: 16, TrackCR: true}, true},
+		{Options{Slots: 16, TrackCR: true, Traditional: true}, true},
+		{Options{Slots: 16}, true},
+		{Options{Slots: 16, TrackCR: true, TrackControl: true}, false},
+		{Options{Unabstracted: true}, false},
+	} {
+		if got := New(prog, c.opts).fast; got != c.fast {
+			t.Errorf("%+v: fast path %v, want %v", c.opts, got, c.fast)
 		}
 	}
 }

@@ -16,6 +16,8 @@
 package profiler
 
 import (
+	"fmt"
+
 	"lowutil/internal/contextenc"
 	"lowutil/internal/depgraph"
 	"lowutil/internal/interp"
@@ -30,8 +32,11 @@ type Options struct {
 	// Traditional includes base-pointer dependences at loads/stores,
 	// turning thin slicing into traditional dynamic slicing.
 	Traditional bool
-	// TrackCR enables exact context-conflict-ratio bookkeeping (costs
-	// memory proportional to distinct (instruction, context) pairs).
+	// TrackCR enables exact context-conflict-ratio bookkeeping. It costs a
+	// dense table of instructions × slots entries (the last context seen in
+	// each slot, and how many distinct ones), plus a set for each slot that
+	// sees a second distinct context. Events that repeat their slot's last
+	// context stay on the inlined fast path.
 	TrackCR bool
 	// Unabstracted disables context abstraction entirely: every instruction
 	// *instance* becomes its own node, as in conventional dynamic slicing.
@@ -125,12 +130,15 @@ type Profiler struct {
 	cur      *frameShadow
 
 	// tIdx/tFreq/tW cache the graph's dense-table view (depgraph.DenseTables)
-	// and fast gates the inlined intern probe: set only when no per-event
-	// extras (conflict tracking, unabstracted domain, control deps) are
-	// configured. tFreq is re-fetched after every intern miss (the table
-	// grows).
+	// and fast gates the inlined intern probe: set unless a per-event extra
+	// (unabstracted domain, control deps) is configured. tFreq is re-fetched
+	// after every intern miss (the table grows). tLast is the conflict
+	// tracker's last-context table (nil without TrackCR), laid out like
+	// tIdx: an event whose context differs from its slot's last one leaves
+	// the fast path so the tracker can record it.
 	tIdx  []int32
 	tFreq []int64
+	tLast []contextenc.Encoded
 	tW    int
 	fast  bool
 
@@ -144,11 +152,30 @@ type Profiler struct {
 	instCount []int
 }
 
-// New returns a Profiler over prog.
+// MaxTableEntries bounds the dense per-(instruction, slot) tables New
+// sizes — the graph's intern index and the conflict tracker's tables each
+// hold NumInstrs × (s+1) entries. The budget admits the default 16 slots on
+// the largest source the server accepts (16 MiB; dense MJ compiles to about
+// one instruction per byte, and the budget allows 1.8) and rejects slot
+// counts that would otherwise end the process with an out-of-memory fatal
+// error, which no recover can catch.
+const MaxTableEntries = 1 << 29
+
+// MaxSlots returns the largest s whose tables fit MaxTableEntries for a
+// program of numInstrs instructions.
+func MaxSlots(numInstrs int) int {
+	return MaxTableEntries/max(numInstrs, 1) - 1
+}
+
+// New returns a Profiler over prog. It panics if opts.Slots exceeds
+// MaxSlots for prog; callers taking s from users check it first.
 func New(prog *ir.Program, opts Options) *Profiler {
 	s := opts.Slots
 	if s == 0 {
 		s = 16
+	}
+	if s > MaxSlots(prog.NumInstrs()) {
+		panic(fmt.Sprintf("profiler: %d slots exceed the table budget for %d instructions", s, prog.NumInstrs()))
 	}
 	// The dense graph's direct index is sized to the context-slot domain:
 	// d ∈ [NoContext, s). Unabstracted occurrence indices overflow into its
@@ -167,7 +194,7 @@ func New(prog *ir.Program, opts Options) *Profiler {
 		p.prune = opts.Prune
 	}
 	if opts.TrackCR {
-		p.cr = NewCRTracker(prog, s)
+		p.cr = contextenc.NewConflictTracker(p.slots, prog.NumInstrs())
 	}
 	if p.unabs {
 		p.instCount = make([]int, prog.NumInstrs())
@@ -176,18 +203,15 @@ func New(prog *ir.Program, opts Options) *Profiler {
 			p.unabsCap = 1 << 20
 		}
 	}
-	if !p.unabs && p.cr == nil && !p.control {
+	if !p.unabs && !p.control {
 		t := p.G.DenseTables()
 		p.tIdx, p.tFreq, p.tW = t.Idx, t.Freq, t.Width
+		if p.cr != nil {
+			p.tLast = p.cr.Last()
+		}
 		p.fast = true
 	}
 	return p
-}
-
-// NewCRTracker returns the conflict tracker used when Options.TrackCR is
-// set; exposed for tests.
-func NewCRTracker(prog *ir.Program, s int) *contextenc.ConflictTracker {
-	return contextenc.NewConflictTracker(contextenc.NewSlots(s), prog.NumInstrs())
 }
 
 // SetEnabled toggles graph construction; used for phase-restricted tracking
@@ -299,23 +323,32 @@ func (p *Profiler) consumerNode(in *ir.Instr) *depgraph.Node {
 }
 
 // eventRefFast is the inlined intern hit path: probe the cached dense index
-// for (in, fs.slot) and bump the frequency table. Returns NilRef on a miss
-// or when the fast path is off; callers then take eventRefSlow.
+// for (in, fs.slot) and, when conflicts are tracked, check that the slot's
+// last context is fs.ctx; then bump the frequency table. Returns NilRef on
+// a miss, on a context change, or when the fast path is off; callers then
+// take eventRefSlow. A hit on the intern index implies the tracker has
+// visited the slot: the profiler creates a context node only on an event
+// it also hands to the tracker, so the last-context entry is meaningful.
 func (p *Profiler) eventRefFast(in *ir.Instr, fs *frameShadow) depgraph.Ref {
 	if !p.fast {
 		return 0
 	}
-	if v := p.tIdx[in.ID*p.tW+fs.slot+1]; v != 0 {
+	off := in.ID*p.tW + fs.slot + 1
+	if v := p.tIdx[off]; v != 0 && (p.tLast == nil || p.tLast[off] == fs.ctx) {
 		p.tFreq[v-1]++
 		return depgraph.Ref(v)
 	}
 	return 0
 }
 
-// eventRefSlow interns on a dense miss (re-fetching the grown frequency
-// table) or runs the general node mapping when the fast path is off.
+// eventRefSlow records the event's context and interns on a dense miss
+// (re-fetching the grown frequency table), or runs the general node
+// mapping when the fast path is off.
 func (p *Profiler) eventRefSlow(in *ir.Instr, fs *frameShadow) depgraph.Ref {
 	if p.fast {
+		if p.cr != nil {
+			p.cr.Observe(in.ID, fs.ctx)
+		}
 		n := p.G.Touch(in, fs.slot)
 		p.tFreq = p.G.DenseTables().Freq
 		return n.Ref()
@@ -672,16 +705,12 @@ func (p *Profiler) AfterCall(in *ir.Instr, caller *interp.Frame, hasValue bool) 
 	if !p.enabled {
 		return
 	}
-	n := p.node(in, fs)
-	if p.fast {
-		// node() bypasses eventRefSlow, so an intern miss here can grow the
-		// dense frequency table without the usual re-fetch; a stale tFreq
-		// would silently drop every fast-path increment until the next slow
-		// path runs.
-		p.tFreq = p.G.DenseTables().Freq
+	r := p.eventRefFast(in, fs)
+	if r == 0 {
+		r = p.eventRefSlow(in, fs)
 	}
-	p.G.AddDepRef(n, ret)
-	fs.nodes[in.Dst] = n.Ref()
+	p.G.AddDepRefs(r, ret)
+	fs.nodes[in.Dst] = r
 }
 
 var _ interp.Tracer = (*Profiler)(nil)
@@ -696,6 +725,6 @@ func NewFromGraph(prog *ir.Program, g *depgraph.Graph) *Profiler {
 		slots:   contextenc.NewSlots(16),
 		thin:    true,
 		statics: make([]depgraph.Ref, len(prog.Statics)),
-		cr:      NewCRTracker(prog, 16),
+		cr:      contextenc.NewConflictTracker(contextenc.NewSlots(16), prog.NumInstrs()),
 	}
 }

@@ -120,6 +120,52 @@ func nodelessProfile(t *testing.T, base, id string) []byte {
 	return out
 }
 
+// TestOversizedSlotsRejected sends slot counts whose profiling tables
+// would need more memory than any machine has. Before the table budget,
+// one such request ended the whole process with an unrecoverable
+// out-of-memory error; now each is a 400 envelope — at submission for
+// jobs — and the server goes on to serve a normal profile.
+func TestOversizedSlotsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := compileSession(t, ts.URL, workSrc)
+	for _, slots := range []int{1 << 40, 1 << 62} {
+		for _, path := range []string{"/v2/profile", "/v2/report", "/v2/profile/save"} {
+			body := fmt.Sprintf(`{"session":%q,"slots":%d}`, id, slots)
+			code, _, out := postRaw(t, ts.URL+path, body)
+			if code != http.StatusBadRequest {
+				t.Fatalf("%s slots=%d: status %d, want 400; body %s", path, slots, code, out)
+			}
+			if eb := decodeEnvelope(t, out); eb.Code != "bad_request" || eb.Retryable {
+				t.Errorf("%s slots=%d: envelope %+v, want non-retryable bad_request", path, slots, eb)
+			}
+		}
+		job := jobs.Spec{Kind: jobs.KindReport, Source: workSrc, Slots: slots}
+		code, out := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Jobs: []jobSubmission{{Spec: job}}})
+		if code != http.StatusBadRequest {
+			t.Fatalf("job slots=%d: status %d, want 400 at submission; body %s", slots, code, out)
+		}
+		if eb := decodeEnvelope(t, out); eb.Code != "bad_request" {
+			t.Errorf("job slots=%d: envelope %+v, want bad_request", slots, eb)
+		}
+	}
+	// A count above the default but within budget is still accepted.
+	job := jobs.Spec{Kind: jobs.KindReport, Source: workSrc, Slots: 32}
+	if code, out := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Jobs: []jobSubmission{{Spec: job}}}); code != http.StatusOK {
+		t.Fatalf("job slots=32: status %d, want 200; body %s", code, out)
+	}
+	code, out := postJSON(t, ts.URL+"/v2/profile", profileRequest{Session: id})
+	if code != http.StatusOK {
+		t.Fatalf("normal profile after rejections: %d %s", code, out)
+	}
+	var resp profileResponse
+	if err := json.Unmarshal(out, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Steps == 0 || len(resp.Top) == 0 {
+		t.Errorf("normal profile after rejections is empty: %+v", resp)
+	}
+}
+
 // TestQueueFullRetryAfter pins the one error that carries a header
 // contract: a 429 from a full job queue must tell clients when to come
 // back, since the SDK's backoff honors Retry-After before its own jitter.
@@ -182,6 +228,7 @@ func TestClassifyErrTable(t *testing.T) {
 	}{
 		{"compile error", compileErr, http.StatusUnprocessableEntity, "compile_error", false},
 		{"bad request", &badRequestError{errors.New("nope")}, http.StatusBadRequest, "bad_request", false},
+		{"oversized slots", fmt.Errorf("job 0: %w", &lowutil.SlotsError{Slots: 1 << 40, Max: 1000}), http.StatusBadRequest, "bad_request", false},
 		{"unknown session", fmt.Errorf("%w: s1", errUnknownSession), http.StatusNotFound, "not_found", false},
 		{"unknown job", fmt.Errorf("%w: j1", errUnknownJob), http.StatusNotFound, "not_found", false},
 		{"queue full", fmt.Errorf("submit: %w", jobs.ErrQueueFull), http.StatusTooManyRequests, "at_capacity", true},

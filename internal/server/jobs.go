@@ -193,6 +193,9 @@ func (s *Server) handleJobsSubmit(ctx context.Context, r *http.Request) (any, er
 	}
 	reqs := make([]jobs.Request, len(req.Jobs))
 	for i, j := range req.Jobs {
+		if err := s.checkSpecSlots(j.Spec); err != nil {
+			return nil, fmt.Errorf("job %d: %w", i, err)
+		}
 		reqs[i] = jobs.Request{
 			Spec:     j.Spec,
 			Priority: j.Priority,
@@ -213,6 +216,22 @@ func (s *Server) handleJobsSubmit(ctx context.Context, r *http.Request) (any, er
 		}
 	}
 	return jobsResponse{Batch: batch, Jobs: subs}, nil
+}
+
+// checkSpecSlots rejects a profiling spec whose slot count the facade
+// would refuse, so the batch fails at submission rather than as a job.
+// The table budget admits the default count on every source the server
+// accepts, so only larger counts compile the source here; a source that
+// does not compile is left for its job to report.
+func (s *Server) checkSpecSlots(spec jobs.Spec) error {
+	if (spec.Kind != jobs.KindProfile && spec.Kind != jobs.KindReport) || spec.Slots <= lowutil.DefaultSlots {
+		return nil
+	}
+	sess, _, err := s.sessionForSpec(spec)
+	if err != nil {
+		return nil
+	}
+	return sess.Prog.CheckSlots(spec.Slots)
 }
 
 // contentKey derives an idempotency key for keyless submissions from the

@@ -176,9 +176,9 @@ func (s *Server) logLine(r *http.Request, endpoint string, status int, start tim
 
 // writeErr maps facade errors onto transport statuses and the unified
 // envelope: compile failures are the client's fault (422), unknown
-// sessions or jobs 404, bad payloads 400, a full job queue 429, a batch
-// key conflict 409, deadline expiry 504, cancellation 499 (client gone),
-// the rest 500.
+// sessions or jobs 404, bad payloads and oversized slot counts 400, a
+// full job queue 429, a batch key conflict 409, deadline expiry 504,
+// cancellation 499 (client gone), the rest 500.
 func (s *Server) writeErr(w http.ResponseWriter, err error) int {
 	status, body := classifyErr(err)
 	if status == http.StatusTooManyRequests {
@@ -196,13 +196,14 @@ func classifyErr(err error) (int, errorBody) {
 	var ce *lowutil.CompileError
 	var pe *lowutil.ProfileError
 	var badReq *badRequestError
+	var slotsErr *lowutil.SlotsError
 	status := http.StatusInternalServerError
 	body := errorBody{Code: "internal", Message: err.Error()}
 	switch {
 	case errors.As(err, &ce):
 		status, body.Code = http.StatusUnprocessableEntity, "compile_error"
 		body.Line, body.Col = ce.Line, ce.Col
-	case errors.As(err, &badReq):
+	case errors.As(err, &badReq), errors.As(err, &slotsErr):
 		status, body.Code = http.StatusBadRequest, "bad_request"
 	case errors.Is(err, errUnknownSession), errors.Is(err, errUnknownJob):
 		status, body.Code = http.StatusNotFound, "not_found"
@@ -414,9 +415,14 @@ func (s *Server) handleCompile(ctx context.Context, r *http.Request) (any, error
 }
 
 // cachedProfile resolves the memoized run for a request, counting cache
-// traffic and step totals.
+// traffic and step totals. A slot count the facade would refuse is
+// rejected before it reaches the memo, so bad requests leave no entries.
 func (s *Server) cachedProfile(ctx context.Context, sess *Session, p profileParams) (*profileEntry, bool, error) {
-	e, hit, err := sess.profile(ctx, p.key())
+	key := p.key()
+	if err := sess.Prog.CheckSlots(key.Slots); err != nil {
+		return nil, false, err
+	}
+	e, hit, err := sess.profile(ctx, key)
 	if hit {
 		s.met.profileHits.Add(1)
 	} else {

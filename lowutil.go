@@ -86,6 +86,17 @@ func (p *Program) Disassemble() string { return p.prog.Disassemble() }
 // NumInstructions returns the static instruction count (domain I).
 func (p *Program) NumInstructions() int { return p.prog.NumInstrs() }
 
+// CheckSlots reports whether ProfileContext accepts s context slots for p:
+// profiling sizes dense tables at one entry per (instruction, slot) pair
+// under a fixed budget, and a count past it fails with a *SlotsError.
+// Non-positive s selects the default and always passes.
+func (p *Program) CheckSlots(s int) error {
+	if limit := profiler.MaxSlots(p.prog.NumInstrs()); s > limit {
+		return &SlotsError{Slots: s, Max: limit}
+	}
+	return nil
+}
+
 // VetFinding is one diagnostic from the static vet suite.
 type VetFinding struct {
 	// Kind is the finding class: "dead-store", "write-only-field",
@@ -257,7 +268,8 @@ func (p *Program) RunContext(ctx context.Context) (*RunResult, error) {
 // ProfileOptions configures cost-benefit profiling.
 type ProfileOptions struct {
 	// Slots is the number of context slots per instruction (the paper's s;
-	// 0 means 16).
+	// 0 means 16). Counts past the program's table budget fail with a
+	// *SlotsError (see CheckSlots).
 	Slots int
 	// Traditional switches from thin to traditional dynamic slicing
 	// (base-pointer dependences included) — mainly for ablations.
@@ -296,6 +308,9 @@ type ProfileOptions struct {
 // context.Canceled) or context.DeadlineExceeded as appropriate.
 func (p *Program) ProfileContext(ctx context.Context, opts ...ProfileOption) (*Profile, error) {
 	o := applyProfileOptions(opts)
+	if err := p.CheckSlots(o.Slots); err != nil {
+		return nil, err
+	}
 	prof := profiler.New(p.prog, profiler.Options{
 		Slots:        o.Slots,
 		Traditional:  o.Traditional,

@@ -29,7 +29,8 @@ func DefaultOptions() ProfileOptions {
 type ProfileOption func(*ProfileOptions)
 
 // WithSlots sets the number of context slots per instruction (the paper's
-// s). Non-positive values keep the default.
+// s). Non-positive values keep the default; counts past
+// Program.CheckSlots make ProfileContext fail with a *SlotsError.
 func WithSlots(s int) ProfileOption {
 	return func(o *ProfileOptions) {
 		if s > 0 {
