@@ -4,8 +4,10 @@ check:
 	sh scripts/check.sh
 
 # fuzz runs the long differential-fuzzing soak (default: seed 1, 5 minutes,
-# JSON summary in FUZZ_SUMMARY.json). Override with SEED=, MINUTES=, OUT=.
-# `make check` runs a small fixed-seed batch of the same invariants.
+# JSON summary in FUZZ_SUMMARY.json), then each native Go fuzz target for
+# FUZZTIME (default 30s each). Override with SEED=, MINUTES=, OUT=,
+# FUZZTIME=. `make check` runs a small fixed-seed batch of the same
+# invariants and replays the native targets' seed corpora.
 fuzz:
 	sh scripts/fuzz.sh
 

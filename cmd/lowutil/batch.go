@@ -37,6 +37,9 @@ func cmdBatch(args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("batch takes no positional arguments")
 	}
+	if err := checkTop(*top); err != nil {
+		return err
+	}
 
 	srv := server.New(server.Config{
 		Logger: slog.New(slog.NewJSONHandler(io.Discard, nil)),

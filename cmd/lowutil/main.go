@@ -27,6 +27,8 @@
 // Flags (profile): -s context slots (default 16), -top findings (default
 // 10), -n reference-tree height (default 4), -traditional for the
 // traditional-slicing ablation, -prune to statically prune instrumentation.
+// Every command rejects a negative -top, and a -s too large for the
+// program's tables, as a usage error (exit 2).
 //
 // Flags (slice): -mode cha|rta call-graph construction (default rta),
 // -objctx for one level of receiver-object context in the points-to heap
@@ -112,6 +114,11 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	var usageErr *usageError
+	if errors.As(err, &usageErr) {
+		fmt.Fprintf(os.Stderr, "lowutil %s: %v\n", cmd, err)
+		os.Exit(2)
+	}
 	var slotsErr *lowutil.SlotsError
 	if errors.As(err, &slotsErr) {
 		// A slot count too large for the program is a bad -s, not a failed run.
@@ -175,6 +182,20 @@ func compileFile(path string) (*lowutil.Program, error) {
 		return nil, err
 	}
 	return lowutil.Compile(string(src))
+}
+
+// usageError is a flag value the command refuses; main reports it as a
+// usage error (exit 2).
+type usageError struct{ msg string }
+
+func (e *usageError) Error() string { return e.msg }
+
+// checkTop rejects a negative -top.
+func checkTop(top int) error {
+	if top < 0 {
+		return &usageError{fmt.Sprintf("-top %d must not be negative", top)}
+	}
+	return nil
 }
 
 func oneFile(fs *flag.FlagSet, args []string) (string, error) {
@@ -271,6 +292,9 @@ func cmdSlice(args []string) error {
 	if err != nil {
 		return err
 	}
+	if err := checkTop(*top); err != nil {
+		return err
+	}
 	prog, err := compileFile(path)
 	if err != nil {
 		return err
@@ -302,6 +326,9 @@ func cmdAudit(args []string) error {
 	if err != nil {
 		return err
 	}
+	if err := checkTop(*top); err != nil {
+		return err
+	}
 	prog, err := compileFile(path)
 	if err != nil {
 		return err
@@ -329,6 +356,9 @@ func cmdProfile(args []string) error {
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after the run to this file")
 	path, err := oneFile(fs, args)
 	if err != nil {
+		return err
+	}
+	if err := checkTop(*top); err != nil {
 		return err
 	}
 	if *prune && *traditional {
@@ -454,6 +484,9 @@ func cmdCopies(args []string) error {
 	top := fs.Int("top", 10, "chains to print")
 	path, err := oneFile(fs, args)
 	if err != nil {
+		return err
+	}
+	if err := checkTop(*top); err != nil {
 		return err
 	}
 	prog, err := compileFile(path)

@@ -180,4 +180,22 @@ func TestCmdErrors(t *testing.T) {
 	if err := cmdProfile([]string{"-s", "1099511627776", chartMJ}); !errors.As(err, &se) {
 		t.Errorf("want *SlotsError for -s 1<<40, got %v", err)
 	}
+	// A negative -top is a usage error on every command that has one.
+	for _, c := range []struct {
+		name string
+		run  func([]string) error
+		args []string
+	}{
+		{"profile", cmdProfile, []string{"-top", "-1", chartMJ}},
+		{"profile -hops 2", cmdProfile, []string{"-top", "-1", "-hops", "2", chartMJ}},
+		{"copies", cmdCopies, []string{"-top", "-1", chartMJ}},
+		{"slice", cmdSlice, []string{"-top", "-1", chartMJ}},
+		{"audit", cmdAudit, []string{"-top", "-1", chartMJ}},
+		{"batch", cmdBatch, []string{"-top", "-1"}},
+	} {
+		var ue *usageError
+		if err := c.run(c.args); !errors.As(err, &ue) {
+			t.Errorf("%s -top -1: got %v, want a usage error", c.name, err)
+		}
+	}
 }

@@ -43,6 +43,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	flag.Parse()
+	if *top < 0 {
+		fmt.Fprintf(os.Stderr, "workbench: -top %d must not be negative\n", *top)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -42,14 +42,16 @@ type Config struct {
 }
 
 // Analysis computes the paper's metrics over a finished Gcost. It freezes
-// the graph into a CSR snapshot and computes HRAC/HRAB for all nodes in one
-// condensed DP sweep. Every query is safe for concurrent use.
+// the graph into a CSR snapshot and answers every query from it, with
+// HRAC/HRAB for all nodes computed in one condensed DP sweep; a node or
+// location the snapshot does not hold has metric 0. Every query is safe for
+// concurrent use.
 type Analysis struct {
 	G   *depgraph.Graph
 	cfg Config
 
 	// snap is the frozen graph; dp holds the snapshot-memoized DP arrays,
-	// attached on first use.
+	// attached on first use by data.
 	snap   *depgraph.Snapshot
 	dpOnce sync.Once
 	dp     *dpData
@@ -65,42 +67,37 @@ func NewAnalysisWith(g *depgraph.Graph, cfg Config) *Analysis {
 	return &Analysis{G: g, cfg: cfg, snap: g.Freeze()}
 }
 
-// ensureDP attaches the dense HRAC/HRAB/RAC/RAB arrays; safe for concurrent
+// data returns the dense HRAC/HRAB/RAC/RAB arrays; safe for concurrent
 // callers, and cached on the snapshot across analyses.
-func (a *Analysis) ensureDP() {
+func (a *Analysis) data() *dpData {
 	a.dpOnce.Do(func() {
 		a.dp = dpFor(a.snap)
 	})
+	return a.dp
 }
 
 // HRAC returns the heap-relative abstract cost of a node.
 func (a *Analysis) HRAC(n *depgraph.Node) int64 {
-	a.ensureDP()
 	if id, ok := a.snap.ID(n); ok {
-		return a.dp.hrac[id]
+		return a.data().hrac[id]
 	}
-	return depgraph.HRAC(n) // node added after the snapshot was taken
+	return 0
 }
 
 // HRAB returns the heap-relative abstract benefit of a node and whether the
 // value reached a consumer.
 func (a *Analysis) HRAB(n *depgraph.Node) (int64, bool) {
-	a.ensureDP()
 	if id, ok := a.snap.ID(n); ok {
-		return a.dp.hrab[id], a.dp.consumed[id]
+		return a.data().hrab[id], a.data().consumed[id]
 	}
-	return depgraph.HRAB(n)
+	return 0, false
 }
 
 // RAC returns the relative abstract cost of an abstract location: the mean
 // HRAC of the store nodes that write it (Definition 5). Locations never
 // written have RAC 0.
 func (a *Analysis) RAC(loc depgraph.Loc) float64 {
-	a.ensureDP()
-	if li, ok := a.snap.LocID(loc); ok {
-		return a.dp.rac[li]
-	}
-	return 0 // unknown location: never stored or loaded
+	return locMetric(a.snap, a.data().rac, loc)
 }
 
 // RAB returns the relative abstract benefit of an abstract location: the
@@ -108,52 +105,15 @@ func (a *Analysis) RAC(loc depgraph.Loc) float64 {
 // any read value reaches a predicate or native consumer; 0 if the location
 // is never read.
 func (a *Analysis) RAB(loc depgraph.Loc) float64 {
-	a.ensureDP()
-	if li, ok := a.snap.LocID(loc); ok {
-		return a.dp.rab[li]
-	}
-	return 0
-}
-
-// Tree is the object reference tree RT_n of Definition 7: the set of
-// allocation nodes within n reference hops of the root, with cycles removed
-// by first-visit.
-type Tree struct {
-	Root  *depgraph.Node
-	Depth map[*depgraph.Node]int
-}
-
-// ObjectTree builds RT_n rooted at root using the graph's points-to
-// children.
-func (a *Analysis) ObjectTree(root *depgraph.Node, height int) *Tree {
-	t := &Tree{Root: root, Depth: map[*depgraph.Node]int{root: 0}}
-	frontier := []*depgraph.Node{root}
-	for d := 0; d < height && len(frontier) > 0; d++ {
-		var next []*depgraph.Node
-		for _, owner := range frontier {
-			a.G.Children(owner, func(_ int, child *depgraph.Node) {
-				if _, seen := t.Depth[child]; seen {
-					return // cycle or diamond: keep first (shallowest) visit
-				}
-				t.Depth[child] = d + 1
-				next = append(next, child)
-			})
-		}
-		frontier = next
-	}
-	return t
+	return locMetric(a.snap, a.data().rab, loc)
 }
 
 // NRAC computes the n-RAC of the data structure rooted at root: the sum of
-// RACs of every field of every object strictly inside the tree (depth < n,
-// so that the field's target — if any — is still within RT_n).
+// RACs of every field of every object strictly inside its object reference
+// tree RT_n (Definition 7; depth < n, so that the field's target — if any —
+// is still within RT_n).
 func (a *Analysis) NRAC(root *depgraph.Node, height int) float64 {
-	a.ensureDP()
-	if id, ok := a.snap.ID(root); ok {
-		v, _ := aggregateFrozen(a.snap, a.dp, id, height, false)
-		return v
-	}
-	v, _ := a.aggregate(root, height, a.RAC)
+	v, _ := aggregateFrozen(a.snap, a.data().rac, root, height)
 	return v
 }
 
@@ -168,39 +128,7 @@ func (a *Analysis) NRAB(root *depgraph.Node, height int) float64 {
 // NRABDetail is NRAB plus the consumed flag: true when at least one
 // aggregated field's values reach a predicate or native consumer.
 func (a *Analysis) NRABDetail(root *depgraph.Node, height int) (float64, bool) {
-	a.ensureDP()
-	if id, ok := a.snap.ID(root); ok {
-		return aggregateFrozen(a.snap, a.dp, id, height, true)
-	}
-	return a.aggregate(root, height, a.RAB)
-}
-
-func (a *Analysis) aggregate(root *depgraph.Node, height int, metric func(depgraph.Loc) float64) (float64, bool) {
-	t := a.ObjectTree(root, height)
-	consumed := false
-	// t.Depth and FieldsOf iterate maps; float addition is not associative,
-	// so sum the per-field values in sorted order to keep results
-	// byte-identical across runs.
-	var vals []float64
-	for owner, depth := range t.Depth {
-		if depth >= height {
-			continue
-		}
-		a.G.FieldsOf(owner, func(field int) {
-			v := metric(depgraph.Loc{Alloc: owner, Field: field})
-			if v == InfiniteRAB {
-				consumed = true
-				v = ConsumedRAB
-			}
-			vals = append(vals, v)
-		})
-	}
-	sort.Float64s(vals)
-	total := 0.0
-	for _, v := range vals {
-		total += v
-	}
-	return total, consumed
+	return aggregateFrozen(a.snap, a.data().rab, root, height)
 }
 
 // StructureReport is one ranked entry of the low-utility report: a data
@@ -249,12 +177,12 @@ func (a *Analysis) RankStructures(height int) []*StructureReport {
 		height = DefaultTreeHeight
 	}
 	var allocs []*depgraph.Node
-	a.G.Nodes(func(n *depgraph.Node) {
+	for _, n := range a.snap.Nodes {
 		if n.Eff == depgraph.EffAlloc {
 			allocs = append(allocs, n)
 		}
-	})
-	a.ensureDP() // build the shared DP arrays before workers start
+	}
+	a.data() // build the shared DP arrays before workers start
 	out := make([]*StructureReport, len(allocs))
 	par.ForEach(len(allocs), a.cfg.Workers, func(i int) {
 		n := allocs[i]

@@ -224,9 +224,9 @@ class Main {
 	midAlloc := allocNode(t, p, prog, siteOfNthNew(prog, "Mid", 0))
 	leafAlloc := allocNode(t, p, prog, siteOfNthNew(prog, "Leaf", 0))
 
-	tree := a.ObjectTree(outerAlloc, 4)
-	if tree.Depth[outerAlloc] != 0 || tree.Depth[midAlloc] != 1 || tree.Depth[leafAlloc] != 2 {
-		t.Errorf("depths = %v", tree.Depth)
+	tree := objectTree(p.G, outerAlloc, 4)
+	if tree[outerAlloc] != 0 || tree[midAlloc] != 1 || tree[leafAlloc] != 2 {
+		t.Errorf("depths = %v", tree)
 	}
 
 	r1 := a.NRAC(outerAlloc, 1)
@@ -256,9 +256,9 @@ class Main {
 }`, 16)
 	an := NewAnalysis(p.G)
 	aAlloc := allocNode(t, p, prog, siteOfNthNew(prog, "Node", 0))
-	tree := an.ObjectTree(aAlloc, 10)
-	if len(tree.Depth) != 2 {
-		t.Errorf("cycle tree size = %d, want 2", len(tree.Depth))
+	tree := objectTree(p.G, aAlloc, 10)
+	if len(tree) != 2 {
+		t.Errorf("cycle tree size = %d, want 2", len(tree))
 	}
 	// And aggregation must terminate with a finite number.
 	if v := an.NRAC(aAlloc, 10); math.IsNaN(v) || math.IsInf(v, 0) {

@@ -1,12 +1,14 @@
 package costben
 
 // Differential proof for the frozen DP path: on every workload, every
-// metric the analysis exposes — per-node HRAC/HRAB, per-location RAC/RAB,
-// per-structure NRAC/NRAB, and both rankings — must be bit-identical
-// between the per-query reference below and the condensed DP sweep, and
-// the parallel ranking must be bit-identical to the serial one.
+// metric the analysis exposes — per-node HRAC/HRAB, per-location RAC/RAB
+// and RACK/RABK, per-structure NRAC/NRAB and NRACK/NRABK, and both
+// rankings — must be bit-identical between the per-query reference below
+// and the snapshot path, and the parallel ranking must be bit-identical to
+// the serial one.
 
 import (
+	"sort"
 	"testing"
 
 	"lowutil/internal/depgraph"
@@ -17,10 +19,11 @@ import (
 
 // perQuery is the cost/benefit path the frozen DP replaced, kept as the
 // test reference: one graph traversal per node for HRAC/HRAB (memoized),
-// RAC/RAB as means over each location's stores and loads, and the tree
-// aggregates through Analysis.aggregate with those per-location metrics.
+// RAC/RAB and their k-hop forms as means over each location's stores and
+// loads, and the tree aggregates through a map-based object reference tree
+// with those per-location metrics.
 type perQuery struct {
-	a    *Analysis
+	g    *depgraph.Graph
 	hrac map[*depgraph.Node]int64
 	hrab map[*depgraph.Node]hrabEntry
 }
@@ -32,7 +35,7 @@ type hrabEntry struct {
 
 func newPerQuery(g *depgraph.Graph) *perQuery {
 	return &perQuery{
-		a:    NewAnalysis(g),
+		g:    g,
 		hrac: make(map[*depgraph.Node]int64),
 		hrab: make(map[*depgraph.Node]hrabEntry),
 	}
@@ -59,7 +62,7 @@ func (q *perQuery) HRAB(n *depgraph.Node) (int64, bool) {
 func (q *perQuery) RAC(loc depgraph.Loc) float64 {
 	var sum int64
 	n := 0
-	q.a.G.StoresOf(loc, func(s *depgraph.Node) {
+	q.g.StoresOf(loc, func(s *depgraph.Node) {
 		sum += q.HRAC(s)
 		n++
 	})
@@ -73,7 +76,7 @@ func (q *perQuery) RAB(loc depgraph.Loc) float64 {
 	var sum int64
 	n := 0
 	infinite := false
-	q.a.G.LoadsOf(loc, func(l *depgraph.Node) {
+	q.g.LoadsOf(loc, func(l *depgraph.Node) {
 		s, consumed := q.HRAB(l)
 		if consumed {
 			infinite = true
@@ -90,20 +93,118 @@ func (q *perQuery) RAB(loc depgraph.Loc) float64 {
 	return float64(sum) / float64(n)
 }
 
+// RACK is the k-hop relative abstract cost of a location: the mean k-hop
+// HRAC of its store nodes.
+func (q *perQuery) RACK(loc depgraph.Loc, hops int) float64 {
+	var sum int64
+	n := 0
+	q.g.StoresOf(loc, func(s *depgraph.Node) {
+		sum += depgraph.HRACK(s, hops)
+		n++
+	})
+	if n == 0 {
+		return 0
+	}
+	return float64(sum) / float64(n)
+}
+
+// RABK is the k-hop relative abstract benefit, the forward dual of RACK.
+func (q *perQuery) RABK(loc depgraph.Loc, hops int) float64 {
+	var sum int64
+	n := 0
+	infinite := false
+	q.g.LoadsOf(loc, func(l *depgraph.Node) {
+		s, consumed := depgraph.HRABK(l, hops)
+		if consumed {
+			infinite = true
+		}
+		sum += s
+		n++
+	})
+	if infinite {
+		return InfiniteRAB
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(sum) / float64(n)
+}
+
+// objectTree builds the object reference tree RT_n of Definition 7 rooted
+// at root from the graph's points-to children: the allocation nodes within
+// height reference hops of the root, each at the depth of its first
+// (shallowest) visit, so cycles are removed.
+func objectTree(g *depgraph.Graph, root *depgraph.Node, height int) map[*depgraph.Node]int {
+	depth := map[*depgraph.Node]int{root: 0}
+	frontier := []*depgraph.Node{root}
+	for d := 0; d < height && len(frontier) > 0; d++ {
+		var next []*depgraph.Node
+		for _, owner := range frontier {
+			g.Children(owner, func(_ int, child *depgraph.Node) {
+				if _, seen := depth[child]; seen {
+					return // cycle or diamond: keep first (shallowest) visit
+				}
+				depth[child] = d + 1
+				next = append(next, child)
+			})
+		}
+		frontier = next
+	}
+	return depth
+}
+
+// aggregate sums metric over every field of every object strictly inside
+// the tree (depth < height).
+func (q *perQuery) aggregate(root *depgraph.Node, height int, metric func(depgraph.Loc) float64) (float64, bool) {
+	consumed := false
+	// The tree and FieldsOf iterate maps; float addition is not
+	// associative, so sum the per-field values in sorted order to keep
+	// results byte-identical across runs.
+	var vals []float64
+	for owner, depth := range objectTree(q.g, root, height) {
+		if depth >= height {
+			continue
+		}
+		q.g.FieldsOf(owner, func(field int) {
+			v := metric(depgraph.Loc{Alloc: owner, Field: field})
+			if v == InfiniteRAB {
+				consumed = true
+				v = ConsumedRAB
+			}
+			vals = append(vals, v)
+		})
+	}
+	sort.Float64s(vals)
+	total := 0.0
+	for _, v := range vals {
+		total += v
+	}
+	return total, consumed
+}
+
 func (q *perQuery) NRAC(root *depgraph.Node, height int) float64 {
-	v, _ := q.a.aggregate(root, height, q.RAC)
+	v, _ := q.aggregate(root, height, q.RAC)
 	return v
 }
 
 func (q *perQuery) NRABDetail(root *depgraph.Node, height int) (float64, bool) {
-	return q.a.aggregate(root, height, q.RAB)
+	return q.aggregate(root, height, q.RAB)
+}
+
+func (q *perQuery) NRACK(root *depgraph.Node, height, hops int) float64 {
+	v, _ := q.aggregate(root, height, func(loc depgraph.Loc) float64 { return q.RACK(loc, hops) })
+	return v
+}
+
+func (q *perQuery) NRABK(root *depgraph.Node, height, hops int) (float64, bool) {
+	return q.aggregate(root, height, func(loc depgraph.Loc) float64 { return q.RABK(loc, hops) })
 }
 
 // RankStructures ranks every allocation node serially from the per-query
 // metrics, in the product's ranking order.
 func (q *perQuery) RankStructures(height int) []*StructureReport {
 	var out []*StructureReport
-	q.a.G.Nodes(func(n *depgraph.Node) {
+	q.g.Nodes(func(n *depgraph.Node) {
 		if n.Eff != depgraph.EffAlloc {
 			return
 		}
@@ -202,6 +303,31 @@ func TestFrozenMatchesLegacyAllWorkloads(t *testing.T) {
 					t.Fatalf("NRAB(%v) = %v,%v frozen, %v,%v reference", n, fb, fcons, lb, lcons)
 				}
 			})
+
+			// k-hop metrics (hops 1 is the single-hop definition).
+			for hops := 1; hops <= 3; hops++ {
+				g.Locs(func(loc depgraph.Loc) {
+					if fr, lr := frozen.RACK(loc, hops), ref.RACK(loc, hops); fr != lr {
+						t.Fatalf("RACK(%v, %d) = %v frozen, %v reference", loc, hops, fr, lr)
+					}
+					if fr, lr := frozen.RABK(loc, hops), ref.RABK(loc, hops); fr != lr {
+						t.Fatalf("RABK(%v, %d) = %v frozen, %v reference", loc, hops, fr, lr)
+					}
+				})
+				g.Nodes(func(n *depgraph.Node) {
+					if n.Eff != depgraph.EffAlloc {
+						return
+					}
+					if fc, lc := frozen.NRACK(n, DefaultTreeHeight, hops), ref.NRACK(n, DefaultTreeHeight, hops); fc != lc {
+						t.Fatalf("NRACK(%v, %d) = %v frozen, %v reference", n, hops, fc, lc)
+					}
+					fb, fcons := frozen.NRABK(n, DefaultTreeHeight, hops)
+					lb, lcons := ref.NRABK(n, DefaultTreeHeight, hops)
+					if fb != lb || fcons != lcons {
+						t.Fatalf("NRABK(%v, %d) = %v,%v frozen, %v,%v reference", n, hops, fb, fcons, lb, lcons)
+					}
+				})
+			}
 
 			// Full rankings.
 			fr := frozen.RankStructures(DefaultTreeHeight)

@@ -17,54 +17,48 @@ import (
 	"lowutil/internal/depgraph"
 )
 
+// hopKey memoizes the k-hop tables on the snapshot, one per hop count.
+type hopKey struct{ hops int }
+
+// hopTables holds RACK/RABK of every location, indexed like Snapshot.Locs.
+type hopTables struct{ rac, rab []float64 }
+
+// hopsFor returns the (possibly cached) k-hop tables of s.
+func hopsFor(s *depgraph.Snapshot, hops int) *hopTables {
+	if hops < 1 {
+		hops = 1
+	}
+	return s.Memo(hopKey{hops}, func() any {
+		h := &hopTables{}
+		h.rac, h.rab = locMeans(s,
+			func(id int32) int64 { return depgraph.HRACK(s.Nodes[id], hops) },
+			func(id int32) (int64, bool) { return depgraph.HRABK(s.Nodes[id], hops) })
+		return h
+	}).(*hopTables)
+}
+
 // RACK is the k-hop relative abstract cost of a location: the mean k-hop
 // HRAC of its store nodes. RACK(loc, 1) == RAC(loc).
 func (a *Analysis) RACK(loc depgraph.Loc, hops int) float64 {
-	var sum int64
-	n := 0
-	a.G.StoresOf(loc, func(s *depgraph.Node) {
-		sum += depgraph.HRACK(s, hops)
-		n++
-	})
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
+	return locMetric(a.snap, hopsFor(a.snap, hops).rac, loc)
 }
 
 // RABK is the k-hop relative abstract benefit, the forward dual of RACK.
 func (a *Analysis) RABK(loc depgraph.Loc, hops int) float64 {
-	var sum int64
-	n := 0
-	infinite := false
-	a.G.LoadsOf(loc, func(l *depgraph.Node) {
-		s, consumed := depgraph.HRABK(l, hops)
-		if consumed {
-			infinite = true
-		}
-		sum += s
-		n++
-	})
-	if infinite {
-		return InfiniteRAB
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
+	return locMetric(a.snap, hopsFor(a.snap, hops).rab, loc)
 }
 
 // NRACK and NRABK aggregate the k-hop metrics over the reference tree, like
 // NRAC/NRAB.
 func (a *Analysis) NRACK(root *depgraph.Node, height, hops int) float64 {
-	v, _ := a.aggregate(root, height, func(loc depgraph.Loc) float64 { return a.RACK(loc, hops) })
+	v, _ := aggregateFrozen(a.snap, hopsFor(a.snap, hops).rac, root, height)
 	return v
 }
 
 // NRABK is the benefit dual of NRACK; consumed fields contribute
 // ConsumedRAB, and the flag reports whether any existed.
 func (a *Analysis) NRABK(root *depgraph.Node, height, hops int) (float64, bool) {
-	return a.aggregate(root, height, func(loc depgraph.Loc) float64 { return a.RABK(loc, hops) })
+	return aggregateFrozen(a.snap, hopsFor(a.snap, hops).rab, root, height)
 }
 
 // ---- Cache effectiveness ----

@@ -1,8 +1,10 @@
 package costben
 
-// The frozen analysis path computes HRAC (Definition 5) for every node in
-// one sweep, and HRAB (Definition 6) likewise, instead of one graph
-// traversal per query.
+// The snapshot path computes HRAC (Definition 5) for every node in one
+// sweep, and HRAB (Definition 6) likewise, instead of one graph traversal
+// per query; a per-location metric is a mean over the snapshot's store or
+// load row, and a data-structure aggregate is one CSR walk of the reference
+// tree.
 //
 // HRAC/HRAB are sums over *reachability sets*, not over paths, so they do
 // not distribute over a plain topological DP: a diamond would count the
@@ -15,7 +17,8 @@ package costben
 // order), and each component adds its weight to every source whose bit
 // reached it. Per-component weights encode the paper's counting rules, so
 // the result is bit-identical to the per-node traversal (depgraph.HRAC and
-// depgraph.HRAB), which the differential test keeps as the reference.
+// depgraph.HRAB), which the differential test keeps, with a map-based
+// reference tree, as the reference.
 
 import (
 	"math/bits"
@@ -46,38 +49,53 @@ func dpFor(s *depgraph.Snapshot) *dpData {
 		d := &dpData{}
 		d.hrac, _ = closureSums(s, false)
 		d.hrab, d.consumed = closureSums(s, true)
-
-		// Per-location means over the store/load CSR rows (Definitions 5/6):
-		// RAC is the mean HRAC of the location's stores, RAB the mean HRAB
-		// of its loads — InfiniteRAB if any load's value reaches a consumer.
-		d.rac = make([]float64, len(s.Locs))
-		d.rab = make([]float64, len(s.Locs))
-		for li := range s.Locs {
-			if row := s.Store[s.StoreStart[li]:s.StoreStart[li+1]]; len(row) > 0 {
-				var sum int64
-				for _, id := range row {
-					sum += d.hrac[id]
-				}
-				d.rac[li] = float64(sum) / float64(len(row))
-			}
-			if row := s.Load[s.LoadStart[li]:s.LoadStart[li+1]]; len(row) > 0 {
-				var sum int64
-				infinite := false
-				for _, id := range row {
-					if d.consumed[id] {
-						infinite = true
-					}
-					sum += d.hrab[id]
-				}
-				if infinite {
-					d.rab[li] = InfiniteRAB
-				} else {
-					d.rab[li] = float64(sum) / float64(len(row))
-				}
-			}
-		}
+		d.rac, d.rab = locMeans(s,
+			func(id int32) int64 { return d.hrac[id] },
+			func(id int32) (int64, bool) { return d.hrab[id], d.consumed[id] })
 		return d
 	}).(*dpData)
+}
+
+// locMeans computes the per-location means over the store/load CSR rows
+// (Definitions 5/6), indexed like s.Locs: a location's cost is the mean
+// cost of its stores, its benefit the mean benefit of its loads, or
+// InfiniteRAB if any load's value reaches a consumer.
+func locMeans(s *depgraph.Snapshot, cost func(id int32) int64, benefit func(id int32) (int64, bool)) (rac, rab []float64) {
+	rac = make([]float64, len(s.Locs))
+	rab = make([]float64, len(s.Locs))
+	for li := range s.Locs {
+		if row := s.Store[s.StoreStart[li]:s.StoreStart[li+1]]; len(row) > 0 {
+			var sum int64
+			for _, id := range row {
+				sum += cost(id)
+			}
+			rac[li] = float64(sum) / float64(len(row))
+		}
+		if row := s.Load[s.LoadStart[li]:s.LoadStart[li+1]]; len(row) > 0 {
+			var sum int64
+			infinite := false
+			for _, id := range row {
+				v, consumed := benefit(id)
+				infinite = infinite || consumed
+				sum += v
+			}
+			if infinite {
+				rab[li] = InfiniteRAB
+			} else {
+				rab[li] = float64(sum) / float64(len(row))
+			}
+		}
+	}
+	return rac, rab
+}
+
+// locMetric reads a per-location table; locations the snapshot does not
+// hold (never stored or loaded) have metric 0.
+func locMetric(s *depgraph.Snapshot, metric []float64, loc depgraph.Loc) float64 {
+	if li, ok := s.LocID(loc); ok {
+		return metric[li]
+	}
+	return 0
 }
 
 // treeScratch is the reusable BFS state of aggregateFrozen.
@@ -109,18 +127,22 @@ func putScratch(sc *treeScratch) {
 	scratchPool.Put(sc)
 }
 
-// aggregateFrozen is the CSR counterpart of Analysis.aggregate: a BFS over
-// the points-to child rows collects RT_root (first visit keeps the
-// shallowest depth, like ObjectTree), and every field of every
-// owner at depth < height contributes its precomputed per-location metric.
-// Values are summed in sorted order, exactly like aggregate, so the
-// float result is bit-identical.
-func aggregateFrozen(s *depgraph.Snapshot, dp *dpData, root int32, height int, benefit bool) (float64, bool) {
+// aggregateFrozen sums metric, a per-location table, over the data structure
+// rooted at root: a BFS over the points-to child rows collects the object
+// reference tree RT_root (first visit keeps the shallowest depth), and
+// every field of every owner at depth < height contributes its metric,
+// InfiniteRAB as ConsumedRAB (reported by the flag). Values are summed in
+// sorted order, so the float result does not depend on the walk order.
+func aggregateFrozen(s *depgraph.Snapshot, metric []float64, root *depgraph.Node, height int) (float64, bool) {
+	id, ok := s.ID(root)
+	if !ok {
+		return 0, false
+	}
 	sc := getScratch(s.NumNodes())
 	defer putScratch(sc)
 
-	sc.queue = append(sc.queue, root)
-	sc.depth[root] = 0
+	sc.queue = append(sc.queue, id)
+	sc.depth[id] = 0
 	consumed := false
 	for qi := 0; qi < len(sc.queue); qi++ {
 		v := sc.queue[qi]
@@ -129,11 +151,7 @@ func aggregateFrozen(s *depgraph.Snapshot, dp *dpData, root int32, height int, b
 			continue // fringe owners neither contribute nor expand
 		}
 		for k := s.OwnerFieldStart[v]; k < s.OwnerFieldStart[v+1]; k++ {
-			li := s.OwnerLoc[k]
-			val := dp.rac[li]
-			if benefit {
-				val = dp.rab[li]
-			}
+			val := metric[s.OwnerLoc[k]]
 			if val == InfiniteRAB {
 				consumed = true
 				val = ConsumedRAB

@@ -1,8 +1,9 @@
 package deadness
 
 // Differential proof that the frozen-snapshot propagation matches the
-// original map-based SCC path (analyzeReference) on every workload: same per-node outcomes and
-// same aggregate IPD/IPP/NLD inputs.
+// original map-based SCC path (analyzeReference over its own Tarjan,
+// referenceSCC) on every workload: same per-node outcomes and same
+// aggregate IPD/IPP/NLD inputs.
 
 import (
 	"testing"
@@ -59,10 +60,91 @@ func TestFrozenMatchesLegacyAllWorkloads(t *testing.T) {
 	}
 }
 
-// analyzeReference is the original map-based propagation over Graph.SCC,
-// kept as the reference the frozen path is compared against.
+// referenceSCC is the original map-based Tarjan over the def→use direction,
+// kept with analyzeReference so the reference shares no SCC code with the
+// product's Snapshot.Condense. It returns the components in reverse
+// topological order (every edge goes from a later component to an earlier
+// one) plus the component index of each node.
+func referenceSCC(g *depgraph.Graph) (comps [][]*depgraph.Node, compOf map[*depgraph.Node]int) {
+	const unvisited = 0
+	index := make(map[*depgraph.Node]int32, g.NumNodes())
+	low := make(map[*depgraph.Node]int32, g.NumNodes())
+	onStack := make(map[*depgraph.Node]bool, g.NumNodes())
+	var stack []*depgraph.Node
+	compOf = make(map[*depgraph.Node]int, g.NumNodes())
+	next := int32(1)
+
+	type frame struct {
+		n    *depgraph.Node
+		succ []*depgraph.Node
+		i    int
+	}
+	succsOf := func(n *depgraph.Node) []*depgraph.Node {
+		var out []*depgraph.Node
+		n.Uses(func(u *depgraph.Node) { out = append(out, u) })
+		return out
+	}
+
+	g.Nodes(func(root *depgraph.Node) {
+		if index[root] != unvisited {
+			return
+		}
+		work := []frame{{n: root, succ: succsOf(root)}}
+		index[root] = next
+		low[root] = next
+		next++
+		stack = append(stack, root)
+		onStack[root] = true
+
+		for len(work) > 0 {
+			f := &work[len(work)-1]
+			if f.i < len(f.succ) {
+				s := f.succ[f.i]
+				f.i++
+				if index[s] == unvisited {
+					index[s] = next
+					low[s] = next
+					next++
+					stack = append(stack, s)
+					onStack[s] = true
+					work = append(work, frame{n: s, succ: succsOf(s)})
+				} else if onStack[s] && index[s] < low[f.n] {
+					low[f.n] = index[s]
+				}
+				continue
+			}
+			// f.n finished.
+			n := f.n
+			work = work[:len(work)-1]
+			if len(work) > 0 {
+				parent := work[len(work)-1].n
+				if low[n] < low[parent] {
+					low[parent] = low[n]
+				}
+			}
+			if low[n] == index[n] {
+				var comp []*depgraph.Node
+				for {
+					top := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					onStack[top] = false
+					compOf[top] = len(comps)
+					comp = append(comp, top)
+					if top == n {
+						break
+					}
+				}
+				comps = append(comps, comp)
+			}
+		}
+	})
+	return comps, compOf
+}
+
+// analyzeReference is the original map-based propagation over
+// referenceSCC, kept as the reference the frozen path is compared against.
 func analyzeReference(g *depgraph.Graph, totalInstances int64) *Result {
-	comps, compOf := g.SCC()
+	comps, compOf := referenceSCC(g)
 
 	// comps is in reverse topological order: every def→use edge goes from a
 	// component with a smaller index (the use side was emitted first by

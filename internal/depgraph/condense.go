@@ -1,8 +1,8 @@
 package depgraph
 
-// SCC condensation over the frozen CSR snapshot. This is the array-index
-// sibling of Graph.SCC: Tarjan's algorithm run over flat int32 adjacency,
-// with an optional boundary predicate that turns nodes into sinks (their
+// SCC condensation over the frozen CSR snapshot, the package's one SCC
+// implementation: an iterative Tarjan run over flat int32 adjacency, with an
+// optional boundary predicate that turns nodes into sinks (their
 // out-edges are dropped before the condensation). The cost-benefit DP uses
 // boundaries to encode the paper's heap-hop termination — heap readers
 // (backward) and heap writers/consumers (forward) end traversals — and the

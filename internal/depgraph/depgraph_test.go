@@ -227,7 +227,7 @@ func findNthOp(prog *ir.Program, op ir.Op, n int) *ir.Instr {
 
 func TestSCCChain(t *testing.T) {
 	g, nodes := chainGraph(t, []int64{1, 1, 1, 1})
-	comps, compOf := g.SCC()
+	comps, compOf := scc(g)
 	if len(comps) != 4 {
 		t.Fatalf("comps = %d, want 4", len(comps))
 	}
@@ -249,7 +249,7 @@ func TestSCCCycleMerges(t *testing.T) {
 	g.AddDep(a, b)
 	g.AddDep(b, a) // cycle a ↔ b
 	g.AddDep(c, a) // c depends on a: def→use edge a → c
-	comps, compOf := g.SCC()
+	comps, compOf := scc(g)
 	if len(comps) != 2 {
 		t.Fatalf("comps = %d, want 2", len(comps))
 	}
@@ -279,7 +279,7 @@ func TestSCCOrderProperty(t *testing.T) {
 				g.AddDep(nodes[from], nodes[to])
 			}
 		}
-		_, compOf := g.SCC()
+		_, compOf := scc(g)
 		ok := true
 		for _, nd := range nodes {
 			nd.Uses(func(u *Node) {

@@ -4,17 +4,17 @@ package depgraph
 // (CSR) snapshot: dense int32 node IDs assigned in canonical (instruction,
 // context) order, flat adjacency arrays for dep/use/ref edges, parallel
 // arrays for frequency/effect/context, and CSR-indexed location tables
-// (stores, loads, fields-per-owner, points-to children). Analyses that
-// repeatedly walk the graph — the cost-benefit DP, deadness, ranking — run
-// over the snapshot instead of chasing per-node map entries.
+// (stores, loads, fields-per-owner, points-to children). It is the graph's
+// one read model: the Graph read methods, Encode, the condensation, the
+// cost-benefit DP and deadness all run over it.
 //
 // Snapshotting routes off the graph's intern list and per-location lists: a
 // permutation array maps intern IDs to canonical dense IDs, so no per-node
 // map is built. The snapshot is a pure read-model: it is valid as long as
 // the graph is not mutated through the Graph API (any such mutation
 // invalidates the cached snapshot, and the next Freeze rebuilds it).
-// Mutating Node fields directly — something only tests do — does not
-// invalidate it; re-Freeze manually in that case.
+// Writing Node fields or SetFreq directly does not invalidate it; call
+// Invalidate in that case.
 
 import (
 	"sort"
@@ -61,7 +61,9 @@ type Snapshot struct {
 	OwnerLoc        []int32
 
 	// ChildField/Child list, per owning allocation node, the points-to
-	// children pairs (field, child allocation node ID).
+	// children pairs (field, child allocation node ID). ChildStart has one
+	// row past the nodes, row NumNodes(), for the children held in static
+	// fields.
 	ChildStart []int32
 	ChildField []int32
 	Child      []int32
@@ -224,20 +226,22 @@ func (s *Snapshot) buildLocCSR(rowOf func(*locEntry) []int32) (start, data []int
 	return start, data
 }
 
-// buildChildren constructs the per-owner points-to child CSR.
+// buildChildren constructs the per-owner points-to child CSR, with the
+// static-held children in the extra last row.
 func (s *Snapshot) buildChildren() {
 	g := s.G
+	n := int32(len(s.Nodes))
 	type pair struct{ owner, field, child int32 }
 	var pairs []pair
 	for i := range g.locEntries {
 		e := &g.locEntries[i]
-		// Statics hold references too, but the reference tree of
-		// Definition 7 is rooted at allocation nodes, so static-held
-		// children are not reachable through an owner scan.
-		if e.loc.Alloc == nil || e.children.len() == 0 {
+		if e.children.len() == 0 {
 			continue
 		}
-		oi := s.perm[e.loc.Alloc.id]
+		oi := n
+		if e.loc.Alloc != nil {
+			oi = s.perm[e.loc.Alloc.id]
+		}
 		e.children.each(g.all, func(c *Node) {
 			pairs = append(pairs, pair{oi, int32(e.loc.Field), s.perm[c.id]})
 		})
@@ -251,8 +255,7 @@ func (s *Snapshot) buildChildren() {
 		}
 		return pairs[i].child < pairs[j].child
 	})
-	n := len(s.Nodes)
-	s.ChildStart = make([]int32, n+1)
+	s.ChildStart = make([]int32, n+2)
 	s.ChildField = make([]int32, len(pairs))
 	s.Child = make([]int32, len(pairs))
 	for i, p := range pairs {
@@ -260,7 +263,7 @@ func (s *Snapshot) buildChildren() {
 		s.ChildField[i] = p.field
 		s.Child[i] = p.child
 	}
-	for i := 0; i < n; i++ {
+	for i := int32(0); i <= n; i++ {
 		s.ChildStart[i+1] += s.ChildStart[i]
 	}
 }
@@ -284,48 +287,4 @@ func (s *Snapshot) ID(n *Node) (int32, bool) {
 func (s *Snapshot) LocID(loc Loc) (int32, bool) {
 	id, ok := s.locID[loc]
 	return id, ok
-}
-
-// storesOf/loadsOf/fieldsOf/childrenOf back the Graph iteration helpers
-// when the graph is frozen; rows are pre-sorted so iteration is both
-// deterministic and allocation-free.
-
-func (s *Snapshot) storesOf(loc Loc, f func(*Node)) {
-	li, ok := s.locID[loc]
-	if !ok {
-		return
-	}
-	for _, id := range s.Store[s.StoreStart[li]:s.StoreStart[li+1]] {
-		f(s.Nodes[id])
-	}
-}
-
-func (s *Snapshot) loadsOf(loc Loc, f func(*Node)) {
-	li, ok := s.locID[loc]
-	if !ok {
-		return
-	}
-	for _, id := range s.Load[s.LoadStart[li]:s.LoadStart[li+1]] {
-		f(s.Nodes[id])
-	}
-}
-
-func (s *Snapshot) fieldsOf(owner *Node, f func(field int)) {
-	oi, ok := s.ID(owner)
-	if !ok {
-		return
-	}
-	for _, field := range s.OwnerField[s.OwnerFieldStart[oi]:s.OwnerFieldStart[oi+1]] {
-		f(int(field))
-	}
-}
-
-func (s *Snapshot) childrenOf(owner *Node, f func(field int, child *Node)) {
-	oi, ok := s.ID(owner)
-	if !ok {
-		return
-	}
-	for k := s.ChildStart[oi]; k < s.ChildStart[oi+1]; k++ {
-		f(int(s.ChildField[k]), s.Nodes[s.Child[k]])
-	}
 }

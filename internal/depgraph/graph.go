@@ -17,9 +17,14 @@
 // The representation is dense: nodes are interned through a flat
 // (instruction × domain-element) index with an arena for node records and
 // append-only edge/location lists, so the online profiler does no map
-// operations on its hot path. The original map-backed representation
-// survives only as a model in the package tests (model_test.go), which
-// drives both through the same mutation sequences and compares every read.
+// operations on its hot path. Every graph-level query (Nodes, Locs,
+// StoresOf, LoadsOf, FieldsOf, Children, Encode, the SCC condensation)
+// answers from the immutable CSR Snapshot that Freeze builds once and caches
+// until the next mutation (freeze.go); only Freeze and the per-node edge
+// accessors read the build-phase tables. The original map-backed
+// representation survives only as a model in the package tests
+// (model_test.go), which drives both through the same mutation sequences
+// and compares every read.
 package depgraph
 
 import (
@@ -570,16 +575,6 @@ func nodeLess(a, b *Node) bool {
 	return a.D < b.D
 }
 
-// sortedIDNodes maps intern IDs to nodes sorted by nodeLess.
-func (g *Graph) sortedIDNodes(ids []int32) []*Node {
-	out := make([]*Node, len(ids))
-	for i, id := range ids {
-		out[i] = g.all[id]
-	}
-	sort.Slice(out, func(i, j int) bool { return nodeLess(out[i], out[j]) })
-	return out
-}
-
 // locLess orders abstract locations: statics first (by field), then by the
 // owning allocation node (nodeLess) and field.
 func locLess(a, b Loc) bool {
@@ -600,13 +595,10 @@ func locLess(a, b Loc) bool {
 // StoresOf calls f for every store node recorded for loc, in canonical node
 // order.
 func (g *Graph) StoresOf(loc Loc, f func(*Node)) {
-	if s := g.frozen; s != nil {
-		s.storesOf(loc, f)
-		return
-	}
-	if li, ok := g.locIDs[loc]; ok {
-		for _, n := range g.sortedIDNodes(g.locEntries[li].stores) {
-			f(n)
+	s := g.Freeze()
+	if li, ok := s.locID[loc]; ok {
+		for _, id := range s.Store[s.StoreStart[li]:s.StoreStart[li+1]] {
+			f(s.Nodes[id])
 		}
 	}
 }
@@ -614,58 +606,30 @@ func (g *Graph) StoresOf(loc Loc, f func(*Node)) {
 // LoadsOf calls f for every load node recorded for loc, in canonical node
 // order.
 func (g *Graph) LoadsOf(loc Loc, f func(*Node)) {
-	if s := g.frozen; s != nil {
-		s.loadsOf(loc, f)
-		return
-	}
-	if li, ok := g.locIDs[loc]; ok {
-		for _, n := range g.sortedIDNodes(g.locEntries[li].loads) {
-			f(n)
+	s := g.Freeze()
+	if li, ok := s.locID[loc]; ok {
+		for _, id := range s.Load[s.LoadStart[li]:s.LoadStart[li+1]] {
+			f(s.Nodes[id])
 		}
 	}
 }
 
 // FieldsOf calls f for every field (including ElemField) of objects
 // allocated at owner that was ever loaded or stored, in ascending field
-// order.
+// order. Statics belong to no allocated object, so owner nil lists nothing.
 func (g *Graph) FieldsOf(owner *Node, f func(field int)) {
-	if owner == nil {
-		return // statics belong to no allocated object
-	}
-	if s := g.frozen; s != nil {
-		s.fieldsOf(owner, f)
-		return
-	}
-	var fields []int
-	for i := range g.locEntries {
-		e := &g.locEntries[i]
-		if e.accessed && e.loc.Alloc == owner {
-			fields = append(fields, e.loc.Field)
+	s := g.Freeze()
+	if oi, ok := s.ID(owner); ok {
+		for _, field := range s.OwnerField[s.OwnerFieldStart[oi]:s.OwnerFieldStart[oi+1]] {
+			f(int(field))
 		}
-	}
-	sort.Ints(fields)
-	for _, field := range fields {
-		f(field)
 	}
 }
 
 // Locs calls f for every abstract location that was ever loaded or stored,
 // in locLess order.
 func (g *Graph) Locs(f func(Loc)) {
-	if s := g.frozen; s != nil {
-		for _, loc := range s.Locs {
-			f(loc)
-		}
-		return
-	}
-	var locs []Loc
-	for i := range g.locEntries {
-		if g.locEntries[i].accessed {
-			locs = append(locs, g.locEntries[i].loc)
-		}
-	}
-	sort.Slice(locs, func(i, j int) bool { return locLess(locs[i], locs[j]) })
-	for _, loc := range locs {
+	for _, loc := range g.Freeze().Locs {
 		f(loc)
 	}
 }
@@ -682,34 +646,19 @@ func (g *Graph) AddChild(loc Loc, child *Node) {
 }
 
 // Children calls f for every (field, child allocation node) pair recorded
-// for objects allocated at owner, ordered by (field, child).
+// for objects allocated at owner, ordered by (field, child). Owner nil lists
+// the children held in static fields.
 func (g *Graph) Children(owner *Node, f func(field int, child *Node)) {
-	if s := g.frozen; s != nil {
-		s.childrenOf(owner, f)
+	s := g.Freeze()
+	oi, ok := s.ID(owner)
+	if owner == nil {
+		oi, ok = int32(len(s.Nodes)), true // the static row
+	}
+	if !ok {
 		return
 	}
-	type pair struct {
-		field int
-		child *Node
-	}
-	var pairs []pair
-	for i := range g.locEntries {
-		e := &g.locEntries[i]
-		if e.loc.Alloc != owner {
-			continue
-		}
-		e.children.each(g.all, func(c *Node) {
-			pairs = append(pairs, pair{e.loc.Field, c})
-		})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].field != pairs[j].field {
-			return pairs[i].field < pairs[j].field
-		}
-		return nodeLess(pairs[i].child, pairs[j].child)
-	})
-	for _, p := range pairs {
-		f(p.field, p.child)
+	for k := s.ChildStart[oi]; k < s.ChildStart[oi+1]; k++ {
+		f(int(s.ChildField[k]), s.Nodes[s.Child[k]])
 	}
 }
 
@@ -717,16 +666,7 @@ func (g *Graph) Children(owner *Node, f func(field int, child *Node)) {
 // context slot). Deterministic order matters: callers fold node metrics into
 // floating-point sums, and float addition is not associative.
 func (g *Graph) Nodes(f func(*Node)) {
-	if s := g.frozen; s != nil {
-		for _, n := range s.Nodes {
-			f(n)
-		}
-		return
-	}
-	sorted := make([]*Node, len(g.all))
-	copy(sorted, g.all)
-	sort.Slice(sorted, func(i, j int) bool { return nodeLess(sorted[i], sorted[j]) })
-	for _, n := range sorted {
+	for _, n := range g.Freeze().Nodes {
 		f(n)
 	}
 }
@@ -734,14 +674,13 @@ func (g *Graph) Nodes(f func(*Node)) {
 // NodesOf returns all nodes of a given static instruction, ordered by
 // context slot.
 func (g *Graph) NodesOf(in *ir.Instr) []*Node {
-	var out []*Node
-	for _, n := range g.all {
-		if n.In.ID == in.ID {
-			out = append(out, n)
-		}
+	ns := g.Freeze().Nodes
+	lo := sort.Search(len(ns), func(i int) bool { return ns[i].In.ID >= in.ID })
+	hi := lo
+	for hi < len(ns) && ns[hi].In.ID == in.ID {
+		hi++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].D < out[j].D })
-	return out
+	return append([]*Node(nil), ns[lo:hi]...)
 }
 
 // TotalFreq sums node frequencies — the number of concrete instruction

@@ -482,9 +482,9 @@ func (r *modelRun) step() {
 		r.g.AddChild(r.denseLoc(loc), r.dense(c))
 		r.m.addChild(loc, c)
 	case 11:
+		// Every read answers from the snapshot, so comparing freezes the
+		// graph; later mutations must invalidate it.
 		r.cov["Freeze"] = true
-		r.compare("before Freeze")
-		r.g.Freeze()
 		r.compare("frozen")
 	case 12:
 		if n := r.pickNode(); n != nil {
@@ -509,15 +509,12 @@ func (r *modelRun) noteEdge(a, b *mNode, sets map[*mNode]mSet) {
 	}
 }
 
-// run applies the whole sequence, then compares the graphs unfrozen and
-// frozen.
+// run applies the whole sequence, then compares the graphs.
 func (r *modelRun) run() {
 	for r.more() {
 		r.step()
 	}
 	r.compare("final")
-	r.g.Freeze()
-	r.compare("final frozen")
 }
 
 func (r *modelRun) check(what string, got, want any) {
@@ -547,11 +544,11 @@ func edgeNames(visit func(func(*Node))) []string {
 	return out
 }
 
-// compare checks every read of the dense graph against the model.
+// compare checks every read of the dense graph, and its snapshot, against
+// the model.
 func (r *modelRun) compare(phase string) {
 	r.t.Helper()
 	g, m := r.g, r.m
-	frozen := g.frozen != nil
 	check := func(what string, got, want any) {
 		r.t.Helper()
 		r.check(phase+": "+what, got, want)
@@ -612,11 +609,6 @@ func (r *modelRun) compare(phase string) {
 		fields := []int{}
 		g.FieldsOf(o, func(f int) { fields = append(fields, f) })
 		check(fmt.Sprintf("FieldsOf %v", mo), fields, m.fieldsOf(mo))
-		// The snapshot roots reference trees at allocation nodes, so it has
-		// no static-held children; only the live graph answers for nil.
-		if mo == nil && frozen {
-			continue
-		}
 		kids := []string{}
 		g.Children(o, func(field int, c *Node) { kids = append(kids, fmt.Sprintf("%d:%s", field, denseName(c))) })
 		check(fmt.Sprintf("Children %v", mo), kids, m.children(mo))
@@ -639,9 +631,7 @@ func (r *modelRun) compare(phase string) {
 	check("footprint", g.footprint(), m.footprint())
 	check("ApproxBytes", g.ApproxBytes(), m.footprint().bytes())
 
-	if frozen {
-		r.compareSnapshot(phase, g.frozen)
-	}
+	r.compareSnapshot(phase, g.Freeze())
 }
 
 // compareSnapshot checks the CSR arrays of a frozen graph directly.
@@ -661,6 +651,15 @@ func (r *modelRun) compareSnapshot(phase string, s *Snapshot) {
 		}
 		return out
 	}
+	// childRow renders child row i; row len(sorted) holds the statics.
+	childRow := func(i int) []string {
+		kids := []string{}
+		for k := s.ChildStart[i]; k < s.ChildStart[i+1]; k++ {
+			kids = append(kids, fmt.Sprintf("%d:%s", s.ChildField[k], denseName(s.Nodes[s.Child[k]])))
+		}
+		return kids
+	}
+	check("static Child row", childRow(len(sorted)), m.children(nil))
 	for i, mn := range sorted {
 		n := s.Nodes[i]
 		check("Nodes", denseName(n), mn.String())
@@ -684,11 +683,7 @@ func (r *modelRun) compareSnapshot(phase string, s *Snapshot) {
 			}
 		}
 		check("OwnerField row of "+mn.String(), fields, m.fieldsOf(mn))
-		kids := []string{}
-		for k := s.ChildStart[i]; k < s.ChildStart[i+1]; k++ {
-			kids = append(kids, fmt.Sprintf("%d:%s", s.ChildField[k], denseName(s.Nodes[s.Child[k]])))
-		}
-		check("Child row of "+mn.String(), kids, m.children(mn))
+		check("Child row of "+mn.String(), childRow(i), m.children(mn))
 	}
 	locs := m.locs(false)
 	check("Locs count", len(s.Locs), len(locs))

@@ -2,9 +2,28 @@ package depgraph
 
 import "testing"
 
+// scc condenses g's def→use direction through Snapshot.Condense, the one
+// SCC implementation, and returns its components in reverse topological
+// order (every def→use edge goes from a later component to an earlier one)
+// with each node's component index.
+func scc(g *Graph) (comps [][]*Node, compOf map[*Node]int) {
+	s := g.Freeze()
+	c := s.Condense(true, nil)
+	compOf = make(map[*Node]int, s.NumNodes())
+	for ci := 0; ci < c.NumComps; ci++ {
+		var comp []*Node
+		for _, v := range c.Members(int32(ci)) {
+			comp = append(comp, s.Nodes[v])
+			compOf[s.Nodes[v]] = ci
+		}
+		comps = append(comps, comp)
+	}
+	return comps, compOf
+}
+
 func TestSCCEmptyGraph(t *testing.T) {
 	g := New(mkProg(t, 1))
-	comps, compOf := g.SCC()
+	comps, compOf := scc(g)
 	if len(comps) != 0 || len(compOf) != 0 {
 		t.Errorf("empty graph: comps=%v compOf=%v", comps, compOf)
 	}
@@ -15,7 +34,7 @@ func TestSCCSelfLoop(t *testing.T) {
 	g := New(prog)
 	a := g.Touch(prog.Instrs[0], 0)
 	g.AddDep(a, a)
-	comps, compOf := g.SCC()
+	comps, compOf := scc(g)
 	if len(comps) != 1 || len(comps[0]) != 1 || comps[0][0] != a {
 		t.Fatalf("self-loop: comps=%v", comps)
 	}
@@ -42,7 +61,7 @@ func TestSCCInterlockingCycles(t *testing.T) {
 	// One cross edge: c consumes b's value, so b -> c in the uses direction.
 	g.AddDep(c, b)
 
-	comps, compOf := g.SCC()
+	comps, compOf := scc(g)
 	if len(comps) != 2 {
 		t.Fatalf("comps = %d, want 2", len(comps))
 	}
@@ -76,7 +95,7 @@ func TestSCCSharedNodeCycles(t *testing.T) {
 	for _, e := range edges {
 		g.AddDep(n[e[1]], n[e[0]]) // value edge e[0] -> e[1]
 	}
-	comps, compOf := g.SCC()
+	comps, compOf := scc(g)
 	if len(comps) != 1 || len(comps[0]) != 5 {
 		t.Fatalf("interlocked cycles must condense to one component: %v", comps)
 	}

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"lowutil/internal/ir"
 )
@@ -53,90 +52,60 @@ type serialLocEdge struct {
 	Node  int `json:"n"`
 }
 
-// Encode serializes the graph. The output is deterministic: nodes are
-// ordered by (instruction, d) and edge lists are sorted.
+// Encode serializes the graph by writing out its frozen snapshot, whose
+// dense IDs and sorted CSR rows already are the saved order: nodes by
+// (instruction, d), edges by (from, to), location edges by (alloc index,
+// statics first as -1, field, node).
 func (g *Graph) Encode(w io.Writer) error {
-	nodes := make([]*Node, len(g.all))
-	copy(nodes, g.all)
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].In.ID != nodes[j].In.ID {
-			return nodes[i].In.ID < nodes[j].In.ID
-		}
-		return nodes[i].D < nodes[j].D
-	})
-	idx := make(map[*Node]int, len(nodes))
-	for i, n := range nodes {
-		idx[n] = i
-	}
-	nodeIdx := func(n *Node) int {
-		if n == nil {
+	s := g.Freeze()
+	n := int32(len(s.Nodes))
+	nodeIdx := func(nd *Node) int {
+		if nd == nil {
 			return -1
 		}
-		return idx[n]
+		return int(s.perm[nd.id])
 	}
-
 	sg := serialGraph{
 		Version:   serialVersion,
 		NumInstrs: g.Prog.NumInstrs(),
 		NumSites:  g.Prog.NumAllocSites(),
 	}
-	for _, n := range nodes {
+	for i, nd := range s.Nodes {
 		sg.Nodes = append(sg.Nodes, serialNode{
-			Instr:    n.In.ID,
-			D:        n.D,
-			Freq:     n.Freq(),
-			Eff:      uint8(n.Eff),
-			EffAlloc: nodeIdx(n.EffLoc.Alloc),
-			EffField: n.EffLoc.Field,
+			Instr:    nd.In.ID,
+			D:        nd.D,
+			Freq:     nd.Freq(),
+			Eff:      uint8(nd.Eff),
+			EffAlloc: nodeIdx(nd.EffLoc.Alloc),
+			EffField: nd.EffLoc.Field,
 		})
-		g.depSets[n.id].each(g.all, func(d *Node) {
-			sg.DepEdges = append(sg.DepEdges, [2]int{idx[n], idx[d]})
-		})
-		g.refSets[n.id].each(g.all, func(r *Node) {
-			sg.RefEdges = append(sg.RefEdges, [2]int{idx[n], idx[r]})
-		})
-	}
-	sortPairs := func(ps [][2]int) {
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i][0] != ps[j][0] {
-				return ps[i][0] < ps[j][0]
-			}
-			return ps[i][1] < ps[j][1]
-		})
-	}
-	sortPairs(sg.DepEdges)
-	sortPairs(sg.RefEdges)
-
-	sortLocEdges := func(out []serialLocEdge) []serialLocEdge {
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Alloc != out[j].Alloc {
-				return out[i].Alloc < out[j].Alloc
-			}
-			if out[i].Field != out[j].Field {
-				return out[i].Field < out[j].Field
-			}
-			return out[i].Node < out[j].Node
-		})
-		return out
-	}
-	var children, stores, loads []serialLocEdge
-	for i := range g.locEntries {
-		e := &g.locEntries[i]
-		a, f := nodeIdx(e.loc.Alloc), e.loc.Field
-		e.children.each(g.all, func(c *Node) {
-			children = append(children, serialLocEdge{Alloc: a, Field: f, Node: idx[c]})
-		})
-		for _, id := range e.stores {
-			stores = append(stores, serialLocEdge{Alloc: a, Field: f, Node: idx[g.all[id]]})
+		for _, d := range s.Dep[s.DepStart[i]:s.DepStart[i+1]] {
+			sg.DepEdges = append(sg.DepEdges, [2]int{i, int(d)})
 		}
-		for _, id := range e.loads {
-			loads = append(loads, serialLocEdge{Alloc: a, Field: f, Node: idx[g.all[id]]})
+		for _, r := range s.Ref[s.RefStart[i]:s.RefStart[i+1]] {
+			sg.RefEdges = append(sg.RefEdges, [2]int{i, int(r)})
 		}
 	}
-	sg.Children = sortLocEdges(children)
-	sg.LocStores = sortLocEdges(stores)
-	sg.LocLoads = sortLocEdges(loads)
-
+	// Row n of the child CSR holds the static-held children, which sort
+	// first as alloc index -1.
+	for a := int32(-1); a < n; a++ {
+		oi := a
+		if a < 0 {
+			oi = n
+		}
+		for k := s.ChildStart[oi]; k < s.ChildStart[oi+1]; k++ {
+			sg.Children = append(sg.Children, serialLocEdge{Alloc: int(a), Field: int(s.ChildField[k]), Node: int(s.Child[k])})
+		}
+	}
+	for li, loc := range s.Locs {
+		a := nodeIdx(loc.Alloc)
+		for _, id := range s.Store[s.StoreStart[li]:s.StoreStart[li+1]] {
+			sg.LocStores = append(sg.LocStores, serialLocEdge{Alloc: a, Field: loc.Field, Node: int(id)})
+		}
+		for _, id := range s.Load[s.LoadStart[li]:s.LoadStart[li+1]] {
+			sg.LocLoads = append(sg.LocLoads, serialLocEdge{Alloc: a, Field: loc.Field, Node: int(id)})
+		}
+	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&sg)
 }

@@ -28,24 +28,6 @@ func BackwardSlice(seed *Node) map[*Node]struct{} {
 	return visited
 }
 
-// ForwardSlice returns the set of nodes reachable from seed through use
-// edges, including seed itself.
-func ForwardSlice(seed *Node) map[*Node]struct{} {
-	visited := map[*Node]struct{}{seed: {}}
-	stack := []*Node{seed}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n.g.useSets[n.id].each(n.g.all, func(u *Node) {
-			if _, ok := visited[u]; !ok {
-				visited[u] = struct{}{}
-				stack = append(stack, u)
-			}
-		})
-	}
-	return visited
-}
-
 // AbstractCost computes Definition 4: the sum of frequencies of all nodes
 // that can reach n (plus n itself).
 func AbstractCost(n *Node) int64 {
@@ -112,14 +94,4 @@ func HRAB(n *Node) (sum int64, consumed bool) {
 		})
 	}
 	return sum, consumed
-}
-
-// SliceFreq sums the frequencies of a node set (used to compare thin vs.
-// traditional slice weights).
-func SliceFreq(set map[*Node]struct{}) int64 {
-	var sum int64
-	for n := range set {
-		sum += n.Freq()
-	}
-	return sum
 }

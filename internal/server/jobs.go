@@ -29,7 +29,7 @@ var errUnknownJob = errors.New("unknown job or batch")
 // content-addressed, and whether a run was memoized is scheduling noise
 // that would break deterministic replay.
 func (s *Server) executeSpec(ctx context.Context, spec jobs.Spec) (*jobs.Result, error) {
-	sess, _, err := s.sessionForSpec(spec)
+	sess, _, err := s.compileSession(spec.Source, spec.MainClass, spec.MainMethod)
 	if err != nil {
 		return nil, err
 	}
@@ -53,18 +53,18 @@ func (s *Server) executeSpec(ctx context.Context, spec jobs.Spec) (*jobs.Result,
 		}
 
 	case jobs.KindProfile:
-		e, _, err := s.cachedProfile(ctx, sess, specProfileParams(spec))
+		pr, _, err := s.cachedProfile(ctx, sess, specProfileParams(spec))
 		if err != nil {
 			return nil, err
 		}
-		payload = newProfileResponse(sess.ID, false, e.prof, topOrDefault(spec.Top))
+		payload = newProfileResponse(sess.ID, false, pr, topOrDefault(spec.Top))
 
 	case jobs.KindReport:
-		e, _, err := s.cachedProfile(ctx, sess, specProfileParams(spec))
+		pr, _, err := s.cachedProfile(ctx, sess, specProfileParams(spec))
 		if err != nil {
 			return nil, err
 		}
-		payload = reportResponse{Session: sess.ID, Report: e.prof.Report(topOrDefault(spec.Top))}
+		payload = reportResponse{Session: sess.ID, Report: pr.Report(topOrDefault(spec.Top))}
 
 	case jobs.KindSlice:
 		opts := []lowutil.SliceOption{lowutil.WithTop(spec.Top)}
@@ -81,7 +81,7 @@ func (s *Server) executeSpec(ctx context.Context, spec jobs.Spec) (*jobs.Result,
 		payload = reportResponse{Session: sess.ID, Report: rep}
 
 	case jobs.KindAudit:
-		e, hit, err := sess.audit(ctx, auditKey{Mode: spec.Mode, ObjCtx: spec.ObjCtx, Top: topOrDefault(spec.Top)})
+		rep, hit, err := sess.audit(ctx, auditKey{Mode: spec.Mode, ObjCtx: spec.ObjCtx, Top: topOrDefault(spec.Top)})
 		if hit {
 			s.met.auditHits.Add(1)
 		} else {
@@ -90,7 +90,7 @@ func (s *Server) executeSpec(ctx context.Context, spec jobs.Spec) (*jobs.Result,
 		if err != nil {
 			return nil, err
 		}
-		payload = reportResponse{Session: sess.ID, Report: e.report}
+		payload = reportResponse{Session: sess.ID, Report: rep}
 
 	default:
 		return nil, &badRequestError{fmt.Errorf("unknown job kind %q", spec.Kind)}
@@ -106,36 +106,6 @@ func (s *Server) executeSpec(ctx context.Context, spec jobs.Spec) (*jobs.Result,
 	return &jobs.Result{Kind: spec.Kind, Payload: raw}, nil
 }
 
-// sessionForSpec resolves (compiling on demand) the session for a spec's
-// program through the server's session LRU — batch jobs and synchronous
-// requests share one compiled-program cache.
-func (s *Server) sessionForSpec(spec jobs.Spec) (*Session, bool, error) {
-	mc, mm := spec.MainClass, spec.MainMethod
-	if mc == "" {
-		mc = "Main"
-	}
-	if mm == "" {
-		mm = "main"
-	}
-	id := sessionKey(spec.Source, mc, mm)
-	if sess, ok := s.sessions.get(id); ok {
-		s.met.sessionHits.Add(1)
-		return sess, true, nil
-	}
-	prog, err := lowutil.CompileAt(spec.Source, mc, mm)
-	if err != nil {
-		return nil, false, err
-	}
-	sess, inserted, evicted := s.sessions.add(&Session{ID: id, Created: time.Now(), Prog: prog})
-	if inserted {
-		s.met.sessionsCreated.Add(1)
-	} else {
-		s.met.sessionHits.Add(1)
-	}
-	s.met.sessionEvictions.Add(int64(evicted))
-	return sess, !inserted, nil
-}
-
 // specProfileParams maps a job spec's profiling fields onto the memoized
 // run key shared with the synchronous endpoints.
 func specProfileParams(spec jobs.Spec) profileParams {
@@ -146,6 +116,8 @@ func specProfileParams(spec jobs.Spec) profileParams {
 	}
 }
 
+// topOrDefault maps a request's top (0 or negative when unset) to the
+// count of findings to render.
 func topOrDefault(top int) int {
 	if top <= 0 {
 		return lowutil.DefaultTop
@@ -227,7 +199,7 @@ func (s *Server) checkSpecSlots(spec jobs.Spec) error {
 	if (spec.Kind != jobs.KindProfile && spec.Kind != jobs.KindReport) || spec.Slots <= lowutil.DefaultSlots {
 		return nil
 	}
-	sess, _, err := s.sessionForSpec(spec)
+	sess, _, err := s.compileSession(spec.Source, spec.MainClass, spec.MainMethod)
 	if err != nil {
 		return nil
 	}

@@ -388,21 +388,32 @@ func (s *Server) handleCompile(ctx context.Context, r *http.Request) (any, error
 	if req.Source == "" {
 		return nil, &badRequestError{errors.New("missing source")}
 	}
-	mc, mm := req.MainClass, req.MainMethod
-	if mc == "" {
-		mc = "Main"
-	}
-	if mm == "" {
-		mm = "main"
-	}
-	id := sessionKey(req.Source, mc, mm)
-	if sess, ok := s.sessions.get(id); ok {
-		s.met.sessionHits.Add(1)
-		return compileResponse{Session: sess.ID, Instructions: sess.Prog.NumInstructions(), CacheHit: true}, nil
-	}
-	prog, err := lowutil.CompileAt(req.Source, mc, mm)
+	sess, hit, err := s.compileSession(req.Source, req.MainClass, req.MainMethod)
 	if err != nil {
 		return nil, err
+	}
+	return compileResponse{Session: sess.ID, Instructions: sess.Prog.NumInstructions(), CacheHit: hit}, nil
+}
+
+// compileSession returns the session for a program (entry point Main.main
+// by default) from the session LRU, compiling and inserting it on a miss,
+// and counts the cache traffic. Synchronous requests and batch jobs share
+// this one compiled-program cache. The second result reports a hit.
+func (s *Server) compileSession(src, mainClass, mainMethod string) (*Session, bool, error) {
+	if mainClass == "" {
+		mainClass = "Main"
+	}
+	if mainMethod == "" {
+		mainMethod = "main"
+	}
+	id := sessionKey(src, mainClass, mainMethod)
+	if sess, ok := s.sessions.get(id); ok {
+		s.met.sessionHits.Add(1)
+		return sess, true, nil
+	}
+	prog, err := lowutil.CompileAt(src, mainClass, mainMethod)
+	if err != nil {
+		return nil, false, err
 	}
 	sess, inserted, evicted := s.sessions.add(&Session{ID: id, Created: time.Now(), Prog: prog})
 	if inserted {
@@ -411,27 +422,27 @@ func (s *Server) handleCompile(ctx context.Context, r *http.Request) (any, error
 		s.met.sessionHits.Add(1)
 	}
 	s.met.sessionEvictions.Add(int64(evicted))
-	return compileResponse{Session: sess.ID, Instructions: sess.Prog.NumInstructions(), CacheHit: !inserted}, nil
+	return sess, !inserted, nil
 }
 
 // cachedProfile resolves the memoized run for a request, counting cache
 // traffic and step totals. A slot count the facade would refuse is
 // rejected before it reaches the memo, so bad requests leave no entries.
-func (s *Server) cachedProfile(ctx context.Context, sess *Session, p profileParams) (*profileEntry, bool, error) {
+func (s *Server) cachedProfile(ctx context.Context, sess *Session, p profileParams) (*lowutil.Profile, bool, error) {
 	key := p.key()
 	if err := sess.Prog.CheckSlots(key.Slots); err != nil {
 		return nil, false, err
 	}
-	e, hit, err := sess.profile(ctx, key)
+	pr, hit, err := sess.profile(ctx, key)
 	if hit {
 		s.met.profileHits.Add(1)
 	} else {
 		s.met.profileMisses.Add(1)
 		if err == nil {
-			s.met.profiledSteps.Add(e.prof.Steps())
+			s.met.profiledSteps.Add(pr.Steps())
 		}
 	}
-	return e, hit, err
+	return pr, hit, err
 }
 
 func (s *Server) handleProfile(ctx context.Context, r *http.Request) (any, error) {
@@ -443,15 +454,11 @@ func (s *Server) handleProfile(ctx context.Context, r *http.Request) (any, error
 	if err != nil {
 		return nil, err
 	}
-	e, hit, err := s.cachedProfile(ctx, sess, req.profileParams)
+	pr, hit, err := s.cachedProfile(ctx, sess, req.profileParams)
 	if err != nil {
 		return nil, err
 	}
-	top := req.Top
-	if top <= 0 {
-		top = lowutil.DefaultTop
-	}
-	return newProfileResponse(sess.ID, hit, e.prof, top), nil
+	return newProfileResponse(sess.ID, hit, pr, topOrDefault(req.Top)), nil
 }
 
 // newProfileResponse renders the /v2/profile payload for a finished run.
@@ -478,15 +485,11 @@ func (s *Server) handleReport(ctx context.Context, r *http.Request) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	e, hit, err := s.cachedProfile(ctx, sess, req.profileParams)
+	pr, hit, err := s.cachedProfile(ctx, sess, req.profileParams)
 	if err != nil {
 		return nil, err
 	}
-	top := req.Top
-	if top <= 0 {
-		top = lowutil.DefaultTop
-	}
-	return reportResponse{Session: sess.ID, CacheHit: hit, Report: e.prof.Report(top)}, nil
+	return reportResponse{Session: sess.ID, CacheHit: hit, Report: pr.Report(topOrDefault(req.Top))}, nil
 }
 
 func (s *Server) handleSlice(ctx context.Context, r *http.Request) (any, error) {
@@ -525,11 +528,7 @@ func (s *Server) handleAudit(ctx context.Context, r *http.Request) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	top := req.Top
-	if top <= 0 {
-		top = lowutil.DefaultTop
-	}
-	e, hit, err := sess.audit(ctx, auditKey{Mode: req.Mode, ObjCtx: req.ObjCtx, Top: top})
+	rep, hit, err := sess.audit(ctx, auditKey{Mode: req.Mode, ObjCtx: req.ObjCtx, Top: topOrDefault(req.Top)})
 	if hit {
 		s.met.auditHits.Add(1)
 	} else {
@@ -538,7 +537,7 @@ func (s *Server) handleAudit(ctx context.Context, r *http.Request) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	return reportResponse{Session: sess.ID, CacheHit: hit, Report: e.report}, nil
+	return reportResponse{Session: sess.ID, CacheHit: hit, Report: rep}, nil
 }
 
 func (s *Server) handleVet(ctx context.Context, r *http.Request) (any, error) {
@@ -608,12 +607,12 @@ func (s *Server) handleSave(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, _, err := s.cachedProfile(ctx, sess, req.profileParams)
+	pr, _, err := s.cachedProfile(ctx, sess, req.profileParams)
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := e.prof.Save(&buf); err != nil {
+	if err := pr.Save(&buf); err != nil {
 		return nil, err
 	}
 	return json.RawMessage(buf.Bytes()), nil
@@ -637,11 +636,7 @@ func (s *Server) handleLoad(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, &badRequestError{err}
 	}
-	top := req.Top
-	if top <= 0 {
-		top = lowutil.DefaultTop
-	}
-	return reportResponse{Session: sess.ID, Report: pr.Report(top)}, nil
+	return reportResponse{Session: sess.ID, Report: pr.Report(topOrDefault(req.Top))}, nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -60,15 +60,6 @@ func (k profileKey) options() []lowutil.ProfileOption {
 	return opts
 }
 
-// profileEntry latches one profiling run. done closes when prof/err are
-// final; every query on a finished Profile is safe for concurrent use, so
-// readers need no lock.
-type profileEntry struct {
-	done chan struct{}
-	prof *lowutil.Profile
-	err  error
-}
-
 // auditKey is the complete static-audit configuration a cached report is
 // memoized under. Two requests with equal keys share one analysis.
 type auditKey struct {
@@ -89,15 +80,6 @@ func (k auditKey) options() []lowutil.AuditOption {
 	return opts
 }
 
-// auditEntry latches one static-audit analysis. done closes when
-// report/err are final; the rendered report is immutable afterwards, so
-// readers need no lock.
-type auditEntry struct {
-	done   chan struct{}
-	report string
-	err    error
-}
-
 // Session is one compiled program plus its memoized profiling runs and
 // static-audit reports.
 type Session struct {
@@ -105,41 +87,77 @@ type Session struct {
 	Created time.Time
 	Prog    *lowutil.Program
 
-	mu       sync.Mutex
-	profiles map[profileKey]*profileEntry
-	audits   map[auditKey]*auditEntry
+	profiles latch[profileKey, *lowutil.Profile]
+	audits   latch[auditKey, string]
 }
 
 // profile returns the memoized run for key, computing it under ctx on a
-// miss. The second result reports a cache hit — true whenever another
+// miss; see latch.get. Every query on a finished Profile is safe for
+// concurrent use, so readers need no lock.
+func (s *Session) profile(ctx context.Context, key profileKey) (*lowutil.Profile, bool, error) {
+	return s.profiles.get(ctx, key, func(ctx context.Context) (*lowutil.Profile, error) {
+		return s.Prog.ProfileContext(ctx, key.options()...)
+	})
+}
+
+// audit returns the memoized static-audit report for key, computing it
+// under ctx on a miss; see latch.get.
+func (s *Session) audit(ctx context.Context, key auditKey) (string, bool, error) {
+	return s.audits.get(ctx, key, func(ctx context.Context) (string, error) {
+		return s.Prog.StaticAudit(ctx, key.options()...)
+	})
+}
+
+// cachedAudits reports how many completed audit reports the session holds.
+func (s *Session) cachedAudits() int { return s.audits.len() }
+
+// cachedProfiles reports how many completed runs the session holds.
+func (s *Session) cachedProfiles() int { return s.profiles.len() }
+
+// latch memoizes one computation per key.
+type latch[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*latchEntry[V]
+}
+
+// latchEntry is one computation. done closes when val/err are final; the
+// value is immutable afterwards, so readers need no lock.
+type latchEntry[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
+// get returns the value memoized under key, computing it with run under ctx
+// on a miss. The second result reports a cache hit — true whenever another
 // request already created the entry, including one still in flight (the
 // caller then waits on the latch instead of burning a second run). A run
 // aborted by cancellation is evicted so the next request retries; a waiter
 // whose own context is still live retries immediately.
-func (s *Session) profile(ctx context.Context, key profileKey) (*profileEntry, bool, error) {
+func (l *latch[K, V]) get(ctx context.Context, key K, run func(context.Context) (V, error)) (V, bool, error) {
 	for {
-		s.mu.Lock()
-		if s.profiles == nil {
-			s.profiles = make(map[profileKey]*profileEntry)
+		l.mu.Lock()
+		if l.m == nil {
+			l.m = make(map[K]*latchEntry[V])
 		}
-		e, hit := s.profiles[key]
+		e, hit := l.m[key]
 		if !hit {
-			e = &profileEntry{done: make(chan struct{})}
-			s.profiles[key] = e
+			e = &latchEntry[V]{done: make(chan struct{})}
+			l.m[key] = e
 		}
-		s.mu.Unlock()
+		l.mu.Unlock()
 
 		if !hit {
-			e.prof, e.err = s.Prog.ProfileContext(ctx, key.options()...)
+			e.val, e.err = run(ctx)
 			if e.err != nil && errors.Is(e.err, lowutil.ErrCanceled) {
-				s.mu.Lock()
-				if s.profiles[key] == e {
-					delete(s.profiles, key)
+				l.mu.Lock()
+				if l.m[key] == e {
+					delete(l.m, key)
 				}
-				s.mu.Unlock()
+				l.mu.Unlock()
 			}
 			close(e.done)
-			return e, false, e.err
+			return e.val, false, e.err
 		}
 
 		select {
@@ -147,68 +165,19 @@ func (s *Session) profile(ctx context.Context, key profileKey) (*profileEntry, b
 			if e.err != nil && errors.Is(e.err, lowutil.ErrCanceled) && ctx.Err() == nil {
 				continue // the computing request was canceled, not this one
 			}
-			return e, true, e.err
+			return e.val, true, e.err
 		case <-ctx.Done():
-			return nil, true, fmt.Errorf("%w: %w", lowutil.ErrCanceled, ctx.Err())
+			var zero V
+			return zero, true, fmt.Errorf("%w: %w", lowutil.ErrCanceled, ctx.Err())
 		}
 	}
 }
 
-// audit returns the memoized static-audit report for key, computing it
-// under ctx on a miss. Same latch discipline as profile: a hit may wait on
-// an in-flight analysis, a run aborted by cancellation is evicted so the
-// next request retries, and a waiter whose own context is still live
-// retries immediately.
-func (s *Session) audit(ctx context.Context, key auditKey) (*auditEntry, bool, error) {
-	for {
-		s.mu.Lock()
-		if s.audits == nil {
-			s.audits = make(map[auditKey]*auditEntry)
-		}
-		e, hit := s.audits[key]
-		if !hit {
-			e = &auditEntry{done: make(chan struct{})}
-			s.audits[key] = e
-		}
-		s.mu.Unlock()
-
-		if !hit {
-			e.report, e.err = s.Prog.StaticAudit(ctx, key.options()...)
-			if e.err != nil && errors.Is(e.err, lowutil.ErrCanceled) {
-				s.mu.Lock()
-				if s.audits[key] == e {
-					delete(s.audits, key)
-				}
-				s.mu.Unlock()
-			}
-			close(e.done)
-			return e, false, e.err
-		}
-
-		select {
-		case <-e.done:
-			if e.err != nil && errors.Is(e.err, lowutil.ErrCanceled) && ctx.Err() == nil {
-				continue // the computing request was canceled, not this one
-			}
-			return e, true, e.err
-		case <-ctx.Done():
-			return nil, true, fmt.Errorf("%w: %w", lowutil.ErrCanceled, ctx.Err())
-		}
-	}
-}
-
-// cachedAudits reports how many completed audit reports the session holds.
-func (s *Session) cachedAudits() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.audits)
-}
-
-// cachedProfiles reports how many completed runs the session holds.
-func (s *Session) cachedProfiles() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.profiles)
+// len reports how many entries the latch holds.
+func (l *latch[K, V]) len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.m)
 }
 
 // sessionCache is a mutex-guarded LRU of compiled sessions.

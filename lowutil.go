@@ -386,12 +386,15 @@ func (f Finding) String() string {
 		f.Site, f.Where, f.Cost, f.Benefit, f.Rate, f.Allocs, marker)
 }
 
-// TopStructures returns the k most suspicious data structures.
+// TopStructures returns the k most suspicious data structures; k < 0
+// lists none.
 func (pr *Profile) TopStructures(k int) []Finding {
-	ranked := pr.an.RankBySite(pr.height)
-	if k > len(ranked) {
-		k = len(ranked)
-	}
+	return findings(pr.an.RankBySite(pr.height), k)
+}
+
+// findings converts the first k site reports of a ranking to Findings.
+func findings(ranked []*costben.SiteReport, k int) []Finding {
+	k = clampTop(k, len(ranked))
 	out := make([]Finding, 0, k)
 	for _, r := range ranked[:k] {
 		out = append(out, Finding{
@@ -407,6 +410,9 @@ func (pr *Profile) TopStructures(k int) []Finding {
 	return out
 }
 
+// clampTop bounds a caller's top-k to [0, n].
+func clampTop(k, n int) int { return max(0, min(k, n)) }
+
 func siteWhere(site *ir.Instr) string {
 	w := fmt.Sprintf("%s:%d", site.Method.QualifiedName(), site.PC)
 	if site.Line > 0 {
@@ -418,7 +424,8 @@ func siteWhere(site *ir.Instr) string {
 	return w
 }
 
-// Report renders the top k findings plus summary statistics.
+// Report renders the top k findings plus summary statistics; k < 0 lists
+// no findings.
 func (pr *Profile) Report(k int) string {
 	var sb strings.Builder
 	gs := pr.GraphStats()
@@ -582,7 +589,7 @@ func (p *Program) LoadProfile(r io.Reader) (*Profile, error) {
 // TopStructuresMultiHop ranks data structures using k-hop relative costs and
 // benefits instead of the default single hop (§3.2's multi-hop design
 // alternative): a structure whose expensive producer hides behind one heap
-// indirection is exposed at hops = 2.
+// indirection is exposed at hops = 2. k < 0 lists none.
 func (pr *Profile) TopStructuresMultiHop(k, hops int) []Finding {
 	type entry struct {
 		site     *ir.Instr
@@ -630,10 +637,7 @@ func (pr *Profile) TopStructuresMultiHop(k, hops int) []Finding {
 		}
 		return out[i].Site < out[j].Site
 	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
+	return out[:clampTop(k, len(out))]
 }
 
 // CacheReport assesses one heap location as a cache (§3.2's
@@ -765,7 +769,7 @@ type CopyChain struct {
 }
 
 // CopyChains runs the copy-profiling client and returns the top k chains by
-// dynamic count, plus the total number of executed copies.
+// dynamic count (none for k < 0), plus the total number of executed copies.
 func (p *Program) CopyChains(k int) ([]CopyChain, int64, error) {
 	cp := clients.NewCopyProfiler(p.prog)
 	m := interp.New(p.prog)
@@ -774,9 +778,7 @@ func (p *Program) CopyChains(k int) ([]CopyChain, int64, error) {
 		return nil, 0, err
 	}
 	chains := cp.Chains()
-	if k > len(chains) {
-		k = len(chains)
-	}
+	k = clampTop(k, len(chains))
 	out := make([]CopyChain, 0, k)
 	for _, c := range chains[:k] {
 		out = append(out, CopyChain{
@@ -822,25 +824,10 @@ func (p *Program) SilentOverwrites(minWrites int64) ([]string, error) {
 // Collections ranks container allocation sites by cost-benefit rate — the
 // §3.2 client that "searches for problematic collections by ranking
 // collection objects based on their RAC/RAB rates". A container is a class
-// with an array-typed field or a collection-like name.
+// with an array-typed field or a collection-like name. It returns the top k
+// (none for k < 0).
 func (pr *Profile) Collections(k int) []Finding {
-	ranked := clients.RankCollections(pr.an, pr.height, nil)
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	out := make([]Finding, 0, k)
-	for _, r := range ranked[:k] {
-		out = append(out, Finding{
-			Site:            r.Site.AllocSite,
-			Where:           siteWhere(r.Site),
-			Cost:            r.NRAC,
-			Benefit:         r.NRAB,
-			Rate:            r.Rate,
-			ReachesConsumer: r.Consumed,
-			Allocs:          r.AllocFreq,
-		})
-	}
-	return out
+	return findings(clients.RankCollections(pr.an, pr.height, nil), k)
 }
 
 // CaseStudyResult re-exports the case-study harness result for the CLI and

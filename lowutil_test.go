@@ -555,3 +555,58 @@ class Extra {
 		}
 	}
 }
+
+// TestNegativeTopListsNothing: every top-k method of the facade treats a
+// negative k like 0 (an empty list) instead of panicking, and k = 1 still
+// lists one entry.
+func TestNegativeTopListsNothing(t *testing.T) {
+	prog, err := Compile(quickSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile, err := prog.ProfileContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyProg, err := Compile(`
+class A { int f; }
+class B { int g; }
+class Main {
+  static void main() {
+    A a = new A();
+    a.f = 9;
+    B b = new B();
+    b.g = a.f;
+    print(b.g);
+  }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Report numbers its findings "  1. ", "  2. ", …
+	reportFindings := func(k int) int { return strings.Count(profile.Report(k), ". site ") }
+	methods := []struct {
+		name string
+		list func(k int) int
+	}{
+		{"TopStructures", func(k int) int { return len(profile.TopStructures(k)) }},
+		{"TopStructuresMultiHop", func(k int) int { return len(profile.TopStructuresMultiHop(k, 2)) }},
+		{"Collections", func(k int) int { return len(profile.Collections(k)) }},
+		{"Report", reportFindings},
+		{"CopyChains", func(k int) int {
+			chains, _, err := copyProg.CopyChains(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(chains)
+		}},
+	}
+	for _, m := range methods {
+		for _, k := range []int{-1, 0, 1} {
+			want := max(k, 0)
+			if got := m.list(k); got != want {
+				t.Errorf("%s(%d) lists %d entries, want %d", m.name, k, got, want)
+			}
+		}
+	}
+}
