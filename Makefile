@@ -17,13 +17,15 @@ build:
 test:
 	go test ./...
 
-# bench writes BENCH_9.json (min-of-COUNT ns/op per benchmark, including
-# the job-queue throughput series from internal/jobs) and then gates: >10%
-# regression vs the previous BENCH_*.json in the frozen cost-benefit
-# analysis or any profiled_s16 overhead series fails the target.
-# `make check` runs the same comparison report-only.
+# bench writes the next BENCH_<n>.json, one past the highest existing index
+# (min-of-COUNT ns/op per benchmark, including the job-queue throughput
+# series from internal/jobs), and then gates: >10% regression vs the
+# previous BENCH_*.json in the frozen cost-benefit analysis or any
+# profiled_s16 overhead series fails the target. `make check` runs the
+# same comparison report-only. To rewrite a given record instead, run
+# `sh scripts/bench.sh <n>` with an explicit index.
 bench:
-	sh scripts/bench.sh 9
+	sh scripts/bench.sh
 	sh scripts/benchdiff.sh
 
 benchdiff:

@@ -93,11 +93,13 @@ func BenchmarkOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatch isolates the event-emission cost of the handler-table
-// engine: a NopTracer forces the full emit path (event record fill +
-// interface call) with no profiling work behind it. The difference against
-// the baseline series is the pure dispatch tax; the difference between
-// profiled_s16 and this is the profiler's own hot-path cost.
+// BenchmarkDispatch isolates the cost of the Event path that client
+// tracers take: a NopTracer forces the plain table's full emit path (event
+// record fill + interface call) with no tracing work behind it. The
+// difference against the baseline series is that path's dispatch tax. The
+// profiler no longer takes it — a bare *profiler.Profiler runs the profiled
+// table's direct hook calls — so profiled_s16 minus this series is not the
+// profiler's own cost.
 func BenchmarkDispatch(b *testing.B) {
 	for _, name := range []string{"chart", "bloat", "sunflow"} {
 		prog := mustCompileWorkload(b, name)
@@ -402,25 +404,6 @@ func BenchmarkStaticSlice(b *testing.B) {
 			b.ReportMetric(float64(an.Slice.NumLocs()), "locs")
 		})
 	}
-}
-
-func BenchmarkInterprocPrune(b *testing.B) {
-	prog := mustCompileWorkload(b, "eclipse")
-	b.Run("intraproc", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, st := staticanalysis.PruneSet(prog); st.Candidates == 0 {
-				b.Fatal("no candidates")
-			}
-		}
-	})
-	b.Run("interproc", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			an := interproc.Analyze(prog, interproc.Config{Mode: interproc.RTA})
-			if _, st := staticanalysis.PruneSetWith(prog, an.Sum); st.Candidates == 0 {
-				b.Fatal("no candidates")
-			}
-		}
-	})
 }
 
 // ---- SSA pipeline costs: construction, sparse conditional constant

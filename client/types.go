@@ -27,7 +27,6 @@ type Spec struct {
 	TreeHeight   int  `json:"tree_height,omitempty"`
 	Traditional  bool `json:"traditional,omitempty"`
 	TrackControl bool `json:"track_control,omitempty"`
-	Prune        bool `json:"prune,omitempty"`
 
 	// Static-analysis configuration (kinds slice and audit).
 	Mode   string `json:"mode,omitempty"`
@@ -126,7 +125,6 @@ type ProfileRequest struct {
 	TreeHeight   int    `json:"tree_height,omitempty"`
 	Traditional  bool   `json:"traditional,omitempty"`
 	TrackControl bool   `json:"track_control,omitempty"`
-	Prune        bool   `json:"prune,omitempty"`
 	Top          int    `json:"top,omitempty"`
 }
 
@@ -146,7 +144,6 @@ type ProfileResult struct {
 	Session  string    `json:"session"`
 	CacheHit bool      `json:"cache_hit"`
 	Steps    int64     `json:"steps"`
-	Pruned   int64     `json:"pruned_events,omitempty"`
 	Top      []Finding `json:"top"`
 }
 

@@ -26,7 +26,7 @@
 //
 // Flags (profile): -s context slots (default 16), -top findings (default
 // 10), -n reference-tree height (default 4), -traditional for the
-// traditional-slicing ablation, -prune to statically prune instrumentation.
+// traditional-slicing ablation, -control for control-decision cost.
 // Every command rejects a negative -top, and a -s too large for the
 // program's tables, as a usage error (exit 2).
 //
@@ -124,6 +124,12 @@ func main() {
 		// A slot count too large for the program is a bad -s, not a failed run.
 		fmt.Fprintf(os.Stderr, "lowutil %s: -s %d exceeds the profiling table budget for this program (at most %d)\n", cmd, slotsErr.Slots, slotsErr.Max)
 		os.Exit(2)
+	}
+	var heapErr *lowutil.HeapError
+	if errors.As(err, &heapErr) {
+		// A program that allocates past the interpreter's heap budget.
+		fmt.Fprintf(os.Stderr, "lowutil %s: %v\n", cmd, heapErr.Err)
+		os.Exit(1)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lowutil: %v\n", err)
@@ -348,7 +354,6 @@ func cmdProfile(args []string) error {
 	height := fs.Int("n", lowutil.DefaultTreeHeight, "reference-tree height for n-RAC/n-RAB")
 	traditional := fs.Bool("traditional", false, "use traditional (non-thin) slicing")
 	control := fs.Bool("control", false, "include control-decision cost (§3.2 alternative)")
-	prune := fs.Bool("prune", false, "statically prune instrumentation of provably irrelevant instructions")
 	hops := fs.Int("hops", 1, "heap-to-heap hops for multi-hop cost/benefit")
 	save := fs.String("save", "", "write the profile (Gcost + metadata) to this file for offline analysis")
 	load := fs.String("load", "", "analyze a previously saved profile instead of re-running")
@@ -360,9 +365,6 @@ func cmdProfile(args []string) error {
 	}
 	if err := checkTop(*top); err != nil {
 		return err
-	}
-	if *prune && *traditional {
-		return fmt.Errorf("-prune is only sound for thin slicing; drop -traditional")
 	}
 	prog, err := compileFile(path)
 	if err != nil {
@@ -392,15 +394,9 @@ func cmdProfile(args []string) error {
 		if *control {
 			opts = append(opts, lowutil.WithTrackControl())
 		}
-		if *prune {
-			opts = append(opts, lowutil.WithPrune())
-		}
 		profile, err = prog.ProfileContext(context.Background(), opts...)
 		if err != nil {
 			return err
-		}
-		if *prune {
-			fmt.Fprintf(os.Stderr, "static prune: %d events skipped\n", profile.PrunedEvents())
 		}
 	}
 	if *save != "" {

@@ -180,6 +180,19 @@ func TestCmdErrors(t *testing.T) {
 	if err := cmdProfile([]string{"-s", "1099511627776", chartMJ}); !errors.As(err, &se) {
 		t.Errorf("want *SlotsError for -s 1<<40, got %v", err)
 	}
+	// A program that allocates past the heap budget fails run and profile
+	// with the typed error main prints on one line.
+	bomb := filepath.Join(t.TempDir(), "bomb.mj")
+	src := "class Main { static void main() { int[] a = new int[1099511627776]; print(a.length); } }"
+	if err := os.WriteFile(bomb, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func([]string) error{"run": cmdRun, "profile": cmdProfile} {
+		var he *lowutil.HeapError
+		if err := run([]string{bomb}); !errors.As(err, &he) {
+			t.Errorf("%s on the allocation bomb: got %v, want *HeapError", name, err)
+		}
+	}
 	// A negative -top is a usage error on every command that has one.
 	for _, c := range []struct {
 		name string

@@ -71,8 +71,8 @@ func (e *SlotsError) Error() string {
 }
 
 // ProfileError is a failure inside a profiling or plain run: Stage names
-// the phase ("run", "prune", "analysis") and Err carries the cause —
-// typically a *interp.VMError.
+// the phase ("run", "analysis") and Err carries the cause — typically a
+// *interp.VMError, or a *HeapError around one.
 type ProfileError struct {
 	Stage string
 	Err   error
@@ -83,9 +83,27 @@ func (e *ProfileError) Error() string { return fmt.Sprintf("lowutil: %s: %v", e.
 // Unwrap exposes the cause to errors.Is/As.
 func (e *ProfileError) Unwrap() error { return e.Err }
 
+// HeapError reports a run stopped by the interpreter's heap budget: the
+// program tried to allocate more than Max heap cells (object fields plus
+// array elements) in one run. The budget is checked before memory is
+// allocated, so an allocation bomb fails the request instead of the
+// process. Err is the underlying *interp.VMError, naming the allocation.
+type HeapError struct {
+	Max int64
+	Err error
+}
+
+func (e *HeapError) Error() string {
+	return fmt.Sprintf("lowutil: %v", e.Err)
+}
+
+// Unwrap exposes the VM error to errors.Is/As.
+func (e *HeapError) Unwrap() error { return e.Err }
+
 // wrapRunErr classifies an error from the interpreter or an analysis
 // phase: cancellation becomes an ErrCanceled-wrapped error (with the
-// context error still in the chain), everything else a *ProfileError.
+// context error still in the chain), everything else a *ProfileError,
+// with a heap-budget failure wrapped in a *HeapError inside it.
 func wrapRunErr(stage string, err error) error {
 	if err == nil {
 		return nil
@@ -96,6 +114,9 @@ func wrapRunErr(stage string, err error) error {
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
+	}
+	if vm != nil && vm.Kind == interp.ErrHeapLimit {
+		err = &HeapError{Max: interp.MaxHeapCells, Err: err}
 	}
 	return &ProfileError{Stage: stage, Err: err}
 }

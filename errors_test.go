@@ -139,6 +139,32 @@ func TestSlotsErrorBeforeAllocation(t *testing.T) {
 	}
 }
 
+// TestHeapErrorTyped: a program that allocates past the interpreter's
+// heap budget fails both plain and profiled runs with a *HeapError (inside
+// the run's *ProfileError) that still exposes the VM error.
+func TestHeapErrorTyped(t *testing.T) {
+	prog, err := Compile(`class Main { static void main() { int[] a = new int[1099511627776]; print(a.length); } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runErr := prog.RunContext(context.Background())
+	_, profErr := prog.ProfileContext(context.Background())
+	for name, err := range map[string]error{"run": runErr, "profile": profErr} {
+		var he *HeapError
+		var pe *ProfileError
+		var vm *interp.VMError
+		if !errors.As(err, &he) || he.Max != interp.MaxHeapCells {
+			t.Errorf("%s: got %v, want a *HeapError with Max = MaxHeapCells", name, err)
+		}
+		if !errors.As(err, &pe) || pe.Stage != "run" {
+			t.Errorf("%s: got %v, want it inside a run *ProfileError", name, err)
+		}
+		if !errors.As(err, &vm) || vm.Kind != interp.ErrHeapLimit {
+			t.Errorf("%s: got %v, want the ErrHeapLimit VM error in the chain", name, err)
+		}
+	}
+}
+
 func TestProfileContextOptions(t *testing.T) {
 	prog, err := Compile(`
 class Main {
@@ -153,7 +179,7 @@ class Main {
 		t.Fatal(err)
 	}
 	pr, err := prog.ProfileContext(context.Background(),
-		WithSlots(8), WithTreeHeight(2), WithPrune(), WithWorkers(1))
+		WithSlots(8), WithTreeHeight(2), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

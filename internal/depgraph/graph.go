@@ -379,7 +379,7 @@ func (g *Graph) Touch(in *ir.Instr, d int) *Node {
 // invalidation in batch at call boundaries via Invalidate. Callers must
 // guarantee an Invalidate (or any mutating API call) happens before the next
 // Freeze observes the updated frequencies. The body is the dense direct-index
-// hit path, small enough to inline into the profiler's event switch; misses
+// hit path, small enough to inline into the profiler's hooks; misses
 // take touchSlow.
 func (g *Graph) TouchFast(in *ir.Instr, d int) *Node {
 	if dd := d + 1; uint(dd) < uint(g.width) {
@@ -465,9 +465,10 @@ func (g *Graph) AddDepRef(from *Node, r Ref) {
 // Node); to may be NilRef. Inside a loop the same dep edge is re-added every
 // iteration, so the duplicate check is the hot case: the dep0 memo (the
 // node's first dep edge, kept in a parallel array) catches it for single-dep
-// instrs and is small enough to inline into the tracer's event switch;
-// everything else (later members, genuinely new edges, NilRef) takes the
-// addDepRefsSlow call.
+// instrs with one inlined compare; everything else (later members, genuinely
+// new edges, NilRef) takes the addDepRefsSlow call. The profiler keeps its
+// own per-operand memo in front of this one (profiler.link), so it calls
+// here only when an operand's producer changes.
 func (g *Graph) AddDepRefs(from, to Ref) {
 	if g.dep0[from-1] == to {
 		return

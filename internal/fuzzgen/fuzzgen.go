@@ -5,10 +5,10 @@
 // output/step/alloc parity between the handler-table and reference
 // dispatch engines, equal profiles (Gcost, steps, context conflict ratio)
 // from the facade and from the reference engine, dynamic Gcost containment
-// in the static interprocedural slice (CHA and RTA+ObjCtx), cost-benefit
-// ranking preservation under the static prune, the SSA-vs-dense vet
-// agreement relations, escape-analysis soundness, and byte-stable report
-// re-emission.
+// in the static interprocedural slice (CHA and RTA+ObjCtx), conservation of
+// node frequencies against an independent instruction count, the
+// SSA-vs-dense vet agreement relations, escape-analysis soundness, and
+// byte-stable report re-emission.
 //
 // Generated programs are correct by construction: every loop is bounded,
 // recursion carries an explicit decreasing depth parameter, the method call

@@ -152,8 +152,9 @@ func TestCheckNamedSkipsNonCompiling(t *testing.T) {
 // Regenerate the files with: go test ./internal/fuzzgen -run Corpus -update-corpus
 // The last entry is a fuzzer-found regression: under this seed the dense
 // profiler's fast path lost frequency increments to a stale table view
-// whenever AfterCall's intern grew the table, which surfaced as a
-// prune-ranking divergence (see profiler.TestDenseFreqMatchesLegacyGraph).
+// whenever AfterCall's intern grew the table, which surfaced as a ranking
+// divergence between a full and a statically pruned profile, a comparison
+// since removed with the prune (see profiler.TestDenseFreqMatchesLegacyGraph).
 var corpusSeeds = []uint64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597,
 	7665958480717146759}
 

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"lowutil"
-	"lowutil/internal/costben"
 	"lowutil/internal/depgraph"
 	"lowutil/internal/escape"
 	"lowutil/internal/interp"
@@ -51,7 +50,9 @@ type Invariant struct {
 //	                       steps and context conflict ratio
 //	slice-containment-cha  dynamic Gcost ⊆ static slice under CHA
 //	slice-containment-rta  dynamic Gcost ⊆ static slice under RTA+ObjCtx
-//	prune-ranking          static prune preserves the per-site ranking
+//	conservation           node frequencies sum to the instruction instances
+//	                       an independent counting tracer sees, in every
+//	                       profiler mode
 //	vet-agreement          SSA vs dense vet subset/equality relations
 //	escape-soundness       dynamic escapes ⊆ static non-NoEscape (CHA and RTA)
 //	report-stability       profile/slice/audit reports are byte-stable across
@@ -63,7 +64,7 @@ func Invariants() []Invariant {
 		{"profile-parity", checkProfileParity},
 		{"slice-containment-cha", checkContainmentCHA},
 		{"slice-containment-rta", checkContainmentRTA},
-		{"prune-ranking", checkPruneRanking},
+		{"conservation", checkConservation},
 		{"vet-agreement", checkVetAgreement},
 		{"escape-soundness", checkEscapeSoundness},
 		{"report-stability", checkReportStability},
@@ -169,7 +170,7 @@ func (c *caseRun) rtaObj() (*interproc.Analysis, error) {
 }
 
 // rta is the plain RTA analysis (no object context) — the configuration the
-// facade's -prune path and the vet engines use.
+// vet engines use.
 func (c *caseRun) rta() (*interproc.Analysis, error) {
 	an, err := c.analysis(c.anRTA, interproc.Config{Mode: interproc.RTA})
 	c.anRTA = an
@@ -259,6 +260,21 @@ func (c *caseRun) profile() (*profileBundle, error) {
 	}, nil
 }
 
+// savedProfile is the envelope Profile.Save writes.
+type savedProfile struct {
+	Steps int64           `json:"steps"`
+	Graph json.RawMessage `json:"graph"`
+}
+
+// savedEnvelope parses the bundle's saved profile.
+func (b *profileBundle) savedEnvelope() (*savedProfile, error) {
+	var saved savedProfile
+	if err := json.Unmarshal([]byte(b.saved), &saved); err != nil {
+		return nil, fmt.Errorf("saved profile does not parse: %v", err)
+	}
+	return &saved, nil
+}
+
 // checkProfileParity compares the facade's profile with one taken on the
 // reference dispatch engine under the profiler options the facade uses by
 // default. Every report is rendered from the Gcost, the step count and the
@@ -272,12 +288,9 @@ func checkProfileParity(c *caseRun) error {
 	if err != nil {
 		return fmt.Errorf("product profile failed: %v", err)
 	}
-	var saved struct {
-		Steps int64           `json:"steps"`
-		Graph json.RawMessage `json:"graph"`
-	}
-	if err := json.Unmarshal([]byte(product.saved), &saved); err != nil {
-		return fmt.Errorf("saved profile does not parse: %v", err)
+	saved, err := product.savedEnvelope()
+	if err != nil {
+		return err
 	}
 
 	p := profiler.New(prog, profiler.Options{Slots: lowutil.DefaultSlots, TrackCR: true})
@@ -386,47 +399,71 @@ func checkContainmentRTA(c *caseRun) error {
 	return containment(g, an)
 }
 
-func checkPruneRanking(c *caseRun) error {
+// instanceCounter counts the instruction instances that touch a Gcost
+// node: one per Exec event, one per call whose result is assigned.
+type instanceCounter struct {
+	interp.NopTracer
+	n int64
+}
+
+func (c *instanceCounter) Exec(*interp.Event) { c.n++ }
+
+func (c *instanceCounter) AfterCall(in *ir.Instr, _ *interp.Frame, hasValue bool) {
+	if hasValue && in.Dst >= 0 {
+		c.n++
+	}
+}
+
+// checkConservation requires node frequencies to sum to the number of
+// instruction instances an independent counting tracer sees, for the
+// facade's profile (read back from its saved Gcost) and for the profiler's
+// traditional, control-dependence and unabstracted modes. A frequency
+// update dropped or doubled on a path both engines share shows here even
+// where profile-parity cannot see it.
+func checkConservation(c *caseRun) error {
 	prog, err := c.irProg()
 	if err != nil {
 		return errSkip
 	}
-	run := func(prune []bool) (*depgraph.Graph, int64, error) {
-		p := profiler.New(prog, profiler.Options{Slots: 16, Prune: prune})
-		m := interp.New(prog)
-		m.Tracer = p
-		m.Prune = prune
-		m.MaxSteps = maxFuzzSteps
-		if err := m.Run(); err != nil {
-			return nil, 0, err
-		}
-		return p.G, m.PrunedEvents, nil
+	counter := &instanceCounter{}
+	m := interp.New(prog)
+	m.Tracer = counter
+	m.MaxSteps = maxFuzzSteps
+	if err := m.Run(); err != nil {
+		return fmt.Errorf("counting run failed: %v", err)
 	}
-	gFull, zero, err := run(nil)
+	product, err := c.profile()
 	if err != nil {
-		return fmt.Errorf("unpruned run failed: %v", err)
+		return fmt.Errorf("product profile failed: %v", err)
 	}
-	if zero != 0 {
-		return fmt.Errorf("unpruned run counted %d pruned events", zero)
-	}
-	an, err := c.rta()
+	saved, err := product.savedEnvelope()
 	if err != nil {
 		return err
 	}
-	prune, _ := staticanalysis.PruneSetWith(prog, an.Sum)
-	gPruned, _, err := run(prune)
+	g, err := depgraph.Decode(bytes.NewReader(saved.Graph), prog)
 	if err != nil {
-		return fmt.Errorf("pruned run failed: %v", err)
+		return fmt.Errorf("saved Gcost does not decode: %v", err)
 	}
-	full := costben.NewAnalysis(gFull).RankBySite(4)
-	pruned := costben.NewAnalysis(gPruned).RankBySite(4)
-	if len(full) != len(pruned) {
-		return fmt.Errorf("site count %d vs %d under prune", len(full), len(pruned))
+	if got := g.TotalFreq(); got != counter.n {
+		return fmt.Errorf("facade profile: node frequencies sum to %d, counted %d instances", got, counter.n)
 	}
-	for i := range full {
-		f, p := full[i], pruned[i]
-		if f.Site != p.Site || f.NRAC != p.NRAC || f.NRAB != p.NRAB || f.Consumed != p.Consumed {
-			return fmt.Errorf("rank %d diverges under prune: %v vs %v", i, f, p)
+	for _, mode := range []struct {
+		name string
+		opts profiler.Options
+	}{
+		{"traditional", profiler.Options{Slots: lowutil.DefaultSlots, Traditional: true, TrackCR: true}},
+		{"control", profiler.Options{Slots: lowutil.DefaultSlots, TrackControl: true, TrackCR: true}},
+		{"unabstracted", profiler.Options{Unabstracted: true, UnabstractedCap: 64}},
+	} {
+		p := profiler.New(prog, mode.opts)
+		m := interp.New(prog)
+		m.Tracer = p
+		m.MaxSteps = maxFuzzSteps
+		if err := m.Run(); err != nil {
+			return fmt.Errorf("%s profile failed: %v", mode.name, err)
+		}
+		if got := p.G.TotalFreq(); got != counter.n {
+			return fmt.Errorf("%s profile: node frequencies sum to %d, counted %d instances", mode.name, got, counter.n)
 		}
 	}
 	return nil

@@ -30,6 +30,8 @@ const (
 	// ErrCanceled means the Machine's context was canceled or timed out;
 	// the VMError's Cause carries the context error.
 	ErrCanceled
+	// ErrHeapLimit means an allocation would pass MaxHeapCells.
+	ErrHeapLimit
 )
 
 var errKindNames = [...]string{
@@ -42,6 +44,7 @@ var errKindNames = [...]string{
 	ErrCast:          "bad cast",
 	ErrNative:        "native error",
 	ErrCanceled:      "canceled",
+	ErrHeapLimit:     "heap budget exceeded",
 }
 
 func (k ErrKind) String() string {

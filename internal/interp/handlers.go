@@ -10,10 +10,14 @@ package interp
 //
 // Decoded tables are immutable, so they are shared by every machine running
 // the same program (cached on ir.Program.TabCache, built under a mutex).
-// The exception is a machine with a Prune set, which folds its prune marks
-// into private tables. All mutable dispatch state — the inline caches — lives
-// in per-machine icSite records, so concurrent profiles over one program
-// race on nothing.
+// Each program has two kinds of table. The plain table's handlers report
+// events to the Tracer through the machine's reusable Event record. The
+// profiled table's handlers call the typed Hooks of a machine whose Tracer
+// is itself a Hooks implementation (see Machine.route): the cost-benefit
+// profiler's rules run as direct calls with resolved operands, without an
+// Event record or a second opcode switch. All mutable dispatch state — the
+// inline caches — lives in per-machine icSite records, so concurrent
+// profiles over one program race on nothing.
 //
 // Virtual call sites carry a monomorphic inline cache keyed by the
 // receiver's dynamic class, with a bounded polymorphic fallback and a
@@ -29,7 +33,8 @@ import (
 )
 
 // handlerFn executes one pre-decoded instruction. Handlers advance fr.PC
-// themselves and report tracer events through m.ev.
+// themselves and report tracer events through m.ev (plain table) or
+// m.hooks (profiled table).
 type handlerFn func(m *Machine, fr *Frame, d *dinstr) error
 
 // icPolyMax bounds the polymorphic inline-cache fallback; sites that see
@@ -53,13 +58,11 @@ type icSite struct {
 }
 
 // dinstr is a pre-decoded instruction: the handler plus everything it needs
-// without touching the wider ir.Instr on the hot path. Except for tables
-// built under a Prune set, dinstr records are shared between machines and
-// must not be written after construction.
+// without touching the wider ir.Instr on the hot path. dinstr records are
+// shared between machines and must not be written after construction.
 type dinstr struct {
-	fn     handlerFn
-	in     *ir.Instr
-	pruned bool
+	fn handlerFn
+	in *ir.Instr
 
 	dst, a, b, c2 int32
 	target        int32
@@ -79,11 +82,19 @@ type mtab struct {
 	vcount int
 }
 
+// tabKind selects a handler table: plain or profiled.
+type tabKind uint8
+
+const (
+	plainTab tabKind = iota
+	profiledTab
+)
+
 // progTabs is the per-program shared decode cache, hung off
 // ir.Program.TabCache.
 type progTabs struct {
 	mu   sync.Mutex
-	tabs []mtab // by Method.ID
+	tabs [2][]mtab // by tabKind, then Method.ID
 }
 
 func progTabsOf(p *ir.Program) *progTabs {
@@ -97,34 +108,37 @@ func progTabsOf(p *ir.Program) *progTabs {
 	return p.TabCache.Load().(*progTabs)
 }
 
-// sharedTab returns the program-wide decoded table for meth, building it
-// once. Cached tables are revalidated against the method's current code
-// slice: passes that rewrite bodies in place (SSA destruction + Reindex)
-// replace Code, which invalidates any table built against the old slice.
-func sharedTab(prog *ir.Program, meth *ir.Method) mtab {
+// sharedTab returns the program-wide decoded table of the given kind for
+// meth, building it once. Cached tables are revalidated against the
+// method's current code slice: passes that rewrite bodies in place (SSA
+// destruction + Reindex) replace Code, which invalidates any table built
+// against the old slice.
+func sharedTab(prog *ir.Program, meth *ir.Method, kind tabKind) mtab {
 	pt := progTabsOf(prog)
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	if pt.tabs == nil {
-		pt.tabs = make([]mtab, prog.NumMethods())
+	tabs := pt.tabs[kind]
+	if tabs == nil {
+		tabs = make([]mtab, prog.NumMethods())
+		pt.tabs[kind] = tabs
 	}
 	id := meth.ID
-	if id < 0 || id >= len(pt.tabs) {
-		return buildTab(meth, nil)
+	if id < 0 || id >= len(tabs) {
+		return buildTab(meth, kind)
 	}
-	t := pt.tabs[id]
+	t := tabs[id]
 	if len(t.tab) == len(meth.Code) && len(t.tab) > 0 && t.tab[0].in == &meth.Code[0] {
 		return t
 	}
-	t = buildTab(meth, nil)
-	pt.tabs[id] = t
+	t = buildTab(meth, kind)
+	tabs[id] = t
 	return t
 }
 
 // methodTab returns the dispatch table for meth plus this machine's inline
 // caches for it, consulting the machine-local cache first and the shared
-// per-program cache behind it. Machines with a Prune set build private
-// tables with the marks folded in.
+// per-program cache behind it. The machine-local cache holds tables of the
+// kind route chose; route empties it when the kind changes.
 func (m *Machine) methodTab(meth *ir.Method) ([]dinstr, []icSite) {
 	if m.tabs == nil {
 		n := m.Prog.NumMethods()
@@ -137,12 +151,7 @@ func (m *Machine) methodTab(meth *ir.Method) ([]dinstr, []icSite) {
 			return tab, m.ics[id]
 		}
 	}
-	var t mtab
-	if m.Prune != nil {
-		t = buildTab(meth, m.Prune)
-	} else {
-		t = sharedTab(m.Prog, meth)
-	}
+	t := sharedTab(m.Prog, meth, m.kind)
 	var ics []icSite
 	if t.vcount > 0 {
 		ics = make([]icSite, t.vcount)
@@ -154,12 +163,18 @@ func (m *Machine) methodTab(meth *ir.Method) ([]dinstr, []icSite) {
 	return t.tab, ics
 }
 
-// buildTab pre-decodes every instruction of meth. Prune marks are folded in
-// here, so the hot path tests one pre-computed bool instead of re-indexing
-// the prune set per event.
-func buildTab(meth *ir.Method, prune []bool) mtab {
+// buildTab pre-decodes every instruction of meth into a table of the given
+// kind. Instructions that report events get the kind's handler; calls,
+// returns and gotos share one handler across kinds.
+func buildTab(meth *ir.Method, kind tabKind) mtab {
 	tab := make([]dinstr, len(meth.Code))
 	vcount := 0
+	pick := func(plain, profiled handlerFn) handlerFn {
+		if kind == profiledTab {
+			return profiled
+		}
+		return plain
+	}
 	for i := range meth.Code {
 		in := &meth.Code[i]
 		d := &tab[i]
@@ -167,89 +182,88 @@ func buildTab(meth *ir.Method, prune []bool) mtab {
 		d.dst, d.a, d.b, d.c2 = int32(in.Dst), int32(in.A), int32(in.B), int32(in.C2)
 		d.target = int32(in.Target)
 		d.imm = in.Imm
-		d.pruned = prune != nil && in.ID < len(prune) && prune[in.ID]
 
 		switch in.Op {
 		case ir.OpConst:
 			if in.IsNull {
-				d.fn = hConstNull
+				d.fn = pick(hConstNull, pConstNull)
 			} else {
-				d.fn = hConstInt
+				d.fn = pick(hConstInt, pConstInt)
 			}
 		case ir.OpMove:
-			d.fn = hMove
+			d.fn = pick(hMove, pMove)
 		case ir.OpBin:
 			switch in.Bin {
 			case ir.Add:
-				d.fn = hAdd
+				d.fn = pick(hAdd, pAdd)
 			case ir.Sub:
-				d.fn = hSub
+				d.fn = pick(hSub, pSub)
 			case ir.Mul:
-				d.fn = hMul
+				d.fn = pick(hMul, pMul)
 			case ir.Div:
-				d.fn = hDiv
+				d.fn = pick(hDiv, pDiv)
 			case ir.Rem:
-				d.fn = hRem
+				d.fn = pick(hRem, pRem)
 			case ir.And:
-				d.fn = hAnd
+				d.fn = pick(hAnd, pAnd)
 			case ir.Or:
-				d.fn = hOr
+				d.fn = pick(hOr, pOr)
 			case ir.Xor:
-				d.fn = hXor
+				d.fn = pick(hXor, pXor)
 			case ir.Shl:
-				d.fn = hShl
+				d.fn = pick(hShl, pShl)
 			case ir.Shr:
-				d.fn = hShr
+				d.fn = pick(hShr, pShr)
 			default:
 				d.fn = hBadBin
 			}
 		case ir.OpNeg:
-			d.fn = hNeg
+			d.fn = pick(hNeg, pNeg)
 		case ir.OpNot:
-			d.fn = hNot
+			d.fn = pick(hNot, pNot)
 		case ir.OpNew:
-			d.fn = hNew
+			d.fn = pick(hNew, pNew)
 		case ir.OpNewArray:
-			d.fn = hNewArray
+			d.fn = pick(hNewArray, pNewArray)
 		case ir.OpLoadField:
 			d.slot = int32(in.Field.Slot)
-			d.fn = hLoadField
+			d.fn = pick(hLoadField, pLoadField)
 		case ir.OpStoreField:
 			d.slot = int32(in.Field.Slot)
-			d.fn = hStoreField
+			d.fn = pick(hStoreField, pStoreField)
 		case ir.OpLoadStatic:
 			d.slot = int32(in.Static.Slot)
-			d.fn = hLoadStatic
+			d.fn = pick(hLoadStatic, pLoadStatic)
 		case ir.OpStoreStatic:
 			d.slot = int32(in.Static.Slot)
-			d.fn = hStoreStatic
+			d.fn = pick(hStoreStatic, pStoreStatic)
 		case ir.OpALoad:
-			d.fn = hALoad
+			d.fn = pick(hALoad, pALoad)
 		case ir.OpAStore:
-			d.fn = hAStore
+			d.fn = pick(hAStore, pAStore)
 		case ir.OpArrayLen:
-			d.fn = hArrayLen
+			d.fn = pick(hArrayLen, pArrayLen)
 		case ir.OpIf:
 			switch in.Cmp {
 			case ir.Eq:
-				d.fn = hIfEq
+				d.fn = pick(hIfEq, pIfEq)
 			case ir.Ne:
-				d.fn = hIfNe
+				d.fn = pick(hIfNe, pIfNe)
 			case ir.Lt:
-				d.fn = hIfLt
+				d.fn = pick(hIfLt, pIfLt)
 			case ir.Le:
-				d.fn = hIfLe
+				d.fn = pick(hIfLe, pIfLe)
 			case ir.Gt:
-				d.fn = hIfGt
+				d.fn = pick(hIfGt, pIfGt)
 			case ir.Ge:
-				d.fn = hIfGe
+				d.fn = pick(hIfGe, pIfGe)
 			default:
 				d.fn = hBadIf
 			}
 		case ir.OpGoto:
 			d.fn = hGoto
 		case ir.OpInstanceOf:
-			d.fn = hInstanceOf
+			d.fn = pick(hInstanceOf, pInstanceOf)
 		case ir.OpCall:
 			d.callee = in.Callee
 			if in.Callee.Static {
@@ -267,26 +281,12 @@ func buildTab(meth *ir.Method, prune []bool) mtab {
 				d.fn = hReturnVoid
 			}
 		case ir.OpNative:
-			d.fn = hNative
+			d.fn = pick(hNative, pNative)
 		default:
 			d.fn = hBadOp
 		}
 	}
 	return mtab{tab: tab, vcount: vcount}
-}
-
-// traced reports whether the event for d should reach the tracer,
-// replicating the reference prologue: pruned instructions are counted before
-// execution, traced ones emit after.
-func (m *Machine) traced(d *dinstr) bool {
-	if m.Tracer == nil {
-		return false
-	}
-	if d.pruned {
-		m.PrunedEvents++
-		return false
-	}
-	return true
 }
 
 // The emit helpers publish events through the machine's single reusable
@@ -364,10 +364,9 @@ func (m *Machine) emitTaken(in *ir.Instr, fr *Frame, taken bool) {
 }
 
 func hConstInt(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	v := IntVal(d.imm)
 	fr.Locals[d.dst] = v
-	if traced {
+	if m.Tracer != nil {
 		m.emitV(d.in, fr, v)
 	}
 	fr.PC++
@@ -375,9 +374,8 @@ func hConstInt(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func hConstNull(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	fr.Locals[d.dst] = Null
-	if traced {
+	if m.Tracer != nil {
 		m.emitV(d.in, fr, Null)
 	}
 	fr.PC++
@@ -385,10 +383,9 @@ func hConstNull(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func hMove(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	v := fr.Locals[d.a]
 	fr.Locals[d.dst] = v
-	if traced {
+	if m.Tracer != nil {
 		m.emitV(d.in, fr, v)
 	}
 	fr.PC++
@@ -405,10 +402,10 @@ func binOperands(m *Machine, fr *Frame, d *dinstr) (int64, int64, error) {
 }
 
 // finishBin stores and reports an arithmetic result.
-func finishBin(m *Machine, fr *Frame, d *dinstr, traced bool, r int64) error {
+func finishBin(m *Machine, fr *Frame, d *dinstr, r int64) error {
 	v := IntVal(r)
 	fr.Locals[d.dst] = v
-	if traced {
+	if m.Tracer != nil {
 		m.emitV(d.in, fr, v)
 	}
 	fr.PC++
@@ -416,34 +413,30 @@ func finishBin(m *Machine, fr *Frame, d *dinstr, traced bool, r int64) error {
 }
 
 func hAdd(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b, err := binOperands(m, fr, d)
 	if err != nil {
 		return err
 	}
-	return finishBin(m, fr, d, traced, a+b)
+	return finishBin(m, fr, d, a+b)
 }
 
 func hSub(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b, err := binOperands(m, fr, d)
 	if err != nil {
 		return err
 	}
-	return finishBin(m, fr, d, traced, a-b)
+	return finishBin(m, fr, d, a-b)
 }
 
 func hMul(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b, err := binOperands(m, fr, d)
 	if err != nil {
 		return err
 	}
-	return finishBin(m, fr, d, traced, a*b)
+	return finishBin(m, fr, d, a*b)
 }
 
 func hDiv(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b, err := binOperands(m, fr, d)
 	if err != nil {
 		return err
@@ -451,11 +444,10 @@ func hDiv(m *Machine, fr *Frame, d *dinstr) error {
 	if b == 0 {
 		return m.fail(ErrDivZero, d.in, fr, "")
 	}
-	return finishBin(m, fr, d, traced, a/b)
+	return finishBin(m, fr, d, a/b)
 }
 
 func hRem(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b, err := binOperands(m, fr, d)
 	if err != nil {
 		return err
@@ -463,56 +455,50 @@ func hRem(m *Machine, fr *Frame, d *dinstr) error {
 	if b == 0 {
 		return m.fail(ErrDivZero, d.in, fr, "")
 	}
-	return finishBin(m, fr, d, traced, a%b)
+	return finishBin(m, fr, d, a%b)
 }
 
 func hAnd(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b, err := binOperands(m, fr, d)
 	if err != nil {
 		return err
 	}
-	return finishBin(m, fr, d, traced, a&b)
+	return finishBin(m, fr, d, a&b)
 }
 
 func hOr(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b, err := binOperands(m, fr, d)
 	if err != nil {
 		return err
 	}
-	return finishBin(m, fr, d, traced, a|b)
+	return finishBin(m, fr, d, a|b)
 }
 
 func hXor(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b, err := binOperands(m, fr, d)
 	if err != nil {
 		return err
 	}
-	return finishBin(m, fr, d, traced, a^b)
+	return finishBin(m, fr, d, a^b)
 }
 
 func hShl(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b, err := binOperands(m, fr, d)
 	if err != nil {
 		return err
 	}
-	return finishBin(m, fr, d, traced, a<<(uint64(b)&63))
+	return finishBin(m, fr, d, a<<(uint64(b)&63))
 }
 
 func hShr(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b, err := binOperands(m, fr, d)
 	if err != nil {
 		return err
 	}
-	return finishBin(m, fr, d, traced, a>>(uint64(b)&63))
+	return finishBin(m, fr, d, a>>(uint64(b)&63))
 }
 
 func hBadBin(m *Machine, fr *Frame, d *dinstr) error {
-	m.traced(d)
 	if _, _, err := binOperands(m, fr, d); err != nil {
 		return err
 	}
@@ -520,58 +506,44 @@ func hBadBin(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func hNeg(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a := fr.Locals[d.a]
 	if a.K == ir.KindRef {
 		return m.fail(ErrType, d.in, fr, "negation of reference")
 	}
-	return finishBin(m, fr, d, traced, -a.I)
+	return finishBin(m, fr, d, -a.I)
 }
 
 func hNot(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	var r int64
 	if !fr.Locals[d.a].Truthy() {
 		r = 1
 	}
-	return finishBin(m, fr, d, traced, r)
+	return finishBin(m, fr, d, r)
 }
 
 func hNew(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
-	in := d.in
-	o := m.NewObject(in.Class, in.AllocSite)
-	m.AllocsBySite[in.AllocSite]++
+	o, err := m.newObject(d.in, fr)
+	if err != nil {
+		return err
+	}
 	v := RefVal(o)
 	fr.Locals[d.dst] = v
-	if traced {
-		m.emitNew(in, fr, o, v)
+	if m.Tracer != nil {
+		m.emitNew(d.in, fr, o, v)
 	}
 	fr.PC++
 	return nil
 }
 
 func hNewArray(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
-	in := d.in
-	n := fr.Locals[d.a]
-	if n.K == ir.KindRef {
-		return m.fail(ErrType, d.in, fr, "array length is a reference")
-	}
-	o, err := m.newArray(in.Elem, n.I, in.AllocSite)
+	o, err := m.newArray(d.in, fr)
 	if err != nil {
-		return m.fail(ErrBounds, in, fr, "%v", err)
+		return err
 	}
-	if in.Elem.IsRef() {
-		for i := range o.Elems {
-			o.Elems[i] = Null
-		}
-	}
-	m.AllocsBySite[in.AllocSite]++
 	v := RefVal(o)
 	fr.Locals[d.dst] = v
-	if traced {
-		m.emitNew(in, fr, o, v)
+	if m.Tracer != nil {
+		m.emitNew(d.in, fr, o, v)
 	}
 	fr.PC++
 	return nil
@@ -590,17 +562,16 @@ func refLocal(m *Machine, fr *Frame, d *dinstr, s int32) (*Object, error) {
 }
 
 func hLoadField(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	base, err := refLocal(m, fr, d, d.a)
 	if err != nil {
 		return err
 	}
 	if base.IsArray() || int(d.slot) >= len(base.Fields) {
-		return m.fail(ErrType, d.in, fr, "object %s has no field %s", base, d.in.Field.QualifiedName())
+		return m.noField(fr, d, base)
 	}
 	v := base.Fields[d.slot]
 	fr.Locals[d.dst] = v
-	if traced {
+	if m.Tracer != nil {
 		m.emitBase(d.in, fr, base, v)
 	}
 	fr.PC++
@@ -608,28 +579,31 @@ func hLoadField(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func hStoreField(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	base, err := refLocal(m, fr, d, d.a)
 	if err != nil {
 		return err
 	}
 	if base.IsArray() || int(d.slot) >= len(base.Fields) {
-		return m.fail(ErrType, d.in, fr, "object %s has no field %s", base, d.in.Field.QualifiedName())
+		return m.noField(fr, d, base)
 	}
 	v := fr.Locals[d.b]
 	base.Fields[d.slot] = v
-	if traced {
+	if m.Tracer != nil {
 		m.emitBase(d.in, fr, base, v)
 	}
 	fr.PC++
 	return nil
 }
 
+// noField fails a field access on an object without the field.
+func (m *Machine) noField(fr *Frame, d *dinstr, base *Object) error {
+	return m.fail(ErrType, d.in, fr, "object %s has no field %s", base, d.in.Field.QualifiedName())
+}
+
 func hLoadStatic(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	v := m.Statics[d.slot]
 	fr.Locals[d.dst] = v
-	if traced {
+	if m.Tracer != nil {
 		m.emitV(d.in, fr, v)
 	}
 	fr.PC++
@@ -637,10 +611,9 @@ func hLoadStatic(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func hStoreStatic(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	v := fr.Locals[d.a]
 	m.Statics[d.slot] = v
-	if traced {
+	if m.Tracer != nil {
 		m.emitV(d.in, fr, v)
 	}
 	fr.PC++
@@ -659,22 +632,28 @@ func arrayLocal(m *Machine, fr *Frame, d *dinstr, s int32) (*Object, error) {
 	return o, nil
 }
 
+// badIndex fails an element access on arr whose index operand B is a
+// reference or out of bounds.
+func (m *Machine) badIndex(fr *Frame, d *dinstr, arr *Object) error {
+	idx := fr.Locals[d.b]
+	if idx.K == ir.KindRef {
+		return m.fail(ErrType, d.in, fr, "array index is a reference")
+	}
+	return m.fail(ErrBounds, d.in, fr, "index %d, length %d", idx.I, len(arr.Elems))
+}
+
 func hALoad(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	arr, err := arrayLocal(m, fr, d, d.a)
 	if err != nil {
 		return err
 	}
 	idx := fr.Locals[d.b]
-	if idx.K == ir.KindRef {
-		return m.fail(ErrType, d.in, fr, "array index is a reference")
-	}
-	if idx.I < 0 || idx.I >= int64(len(arr.Elems)) {
-		return m.fail(ErrBounds, d.in, fr, "index %d, length %d", idx.I, len(arr.Elems))
+	if idx.K == ir.KindRef || idx.I < 0 || idx.I >= int64(len(arr.Elems)) {
+		return m.badIndex(fr, d, arr)
 	}
 	v := arr.Elems[idx.I]
 	fr.Locals[d.dst] = v
-	if traced {
+	if m.Tracer != nil {
 		m.emitIndexed(d.in, fr, arr, idx.I, v)
 	}
 	fr.PC++
@@ -682,21 +661,17 @@ func hALoad(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func hAStore(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	arr, err := arrayLocal(m, fr, d, d.a)
 	if err != nil {
 		return err
 	}
 	idx := fr.Locals[d.b]
-	if idx.K == ir.KindRef {
-		return m.fail(ErrType, d.in, fr, "array index is a reference")
-	}
-	if idx.I < 0 || idx.I >= int64(len(arr.Elems)) {
-		return m.fail(ErrBounds, d.in, fr, "index %d, length %d", idx.I, len(arr.Elems))
+	if idx.K == ir.KindRef || idx.I < 0 || idx.I >= int64(len(arr.Elems)) {
+		return m.badIndex(fr, d, arr)
 	}
 	v := fr.Locals[d.c2]
 	arr.Elems[idx.I] = v
-	if traced {
+	if m.Tracer != nil {
 		m.emitIndexed(d.in, fr, arr, idx.I, v)
 	}
 	fr.PC++
@@ -704,14 +679,13 @@ func hAStore(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func hArrayLen(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	arr, err := arrayLocal(m, fr, d, d.a)
 	if err != nil {
 		return err
 	}
 	v := IntVal(int64(len(arr.Elems)))
 	fr.Locals[d.dst] = v
-	if traced {
+	if m.Tracer != nil {
 		m.emitBase(d.in, fr, arr, v)
 	}
 	fr.PC++
@@ -721,11 +695,11 @@ func hArrayLen(m *Machine, fr *Frame, d *dinstr) error {
 // finishIf branches and reports the branch event. The event fires after a
 // taken branch retargets PC but before a fall-through advances it, matching
 // the reference switch ordering exactly.
-func finishIf(m *Machine, fr *Frame, d *dinstr, traced, taken bool) error {
+func finishIf(m *Machine, fr *Frame, d *dinstr, taken bool) error {
 	if taken {
 		fr.PC = int(d.target)
 	}
-	if traced {
+	if m.Tracer != nil {
 		m.emitTaken(d.in, fr, taken)
 	}
 	if !taken {
@@ -735,69 +709,66 @@ func finishIf(m *Machine, fr *Frame, d *dinstr, traced, taken bool) error {
 }
 
 func hIfEq(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b := fr.Locals[d.a], fr.Locals[d.b]
 	if a.K == ir.KindRef || b.K == ir.KindRef {
 		taken, err := m.compare(d.in, fr)
 		if err != nil {
 			return err
 		}
-		return finishIf(m, fr, d, traced, taken)
+		return finishIf(m, fr, d, taken)
 	}
-	return finishIf(m, fr, d, traced, a.I == b.I)
+	return finishIf(m, fr, d, a.I == b.I)
 }
 
 func hIfNe(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b := fr.Locals[d.a], fr.Locals[d.b]
 	if a.K == ir.KindRef || b.K == ir.KindRef {
 		taken, err := m.compare(d.in, fr)
 		if err != nil {
 			return err
 		}
-		return finishIf(m, fr, d, traced, taken)
+		return finishIf(m, fr, d, taken)
 	}
-	return finishIf(m, fr, d, traced, a.I != b.I)
+	return finishIf(m, fr, d, a.I != b.I)
 }
 
 func hIfLt(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b := fr.Locals[d.a], fr.Locals[d.b]
 	if a.K == ir.KindRef || b.K == ir.KindRef {
-		return m.fail(ErrType, d.in, fr, "ordered comparison of references")
+		_, err := m.compare(d.in, fr)
+		return err
 	}
-	return finishIf(m, fr, d, traced, a.I < b.I)
+	return finishIf(m, fr, d, a.I < b.I)
 }
 
 func hIfLe(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b := fr.Locals[d.a], fr.Locals[d.b]
 	if a.K == ir.KindRef || b.K == ir.KindRef {
-		return m.fail(ErrType, d.in, fr, "ordered comparison of references")
+		_, err := m.compare(d.in, fr)
+		return err
 	}
-	return finishIf(m, fr, d, traced, a.I <= b.I)
+	return finishIf(m, fr, d, a.I <= b.I)
 }
 
 func hIfGt(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b := fr.Locals[d.a], fr.Locals[d.b]
 	if a.K == ir.KindRef || b.K == ir.KindRef {
-		return m.fail(ErrType, d.in, fr, "ordered comparison of references")
+		_, err := m.compare(d.in, fr)
+		return err
 	}
-	return finishIf(m, fr, d, traced, a.I > b.I)
+	return finishIf(m, fr, d, a.I > b.I)
 }
 
 func hIfGe(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	a, b := fr.Locals[d.a], fr.Locals[d.b]
 	if a.K == ir.KindRef || b.K == ir.KindRef {
-		return m.fail(ErrType, d.in, fr, "ordered comparison of references")
+		_, err := m.compare(d.in, fr)
+		return err
 	}
-	return finishIf(m, fr, d, traced, a.I >= b.I)
+	return finishIf(m, fr, d, a.I >= b.I)
 }
 
 func hBadIf(m *Machine, fr *Frame, d *dinstr) error {
-	m.traced(d)
 	a, b := fr.Locals[d.a], fr.Locals[d.b]
 	if a.K == ir.KindRef || b.K == ir.KindRef {
 		_, err := m.compare(d.in, fr)
@@ -807,31 +778,32 @@ func hBadIf(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func hGoto(m *Machine, fr *Frame, d *dinstr) error {
-	m.traced(d) // count pruned; pure control transfer emits no event
-	fr.PC = int(d.target)
+	fr.PC = int(d.target) // pure control transfer emits no event
 	return nil
 }
 
 func hInstanceOf(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	v := fr.Locals[d.a]
 	if v.K != ir.KindRef {
 		return m.fail(ErrType, d.in, fr, "instanceof on non-reference")
 	}
-	res := int64(0)
-	if v.Ref != nil && !v.Ref.IsArray() && v.Ref.Class.IsSubclassOf(d.in.Class) {
-		res = 1
+	return finishBin(m, fr, d, isInstance(v, d.in.Class))
+}
+
+// isInstance is instanceof's result for a reference v: 1 when v is a
+// non-null instance of cls or a subclass.
+func isInstance(v Value, cls *ir.Class) int64 {
+	if v.Ref != nil && !v.Ref.IsArray() && v.Ref.Class.IsSubclassOf(cls) {
+		return 1
 	}
-	return finishBin(m, fr, d, traced, res)
+	return 0
 }
 
 func hCallStatic(m *Machine, fr *Frame, d *dinstr) error {
-	m.traced(d) // calls never emit Exec events; only the pruned counter applies
 	return m.pushCall(fr, d, d.callee, nil)
 }
 
 func hCallVirtual(m *Machine, fr *Frame, d *dinstr) error {
-	m.traced(d)
 	v := fr.Locals[d.a]
 	if v.K != ir.KindRef {
 		return m.fail(ErrType, d.in, fr, "receiver is not a reference")
@@ -932,7 +904,6 @@ func (m *Machine) pushCall(fr *Frame, d *dinstr, callee *ir.Method, recv *Object
 }
 
 func hReturnVal(m *Machine, fr *Frame, d *dinstr) error {
-	m.traced(d)
 	if m.Tracer != nil {
 		m.Tracer.BeforeReturn(d.in, fr)
 	}
@@ -956,7 +927,6 @@ func hReturnVal(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func hReturnVoid(m *Machine, fr *Frame, d *dinstr) error {
-	m.traced(d)
 	if m.Tracer != nil {
 		m.Tracer.BeforeReturn(d.in, fr)
 	}
@@ -976,7 +946,6 @@ func hReturnVoid(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func hNative(m *Machine, fr *Frame, d *dinstr) error {
-	traced := m.traced(d)
 	v, err := m.doNative(fr, d.in)
 	if err != nil {
 		return err
@@ -984,7 +953,7 @@ func hNative(m *Machine, fr *Frame, d *dinstr) error {
 	if d.dst >= 0 {
 		fr.Locals[d.dst] = v
 	}
-	if traced {
+	if m.Tracer != nil {
 		m.emitV(d.in, fr, v)
 	}
 	fr.PC++
@@ -992,6 +961,5 @@ func hNative(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func hBadOp(m *Machine, fr *Frame, d *dinstr) error {
-	m.traced(d)
 	return m.fail(ErrType, d.in, fr, "unknown opcode")
 }

@@ -24,6 +24,14 @@ const (
 	// already-maintained step counter (benchmarked at well under 2%
 	// overhead on the profiler hot path).
 	cancelCheckMask = 1<<13 - 1
+	// MaxHeapCells bounds the heap cells — object fields plus array
+	// elements — one machine may allocate over a run. A Value is 24 bytes,
+	// so the budget keeps one machine's heap values under 400 MB, while the
+	// largest workload run (xalan at scale 32, about 2e5 cells) fits 80
+	// times over. The check runs before memory is allocated: an allocation
+	// bomb fails with ErrHeapLimit instead of ending the process with an
+	// out-of-memory fatal error, which no recover catches.
+	MaxHeapCells = 1 << 24
 )
 
 // Machine executes an ir.Program. A Machine is single-use per Run but its
@@ -41,13 +49,6 @@ type Machine struct {
 	MaxDepth int
 	// Seed seeds the deterministic PRNG behind NativeRand.
 	Seed uint64
-	// Prune, when non-nil, is indexed by ir.Instr.ID: marked instructions
-	// execute normally but their events are not reported to the Tracer.
-	// Produced by staticanalysis.PruneSet; valid only for tracers that
-	// ignore base-pointer flow (thin slicing). Must be set before the first
-	// Run/CallMethod: the handler-table dispatcher folds it into the
-	// per-method tables it builds on first entry.
-	Prune []bool
 
 	// Statics holds static-field storage, indexed by StaticField.Slot.
 	Statics []Value
@@ -64,8 +65,6 @@ type Machine struct {
 	NativeWork int64
 	// AssertFailures counts NativeAssert calls with a zero argument.
 	AssertFailures int64
-	// PrunedEvents counts tracer events suppressed by Prune.
-	PrunedEvents int64
 	// ICHits/ICMisses count virtual dispatches resolved by the inline
 	// caches vs. through the method-name lookup (handler-table engine only).
 	ICHits   int64
@@ -76,15 +75,20 @@ type Machine struct {
 	clock      int64
 	seq        int64
 	lastReturn Value
+	// cells counts allocated heap cells against MaxHeapCells.
+	cells int64
 
 	// Handler-table engine state: machine-local views of the per-method
-	// dispatch tables (shared per program via ir.Program.TabCache, or
-	// private when Prune is set), the per-method inline-cache slices (always
-	// machine-private — the only mutable dispatch state), the base frame
-	// index of the innermost loopUntil, and the single reusable event record
-	// handed to the tracer. All indexed by Method.ID, built lazily.
+	// dispatch tables of the chosen kind (shared per program via
+	// ir.Program.TabCache), the per-method inline-cache slices
+	// (machine-private — the only mutable dispatch state), the base frame
+	// index of the innermost loopUntil, the single reusable event record
+	// handed to a plain-table tracer, and the hooks the profiled table
+	// calls. tabs and ics are indexed by Method.ID, built lazily.
 	tabs     [][]dinstr
 	ics      [][]icSite
+	kind     tabKind
+	hooks    Hooks
 	loopBase int
 	ev       Event
 
@@ -113,18 +117,33 @@ func (m *Machine) Depth() int { return len(m.frames) }
 // the machine's own; callers must not mutate it.
 func (m *Machine) Frames() []*Frame { return m.frames }
 
-// NewObject allocates a class instance as the VM would, without executing an
-// instruction. Tests and clients use it to fabricate receivers.
-func (m *Machine) NewObject(c *ir.Class, site int) *Object {
+// charge counts n heap cells about to be allocated by in, failing with
+// ErrHeapLimit before anything is allocated when the run would pass
+// MaxHeapCells.
+func (m *Machine) charge(in *ir.Instr, fr *Frame, n int64) error {
+	if n > MaxHeapCells-m.cells {
+		return m.fail(ErrHeapLimit, in, fr, "%d more cells with %d allocated (budget %d)", n, m.cells, int64(MaxHeapCells))
+	}
+	m.cells += n
+	return nil
+}
+
+// newObject allocates the class instance of OpNew in.
+func (m *Machine) newObject(in *ir.Instr, fr *Frame) (*Object, error) {
+	c := in.Class
+	if err := m.charge(in, fr, int64(c.NumFieldSlots())); err != nil {
+		return nil, err
+	}
 	m.seq++
 	m.Allocs++
+	m.AllocsBySite[in.AllocSite]++
 	fields := make([]Value, c.NumFieldSlots())
 	for slot, isRef := range c.RefSlots() {
 		if isRef {
 			fields[slot] = Null
 		}
 	}
-	return &Object{Class: c, Fields: fields, Site: site, Seq: m.seq}
+	return &Object{Class: c, Fields: fields, Site: in.AllocSite, Seq: m.seq}, nil
 }
 
 // initStatics allocates static storage and nulls reference-typed slots.
@@ -140,13 +159,29 @@ func (m *Machine) initStatics() {
 	}
 }
 
-func (m *Machine) newArray(elem *ir.Type, n int64, site int) (*Object, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("negative array length %d", n)
+// newArray allocates the array of OpNewArray in, its length taken from
+// operand A.
+func (m *Machine) newArray(in *ir.Instr, fr *Frame) (*Object, error) {
+	n := fr.Locals[in.A]
+	switch {
+	case n.K == ir.KindRef:
+		return nil, m.fail(ErrType, in, fr, "array length is a reference")
+	case n.I < 0:
+		return nil, m.fail(ErrBounds, in, fr, "negative array length %d", n.I)
+	}
+	if err := m.charge(in, fr, n.I); err != nil {
+		return nil, err
 	}
 	m.seq++
 	m.Allocs++
-	return &Object{Elems: make([]Value, n), ElemT: elem, Site: site, Seq: m.seq}, nil
+	m.AllocsBySite[in.AllocSite]++
+	o := &Object{Elems: make([]Value, n.I), ElemT: in.Elem, Site: in.AllocSite, Seq: m.seq}
+	if in.Elem.IsRef() {
+		for i := range o.Elems {
+			o.Elems[i] = Null
+		}
+	}
+	return o, nil
 }
 
 func (m *Machine) fail(kind ErrKind, in *ir.Instr, fr *Frame, format string, args ...any) error {
@@ -184,8 +219,9 @@ func (m *Machine) Run() error {
 	return m.loopUntil(0)
 }
 
-// start readies a run of main: default limits, statics, the PRNG, and the
-// entry frame, pushed as the whole call stack and reported to the tracer.
+// start readies a run of main: default limits, statics, the PRNG, the
+// handler table, and the entry frame, pushed as the whole call stack and
+// reported to the tracer.
 func (m *Machine) start() *Frame {
 	m.applyDefaults()
 	m.rng = m.Seed | 1
@@ -201,8 +237,10 @@ func (m *Machine) start() *Frame {
 	return entry
 }
 
-// applyDefaults fills zero limits and allocates the per-run tables.
+// applyDefaults fills zero limits, allocates the per-run tables and routes
+// the run to its handler table.
 func (m *Machine) applyDefaults() {
+	m.route()
 	if m.MaxSteps == 0 {
 		m.MaxSteps = DefaultMaxSteps
 	}
@@ -213,6 +251,28 @@ func (m *Machine) applyDefaults() {
 	if m.AllocsBySite == nil {
 		m.AllocsBySite = make([]int64, m.Prog.NumAllocSites())
 	}
+}
+
+// route chooses the handler table for the machine's Tracer: the profiled
+// table when the Tracer is itself a Hooks implementation, the plain table
+// otherwise. A wrapper embedding a Hooks implementation inherits its
+// methods, but Self names the embedded value rather than the wrapper, so
+// the wrapper keeps the plain table and its own Exec. Changing kind drops
+// the machine's cached table views.
+func (m *Machine) route() {
+	h, ok := m.Tracer.(Hooks)
+	if !ok || h.Self() != h {
+		h = nil
+	}
+	kind := plainTab
+	if h != nil {
+		kind = profiledTab
+	}
+	if kind != m.kind {
+		m.tabs, m.ics = nil, nil
+		m.kind = kind
+	}
+	m.hooks = h
 }
 
 // CallMethod invokes an arbitrary method with the given arguments and runs

@@ -54,11 +54,6 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 	loc := fr.Locals
 	advance := true
 	var ev Event
-	traced := m.Tracer != nil
-	if traced && m.Prune != nil && in.ID < len(m.Prune) && m.Prune[in.ID] {
-		traced = false
-		m.PrunedEvents++
-	}
 
 	switch in.Op {
 	case ir.OpConst:
@@ -130,27 +125,19 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 		ev.Val = loc[in.Dst]
 
 	case ir.OpNew:
-		o := m.NewObject(in.Class, in.AllocSite)
-		m.AllocsBySite[in.AllocSite]++
+		o, err := m.newObject(in, fr)
+		if err != nil {
+			return err
+		}
 		loc[in.Dst] = RefVal(o)
 		ev.New = o
 		ev.Val = loc[in.Dst]
 
 	case ir.OpNewArray:
-		n := loc[in.A]
-		if n.K == ir.KindRef {
-			return m.fail(ErrType, in, fr, "array length is a reference")
-		}
-		o, err := m.newArray(in.Elem, n.I, in.AllocSite)
+		o, err := m.newArray(in, fr)
 		if err != nil {
-			return m.fail(ErrBounds, in, fr, "%v", err)
+			return err
 		}
-		if in.Elem.IsRef() {
-			for i := range o.Elems {
-				o.Elems[i] = Null
-			}
-		}
-		m.AllocsBySite[in.AllocSite]++
 		loc[in.Dst] = RefVal(o)
 		ev.New = o
 		ev.Val = loc[in.Dst]
@@ -275,7 +262,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 		return m.fail(ErrType, in, fr, "unknown opcode")
 	}
 
-	if traced {
+	if m.Tracer != nil {
 		ev.In, ev.Frame = in, fr
 		m.Tracer.Exec(&ev)
 	}

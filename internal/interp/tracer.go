@@ -3,7 +3,10 @@ package interp
 import "lowutil/internal/ir"
 
 // Event carries the resolved runtime context of one executed instruction to
-// a Tracer. The machine fills only the fields relevant to the opcode:
+// a Tracer's Exec. A machine whose Tracer is a Hooks implementation calls
+// the typed hooks instead and never fills an Event, so the record serves
+// the client tracers, wrappers around the profiler, and the reference
+// engine. The machine fills only the fields relevant to the opcode:
 //
 //   - Base: the base object for field/array loads and stores (never nil —
 //     a nil base raises a VM error before the tracer runs).
@@ -60,8 +63,53 @@ type Tracer interface {
 	AfterCall(in *ir.Instr, caller *Frame, hasValue bool)
 }
 
+// Hooks is the typed form of Exec that the cost-benefit profiler
+// implements: one method per opcode class, each given the operands the
+// machine resolved. Each runs where Exec would, after the machine has
+// executed in; fr is the executing frame. A machine runs the profiled
+// handler table, which calls these methods directly and fills no Event,
+// only when its Tracer is itself the implementation — when
+// Tracer.(Hooks).Self() == Tracer. A wrapper that embeds an implementation
+// inherits these methods but not that identity, so it keeps the plain
+// table and its own Exec sees every event.
+type Hooks interface {
+	Tracer
+	// Self returns the implementation the hooks run on: the receiver
+	// itself, of a comparable (pointer) type.
+	Self() Hooks
+	// Const reports OpConst.
+	Const(in *ir.Instr, fr *Frame)
+	// Unary reports OpMove, OpNeg, OpNot and OpInstanceOf, whose result
+	// depends on operand A.
+	Unary(in *ir.Instr, fr *Frame)
+	// Binary reports OpBin.
+	Binary(in *ir.Instr, fr *Frame)
+	// New and NewArray report allocations of o.
+	New(in *ir.Instr, fr *Frame, o *Object)
+	NewArray(in *ir.Instr, fr *Frame, o *Object)
+	// LoadField and StoreField report field accesses on base; v is the
+	// stored value.
+	LoadField(in *ir.Instr, fr *Frame, base *Object)
+	StoreField(in *ir.Instr, fr *Frame, base *Object, v Value)
+	// LoadStatic and StoreStatic report static-field accesses; v is the
+	// stored value.
+	LoadStatic(in *ir.Instr, fr *Frame)
+	StoreStatic(in *ir.Instr, fr *Frame, v Value)
+	// LoadElem and StoreElem report OpALoad and OpAStore on arr at idx; v
+	// is the stored value.
+	LoadElem(in *ir.Instr, fr *Frame, arr *Object, idx int64)
+	StoreElem(in *ir.Instr, fr *Frame, arr *Object, idx int64, v Value)
+	// ArrayLen reports a length read of arr.
+	ArrayLen(in *ir.Instr, fr *Frame, arr *Object)
+	// Branch reports OpIf.
+	Branch(in *ir.Instr, fr *Frame)
+	// Native reports OpNative, after its destination (if any) is assigned.
+	Native(in *ir.Instr, fr *Frame)
+}
+
 // NopTracer is a Tracer that does nothing. It is useful for measuring the
-// dispatch overhead of tracing itself, separate from profiling work.
+// cost of the Event path that client tracers take, separate from their
+// work.
 type NopTracer struct{}
 
 // Exec implements Tracer.

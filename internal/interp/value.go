@@ -7,6 +7,9 @@
 // JVM-level instrumentation in Figure 4 of the paper. Profilers (the
 // cost-benefit profiler, the client analyses) are Tracers; running with a
 // nil Tracer is the uninstrumented baseline used for overhead measurements.
+// The cost-benefit profiler also implements Hooks, and a machine traced by
+// it runs a profiled handler table that calls those rules directly, the way
+// the paper builds them into the VM; every other tracer receives Events.
 package interp
 
 import (

@@ -197,9 +197,12 @@ func IsTransient(err error) bool {
 func errorCode(err error) string {
 	var ce *lowutil.CompileError
 	var pe *lowutil.ProfileError
+	var he *lowutil.HeapError
 	switch {
 	case errors.As(err, &ce):
 		return "compile_error"
+	case errors.As(err, &he):
+		return "heap_limit"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "deadline"
 	case errors.Is(err, lowutil.ErrCanceled), errors.Is(err, context.Canceled):

@@ -33,7 +33,6 @@ type Spec struct {
 	TreeHeight   int  `json:"tree_height,omitempty"`
 	Traditional  bool `json:"traditional,omitempty"`
 	TrackControl bool `json:"track_control,omitempty"`
-	Prune        bool `json:"prune,omitempty"`
 
 	// Static-analysis configuration (kinds slice and audit).
 	Mode   string `json:"mode,omitempty"`
@@ -63,9 +62,9 @@ func (s Spec) Validate() error {
 // source never does).
 func (s Spec) Hash() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%d\x00%d\x00%t\x00%t\x00%t\x00%s\x00%t\x00%d",
+	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%d\x00%d\x00%t\x00%t\x00%s\x00%t\x00%d",
 		s.Kind, s.Source, s.MainClass, s.MainMethod,
-		s.Slots, s.TreeHeight, s.Traditional, s.TrackControl, s.Prune,
+		s.Slots, s.TreeHeight, s.Traditional, s.TrackControl,
 		s.Mode, s.ObjCtx, s.Top)
 	return hex.EncodeToString(h.Sum(nil))
 }

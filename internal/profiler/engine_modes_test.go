@@ -1,0 +1,115 @@
+package profiler
+
+import (
+	"bytes"
+	"testing"
+
+	"lowutil/internal/interp"
+	"lowutil/internal/ir"
+	"lowutil/internal/workloads"
+)
+
+// sweepModes are the profiler configurations the engine differential
+// covers: the facade's (conflict tracking on), plain thin slicing, and the
+// three ablations.
+var sweepModes = []struct {
+	name string
+	opts Options
+}{
+	{"default", Options{Slots: 16, TrackCR: true}},
+	{"no-cr", Options{Slots: 16}},
+	{"traditional", Options{Slots: 16, Traditional: true, TrackCR: true}},
+	{"control", Options{Slots: 16, TrackControl: true, TrackCR: true}},
+	{"unabstracted", Options{Unabstracted: true, UnabstractedCap: 8}},
+}
+
+// sweepWorkloads is all 18 workloads, trimmed to a dispatch-heavy spread
+// under -short so the -race pass stays fast.
+func sweepWorkloads() []*workloads.Workload {
+	if !testing.Short() {
+		return workloads.All()
+	}
+	var out []*workloads.Workload
+	for _, name := range []string{"chart", "bloat", "eclipse", "tradebeans"} {
+		out = append(out, workloads.ByName(name))
+	}
+	return out
+}
+
+// instanceCounter counts the instruction instances that touch a Gcost
+// node: one per Exec event, one per call whose result is assigned.
+type instanceCounter struct {
+	interp.NopTracer
+	n int64
+}
+
+func (c *instanceCounter) Exec(*interp.Event) { c.n++ }
+
+func (c *instanceCounter) AfterCall(in *ir.Instr, _ *interp.Frame, hasValue bool) {
+	if hasValue && in.Dst >= 0 {
+		c.n++
+	}
+}
+
+// TestEngineDifferentialModes extends the facade's engine differential
+// (lowutil.TestEngineDifferentialAllWorkloads) to every profiler mode. The
+// product is a bare profiler on the handler-table engine, which runs the
+// profiled table's direct hook calls; the reference is the switch engine
+// (RunReference) delivering Events to Exec, with the link memo off. They
+// must agree on the Gcost encoding, the step count and the conflict
+// statistics, and the product's node frequencies must sum to the instances
+// an independent counting tracer sees.
+func TestEngineDifferentialModes(t *testing.T) {
+	for _, w := range sweepWorkloads() {
+		prog, err := w.Compile(1)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		counter := &instanceCounter{}
+		cm := interp.New(prog)
+		cm.Tracer = counter
+		if err := cm.Run(); err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		for _, mode := range sweepModes {
+			t.Run(w.Name+"/"+mode.name, func(t *testing.T) {
+				product := New(prog, mode.opts)
+				pm := interp.New(prog)
+				pm.Tracer = product
+				if err := pm.Run(); err != nil {
+					t.Fatal(err)
+				}
+				ref := New(prog, mode.opts)
+				ref.memo = nil
+				rm := interp.New(prog)
+				rm.Tracer = ref
+				if err := rm.RunReference(); err != nil {
+					t.Fatal(err)
+				}
+				var pg, rg bytes.Buffer
+				if err := product.G.Encode(&pg); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.G.Encode(&rg); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(pg.Bytes(), rg.Bytes()) {
+					t.Errorf("Gcost encoding differs (%d vs %d bytes)", pg.Len(), rg.Len())
+				}
+				if pm.Steps != rm.Steps {
+					t.Errorf("steps: product %d, reference %d", pm.Steps, rm.Steps)
+				}
+				if mode.opts.TrackCR {
+					pc, rc := product.CR(), ref.CR()
+					if pc.AverageCR() != rc.AverageCR() || pc.DistinctContexts() != rc.DistinctContexts() {
+						t.Errorf("conflicts: product CR %v over %d contexts, reference %v over %d",
+							pc.AverageCR(), pc.DistinctContexts(), rc.AverageCR(), rc.DistinctContexts())
+					}
+				}
+				if got := product.G.TotalFreq(); got != counter.n {
+					t.Errorf("node frequencies sum to %d, counted %d instances", got, counter.n)
+				}
+			})
+		}
+	}
+}

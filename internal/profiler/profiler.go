@@ -1,6 +1,9 @@
 // Package profiler builds the cost-benefit dependence graph Gcost online,
 // implementing the instrumentation semantics of Figure 4 of the paper as an
-// interp.Tracer.
+// interp.Tracer. The rules are the methods of interp.Hooks, one per opcode
+// class: a machine traced by a bare *Profiler calls them straight from its
+// profiled handler table, and Exec dispatches onto the same methods for the
+// reference engine and for tracers that wrap the profiler.
 //
 // For every storage location l the profiler maintains a shadow location l'
 // holding the dependence-graph node that last wrote l: locals get shadow
@@ -17,6 +20,7 @@ package profiler
 
 import (
 	"fmt"
+	"slices"
 
 	"lowutil/internal/contextenc"
 	"lowutil/internal/depgraph"
@@ -53,12 +57,6 @@ type Options struct {
 	// the closest dynamic predicate as the control scope). Costs then
 	// include the effort of making the enclosing control decision.
 	TrackControl bool
-	// Prune, when non-nil and indexed by ir.Instr.ID, drops marked events on
-	// arrival (see staticanalysis.PruneSet). Redundant when the Machine
-	// already carries the set — this guard serves tracer stacks the machine
-	// gate cannot reach. Must be nil when Traditional is set: the proof that
-	// pruned instructions are invisible holds only under thin slicing.
-	Prune []bool
 }
 
 // frameShadow is the per-frame tracker state: shadow locals plus the encoded
@@ -94,7 +92,6 @@ type Profiler struct {
 	unabs    bool
 	unabsCap int
 	control  bool
-	prune    []bool
 
 	// statics is the shadow of static-field storage.
 	statics []depgraph.Ref
@@ -150,7 +147,20 @@ type Profiler struct {
 
 	// instCount counts instances per instruction in Unabstracted mode.
 	instCount []int
+
+	// memo holds, per node (indexed by Ref) and operand position, the
+	// producer of the dep edge link last added there; nil turns the memo
+	// off. It is profiler state, not part of Gcost, so it changes neither
+	// the encoded graph nor ApproxBytes.
+	memo [][memoWidth]depgraph.Ref
 }
+
+// Operand positions in the link memo: up to three operands of one
+// instruction, plus the control dependence of TrackControl mode.
+const (
+	memoWidth   = 4
+	controlSlot = memoWidth - 1
+)
 
 // MaxTableEntries bounds the dense per-(instruction, slot) tables New
 // sizes — the graph's intern index and the conflict tracker's tables each
@@ -190,9 +200,6 @@ func New(prog *ir.Program, opts Options) *Profiler {
 		statics: make([]depgraph.Ref, len(prog.Statics)),
 		enabled: true,
 	}
-	if !opts.Traditional {
-		p.prune = opts.Prune
-	}
 	if opts.TrackCR {
 		p.cr = contextenc.NewConflictTracker(p.slots, prog.NumInstrs())
 	}
@@ -202,6 +209,10 @@ func New(prog *ir.Program, opts Options) *Profiler {
 		if p.unabsCap == 0 {
 			p.unabsCap = 1 << 20
 		}
+	} else {
+		// Instance nodes never see an edge twice, so only the abstracted
+		// modes keep the memo.
+		p.memo = make([][memoWidth]depgraph.Ref, 0, 64)
 	}
 	if !p.unabs && !p.control {
 		t := p.G.DenseTables()
@@ -310,8 +321,8 @@ func (p *Profiler) node(in *ir.Instr, fs *frameShadow) *depgraph.Node {
 		}
 		n = p.G.TouchFast(in, fs.slot)
 	}
-	if p.control && fs.lastPred != 0 {
-		p.G.AddDepRef(n, fs.lastPred)
+	if p.control {
+		p.link(n.Ref(), controlSlot, fs.lastPred)
 	}
 	return n
 }
@@ -388,208 +399,332 @@ func (p *Profiler) eventNode(in *ir.Instr, fs *frameShadow) *depgraph.Node {
 	return p.G.At(p.eventRefSlow(in, fs))
 }
 
-// Exec implements interp.Tracer.
-func (p *Profiler) Exec(ev *interp.Event) {
+// link adds the dep edge from → to, where to produced the operand at
+// position pos of from's instruction. A loop links the same producer at the
+// same position on every iteration, so link remembers, per node and
+// position, the producer it last linked, and a repeat costs one compare
+// instead of a scan of the node's dep set. An entry is written only after
+// its edge is in the graph, so a hit never skips a missing edge.
+func (p *Profiler) link(from depgraph.Ref, pos int, to depgraph.Ref) {
+	if int(from) < len(p.memo) && p.memo[from][pos] == to {
+		return
+	}
+	p.linkSlow(from, pos, to)
+}
+
+// linkSlow adds the edge and records it, growing the memo over the nodes
+// interned since the last growth. Rows are indexed by Ref, so row 0 (the
+// nil Ref's) stays unused.
+func (p *Profiler) linkSlow(from depgraph.Ref, pos int, to depgraph.Ref) {
+	p.G.AddDepRefs(from, to)
+	if p.memo == nil {
+		return
+	}
+	if int(from) >= len(p.memo) {
+		n := p.G.NumNodes() + 1
+		p.memo = slices.Grow(p.memo, n-len(p.memo))[:n]
+	}
+	p.memo[from][pos] = to
+}
+
+// Self implements interp.Hooks.
+func (p *Profiler) Self() interp.Hooks { return p }
+
+// Const implements interp.Hooks: a constant depends on nothing.
+func (p *Profiler) Const(in *ir.Instr, fr *interp.Frame) {
 	if !p.enabled {
 		return
 	}
-	in := ev.In
-	if p.prune != nil && in.ID < len(p.prune) && p.prune[in.ID] {
+	fs := p.fshadow(fr)
+	r := p.eventRefFast(in, fs)
+	if r == 0 {
+		r = p.eventRefSlow(in, fs)
+	}
+	fs.nodes[in.Dst] = r
+}
+
+// Unary implements interp.Hooks: the result depends on operand A.
+func (p *Profiler) Unary(in *ir.Instr, fr *interp.Frame) {
+	if !p.enabled {
 		return
 	}
-	fs := p.fshadow(ev.Frame)
-	g := p.G
+	fs := p.fshadow(fr)
+	r := p.eventRefFast(in, fs)
+	if r == 0 {
+		r = p.eventRefSlow(in, fs)
+	}
+	p.link(r, 0, fs.nodes[in.A])
+	fs.nodes[in.Dst] = r
+}
 
+// Binary implements interp.Hooks: the result depends on operands A and B.
+func (p *Profiler) Binary(in *ir.Instr, fr *interp.Frame) {
+	if !p.enabled {
+		return
+	}
+	fs := p.fshadow(fr)
+	r := p.eventRefFast(in, fs)
+	if r == 0 {
+		r = p.eventRefSlow(in, fs)
+	}
+	p.link(r, 0, fs.nodes[in.A])
+	p.link(r, 1, fs.nodes[in.B])
+	fs.nodes[in.Dst] = r
+}
+
+// alloc maps an allocation to its node, marks the node's effect, and tags
+// the new object with it (environment P).
+func (p *Profiler) alloc(in *ir.Instr, fs *frameShadow, o *interp.Object) depgraph.Ref {
+	n := p.eventNode(in, fs)
+	n.Eff = depgraph.EffAlloc
+	if n.EffLoc.Alloc != n {
+		n.EffLoc = depgraph.Loc{Alloc: n}
+	}
+	fs.nodes[in.Dst] = n.Ref()
+	p.oshadow(o).tag = n.Ref()
+	return n.Ref()
+}
+
+// New implements interp.Hooks.
+func (p *Profiler) New(in *ir.Instr, fr *interp.Frame, o *interp.Object) {
+	if p.enabled {
+		p.alloc(in, p.fshadow(fr), o)
+	}
+}
+
+// NewArray implements interp.Hooks: the allocation consumes the length.
+func (p *Profiler) NewArray(in *ir.Instr, fr *interp.Frame, o *interp.Object) {
+	if !p.enabled {
+		return
+	}
+	fs := p.fshadow(fr)
+	length := fs.nodes[in.A]
+	p.link(p.alloc(in, fs, o), 0, length)
+}
+
+// load records a heap read of loc by n, the read value's node.
+func (p *Profiler) load(n *depgraph.Node, loc depgraph.Loc) {
+	n.Eff = depgraph.EffLoad
+	if n.EffLoc != loc {
+		n.EffLoc = loc
+	}
+	p.G.AddLocLoad(loc, n)
+}
+
+// store records a heap write of v to loc by n; stored references add a
+// points-to child of loc.
+func (p *Profiler) store(n *depgraph.Node, loc depgraph.Loc, v interp.Value) {
+	n.Eff = depgraph.EffStore
+	if n.EffLoc != loc {
+		n.EffLoc = loc
+	}
+	g := p.G
+	g.AddLocStore(loc, n)
+	if loc.Alloc != nil {
+		g.AddRefs(n.Ref(), loc.Alloc.Ref())
+	}
+	if v.K == ir.KindRef && v.Ref != nil {
+		g.AddChild(loc, g.At(p.oshadow(v.Ref).tag))
+	}
+}
+
+// LoadField implements interp.Hooks: the value depends on the field's last
+// writer (and, in traditional slicing, on the base pointer).
+func (p *Profiler) LoadField(in *ir.Instr, fr *interp.Frame, base *interp.Object) {
+	if !p.enabled {
+		return
+	}
+	fs := p.fshadow(fr)
+	n := p.eventNode(in, fs)
+	os := p.oshadow(base)
+	if in.Field.Slot < len(os.slots) {
+		p.link(n.Ref(), 0, os.slots[in.Field.Slot])
+	}
+	if !p.thin {
+		p.link(n.Ref(), 1, fs.nodes[in.A]) // base-pointer use (traditional)
+	}
+	p.load(n, depgraph.Loc{Alloc: p.G.At(os.tag), Field: in.Field.ID})
+	fs.nodes[in.Dst] = n.Ref()
+}
+
+// StoreField implements interp.Hooks: the field's new writer depends on the
+// stored value (and, in traditional slicing, on the base pointer).
+func (p *Profiler) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Object, v interp.Value) {
+	if !p.enabled {
+		return
+	}
+	fs := p.fshadow(fr)
+	n := p.eventNode(in, fs)
+	p.link(n.Ref(), 0, fs.nodes[in.B])
+	if !p.thin {
+		p.link(n.Ref(), 1, fs.nodes[in.A])
+	}
+	os := p.oshadow(base)
+	if in.Field.Slot < len(os.slots) {
+		os.slots[in.Field.Slot] = n.Ref()
+	}
+	p.store(n, depgraph.Loc{Alloc: p.G.At(os.tag), Field: in.Field.ID}, v)
+}
+
+// LoadStatic implements interp.Hooks.
+func (p *Profiler) LoadStatic(in *ir.Instr, fr *interp.Frame) {
+	if !p.enabled {
+		return
+	}
+	fs := p.fshadow(fr)
+	n := p.eventNode(in, fs)
+	p.link(n.Ref(), 0, p.statics[in.Static.Slot])
+	p.load(n, depgraph.Loc{Alloc: nil, Field: in.Static.Slot})
+	fs.nodes[in.Dst] = n.Ref()
+}
+
+// StoreStatic implements interp.Hooks.
+func (p *Profiler) StoreStatic(in *ir.Instr, fr *interp.Frame, v interp.Value) {
+	if !p.enabled {
+		return
+	}
+	fs := p.fshadow(fr)
+	n := p.eventNode(in, fs)
+	p.link(n.Ref(), 0, fs.nodes[in.A])
+	p.statics[in.Static.Slot] = n.Ref()
+	p.store(n, depgraph.Loc{Alloc: nil, Field: in.Static.Slot}, v)
+}
+
+// LoadElem implements interp.Hooks: the value depends on the element's last
+// writer and on the index (and, in traditional slicing, on the base
+// pointer).
+func (p *Profiler) LoadElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64) {
+	if !p.enabled {
+		return
+	}
+	fs := p.fshadow(fr)
+	n := p.eventNode(in, fs)
+	os := p.oshadow(arr)
+	if int(idx) < len(os.slots) {
+		p.link(n.Ref(), 0, os.slots[idx])
+	}
+	p.link(n.Ref(), 1, fs.nodes[in.B]) // the index is still considered used
+	if !p.thin {
+		p.link(n.Ref(), 2, fs.nodes[in.A])
+	}
+	p.load(n, depgraph.Loc{Alloc: p.G.At(os.tag), Field: depgraph.ElemField})
+	fs.nodes[in.Dst] = n.Ref()
+}
+
+// StoreElem implements interp.Hooks: the element's new writer depends on
+// the stored value and the index (and, in traditional slicing, on the base
+// pointer).
+func (p *Profiler) StoreElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64, v interp.Value) {
+	if !p.enabled {
+		return
+	}
+	fs := p.fshadow(fr)
+	n := p.eventNode(in, fs)
+	p.link(n.Ref(), 0, fs.nodes[in.C2])
+	p.link(n.Ref(), 1, fs.nodes[in.B])
+	if !p.thin {
+		p.link(n.Ref(), 2, fs.nodes[in.A])
+	}
+	os := p.oshadow(arr)
+	if int(idx) < len(os.slots) {
+		os.slots[idx] = n.Ref()
+	}
+	p.store(n, depgraph.Loc{Alloc: p.G.At(os.tag), Field: depgraph.ElemField}, v)
+}
+
+// ArrayLen implements interp.Hooks. The length is metadata fixed at
+// allocation; the read is modelled as a heap load whose last writer is the
+// allocation node.
+func (p *Profiler) ArrayLen(in *ir.Instr, fr *interp.Frame, arr *interp.Object) {
+	if !p.enabled {
+		return
+	}
+	fs := p.fshadow(fr)
+	n := p.eventNode(in, fs)
+	os := p.oshadow(arr)
+	p.link(n.Ref(), 0, os.tag)
+	loc := depgraph.Loc{Alloc: p.G.At(os.tag), Field: depgraph.ElemField}
+	n.Eff = depgraph.EffLoad
+	if n.EffLoc != loc {
+		n.EffLoc = loc
+	}
+	fs.nodes[in.Dst] = n.Ref()
+}
+
+// Branch implements interp.Hooks: the predicate consumes operands A and B.
+func (p *Profiler) Branch(in *ir.Instr, fr *interp.Frame) {
+	if !p.enabled {
+		return
+	}
+	fs := p.fshadow(fr)
+	r := p.consumerRefFast(in)
+	if r == 0 {
+		r = p.consumerRefSlow(in)
+	}
+	p.link(r, 0, fs.nodes[in.A])
+	p.link(r, 1, fs.nodes[in.B])
+	if p.control {
+		fs.lastPred = r
+	}
+}
+
+// Native implements interp.Hooks: the native consumes its arguments and
+// produces its destination.
+func (p *Profiler) Native(in *ir.Instr, fr *interp.Frame) {
+	if !p.enabled {
+		return
+	}
+	fs := p.fshadow(fr)
+	r := p.consumerRefFast(in)
+	if r == 0 {
+		r = p.consumerRefSlow(in)
+	}
+	for i, a := range in.Args {
+		if i < controlSlot {
+			p.link(r, i, fs.nodes[a])
+		} else {
+			p.G.AddDepRefs(r, fs.nodes[a])
+		}
+	}
+	if in.Dst >= 0 {
+		fs.nodes[in.Dst] = r
+	}
+}
+
+// Exec implements interp.Tracer by dispatching the event onto the hook for
+// its opcode. It serves the reference engine and wrappers that embed the
+// profiler; a machine traced by the bare profiler calls the hooks itself.
+func (p *Profiler) Exec(ev *interp.Event) {
+	in, fr := ev.In, ev.Frame
 	switch in.Op {
 	case ir.OpConst:
-		r := p.eventRefFast(in, fs)
-		if r == 0 {
-			r = p.eventRefSlow(in, fs)
-		}
-		fs.nodes[in.Dst] = r
-
-	case ir.OpMove:
-		r := p.eventRefFast(in, fs)
-		if r == 0 {
-			r = p.eventRefSlow(in, fs)
-		}
-		g.AddDepRefs(r, fs.nodes[in.A])
-		fs.nodes[in.Dst] = r
-
+		p.Const(in, fr)
+	case ir.OpMove, ir.OpNeg, ir.OpNot, ir.OpInstanceOf:
+		p.Unary(in, fr)
 	case ir.OpBin:
-		r := p.eventRefFast(in, fs)
-		if r == 0 {
-			r = p.eventRefSlow(in, fs)
-		}
-		g.AddDepRefs(r, fs.nodes[in.A])
-		g.AddDepRefs(r, fs.nodes[in.B])
-		fs.nodes[in.Dst] = r
-
-	case ir.OpNeg, ir.OpNot, ir.OpInstanceOf:
-		r := p.eventRefFast(in, fs)
-		if r == 0 {
-			r = p.eventRefSlow(in, fs)
-		}
-		g.AddDepRefs(r, fs.nodes[in.A])
-		fs.nodes[in.Dst] = r
-
+		p.Binary(in, fr)
 	case ir.OpNew:
-		n := p.eventNode(in, fs)
-		n.Eff = depgraph.EffAlloc
-		if n.EffLoc.Alloc != n {
-			n.EffLoc = depgraph.Loc{Alloc: n}
-		}
-		fs.nodes[in.Dst] = n.Ref()
-		p.oshadow(ev.New).tag = n.Ref()
-
+		p.New(in, fr, ev.New)
 	case ir.OpNewArray:
-		n := p.eventNode(in, fs)
-		n.Eff = depgraph.EffAlloc
-		if n.EffLoc.Alloc != n {
-			n.EffLoc = depgraph.Loc{Alloc: n}
-		}
-		g.AddDepRef(n, fs.nodes[in.A]) // the length value is consumed
-		fs.nodes[in.Dst] = n.Ref()
-		p.oshadow(ev.New).tag = n.Ref()
-
+		p.NewArray(in, fr, ev.New)
 	case ir.OpLoadField:
-		n := p.eventNode(in, fs)
-		os := p.oshadow(ev.Base)
-		if in.Field.Slot < len(os.slots) {
-			g.AddDepRef(n, os.slots[in.Field.Slot])
-		}
-		if !p.thin {
-			g.AddDepRef(n, fs.nodes[in.A]) // base-pointer use (traditional)
-		}
-		loc := depgraph.Loc{Alloc: g.At(os.tag), Field: in.Field.ID}
-		n.Eff = depgraph.EffLoad
-		if n.EffLoc != loc {
-			n.EffLoc = loc
-		}
-		g.AddLocLoad(loc, n)
-		fs.nodes[in.Dst] = n.Ref()
-
+		p.LoadField(in, fr, ev.Base)
 	case ir.OpStoreField:
-		n := p.eventNode(in, fs)
-		g.AddDepRef(n, fs.nodes[in.B])
-		if !p.thin {
-			g.AddDepRef(n, fs.nodes[in.A])
-		}
-		os := p.oshadow(ev.Base)
-		if in.Field.Slot < len(os.slots) {
-			os.slots[in.Field.Slot] = n.Ref()
-		}
-		loc := depgraph.Loc{Alloc: g.At(os.tag), Field: in.Field.ID}
-		n.Eff = depgraph.EffStore
-		if n.EffLoc != loc {
-			n.EffLoc = loc
-		}
-		g.AddLocStore(loc, n)
-		g.AddRefs(n.Ref(), os.tag)
-		if ev.Val.K == ir.KindRef && ev.Val.Ref != nil {
-			g.AddChild(loc, g.At(p.oshadow(ev.Val.Ref).tag))
-		}
-
+		p.StoreField(in, fr, ev.Base, ev.Val)
 	case ir.OpLoadStatic:
-		n := p.eventNode(in, fs)
-		g.AddDepRef(n, p.statics[in.Static.Slot])
-		loc := depgraph.Loc{Alloc: nil, Field: in.Static.Slot}
-		n.Eff = depgraph.EffLoad
-		if n.EffLoc != loc {
-			n.EffLoc = loc
-		}
-		g.AddLocLoad(loc, n)
-		fs.nodes[in.Dst] = n.Ref()
-
+		p.LoadStatic(in, fr)
 	case ir.OpStoreStatic:
-		n := p.eventNode(in, fs)
-		g.AddDepRef(n, fs.nodes[in.A])
-		p.statics[in.Static.Slot] = n.Ref()
-		loc := depgraph.Loc{Alloc: nil, Field: in.Static.Slot}
-		n.Eff = depgraph.EffStore
-		if n.EffLoc != loc {
-			n.EffLoc = loc
-		}
-		g.AddLocStore(loc, n)
-		if ev.Val.K == ir.KindRef && ev.Val.Ref != nil {
-			g.AddChild(loc, g.At(p.oshadow(ev.Val.Ref).tag))
-		}
-
+		p.StoreStatic(in, fr, ev.Val)
 	case ir.OpALoad:
-		n := p.eventNode(in, fs)
-		os := p.oshadow(ev.Base)
-		if int(ev.Index) < len(os.slots) {
-			g.AddDepRef(n, os.slots[ev.Index])
-		}
-		g.AddDepRef(n, fs.nodes[in.B]) // the index is still considered used
-		if !p.thin {
-			g.AddDepRef(n, fs.nodes[in.A])
-		}
-		loc := depgraph.Loc{Alloc: g.At(os.tag), Field: depgraph.ElemField}
-		n.Eff = depgraph.EffLoad
-		if n.EffLoc != loc {
-			n.EffLoc = loc
-		}
-		g.AddLocLoad(loc, n)
-		fs.nodes[in.Dst] = n.Ref()
-
+		p.LoadElem(in, fr, ev.Base, ev.Index)
 	case ir.OpAStore:
-		n := p.eventNode(in, fs)
-		g.AddDepRef(n, fs.nodes[in.C2])
-		g.AddDepRef(n, fs.nodes[in.B])
-		if !p.thin {
-			g.AddDepRef(n, fs.nodes[in.A])
-		}
-		os := p.oshadow(ev.Base)
-		if int(ev.Index) < len(os.slots) {
-			os.slots[ev.Index] = n.Ref()
-		}
-		loc := depgraph.Loc{Alloc: g.At(os.tag), Field: depgraph.ElemField}
-		n.Eff = depgraph.EffStore
-		if n.EffLoc != loc {
-			n.EffLoc = loc
-		}
-		g.AddLocStore(loc, n)
-		g.AddRefs(n.Ref(), os.tag)
-		if ev.Val.K == ir.KindRef && ev.Val.Ref != nil {
-			g.AddChild(loc, g.At(p.oshadow(ev.Val.Ref).tag))
-		}
-
+		p.StoreElem(in, fr, ev.Base, ev.Index, ev.Val)
 	case ir.OpArrayLen:
-		// The length is metadata fixed at allocation; model the read as a
-		// heap load whose last writer is the allocation node.
-		n := p.eventNode(in, fs)
-		os := p.oshadow(ev.Base)
-		g.AddDepRefs(n.Ref(), os.tag)
-		loc := depgraph.Loc{Alloc: g.At(os.tag), Field: depgraph.ElemField}
-		n.Eff = depgraph.EffLoad
-		if n.EffLoc != loc {
-			n.EffLoc = loc
-		}
-		fs.nodes[in.Dst] = n.Ref()
-
+		p.ArrayLen(in, fr, ev.Base)
 	case ir.OpIf:
-		r := p.consumerRefFast(in)
-		if r == 0 {
-			r = p.consumerRefSlow(in)
-		}
-		g.AddDepRefs(r, fs.nodes[in.A])
-		g.AddDepRefs(r, fs.nodes[in.B])
-		if p.control {
-			fs.lastPred = r
-		}
-
+		p.Branch(in, fr)
 	case ir.OpNative:
-		r := p.consumerRefFast(in)
-		if r == 0 {
-			r = p.consumerRefSlow(in)
-		}
-		for _, a := range in.Args {
-			g.AddDepRefs(r, fs.nodes[a])
-		}
-		if in.Dst >= 0 {
-			fs.nodes[in.Dst] = r
-		}
+		p.Native(in, fr)
 	}
 }
 
@@ -709,11 +844,11 @@ func (p *Profiler) AfterCall(in *ir.Instr, caller *interp.Frame, hasValue bool) 
 	if r == 0 {
 		r = p.eventRefSlow(in, fs)
 	}
-	p.G.AddDepRefs(r, ret)
+	p.link(r, 0, ret)
 	fs.nodes[in.Dst] = r
 }
 
-var _ interp.Tracer = (*Profiler)(nil)
+var _ interp.Hooks = (*Profiler)(nil)
 
 // NewFromGraph wraps a reloaded graph (depgraph.Decode) in a Profiler so
 // offline analyses can use the same access paths as live ones. The returned

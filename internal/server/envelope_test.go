@@ -166,6 +166,61 @@ func TestOversizedSlotsRejected(t *testing.T) {
 	}
 }
 
+// heapBombs allocate past the interpreter's heap budget: one array of
+// 2^40 elements, one of 2^28, and a loop whose third 6M-element array
+// crosses it.
+var heapBombs = []struct{ name, src string }{
+	{"2^40 array", `class Main { static void main() { int[] a = new int[1099511627776]; print(a.length); } }`},
+	{"2^28 array", `class Main { static void main() { int[] a = new int[268435456]; print(a.length); } }`},
+	{"loop", `class Main { static void main() { int i = 0; while (i < 5) { int[] a = new int[6000000]; a[0] = i; i = i + 1; } print(i); } }`},
+}
+
+// TestHeapBudgetEnvelope sends each heap bomb through /v2/run,
+// /v2/profile, /v2/report and a profile job. Every row must fail with the
+// non-retryable 422 heap_limit envelope (the job with that error code),
+// and the next normal request must succeed in the same process.
+func TestHeapBudgetEnvelope(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	normal := compileSession(t, ts.URL, workSrc)
+	next := func(t *testing.T) {
+		t.Helper()
+		if code, out := postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: normal}); code != http.StatusOK {
+			t.Fatalf("normal run after the bomb: %d %s", code, out)
+		}
+	}
+	for _, bomb := range heapBombs {
+		id := compileSession(t, ts.URL, bomb.src)
+		for _, path := range []string{"/v2/run", "/v2/profile", "/v2/report"} {
+			t.Run(bomb.name+" "+path, func(t *testing.T) {
+				code, out := postJSON(t, ts.URL+path, profileRequest{Session: id})
+				if code != http.StatusUnprocessableEntity {
+					t.Fatalf("status %d, want 422; body %s", code, out)
+				}
+				if eb := decodeEnvelope(t, out); eb.Code != "heap_limit" || eb.Retryable {
+					t.Errorf("envelope %+v, want non-retryable heap_limit", eb)
+				}
+				next(t)
+			})
+		}
+		t.Run(bomb.name+" job", func(t *testing.T) {
+			spec := jobs.Spec{Kind: jobs.KindProfile, Source: bomb.src}
+			code, out := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Jobs: []jobSubmission{{Spec: spec}}})
+			if code != http.StatusOK {
+				t.Fatalf("submit: %d %s", code, out)
+			}
+			var sub jobsResponse
+			if err := json.Unmarshal(out, &sub); err != nil {
+				t.Fatal(err)
+			}
+			st := waitBatch(t, ts.URL, sub.Batch).Jobs[0]
+			if st.State != jobs.StateFailed || st.Err == nil || st.Err.Code != "heap_limit" || st.Err.Retryable {
+				t.Errorf("job ended %s with %+v, want failed with non-retryable heap_limit", st.State, st.Err)
+			}
+			next(t)
+		})
+	}
+}
+
 // TestQueueFullRetryAfter pins the one error that carries a header
 // contract: a 429 from a full job queue must tell clients when to come
 // back, since the SDK's backoff honors Retry-After before its own jitter.
@@ -241,7 +296,10 @@ func TestClassifyErrTable(t *testing.T) {
 		{"canceled inside profile error",
 			&lowutil.ProfileError{Stage: "run", Err: fmt.Errorf("%w: vm stopped", lowutil.ErrCanceled)},
 			499, "canceled", true},
-		{"profile error", &lowutil.ProfileError{Stage: "prune", Err: errors.New("boom")}, http.StatusInternalServerError, "profile_error", false},
+		{"profile error", &lowutil.ProfileError{Stage: "run", Err: errors.New("boom")}, http.StatusInternalServerError, "profile_error", false},
+		{"heap budget",
+			&lowutil.ProfileError{Stage: "run", Err: &lowutil.HeapError{Max: 1 << 24, Err: errors.New("vm: heap budget exceeded")}},
+			http.StatusUnprocessableEntity, "heap_limit", false},
 		{"generic", errors.New("disk on fire"), http.StatusInternalServerError, "internal", false},
 	}
 	for _, tc := range cases {

@@ -112,7 +112,6 @@ func specProfileParams(spec jobs.Spec) profileParams {
 	return profileParams{
 		Slots: spec.Slots, TreeHeight: spec.TreeHeight,
 		Traditional: spec.Traditional, TrackControl: spec.TrackControl,
-		Prune: spec.Prune,
 	}
 }
 

@@ -175,7 +175,8 @@ func (s *Server) logLine(r *http.Request, endpoint string, status int, start tim
 }
 
 // writeErr maps facade errors onto transport statuses and the unified
-// envelope: compile failures are the client's fault (422), unknown
+// envelope: compile failures and programs that allocate past the
+// interpreter's heap budget are the client's fault (422), unknown
 // sessions or jobs 404, bad payloads and oversized slot counts 400, a
 // full job queue 429, a batch key conflict 409, deadline expiry 504,
 // cancellation 499 (client gone), the rest 500.
@@ -197,6 +198,7 @@ func classifyErr(err error) (int, errorBody) {
 	var pe *lowutil.ProfileError
 	var badReq *badRequestError
 	var slotsErr *lowutil.SlotsError
+	var heapErr *lowutil.HeapError
 	status := http.StatusInternalServerError
 	body := errorBody{Code: "internal", Message: err.Error()}
 	switch {
@@ -215,6 +217,8 @@ func classifyErr(err error) (int, errorBody) {
 		status, body.Code = http.StatusGatewayTimeout, "deadline"
 	case errors.Is(err, lowutil.ErrCanceled), errors.Is(err, context.Canceled):
 		status, body.Code, body.Retryable = 499, "canceled", true // client closed request (nginx convention)
+	case errors.As(err, &heapErr):
+		status, body.Code = http.StatusUnprocessableEntity, "heap_limit"
 	case errors.As(err, &pe):
 		body.Code, body.Stage = "profile_error", pe.Stage
 	}
@@ -279,7 +283,6 @@ type profileParams struct {
 	TreeHeight   int  `json:"tree_height,omitempty"`
 	Traditional  bool `json:"traditional,omitempty"`
 	TrackControl bool `json:"track_control,omitempty"`
-	Prune        bool `json:"prune,omitempty"`
 }
 
 func (p profileParams) key() profileKey {
@@ -288,7 +291,6 @@ func (p profileParams) key() profileKey {
 		TreeHeight:   p.TreeHeight,
 		Traditional:  p.Traditional,
 		TrackControl: p.TrackControl,
-		Prune:        p.Prune,
 	}
 	if k.Slots <= 0 {
 		k.Slots = lowutil.DefaultSlots
@@ -319,7 +321,6 @@ type profileResponse struct {
 	Session  string        `json:"session"`
 	CacheHit bool          `json:"cache_hit"`
 	Steps    int64         `json:"steps"`
-	Pruned   int64         `json:"pruned_events,omitempty"`
 	Top      []findingJSON `json:"top"`
 }
 
@@ -465,7 +466,7 @@ func (s *Server) handleProfile(ctx context.Context, r *http.Request) (any, error
 func newProfileResponse(session string, hit bool, pr *lowutil.Profile, top int) profileResponse {
 	resp := profileResponse{
 		Session: session, CacheHit: hit, Top: []findingJSON{},
-		Steps: pr.Steps(), Pruned: pr.PrunedEvents(),
+		Steps: pr.Steps(),
 	}
 	for _, f := range pr.TopStructures(top) {
 		resp.Top = append(resp.Top, findingJSON{

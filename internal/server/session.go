@@ -39,7 +39,6 @@ type profileKey struct {
 	TreeHeight   int
 	Traditional  bool
 	TrackControl bool
-	Prune        bool
 }
 
 // options expands the key into facade options.
@@ -53,9 +52,6 @@ func (k profileKey) options() []lowutil.ProfileOption {
 	}
 	if k.TrackControl {
 		opts = append(opts, lowutil.WithTrackControl())
-	}
-	if k.Prune {
-		opts = append(opts, lowutil.WithPrune())
 	}
 	return opts
 }

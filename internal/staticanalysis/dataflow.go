@@ -1,19 +1,13 @@
 // Package staticanalysis implements a static dataflow framework over the
 // slot-based IR: per-method CFGs (built by internal/ir), dominators, and a
-// generic worklist engine instantiated for liveness, reaching definitions and
-// def-use chains. On top of the framework sit two products:
-//
-//   - Vet, a zero-execution diagnostics suite (dead stores, write-only
-//     fields, unused allocations, unreachable code, possibly-uninitialized
-//     reads) surfaced as `lowutil vet`;
-//   - PruneSet, a static pre-analysis that proves instructions irrelevant to
-//     any heap value flow under the paper's thin-slicing rules, so the
-//     dynamic profiler can skip Gcost event emission for them entirely.
+// generic worklist engine instantiated for reaching definitions and def-use
+// chains. On top of the framework sits Vet, a zero-execution diagnostics
+// suite (dead stores, write-only fields, unused allocations, unreachable
+// code, possibly-uninitialized reads) surfaced as `lowutil vet`.
 //
 // The paper's pipeline is purely dynamic — every executed instruction is
-// traced into Gcost. The framework here is the flow-insensitive/-sensitive
-// static layer that both answers questions without running the program and
-// makes the dynamic hot path cheaper.
+// traced into Gcost. The framework here is the static layer that answers
+// questions without running the program.
 package staticanalysis
 
 import (

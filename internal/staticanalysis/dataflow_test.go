@@ -104,30 +104,6 @@ func TestDominatorsDiamond(t *testing.T) {
 	}
 }
 
-func TestLivenessDiamond(t *testing.T) {
-	m := buildDiamond(t)
-	lv := NewLiveness(m, nil)
-	join := lv.CFG.BlockOf[5]
-	if !lv.LiveIn(join).Has(1) {
-		t.Error("v1 must be live into the join (the move reads it)")
-	}
-	if lv.LiveIn(join).Has(2) {
-		t.Error("v2 is never read; it must not be live anywhere")
-	}
-	// Both arms kill v1 before any use, so nothing is live into them.
-	thenB := lv.CFG.BlockOf[2]
-	if lv.LiveIn(thenB).Has(1) {
-		t.Error("v1 must not be live into the then-arm (killed before use)")
-	}
-	// Immediately after the then-arm's const, v1 is live (flows to the join).
-	if !lv.LiveOutAt(2).Has(1) {
-		t.Error("v1 must be live immediately after pc2")
-	}
-	if lv.LiveOutAt(5).Has(1) {
-		t.Error("v1 must be dead after its last read at pc5")
-	}
-}
-
 func TestReachingDefsDiamond(t *testing.T) {
 	m := buildDiamond(t)
 	rd := NewReachingDefs(m, nil)

@@ -20,7 +20,7 @@
 // This package is the high-level facade. Typical use:
 //
 //	prog, err := lowutil.Compile(src)
-//	profile, err := prog.ProfileContext(ctx, lowutil.WithSlots(16), lowutil.WithPrune())
+//	profile, err := prog.ProfileContext(ctx, lowutil.WithSlots(16))
 //	fmt.Println(profile.Report(10))
 //
 // `lowutil serve` (internal/server) exposes this facade as a concurrent HTTP
@@ -281,15 +281,6 @@ type ProfileOptions struct {
 	// decision in each value's cost (§3.2's "considering vs ignoring
 	// control decision making" alternative).
 	TrackControl bool
-	// StaticPrune runs the static pre-analysis first and skips Gcost event
-	// emission for instructions it proves irrelevant to heap value flow
-	// (dead stores and pure base-pointer arithmetic — see
-	// staticanalysis.PruneSet). The proof uses whole-program call-graph and
-	// points-to summaries (staticanalysis.PruneSetWith), which prune a
-	// superset of the per-method analysis. Sound only for thin slicing, so
-	// it is ignored when Traditional is set. Rankings are unchanged; the
-	// trace just gets cheaper.
-	StaticPrune bool
 	// AnalysisWorkers bounds the ranking worker pool (0 = all CPUs).
 	AnalysisWorkers int
 	// MaxSteps bounds the profiled execution to this many instruction
@@ -300,9 +291,9 @@ type ProfileOptions struct {
 // ProfileContext runs the program under the cost-benefit profiler with
 // options folded over DefaultOptions:
 //
-//	profile, err := prog.ProfileContext(ctx, lowutil.WithSlots(16), lowutil.WithPrune())
+//	profile, err := prog.ProfileContext(ctx, lowutil.WithSlots(16))
 //
-// The interpreter main loop and the pre-analysis fixpoints poll ctx, so a
+// The interpreter main loop polls ctx, so a
 // canceled or expired context aborts the run promptly with an error that
 // satisfies errors.Is(err, ErrCanceled) — and errors.Is(err,
 // context.Canceled) or context.DeadlineExceeded as appropriate.
@@ -321,13 +312,6 @@ func (p *Program) ProfileContext(ctx context.Context, opts ...ProfileOption) (*P
 	m.Tracer = prof
 	m.Ctx = ctx
 	m.MaxSteps = o.MaxSteps
-	if o.StaticPrune && !o.Traditional {
-		an, err := interproc.AnalyzeContext(ctx, p.prog, interproc.Config{Mode: interproc.RTA})
-		if err != nil {
-			return nil, wrapRunErr("prune", err)
-		}
-		m.Prune, _ = staticanalysis.PruneSetWith(p.prog, an.Sum)
-	}
 	if err := m.Run(); err != nil {
 		return nil, wrapRunErr("run", err)
 	}
@@ -339,7 +323,6 @@ func (p *Program) ProfileContext(ctx context.Context, opts ...ProfileOption) (*P
 		prog:   p.prog,
 		prof:   prof,
 		steps:  m.Steps,
-		pruned: m.PrunedEvents,
 		an:     costben.NewAnalysisWith(prof.G, costben.Config{Workers: o.AnalysisWorkers}),
 		height: height,
 	}, nil
@@ -351,14 +334,9 @@ type Profile struct {
 	prog   *ir.Program
 	prof   *profiler.Profiler
 	steps  int64
-	pruned int64
 	an     *costben.Analysis
 	height int
 }
-
-// PrunedEvents reports how many tracer events the static prune set
-// suppressed during the profiled run (0 unless StaticPrune was set).
-func (pr *Profile) PrunedEvents() int64 { return pr.pruned }
 
 // Finding is one ranked low-utility data structure.
 type Finding struct {

@@ -511,51 +511,6 @@ func TestFacadeStaticAudit(t *testing.T) {
 	}
 }
 
-// TestFacadeStaticPruneInterproc: profiling with the interprocedural prune
-// must suppress events yet leave the ranked findings identical. The dead
-// arithmetic on seven()'s result is prunable only with return-taint
-// summaries — the per-method analysis must assume any call result may
-// derive from a heap read.
-func TestFacadeStaticPruneInterproc(t *testing.T) {
-	src := quickSrc + `
-class Extra {
-  static int seven() { return 7; }
-  static int spin(int n) {
-    int acc = 0;
-    for (int i = 0; i < n; i = i + 1) {
-      int w = seven() + i;
-      acc = acc + i;
-    }
-    return acc;
-  }
-}`
-	src = strings.Replace(src, "print(axisUnits);", "print(axisUnits + Extra.spin(30));", 1)
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := prog.ProfileContext(context.Background(), WithSlots(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := prog.ProfileContext(context.Background(), WithSlots(8), WithPrune())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.PrunedEvents() == 0 {
-		t.Error("interprocedural prune suppressed no events")
-	}
-	a, b := full.TopStructures(5), pruned.TopStructures(5)
-	if len(a) != len(b) {
-		t.Fatalf("finding counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("finding %d diverges under prune:\n  full:   %v\n  pruned: %v", i, a[i], b[i])
-		}
-	}
-}
-
 // TestNegativeTopListsNothing: every top-k method of the facade treats a
 // negative k like 0 (an empty list) instead of panicking, and k = 1 still
 // lists one entry.

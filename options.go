@@ -17,8 +17,7 @@ const (
 )
 
 // DefaultOptions returns the profiling configuration every tool starts
-// from: thin slicing, s = DefaultSlots, n = DefaultTreeHeight, frozen
-// analysis, no pruning. Callers mutate the copy (or, preferably, use
+// from: thin slicing, s = DefaultSlots, n = DefaultTreeHeight. Callers mutate the copy (or, preferably, use
 // ProfileContext with functional options).
 func DefaultOptions() ProfileOptions {
 	return ProfileOptions{Slots: DefaultSlots, TreeHeight: DefaultTreeHeight}
@@ -59,13 +58,6 @@ func WithTreeHeight(n int) ProfileOption {
 // decision in each value's cost (§3.2's design alternative).
 func WithTrackControl() ProfileOption {
 	return func(o *ProfileOptions) { o.TrackControl = true }
-}
-
-// WithPrune runs the static pre-analysis first and skips Gcost event
-// emission for instructions it proves irrelevant to heap value flow.
-// Ignored under WithTraditional, where the proof is unsound.
-func WithPrune() ProfileOption {
-	return func(o *ProfileOptions) { o.StaticPrune = true }
 }
 
 // WithWorkers bounds the ranking worker pool (0 = all CPUs).

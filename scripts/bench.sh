@@ -1,24 +1,33 @@
 #!/bin/sh
 # Runs the key analysis benchmarks and writes BENCH_<idx>.json (one object
 # per benchmark: ns/op, B/op, allocs/op) so the perf trajectory is tracked
-# across PRs. The index is the first argument (default 9); OUT overrides the
-# path entirely. Each benchmark runs COUNT times (default 3) and the minimum
-# ns/op is recorded — this VM's run-to-run noise is ±30-50%, and the minimum
-# is the estimate least polluted by scheduler and GC interference. Override
-# the selection or duration with:
+# across changes. The index is the first argument; without one, the script
+# writes one past the highest existing BENCH_<n>.json, so earlier records
+# are never overwritten. OUT overrides the path entirely. Each benchmark
+# runs COUNT times (default 3) and the minimum ns/op is recorded — this
+# VM's run-to-run noise is ±30-50%, and the minimum is the estimate least
+# polluted by scheduler and GC interference. Benchmarks run at -cpu 1, the
+# setting every earlier record was taken at: go test appends -N to a
+# benchmark's name when GOMAXPROCS is N > 1, and benchdiff.sh matches
+# records by name. Override the selection or duration with:
 #
-#   sh scripts/bench.sh 9
+#   sh scripts/bench.sh          next free index
+#   sh scripts/bench.sh 12       explicit index
 #   BENCH='BenchmarkCostBenefitAnalysis' BENCHTIME=2s COUNT=5 sh scripts/bench.sh
 set -e
 cd "$(dirname "$0")/.."
 
-IDX="${1:-9}"
-BENCH="${BENCH:-BenchmarkCostBenefitAnalysis|BenchmarkDeadness|BenchmarkOverhead|BenchmarkInterpreterRaw|BenchmarkPointsTo|BenchmarkStaticSlice|BenchmarkInterprocPrune|BenchmarkCancelCheck|BenchmarkSSAConstruct|BenchmarkSCCP|BenchmarkLoopForest|BenchmarkVetEngines|BenchmarkNodeIntern|BenchmarkDispatch|BenchmarkEscapeAnalysis|BenchmarkStaticAudit|BenchmarkVetEscapeLints|BenchmarkJobThroughput}"
+IDX="$1"
+if [ -z "$IDX" ]; then
+    last=$(ls BENCH_*.json 2>/dev/null | sed 's/^BENCH_\([0-9]*\)\.json$/\1/' | sort -n | tail -1)
+    IDX=$(( ${last:-0} + 1 ))
+fi
+BENCH="${BENCH:-BenchmarkCostBenefitAnalysis|BenchmarkDeadness|BenchmarkOverhead|BenchmarkInterpreterRaw|BenchmarkPointsTo|BenchmarkStaticSlice|BenchmarkCancelCheck|BenchmarkSSAConstruct|BenchmarkSCCP|BenchmarkLoopForest|BenchmarkVetEngines|BenchmarkNodeIntern|BenchmarkDispatch|BenchmarkEscapeAnalysis|BenchmarkStaticAudit|BenchmarkVetEscapeLints|BenchmarkJobThroughput}"
 BENCHTIME="${BENCHTIME:-1s}"
 COUNT="${COUNT:-3}"
 OUT="${OUT:-BENCH_${IDX}.json}"
 
-go test -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -count "$COUNT" -benchmem . ./internal/jobs \
+go test -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -count "$COUNT" -cpu 1 -benchmem . ./internal/jobs \
     | tee /dev/stderr \
     | awk '
         /^Benchmark/ {
