@@ -27,7 +27,7 @@ type SlotResult struct {
 	DepEdges int
 	RefEdges int
 	MemBytes int64
-	Overhead float64 // profiled wall-clock / baseline wall-clock
+	Overhead float64 // profiled wall-clock / baseline wall-clock, each the best of 3 runs
 	CR       float64
 }
 
@@ -125,55 +125,59 @@ func runOne(w *workloads.Workload, opts Options) (*Row, error) {
 		return nil, err
 	}
 
-	// Baseline (uninstrumented), best of 3 to stabilize the overhead ratio.
-	var base time.Duration
-	var steps, allocs int64
-	for i := 0; i < 3; i++ {
-		m := interp.New(prog)
-		start := time.Now()
-		if err := m.Run(); err != nil {
-			return nil, fmt.Errorf("%s baseline: %w", w.Name, err)
-		}
-		d := time.Since(start)
-		if i == 0 || d < base {
-			base = d
-		}
-		steps, allocs = m.Steps, m.Allocs
-	}
-	if base <= 0 {
-		base = time.Nanosecond
-	}
-
-	row := &Row{Name: w.Name, Scale: opts.Scale, Steps: steps, Allocs: allocs, BaseTime: base}
-
-	var lastGraph *depgraph.Graph
-	var lastSteps int64
 	for _, s := range opts.Slots {
 		if limit := profiler.MaxSlots(prog.NumInstrs()); s > limit {
 			return nil, fmt.Errorf("%s: %d context slots exceed the profiling table budget (at most %d)", w.Name, s, limit)
 		}
-		p := profiler.New(prog, profiler.Options{Slots: s, TrackCR: true})
-		m := interp.New(prog)
-		m.Tracer = p
-		start := time.Now()
-		if err := m.Run(); err != nil {
-			return nil, fmt.Errorf("%s profiled s=%d: %w", w.Name, s, err)
+	}
+
+	// Each overhead ratio compares the best of 3 baseline (uninstrumented)
+	// runs with the best of 3 profiled runs. The runs interleave — the
+	// baseline, then one profiled run per slot count, three times over — so
+	// a stretch of contention on a shared host slows both sides alike.
+	best := make([]time.Duration, 1+len(opts.Slots)) // [0] is the baseline
+	profs := make([]*profiler.Profiler, len(opts.Slots))
+	var base *interp.Machine
+	var lastSteps int64
+	for rep := 0; rep < 3; rep++ {
+		for i := range best {
+			m := interp.New(prog)
+			what := "baseline"
+			if i > 0 {
+				profs[i-1] = profiler.New(prog, profiler.Options{Slots: opts.Slots[i-1], TrackCR: true})
+				m.Tracer = profs[i-1]
+				what = fmt.Sprintf("profiled s=%d", opts.Slots[i-1])
+			}
+			start := time.Now()
+			if err := m.Run(); err != nil {
+				return nil, fmt.Errorf("%s %s: %w", w.Name, what, err)
+			}
+			if d := time.Since(start); rep == 0 || d < best[i] {
+				best[i] = d
+			}
+			if i == 0 {
+				base = m
+			} else {
+				lastSteps = m.Steps
+			}
 		}
-		elapsed := time.Since(start)
+	}
+	best[0] = max(best[0], time.Nanosecond)
+
+	row := &Row{Name: w.Name, Scale: opts.Scale, Steps: base.Steps, Allocs: base.Allocs, BaseTime: best[0]}
+	for i, p := range profs {
 		row.BySlots = append(row.BySlots, SlotResult{
-			S:        s,
+			S:        opts.Slots[i],
 			Nodes:    p.G.NumNodes(),
 			DepEdges: p.G.NumDepEdges(),
 			RefEdges: p.G.NumRefEdges(),
 			MemBytes: p.G.ApproxBytes(),
-			Overhead: float64(elapsed) / float64(base),
+			Overhead: float64(best[i+1]) / float64(best[0]),
 			CR:       p.CR().AverageCR(),
 		})
-		lastGraph = p.G
-		lastSteps = m.Steps
 	}
 
-	dead := deadness.Analyze(lastGraph, lastSteps)
+	dead := deadness.Analyze(profs[len(profs)-1].G, lastSteps)
 	row.IPD = dead.IPD()
 	row.IPP = dead.IPP()
 	row.NLD = dead.NLD()

@@ -10,6 +10,7 @@ package lexer
 
 import (
 	"fmt"
+	"math"
 	"unicode"
 )
 
@@ -167,6 +168,10 @@ func Tokenize(src string) ([]Token, error) {
 	}
 }
 
+// isDigit reports whether r is an ASCII digit. Other Unicode digits may
+// continue an identifier but do not start a number.
+func isDigit(r rune) bool { return '0' <= r && r <= '9' }
+
 func (l *Lexer) peek() rune {
 	if l.off >= len(l.src) {
 		return 0
@@ -258,16 +263,15 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: Ident, Text: text, Pos: pos}, nil
 
-	case unicode.IsDigit(r):
+	case isDigit(r):
 		var v int64
 		overflow := false
-		for l.off < len(l.src) && unicode.IsDigit(l.peek()) {
+		for l.off < len(l.src) && isDigit(l.peek()) {
 			d := int64(l.advance() - '0')
-			nv := v*10 + d
-			if nv < v {
+			if v > (math.MaxInt64-d)/10 {
 				overflow = true
 			}
-			v = nv
+			v = v*10 + d
 		}
 		if overflow {
 			return Token{}, l.errf(pos, "integer literal overflows int64")

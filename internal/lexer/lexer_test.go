@@ -64,8 +64,28 @@ func TestIntAndCharLiterals(t *testing.T) {
 }
 
 func TestIntOverflowRejected(t *testing.T) {
-	if _, err := Tokenize("99999999999999999999999999"); err == nil {
-		t.Error("want overflow error")
+	// The second literal wraps to a value above its prefix, which a check
+	// comparing each step with the last one misses.
+	for _, src := range []string{"99999999999999999999999999", "21000000000000000000", "9223372036854775808"} {
+		if _, err := Tokenize(src); err == nil {
+			t.Errorf("%s: want overflow error", src)
+		}
+	}
+	toks, err := Tokenize("9223372036854775807")
+	if err != nil || len(toks) != 1 || toks[0].Int != 1<<63-1 {
+		t.Errorf("max int64: got %v, %v", toks, err)
+	}
+}
+
+// TestNonASCIIDigitsAreNotNumbers: a Unicode digit outside ASCII would
+// otherwise lex as a number with the value of its code point minus '0'.
+func TestNonASCIIDigitsAreNotNumbers(t *testing.T) {
+	if toks, err := Tokenize("\u0663"); err == nil {
+		t.Errorf("want an error, got %v", toks)
+	}
+	toks, err := Tokenize("x\u0663")
+	if err != nil || len(toks) != 1 || toks[0].Kind != Ident {
+		t.Errorf("a Unicode digit inside an identifier: got %v, %v", toks, err)
 	}
 }
 

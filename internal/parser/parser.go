@@ -28,13 +28,41 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 // nest at most 6 blocks and 2 parentheses deep.
 const MaxNesting = 1000
 
-// Parse parses a complete MJ compilation unit.
+// Parse parses a complete MJ compilation unit. The parser pulls tokens
+// from the lexer as it goes, so its memory follows the lookahead and the
+// nesting depth rather than the source size, and a hostile source fails at
+// its first error without being tokenized to the end. A lexical error is
+// reported when the parser reaches it: a source with a syntax error before
+// its first lexical error reports the syntax error.
 func Parse(src string) (*ast.Program, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
-		return nil, err
+	p := &parser{lx: lexer.New(src)}
+	prog, err := p.program()
+	if p.lexErr != nil {
+		return nil, p.lexErr
 	}
-	p := &parser{toks: toks}
+	return prog, err
+}
+
+type parser struct {
+	lx *lexer.Lexer
+	// buf holds the lookahead: buf[off:] are tokens read from the lexer but
+	// not consumed yet. It resets when drained and grows only while
+	// peekKind looks past `[]` pairs.
+	buf []lexer.Token
+	off int
+	// last is the position of the last token read from the lexer. The
+	// parser's EOF token carries it, so an error at end of input points at
+	// the last token, not past it.
+	last lexer.Pos
+	// lexErr is the lexer's error; the parser sees EOF from there on.
+	lexErr error
+	// stmtDepth and exprDepth count the statements and operands being
+	// parsed, innermost included (see MaxNesting).
+	stmtDepth, exprDepth int
+}
+
+// program := classDecl* EOF
+func (p *parser) program() (*ast.Program, error) {
 	prog := &ast.Program{}
 	for !p.at(lexer.EOF) {
 		c, err := p.classDecl()
@@ -46,38 +74,36 @@ func Parse(src string) (*ast.Program, error) {
 	return prog, nil
 }
 
-type parser struct {
-	toks []lexer.Token
-	off  int
-	// stmtDepth and exprDepth count the statements and operands being
-	// parsed, innermost included (see MaxNesting).
-	stmtDepth, exprDepth int
+// peek returns the token ahead places past the current one, reading from
+// the lexer as needed.
+func (p *parser) peek(ahead int) lexer.Token {
+	for p.off+ahead >= len(p.buf) {
+		t := lexer.Token{Kind: lexer.EOF, Pos: p.last}
+		if p.lexErr == nil {
+			next, err := p.lx.Next()
+			switch {
+			case err != nil:
+				p.lexErr = err
+			case next.Kind != lexer.EOF:
+				t, p.last = next, next.Pos
+			}
+		}
+		p.buf = append(p.buf, t)
+	}
+	return p.buf[p.off+ahead]
 }
 
-func (p *parser) cur() lexer.Token {
-	if p.off < len(p.toks) {
-		return p.toks[p.off]
-	}
-	last := lexer.Pos{Line: 0, Col: 0}
-	if len(p.toks) > 0 {
-		last = p.toks[len(p.toks)-1].Pos
-	}
-	return lexer.Token{Kind: lexer.EOF, Pos: last}
-}
+func (p *parser) cur() lexer.Token { return p.peek(0) }
 
 func (p *parser) at(k lexer.Kind) bool { return p.cur().Kind == k }
 
-func (p *parser) peekKind(ahead int) lexer.Kind {
-	i := p.off + ahead
-	if i < len(p.toks) {
-		return p.toks[i].Kind
-	}
-	return lexer.EOF
-}
+func (p *parser) peekKind(ahead int) lexer.Kind { return p.peek(ahead).Kind }
 
 func (p *parser) next() lexer.Token {
 	t := p.cur()
-	p.off++
+	if p.off++; p.off == len(p.buf) {
+		p.buf, p.off = p.buf[:0], 0
+	}
 	return t
 }
 

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -221,5 +222,64 @@ func TestNestingBound(t *testing.T) {
 				t.Fatalf("one past the bound: got %v, want a positioned nesting *Error", err)
 			}
 		})
+	}
+}
+
+// TestErrorPositions pins the position and message of errors at the end of
+// input, which /v2 compile_error envelopes carry as line and col. An error
+// at end of input points at the last token, not past it. The lexer reports
+// an error when the parser reaches it, so the last row, whose syntax error
+// comes first, reports that.
+func TestErrorPositions(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{`class`, "1:1: expected identifier, found EOF"},
+		{`class A`, "1:7: expected {, found EOF"},
+		{`class A {`, "1:9: expected }, found EOF"},
+		{`class A { int`, "1:11: expected identifier, found EOF"},
+		{`class A { int x`, "1:15: expected ;, found EOF"},
+		{`class A { void f(`, "1:17: expected type, found EOF"},
+		{`class A { void f() {`, "1:20: expected }, found EOF"},
+		{`class A { void f() { int x = `, "1:28: unexpected token EOF"},
+		{`class A { void f() { return 1`, "1:29: expected ;, found EOF"},
+		{`class A { void f() { x = y[`, "1:27: unexpected token EOF"},
+		{"\n\nclass A {\n  ", "3:9: expected }, found EOF"},
+		{`class A { } }`, "1:13: expected class, found }"},
+		{`class A { int x; } /*`, "1:20: unterminated block comment"},
+		{`class A { void f() { int x = 99999999999999999999; } }`, "1:30: integer literal overflows int64"},
+		{`class A { } 99999999999999999999`, "1:13: integer literal overflows int64"},
+		{`class A { int 3 @ }`, "1:15: expected identifier, found 3"},
+	}
+	for _, c := range cases {
+		if _, err := Parse(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("%q: got %v, want %s", c.src, err, c.want)
+		}
+	}
+}
+
+// TestTokenFloodBounded parses a flood of parentheses, bare and inside an
+// initializer. Each fails at its first error (the missing class keyword,
+// the nesting bound) with the memory of the lexer's rune copy, not of a
+// token per byte.
+func TestTokenFloodBounded(t *testing.T) {
+	n := 16 << 20
+	if testing.Short() {
+		n = 1 << 20
+	}
+	cases := []struct{ prefix, want string }{
+		{"", "1:1: expected class, found ("},
+		{"class Main { static void main() { int x = ", "1:1043: expressions nest deeper than 1000 levels"},
+	}
+	for _, c := range cases {
+		src := c.prefix + strings.Repeat("(", n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(src)
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%.20q flood: got %v, want %s", c.prefix, err, c.want)
+		}
+		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 100 {
+			t.Errorf("%.20q flood: allocated %d MB, want at most 100", c.prefix, mb)
+		}
 	}
 }

@@ -2,10 +2,14 @@ package profiler
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"lowutil/internal/interp"
 	"lowutil/internal/ir"
+	"lowutil/internal/mjc"
 	"lowutil/internal/workloads"
 )
 
@@ -52,64 +56,99 @@ func (c *instanceCounter) AfterCall(in *ir.Instr, _ *interp.Frame, hasValue bool
 }
 
 // TestEngineDifferentialModes extends the facade's engine differential
-// (lowutil.TestEngineDifferentialAllWorkloads) to every profiler mode. The
-// product is a bare profiler on the handler-table engine, which runs the
-// profiled table's direct hook calls; the reference is the switch engine
-// (RunReference) delivering Events to Exec, with the link memo off. They
-// must agree on the Gcost encoding, the step count and the conflict
-// statistics, and the product's node frequencies must sum to the instances
-// an independent counting tracer sees.
+// (lowutil.TestEngineDifferentialAllWorkloads) to every profiler mode, on
+// all 18 workloads.
 func TestEngineDifferentialModes(t *testing.T) {
 	for _, w := range sweepWorkloads() {
 		prog, err := w.Compile(1)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		counter := &instanceCounter{}
-		cm := interp.New(prog)
-		cm.Tracer = counter
-		if err := cm.Run(); err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
+		diffModes(t, w.Name, prog)
+	}
+}
+
+// TestEngineDifferentialCorpus runs the same comparison over the fuzz
+// generator's checked-in corpus, whose programs mix field, static and
+// array traffic the workloads do not. The files are read directly, since
+// this package cannot import fuzzgen; they are small, so all of them run
+// under -short too.
+func TestEngineDifferentialCorpus(t *testing.T) {
+	files, err := filepath.Glob("../fuzzgen/corpus/*.mj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no corpus programs found")
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, mode := range sweepModes {
-			t.Run(w.Name+"/"+mode.name, func(t *testing.T) {
-				product := New(prog, mode.opts)
-				pm := interp.New(prog)
-				pm.Tracer = product
-				if err := pm.Run(); err != nil {
-					t.Fatal(err)
-				}
-				ref := New(prog, mode.opts)
-				ref.memo = nil
-				rm := interp.New(prog)
-				rm.Tracer = ref
-				if err := rm.RunReference(); err != nil {
-					t.Fatal(err)
-				}
-				var pg, rg bytes.Buffer
-				if err := product.G.Encode(&pg); err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.G.Encode(&rg); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(pg.Bytes(), rg.Bytes()) {
-					t.Errorf("Gcost encoding differs (%d vs %d bytes)", pg.Len(), rg.Len())
-				}
-				if pm.Steps != rm.Steps {
-					t.Errorf("steps: product %d, reference %d", pm.Steps, rm.Steps)
-				}
-				if mode.opts.TrackCR {
-					pc, rc := product.CR(), ref.CR()
-					if pc.AverageCR() != rc.AverageCR() || pc.DistinctContexts() != rc.DistinctContexts() {
-						t.Errorf("conflicts: product CR %v over %d contexts, reference %v over %d",
-							pc.AverageCR(), pc.DistinctContexts(), rc.AverageCR(), rc.DistinctContexts())
-					}
-				}
-				if got := product.G.TotalFreq(); got != counter.n {
-					t.Errorf("node frequencies sum to %d, counted %d instances", got, counter.n)
-				}
-			})
+		name := strings.TrimSuffix(filepath.Base(f), ".mj")
+		prog, err := mjc.Compile(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		diffModes(t, name, prog)
+	}
+}
+
+// diffModes compares, in every sweep mode, the product (a bare profiler on
+// the handler-table engine, which runs the profiled table's direct hook
+// calls) with a memo-free reference: the switch engine (RunReference)
+// delivering Events to Exec, with memo set to nil, the one switch that
+// turns off both the link memo and the heap-effect memo. They must agree on
+// the Gcost encoding, the step count and the conflict statistics, and the
+// product's node frequencies must sum to the instances an independent
+// counting tracer sees.
+func diffModes(t *testing.T, name string, prog *ir.Program) {
+	t.Helper()
+	counter := &instanceCounter{}
+	cm := interp.New(prog)
+	cm.Tracer = counter
+	if err := cm.Run(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for _, mode := range sweepModes {
+		t.Run(name+"/"+mode.name, func(t *testing.T) {
+			product := New(prog, mode.opts)
+			pm := interp.New(prog)
+			pm.Tracer = product
+			if err := pm.Run(); err != nil {
+				t.Fatal(err)
+			}
+			ref := New(prog, mode.opts)
+			ref.memo = nil
+			rm := interp.New(prog)
+			rm.Tracer = ref
+			if err := rm.RunReference(); err != nil {
+				t.Fatal(err)
+			}
+			var pg, rg bytes.Buffer
+			if err := product.G.Encode(&pg); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.G.Encode(&rg); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pg.Bytes(), rg.Bytes()) {
+				t.Errorf("Gcost encoding differs (%d vs %d bytes)", pg.Len(), rg.Len())
+			}
+			if pm.Steps != rm.Steps {
+				t.Errorf("steps: product %d, reference %d", pm.Steps, rm.Steps)
+			}
+			if mode.opts.TrackCR {
+				pc, rc := product.CR(), ref.CR()
+				if pc.AverageCR() != rc.AverageCR() || pc.DistinctContexts() != rc.DistinctContexts() {
+					t.Errorf("conflicts: product CR %v over %d contexts, reference %v over %d",
+						pc.AverageCR(), pc.DistinctContexts(), rc.AverageCR(), rc.DistinctContexts())
+				}
+			}
+			if got := product.G.TotalFreq(); got != counter.n {
+				t.Errorf("node frequencies sum to %d, counted %d instances", got, counter.n)
+			}
+		})
 	}
 }

@@ -148,11 +148,22 @@ type Profiler struct {
 	// instCount counts instances per instruction in Unabstracted mode.
 	instCount []int
 
-	// memo holds, per node (indexed by Ref) and operand position, the
-	// producer of the dep edge link last added there; nil turns the memo
-	// off. It is profiler state, not part of Gcost, so it changes neither
-	// the encoded graph nor ApproxBytes.
-	memo [][memoWidth]depgraph.Ref
+	// memo holds one row per node, indexed by Ref: the link memo and the
+	// heap-effect memo (see memoRow). nil turns both off. It is profiler
+	// state, not part of Gcost, so it changes neither the encoded graph nor
+	// ApproxBytes.
+	memo []memoRow
+}
+
+// memoRow is one node's memo. link holds, per operand position, the
+// producer of the dep edge last linked there. base and val key the heap
+// effect the node registered last: base is the accessed object's tag plus
+// one, so a zero row means nothing registered yet (tag 0, an object
+// allocated while tracking was off, is a real key), and val is the stored
+// reference's tag (0 for none).
+type memoRow struct {
+	link      [memoWidth]depgraph.Ref
+	base, val depgraph.Ref
 }
 
 // Operand positions in the link memo: up to three operands of one
@@ -212,7 +223,7 @@ func New(prog *ir.Program, opts Options) *Profiler {
 	} else {
 		// Instance nodes never see an edge twice, so only the abstracted
 		// modes keep the memo.
-		p.memo = make([][memoWidth]depgraph.Ref, 0, 64)
+		p.memo = make([]memoRow, 0, 64)
 	}
 	if !p.unabs && !p.control {
 		t := p.G.DenseTables()
@@ -390,13 +401,13 @@ func (p *Profiler) consumerRefSlow(in *ir.Instr) depgraph.Ref {
 	return p.consumerNode(in).Ref()
 }
 
-// eventNode maps the event to its node for the cases that need the record
-// itself (allocation tagging, heap-effect annotation).
-func (p *Profiler) eventNode(in *ir.Instr, fs *frameShadow) *depgraph.Node {
+// eventRef maps the event to its node for the hooks whose other work
+// outweighs a call: allocations and heap accesses.
+func (p *Profiler) eventRef(in *ir.Instr, fs *frameShadow) depgraph.Ref {
 	if r := p.eventRefFast(in, fs); r != 0 {
-		return p.G.At(r)
+		return r
 	}
-	return p.G.At(p.eventRefSlow(in, fs))
+	return p.eventRefSlow(in, fs)
 }
 
 // link adds the dep edge from → to, where to produced the operand at
@@ -406,25 +417,32 @@ func (p *Profiler) eventNode(in *ir.Instr, fs *frameShadow) *depgraph.Node {
 // instead of a scan of the node's dep set. An entry is written only after
 // its edge is in the graph, so a hit never skips a missing edge.
 func (p *Profiler) link(from depgraph.Ref, pos int, to depgraph.Ref) {
-	if int(from) < len(p.memo) && p.memo[from][pos] == to {
+	if int(from) < len(p.memo) && p.memo[from].link[pos] == to {
 		return
 	}
 	p.linkSlow(from, pos, to)
 }
 
-// linkSlow adds the edge and records it, growing the memo over the nodes
-// interned since the last growth. Rows are indexed by Ref, so row 0 (the
-// nil Ref's) stays unused.
+// linkSlow adds the edge and records it.
 func (p *Profiler) linkSlow(from depgraph.Ref, pos int, to depgraph.Ref) {
 	p.G.AddDepRefs(from, to)
-	if p.memo == nil {
-		return
+	if m := p.row(from); m != nil {
+		m.link[pos] = to
 	}
-	if int(from) >= len(p.memo) {
+}
+
+// row returns node r's memo row, growing the memo over the nodes interned
+// since the last growth, or nil when the memo is off. Rows are indexed by
+// Ref, so row 0 (the nil Ref's) stays unused.
+func (p *Profiler) row(r depgraph.Ref) *memoRow {
+	if p.memo == nil {
+		return nil
+	}
+	if int(r) >= len(p.memo) {
 		n := p.G.NumNodes() + 1
 		p.memo = slices.Grow(p.memo, n-len(p.memo))[:n]
 	}
-	p.memo[from][pos] = to
+	return &p.memo[r]
 }
 
 // Self implements interp.Hooks.
@@ -475,7 +493,7 @@ func (p *Profiler) Binary(in *ir.Instr, fr *interp.Frame) {
 // alloc maps an allocation to its node, marks the node's effect, and tags
 // the new object with it (environment P).
 func (p *Profiler) alloc(in *ir.Instr, fs *frameShadow, o *interp.Object) depgraph.Ref {
-	n := p.eventNode(in, fs)
+	n := p.G.At(p.eventRef(in, fs))
 	n.Eff = depgraph.EffAlloc
 	if n.EffLoc.Alloc != n {
 		n.EffLoc = depgraph.Loc{Alloc: n}
@@ -502,30 +520,59 @@ func (p *Profiler) NewArray(in *ir.Instr, fr *interp.Frame, o *interp.Object) {
 	p.link(p.alloc(in, fs, o), 0, length)
 }
 
-// load records a heap read of loc by n, the read value's node.
-func (p *Profiler) load(n *depgraph.Node, loc depgraph.Loc) {
-	n.Eff = depgraph.EffLoad
+// fresh reports whether node r's heap effect on the object tagged base,
+// storing the reference tagged val, differs from the one it registered
+// last. Registering the same effect again would change nothing: each
+// registration is idempotent, and the node fixes the field, so its location
+// is a function of base. Callers skip it, and a repeated heap event costs
+// this one compare.
+func (p *Profiler) fresh(r, base, val depgraph.Ref) bool {
+	if int(r) < len(p.memo) {
+		m := &p.memo[r]
+		return m.base != base+1 || m.val != val
+	}
+	return true
+}
+
+// effect marks node r's heap effect eff on the field of the object tagged
+// base, records the effect in r's memo row, and returns the node and the
+// location for the caller to register.
+func (p *Profiler) effect(r, base, val depgraph.Ref, eff depgraph.EffectKind, field int) (*depgraph.Node, depgraph.Loc) {
+	n, loc := p.G.At(r), depgraph.Loc{Alloc: p.G.At(base), Field: field}
+	n.Eff = eff
 	if n.EffLoc != loc {
 		n.EffLoc = loc
 	}
+	if m := p.row(r); m != nil {
+		m.base, m.val = base+1, val
+	}
+	return n, loc
+}
+
+// load records a heap read by node r of the field of the object tagged
+// base.
+func (p *Profiler) load(r, base depgraph.Ref, field int) {
+	n, loc := p.effect(r, base, 0, depgraph.EffLoad, field)
 	p.G.AddLocLoad(loc, n)
 }
 
-// store records a heap write of v to loc by n; stored references add a
-// points-to child of loc.
-func (p *Profiler) store(n *depgraph.Node, loc depgraph.Loc, v interp.Value) {
-	n.Eff = depgraph.EffStore
-	if n.EffLoc != loc {
-		n.EffLoc = loc
-	}
+// store records a heap write by node r to the field of the object tagged
+// base; a stored reference, tagged val, adds a points-to child of the
+// location.
+func (p *Profiler) store(r, base, val depgraph.Ref, field int) {
+	n, loc := p.effect(r, base, val, depgraph.EffStore, field)
 	g := p.G
 	g.AddLocStore(loc, n)
-	if loc.Alloc != nil {
-		g.AddRefs(n.Ref(), loc.Alloc.Ref())
-	}
+	g.AddRefs(r, base)
+	g.AddChild(loc, g.At(val))
+}
+
+// refTag returns the tag of the object v references, or 0 for none.
+func (p *Profiler) refTag(v interp.Value) depgraph.Ref {
 	if v.K == ir.KindRef && v.Ref != nil {
-		g.AddChild(loc, g.At(p.oshadow(v.Ref).tag))
+		return p.oshadow(v.Ref).tag
 	}
+	return 0
 }
 
 // LoadField implements interp.Hooks: the value depends on the field's last
@@ -535,16 +582,18 @@ func (p *Profiler) LoadField(in *ir.Instr, fr *interp.Frame, base *interp.Object
 		return
 	}
 	fs := p.fshadow(fr)
-	n := p.eventNode(in, fs)
+	r := p.eventRef(in, fs)
 	os := p.oshadow(base)
 	if in.Field.Slot < len(os.slots) {
-		p.link(n.Ref(), 0, os.slots[in.Field.Slot])
+		p.link(r, 0, os.slots[in.Field.Slot])
 	}
 	if !p.thin {
-		p.link(n.Ref(), 1, fs.nodes[in.A]) // base-pointer use (traditional)
+		p.link(r, 1, fs.nodes[in.A]) // base-pointer use (traditional)
 	}
-	p.load(n, depgraph.Loc{Alloc: p.G.At(os.tag), Field: in.Field.ID})
-	fs.nodes[in.Dst] = n.Ref()
+	if p.fresh(r, os.tag, 0) {
+		p.load(r, os.tag, in.Field.ID)
+	}
+	fs.nodes[in.Dst] = r
 }
 
 // StoreField implements interp.Hooks: the field's new writer depends on the
@@ -554,16 +603,18 @@ func (p *Profiler) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Objec
 		return
 	}
 	fs := p.fshadow(fr)
-	n := p.eventNode(in, fs)
-	p.link(n.Ref(), 0, fs.nodes[in.B])
+	r := p.eventRef(in, fs)
+	p.link(r, 0, fs.nodes[in.B])
 	if !p.thin {
-		p.link(n.Ref(), 1, fs.nodes[in.A])
+		p.link(r, 1, fs.nodes[in.A])
 	}
 	os := p.oshadow(base)
 	if in.Field.Slot < len(os.slots) {
-		os.slots[in.Field.Slot] = n.Ref()
+		os.slots[in.Field.Slot] = r
 	}
-	p.store(n, depgraph.Loc{Alloc: p.G.At(os.tag), Field: in.Field.ID}, v)
+	if val := p.refTag(v); p.fresh(r, os.tag, val) {
+		p.store(r, os.tag, val, in.Field.ID)
+	}
 }
 
 // LoadStatic implements interp.Hooks.
@@ -572,10 +623,12 @@ func (p *Profiler) LoadStatic(in *ir.Instr, fr *interp.Frame) {
 		return
 	}
 	fs := p.fshadow(fr)
-	n := p.eventNode(in, fs)
-	p.link(n.Ref(), 0, p.statics[in.Static.Slot])
-	p.load(n, depgraph.Loc{Alloc: nil, Field: in.Static.Slot})
-	fs.nodes[in.Dst] = n.Ref()
+	r := p.eventRef(in, fs)
+	p.link(r, 0, p.statics[in.Static.Slot])
+	if p.fresh(r, 0, 0) {
+		p.load(r, 0, in.Static.Slot)
+	}
+	fs.nodes[in.Dst] = r
 }
 
 // StoreStatic implements interp.Hooks.
@@ -584,10 +637,12 @@ func (p *Profiler) StoreStatic(in *ir.Instr, fr *interp.Frame, v interp.Value) {
 		return
 	}
 	fs := p.fshadow(fr)
-	n := p.eventNode(in, fs)
-	p.link(n.Ref(), 0, fs.nodes[in.A])
-	p.statics[in.Static.Slot] = n.Ref()
-	p.store(n, depgraph.Loc{Alloc: nil, Field: in.Static.Slot}, v)
+	r := p.eventRef(in, fs)
+	p.link(r, 0, fs.nodes[in.A])
+	p.statics[in.Static.Slot] = r
+	if val := p.refTag(v); p.fresh(r, 0, val) {
+		p.store(r, 0, val, in.Static.Slot)
+	}
 }
 
 // LoadElem implements interp.Hooks: the value depends on the element's last
@@ -598,17 +653,19 @@ func (p *Profiler) LoadElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, 
 		return
 	}
 	fs := p.fshadow(fr)
-	n := p.eventNode(in, fs)
+	r := p.eventRef(in, fs)
 	os := p.oshadow(arr)
 	if int(idx) < len(os.slots) {
-		p.link(n.Ref(), 0, os.slots[idx])
+		p.link(r, 0, os.slots[idx])
 	}
-	p.link(n.Ref(), 1, fs.nodes[in.B]) // the index is still considered used
+	p.link(r, 1, fs.nodes[in.B]) // the index is still considered used
 	if !p.thin {
-		p.link(n.Ref(), 2, fs.nodes[in.A])
+		p.link(r, 2, fs.nodes[in.A])
 	}
-	p.load(n, depgraph.Loc{Alloc: p.G.At(os.tag), Field: depgraph.ElemField})
-	fs.nodes[in.Dst] = n.Ref()
+	if p.fresh(r, os.tag, 0) {
+		p.load(r, os.tag, depgraph.ElemField)
+	}
+	fs.nodes[in.Dst] = r
 }
 
 // StoreElem implements interp.Hooks: the element's new writer depends on
@@ -619,17 +676,19 @@ func (p *Profiler) StoreElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object,
 		return
 	}
 	fs := p.fshadow(fr)
-	n := p.eventNode(in, fs)
-	p.link(n.Ref(), 0, fs.nodes[in.C2])
-	p.link(n.Ref(), 1, fs.nodes[in.B])
+	r := p.eventRef(in, fs)
+	p.link(r, 0, fs.nodes[in.C2])
+	p.link(r, 1, fs.nodes[in.B])
 	if !p.thin {
-		p.link(n.Ref(), 2, fs.nodes[in.A])
+		p.link(r, 2, fs.nodes[in.A])
 	}
 	os := p.oshadow(arr)
 	if int(idx) < len(os.slots) {
-		os.slots[idx] = n.Ref()
+		os.slots[idx] = r
 	}
-	p.store(n, depgraph.Loc{Alloc: p.G.At(os.tag), Field: depgraph.ElemField}, v)
+	if val := p.refTag(v); p.fresh(r, os.tag, val) {
+		p.store(r, os.tag, val, depgraph.ElemField)
+	}
 }
 
 // ArrayLen implements interp.Hooks. The length is metadata fixed at
@@ -640,15 +699,13 @@ func (p *Profiler) ArrayLen(in *ir.Instr, fr *interp.Frame, arr *interp.Object) 
 		return
 	}
 	fs := p.fshadow(fr)
-	n := p.eventNode(in, fs)
+	r := p.eventRef(in, fs)
 	os := p.oshadow(arr)
-	p.link(n.Ref(), 0, os.tag)
-	loc := depgraph.Loc{Alloc: p.G.At(os.tag), Field: depgraph.ElemField}
-	n.Eff = depgraph.EffLoad
-	if n.EffLoc != loc {
-		n.EffLoc = loc
+	p.link(r, 0, os.tag)
+	if p.fresh(r, os.tag, 0) {
+		p.effect(r, os.tag, 0, depgraph.EffLoad, depgraph.ElemField)
 	}
-	fs.nodes[in.Dst] = n.Ref()
+	fs.nodes[in.Dst] = r
 }
 
 // Branch implements interp.Hooks: the predicate consumes operands A and B.

@@ -390,6 +390,25 @@ func TestTooDeepCompileRejected(t *testing.T) {
 	}
 }
 
+// TestTokenFloodCompileRejected sends 15 MiB of "(" (inside the body
+// limit with its JSON wrapper). The parser fails at the first token
+// instead of tokenizing the whole flood first, so the request gets an
+// ordinary positioned 422 envelope and the server keeps serving.
+func TestTokenFloodCompileRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, body := postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: strings.Repeat("(", 15<<20)})
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("flood compile status = %d, want 422; body %.200s", code, body)
+	}
+	if eb := decodeEnvelope(t, body); eb.Code != "compile_error" || eb.Line != 1 || eb.Col != 1 || eb.Retryable {
+		t.Errorf("422 envelope = %+v, want compile_error at 1:1", eb)
+	}
+	id := compileSession(t, ts.URL, workSrc)
+	if code, body := postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: id}); code != http.StatusOK {
+		t.Errorf("request after the rejected compile: %d %s", code, body)
+	}
+}
+
 // TestErrorMapping covers the typed-error → status contract: every error
 // arrives in the unified {"error":{code,message,retryable}} envelope.
 func TestErrorMapping(t *testing.T) {

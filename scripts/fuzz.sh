@@ -35,7 +35,8 @@ for t in \
     ./internal/depgraph:FuzzDenseMatchesMapModel \
     .:FuzzInlineCacheInvalidation \
     ./internal/ssa:FuzzRoundTrip \
-    ./internal/escape:FuzzEscapeMonotone; do
+    ./internal/escape:FuzzEscapeMonotone \
+    ./internal/parser:FuzzParse; do
     pkg="${t%%:*}"
     name="${t#*:}"
     echo "fuzz: $name ($pkg) for $FUZZTIME"
