@@ -179,7 +179,7 @@ func TestSubmitRetriesWithoutDuplicates(t *testing.T) {
 	c := fastClient(base)
 
 	batch, err := c.SubmitBatch(context.Background(), "", []client.Job{
-		{Spec: client.Spec{Kind: client.KindRun, Source: workSrc}},
+		{Spec: client.Spec{Kind: lowutil.KindRun, Source: workSrc}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,13 +199,13 @@ func TestSubmitRetriesWithoutDuplicates(t *testing.T) {
 
 	// An explicit key resubmitted maps onto the same jobs, flagged.
 	b1, err := c.SubmitBatch(context.Background(), "stable-key", []client.Job{
-		{Spec: client.Spec{Kind: client.KindCompile, Source: workSrc}},
+		{Spec: client.Spec{Kind: lowutil.KindCompile, Source: workSrc}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b2, err := c.SubmitBatch(context.Background(), "stable-key", []client.Job{
-		{Spec: client.Spec{Kind: client.KindCompile, Source: workSrc}},
+		{Spec: client.Spec{Kind: lowutil.KindCompile, Source: workSrc}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestEventsReconnectMidStream(t *testing.T) {
 	c := fastClient(base)
 
 	batch, err := c.SubmitBatch(context.Background(), "reconnect", []client.Job{
-		{Spec: client.Spec{Kind: client.KindRun, Source: workSrc}},
+		{Spec: client.Spec{Kind: lowutil.KindRun, Source: workSrc}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -338,12 +338,12 @@ func TestTypedErrors(t *testing.T) {
 	}})
 	c2 := fastClient(base2, client.WithMaxRetries(0))
 	if _, err := c2.SubmitBatch(context.Background(), "fill", []client.Job{
-		{Spec: client.Spec{Kind: client.KindRun, Source: workSrc}},
+		{Spec: client.Spec{Kind: lowutil.KindRun, Source: workSrc}},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = c2.SubmitBatch(context.Background(), "over", []client.Job{
-		{Spec: client.Spec{Kind: client.KindCompile, Source: workSrc}},
+		{Spec: client.Spec{Kind: lowutil.KindCompile, Source: workSrc}},
 	})
 	var ae *client.Error
 	if !errors.As(err, &ae) || ae.Code != "at_capacity" || !ae.Retryable || ae.RetryAfter <= 0 {
@@ -391,7 +391,7 @@ func TestBatchAcceptance(t *testing.T) {
 
 	jobsReq := make([]client.Job, len(all))
 	for i, w := range all {
-		jobsReq[i] = client.Job{Spec: client.Spec{Kind: client.KindProfile, Source: w.Source(1)}}
+		jobsReq[i] = client.Job{Spec: client.Spec{Kind: lowutil.KindProfile, Source: w.Source(1)}}
 	}
 	batch, err := c.SubmitBatch(context.Background(), "table1", jobsReq)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"lowutil"
 	"lowutil/client"
 	"lowutil/internal/jobs"
 	"lowutil/internal/server"
@@ -135,7 +136,7 @@ func TestEventsReconnectAtExactSequence(t *testing.T) {
 	c := fastClient(ts.URL)
 
 	batch, err := c.SubmitBatch(context.Background(), "exact-seq", []client.Job{
-		{Spec: client.Spec{Kind: client.KindRun, Source: workSrc}},
+		{Spec: client.Spec{Kind: lowutil.KindRun, Source: workSrc}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +213,7 @@ func TestEventsSkipBlankLines(t *testing.T) {
 	c := fastClient(ts.URL)
 
 	batch, err := c.SubmitBatch(context.Background(), "blank-lines", []client.Job{
-		{Spec: client.Spec{Kind: client.KindRun, Source: workSrc}},
+		{Spec: client.Spec{Kind: lowutil.KindRun, Source: workSrc}},
 	})
 	if err != nil {
 		t.Fatal(err)

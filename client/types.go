@@ -1,40 +1,16 @@
 package client
 
-import "encoding/json"
+import (
+	"encoding/json"
 
-// Job kinds, matching the service's /v2/jobs vocabulary. Each kind runs
-// the same analysis as the synchronous endpoint of the same name.
-const (
-	KindCompile = "compile"
-	KindRun     = "run"
-	KindProfile = "profile"
-	KindReport  = "report"
-	KindSlice   = "slice"
-	KindAudit   = "audit"
+	"lowutil"
 )
 
 // Spec is one unit of batch work: a program plus the analysis
-// configuration. Zero values of optional fields select the service's
-// defaults, exactly as in the synchronous endpoints.
-type Spec struct {
-	Kind       string `json:"kind"`
-	Source     string `json:"source"`
-	MainClass  string `json:"main_class,omitempty"`
-	MainMethod string `json:"main_method,omitempty"`
-
-	// Profiling configuration (kinds profile and report).
-	Slots        int  `json:"slots,omitempty"`
-	TreeHeight   int  `json:"tree_height,omitempty"`
-	Traditional  bool `json:"traditional,omitempty"`
-	TrackControl bool `json:"track_control,omitempty"`
-
-	// Static-analysis configuration (kinds slice and audit).
-	Mode   string `json:"mode,omitempty"`
-	ObjCtx bool   `json:"objctx,omitempty"`
-
-	// Top bounds ranked lists in rendered results (0 = the default).
-	Top int `json:"top,omitempty"`
-}
+// configuration, with Kind one of the lowutil.Kind constants. It is the
+// request type every surface of the service shares; zero options select
+// the service's defaults, exactly as in the synchronous endpoints.
+type Spec = lowutil.Request
 
 // Job is one batch submission: a spec plus its scheduling envelope.
 type Job struct {
@@ -118,14 +94,11 @@ type CompileResult struct {
 }
 
 // ProfileRequest selects a profiling run of a compiled session. Zero
-// values mean the service defaults.
+// options mean the service defaults; profile and report read the
+// profiling fields and Top.
 type ProfileRequest struct {
-	Session      string `json:"session"`
-	Slots        int    `json:"slots,omitempty"`
-	TreeHeight   int    `json:"tree_height,omitempty"`
-	Traditional  bool   `json:"traditional,omitempty"`
-	TrackControl bool   `json:"track_control,omitempty"`
-	Top          int    `json:"top,omitempty"`
+	Session string `json:"session"`
+	lowutil.Options
 }
 
 // Finding is one ranked low-utility structure in a profile result.

@@ -64,9 +64,9 @@ func cmdBatch(args []string) error {
 	reqs := make([]client.Job, len(all))
 	for i, w := range all {
 		reqs[i] = client.Job{Spec: client.Spec{
-			Kind:   client.KindReport,
-			Source: w.Source(*scale),
-			Top:    *top,
+			Kind:    lowutil.KindReport,
+			Source:  w.Source(*scale),
+			Options: lowutil.Options{Top: *top},
 		}}
 	}
 	start := time.Now()

@@ -17,6 +17,7 @@
 //	lowutil serve      [flags]          HTTP profiling service (v2 JSON API)
 //	lowutil batch      [flags]          all 18 workloads through the job queue
 //	lowutil fuzz       [flags]          randomized differential invariant fuzzing
+//	lowutil workloads  [-scale N] [NAME] list the built-in workloads, or print one's source
 //
 // Flags (fuzz): -seed root seed (default 1), -n programs (default 100),
 // -minutes time box, -max-failures early stop, -json machine-readable
@@ -27,8 +28,8 @@
 // Flags (profile): -s context slots (default 16), -top findings (default
 // 10), -n reference-tree height (default 4), -traditional for the
 // traditional-slicing ablation, -control for control-decision cost.
-// Every command rejects a negative -top, and a -s too large for the
-// program's tables, as a usage error (exit 2).
+// Every command rejects a negative -top, a -s too large for the program's
+// tables, and an unknown -mode as a usage error (exit 2).
 //
 // Flags (slice): -mode cha|rta call-graph construction (default rta),
 // -objctx for one level of receiver-object context in the points-to heap
@@ -54,6 +55,12 @@
 // phi placement, SCCP constant and dead-block verdicts, value-numbering
 // redundancies, and the loop forest with inferred trip counts and static
 // frequency weights.
+//
+// workloads lists the 18 built-in DaCapo-alike workloads with their bloat
+// profiles, or prints one's MJ source at -scale N (default 1), ready for
+// any other command:
+//
+//	lowutil workloads -scale 2 eclipse > eclipse.mj && lowutil profile eclipse.mj
 package main
 
 import (
@@ -66,6 +73,7 @@ import (
 	"runtime/pprof"
 
 	"lowutil"
+	"lowutil/internal/workloads"
 )
 
 func main() {
@@ -107,6 +115,8 @@ func main() {
 		err = cmdBatch(args)
 	case "fuzz":
 		err = cmdFuzz(args)
+	case "workloads":
+		err = cmdWorkloads(args)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -117,6 +127,11 @@ func main() {
 	var usageErr *usageError
 	if errors.As(err, &usageErr) {
 		fmt.Fprintf(os.Stderr, "lowutil %s: %v\n", cmd, err)
+		os.Exit(2)
+	}
+	var optErr *lowutil.OptionError
+	if errors.As(err, &optErr) {
+		fmt.Fprintf(os.Stderr, "lowutil %s: %s\n", cmd, optErr.Msg)
 		os.Exit(2)
 	}
 	var slotsErr *lowutil.SlotsError
@@ -139,7 +154,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: lowutil <command> [flags] <file.mj>
-commands: run, disasm, vet, ssa, slice, audit, profile, nullcheck, copies, predicates, overwrites, caches, serve, batch, fuzz`)
+commands: run, disasm, vet, ssa, slice, audit, profile, nullcheck, copies, predicates, overwrites, caches, serve, batch, fuzz, workloads`)
 }
 
 // startProfiles starts a CPU profile and/or arranges a post-run heap profile
@@ -202,6 +217,40 @@ func checkTop(top int) error {
 		return &usageError{fmt.Sprintf("-top %d must not be negative", top)}
 	}
 	return nil
+}
+
+// bindOptions declares on fs the analysis flags of kind — -s, -n,
+// -traditional and -control for profile, -mode and -objctx for slice and
+// audit, -top for all three — and returns the options they fill.
+func bindOptions(fs *flag.FlagSet, kind string) *lowutil.Options {
+	o := &lowutil.Options{}
+	switch kind {
+	case lowutil.KindProfile:
+		fs.IntVar(&o.Slots, "s", lowutil.DefaultSlots, "context slots per instruction (the paper's s)")
+		fs.IntVar(&o.TreeHeight, "n", lowutil.DefaultTreeHeight, "reference-tree height for n-RAC/n-RAB")
+		fs.BoolVar(&o.Traditional, "traditional", false, "use traditional (non-thin) slicing")
+		fs.BoolVar(&o.TrackControl, "control", false, "include control-decision cost (§3.2 alternative)")
+	case lowutil.KindSlice, lowutil.KindAudit:
+		fs.StringVar(&o.Mode, "mode", "rta", "call-graph construction: cha or rta")
+		fs.BoolVar(&o.ObjCtx, "objctx", false, "qualify allocation sites by one level of receiver-object context")
+	}
+	fs.IntVar(&o.Top, "top", lowutil.DefaultTop, "ranked entries to print")
+	return o
+}
+
+// parseAnalysis parses the flags of an analysis command bound by
+// bindOptions and returns its one file, rejecting a negative -top and an
+// unknown -mode before anything compiles.
+func parseAnalysis(fs *flag.FlagSet, kind string, o *lowutil.Options, args []string) (string, error) {
+	path, err := oneFile(fs, args)
+	if err != nil {
+		return "", err
+	}
+	if err := checkTop(o.Top); err != nil {
+		return "", err
+	}
+	_, err = o.Resolve(kind)
+	return path, err
 }
 
 func oneFile(fs *flag.FlagSet, args []string) (string, error) {
@@ -289,57 +338,28 @@ func cmdSSA(args []string) error {
 	return nil
 }
 
-func cmdSlice(args []string) error {
-	fs := flag.NewFlagSet("slice", flag.ContinueOnError)
-	mode := fs.String("mode", "rta", "call-graph construction: cha or rta")
-	objctx := fs.Bool("objctx", false, "qualify allocation sites by one level of receiver-object context")
-	top := fs.Int("top", lowutil.DefaultTop, "candidate locations to print")
-	path, err := oneFile(fs, args)
+func cmdSlice(args []string) error { return cmdStatic(lowutil.KindSlice, args) }
+
+func cmdAudit(args []string) error { return cmdStatic(lowutil.KindAudit, args) }
+
+// cmdStatic runs slice or audit: static analyses that never execute the
+// program and print byte-stable reports.
+func cmdStatic(kind string, args []string) error {
+	fs := flag.NewFlagSet(kind, flag.ContinueOnError)
+	o := bindOptions(fs, kind)
+	path, err := parseAnalysis(fs, kind, o, args)
 	if err != nil {
-		return err
-	}
-	if err := checkTop(*top); err != nil {
 		return err
 	}
 	prog, err := compileFile(path)
 	if err != nil {
 		return err
 	}
-	rep, err := prog.StaticSliceContext(context.Background(), staticOptions(*mode, *objctx, *top)...)
-	if err != nil {
-		return err
+	run := prog.StaticSliceContext
+	if kind == lowutil.KindAudit {
+		run = prog.StaticAudit
 	}
-	fmt.Print(rep)
-	return nil
-}
-
-// staticOptions translates the shared -mode/-objctx/-top flags into the
-// unified analysis options used by both slice and audit.
-func staticOptions(mode string, objctx bool, top int) []lowutil.AnalysisOption {
-	opts := []lowutil.AnalysisOption{lowutil.WithMode(mode), lowutil.WithTop(top)}
-	if objctx {
-		opts = append(opts, lowutil.WithObjCtx())
-	}
-	return opts
-}
-
-func cmdAudit(args []string) error {
-	fs := flag.NewFlagSet("audit", flag.ContinueOnError)
-	mode := fs.String("mode", "rta", "call-graph construction: cha or rta")
-	objctx := fs.Bool("objctx", false, "qualify allocation sites by one level of receiver-object context")
-	top := fs.Int("top", lowutil.DefaultTop, "ranked sites to print")
-	path, err := oneFile(fs, args)
-	if err != nil {
-		return err
-	}
-	if err := checkTop(*top); err != nil {
-		return err
-	}
-	prog, err := compileFile(path)
-	if err != nil {
-		return err
-	}
-	rep, err := prog.StaticAudit(context.Background(), staticOptions(*mode, *objctx, *top)...)
+	rep, err := run(context.Background(), lowutil.WithOptions(*o))
 	if err != nil {
 		return err
 	}
@@ -349,21 +369,14 @@ func cmdAudit(args []string) error {
 
 func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
-	slots := fs.Int("s", lowutil.DefaultSlots, "context slots per instruction (the paper's s)")
-	top := fs.Int("top", lowutil.DefaultTop, "findings to print")
-	height := fs.Int("n", lowutil.DefaultTreeHeight, "reference-tree height for n-RAC/n-RAB")
-	traditional := fs.Bool("traditional", false, "use traditional (non-thin) slicing")
-	control := fs.Bool("control", false, "include control-decision cost (§3.2 alternative)")
+	o := bindOptions(fs, lowutil.KindProfile)
 	hops := fs.Int("hops", 1, "heap-to-heap hops for multi-hop cost/benefit")
 	save := fs.String("save", "", "write the profile (Gcost + metadata) to this file for offline analysis")
 	load := fs.String("load", "", "analyze a previously saved profile instead of re-running")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after the run to this file")
-	path, err := oneFile(fs, args)
+	path, err := parseAnalysis(fs, lowutil.KindProfile, o, args)
 	if err != nil {
-		return err
-	}
-	if err := checkTop(*top); err != nil {
 		return err
 	}
 	prog, err := compileFile(path)
@@ -387,14 +400,7 @@ func cmdProfile(args []string) error {
 			return err
 		}
 	} else {
-		opts := []lowutil.ProfileOption{lowutil.WithSlots(*slots), lowutil.WithTreeHeight(*height)}
-		if *traditional {
-			opts = append(opts, lowutil.WithTraditional())
-		}
-		if *control {
-			opts = append(opts, lowutil.WithTrackControl())
-		}
-		profile, err = prog.ProfileContext(context.Background(), opts...)
+		profile, err = prog.ProfileContext(context.Background(), lowutil.WithOptions(*o))
 		if err != nil {
 			return err
 		}
@@ -415,13 +421,38 @@ func cmdProfile(args []string) error {
 	}
 	if *hops > 1 {
 		fmt.Printf("top low-utility structures (%d-hop):\n", *hops)
-		for i, f := range profile.TopStructuresMultiHop(*top, *hops) {
+		for i, f := range profile.TopStructuresMultiHop(o.Top, *hops) {
 			fmt.Printf("%3d. %s\n", i+1, f)
 		}
 		return nil
 	}
-	fmt.Print(profile.Report(*top))
+	fmt.Print(profile.Report(o.Top))
 	return nil
+}
+
+// cmdWorkloads lists the built-in workloads, or prints the named one's
+// source at -scale.
+func cmdWorkloads(args []string) error {
+	fs := flag.NewFlagSet("workloads", flag.ContinueOnError)
+	scale := fs.Int("scale", 1, "workload scale factor")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch fs.NArg() {
+	case 0:
+		for _, w := range workloads.All() {
+			fmt.Printf("%-11s %s\n", w.Name, w.Profile)
+		}
+		return nil
+	case 1:
+		w := workloads.ByName(fs.Arg(0))
+		if w == nil {
+			return fmt.Errorf("unknown workload %q (run lowutil workloads for the list)", fs.Arg(0))
+		}
+		fmt.Print(w.Source(*scale))
+		return nil
+	}
+	return fmt.Errorf("expected at most one workload name, got %d args", fs.NArg())
 }
 
 func cmdCaches(args []string) error {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lowutil"
+	"lowutil/internal/workloads"
 )
 
 const chartMJ = "testdata/chart.mj"
@@ -167,6 +168,52 @@ func TestCmdFuzz(t *testing.T) {
 	}
 }
 
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		out, _ := io.ReadAll(r)
+		done <- out
+	}()
+	fnErr := fn()
+	w.Close()
+	os.Stdout = old
+	return string(<-done), fnErr
+}
+
+// TestCmdWorkloads lists the built-in workloads and prints one's source,
+// which compiles.
+func TestCmdWorkloads(t *testing.T) {
+	list, err := captureStdout(t, func() error { return cmdWorkloads(nil) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(list, "\n"); n != 18 {
+		t.Errorf("list has %d lines, want 18:\n%s", n, list)
+	}
+	src, err := captureStdout(t, func() error { return cmdWorkloads([]string{"-scale", "1", "chart"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := workloads.ByName("chart").Source(1); src != want {
+		t.Error("workloads chart differs from the workload's source")
+	}
+	if _, err := lowutil.Compile(src); err != nil {
+		t.Errorf("dumped chart does not compile: %v", err)
+	}
+	if err := cmdWorkloads([]string{"nope"}); err == nil {
+		t.Error("want an error for an unknown workload")
+	}
+}
+
 func TestCmdErrors(t *testing.T) {
 	if err := cmdRun([]string{"testdata/missing.mj"}); err == nil {
 		t.Error("want missing-file error")
@@ -191,6 +238,14 @@ func TestCmdErrors(t *testing.T) {
 		var he *lowutil.HeapError
 		if err := run([]string{bomb}); !errors.As(err, &he) {
 			t.Errorf("%s on the allocation bomb: got %v, want *HeapError", name, err)
+		}
+	}
+	// An unknown call-graph mode is refused before the source compiles;
+	// main reports it as a usage error.
+	for name, run := range map[string]func([]string) error{"slice": cmdSlice, "audit": cmdAudit} {
+		var oe *lowutil.OptionError
+		if err := run([]string{"-mode", "bogus", "testdata/missing.mj"}); !errors.As(err, &oe) || oe.Field != "mode" {
+			t.Errorf("%s -mode bogus: got %v, want an *OptionError on mode", name, err)
 		}
 	}
 	// A negative -top is a usage error on every command that has one.

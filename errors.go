@@ -70,6 +70,17 @@ func (e *SlotsError) Error() string {
 	return fmt.Sprintf("lowutil: %d context slots exceed the profiling table budget for this program (at most %d)", e.Slots, e.Max)
 }
 
+// OptionError rejects a request field no analysis accepts: an unknown
+// kind or call-graph mode, or a missing source. Field names the field
+// ("kind", "mode" or "source"). The server answers it with 400 and the CLI
+// reports it as a usage error.
+type OptionError struct {
+	Field string
+	Msg   string
+}
+
+func (e *OptionError) Error() string { return "lowutil: " + e.Msg }
+
 // ProfileError is a failure inside a profiling or plain run: Stage names
 // the phase ("run", "analysis") and Err carries the cause — typically a
 // *interp.VMError, or a *HeapError around one.

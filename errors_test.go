@@ -178,18 +178,68 @@ class Main {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := prog.ProfileContext(context.Background(),
-		WithSlots(8), WithTreeHeight(2), WithWorkers(1))
+	pr, err := prog.ProfileContext(context.Background(), WithSlots(8), WithTreeHeight(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pr.height != 2 {
 		t.Errorf("WithTreeHeight(2) not applied: height=%d", pr.height)
 	}
-	// Defaults fold first: zero-value opts get the paper's configuration.
-	o := applyProfileOptions(nil)
-	if o.Slots != DefaultSlots || o.TreeHeight != DefaultTreeHeight {
-		t.Errorf("DefaultOptions not applied: %+v", o)
+	// Unset options resolve to the paper's configuration.
+	o, err := resolve(KindProfile, nil)
+	if err != nil || o.Slots != DefaultSlots || o.TreeHeight != DefaultTreeHeight {
+		t.Errorf("defaults not applied: %+v, %v", o, err)
+	}
+	// WithOptions replaces what came before it; later options still apply.
+	o, _ = resolve(KindProfile, []Option{WithSlots(4), WithOptions(Options{TreeHeight: 3}), WithTrackControl(), WithTop(7), WithTop(0)})
+	if want := (Options{Slots: DefaultSlots, TreeHeight: 3, TrackControl: true, Top: DefaultTop}); o != want {
+		t.Errorf("WithOptions fold = %+v, want %+v", o, want)
+	}
+}
+
+// TestOptionsResolve pins what each kind reads: unread fields are zeroed
+// and unset ones defaulted, so explicit defaults and unrelated fields
+// resolve equal; only slice and audit check the call-graph mode.
+func TestOptionsResolve(t *testing.T) {
+	all := Options{Slots: 8, TreeHeight: 2, Traditional: true, TrackControl: true, Mode: "cha", ObjCtx: true, Top: 3}
+	for _, c := range []struct {
+		kind string
+		in   Options
+		want Options
+	}{
+		{KindProfile, Options{}, Options{Slots: DefaultSlots, TreeHeight: DefaultTreeHeight, Top: DefaultTop}},
+		{KindReport, all, Options{Slots: 8, TreeHeight: 2, Traditional: true, TrackControl: true, Top: 3}},
+		{KindProfile, Options{Mode: "bogus", Top: -1}, Options{Slots: DefaultSlots, TreeHeight: DefaultTreeHeight, Top: DefaultTop}},
+		{KindAudit, Options{}, Options{Mode: "rta", Top: DefaultTop}},
+		{KindAudit, Options{Mode: "rta", Slots: 8}, Options{Mode: "rta", Top: DefaultTop}},
+		{KindSlice, all, Options{Mode: "cha", ObjCtx: true, Top: 3}},
+		{KindRun, all, Options{}},
+		{KindCompile, all, Options{}},
+	} {
+		got, err := c.in.Resolve(c.kind)
+		if err != nil || got != c.want {
+			t.Errorf("%+v.Resolve(%s) = %+v, %v; want %+v", c.in, c.kind, got, err, c.want)
+		}
+	}
+	for _, c := range []struct{ kind, mode, field string }{
+		{KindSlice, "bogus", "mode"},
+		{KindAudit, "RTA", "mode"},
+		{"nope", "", "kind"},
+	} {
+		var oe *OptionError
+		if _, err := (Options{Mode: c.mode}).Resolve(c.kind); !errors.As(err, &oe) || oe.Field != c.field {
+			t.Errorf("Resolve(%q) with mode %q: got %v, want an *OptionError on %s", c.kind, c.mode, err, c.field)
+		}
+	}
+	var oe *OptionError
+	if err := (Request{Kind: KindRun}).Validate(); !errors.As(err, &oe) || oe.Field != "source" {
+		t.Errorf("sourceless request: got %v, want an *OptionError on source", err)
+	}
+	if err := (Request{Kind: KindAudit, Source: "x", Options: Options{Mode: "bogus"}}).Validate(); !errors.As(err, &oe) || oe.Field != "mode" {
+		t.Errorf("bad-mode audit request: got %v, want an *OptionError on mode", err)
+	}
+	if err := (Request{Kind: KindProfile, Source: "x", Options: Options{Mode: "bogus"}}).Validate(); err != nil {
+		t.Errorf("a profile request ignores the mode, got %v", err)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // profileExec compiles and profiles a spec through the public facade — the
 // same execution path the server's job executor takes, minus the session
 // cache (the queue's own result store provides the reuse here).
-var profileExec = ExecutorFunc(func(ctx context.Context, spec Spec) (*Result, error) {
+var profileExec = ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
 	prog, err := lowutil.Compile(spec.Source)
 	if err != nil {
 		return nil, err
@@ -39,7 +39,7 @@ func BenchmarkJobThroughput(b *testing.B) {
 		q := New(Config{Executor: profileExec, Shards: 4, Workers: 4})
 		reqs := make([]Request, len(all))
 		for k, w := range all {
-			reqs[k] = Request{Spec: Spec{Kind: KindProfile, Source: w.Source(1), Slots: lowutil.DefaultSlots}}
+			reqs[k] = Request{Spec: lowutil.Request{Kind: lowutil.KindProfile, Source: w.Source(1), Options: lowutil.Options{Slots: lowutil.DefaultSlots}}}
 		}
 		_, subs, err := q.Submit(fmt.Sprintf("bench-%d", i), reqs)
 		if err != nil {

@@ -85,7 +85,7 @@ type job struct {
 	id       string
 	batch    string
 	index    int
-	spec     Spec
+	spec     lowutil.Request
 	hash     string
 	priority int
 	seq      int64     // global submission order, ties within a priority

@@ -14,9 +14,9 @@
 //   - Shard dispatchers hand execution to a shared par.Pool, which bounds
 //     how many jobs run concurrently across all shards — shards own
 //     ordering, the pool owns parallelism.
-//   - Results are stored content-addressed under Spec.Hash in an LRU;
-//     a resubmitted identical spec completes from the store without
-//     re-executing.
+//   - Results are stored content-addressed under lowutil.Request.Hash in
+//     an LRU; a resubmitted identical spec completes from the store
+//     without re-executing.
 //   - A transient failure (a canceled run, an evicted cache entry — see
 //     Transient) re-queues the job after base·2^(attempt-1) backoff,
 //     capped and jittered deterministically from the job ID, until
@@ -38,21 +38,22 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lowutil"
 	"lowutil/internal/par"
 )
 
-// Executor runs one spec to completion under ctx. Implementations must be
-// safe for concurrent use; the server's executor resolves specs through
-// its session LRU and memoized profile runs.
+// Executor runs one request to completion under ctx. Implementations must
+// be safe for concurrent use; the server's executor is the same function
+// its synchronous endpoints call.
 type Executor interface {
-	Execute(ctx context.Context, spec Spec) (*Result, error)
+	Execute(ctx context.Context, spec lowutil.Request) (*Result, error)
 }
 
 // ExecutorFunc adapts a function to the Executor interface.
-type ExecutorFunc func(ctx context.Context, spec Spec) (*Result, error)
+type ExecutorFunc func(ctx context.Context, spec lowutil.Request) (*Result, error)
 
 // Execute implements Executor.
-func (f ExecutorFunc) Execute(ctx context.Context, spec Spec) (*Result, error) {
+func (f ExecutorFunc) Execute(ctx context.Context, spec lowutil.Request) (*Result, error) {
 	return f(ctx, spec)
 }
 
@@ -283,6 +284,19 @@ func (q *Queue) startLocked() {
 	}
 }
 
+// Request is one job submission: the analysis request plus its scheduling
+// envelope. The spec is a lowutil.Request, the type every synchronous
+// surface carries, so a job runs exactly what a direct call would.
+type Request struct {
+	Spec lowutil.Request `json:"spec"`
+	// Priority orders jobs within the queue — higher runs earlier; equal
+	// priorities run in submission order.
+	Priority int `json:"priority,omitempty"`
+	// Deadline bounds the job's total lifetime from submission, across all
+	// retry attempts (0 = no per-job deadline).
+	Deadline time.Duration `json:"deadline,omitempty"`
+}
+
 // Submitted describes one job accepted (or deduplicated) by Submit.
 type Submitted struct {
 	ID        string `json:"id"`
@@ -400,7 +414,7 @@ func (q *Queue) gcLocked() {
 // jobID derives the stable job identifier: content-addressed over the
 // batch key, position, and spec, so a retried identical submission maps
 // onto the same IDs.
-func jobID(key string, index int, spec Spec) string {
+func jobID(key string, index int, spec lowutil.Request) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\x00%d\x00%s", key, index, spec.Hash())
 	return "j" + hex.EncodeToString(h.Sum(nil))[:23]
@@ -660,7 +674,7 @@ func (q *Queue) Events(ctx context.Context, id string, after int, fn func(Event)
 // EvictResult drops the content-addressed result for spec, reporting
 // whether one was resident. Tests use it to force the evicted-entry
 // recovery path; operators can use it to invalidate a result.
-func (q *Queue) EvictResult(spec Spec) bool { return q.store.evict(spec.Hash()) }
+func (q *Queue) EvictResult(spec lowutil.Request) bool { return q.store.evict(spec.Hash()) }
 
 // Stats snapshots the queue's counters.
 func (q *Queue) Stats() Stats {

@@ -23,10 +23,10 @@ func fakeResult(s string) *Result {
 // countExec is an executor counting executions per spec source.
 type countExec struct {
 	calls atomic.Int64
-	fail  func(spec Spec, call int64) error
+	fail  func(spec lowutil.Request, call int64) error
 }
 
-func (e *countExec) Execute(ctx context.Context, spec Spec) (*Result, error) {
+func (e *countExec) Execute(ctx context.Context, spec lowutil.Request) (*Result, error) {
 	n := e.calls.Add(1)
 	if e.fail != nil {
 		if err := e.fail(spec, n); err != nil {
@@ -39,7 +39,7 @@ func (e *countExec) Execute(ctx context.Context, spec Spec) (*Result, error) {
 	return fakeResult(spec.Source), nil
 }
 
-func testSpec(src string) Spec { return Spec{Kind: KindRun, Source: src} }
+func testSpec(src string) lowutil.Request { return lowutil.Request{Kind: lowutil.KindRun, Source: src} }
 
 // waitTerminal polls until job id is terminal or the deadline passes.
 func waitTerminal(t *testing.T, q *Queue, id string) *Status {
@@ -137,7 +137,7 @@ func TestIdempotentSubmit(t *testing.T) {
 // success; the event log shows the retry trail in order.
 func TestRetryBackoff(t *testing.T) {
 	exec := &countExec{}
-	exec.fail = func(spec Spec, call int64) error {
+	exec.fail = func(spec lowutil.Request, call int64) error {
 		if call <= 2 {
 			return Transient(errors.New("flaky"))
 		}
@@ -176,7 +176,7 @@ func TestRetryBackoff(t *testing.T) {
 // TestRetryExhaustion: a persistently transient failure fails after
 // MaxAttempts with a retryable error code.
 func TestRetryExhaustion(t *testing.T) {
-	exec := &countExec{fail: func(Spec, int64) error { return Transient(errors.New("always down")) }}
+	exec := &countExec{fail: func(lowutil.Request, int64) error { return Transient(errors.New("always down")) }}
 	q := New(Config{Executor: exec, MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
 	defer q.Drain()
 
@@ -198,7 +198,7 @@ func TestRetryExhaustion(t *testing.T) {
 
 // TestPermanentFailureNoRetry: a non-transient error fails immediately.
 func TestPermanentFailureNoRetry(t *testing.T) {
-	exec := &countExec{fail: func(Spec, int64) error { return errors.New("broken spec") }}
+	exec := &countExec{fail: func(lowutil.Request, int64) error { return errors.New("broken spec") }}
 	q := New(Config{Executor: exec})
 	defer q.Drain()
 
@@ -219,7 +219,7 @@ func TestPermanentFailureNoRetry(t *testing.T) {
 // "deadline" and is not retried past it.
 func TestJobDeadline(t *testing.T) {
 	block := make(chan struct{})
-	exec := ExecutorFunc(func(ctx context.Context, spec Spec) (*Result, error) {
+	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
 		select {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("%w: %w", lowutil.ErrCanceled, ctx.Err())
@@ -247,7 +247,7 @@ func TestPriorityOrdering(t *testing.T) {
 	var order []string
 	started := make(chan string, 8)
 	gate := make(chan struct{})
-	exec := ExecutorFunc(func(ctx context.Context, spec Spec) (*Result, error) {
+	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
 		if spec.Source == "gate" {
 			<-gate // hold the only worker so the rest queue up
 		} else {
@@ -288,7 +288,7 @@ func TestPriorityOrdering(t *testing.T) {
 func TestDrainRequeuesInFlight(t *testing.T) {
 	release := make(chan struct{})
 	var interrupted atomic.Bool
-	exec := ExecutorFunc(func(ctx context.Context, spec Spec) (*Result, error) {
+	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
 		select {
 		case <-ctx.Done():
 			interrupted.Store(true)
@@ -343,7 +343,7 @@ func TestDrainRequeuesInFlight(t *testing.T) {
 // stream are identical, and replay-from-seq resumes mid-stream.
 func TestEventsReplayDeterministic(t *testing.T) {
 	exec := &countExec{}
-	exec.fail = func(spec Spec, call int64) error {
+	exec.fail = func(spec lowutil.Request, call int64) error {
 		if call == 1 {
 			return Transient(errors.New("blip"))
 		}
@@ -390,7 +390,7 @@ func TestEventsReplayDeterministic(t *testing.T) {
 // TestQueueFull: submissions over Depth are rejected with ErrQueueFull.
 func TestQueueFull(t *testing.T) {
 	block := make(chan struct{})
-	exec := ExecutorFunc(func(ctx context.Context, spec Spec) (*Result, error) {
+	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
 		<-block
 		return fakeResult(spec.Source), nil
 	})

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"lowutil"
 )
 
 // TestConcurrentSoak hammers the queue's whole public surface from many
@@ -24,7 +26,7 @@ func TestConcurrentSoak(t *testing.T) {
 	if testing.Short() {
 		dur = 300 * time.Millisecond
 	}
-	exec := &countExec{fail: func(spec Spec, call int64) error {
+	exec := &countExec{fail: func(spec lowutil.Request, call int64) error {
 		// The end-of-test liveness probe must succeed deterministically;
 		// every soak job takes a fault roughly every 17th execution.
 		if call%17 == 0 && spec.Source != "soak final probe" {

@@ -6,7 +6,7 @@ import (
 )
 
 // store is the content-addressed result cache: completed results keyed by
-// Spec.Hash, bounded by an LRU — the same discipline as the server's
+// lowutil.Request.Hash, bounded by an LRU — the same discipline as the server's
 // session cache. A resubmitted spec whose result is still resident
 // completes instantly; an evicted entry just means the work runs again.
 type store struct {

@@ -28,6 +28,11 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 // nest at most 6 blocks and 2 parentheses deep.
 const MaxNesting = 1000
 
+// MaxDims bounds the dimensions of an array type, as the JVM bounds them
+// at 255. Without a bound, a run of `[]` pairs inside the body limit
+// would make every later stage pay per dimension.
+const MaxDims = 255
+
 // Parse parses a complete MJ compilation unit. The parser pulls tokens
 // from the lexer as it goes, so its memory follows the lookahead and the
 // nesting depth rather than the source size, and a hostile source fails at
@@ -46,8 +51,8 @@ func Parse(src string) (*ast.Program, error) {
 type parser struct {
 	lx *lexer.Lexer
 	// buf holds the lookahead: buf[off:] are tokens read from the lexer but
-	// not consumed yet. It resets when drained and grows only while
-	// peekKind looks past `[]` pairs.
+	// not consumed yet. It resets when drained and never holds more than
+	// three tokens.
 	buf []lexer.Token
 	off int
 	// last is the position of the last token read from the lexer. The
@@ -256,13 +261,25 @@ func (p *parser) typeRef() (*ast.TypeRef, error) {
 		return nil, p.errf(t.Pos, "expected type, found %s", t)
 	}
 	p.next()
-	tr := &ast.TypeRef{Base: base, Pos: t.Pos}
-	for p.at(lexer.LBracket) && p.peekKind(1) == lexer.RBracket {
-		p.next()
-		p.next()
-		tr.Dims++
+	dims, err := p.dims(0)
+	if err != nil {
+		return nil, err
 	}
-	return tr, nil
+	return &ast.TypeRef{Base: base, Dims: dims, Pos: t.Pos}, nil
+}
+
+// dims consumes the `[]` pairs that follow n dimensions already read and
+// returns the total, failing past MaxDims.
+func (p *parser) dims(n int) (int, error) {
+	for p.at(lexer.LBracket) && p.peekKind(1) == lexer.RBracket {
+		if n == MaxDims {
+			return 0, p.errf(p.cur().Pos, "array types have at most %d dimensions", MaxDims)
+		}
+		p.next()
+		p.next()
+		n++
+	}
+	return n, nil
 }
 
 // startsType reports whether the upcoming tokens begin a local variable
@@ -274,12 +291,15 @@ func (p *parser) startsType() bool {
 	case lexer.KwInt, lexer.KwBoolean:
 		return true
 	case lexer.Ident:
-		// ID followed by ident → declaration; ID[] … ident → declaration.
-		i := 1
-		for p.peekKind(i) == lexer.LBracket && p.peekKind(i+1) == lexer.RBracket {
-			i += 2
+		// ID followed by ident → declaration; ID[] → declaration, since an
+		// index expression has an operand between its brackets. Deciding
+		// at the first pair keeps the lookahead at three tokens.
+		switch p.peekKind(1) {
+		case lexer.Ident:
+			return true
+		case lexer.LBracket:
+			return p.peekKind(2) == lexer.RBracket
 		}
-		return p.peekKind(i) == lexer.Ident
 	}
 	return false
 }
@@ -688,11 +708,9 @@ func (p *parser) primary() (ast.Expr, error) {
 		if _, err := p.expect(lexer.RBracket); err != nil {
 			return nil, err
 		}
-		dims := 1
-		for p.at(lexer.LBracket) && p.peekKind(1) == lexer.RBracket {
-			p.next()
-			p.next()
-			dims++
+		dims, err := p.dims(1)
+		if err != nil {
+			return nil, err
 		}
 		return &ast.NewArrayExpr{Base: baseName, Dims: dims, Len: length, Pos: t.Pos}, nil
 	case lexer.Ident:

@@ -248,6 +248,7 @@ func TestErrorPositions(t *testing.T) {
 		{`class A { void f() { int x = 99999999999999999999; } }`, "1:30: integer literal overflows int64"},
 		{`class A { } 99999999999999999999`, "1:13: integer literal overflows int64"},
 		{`class A { int 3 @ }`, "1:15: expected identifier, found 3"},
+		{`class Main { static void main() { Foo[] = 3; } }`, "1:41: expected identifier, found ="},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.src); err == nil || err.Error() != c.want {
@@ -256,30 +257,37 @@ func TestErrorPositions(t *testing.T) {
 	}
 }
 
-// TestTokenFloodBounded parses a flood of parentheses, bare and inside an
-// initializer. Each fails at its first error (the missing class keyword,
-// the nesting bound) with the memory of the lexer's rune copy, not of a
+// TestTokenFloodBounded parses floods of parentheses, bare and inside an
+// initializer, and of `[]` pairs after a type in a declaration. Each fails
+// at its first error (the missing class keyword, the nesting bound, the
+// dimension bound) with the memory of the lexer's rune copy, not of a
 // token per byte.
 func TestTokenFloodBounded(t *testing.T) {
 	n := 16 << 20
 	if testing.Short() {
 		n = 1 << 20
 	}
-	cases := []struct{ prefix, want string }{
-		{"", "1:1: expected class, found ("},
-		{"class Main { static void main() { int x = ", "1:1043: expressions nest deeper than 1000 levels"},
+	const dimsErr = "1:548: array types have at most 255 dimensions"
+	const body = "class Main { static void main() { "
+	cases := []struct{ prefix, unit, suffix, want string }{
+		{"", "(", "", "1:1: expected class, found ("},
+		{"class Main { static void main() { int x = ", "(", "", "1:1043: expressions nest deeper than 1000 levels"},
+		{body + "Foo", "[]", " x; } }", dimsErr},
+		{body + "int", "[]", " x; } }", dimsErr},
+		{body + "Foo", "[]", " = 3; } }", dimsErr},
+		{body + "int", "[]", " = 3; } }", dimsErr},
 	}
 	for _, c := range cases {
-		src := c.prefix + strings.Repeat("(", n)
+		src := c.prefix + strings.Repeat(c.unit, n/len(c.unit)) + c.suffix
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := Parse(src)
 		runtime.ReadMemStats(&after)
 		if err == nil || err.Error() != c.want {
-			t.Errorf("%.20q flood: got %v, want %s", c.prefix, err, c.want)
+			t.Errorf("%.40q flood of %q: got %v, want %s", c.prefix, c.unit, err, c.want)
 		}
 		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 100 {
-			t.Errorf("%.20q flood: allocated %d MB, want at most 100", c.prefix, mb)
+			t.Errorf("%.40q flood of %q: allocated %d MB, want at most 100", c.prefix, c.unit, mb)
 		}
 	}
 }

@@ -33,9 +33,11 @@ func postRaw(t *testing.T, url, body string) (int, http.Header, []byte) {
 
 // TestErrorEnvelopeTable drives every externally reachable error path of
 // the /v2 surface through one table: malformed JSON, unknown resources,
-// invalid query parameters. Each row asserts the transport status plus the
-// unified envelope's code and retryable bit, so a handler that starts
-// leaking raw errors (or flipping retryability) fails here by name.
+// invalid query parameters, unknown call-graph modes. Each row asserts the
+// transport status plus the unified envelope's code and retryable bit, so
+// a handler that starts leaking raw errors (or flipping retryability)
+// fails here by name. A 200 row (no code) pins a field an endpoint
+// ignores.
 func TestErrorEnvelopeTable(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := compileSession(t, ts.URL, workSrc)
@@ -59,6 +61,13 @@ func TestErrorEnvelopeTable(t *testing.T) {
 		{"saved profile with a nodeless location", "POST", "/v2/profile/load",
 			fmt.Sprintf(`{"session":%q,"profile":%s}`, id, nodelessProfile(t, ts.URL, id)),
 			http.StatusBadRequest, "bad_request", false},
+		{"unknown mode to slice", "POST", "/v2/slice", fmt.Sprintf(`{"session":%q,"mode":"bogus"}`, id), http.StatusBadRequest, "bad_request", false},
+		{"unknown mode to audit", "POST", "/v2/audit", fmt.Sprintf(`{"session":%q,"mode":"bogus"}`, id), http.StatusBadRequest, "bad_request", false},
+		{"unknown mode in an audit job", "POST", "/v2/jobs",
+			fmt.Sprintf(`{"jobs":[{"kind":"audit","source":%q,"mode":"bogus"}]}`, workSrc),
+			http.StatusBadRequest, "bad_request", false},
+		{"profile ignores mode", "POST", "/v2/profile", fmt.Sprintf(`{"session":%q,"mode":"bogus"}`, id), http.StatusOK, "", false},
+		{"report ignores mode", "POST", "/v2/report", fmt.Sprintf(`{"session":%q,"mode":"bogus"}`, id), http.StatusOK, "", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,6 +94,9 @@ func TestErrorEnvelopeTable(t *testing.T) {
 			if ct := hdr.Get("Content-Type"); ct != "application/json" {
 				t.Errorf("Content-Type = %q, want application/json", ct)
 			}
+			if tc.code == "" {
+				return
+			}
 			eb := decodeEnvelope(t, body)
 			if eb.Code != tc.code || eb.Retryable != tc.retryable {
 				t.Errorf("envelope = %+v, want code %q retryable %v", eb, tc.code, tc.retryable)
@@ -97,7 +109,7 @@ func TestErrorEnvelopeTable(t *testing.T) {
 // location-store entry at no node ("n": -1).
 func nodelessProfile(t *testing.T, base, id string) []byte {
 	t.Helper()
-	code, body := postJSON(t, base+"/v2/profile/save", profileRequest{Session: id})
+	code, body := postJSON(t, base+"/v2/profile/save", sessionRequest{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("save: %d %s", code, body)
 	}
@@ -139,8 +151,8 @@ func TestOversizedSlotsRejected(t *testing.T) {
 				t.Errorf("%s slots=%d: envelope %+v, want non-retryable bad_request", path, slots, eb)
 			}
 		}
-		job := jobs.Spec{Kind: jobs.KindReport, Source: workSrc, Slots: slots}
-		code, out := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Jobs: []jobSubmission{{Spec: job}}})
+		job := lowutil.Request{Kind: lowutil.KindReport, Source: workSrc, Options: lowutil.Options{Slots: slots}}
+		code, out := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Jobs: []jobSubmission{{Request: job}}})
 		if code != http.StatusBadRequest {
 			t.Fatalf("job slots=%d: status %d, want 400 at submission; body %s", slots, code, out)
 		}
@@ -149,11 +161,11 @@ func TestOversizedSlotsRejected(t *testing.T) {
 		}
 	}
 	// A count above the default but within budget is still accepted.
-	job := jobs.Spec{Kind: jobs.KindReport, Source: workSrc, Slots: 32}
-	if code, out := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Jobs: []jobSubmission{{Spec: job}}}); code != http.StatusOK {
+	job := lowutil.Request{Kind: lowutil.KindReport, Source: workSrc, Options: lowutil.Options{Slots: 32}}
+	if code, out := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Jobs: []jobSubmission{{Request: job}}}); code != http.StatusOK {
 		t.Fatalf("job slots=32: status %d, want 200; body %s", code, out)
 	}
-	code, out := postJSON(t, ts.URL+"/v2/profile", profileRequest{Session: id})
+	code, out := postJSON(t, ts.URL+"/v2/profile", sessionRequest{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("normal profile after rejections: %d %s", code, out)
 	}
@@ -163,6 +175,30 @@ func TestOversizedSlotsRejected(t *testing.T) {
 	}
 	if resp.Steps == 0 || len(resp.Top) == 0 {
 		t.Errorf("normal profile after rejections is empty: %+v", resp)
+	}
+}
+
+// TestUnknownModeLeavesNoMemo sends distinct unknown call-graph modes to
+// /v2/audit: each is a 400 checked before the memo, so the session's audit
+// memo gains no entry and no analysis runs.
+func TestUnknownModeLeavesNoMemo(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	id := compileSession(t, ts.URL, workSrc)
+	for i := range 5 {
+		body := fmt.Sprintf(`{"session":%q,"mode":"bogus%d"}`, id, i)
+		if code, _, out := postRaw(t, ts.URL+"/v2/audit", body); code != http.StatusBadRequest {
+			t.Fatalf("mode bogus%d: status %d, want 400; body %s", i, code, out)
+		}
+	}
+	sess, ok := s.sessions.get(id)
+	if !ok {
+		t.Fatal("session vanished")
+	}
+	if n := sess.cachedAudits(); n != 0 {
+		t.Errorf("unknown modes left %d audit memo entries, want 0", n)
+	}
+	if got := metricValue(t, ts.URL, "lowutil_audit_cache_misses_total"); got != 0 {
+		t.Errorf("audit cache misses = %d, want 0 (no analysis ran)", got)
 	}
 }
 
@@ -192,7 +228,7 @@ func TestHeapBudgetEnvelope(t *testing.T) {
 		id := compileSession(t, ts.URL, bomb.src)
 		for _, path := range []string{"/v2/run", "/v2/profile", "/v2/report"} {
 			t.Run(bomb.name+" "+path, func(t *testing.T) {
-				code, out := postJSON(t, ts.URL+path, profileRequest{Session: id})
+				code, out := postJSON(t, ts.URL+path, sessionRequest{Session: id})
 				if code != http.StatusUnprocessableEntity {
 					t.Fatalf("status %d, want 422; body %s", code, out)
 				}
@@ -203,8 +239,8 @@ func TestHeapBudgetEnvelope(t *testing.T) {
 			})
 		}
 		t.Run(bomb.name+" job", func(t *testing.T) {
-			spec := jobs.Spec{Kind: jobs.KindProfile, Source: bomb.src}
-			code, out := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Jobs: []jobSubmission{{Spec: spec}}})
+			spec := lowutil.Request{Kind: lowutil.KindProfile, Source: bomb.src}
+			code, out := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Jobs: []jobSubmission{{Request: spec}}})
 			if code != http.StatusOK {
 				t.Fatalf("submit: %d %s", code, out)
 			}
@@ -233,7 +269,7 @@ func TestQueueFullRetryAfter(t *testing.T) {
 			FaultHook: func(string, int) error { <-block; return errors.New("never") },
 		},
 	})
-	postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "fill", Jobs: []jobSubmission{{Spec: jobs.Spec{Kind: jobs.KindRun, Source: workSrc}}}})
+	postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "fill", Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: workSrc}}}})
 	code, hdr, body := postRaw(t, ts.URL+"/v2/jobs",
 		`{"key":"over","jobs":[{"kind":"compile","source":"class Main { static void main() { print(1); } }"}]}`)
 	if code != http.StatusTooManyRequests {
@@ -284,6 +320,7 @@ func TestClassifyErrTable(t *testing.T) {
 		{"compile error", compileErr, http.StatusUnprocessableEntity, "compile_error", false},
 		{"bad request", &badRequestError{errors.New("nope")}, http.StatusBadRequest, "bad_request", false},
 		{"oversized slots", fmt.Errorf("job 0: %w", &lowutil.SlotsError{Slots: 1 << 40, Max: 1000}), http.StatusBadRequest, "bad_request", false},
+		{"unknown mode", fmt.Errorf("job 0: %w", &lowutil.OptionError{Field: "mode", Msg: `unknown call-graph mode "bogus" (want cha or rta)`}), http.StatusBadRequest, "bad_request", false},
 		{"unknown session", fmt.Errorf("%w: s1", errUnknownSession), http.StatusNotFound, "not_found", false},
 		{"unknown job", fmt.Errorf("%w: j1", errUnknownJob), http.StatusNotFound, "not_found", false},
 		{"queue full", fmt.Errorf("submit: %w", jobs.ErrQueueFull), http.StatusTooManyRequests, "at_capacity", true},

@@ -15,87 +15,29 @@ import (
 	"lowutil/internal/jobs"
 )
 
-// This file is the server shell around the internal/jobs queue: the spec
-// executor that resolves batch work through the same session LRU and
-// memoized runs as the synchronous /v2/* endpoints, and the three job
-// endpoints (submit, status, NDJSON event stream).
+// This file is the server shell around the internal/jobs queue: the job
+// executor, which runs each lowutil.Request through the same session LRU,
+// memoized runs and executor as the synchronous /v2/* endpoints, and the
+// three job endpoints (submit, status, NDJSON event stream).
 
 var errUnknownJob = errors.New("unknown job or batch")
 
-// executeSpec runs one job spec to completion. Each kind produces exactly
-// the JSON body its synchronous endpoint would have returned on a cold
-// cache, so a batch of jobs and a sequence of direct calls are
-// byte-identical. cache_hit is never set in job payloads: results are
-// content-addressed, and whether a run was memoized is scheduling noise
-// that would break deterministic replay.
-func (s *Server) executeSpec(ctx context.Context, spec jobs.Spec) (*jobs.Result, error) {
-	sess, _, err := s.compileSession(spec.Source, spec.MainClass, spec.MainMethod)
+// executeJob runs one job: it compiles (or finds) the request's session
+// and calls execute, so each kind produces exactly the JSON body its
+// synchronous endpoint would have returned on a cold cache, and a batch of
+// jobs and a sequence of direct calls are byte-identical. cache_hit is
+// never set in job payloads: results are content-addressed, and whether a
+// run was memoized is scheduling noise that would break deterministic
+// replay.
+func (s *Server) executeJob(ctx context.Context, req lowutil.Request) (*jobs.Result, error) {
+	sess, _, err := s.compileSession(req.Source, req.MainClass, req.MainMethod)
 	if err != nil {
 		return nil, err
 	}
-	var payload any
-	switch spec.Kind {
-	case jobs.KindCompile:
-		payload = compileResponse{Session: sess.ID, Instructions: sess.Prog.NumInstructions()}
-
-	case jobs.KindRun:
-		res, err := sess.Prog.RunContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		out := res.Output
-		if out == nil {
-			out = []int64{}
-		}
-		payload = runResponse{
-			Session: sess.ID, Output: out,
-			Steps: res.Steps, Allocs: res.Allocs, NativeWork: res.NativeWork,
-		}
-
-	case jobs.KindProfile:
-		pr, _, err := s.cachedProfile(ctx, sess, specProfileParams(spec))
-		if err != nil {
-			return nil, err
-		}
-		payload = newProfileResponse(sess.ID, false, pr, topOrDefault(spec.Top))
-
-	case jobs.KindReport:
-		pr, _, err := s.cachedProfile(ctx, sess, specProfileParams(spec))
-		if err != nil {
-			return nil, err
-		}
-		payload = reportResponse{Session: sess.ID, Report: pr.Report(topOrDefault(spec.Top))}
-
-	case jobs.KindSlice:
-		opts := []lowutil.SliceOption{lowutil.WithTop(spec.Top)}
-		if spec.Mode != "" {
-			opts = append(opts, lowutil.WithMode(spec.Mode))
-		}
-		if spec.ObjCtx {
-			opts = append(opts, lowutil.WithObjCtx())
-		}
-		rep, err := sess.Prog.StaticSliceContext(ctx, opts...)
-		if err != nil {
-			return nil, err
-		}
-		payload = reportResponse{Session: sess.ID, Report: rep}
-
-	case jobs.KindAudit:
-		rep, hit, err := sess.audit(ctx, auditKey{Mode: spec.Mode, ObjCtx: spec.ObjCtx, Top: topOrDefault(spec.Top)})
-		if hit {
-			s.met.auditHits.Add(1)
-		} else {
-			s.met.auditMisses.Add(1)
-		}
-		if err != nil {
-			return nil, err
-		}
-		payload = reportResponse{Session: sess.ID, Report: rep}
-
-	default:
-		return nil, &badRequestError{fmt.Errorf("unknown job kind %q", spec.Kind)}
+	payload, err := s.execute(ctx, sess, req.Kind, req.Options, false)
+	if err != nil {
+		return nil, err
 	}
-
 	// Compact encoding: identical to the synchronous body modulo JSON
 	// framing (the synchronous path streams via Encoder, which appends a
 	// newline that re-marshaling a RawMessage would strip anyway).
@@ -103,32 +45,14 @@ func (s *Server) executeSpec(ctx context.Context, spec jobs.Spec) (*jobs.Result,
 	if err != nil {
 		return nil, err
 	}
-	return &jobs.Result{Kind: spec.Kind, Payload: raw}, nil
-}
-
-// specProfileParams maps a job spec's profiling fields onto the memoized
-// run key shared with the synchronous endpoints.
-func specProfileParams(spec jobs.Spec) profileParams {
-	return profileParams{
-		Slots: spec.Slots, TreeHeight: spec.TreeHeight,
-		Traditional: spec.Traditional, TrackControl: spec.TrackControl,
-	}
-}
-
-// topOrDefault maps a request's top (0 or negative when unset) to the
-// count of findings to render.
-func topOrDefault(top int) int {
-	if top <= 0 {
-		return lowutil.DefaultTop
-	}
-	return top
+	return &jobs.Result{Kind: req.Kind, Payload: raw}, nil
 }
 
 // ---- job endpoints ----
 
 // jobSubmission is one job of a batch submission.
 type jobSubmission struct {
-	jobs.Spec
+	lowutil.Request
 	// Priority orders jobs in the queue — higher runs earlier.
 	Priority int `json:"priority,omitempty"`
 	// DeadlineMS bounds the job's total lifetime from submission in
@@ -164,11 +88,11 @@ func (s *Server) handleJobsSubmit(ctx context.Context, r *http.Request) (any, er
 	}
 	reqs := make([]jobs.Request, len(req.Jobs))
 	for i, j := range req.Jobs {
-		if err := s.checkSpecSlots(j.Spec); err != nil {
+		if err := s.checkSlots(j.Request); err != nil {
 			return nil, fmt.Errorf("job %d: %w", i, err)
 		}
 		reqs[i] = jobs.Request{
-			Spec:     j.Spec,
+			Spec:     j.Request,
 			Priority: j.Priority,
 			Deadline: time.Duration(j.DeadlineMS) * time.Millisecond,
 		}
@@ -189,20 +113,22 @@ func (s *Server) handleJobsSubmit(ctx context.Context, r *http.Request) (any, er
 	return jobsResponse{Batch: batch, Jobs: subs}, nil
 }
 
-// checkSpecSlots rejects a profiling spec whose slot count the facade
-// would refuse, so the batch fails at submission rather than as a job.
-// The table budget admits the default count on every source the server
-// accepts, so only larger counts compile the source here; a source that
-// does not compile is left for its job to report.
-func (s *Server) checkSpecSlots(spec jobs.Spec) error {
-	if (spec.Kind != jobs.KindProfile && spec.Kind != jobs.KindReport) || spec.Slots <= lowutil.DefaultSlots {
-		return nil
+// checkSlots rejects a job whose slot count the facade would refuse, so
+// the batch fails at submission rather than as a job. Only profile and
+// report read slots, and the table budget admits the default count on
+// every source the server accepts, so only larger counts compile the
+// source here; a source that does not compile is left for its job to
+// report. An option error (an unknown kind or mode) is returned as is.
+func (s *Server) checkSlots(req lowutil.Request) error {
+	o, err := req.Options.Resolve(req.Kind)
+	if err != nil || o.Slots <= lowutil.DefaultSlots {
+		return err
 	}
-	sess, _, err := s.compileSession(spec.Source, spec.MainClass, spec.MainMethod)
+	sess, _, err := s.compileSession(req.Source, req.MainClass, req.MainMethod)
 	if err != nil {
 		return nil
 	}
-	return sess.Prog.CheckSlots(spec.Slots)
+	return sess.Prog.CheckSlots(o.Slots)
 }
 
 // contentKey derives an idempotency key for keyless submissions from the

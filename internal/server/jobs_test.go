@@ -67,8 +67,8 @@ func TestJobsBatchMatchesSynchronous(t *testing.T) {
 	code, body := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{
 		Key: "batch-sync-diff",
 		Jobs: []jobSubmission{
-			{Spec: jobs.Spec{Kind: jobs.KindProfile, Source: workSrc}},
-			{Spec: jobs.Spec{Kind: jobs.KindReport, Source: workSrc, Top: 5}},
+			{Request: lowutil.Request{Kind: lowutil.KindProfile, Source: workSrc}},
+			{Request: lowutil.Request{Kind: lowutil.KindReport, Source: workSrc, Options: lowutil.Options{Top: 5}}},
 		},
 	})
 	if code != http.StatusOK {
@@ -92,10 +92,10 @@ func TestJobsBatchMatchesSynchronous(t *testing.T) {
 	// memoized run: identical bytes.
 	_, ts2 := newTestServer(t, Config{})
 	id := compileSession(t, ts2.URL, workSrc)
-	_, syncProfile := postJSON(t, ts2.URL+"/v2/profile", profileRequest{Session: id})
+	_, syncProfile := postJSON(t, ts2.URL+"/v2/profile", sessionRequest{Session: id})
 	_, ts3 := newTestServer(t, Config{})
 	id3 := compileSession(t, ts3.URL, workSrc)
-	_, syncReport := postJSON(t, ts3.URL+"/v2/report", profileRequest{Session: id3, Top: 5})
+	_, syncReport := postJSON(t, ts3.URL+"/v2/report", sessionRequest{Session: id3, Options: lowutil.Options{Top: 5}})
 	if got, want := compact(t, bs.Jobs[0].Result.Payload), compact(t, syncProfile); got != want {
 		t.Errorf("async profile diverges from synchronous:\n%s\nvs\n%s", got, want)
 	}
@@ -119,7 +119,7 @@ func compact(t *testing.T, raw []byte) string {
 // IDs flagged duplicate; conflicting reuse maps to the 409 envelope.
 func TestJobsIdempotentSubmission(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := jobsRequest{Key: "idem", Jobs: []jobSubmission{{Spec: jobs.Spec{Kind: jobs.KindRun, Source: workSrc}}}}
+	req := jobsRequest{Key: "idem", Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: workSrc}}}}
 	_, body := postJSON(t, ts.URL+"/v2/jobs", req)
 	var first jobsResponse
 	json.Unmarshal(body, &first)
@@ -133,7 +133,7 @@ func TestJobsIdempotentSubmission(t *testing.T) {
 		t.Error("resubmission not flagged duplicate")
 	}
 
-	req.Jobs[0].Spec.Source = workSrc + "\n"
+	req.Jobs[0].Source = workSrc + "\n"
 	code, body := postJSON(t, ts.URL+"/v2/jobs", req)
 	if code != http.StatusConflict {
 		t.Fatalf("conflicting reuse: %d: %s", code, body)
@@ -149,7 +149,7 @@ func TestJobEventsNDJSON(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	_, body := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{
 		Key:  "events",
-		Jobs: []jobSubmission{{Spec: jobs.Spec{Kind: jobs.KindRun, Source: workSrc}}},
+		Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: workSrc}}},
 	})
 	var jr jobsResponse
 	json.Unmarshal(body, &jr)
@@ -237,8 +237,8 @@ func TestJobsFaultRecovery(t *testing.T) {
 	_, body := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{
 		Key: "faults",
 		Jobs: []jobSubmission{
-			{Spec: jobs.Spec{Kind: jobs.KindProfile, Source: workSrc}},
-			{Spec: jobs.Spec{Kind: jobs.KindAudit, Source: "// variant\n" + workSrc}},
+			{Request: lowutil.Request{Kind: lowutil.KindProfile, Source: workSrc}},
+			{Request: lowutil.Request{Kind: lowutil.KindAudit, Source: "// variant\n" + workSrc}},
 		},
 	})
 	var jr jobsResponse
@@ -273,8 +273,8 @@ func TestJobsQueueFullEnvelope(t *testing.T) {
 			FaultHook: func(string, int) error { <-block; return errors.New("never") },
 		},
 	})
-	postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "fill", Jobs: []jobSubmission{{Spec: jobs.Spec{Kind: jobs.KindRun, Source: workSrc}}}})
-	code, body := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "over", Jobs: []jobSubmission{{Spec: jobs.Spec{Kind: jobs.KindCompile, Source: workSrc}}}})
+	postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "fill", Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: workSrc}}}})
+	code, body := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "over", Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindCompile, Source: workSrc}}}})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-depth submit: %d: %s", code, body)
 	}

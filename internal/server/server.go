@@ -68,7 +68,7 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 	}
 	jc := cfg.Jobs
-	jc.Executor = jobs.ExecutorFunc(s.executeSpec)
+	jc.Executor = jobs.ExecutorFunc(s.executeJob)
 	s.jobs = jobs.New(jc)
 	s.routes()
 	return s
@@ -81,13 +81,11 @@ func (s *Server) Close() { s.jobs.Drain() }
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v2/compile", s.instrument("compile", false, s.handleCompile))
-	s.mux.HandleFunc("POST /v2/profile", s.instrument("profile", true, s.handleProfile))
-	s.mux.HandleFunc("POST /v2/report", s.instrument("report", true, s.handleReport))
-	s.mux.HandleFunc("POST /v2/slice", s.instrument("slice", true, s.handleSlice))
-	s.mux.HandleFunc("POST /v2/audit", s.instrument("audit", true, s.handleAudit))
+	for _, kind := range []string{lowutil.KindProfile, lowutil.KindReport, lowutil.KindSlice, lowutil.KindAudit, lowutil.KindRun} {
+		s.mux.HandleFunc("POST /v2/"+kind, s.instrument(kind, true, s.handleKind(kind)))
+	}
 	s.mux.HandleFunc("POST /v2/vet", s.instrument("vet", false, s.handleVet))
 	s.mux.HandleFunc("POST /v2/ssa", s.instrument("ssa", false, s.handleSSA))
-	s.mux.HandleFunc("POST /v2/run", s.instrument("run", true, s.handleRun))
 	s.mux.HandleFunc("POST /v2/profile/save", s.instrument("save", true, s.handleSave))
 	s.mux.HandleFunc("POST /v2/profile/load", s.instrument("load", true, s.handleLoad))
 	s.mux.HandleFunc("POST /v2/jobs", s.instrument("jobs", false, s.handleJobsSubmit))
@@ -177,9 +175,10 @@ func (s *Server) logLine(r *http.Request, endpoint string, status int, start tim
 // writeErr maps facade errors onto transport statuses and the unified
 // envelope: compile failures and programs that allocate past the
 // interpreter's heap budget are the client's fault (422), unknown
-// sessions or jobs 404, bad payloads and oversized slot counts 400, a
-// full job queue 429, a batch key conflict 409, deadline expiry 504,
-// cancellation 499 (client gone), the rest 500.
+// sessions or jobs 404, bad payloads, unknown kinds or call-graph modes
+// and oversized slot counts 400, a full job queue 429, a batch key
+// conflict 409, deadline expiry 504, cancellation 499 (client gone), the
+// rest 500.
 func (s *Server) writeErr(w http.ResponseWriter, err error) int {
 	status, body := classifyErr(err)
 	if status == http.StatusTooManyRequests {
@@ -198,6 +197,7 @@ func classifyErr(err error) (int, errorBody) {
 	var pe *lowutil.ProfileError
 	var badReq *badRequestError
 	var slotsErr *lowutil.SlotsError
+	var optErr *lowutil.OptionError
 	var heapErr *lowutil.HeapError
 	status := http.StatusInternalServerError
 	body := errorBody{Code: "internal", Message: err.Error()}
@@ -205,7 +205,7 @@ func classifyErr(err error) (int, errorBody) {
 	case errors.As(err, &ce):
 		status, body.Code = http.StatusUnprocessableEntity, "compile_error"
 		body.Line, body.Col = ce.Line, ce.Col
-	case errors.As(err, &badReq), errors.As(err, &slotsErr):
+	case errors.As(err, &badReq), errors.As(err, &slotsErr), errors.As(err, &optErr):
 		status, body.Code = http.StatusBadRequest, "bad_request"
 	case errors.Is(err, errUnknownSession), errors.Is(err, errUnknownJob):
 		status, body.Code = http.StatusNotFound, "not_found"
@@ -276,37 +276,6 @@ type compileResponse struct {
 	CacheHit     bool   `json:"cache_hit"`
 }
 
-// profileParams selects a memoized profiling configuration. Zero values
-// mean the facade defaults.
-type profileParams struct {
-	Slots        int  `json:"slots,omitempty"`
-	TreeHeight   int  `json:"tree_height,omitempty"`
-	Traditional  bool `json:"traditional,omitempty"`
-	TrackControl bool `json:"track_control,omitempty"`
-}
-
-func (p profileParams) key() profileKey {
-	k := profileKey{
-		Slots:        p.Slots,
-		TreeHeight:   p.TreeHeight,
-		Traditional:  p.Traditional,
-		TrackControl: p.TrackControl,
-	}
-	if k.Slots <= 0 {
-		k.Slots = lowutil.DefaultSlots
-	}
-	if k.TreeHeight <= 0 {
-		k.TreeHeight = lowutil.DefaultTreeHeight
-	}
-	return k
-}
-
-type profileRequest struct {
-	Session string `json:"session"`
-	profileParams
-	Top int `json:"top,omitempty"`
-}
-
 type findingJSON struct {
 	Site            int     `json:"site"`
 	Where           string  `json:"where"`
@@ -330,23 +299,12 @@ type reportResponse struct {
 	Report   string `json:"report"`
 }
 
-type sliceRequest struct {
-	Session string `json:"session"`
-	Mode    string `json:"mode,omitempty"`
-	ObjCtx  bool   `json:"objctx,omitempty"`
-	Top     int    `json:"top,omitempty"`
-}
-
-type auditRequest struct {
-	Session string `json:"session"`
-	Mode    string `json:"mode,omitempty"`
-	ObjCtx  bool   `json:"objctx,omitempty"`
-	Top     int    `json:"top,omitempty"`
-}
-
-// sessionRequest names a session and nothing else (/v2/vet, /v2/run).
+// sessionRequest names a session and the options of the analysis to run
+// on it: the body of every endpoint that reads a compiled session. Each
+// endpoint reads only the options its analysis reads.
 type sessionRequest struct {
 	Session string `json:"session"`
+	lowutil.Options
 }
 
 type vetResponse struct {
@@ -374,9 +332,8 @@ type runResponse struct {
 }
 
 type loadRequest struct {
-	Session string          `json:"session"`
+	sessionRequest
 	Profile json.RawMessage `json:"profile"`
-	Top     int             `json:"top,omitempty"`
 }
 
 // ---- handlers ----
@@ -426,15 +383,90 @@ func (s *Server) compileSession(src, mainClass, mainMethod string) (*Session, bo
 	return sess, !inserted, nil
 }
 
-// cachedProfile resolves the memoized run for a request, counting cache
-// traffic and step totals. A slot count the facade would refuse is
+// handleKind serves the synchronous endpoint of one request kind: it
+// decodes the session and options and runs the executor jobs run.
+func (s *Server) handleKind(kind string) func(ctx context.Context, r *http.Request) (any, error) {
+	return func(ctx context.Context, r *http.Request) (any, error) {
+		req, err := decode[sessionRequest](r)
+		if err != nil {
+			return nil, err
+		}
+		sess, err := s.session(req.Session)
+		if err != nil {
+			return nil, err
+		}
+		return s.execute(ctx, sess, kind, req.Options, true)
+	}
+}
+
+// execute runs one request on its compiled session and returns the
+// response body: the one path behind /v2/run, /v2/profile, /v2/report,
+// /v2/slice, /v2/audit and every job. The options are resolved for kind
+// first, so an unknown call-graph mode fails before any memo is touched,
+// and the memos key by the defaulted fields each analysis reads. Profiles
+// and static audits are memoized per session, with concurrent identical
+// requests sharing one computation. cache_hit reports a memoized answer
+// only when hits is set: a job's payload is always the cold body.
+func (s *Server) execute(ctx context.Context, sess *Session, kind string, o lowutil.Options, hits bool) (any, error) {
+	o, err := o.Resolve(kind)
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
+	case lowutil.KindCompile:
+		return compileResponse{Session: sess.ID, Instructions: sess.Prog.NumInstructions()}, nil
+	case lowutil.KindRun:
+		res, err := sess.Prog.RunContext(ctx)
+		if err != nil {
+			return nil, err
+		}
+		out := res.Output
+		if out == nil {
+			out = []int64{}
+		}
+		return runResponse{
+			Session: sess.ID, Output: out,
+			Steps: res.Steps, Allocs: res.Allocs, NativeWork: res.NativeWork,
+		}, nil
+	case lowutil.KindProfile, lowutil.KindReport:
+		pr, hit, err := s.cachedProfile(ctx, sess, o)
+		if err != nil {
+			return nil, err
+		}
+		if kind == lowutil.KindReport {
+			return reportResponse{Session: sess.ID, CacheHit: hit && hits, Report: pr.Report(o.Top)}, nil
+		}
+		return newProfileResponse(sess.ID, hit && hits, pr, o.Top), nil
+	case lowutil.KindSlice:
+		rep, err := sess.Prog.StaticSliceContext(ctx, lowutil.WithOptions(o))
+		if err != nil {
+			return nil, err
+		}
+		return reportResponse{Session: sess.ID, Report: rep}, nil
+	default: // lowutil.KindAudit: Resolve rejected every other kind
+		rep, hit, err := sess.audit(ctx, o)
+		if hit {
+			s.met.auditHits.Add(1)
+		} else {
+			s.met.auditMisses.Add(1)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return reportResponse{Session: sess.ID, CacheHit: hit && hits, Report: rep}, nil
+	}
+}
+
+// cachedProfile resolves the memoized run for resolved profile options,
+// counting cache traffic and step totals. Top shapes only the rendering,
+// so one run serves every top. A slot count the facade would refuse is
 // rejected before it reaches the memo, so bad requests leave no entries.
-func (s *Server) cachedProfile(ctx context.Context, sess *Session, p profileParams) (*lowutil.Profile, bool, error) {
-	key := p.key()
-	if err := sess.Prog.CheckSlots(key.Slots); err != nil {
+func (s *Server) cachedProfile(ctx context.Context, sess *Session, o lowutil.Options) (*lowutil.Profile, bool, error) {
+	o.Top = 0
+	if err := sess.Prog.CheckSlots(o.Slots); err != nil {
 		return nil, false, err
 	}
-	pr, hit, err := sess.profile(ctx, key)
+	pr, hit, err := sess.profile(ctx, o)
 	if hit {
 		s.met.profileHits.Add(1)
 	} else {
@@ -444,22 +476,6 @@ func (s *Server) cachedProfile(ctx context.Context, sess *Session, p profilePara
 		}
 	}
 	return pr, hit, err
-}
-
-func (s *Server) handleProfile(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[profileRequest](r)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	pr, hit, err := s.cachedProfile(ctx, sess, req.profileParams)
-	if err != nil {
-		return nil, err
-	}
-	return newProfileResponse(sess.ID, hit, pr, topOrDefault(req.Top)), nil
 }
 
 // newProfileResponse renders the /v2/profile payload for a finished run.
@@ -475,70 +491,6 @@ func newProfileResponse(session string, hit bool, pr *lowutil.Profile, top int) 
 		})
 	}
 	return resp
-}
-
-func (s *Server) handleReport(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[profileRequest](r)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	pr, hit, err := s.cachedProfile(ctx, sess, req.profileParams)
-	if err != nil {
-		return nil, err
-	}
-	return reportResponse{Session: sess.ID, CacheHit: hit, Report: pr.Report(topOrDefault(req.Top))}, nil
-}
-
-func (s *Server) handleSlice(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[sliceRequest](r)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	opts := []lowutil.SliceOption{lowutil.WithTop(req.Top)}
-	if req.Mode != "" {
-		opts = append(opts, lowutil.WithMode(req.Mode))
-	}
-	if req.ObjCtx {
-		opts = append(opts, lowutil.WithObjCtx())
-	}
-	rep, err := sess.Prog.StaticSliceContext(ctx, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return reportResponse{Session: sess.ID, Report: rep}, nil
-}
-
-// handleAudit serves the fully static low-utility audit. Reports are
-// memoized per session under the complete audit configuration, with the
-// same in-flight latch discipline as profiles — concurrent identical
-// requests share one analysis.
-func (s *Server) handleAudit(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[auditRequest](r)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	rep, hit, err := sess.audit(ctx, auditKey{Mode: req.Mode, ObjCtx: req.ObjCtx, Top: topOrDefault(req.Top)})
-	if hit {
-		s.met.auditHits.Add(1)
-	} else {
-		s.met.auditMisses.Add(1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return reportResponse{Session: sess.ID, CacheHit: hit, Report: rep}, nil
 }
 
 func (s *Server) handleVet(ctx context.Context, r *http.Request) (any, error) {
@@ -573,7 +525,10 @@ func (s *Server) handleSSA(ctx context.Context, r *http.Request) (any, error) {
 	return ssaResponse{Session: sess.ID, Dump: dump}, nil
 }
 
-func (s *Server) handleRun(ctx context.Context, r *http.Request) (any, error) {
+// handleSave profiles (or reuses the memoized run) and streams the
+// portable profile envelope — the §3.2 offline-analysis deployment mode
+// over HTTP.
+func (s *Server) handleSave(ctx context.Context, r *http.Request) (any, error) {
 	req, err := decode[sessionRequest](r)
 	if err != nil {
 		return nil, err
@@ -582,33 +537,11 @@ func (s *Server) handleRun(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := sess.Prog.RunContext(ctx)
+	o, err := req.Options.Resolve(lowutil.KindProfile)
 	if err != nil {
 		return nil, err
 	}
-	out := res.Output
-	if out == nil {
-		out = []int64{}
-	}
-	return runResponse{
-		Session: sess.ID, Output: out,
-		Steps: res.Steps, Allocs: res.Allocs, NativeWork: res.NativeWork,
-	}, nil
-}
-
-// handleSave profiles (or reuses the memoized run) and streams the
-// portable profile envelope — the §3.2 offline-analysis deployment mode
-// over HTTP.
-func (s *Server) handleSave(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[profileRequest](r)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := s.session(req.Session)
-	if err != nil {
-		return nil, err
-	}
-	pr, _, err := s.cachedProfile(ctx, sess, req.profileParams)
+	pr, _, err := s.cachedProfile(ctx, sess, o)
 	if err != nil {
 		return nil, err
 	}
@@ -637,7 +570,11 @@ func (s *Server) handleLoad(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, &badRequestError{err}
 	}
-	return reportResponse{Session: sess.ID, Report: pr.Report(topOrDefault(req.Top))}, nil
+	o, err := req.Options.Resolve(lowutil.KindReport)
+	if err != nil {
+		return nil, err
+	}
+	return reportResponse{Session: sess.ID, Report: pr.Report(o.Top)}, nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

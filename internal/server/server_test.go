@@ -153,7 +153,7 @@ func TestConcurrentProfiles(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			code, body := postJSON(t, ts.URL+"/v2/profile", profileRequest{Session: id})
+			code, body := postJSON(t, ts.URL+"/v2/profile", sessionRequest{Session: id})
 			codes[i] = code
 			json.Unmarshal(body, &responses[i])
 		}(i)
@@ -187,7 +187,7 @@ func TestConcurrentProfiles(t *testing.T) {
 
 	// A later report request reuses the same memoized run: still no second
 	// profiler execution.
-	code, body := postJSON(t, ts.URL+"/v2/report", profileRequest{Session: id})
+	code, body := postJSON(t, ts.URL+"/v2/report", sessionRequest{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("report: status %d: %s", code, body)
 	}
@@ -234,7 +234,7 @@ func TestConcurrentQueriesOneSession(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i], bodies[i] = postJSON(t, ts.URL+endpoints[i%len(endpoints)], profileRequest{Session: id})
+			codes[i], bodies[i] = postJSON(t, ts.URL+endpoints[i%len(endpoints)], sessionRequest{Session: id})
 		}(i)
 	}
 	wg.Wait()
@@ -306,7 +306,7 @@ func TestCancellation(t *testing.T) {
 	id := compileSession(t, ts.URL, spinSrc)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	buf, _ := json.Marshal(profileRequest{Session: id})
+	buf, _ := json.Marshal(sessionRequest{Session: id})
 	req := httptest.NewRequest("POST", "/v2/profile", bytes.NewReader(buf)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	start := time.Now()
@@ -335,7 +335,7 @@ func TestCancellation(t *testing.T) {
 	// The deadline path: a tight per-request timeout produces 504.
 	_, ts2 := newTestServer(t, Config{RequestTimeout: 100 * time.Millisecond})
 	id2 := compileSession(t, ts2.URL, spinSrc)
-	code, body := postJSON(t, ts2.URL+"/v2/profile", profileRequest{Session: id2})
+	code, body := postJSON(t, ts2.URL+"/v2/profile", sessionRequest{Session: id2})
 	if code != http.StatusGatewayTimeout {
 		t.Errorf("deadline status = %d, want 504; body %s", code, body)
 	}
@@ -353,7 +353,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatal("fresh gate full")
 	}
 	defer s.gate.Release()
-	code, body := postJSON(t, ts.URL+"/v2/profile", profileRequest{Session: id})
+	code, body := postJSON(t, ts.URL+"/v2/profile", sessionRequest{Session: id})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429; body %s", code, body)
 	}
@@ -390,22 +390,32 @@ func TestTooDeepCompileRejected(t *testing.T) {
 	}
 }
 
-// TestTokenFloodCompileRejected sends 15 MiB of "(" (inside the body
-// limit with its JSON wrapper). The parser fails at the first token
-// instead of tokenizing the whole flood first, so the request gets an
-// ordinary positioned 422 envelope and the server keeps serving.
+// TestTokenFloodCompileRejected sends 15 MiB floods (inside the body
+// limit with their JSON wrapper): of "(", and of `[]` pairs after a type.
+// The parser fails at the first token, or at the dimension bound, instead
+// of tokenizing the whole flood first, so each request gets an ordinary
+// positioned 422 envelope and the server keeps serving.
 func TestTokenFloodCompileRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, body := postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: strings.Repeat("(", 15<<20)})
-	if code != http.StatusUnprocessableEntity {
-		t.Fatalf("flood compile status = %d, want 422; body %.200s", code, body)
-	}
-	if eb := decodeEnvelope(t, body); eb.Code != "compile_error" || eb.Line != 1 || eb.Col != 1 || eb.Retryable {
-		t.Errorf("422 envelope = %+v, want compile_error at 1:1", eb)
-	}
-	id := compileSession(t, ts.URL, workSrc)
-	if code, body := postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: id}); code != http.StatusOK {
-		t.Errorf("request after the rejected compile: %d %s", code, body)
+	const n = 15 << 20
+	for _, c := range []struct {
+		src       string
+		line, col int
+	}{
+		{strings.Repeat("(", n), 1, 1},
+		{"class Main { static void main() { Foo" + strings.Repeat("[]", n/2) + " x; } }", 1, 548},
+	} {
+		code, body := postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: c.src})
+		if code != http.StatusUnprocessableEntity {
+			t.Fatalf("flood compile status = %d, want 422; body %.200s", code, body)
+		}
+		if eb := decodeEnvelope(t, body); eb.Code != "compile_error" || eb.Line != c.line || eb.Col != c.col || eb.Retryable {
+			t.Errorf("422 envelope = %+v, want compile_error at %d:%d", eb, c.line, c.col)
+		}
+		id := compileSession(t, ts.URL, workSrc)
+		if code, body := postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: id}); code != http.StatusOK {
+			t.Errorf("request after the rejected compile: %d %s", code, body)
+		}
 	}
 }
 
@@ -420,14 +430,14 @@ func TestErrorMapping(t *testing.T) {
 	if eb := decodeEnvelope(t, body); eb.Code != "compile_error" || eb.Line <= 0 || eb.Retryable {
 		t.Errorf("422 envelope = %+v, want compile_error with position", eb)
 	}
-	code, body = postJSON(t, ts.URL+"/v2/profile", profileRequest{Session: "deadbeef"})
+	code, body = postJSON(t, ts.URL+"/v2/profile", sessionRequest{Session: "deadbeef"})
 	if code != http.StatusNotFound {
 		t.Errorf("unknown session status = %d, want 404", code)
 	}
 	if eb := decodeEnvelope(t, body); eb.Code != "not_found" || eb.Retryable {
 		t.Errorf("404 envelope = %+v, want not_found", eb)
 	}
-	code, body = postJSON(t, ts.URL+"/v2/profile", profileRequest{})
+	code, body = postJSON(t, ts.URL+"/v2/profile", sessionRequest{})
 	if code != http.StatusBadRequest {
 		t.Errorf("missing session status = %d, want 400", code)
 	}
@@ -444,11 +454,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := compileSession(t, ts.URL, workSrc)
 
-	code, envelope := postJSON(t, ts.URL+"/v2/profile/save", profileRequest{Session: id})
+	code, envelope := postJSON(t, ts.URL+"/v2/profile/save", sessionRequest{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("save: status %d: %s", code, envelope)
 	}
-	code, body := postJSON(t, ts.URL+"/v2/profile/load", loadRequest{Session: id, Profile: envelope})
+	code, body := postJSON(t, ts.URL+"/v2/profile/load", loadRequest{sessionRequest: sessionRequest{Session: id}, Profile: envelope})
 	if code != http.StatusOK {
 		t.Fatalf("load: status %d: %s", code, body)
 	}
@@ -470,7 +480,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	// Loading the same envelope twice is deterministic.
-	_, body2 := postJSON(t, ts.URL+"/v2/profile/load", loadRequest{Session: id, Profile: envelope})
+	_, body2 := postJSON(t, ts.URL+"/v2/profile/load", loadRequest{sessionRequest: sessionRequest{Session: id}, Profile: envelope})
 	if !bytes.Equal(body, body2) {
 		t.Error("two loads of the same envelope produced different responses")
 	}
@@ -481,7 +491,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestMetricsAndHealth(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInFlight: 3})
 	id := compileSession(t, ts.URL, workSrc)
-	postJSON(t, ts.URL+"/v2/profile", profileRequest{Session: id})
+	postJSON(t, ts.URL+"/v2/profile", sessionRequest{Session: id})
 	postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: id})
 
 	if got := metricValue(t, ts.URL, `lowutil_requests_total{endpoint="compile"}`); got != 1 {
@@ -543,7 +553,7 @@ func TestVetAndSlice(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("vet: %d %s", code, body)
 	}
-	code, body = postJSON(t, ts.URL+"/v2/slice", sliceRequest{Session: id, Mode: "rta", Top: 5})
+	code, body = postJSON(t, ts.URL+"/v2/slice", sessionRequest{Session: id, Options: lowutil.Options{Mode: "rta", Top: 5}})
 	if code != http.StatusOK {
 		t.Fatalf("slice: %d %s", code, body)
 	}
@@ -570,7 +580,7 @@ func TestConcurrentAudits(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			code, body := postJSON(t, ts.URL+"/v2/audit", auditRequest{Session: id})
+			code, body := postJSON(t, ts.URL+"/v2/audit", sessionRequest{Session: id})
 			codes[i] = code
 			json.Unmarshal(body, &responses[i])
 		}(i)
@@ -602,17 +612,32 @@ func TestConcurrentAudits(t *testing.T) {
 		t.Errorf("audit cache hits = %d, want %d", got, n-1)
 	}
 
-	// A differently-keyed request runs a second analysis — and because
-	// "rta" is the default mode, its report is byte-identical to the
-	// memoized default-key report: the analysis is deterministic.
-	code, body := postJSON(t, ts.URL+"/v2/audit", auditRequest{Session: id, Mode: "rta"})
+	// An explicit default mode resolves to the same key: it joins the
+	// memoized analysis instead of running a second.
+	code, body := postJSON(t, ts.URL+"/v2/audit", sessionRequest{Session: id, Options: lowutil.Options{Mode: "rta"}})
 	if code != http.StatusOK {
 		t.Fatalf("explicit-mode audit: status %d: %s", code, body)
 	}
 	var rr reportResponse
 	json.Unmarshal(body, &rr)
+	if !rr.CacheHit || rr.Report != responses[0].Report {
+		t.Errorf("explicit default mode: cache_hit=%v, want a hit on the default key", rr.CacheHit)
+	}
+	if got := metricValue(t, ts.URL, "lowutil_audit_cache_misses_total"); got != 1 {
+		t.Errorf("after the explicit default: audit cache misses = %d, want 1", got)
+	}
+
+	// A differently-keyed request runs a second analysis — and because
+	// workSrc has fewer than 11 allocation sites, a top of 11 renders the
+	// same bytes as the default: the analysis is deterministic.
+	code, body = postJSON(t, ts.URL+"/v2/audit", sessionRequest{Session: id, Options: lowutil.Options{Mode: "rta", Top: 11}})
+	if code != http.StatusOK {
+		t.Fatalf("distinct-key audit: status %d: %s", code, body)
+	}
+	rr = reportResponse{}
+	json.Unmarshal(body, &rr)
 	if rr.CacheHit {
-		t.Error("explicit-mode audit reported a cache hit for a distinct key")
+		t.Error("distinct-key audit reported a cache hit")
 	}
 	if rr.Report != responses[0].Report {
 		t.Errorf("re-analysis is not byte-stable:\n%s\nvs\n%s", rr.Report, responses[0].Report)
@@ -632,7 +657,7 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the client is gone before the analysis starts
-	buf, _ := json.Marshal(auditRequest{Session: id})
+	buf, _ := json.Marshal(sessionRequest{Session: id})
 	req := httptest.NewRequest("POST", "/v2/audit", bytes.NewReader(buf)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
@@ -648,7 +673,7 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 	}
 
 	// The same key retries cleanly after the eviction.
-	code, body := postJSON(t, ts.URL+"/v2/audit", auditRequest{Session: id})
+	code, body := postJSON(t, ts.URL+"/v2/audit", sessionRequest{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("retry after cancel: status %d: %s", code, body)
 	}
@@ -662,7 +687,7 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 	// 504 (the fixpoints poll the context before converging).
 	_, ts2 := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
 	id2 := compileSession(t, ts2.URL, workSrc)
-	code, body = postJSON(t, ts2.URL+"/v2/audit", auditRequest{Session: id2})
+	code, body = postJSON(t, ts2.URL+"/v2/audit", sessionRequest{Session: id2})
 	if code != http.StatusGatewayTimeout {
 		t.Errorf("deadline audit status = %d, want 504; body %s", code, body)
 	}
@@ -674,7 +699,7 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 func TestLegacyFieldIgnored(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := compileSession(t, ts.URL, workSrc)
-	if code, body := postJSON(t, ts.URL+"/v2/profile", profileRequest{Session: id}); code != http.StatusOK {
+	if code, body := postJSON(t, ts.URL+"/v2/profile", sessionRequest{Session: id}); code != http.StatusOK {
 		t.Fatalf("profile: %d %s", code, body)
 	}
 	resp, err := http.Post(ts.URL+"/v2/profile", "application/json",

@@ -1,10 +1,11 @@
 // Package server implements `lowutil serve`: a concurrent HTTP profiling
 // service over the lowutil facade. Long-lived sessions hold compiled
-// programs in an LRU cache; per-session profile caches memoize completed
-// profiling runs keyed by their full configuration, so repeated queries
-// skip recompilation and re-profiling. Every handler threads its request
-// context into the facade, which polls it in the interpreter main loop and
-// in every static-analysis fixpoint.
+// programs in an LRU cache; per-session caches memoize completed
+// profiling runs and static audits keyed by their resolved options, so
+// repeated queries skip recompilation and re-profiling. Every analysis
+// endpoint and every job runs through one executor (Server.execute), which
+// threads the request context into the facade, which polls it in the
+// interpreter main loop and in every static-analysis fixpoint.
 package server
 
 import (
@@ -32,75 +33,33 @@ func sessionKey(src, mainClass, mainMethod string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// profileKey is the complete profiling configuration a cached run is
-// memoized under. Two requests with equal keys are satisfied by one run.
-type profileKey struct {
-	Slots        int
-	TreeHeight   int
-	Traditional  bool
-	TrackControl bool
-}
-
-// options expands the key into facade options.
-func (k profileKey) options() []lowutil.ProfileOption {
-	opts := []lowutil.ProfileOption{
-		lowutil.WithSlots(k.Slots),
-		lowutil.WithTreeHeight(k.TreeHeight),
-	}
-	if k.Traditional {
-		opts = append(opts, lowutil.WithTraditional())
-	}
-	if k.TrackControl {
-		opts = append(opts, lowutil.WithTrackControl())
-	}
-	return opts
-}
-
-// auditKey is the complete static-audit configuration a cached report is
-// memoized under. Two requests with equal keys share one analysis.
-type auditKey struct {
-	Mode   string
-	ObjCtx bool
-	Top    int
-}
-
-// options expands the key into facade options.
-func (k auditKey) options() []lowutil.AuditOption {
-	opts := []lowutil.AuditOption{lowutil.WithTop(k.Top)}
-	if k.Mode != "" {
-		opts = append(opts, lowutil.WithMode(k.Mode))
-	}
-	if k.ObjCtx {
-		opts = append(opts, lowutil.WithObjCtx())
-	}
-	return opts
-}
-
 // Session is one compiled program plus its memoized profiling runs and
-// static-audit reports.
+// static-audit reports. Both memos are keyed by resolved options (see
+// lowutil.Options.Resolve), so explicit defaults and fields an analysis
+// does not read share one entry.
 type Session struct {
 	ID      string
 	Created time.Time
 	Prog    *lowutil.Program
 
-	profiles latch[profileKey, *lowutil.Profile]
-	audits   latch[auditKey, string]
+	profiles latch[lowutil.Options, *lowutil.Profile]
+	audits   latch[lowutil.Options, string]
 }
 
-// profile returns the memoized run for key, computing it under ctx on a
-// miss; see latch.get. Every query on a finished Profile is safe for
-// concurrent use, so readers need no lock.
-func (s *Session) profile(ctx context.Context, key profileKey) (*lowutil.Profile, bool, error) {
-	return s.profiles.get(ctx, key, func(ctx context.Context) (*lowutil.Profile, error) {
-		return s.Prog.ProfileContext(ctx, key.options()...)
+// profile returns the memoized run for the resolved options o, computing
+// it under ctx on a miss; see latch.get. Every query on a finished Profile
+// is safe for concurrent use, so readers need no lock.
+func (s *Session) profile(ctx context.Context, o lowutil.Options) (*lowutil.Profile, bool, error) {
+	return s.profiles.get(ctx, o, func(ctx context.Context) (*lowutil.Profile, error) {
+		return s.Prog.ProfileContext(ctx, lowutil.WithOptions(o))
 	})
 }
 
-// audit returns the memoized static-audit report for key, computing it
-// under ctx on a miss; see latch.get.
-func (s *Session) audit(ctx context.Context, key auditKey) (string, bool, error) {
-	return s.audits.get(ctx, key, func(ctx context.Context) (string, error) {
-		return s.Prog.StaticAudit(ctx, key.options()...)
+// audit returns the memoized static-audit report for the resolved options
+// o, computing it under ctx on a miss; see latch.get.
+func (s *Session) audit(ctx context.Context, o lowutil.Options) (string, bool, error) {
+	return s.audits.get(ctx, o, func(ctx context.Context) (string, error) {
+		return s.Prog.StaticAudit(ctx, lowutil.WithOptions(o))
 	})
 }
 

@@ -157,21 +157,6 @@ func (p *Program) SSADump(method string) (string, error) {
 	return b.String(), nil
 }
 
-// AnalysisOptions configures the static analyses — the interprocedural
-// slice and the low-utility audit share one vocabulary, because both run
-// over the same call graph and points-to heap abstraction.
-type AnalysisOptions struct {
-	// Mode selects call-graph construction: "cha" (class hierarchy) or
-	// "rta" (rapid type analysis, the default).
-	Mode string
-	// ObjCtx qualifies allocation sites by one level of receiver-object
-	// context — the static mirror of the dynamic profiler's
-	// receiver-object-sensitive slots.
-	ObjCtx bool
-	// Top bounds the candidate list in the rendered report (0 = DefaultTop).
-	Top int
-}
-
 // StaticSliceContext builds the whole-program static thin slice — call graph,
 // points-to relation, and the static over-approximation of Gcost — and
 // renders its report: graph sizes, the statically write-only stored
@@ -181,36 +166,28 @@ type AnalysisOptions struct {
 // invariant cross-validated by the differential harness). Output is
 // byte-stable across runs. Fixpoint loops poll ctx, so deadlines and
 // cancellation abort the analysis promptly with an ErrCanceled-wrapped
-// error. Options fold over the defaults (mode rta, top DefaultTop).
-func (p *Program) StaticSliceContext(ctx context.Context, opts ...SliceOption) (string, error) {
-	cfg, top, err := analysisConfig(opts)
+// error. It reads Mode, ObjCtx and Top (defaults: rta, off, DefaultTop);
+// an unknown mode fails with an *OptionError.
+func (p *Program) StaticSliceContext(ctx context.Context, opts ...Option) (string, error) {
+	o, err := resolve(KindSlice, opts)
 	if err != nil {
 		return "", err
 	}
-	an, err := interproc.AnalyzeContext(ctx, p.prog, cfg)
+	an, err := interproc.AnalyzeContext(ctx, p.prog, callGraphConfig(o))
 	if err != nil {
 		return "", wrapRunErr("slice", err)
 	}
-	return an.Report(top), nil
+	return an.Report(o.Top), nil
 }
 
-// analysisConfig folds opts over the defaults into the interprocedural
-// configuration and the report length.
-func analysisConfig(opts []AnalysisOption) (interproc.Config, int, error) {
-	o := applyAnalysisOptions(opts)
+// callGraphConfig maps resolved slice or audit options onto the
+// interprocedural configuration.
+func callGraphConfig(o Options) interproc.Config {
 	cfg := interproc.Config{Mode: interproc.RTA, ObjCtx: o.ObjCtx}
-	switch o.Mode {
-	case "", "rta":
-	case "cha":
+	if o.Mode == "cha" {
 		cfg.Mode = interproc.CHA
-	default:
-		return cfg, 0, fmt.Errorf("lowutil: unknown call-graph mode %q (want cha or rta)", o.Mode)
 	}
-	top := o.Top
-	if top <= 0 {
-		top = DefaultTop
-	}
-	return cfg, top, nil
+	return cfg
 }
 
 // StaticAudit runs the fully static low-utility audit — the SSA-based
@@ -223,14 +200,14 @@ func analysisConfig(opts []AnalysisOption) (interproc.Config, int, error) {
 // static classification (the dynamic ⊆ static invariant cross-validated by
 // the soundness harness), and output is byte-stable across runs. The
 // analysis fixpoints poll ctx, so deadlines and cancellation abort promptly
-// with an ErrCanceled-wrapped error. Options fold over the defaults (mode
-// rta, top DefaultTop).
-func (p *Program) StaticAudit(ctx context.Context, opts ...AuditOption) (string, error) {
-	cfg, top, err := analysisConfig(opts)
+// with an ErrCanceled-wrapped error. It reads the same options as
+// StaticSliceContext.
+func (p *Program) StaticAudit(ctx context.Context, opts ...Option) (string, error) {
+	o, err := resolve(KindAudit, opts)
 	if err != nil {
 		return "", err
 	}
-	an, err := interproc.AnalyzeContext(ctx, p.prog, cfg)
+	an, err := interproc.AnalyzeContext(ctx, p.prog, callGraphConfig(o))
 	if err != nil {
 		return "", wrapRunErr("audit", err)
 	}
@@ -238,7 +215,7 @@ func (p *Program) StaticAudit(ctx context.Context, opts ...AuditOption) (string,
 	if err != nil {
 		return "", wrapRunErr("audit", err)
 	}
-	return r.Report(top), nil
+	return r.Report(o.Top), nil
 }
 
 // RunResult summarizes an uninstrumented execution.
@@ -265,40 +242,21 @@ func (p *Program) RunContext(ctx context.Context) (*RunResult, error) {
 	return &RunResult{Output: m.Output, Steps: m.Steps, Allocs: m.Allocs, NativeWork: m.NativeWork}, nil
 }
 
-// ProfileOptions configures cost-benefit profiling.
-type ProfileOptions struct {
-	// Slots is the number of context slots per instruction (the paper's s;
-	// 0 means 16). Counts past the program's table budget fail with a
-	// *SlotsError (see CheckSlots).
-	Slots int
-	// Traditional switches from thin to traditional dynamic slicing
-	// (base-pointer dependences included) — mainly for ablations.
-	Traditional bool
-	// TreeHeight is the reference-tree height n for n-RAC/n-RAB (0 = 4,
-	// the paper's choice).
-	TreeHeight int
-	// TrackControl includes the cost of the closest enclosing control
-	// decision in each value's cost (§3.2's "considering vs ignoring
-	// control decision making" alternative).
-	TrackControl bool
-	// AnalysisWorkers bounds the ranking worker pool (0 = all CPUs).
-	AnalysisWorkers int
-	// MaxSteps bounds the profiled execution to this many instruction
-	// instances (0 = unlimited); exceeding it fails the run.
-	MaxSteps int64
-}
-
-// ProfileContext runs the program under the cost-benefit profiler with
-// options folded over DefaultOptions:
+// ProfileContext runs the program under the cost-benefit profiler:
 //
 //	profile, err := prog.ProfileContext(ctx, lowutil.WithSlots(16))
 //
-// The interpreter main loop polls ctx, so a
+// It reads Slots, TreeHeight, Traditional, TrackControl and MaxSteps
+// (defaults: s = DefaultSlots, n = DefaultTreeHeight, thin slicing, no
+// step bound). The interpreter main loop polls ctx, so a
 // canceled or expired context aborts the run promptly with an error that
 // satisfies errors.Is(err, ErrCanceled) — and errors.Is(err,
 // context.Canceled) or context.DeadlineExceeded as appropriate.
-func (p *Program) ProfileContext(ctx context.Context, opts ...ProfileOption) (*Profile, error) {
-	o := applyProfileOptions(opts)
+func (p *Program) ProfileContext(ctx context.Context, opts ...Option) (*Profile, error) {
+	o, err := resolve(KindProfile, opts)
+	if err != nil {
+		return nil, err
+	}
 	if err := p.CheckSlots(o.Slots); err != nil {
 		return nil, err
 	}
@@ -315,16 +273,12 @@ func (p *Program) ProfileContext(ctx context.Context, opts ...ProfileOption) (*P
 	if err := m.Run(); err != nil {
 		return nil, wrapRunErr("run", err)
 	}
-	height := o.TreeHeight
-	if height <= 0 {
-		height = costben.DefaultTreeHeight
-	}
 	return &Profile{
 		prog:   p.prog,
 		prof:   prof,
 		steps:  m.Steps,
-		an:     costben.NewAnalysisWith(prof.G, costben.Config{Workers: o.AnalysisWorkers}),
-		height: height,
+		an:     costben.NewAnalysis(prof.G),
+		height: o.TreeHeight,
 	}, nil
 }
 

@@ -467,8 +467,9 @@ func TestFacadeStaticSlice(t *testing.T) {
 	if !strings.Contains(cha, "mode=cha") || !strings.Contains(cha, "objctx=on") {
 		t.Errorf("cha/objctx header wrong:\n%s", cha)
 	}
-	if _, err := prog.StaticSliceContext(context.Background(), WithMode("0cfa")); err == nil {
-		t.Error("unknown mode must error")
+	var oe *OptionError
+	if _, err := prog.StaticSliceContext(context.Background(), WithMode("0cfa")); !errors.As(err, &oe) {
+		t.Errorf("unknown mode: got %v, want an *OptionError", err)
 	}
 }
 
@@ -501,8 +502,9 @@ func TestFacadeStaticAudit(t *testing.T) {
 	if !strings.Contains(cha, "mode=cha") || !strings.Contains(cha, "objctx=on") {
 		t.Errorf("cha/objctx header wrong:\n%s", cha)
 	}
-	if _, err := prog.StaticAudit(ctx, WithMode("0cfa")); err == nil {
-		t.Error("unknown mode must error")
+	var oe *OptionError
+	if _, err := prog.StaticAudit(ctx, WithMode("0cfa")); !errors.As(err, &oe) {
+		t.Errorf("unknown mode: got %v, want an *OptionError", err)
 	}
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
