@@ -23,7 +23,9 @@ test:
 # previous BENCH_*.json in the frozen cost-benefit analysis or any
 # profiled_s16 overhead series fails the target. `make check` runs the
 # same comparison report-only. To rewrite a given record instead, run
-# `sh scripts/bench.sh <n>` with an explicit index.
+# `sh scripts/bench.sh <n>` with an explicit index. It runs at -cpu 1,
+# where no profiled run detaches, so the gated profiled_s16 series measure
+# only the synchronous profiler; perfbench measures the detached path.
 bench:
 	sh scripts/bench.sh
 	sh scripts/benchdiff.sh

@@ -395,7 +395,7 @@ func cmdProfile(args []string) error {
 			return err
 		}
 		defer f.Close()
-		profile, err = prog.LoadProfile(f)
+		profile, err = prog.LoadProfile(f, lowutil.WithOptions(*o))
 		if err != nil {
 			return err
 		}

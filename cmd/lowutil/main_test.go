@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -50,6 +51,25 @@ func TestCmdProfileSaveLoad(t *testing.T) {
 	}
 	if err := cmdProfile([]string{"-load", saved, chartMJ}); err != nil {
 		t.Fatalf("profile -load: %v", err)
+	}
+
+	// A reload ranks with the requested -n: its report is the direct run's,
+	// except the average CR, which a saved profile does not keep.
+	avgCR := regexp.MustCompile(`avg CR [0-9.]+`)
+	run := func(args ...string) string {
+		t.Helper()
+		out, err := captureStdout(t, func() error { return cmdProfile(args) })
+		if err != nil {
+			t.Fatalf("profile %v: %v", args, err)
+		}
+		return avgCR.ReplaceAllString(out, "avg CR -")
+	}
+	direct := run("-n", "1", "-save", saved, chartMJ)
+	if !strings.Contains(direct, "(n=1)") {
+		t.Fatalf("direct -n 1 report does not rank with n=1:\n%s", direct)
+	}
+	if loaded := run("-n", "1", "-load", saved, chartMJ); loaded != direct {
+		t.Errorf("profile -n 1 -load differs from the direct run:\n%s\nwant:\n%s", loaded, direct)
 	}
 }
 

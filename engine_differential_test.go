@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -180,38 +181,51 @@ func TestInterpreterDifferentialAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestConcurrentProfilesShareNoState runs two profiles of the same compiled
-// program concurrently and requires both to match a sequential reference
-// byte for byte. Under -race (make check) this proves the hot path keeps
-// all mutable state — dense tables, inline caches, shadow slabs — inside
-// the profiler/machine pair rather than on the shared program.
+// TestConcurrentProfilesShareNoState runs three profiles of the same
+// compiled program concurrently and requires each to match a sequential
+// reference byte for byte. Under -race (make check) this proves the hot
+// path keeps all mutable state — dense tables, inline caches, shadow slabs,
+// the detached log — inside the profiler/machine pair rather than on the
+// shared program. At scale 8 the runs pass interp.DetachSteps, so with
+// GOMAXPROCS ≥ 2 they detach as consumer slots come free, next to runs
+// that stay synchronous.
 func TestConcurrentProfilesShareNoState(t *testing.T) {
 	w := workloads.ByName("eclipse")
-	prog := compileWorkload(t, w, 1)
-	ref, _, _, _ := profileOutputs(t, productProfile(t, prog))
-
-	results := make([]string, 2)
-	errs := make([]error, 2)
-	done := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			defer func() { done <- i }()
-			profile, err := prog.ProfileContext(context.Background())
-			if err != nil {
-				errs[i] = err
-				return
+	for _, scale := range []int{1, 8} {
+		prog := compileWorkload(t, w, scale)
+		ref, _, _, _ := profileOutputs(t, productProfile(t, prog))
+		if scale > 1 && runtime.GOMAXPROCS(0) >= 2 {
+			m := interp.New(prog.prog)
+			m.Tracer = profiler.New(prog.prog, profiler.Options{Slots: DefaultSlots, TrackCR: true})
+			if err := m.Run(); err != nil || !m.Detached {
+				t.Fatalf("scale %d: a profiled run does not detach (error %v)", scale, err)
 			}
-			results[i] = profile.Report(DefaultTop)
-		}(i)
-	}
-	<-done
-	<-done
-	for i := 0; i < 2; i++ {
-		if errs[i] != nil {
-			t.Fatalf("concurrent profile %d: %v", i, errs[i])
 		}
-		if results[i] != ref {
-			t.Errorf("concurrent profile %d diverged from sequential reference", i)
+
+		const n = 3
+		results := make([]string, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				profile, err := prog.ProfileContext(context.Background())
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				results[i] = profile.Report(DefaultTop)
+			}()
+		}
+		wg.Wait()
+		for i := range n {
+			if errs[i] != nil {
+				t.Fatalf("scale %d: concurrent profile %d: %v", scale, i, errs[i])
+			}
+			if results[i] != ref {
+				t.Errorf("scale %d: concurrent profile %d diverged from sequential reference", scale, i)
+			}
 		}
 	}
 }

@@ -325,7 +325,7 @@ func (m *Machine) emitV(in *ir.Instr, fr *Frame, v Value) {
 	ev.In = in
 	m.setFrame(fr)
 	m.setVal(v)
-	m.Tracer.Exec(ev)
+	m.tracer.Exec(ev)
 }
 
 // emitNew reports an allocation.
@@ -334,7 +334,7 @@ func (m *Machine) emitNew(in *ir.Instr, fr *Frame, o *Object, v Value) {
 	ev.In, ev.New = in, o
 	m.setFrame(fr)
 	m.setVal(v)
-	m.Tracer.Exec(ev)
+	m.tracer.Exec(ev)
 }
 
 // emitBase reports a field access or array-length read on base.
@@ -343,7 +343,7 @@ func (m *Machine) emitBase(in *ir.Instr, fr *Frame, base *Object, v Value) {
 	ev.In, ev.Base = in, base
 	m.setFrame(fr)
 	m.setVal(v)
-	m.Tracer.Exec(ev)
+	m.tracer.Exec(ev)
 }
 
 // emitIndexed reports an array element access.
@@ -352,7 +352,7 @@ func (m *Machine) emitIndexed(in *ir.Instr, fr *Frame, base *Object, idx int64, 
 	ev.In, ev.Base, ev.Index = in, base, idx
 	m.setFrame(fr)
 	m.setVal(v)
-	m.Tracer.Exec(ev)
+	m.tracer.Exec(ev)
 }
 
 // emitTaken reports a branch.
@@ -360,13 +360,13 @@ func (m *Machine) emitTaken(in *ir.Instr, fr *Frame, taken bool) {
 	ev := &m.ev
 	ev.In, ev.Taken = in, taken
 	m.setFrame(fr)
-	m.Tracer.Exec(ev)
+	m.tracer.Exec(ev)
 }
 
 func hConstInt(m *Machine, fr *Frame, d *dinstr) error {
 	v := IntVal(d.imm)
 	fr.Locals[d.dst] = v
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitV(d.in, fr, v)
 	}
 	fr.PC++
@@ -375,7 +375,7 @@ func hConstInt(m *Machine, fr *Frame, d *dinstr) error {
 
 func hConstNull(m *Machine, fr *Frame, d *dinstr) error {
 	fr.Locals[d.dst] = Null
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitV(d.in, fr, Null)
 	}
 	fr.PC++
@@ -385,7 +385,7 @@ func hConstNull(m *Machine, fr *Frame, d *dinstr) error {
 func hMove(m *Machine, fr *Frame, d *dinstr) error {
 	v := fr.Locals[d.a]
 	fr.Locals[d.dst] = v
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitV(d.in, fr, v)
 	}
 	fr.PC++
@@ -405,7 +405,7 @@ func binOperands(m *Machine, fr *Frame, d *dinstr) (int64, int64, error) {
 func finishBin(m *Machine, fr *Frame, d *dinstr, r int64) error {
 	v := IntVal(r)
 	fr.Locals[d.dst] = v
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitV(d.in, fr, v)
 	}
 	fr.PC++
@@ -528,7 +528,7 @@ func hNew(m *Machine, fr *Frame, d *dinstr) error {
 	}
 	v := RefVal(o)
 	fr.Locals[d.dst] = v
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitNew(d.in, fr, o, v)
 	}
 	fr.PC++
@@ -542,7 +542,7 @@ func hNewArray(m *Machine, fr *Frame, d *dinstr) error {
 	}
 	v := RefVal(o)
 	fr.Locals[d.dst] = v
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitNew(d.in, fr, o, v)
 	}
 	fr.PC++
@@ -571,7 +571,7 @@ func hLoadField(m *Machine, fr *Frame, d *dinstr) error {
 	}
 	v := base.Fields[d.slot]
 	fr.Locals[d.dst] = v
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitBase(d.in, fr, base, v)
 	}
 	fr.PC++
@@ -588,7 +588,7 @@ func hStoreField(m *Machine, fr *Frame, d *dinstr) error {
 	}
 	v := fr.Locals[d.b]
 	base.Fields[d.slot] = v
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitBase(d.in, fr, base, v)
 	}
 	fr.PC++
@@ -603,7 +603,7 @@ func (m *Machine) noField(fr *Frame, d *dinstr, base *Object) error {
 func hLoadStatic(m *Machine, fr *Frame, d *dinstr) error {
 	v := m.Statics[d.slot]
 	fr.Locals[d.dst] = v
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitV(d.in, fr, v)
 	}
 	fr.PC++
@@ -613,7 +613,7 @@ func hLoadStatic(m *Machine, fr *Frame, d *dinstr) error {
 func hStoreStatic(m *Machine, fr *Frame, d *dinstr) error {
 	v := fr.Locals[d.a]
 	m.Statics[d.slot] = v
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitV(d.in, fr, v)
 	}
 	fr.PC++
@@ -653,7 +653,7 @@ func hALoad(m *Machine, fr *Frame, d *dinstr) error {
 	}
 	v := arr.Elems[idx.I]
 	fr.Locals[d.dst] = v
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitIndexed(d.in, fr, arr, idx.I, v)
 	}
 	fr.PC++
@@ -671,7 +671,7 @@ func hAStore(m *Machine, fr *Frame, d *dinstr) error {
 	}
 	v := fr.Locals[d.c2]
 	arr.Elems[idx.I] = v
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitIndexed(d.in, fr, arr, idx.I, v)
 	}
 	fr.PC++
@@ -685,7 +685,7 @@ func hArrayLen(m *Machine, fr *Frame, d *dinstr) error {
 	}
 	v := IntVal(int64(len(arr.Elems)))
 	fr.Locals[d.dst] = v
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitBase(d.in, fr, arr, v)
 	}
 	fr.PC++
@@ -699,7 +699,7 @@ func finishIf(m *Machine, fr *Frame, d *dinstr, taken bool) error {
 	if taken {
 		fr.PC = int(d.target)
 	}
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitTaken(d.in, fr, taken)
 	}
 	if !taken {
@@ -864,8 +864,8 @@ func (m *Machine) pushCall(fr *Frame, d *dinstr, callee *ir.Method, recv *Object
 	if len(m.frames) >= m.MaxDepth {
 		return m.fail(ErrStackOverflow, d.in, fr, "depth %d", len(m.frames))
 	}
-	if m.Tracer != nil {
-		m.Tracer.BeforeCall(d.in, fr, callee, recv)
+	if m.tracer != nil {
+		m.tracer.BeforeCall(d.in, fr, callee, recv)
 	}
 	var nf *Frame
 	if n := len(m.framePool); n > 0 {
@@ -897,15 +897,15 @@ func (m *Machine) pushCall(fr *Frame, d *dinstr, callee *ir.Method, recv *Object
 	}
 	nf.tab, nf.ics = m.methodTab(callee)
 	m.frames = append(m.frames, nf)
-	if m.Tracer != nil {
-		m.Tracer.EnterMethod(nf, recv)
+	if m.tracer != nil {
+		m.tracer.EnterMethod(nf, recv)
 	}
 	return nil
 }
 
 func hReturnVal(m *Machine, fr *Frame, d *dinstr) error {
-	if m.Tracer != nil {
-		m.Tracer.BeforeReturn(d.in, fr)
+	if m.tracer != nil {
+		m.tracer.BeforeReturn(d.in, fr)
 	}
 	ret := fr.Locals[d.a]
 	m.frames = m.frames[:len(m.frames)-1]
@@ -918,8 +918,8 @@ func hReturnVal(m *Machine, fr *Frame, d *dinstr) error {
 	if fr.RetDst >= 0 {
 		caller.Locals[fr.RetDst] = ret
 	}
-	if m.Tracer != nil {
-		m.Tracer.AfterCall(fr.CallIn, caller, fr.RetDst >= 0)
+	if m.tracer != nil {
+		m.tracer.AfterCall(fr.CallIn, caller, fr.RetDst >= 0)
 	}
 	caller.PC++
 	m.framePool = append(m.framePool, fr)
@@ -927,8 +927,8 @@ func hReturnVal(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func hReturnVoid(m *Machine, fr *Frame, d *dinstr) error {
-	if m.Tracer != nil {
-		m.Tracer.BeforeReturn(d.in, fr)
+	if m.tracer != nil {
+		m.tracer.BeforeReturn(d.in, fr)
 	}
 	m.frames = m.frames[:len(m.frames)-1]
 	if len(m.frames) <= m.loopBase {
@@ -937,8 +937,8 @@ func hReturnVoid(m *Machine, fr *Frame, d *dinstr) error {
 		return nil
 	}
 	caller := m.frames[len(m.frames)-1]
-	if m.Tracer != nil {
-		m.Tracer.AfterCall(fr.CallIn, caller, false)
+	if m.tracer != nil {
+		m.tracer.AfterCall(fr.CallIn, caller, false)
 	}
 	caller.PC++
 	m.framePool = append(m.framePool, fr)
@@ -953,7 +953,7 @@ func hNative(m *Machine, fr *Frame, d *dinstr) error {
 	if d.dst >= 0 {
 		fr.Locals[d.dst] = v
 	}
-	if m.Tracer != nil {
+	if m.tracer != nil {
 		m.emitV(d.in, fr, v)
 	}
 	fr.PC++

@@ -32,6 +32,14 @@ const (
 	// bomb fails with ErrHeapLimit instead of ending the process with an
 	// out-of-memory fatal error, which no recover catches.
 	MaxHeapCells = 1 << 24
+	// DetachSteps is how many steps a loop on the profiled table runs
+	// before it offers its hook work to a Detacher. A detach's fixed cost,
+	// starting the consumer plus draining the batches queued when the loop
+	// ends, measured 0.3 ms at the median and 0.6 ms at the 90th percentile
+	// (DESIGN.md §11); this is the smallest power of two at which 0.6 ms is
+	// at most a tenth of the synchronous profiled time already spent, at
+	// about 35 ns a step (10 × 0.6 ms / 35 ns ≈ 171K steps).
+	DetachSteps = 1 << 18
 )
 
 // Machine executes an ir.Program. A Machine is single-use per Run but its
@@ -69,6 +77,8 @@ type Machine struct {
 	// caches vs. through the method-name lookup (handler-table engine only).
 	ICHits   int64
 	ICMisses int64
+	// Detached reports whether a loop handed its hook work to a Detacher.
+	Detached bool
 
 	frames     []*Frame
 	rng        uint64
@@ -83,12 +93,17 @@ type Machine struct {
 	// ir.Program.TabCache), the per-method inline-cache slices
 	// (machine-private — the only mutable dispatch state), the base frame
 	// index of the innermost loopUntil, the single reusable event record
-	// handed to a plain-table tracer, and the hooks the profiled table
-	// calls. tabs and ics are indexed by Method.ID, built lazily.
+	// handed to a plain-table tracer, the tracer and hooks the handlers
+	// call (the Tracer's, or after a detach the hooks Detach returned), the
+	// detach's join, and the step count from which the loop offers one.
+	// tabs and ics are indexed by Method.ID, built lazily.
 	tabs     [][]dinstr
 	ics      [][]icSite
 	kind     tabKind
+	tracer   Tracer
 	hooks    Hooks
+	join     func()
+	detachAt int64
 	loopBase int
 	ev       Event
 
@@ -231,8 +246,8 @@ func (m *Machine) start() *Frame {
 		RetDst: -1,
 	}
 	m.frames = append(m.frames[:0], entry)
-	if m.Tracer != nil {
-		m.Tracer.EnterMethod(entry, nil)
+	if m.tracer != nil {
+		m.tracer.EnterMethod(entry, nil)
 	}
 	return entry
 }
@@ -272,7 +287,7 @@ func (m *Machine) route() {
 		m.tabs, m.ics = nil, nil
 		m.kind = kind
 	}
-	m.hooks = h
+	m.tracer, m.hooks = m.Tracer, h
 }
 
 // CallMethod invokes an arbitrary method with the given arguments and runs
@@ -295,8 +310,8 @@ func (m *Machine) CallMethod(method *ir.Method, args ...Value) (Value, error) {
 	if !method.Static && len(args) > 0 && args[0].K == ir.KindRef {
 		recv = args[0].Ref
 	}
-	if m.Tracer != nil {
-		m.Tracer.EnterMethod(fr, recv)
+	if m.tracer != nil {
+		m.tracer.EnterMethod(fr, recv)
 	}
 	if err := m.loopUntil(base); err != nil {
 		return Null, err
@@ -304,15 +319,24 @@ func (m *Machine) CallMethod(method *ir.Method, args ...Value) (Value, error) {
 	return m.lastReturn, nil
 }
 
-// loopUntil runs until the frame stack shrinks below base.
+// loopUntil runs until the frame stack shrinks below base, polling the
+// context and offering a detach (see Detacher) every cancelCheckMask+1 steps.
 func (m *Machine) loopUntil(base int) error {
 	prevBase := m.loopBase
 	m.loopBase = base
-	defer func() { m.loopBase = prevBase }()
+	defer func() {
+		m.loopBase = prevBase
+		if join := m.join; join != nil {
+			m.join = nil
+			m.route()
+			join()
+		}
+	}()
 	var done <-chan struct{}
 	if m.Ctx != nil {
 		done = m.Ctx.Done()
 	}
+	m.detachAt = m.Steps + DetachSteps
 	for len(m.frames) > base {
 		fr := m.frames[len(m.frames)-1]
 		if uint(fr.PC) >= uint(len(fr.tab)) {
@@ -323,13 +347,18 @@ func (m *Machine) loopUntil(base int) error {
 		if m.Steps > m.MaxSteps {
 			return m.fail(ErrStepLimit, d.in, fr, "after %d steps", m.Steps-1)
 		}
-		if done != nil && m.Steps&cancelCheckMask == 0 {
+		if m.Steps&cancelCheckMask == 0 {
 			select {
 			case <-done:
 				err := m.fail(ErrCanceled, d.in, fr, "after %d steps", m.Steps)
 				err.(*VMError).Cause = m.Ctx.Err()
 				return err
 			default:
+			}
+			if dt, ok := m.hooks.(Detacher); ok && m.join == nil && m.Steps >= m.detachAt {
+				if h, join := dt.Detach(m.frames[base:]); h != nil {
+					m.tracer, m.hooks, m.join, m.Detached = h, h, join, true
+				}
 			}
 		}
 		if err := d.fn(m, fr, d); err != nil {

@@ -33,8 +33,8 @@ type Event struct {
 }
 
 // Tracer observes execution. All hooks run synchronously on the interpreter
-// goroutine; a Tracer may keep per-frame state in Frame.Shadow and per-object
-// state in Object.Shadow.
+// goroutine (a Detacher's own consumer excepted); a Tracer may keep
+// per-frame state in Frame.Shadow and per-object state in Object.Shadow.
 //
 // The hook protocol around calls mirrors the paper's tracking stack T:
 //
@@ -105,6 +105,21 @@ type Hooks interface {
 	Branch(in *ir.Instr, fr *Frame)
 	// Native reports OpNative, after its destination (if any) is assigned.
 	Native(in *ir.Instr, fr *Frame)
+}
+
+// Detacher is a Hooks implementation that can finish a run's hook work on
+// a consumer goroutine. A machine on the profiled table offers it, at each
+// poll once a loop has run DetachSteps steps, until it accepts; from then
+// on the handlers call the hooks Detach returned. Every way out of the
+// loop (return, VM error, cancellation, panic) routes the machine back to
+// its Tracer and calls join, which waits for the consumer and re-raises
+// its panic on the machine's goroutine.
+type Detacher interface {
+	Hooks
+	// Detach takes over the loop's live frames, innermost last; it may read
+	// them only during the call, since the machine recycles popped frames.
+	// It returns nil hooks to decline.
+	Detach(frames []*Frame) (h Hooks, join func())
 }
 
 // NopTracer is a Tracer that does nothing. It is useful for measuring the

@@ -11,7 +11,9 @@ package lexer
 import (
 	"fmt"
 	"math"
+	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Kind enumerates token kinds.
@@ -139,9 +141,10 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Lexer scans MJ source.
+// Lexer scans MJ source in place: off is a byte offset into src, while
+// positions count runes, an invalid byte counting as one.
 type Lexer struct {
-	src  []rune
+	src  string
 	off  int
 	line int
 	col  int
@@ -149,7 +152,7 @@ type Lexer struct {
 
 // New returns a Lexer over src.
 func New(src string) *Lexer {
-	return &Lexer{src: []rune(src), line: 1, col: 1}
+	return &Lexer{src: src, line: 1, col: 1}
 }
 
 // Tokenize scans the entire input, returning all tokens (excluding EOF).
@@ -172,23 +175,32 @@ func Tokenize(src string) ([]Token, error) {
 // continue an identifier but do not start a number.
 func isDigit(r rune) bool { return '0' <= r && r <= '9' }
 
-func (l *Lexer) peek() rune {
-	if l.off >= len(l.src) {
-		return 0
+// runeAt decodes the rune at byte offset off and its width: 0 and 0 at
+// the end of input, utf8.RuneError and 1 at an invalid byte.
+func (l *Lexer) runeAt(off int) (rune, int) {
+	if off >= len(l.src) {
+		return 0, 0
 	}
-	return l.src[l.off]
+	if c := l.src[off]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[off:])
+}
+
+func (l *Lexer) peek() rune {
+	r, _ := l.runeAt(l.off)
+	return r
 }
 
 func (l *Lexer) peek2() rune {
-	if l.off+1 >= len(l.src) {
-		return 0
-	}
-	return l.src[l.off+1]
+	_, w := l.runeAt(l.off)
+	r, _ := l.runeAt(l.off + w)
+	return r
 }
 
 func (l *Lexer) advance() rune {
-	r := l.src[l.off]
-	l.off++
+	r, w := l.runeAt(l.off)
+	l.off += w
 	if r == '\n' {
 		l.line++
 		l.col = 1
@@ -257,11 +269,12 @@ func (l *Lexer) Next() (Token, error) {
 		for l.off < len(l.src) && (unicode.IsLetter(l.peek()) || unicode.IsDigit(l.peek()) || l.peek() == '_') {
 			l.advance()
 		}
-		text := string(l.src[start:l.off])
+		text := l.src[start:l.off]
 		if kw, ok := keywords[text]; ok {
-			return Token{Kind: kw, Pos: pos, Text: text}, nil
+			return Token{Kind: kw, Pos: pos, Text: kw.String()}, nil
 		}
-		return Token{Kind: Ident, Text: text, Pos: pos}, nil
+		// A copy, so the token keeps no reference to the source.
+		return Token{Kind: Ident, Text: strings.Clone(text), Pos: pos}, nil
 
 	case isDigit(r):
 		var v int64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -64,7 +65,43 @@ func TestEngineDifferentialModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		diffModes(t, w.Name, prog)
+		diffModes(t, w.Name, prog, false)
+	}
+}
+
+// TestEngineDifferentialDetached runs the same sweep on long runs: each
+// workload at the smallest power-of-two scale where it executes at least
+// four times interp.DetachSteps, so at least three quarters of its events
+// reach Gcost through the detached log. The product run must detach
+// exactly when GOMAXPROCS leaves room for a consumer (check.sh runs it at
+// -cpu 1,2). Under -short it keeps a call-heavy and a heap-heavy workload
+// at twice the threshold, so half their events still pass through the log.
+func TestEngineDifferentialDetached(t *testing.T) {
+	ws, steps := workloads.All(), int64(4*interp.DetachSteps)
+	if testing.Short() {
+		ws, steps = []*workloads.Workload{workloads.ByName("antlr"), workloads.ByName("xalan")}, 2*interp.DetachSteps
+	}
+	for _, w := range ws {
+		diffModes(t, w.Name, longProgram(t, w, steps), runtime.GOMAXPROCS(0) >= 2)
+	}
+}
+
+// longProgram compiles w at the smallest power-of-two scale at which a
+// plain run executes at least steps instructions.
+func longProgram(t *testing.T, w *workloads.Workload, steps int64) *ir.Program {
+	t.Helper()
+	for scale := 1; ; scale *= 2 {
+		prog, err := w.Compile(scale)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		m := interp.New(prog)
+		if err := m.Run(); err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if m.Steps >= steps {
+			return prog
+		}
 	}
 }
 
@@ -91,7 +128,7 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		diffModes(t, name, prog)
+		diffModes(t, name, prog, false)
 	}
 }
 
@@ -102,8 +139,9 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 // turns off both the link memo and the heap-effect memo. They must agree on
 // the Gcost encoding, the step count and the conflict statistics, and the
 // product's node frequencies must sum to the instances an independent
-// counting tracer sees.
-func diffModes(t *testing.T, name string, prog *ir.Program) {
+// counting tracer sees. The product run must have detached exactly when
+// detached is set.
+func diffModes(t *testing.T, name string, prog *ir.Program, detached bool) {
 	t.Helper()
 	counter := &instanceCounter{}
 	cm := interp.New(prog)
@@ -118,6 +156,9 @@ func diffModes(t *testing.T, name string, prog *ir.Program) {
 			pm.Tracer = product
 			if err := pm.Run(); err != nil {
 				t.Fatal(err)
+			}
+			if pm.Detached != detached {
+				t.Errorf("product run detached: %v, want %v", pm.Detached, detached)
 			}
 			ref := New(prog, mode.opts)
 			ref.memo = nil

@@ -566,13 +566,13 @@ func (s *Server) handleLoad(ctx context.Context, r *http.Request) (any, error) {
 	if len(req.Profile) == 0 {
 		return nil, &badRequestError{errors.New("missing profile")}
 	}
-	pr, err := sess.Prog.LoadProfile(bytes.NewReader(req.Profile))
-	if err != nil {
-		return nil, &badRequestError{err}
-	}
 	o, err := req.Options.Resolve(lowutil.KindReport)
 	if err != nil {
 		return nil, err
+	}
+	pr, err := sess.Prog.LoadProfile(bytes.NewReader(req.Profile), lowutil.WithOptions(o))
+	if err != nil {
+		return nil, &badRequestError{err}
 	}
 	return reportResponse{Session: sess.ID, Report: pr.Report(o.Top)}, nil
 }

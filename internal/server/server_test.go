@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -483,6 +484,30 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	_, body2 := postJSON(t, ts.URL+"/v2/profile/load", loadRequest{sessionRequest: sessionRequest{Session: id}, Profile: envelope})
 	if !bytes.Equal(body, body2) {
 		t.Error("two loads of the same envelope produced different responses")
+	}
+
+	// A load ranks with the request's tree_height, as /v2/report does on
+	// the same session; only the average CR, which a saved profile does not
+	// keep, may differ.
+	n1 := sessionRequest{Session: id, Options: lowutil.Options{TreeHeight: 1}}
+	report := func(path string, req any) string {
+		t.Helper()
+		code, body := postJSON(t, ts.URL+path, req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, code, body)
+		}
+		var rr reportResponse
+		if err := json.Unmarshal(body, &rr); err != nil {
+			t.Fatal(err)
+		}
+		return regexp.MustCompile(`avg CR [0-9.]+`).ReplaceAllString(rr.Report, "avg CR -")
+	}
+	want := report("/v2/report", n1)
+	if !strings.Contains(want, "(n=1)") {
+		t.Fatalf("/v2/report with tree_height 1 does not rank with n=1:\n%s", want)
+	}
+	if got := report("/v2/profile/load", loadRequest{sessionRequest: n1, Profile: envelope}); got != want {
+		t.Errorf("load with tree_height 1:\n%s\nwant /v2/report's:\n%s", got, want)
 	}
 }
 

@@ -498,8 +498,14 @@ func (pr *Profile) Save(w io.Writer) error {
 
 // LoadProfile reloads a profile saved with Save against the same program.
 // All analyses (Report, TopStructures, Deadness, CacheReports, …) then run
-// offline; CR statistics are not preserved.
-func (p *Program) LoadProfile(r io.Reader) (*Profile, error) {
+// offline; CR statistics are not preserved. It reads TreeHeight, resolved
+// as ProfileContext resolves it: Gcost does not depend on n, so one saved
+// profile serves every tree height.
+func (p *Program) LoadProfile(r io.Reader, opts ...Option) (*Profile, error) {
+	o, err := resolve(KindProfile, opts)
+	if err != nil {
+		return nil, err
+	}
 	var env profileEnvelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return nil, fmt.Errorf("lowutil: load profile: %w", err)
@@ -514,7 +520,7 @@ func (p *Program) LoadProfile(r io.Reader) (*Profile, error) {
 		prof:   prof,
 		steps:  env.Steps,
 		an:     costben.NewAnalysis(g),
-		height: costben.DefaultTreeHeight,
+		height: o.TreeHeight,
 	}, nil
 }
 

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"lowutil/internal/workloads"
 )
 
 const quickSrc = `
@@ -436,6 +439,40 @@ func TestFacadeSaveLoadProfile(t *testing.T) {
 	}
 	if _, err := other.LoadProfile(&buf2); err == nil {
 		t.Error("want fingerprint rejection")
+	}
+}
+
+// TestFacadeLoadProfileTreeHeight reloads a saved profile with
+// WithTreeHeight(1): it must rank as a live profile with the same option
+// does, not at the default height, which ranks this program differently.
+func TestFacadeLoadProfileTreeHeight(t *testing.T) {
+	prog, err := Compile(workloads.ByName("eclipse").Source(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := prog.ProfileContext(context.Background(), WithTreeHeight(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := live.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	load := func(opts ...Option) string {
+		t.Helper()
+		pr, err := prog.LoadProfile(bytes.NewReader(saved), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(pr.TopStructures(DefaultTop))
+	}
+	want := fmt.Sprint(live.TopStructures(DefaultTop))
+	if got := load(WithTreeHeight(1)); got != want {
+		t.Errorf("loaded with n=1:\n%s\nwant the live n=1 ranking:\n%s", got, want)
+	}
+	if load() == want {
+		t.Error("the default tree height ranks like n=1; the test cannot tell them apart")
 	}
 }
 

@@ -55,6 +55,10 @@ go run ./cmd/lowutil fuzz -seed 1 -n 50
 # The analysis pipeline is parallel; -short keeps the race pass fast by
 # trimming the all-workload differential sweeps to a subset.
 go test -race -short -shuffle=on ./...
+# The detached profiler under both selections: at GOMAXPROCS 1 no run may
+# detach and at 2 every long run must, and either way Gcost must match the
+# synchronous reference byte for byte (-short keeps two workloads).
+go test -race -short -cpu 1,2 -count=1 -run '^TestEngineDifferentialDetached$' ./internal/profiler
 # Smoke-run the dispatch benchmark (one iteration): catches handler-table
 # regressions that only manifest under the benchmark harness, without
 # paying for a timed run.

@@ -36,7 +36,9 @@ for t in \
     .:FuzzInlineCacheInvalidation \
     ./internal/ssa:FuzzRoundTrip \
     ./internal/escape:FuzzEscapeMonotone \
-    ./internal/parser:FuzzParse; do
+    ./internal/parser:FuzzParse \
+    ./internal/depgraph:FuzzDecode \
+    ./internal/lexer:FuzzLex; do
     pkg="${t%%:*}"
     name="${t#*:}"
     echo "fuzz: $name ($pkg) for $FUZZTIME"
