@@ -93,13 +93,12 @@ func BenchmarkOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatch isolates the cost of the Event path that client
-// tracers take: a NopTracer forces the plain table's full emit path (event
-// record fill + interface call) with no tracing work behind it. The
-// difference against the baseline series is that path's dispatch tax. The
-// profiler no longer takes it — a bare *profiler.Profiler runs the profiled
-// table's direct hook calls — so profiled_s16 minus this series is not the
-// profiler's own cost.
+// BenchmarkDispatch isolates the hooked table's dispatch tax: a NopTracer
+// makes the machine run the hooked handlers, one interface call per hook,
+// with no tracing work behind them. Every tracer, the profiler included,
+// runs that table, so the difference against the baseline series is what
+// any traced run pays before its tracer does any work, and profiled_s16
+// minus this series is the profiler's own cost.
 func BenchmarkDispatch(b *testing.B) {
 	for _, name := range []string{"chart", "bloat", "sunflow"} {
 		prog := mustCompileWorkload(b, name)
@@ -263,12 +262,14 @@ func BenchmarkPhaseRestricted(b *testing.B) {
 	b.Run("whole_program", func(b *testing.B) {
 		runProfiled(b, prog, profiler.Options{Slots: 16})
 	})
+	// An empty step window: the machine runs its plain handlers and only
+	// the call hooks reach the profiler.
 	b.Run("disabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := profiler.New(prog, profiler.Options{Slots: 16})
-			p.SetEnabled(false)
 			m := interp.New(prog)
 			m.Tracer = p
+			m.Window = &interp.StepWindow{}
 			if err := m.Run(); err != nil {
 				b.Fatal(err)
 			}

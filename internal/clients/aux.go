@@ -32,6 +32,11 @@ func NewMethodCostTracker(p *profiler.Profiler) *MethodCostTracker {
 	}
 }
 
+// Detach implements interp.Detacher by declining: the profiler's consumer
+// would replay the run onto the bare profiler, past the BeforeReturn that
+// records return values here, so a tracked run stays synchronous.
+func (mc *MethodCostTracker) Detach([]*interp.Frame) (interp.Tracer, func()) { return nil, nil }
+
 // BeforeReturn implements interp.Tracer, recording return-value nodes.
 func (mc *MethodCostTracker) BeforeReturn(in *ir.Instr, fr *interp.Frame) {
 	mc.Profiler.BeforeReturn(in, fr)
@@ -125,8 +130,8 @@ type RewriteTracker struct {
 }
 
 type rwKey struct {
-	site  int // -1 for statics
-	field int
+	site  int // allocation site of the accessed object
+	field int // field ID, or depgraph.ElemField
 }
 
 type rwCounts struct {
@@ -166,35 +171,44 @@ func (rw *RewriteTracker) oshadow(o *interp.Object) *rwObjShadow {
 	return os
 }
 
-// Exec implements interp.Tracer.
-func (rw *RewriteTracker) Exec(ev *interp.Event) {
-	in := ev.In
-	switch in.Op {
-	case ir.OpStoreField:
-		os := rw.oshadow(ev.Base)
-		c := rw.cnt(rwKey{ev.Base.Site, in.Field.ID})
-		c.Writes++
-		if os.unread[in.Field.Slot] {
-			c.Overwrites++
-		}
-		os.unread[in.Field.Slot] = true
-	case ir.OpLoadField:
-		os := rw.oshadow(ev.Base)
-		rw.cnt(rwKey{ev.Base.Site, in.Field.ID}).Reads++
-		os.unread[in.Field.Slot] = false
-	case ir.OpAStore:
-		os := rw.oshadow(ev.Base)
-		c := rw.cnt(rwKey{ev.Base.Site, depgraph.ElemField})
-		c.Writes++
-		if os.unread[ev.Index] {
-			c.Overwrites++
-		}
-		os.unread[ev.Index] = true
-	case ir.OpALoad:
-		os := rw.oshadow(ev.Base)
-		rw.cnt(rwKey{ev.Base.Site, depgraph.ElemField}).Reads++
-		os.unread[ev.Index] = false
+// write records a write to o's field or element slot, aggregated under
+// field.
+func (rw *RewriteTracker) write(o *interp.Object, field, slot int) {
+	os := rw.oshadow(o)
+	c := rw.cnt(rwKey{o.Site, field})
+	c.Writes++
+	if os.unread[slot] {
+		c.Overwrites++
 	}
+	os.unread[slot] = true
+}
+
+// read records a read of o's field or element slot, aggregated under
+// field.
+func (rw *RewriteTracker) read(o *interp.Object, field, slot int) {
+	os := rw.oshadow(o)
+	rw.cnt(rwKey{o.Site, field}).Reads++
+	os.unread[slot] = false
+}
+
+// StoreField implements interp.Tracer.
+func (rw *RewriteTracker) StoreField(in *ir.Instr, _ *interp.Frame, base *interp.Object, _ interp.Value) {
+	rw.write(base, in.Field.ID, in.Field.Slot)
+}
+
+// LoadField implements interp.Tracer.
+func (rw *RewriteTracker) LoadField(in *ir.Instr, _ *interp.Frame, base *interp.Object) {
+	rw.read(base, in.Field.ID, in.Field.Slot)
+}
+
+// StoreElem implements interp.Tracer.
+func (rw *RewriteTracker) StoreElem(_ *ir.Instr, _ *interp.Frame, arr *interp.Object, idx int64, _ interp.Value) {
+	rw.write(arr, depgraph.ElemField, int(idx))
+}
+
+// LoadElem implements interp.Tracer.
+func (rw *RewriteTracker) LoadElem(_ *ir.Instr, _ *interp.Frame, arr *interp.Object, idx int64) {
+	rw.read(arr, depgraph.ElemField, int(idx))
 }
 
 // RewriteReport is one suspicious location.
@@ -266,15 +280,12 @@ func NewPredicateTracker(prog *ir.Program) *PredicateTracker {
 	return &PredicateTracker{taken: make([]int64, n), notTaken: make([]int64, n), prog: prog}
 }
 
-// Exec implements interp.Tracer.
-func (pt *PredicateTracker) Exec(ev *interp.Event) {
-	if ev.In.Op != ir.OpIf {
-		return
-	}
-	if ev.Taken {
-		pt.taken[ev.In.ID]++
+// Branch implements interp.Tracer.
+func (pt *PredicateTracker) Branch(in *ir.Instr, _ *interp.Frame, taken bool) {
+	if taken {
+		pt.taken[in.ID]++
 	} else {
-		pt.notTaken[ev.In.ID]++
+		pt.notTaken[in.ID]++
 	}
 }
 

@@ -41,6 +41,7 @@ func (o Origin) String() string {
 // link consecutive copies — so a backward walk from a field store recovers
 // the whole copy chain including intermediate stack locations.
 type CopyProfiler struct {
+	interp.NopTracer
 	G *depgraph.Graph
 
 	prog     *ir.Program
@@ -132,68 +133,79 @@ func (cp *CopyProfiler) copyNode(in *ir.Instr, o Origin, prev *depgraph.Node) *d
 	return n
 }
 
-// Exec implements interp.Tracer.
-func (cp *CopyProfiler) Exec(ev *interp.Event) {
-	in := ev.In
-	fs := cp.fshadow(ev.Frame)
-	switch in.Op {
-	case ir.OpConst, ir.OpBin, ir.OpNeg, ir.OpNot, ir.OpInstanceOf,
-		ir.OpNew, ir.OpNewArray, ir.OpArrayLen:
-		// Computation or fresh value: origin resets to ⊥.
-		if in.Dst >= 0 {
-			fs.cells[in.Dst] = copyCell{origin: Bottom}
-		}
-	case ir.OpMove:
-		cp.TotalCopies++
-		src := fs.cells[in.A]
-		n := cp.copyNode(in, src.origin, src.node)
-		fs.cells[in.Dst] = copyCell{origin: src.origin, node: n}
-	case ir.OpLoadField:
-		cp.TotalCopies++
-		o := Origin{Site: ev.Base.Site, Field: in.Field.ID}
-		n := cp.copyNode(in, o, nil)
-		fs.cells[in.Dst] = copyCell{origin: o, node: n}
-	case ir.OpStoreField:
-		cp.TotalCopies++
-		src := fs.cells[in.B]
-		n := cp.copyNode(in, src.origin, src.node)
-		dst := Origin{Site: ev.Base.Site, Field: in.Field.ID}
-		cp.recordChain(src.origin, dst)
-		os := cp.oshadow(ev.Base)
-		if in.Field.Slot < len(os.cells) {
-			os.cells[in.Field.Slot] = copyCell{origin: src.origin, node: n}
-		}
-	case ir.OpLoadStatic:
-		cp.TotalCopies++
-		o := Origin{Site: -2 - in.Static.Slot, Field: 0} // statics get pseudo-sites
-		_ = o
-		n := cp.copyNode(in, Bottom, nil)
-		fs.cells[in.Dst] = copyCell{origin: Bottom, node: n}
-	case ir.OpStoreStatic:
-		cp.TotalCopies++
-		src := fs.cells[in.A]
-		n := cp.copyNode(in, src.origin, src.node)
-		cp.statics[in.Static.Slot] = copyCell{origin: src.origin, node: n}
-	case ir.OpALoad:
-		cp.TotalCopies++
-		o := Origin{Site: ev.Base.Site, Field: depgraph.ElemField}
-		n := cp.copyNode(in, o, nil)
-		fs.cells[in.Dst] = copyCell{origin: o, node: n}
-	case ir.OpAStore:
-		cp.TotalCopies++
-		src := fs.cells[in.C2]
-		n := cp.copyNode(in, src.origin, src.node)
-		dst := Origin{Site: ev.Base.Site, Field: depgraph.ElemField}
-		cp.recordChain(src.origin, dst)
-		os := cp.oshadow(ev.Base)
-		if int(ev.Index) < len(os.cells) {
-			os.cells[ev.Index] = copyCell{origin: src.origin, node: n}
-		}
-	case ir.OpNative:
-		if in.Dst >= 0 {
-			fs.cells[in.Dst] = copyCell{origin: Bottom}
-		}
+// reset marks in's destination as holding a computed or fresh value,
+// whose origin is ⊥.
+func (cp *CopyProfiler) reset(in *ir.Instr, fr *interp.Frame) {
+	if in.Dst >= 0 {
+		cp.fshadow(fr).cells[in.Dst] = copyCell{origin: Bottom}
 	}
+}
+
+// copyFrom records a copy of src by in and returns the cell it leaves.
+func (cp *CopyProfiler) copyFrom(in *ir.Instr, src copyCell) copyCell {
+	cp.TotalCopies++
+	return copyCell{origin: src.origin, node: cp.copyNode(in, src.origin, src.node)}
+}
+
+// load records a heap load by in from origin o into its destination.
+func (cp *CopyProfiler) load(in *ir.Instr, fr *interp.Frame, o Origin) {
+	cp.TotalCopies++
+	cp.fshadow(fr).cells[in.Dst] = copyCell{origin: o, node: cp.copyNode(in, o, nil)}
+}
+
+// store records a heap store by in of local slot s into o's field or
+// element i, the location dst.
+func (cp *CopyProfiler) store(in *ir.Instr, fr *interp.Frame, s int, o *interp.Object, i int, dst Origin) {
+	c := cp.copyFrom(in, cp.fshadow(fr).cells[s])
+	cp.recordChain(c.origin, dst)
+	if os := cp.oshadow(o); i < len(os.cells) {
+		os.cells[i] = c
+	}
+}
+
+// The hooks of instructions that compute or allocate their value.
+func (cp *CopyProfiler) Const(in *ir.Instr, fr *interp.Frame)  { cp.reset(in, fr) }
+func (cp *CopyProfiler) Binary(in *ir.Instr, fr *interp.Frame) { cp.reset(in, fr) }
+func (cp *CopyProfiler) Native(in *ir.Instr, fr *interp.Frame) { cp.reset(in, fr) }
+func (cp *CopyProfiler) New(in *ir.Instr, fr *interp.Frame, _ *interp.Object) {
+	cp.reset(in, fr)
+}
+func (cp *CopyProfiler) NewArray(in *ir.Instr, fr *interp.Frame, _ *interp.Object) {
+	cp.reset(in, fr)
+}
+func (cp *CopyProfiler) ArrayLen(in *ir.Instr, fr *interp.Frame, _ *interp.Object) {
+	cp.reset(in, fr)
+}
+
+// Unary implements interp.Tracer: a move is a stack copy; the other unary
+// operations compute.
+func (cp *CopyProfiler) Unary(in *ir.Instr, fr *interp.Frame) {
+	if in.Op != ir.OpMove {
+		cp.reset(in, fr)
+		return
+	}
+	fs := cp.fshadow(fr)
+	fs.cells[in.Dst] = cp.copyFrom(in, fs.cells[in.A])
+}
+
+// The heap hooks: a load copies a field or element, whose origin it
+// takes; a store copies a local into a location, completing a chain.
+// Statics have no allocation site, so a value loaded from one has origin ⊥.
+func (cp *CopyProfiler) LoadField(in *ir.Instr, fr *interp.Frame, base *interp.Object) {
+	cp.load(in, fr, Origin{Site: base.Site, Field: in.Field.ID})
+}
+func (cp *CopyProfiler) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Object, _ interp.Value) {
+	cp.store(in, fr, in.B, base, in.Field.Slot, Origin{Site: base.Site, Field: in.Field.ID})
+}
+func (cp *CopyProfiler) LoadStatic(in *ir.Instr, fr *interp.Frame) { cp.load(in, fr, Bottom) }
+func (cp *CopyProfiler) StoreStatic(in *ir.Instr, fr *interp.Frame, _ interp.Value) {
+	cp.statics[in.Static.Slot] = cp.copyFrom(in, cp.fshadow(fr).cells[in.A])
+}
+func (cp *CopyProfiler) LoadElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, _ int64) {
+	cp.load(in, fr, Origin{Site: arr.Site, Field: depgraph.ElemField})
+}
+func (cp *CopyProfiler) StoreElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64, _ interp.Value) {
+	cp.store(in, fr, in.C2, arr, int(idx), Origin{Site: arr.Site, Field: depgraph.ElemField})
 }
 
 // BeforeCall implements interp.Tracer: argument passing is a stack copy.

@@ -37,6 +37,7 @@ const (
 // produced value was null, and answers "where did this null come from and
 // how did it get here?" after a NullPointerException.
 type NullTracker struct {
+	interp.NopTracer
 	G *depgraph.Graph
 
 	statics  []*depgraph.Node
@@ -86,70 +87,80 @@ func dOf(v interp.Value) int {
 	return dNotNull
 }
 
-// Exec implements interp.Tracer. Only reference-relevant flows matter, but
-// tracking everything uniformly is simpler and still bounded by 2|I|.
-func (nt *NullTracker) Exec(ev *interp.Event) {
-	in := ev.In
-	fs := nt.fshadow(ev.Frame)
-	g := nt.G
-	switch in.Op {
-	case ir.OpConst:
-		fs.nodes[in.Dst] = g.Touch(in, dOf(ev.Val))
-	case ir.OpMove:
-		n := g.Touch(in, dOf(ev.Val))
-		g.AddDep(n, fs.nodes[in.A])
-		fs.nodes[in.Dst] = n
-	case ir.OpBin:
-		n := g.Touch(in, dNotNull)
-		g.AddDep(n, fs.nodes[in.A])
-		g.AddDep(n, fs.nodes[in.B])
-		fs.nodes[in.Dst] = n
-	case ir.OpNeg, ir.OpNot, ir.OpInstanceOf, ir.OpArrayLen:
-		n := g.Touch(in, dNotNull)
-		g.AddDep(n, fs.nodes[in.A])
-		fs.nodes[in.Dst] = n
-	case ir.OpNew, ir.OpNewArray:
-		fs.nodes[in.Dst] = g.Touch(in, dNotNull)
-	case ir.OpLoadField:
-		n := g.Touch(in, dOf(ev.Val))
-		os := nt.oshadow(ev.Base)
-		if in.Field.Slot < len(os.slots) {
-			g.AddDep(n, os.slots[in.Field.Slot])
-		}
-		fs.nodes[in.Dst] = n
-	case ir.OpStoreField:
-		n := g.Touch(in, dOf(ev.Val))
-		g.AddDep(n, fs.nodes[in.B])
-		os := nt.oshadow(ev.Base)
-		if in.Field.Slot < len(os.slots) {
-			os.slots[in.Field.Slot] = n
-		}
-	case ir.OpLoadStatic:
-		n := g.Touch(in, dOf(ev.Val))
-		g.AddDep(n, nt.statics[in.Static.Slot])
-		fs.nodes[in.Dst] = n
-	case ir.OpStoreStatic:
-		n := g.Touch(in, dOf(ev.Val))
-		g.AddDep(n, fs.nodes[in.A])
-		nt.statics[in.Static.Slot] = n
-	case ir.OpALoad:
-		n := g.Touch(in, dOf(ev.Val))
-		os := nt.oshadow(ev.Base)
-		if int(ev.Index) < len(os.slots) {
-			g.AddDep(n, os.slots[ev.Index])
-		}
-		fs.nodes[in.Dst] = n
-	case ir.OpAStore:
-		n := g.Touch(in, dOf(ev.Val))
-		g.AddDep(n, fs.nodes[in.C2])
-		os := nt.oshadow(ev.Base)
-		if int(ev.Index) < len(os.slots) {
-			os.slots[ev.Index] = n
-		}
-	case ir.OpIf, ir.OpNative:
-		if in.Op == ir.OpNative && in.Dst >= 0 {
-			fs.nodes[in.Dst] = nt.G.Touch(in, dOf(ev.Val))
-		}
+// def makes the node for in, annotated by whether the value it wrote to
+// its destination is null, as the destination's new shadow, depending on
+// dep. Only reference-relevant flows matter, but tracking every value
+// uniformly is simpler and still bounded by 2|I| nodes.
+func (nt *NullTracker) def(in *ir.Instr, fr *interp.Frame, dep *depgraph.Node) *depgraph.Node {
+	n := nt.G.Touch(in, dOf(fr.Locals[in.Dst]))
+	nt.G.AddDep(n, dep)
+	nt.fshadow(fr).nodes[in.Dst] = n
+	return n
+}
+
+// The hooks: every value-producing instruction defines its destination,
+// depending on its operands or on the location it loads; a store's node
+// becomes the location's shadow. A move copies its operand's annotation,
+// and the other unary operations produce ints.
+func (nt *NullTracker) Const(in *ir.Instr, fr *interp.Frame) { nt.def(in, fr, nil) }
+func (nt *NullTracker) Unary(in *ir.Instr, fr *interp.Frame) {
+	nt.def(in, fr, nt.fshadow(fr).nodes[in.A])
+}
+func (nt *NullTracker) Binary(in *ir.Instr, fr *interp.Frame) {
+	fs := nt.fshadow(fr)
+	b := fs.nodes[in.B] // read before def overwrites a destination that is B
+	nt.G.AddDep(nt.def(in, fr, fs.nodes[in.A]), b)
+}
+func (nt *NullTracker) ArrayLen(in *ir.Instr, fr *interp.Frame, _ *interp.Object) {
+	nt.def(in, fr, nt.fshadow(fr).nodes[in.A])
+}
+func (nt *NullTracker) New(in *ir.Instr, fr *interp.Frame, _ *interp.Object) { nt.def(in, fr, nil) }
+func (nt *NullTracker) NewArray(in *ir.Instr, fr *interp.Frame, _ *interp.Object) {
+	nt.def(in, fr, nil)
+}
+func (nt *NullTracker) LoadField(in *ir.Instr, fr *interp.Frame, base *interp.Object) {
+	nt.def(in, fr, nt.slot(base, in.Field.Slot))
+}
+func (nt *NullTracker) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Object, v interp.Value) {
+	nt.store(base, in.Field.Slot, nt.use(in, fr, in.B, v))
+}
+func (nt *NullTracker) LoadStatic(in *ir.Instr, fr *interp.Frame) {
+	nt.def(in, fr, nt.statics[in.Static.Slot])
+}
+func (nt *NullTracker) StoreStatic(in *ir.Instr, fr *interp.Frame, v interp.Value) {
+	nt.statics[in.Static.Slot] = nt.use(in, fr, in.A, v)
+}
+func (nt *NullTracker) LoadElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64) {
+	nt.def(in, fr, nt.slot(arr, int(idx)))
+}
+func (nt *NullTracker) StoreElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64, v interp.Value) {
+	nt.store(arr, int(idx), nt.use(in, fr, in.C2, v))
+}
+func (nt *NullTracker) Native(in *ir.Instr, fr *interp.Frame) {
+	if in.Dst >= 0 {
+		nt.def(in, fr, nil)
+	}
+}
+
+// use makes the node for a store of v, read from local slot s.
+func (nt *NullTracker) use(in *ir.Instr, fr *interp.Frame, s int, v interp.Value) *depgraph.Node {
+	n := nt.G.Touch(in, dOf(v))
+	nt.G.AddDep(n, nt.fshadow(fr).nodes[s])
+	return n
+}
+
+// slot returns the shadow of o's field or element i, nil if it has none.
+func (nt *NullTracker) slot(o *interp.Object, i int) *depgraph.Node {
+	if os := nt.oshadow(o); i < len(os.slots) {
+		return os.slots[i]
+	}
+	return nil
+}
+
+// store makes n the shadow of o's field or element i.
+func (nt *NullTracker) store(o *interp.Object, i int, n *depgraph.Node) {
+	if os := nt.oshadow(o); i < len(os.slots) {
+		os.slots[i] = n
 	}
 }
 

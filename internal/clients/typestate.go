@@ -81,6 +81,7 @@ func (v *Violation) String() string {
 // "def-use edges between nodes that write and read the object state tag")
 // summarize per-object event histories into a DFA-like graph.
 type TypestateTracker struct {
+	interp.NopTracer
 	G          *depgraph.Graph
 	Proto      *Protocol
 	Sites      map[int]bool // tracked allocation sites
@@ -115,11 +116,12 @@ func (ts *TypestateTracker) encode(site int, s State) int {
 	return site*ts.Proto.NumStates + int(s)
 }
 
-// Exec implements interp.Tracer. Typestate only cares about calls, which
-// arrive via BeforeCall.
-func (ts *TypestateTracker) Exec(ev *interp.Event) {
-	if ev.In.Op == ir.OpNew && ts.Sites[ev.In.AllocSite] {
-		ev.New.Shadow = &tsShadow{state: ts.Proto.Init}
+// New implements interp.Tracer: objects from tracked sites start in the
+// protocol's initial state. Past allocation, typestate only cares about
+// calls, which arrive via BeforeCall.
+func (ts *TypestateTracker) New(in *ir.Instr, _ *interp.Frame, o *interp.Object) {
+	if ts.Sites[in.AllocSite] {
+		o.Shadow = &tsShadow{state: ts.Proto.Init}
 	}
 }
 
@@ -179,14 +181,5 @@ func (ts *TypestateTracker) history(n *depgraph.Node) []*depgraph.Node {
 	}
 	return out
 }
-
-// EnterMethod implements interp.Tracer.
-func (ts *TypestateTracker) EnterMethod(fr *interp.Frame, recv *interp.Object) {}
-
-// BeforeReturn implements interp.Tracer.
-func (ts *TypestateTracker) BeforeReturn(in *ir.Instr, fr *interp.Frame) {}
-
-// AfterCall implements interp.Tracer.
-func (ts *TypestateTracker) AfterCall(in *ir.Instr, caller *interp.Frame, hasValue bool) {}
 
 var _ interp.Tracer = (*TypestateTracker)(nil)

@@ -36,9 +36,67 @@ func (c *contextMirror) observe(in *ir.Instr, g contextenc.Encoded) {
 	}
 }
 
-func (c *contextMirror) Exec(ev *interp.Event) {
-	c.Profiler.Exec(ev)
-	c.observe(ev.In, c.ctx[ev.Frame])
+// The hooks of the instructions that leave context nodes: every
+// value-producing instruction but a native. Branches and natives leave
+// context-free nodes.
+func (c *contextMirror) Const(in *ir.Instr, fr *interp.Frame) {
+	c.Profiler.Const(in, fr)
+	c.observe(in, c.ctx[fr])
+}
+
+func (c *contextMirror) Unary(in *ir.Instr, fr *interp.Frame) {
+	c.Profiler.Unary(in, fr)
+	c.observe(in, c.ctx[fr])
+}
+
+func (c *contextMirror) Binary(in *ir.Instr, fr *interp.Frame) {
+	c.Profiler.Binary(in, fr)
+	c.observe(in, c.ctx[fr])
+}
+
+func (c *contextMirror) New(in *ir.Instr, fr *interp.Frame, o *interp.Object) {
+	c.Profiler.New(in, fr, o)
+	c.observe(in, c.ctx[fr])
+}
+
+func (c *contextMirror) NewArray(in *ir.Instr, fr *interp.Frame, o *interp.Object) {
+	c.Profiler.NewArray(in, fr, o)
+	c.observe(in, c.ctx[fr])
+}
+
+func (c *contextMirror) LoadField(in *ir.Instr, fr *interp.Frame, base *interp.Object) {
+	c.Profiler.LoadField(in, fr, base)
+	c.observe(in, c.ctx[fr])
+}
+
+func (c *contextMirror) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Object, v interp.Value) {
+	c.Profiler.StoreField(in, fr, base, v)
+	c.observe(in, c.ctx[fr])
+}
+
+func (c *contextMirror) LoadStatic(in *ir.Instr, fr *interp.Frame) {
+	c.Profiler.LoadStatic(in, fr)
+	c.observe(in, c.ctx[fr])
+}
+
+func (c *contextMirror) StoreStatic(in *ir.Instr, fr *interp.Frame, v interp.Value) {
+	c.Profiler.StoreStatic(in, fr, v)
+	c.observe(in, c.ctx[fr])
+}
+
+func (c *contextMirror) LoadElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64) {
+	c.Profiler.LoadElem(in, fr, arr, idx)
+	c.observe(in, c.ctx[fr])
+}
+
+func (c *contextMirror) StoreElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64, v interp.Value) {
+	c.Profiler.StoreElem(in, fr, arr, idx, v)
+	c.observe(in, c.ctx[fr])
+}
+
+func (c *contextMirror) ArrayLen(in *ir.Instr, fr *interp.Frame, arr *interp.Object) {
+	c.Profiler.ArrayLen(in, fr, arr)
+	c.observe(in, c.ctx[fr])
 }
 
 func (c *contextMirror) BeforeCall(in *ir.Instr, caller *interp.Frame, callee *ir.Method, recv *interp.Object) {

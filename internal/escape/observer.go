@@ -17,6 +17,7 @@ import (
 // Object.Shadow (the allocating frame's ID), so it cannot be combined with
 // another Shadow-owning tracer on the same machine.
 type Observer struct {
+	interp.NopTracer
 	next    int64
 	live    map[int64]bool
 	escaped map[int]bool
@@ -27,18 +28,20 @@ func NewObserver() *Observer {
 	return &Observer{live: make(map[int64]bool), escaped: make(map[int]bool)}
 }
 
-// Exec implements interp.Tracer: allocations tag the new object with the
-// current frame ID; heap accesses check the base object's allocating frame.
-func (o *Observer) Exec(ev *interp.Event) {
-	switch ev.In.Op {
-	case ir.OpNew, ir.OpNewArray:
-		if id, ok := ev.Frame.Shadow.(int64); ok {
-			ev.New.Shadow = id
-		}
-	case ir.OpLoadField, ir.OpStoreField, ir.OpALoad, ir.OpAStore, ir.OpArrayLen:
-		o.deref(ev.Base)
-	}
+// The instruction hooks: an allocation tags the new object with the
+// current frame ID; a heap access checks its base object's allocating
+// frame.
+func (o *Observer) New(_ *ir.Instr, fr *interp.Frame, obj *interp.Object)       { o.tag(fr, obj) }
+func (o *Observer) NewArray(_ *ir.Instr, fr *interp.Frame, arr *interp.Object)  { o.tag(fr, arr) }
+func (o *Observer) LoadField(_ *ir.Instr, _ *interp.Frame, base *interp.Object) { o.deref(base) }
+func (o *Observer) StoreField(_ *ir.Instr, _ *interp.Frame, base *interp.Object, _ interp.Value) {
+	o.deref(base)
 }
+func (o *Observer) LoadElem(_ *ir.Instr, _ *interp.Frame, arr *interp.Object, _ int64) { o.deref(arr) }
+func (o *Observer) StoreElem(_ *ir.Instr, _ *interp.Frame, arr *interp.Object, _ int64, _ interp.Value) {
+	o.deref(arr)
+}
+func (o *Observer) ArrayLen(_ *ir.Instr, _ *interp.Frame, arr *interp.Object) { o.deref(arr) }
 
 // BeforeCall implements interp.Tracer: virtual dispatch dereferences the
 // receiver.
@@ -62,8 +65,12 @@ func (o *Observer) BeforeReturn(_ *ir.Instr, fr *interp.Frame) {
 	}
 }
 
-// AfterCall implements interp.Tracer.
-func (o *Observer) AfterCall(*ir.Instr, *interp.Frame, bool) {}
+// tag records obj as allocated in fr.
+func (o *Observer) tag(fr *interp.Frame, obj *interp.Object) {
+	if id, ok := fr.Shadow.(int64); ok {
+		obj.Shadow = id
+	}
+}
 
 func (o *Observer) deref(obj *interp.Object) {
 	if obj == nil {

@@ -216,27 +216,6 @@ func Format(rows []*Row, out io.Writer) {
 
 // ---- Phase-restricted tracking (§4.1 overhead discussion) ----
 
-// phaseGate wraps the profiler and enables it only for a fraction of the
-// run, approximating "tracking only the steady-state portion of a server's
-// run" with an instruction-count window.
-type phaseGate struct {
-	*profiler.Profiler
-	n      int64
-	lo, hi int64
-}
-
-// Exec implements interp.Tracer.
-func (g *phaseGate) Exec(ev *interp.Event) {
-	g.n++
-	if g.n == g.lo {
-		g.Profiler.SetEnabled(true)
-	}
-	if g.n == g.hi {
-		g.Profiler.SetEnabled(false)
-	}
-	g.Profiler.Exec(ev)
-}
-
 // PhaseResult reports the phase-restriction experiment for one workload.
 type PhaseResult struct {
 	Name          string
@@ -247,15 +226,15 @@ type PhaseResult struct {
 	FullNodes  int
 	PhaseNodes int
 	// FullEvents and PhaseEvents count the Gcost events each run recorded
-	// while tracking was enabled (the sum of node frequencies): the work
-	// the phase gate saves, deterministic where the wall-clock ratios are
-	// not.
+	// (the sum of node frequencies): the work the step window saves,
+	// deterministic where the wall-clock ratios are not.
 	FullEvents  int64
 	PhaseEvents int64
 }
 
 // PhaseExperiment profiles the workload twice — whole-program and restricted
-// to the middle fraction of the run — and reports the overhead reduction.
+// to a step window over the middle fraction of the run — and reports the
+// overhead reduction.
 func PhaseExperiment(name string, scale int, fraction float64) (*PhaseResult, error) {
 	w := workloads.ByName(name)
 	if w == nil {
@@ -266,62 +245,53 @@ func PhaseExperiment(name string, scale int, fraction float64) (*PhaseResult, er
 		return nil, err
 	}
 
-	var base time.Duration
-	var steps int64
-	for i := 0; i < 3; i++ {
+	m := interp.New(prog)
+	if err := m.Run(); err != nil {
+		return nil, err
+	}
+	n := int64(float64(m.Steps) * fraction)
+	window := &interp.StepWindow{Lo: (m.Steps - n) / 2, Hi: (m.Steps-n)/2 + n}
+	timed := func(tr interp.Tracer, w *interp.StepWindow) (time.Duration, error) {
 		m := interp.New(prog)
+		m.Tracer, m.Window = tr, w
 		start := time.Now()
-		if err := m.Run(); err != nil {
+		err := m.Run()
+		return time.Since(start), err
+	}
+
+	// The best of five rounds, each running the plain, full and windowed
+	// profiles back to back. A run takes about a millisecond at scale 8,
+	// and a scheduler hiccup or a collection can cover several in a row,
+	// so the three kinds share every round instead of each owning a series
+	// one hiccup could cover.
+	var base, fullTime, gatedTime time.Duration
+	var full, gatedP *profiler.Profiler
+	for i := 0; i < 5; i++ {
+		full = profiler.New(prog, profiler.Options{Slots: 16})
+		gatedP = profiler.New(prog, profiler.Options{Slots: 16})
+		b, err := timed(nil, nil)
+		if err != nil {
 			return nil, err
 		}
-		if d := time.Since(start); i == 0 || d < base {
-			base = d
+		f, err := timed(full, nil)
+		if err != nil {
+			return nil, err
 		}
-		steps = m.Steps
-	}
-	if base <= 0 {
-		base = time.Nanosecond
-	}
-
-	// Best-of-3, like the baseline above: a single scheduler hiccup on
-	// either run would otherwise swamp the overhead ratio.
-	runProfiled := func(mk func() (interp.Tracer, *profiler.Profiler)) (time.Duration, *profiler.Profiler, error) {
-		var best time.Duration
-		var p *profiler.Profiler
-		for i := 0; i < 3; i++ {
-			tracer, prof := mk()
-			m := interp.New(prog)
-			m.Tracer = tracer
-			start := time.Now()
-			if err := m.Run(); err != nil {
-				return 0, nil, err
-			}
-			if d := time.Since(start); i == 0 || d < best {
-				best = d
-			}
-			p = prof
+		g, err := timed(gatedP, window)
+		if err != nil {
+			return nil, err
 		}
-		return best, p, nil
+		if i == 0 || b < base {
+			base = b
+		}
+		if i == 0 || f < fullTime {
+			fullTime = f
+		}
+		if i == 0 || g < gatedTime {
+			gatedTime = g
+		}
 	}
-
-	fullTime, full, err := runProfiled(func() (interp.Tracer, *profiler.Profiler) {
-		p := profiler.New(prog, profiler.Options{Slots: 16})
-		return p, p
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	window := int64(float64(steps) * fraction)
-	lo := (steps - window) / 2
-	gatedTime, gatedP, err := runProfiled(func() (interp.Tracer, *profiler.Profiler) {
-		p := profiler.New(prog, profiler.Options{Slots: 16})
-		p.SetEnabled(false)
-		return &phaseGate{Profiler: p, lo: lo, hi: lo + window}, p
-	})
-	if err != nil {
-		return nil, err
-	}
+	base = max(base, time.Nanosecond)
 
 	res := &PhaseResult{
 		Name:          name,
@@ -438,5 +408,3 @@ func AbstractVsConcrete(name string, scale int, capN int) (*AbstractionAblation,
 	res.UnabstractedBytes = pu.G.ApproxBytes()
 	return res, nil
 }
-
-var _ interp.Tracer = (*phaseGate)(nil)

@@ -51,8 +51,12 @@ type Invariant struct {
 //	slice-containment-cha  dynamic Gcost ⊆ static slice under CHA
 //	slice-containment-rta  dynamic Gcost ⊆ static slice under RTA+ObjCtx
 //	conservation           node frequencies sum to the instruction instances
-//	                       an independent counting tracer sees, in every
-//	                       profiler mode
+//	                       an independent counting tracer sees on the
+//	                       reference engine, in every profiler mode
+//	client-parity          every tracer client reports the same on the
+//	                       handler-table and reference engines
+//	window                 a step-windowed profile records F(hi) − F(lo)
+//	                       events, all on nodes of the full Gcost
 //	vet-agreement          SSA vs dense vet subset/equality relations
 //	escape-soundness       dynamic escapes ⊆ static non-NoEscape (CHA and RTA)
 //	report-stability       profile/slice/audit reports are byte-stable across
@@ -65,6 +69,8 @@ func Invariants() []Invariant {
 		{"slice-containment-cha", checkContainmentCHA},
 		{"slice-containment-rta", checkContainmentRTA},
 		{"conservation", checkConservation},
+		{"client-parity", checkClientParity},
+		{"window", checkWindow},
 		{"vet-agreement", checkVetAgreement},
 		{"escape-soundness", checkEscapeSoundness},
 		{"report-stability", checkReportStability},
@@ -400,13 +406,32 @@ func checkContainmentRTA(c *caseRun) error {
 }
 
 // instanceCounter counts the instruction instances that touch a Gcost
-// node: one per Exec event, one per call whose result is assigned.
+// node: one per instruction hook, one per call whose result is assigned.
 type instanceCounter struct {
 	interp.NopTracer
 	n int64
 }
 
-func (c *instanceCounter) Exec(*interp.Event) { c.n++ }
+func (c *instanceCounter) Const(*ir.Instr, *interp.Frame)                     { c.n++ }
+func (c *instanceCounter) Unary(*ir.Instr, *interp.Frame)                     { c.n++ }
+func (c *instanceCounter) Binary(*ir.Instr, *interp.Frame)                    { c.n++ }
+func (c *instanceCounter) New(*ir.Instr, *interp.Frame, *interp.Object)       { c.n++ }
+func (c *instanceCounter) NewArray(*ir.Instr, *interp.Frame, *interp.Object)  { c.n++ }
+func (c *instanceCounter) LoadField(*ir.Instr, *interp.Frame, *interp.Object) { c.n++ }
+func (c *instanceCounter) LoadStatic(*ir.Instr, *interp.Frame)                { c.n++ }
+func (c *instanceCounter) StoreStatic(*ir.Instr, *interp.Frame, interp.Value) { c.n++ }
+func (c *instanceCounter) ArrayLen(*ir.Instr, *interp.Frame, *interp.Object)  { c.n++ }
+func (c *instanceCounter) Branch(*ir.Instr, *interp.Frame, bool)              { c.n++ }
+func (c *instanceCounter) Native(*ir.Instr, *interp.Frame)                    { c.n++ }
+func (c *instanceCounter) LoadElem(*ir.Instr, *interp.Frame, *interp.Object, int64) {
+	c.n++
+}
+func (c *instanceCounter) StoreField(*ir.Instr, *interp.Frame, *interp.Object, interp.Value) {
+	c.n++
+}
+func (c *instanceCounter) StoreElem(*ir.Instr, *interp.Frame, *interp.Object, int64, interp.Value) {
+	c.n++
+}
 
 func (c *instanceCounter) AfterCall(in *ir.Instr, _ *interp.Frame, hasValue bool) {
 	if hasValue && in.Dst >= 0 {
@@ -415,11 +440,11 @@ func (c *instanceCounter) AfterCall(in *ir.Instr, _ *interp.Frame, hasValue bool
 }
 
 // checkConservation requires node frequencies to sum to the number of
-// instruction instances an independent counting tracer sees, for the
-// facade's profile (read back from its saved Gcost) and for the profiler's
-// traditional, control-dependence and unabstracted modes. A frequency
-// update dropped or doubled on a path both engines share shows here even
-// where profile-parity cannot see it.
+// instruction instances an independent counting tracer sees on the
+// reference engine, for the facade's profile (read back from its saved
+// Gcost) and for the profiler's traditional, control-dependence and
+// unabstracted modes. A frequency update dropped or doubled on a path both
+// engines share shows here even where profile-parity cannot see it.
 func checkConservation(c *caseRun) error {
 	prog, err := c.irProg()
 	if err != nil {
@@ -429,7 +454,7 @@ func checkConservation(c *caseRun) error {
 	m := interp.New(prog)
 	m.Tracer = counter
 	m.MaxSteps = maxFuzzSteps
-	if err := m.Run(); err != nil {
+	if err := m.RunReference(); err != nil {
 		return fmt.Errorf("counting run failed: %v", err)
 	}
 	product, err := c.profile()

@@ -10,12 +10,13 @@ package interp
 //
 // Decoded tables are immutable, so they are shared by every machine running
 // the same program (cached on ir.Program.TabCache, built under a mutex).
-// Each program has two kinds of table. The plain table's handlers report
-// events to the Tracer through the machine's reusable Event record. The
-// profiled table's handlers call the typed Hooks of a machine whose Tracer
-// is itself a Hooks implementation (see Machine.route): the cost-benefit
-// profiler's rules run as direct calls with resolved operands, without an
-// Event record or a second opcode switch. All mutable dispatch state — the
+// Each program has two kinds of table. The plain table's handlers only
+// execute; a machine with no tracer runs it, and so does a traced machine
+// outside its Window. The hooked table's handlers execute and then call
+// the machine's Tracer with the resolved operands: a tracer's rules — the
+// cost-benefit profiler's Figure 4 among them — run as direct calls,
+// without an event record or a second opcode switch. Calls, returns and
+// gotos share one handler across kinds. All mutable dispatch state — the
 // inline caches — lives in per-machine icSite records, so concurrent
 // profiles over one program race on nothing.
 //
@@ -33,8 +34,7 @@ import (
 )
 
 // handlerFn executes one pre-decoded instruction. Handlers advance fr.PC
-// themselves and report tracer events through m.ev (plain table) or
-// m.hooks (profiled table).
+// themselves; the hooked table's report to m.tracer.
 type handlerFn func(m *Machine, fr *Frame, d *dinstr) error
 
 // icPolyMax bounds the polymorphic inline-cache fallback; sites that see
@@ -82,12 +82,12 @@ type mtab struct {
 	vcount int
 }
 
-// tabKind selects a handler table: plain or profiled.
+// tabKind selects a handler table: plain or hooked.
 type tabKind uint8
 
 const (
 	plainTab tabKind = iota
-	profiledTab
+	hookedTab
 )
 
 // progTabs is the per-program shared decode cache, hung off
@@ -127,7 +127,7 @@ func sharedTab(prog *ir.Program, meth *ir.Method, kind tabKind) mtab {
 		return buildTab(meth, kind)
 	}
 	t := tabs[id]
-	if len(t.tab) == len(meth.Code) && len(t.tab) > 0 && t.tab[0].in == &meth.Code[0] {
+	if decodes(t.tab, meth) {
 		return t
 	}
 	t = buildTab(meth, kind)
@@ -135,43 +135,52 @@ func sharedTab(prog *ir.Program, meth *ir.Method, kind tabKind) mtab {
 	return t
 }
 
-// methodTab returns the dispatch table for meth plus this machine's inline
-// caches for it, consulting the machine-local cache first and the shared
-// per-program cache behind it. The machine-local cache holds tables of the
-// kind route chose; route empties it when the kind changes.
+// methodTab returns the dispatch table of the machine's kind for meth plus
+// this machine's inline caches for it, consulting the machine-local cache
+// first and the shared per-program cache behind it. The two kinds of
+// table decode one body alike, so a method's inline caches serve both;
+// they are made afresh when neither of the machine's tables for the
+// method matches its current code.
 func (m *Machine) methodTab(meth *ir.Method) ([]dinstr, []icSite) {
 	if m.tabs == nil {
 		n := m.Prog.NumMethods()
-		m.tabs = make([][]dinstr, n)
-		m.ics = make([][]icSite, n)
+		m.tabs, m.spare, m.ics = make([][]dinstr, n), make([][]dinstr, n), make([][]icSite, n)
 	}
 	id := meth.ID
-	if id >= 0 && id < len(m.tabs) {
-		if tab := m.tabs[id]; len(tab) == len(meth.Code) && len(tab) > 0 && tab[0].in == &meth.Code[0] {
-			return tab, m.ics[id]
-		}
+	inRange := id >= 0 && id < len(m.tabs)
+	if inRange && decodes(m.tabs[id], meth) {
+		return m.tabs[id], m.ics[id]
 	}
 	t := sharedTab(m.Prog, meth, m.kind)
+	if inRange && decodes(m.spare[id], meth) {
+		m.tabs[id] = t.tab
+		return t.tab, m.ics[id]
+	}
 	var ics []icSite
 	if t.vcount > 0 {
 		ics = make([]icSite, t.vcount)
 	}
-	if id >= 0 && id < len(m.tabs) {
+	if inRange {
 		m.tabs[id] = t.tab
 		m.ics[id] = ics
 	}
 	return t.tab, ics
 }
 
+// decodes reports whether tab was decoded from meth's current code.
+func decodes(tab []dinstr, meth *ir.Method) bool {
+	return len(tab) == len(meth.Code) && len(tab) > 0 && tab[0].in == &meth.Code[0]
+}
+
 // buildTab pre-decodes every instruction of meth into a table of the given
-// kind. Instructions that report events get the kind's handler; calls,
-// returns and gotos share one handler across kinds.
+// kind. Instructions that report to a tracer get the kind's handler;
+// calls, returns and gotos share one handler across kinds.
 func buildTab(meth *ir.Method, kind tabKind) mtab {
 	tab := make([]dinstr, len(meth.Code))
 	vcount := 0
-	pick := func(plain, profiled handlerFn) handlerFn {
-		if kind == profiledTab {
-			return profiled
+	pick := func(plain, hooked handlerFn) handlerFn {
+		if kind == hookedTab {
+			return hooked
 		}
 		return plain
 	}
@@ -289,105 +298,20 @@ func buildTab(meth *ir.Method, kind tabKind) mtab {
 	return mtab{tab: tab, vcount: vcount}
 }
 
-// The emit helpers publish events through the machine's single reusable
-// record, writing only the fields the opcode defines (see the Event doc:
-// fields an opcode does not define are unspecified). Assigning fields
-// individually instead of copying a whole Event keeps the per-event GC
-// write-barrier work to the pointer stores that actually change: Frame only
-// changes at call boundaries (setFrame), and a Value whose Ref is nil over a
-// nil Ref is stored as scalars only (setVal), so the common arithmetic event
-// pays one barriered store — In. The pointer handed to the tracer is only
-// valid for the duration of Exec.
-
-// setFrame publishes fr, skipping the pointer store (and its write barrier)
-// when the frame is unchanged since the last event.
-func (m *Machine) setFrame(fr *Frame) {
-	if m.ev.Frame != fr {
-		m.ev.Frame = fr
-	}
-}
-
-// setVal publishes v. Int values over an event whose Val.Ref is already nil
-// are written as scalars, keeping reference write barriers off the
-// arithmetic hot path.
-func (m *Machine) setVal(v Value) {
-	ev := &m.ev
-	if v.Ref == nil && ev.Val.Ref == nil {
-		ev.Val.K, ev.Val.I = v.K, v.I
-		return
-	}
-	ev.Val = v
-}
-
-// emitV reports a value-producing instruction.
-func (m *Machine) emitV(in *ir.Instr, fr *Frame, v Value) {
-	ev := &m.ev
-	ev.In = in
-	m.setFrame(fr)
-	m.setVal(v)
-	m.tracer.Exec(ev)
-}
-
-// emitNew reports an allocation.
-func (m *Machine) emitNew(in *ir.Instr, fr *Frame, o *Object, v Value) {
-	ev := &m.ev
-	ev.In, ev.New = in, o
-	m.setFrame(fr)
-	m.setVal(v)
-	m.tracer.Exec(ev)
-}
-
-// emitBase reports a field access or array-length read on base.
-func (m *Machine) emitBase(in *ir.Instr, fr *Frame, base *Object, v Value) {
-	ev := &m.ev
-	ev.In, ev.Base = in, base
-	m.setFrame(fr)
-	m.setVal(v)
-	m.tracer.Exec(ev)
-}
-
-// emitIndexed reports an array element access.
-func (m *Machine) emitIndexed(in *ir.Instr, fr *Frame, base *Object, idx int64, v Value) {
-	ev := &m.ev
-	ev.In, ev.Base, ev.Index = in, base, idx
-	m.setFrame(fr)
-	m.setVal(v)
-	m.tracer.Exec(ev)
-}
-
-// emitTaken reports a branch.
-func (m *Machine) emitTaken(in *ir.Instr, fr *Frame, taken bool) {
-	ev := &m.ev
-	ev.In, ev.Taken = in, taken
-	m.setFrame(fr)
-	m.tracer.Exec(ev)
-}
-
 func hConstInt(m *Machine, fr *Frame, d *dinstr) error {
-	v := IntVal(d.imm)
-	fr.Locals[d.dst] = v
-	if m.tracer != nil {
-		m.emitV(d.in, fr, v)
-	}
+	fr.Locals[d.dst] = IntVal(d.imm)
 	fr.PC++
 	return nil
 }
 
 func hConstNull(m *Machine, fr *Frame, d *dinstr) error {
 	fr.Locals[d.dst] = Null
-	if m.tracer != nil {
-		m.emitV(d.in, fr, Null)
-	}
 	fr.PC++
 	return nil
 }
 
 func hMove(m *Machine, fr *Frame, d *dinstr) error {
-	v := fr.Locals[d.a]
-	fr.Locals[d.dst] = v
-	if m.tracer != nil {
-		m.emitV(d.in, fr, v)
-	}
+	fr.Locals[d.dst] = fr.Locals[d.a]
 	fr.PC++
 	return nil
 }
@@ -401,13 +325,9 @@ func binOperands(m *Machine, fr *Frame, d *dinstr) (int64, int64, error) {
 	return a.I, b.I, nil
 }
 
-// finishBin stores and reports an arithmetic result.
+// finishBin stores an arithmetic result.
 func finishBin(m *Machine, fr *Frame, d *dinstr, r int64) error {
-	v := IntVal(r)
-	fr.Locals[d.dst] = v
-	if m.tracer != nil {
-		m.emitV(d.in, fr, v)
-	}
+	fr.Locals[d.dst] = IntVal(r)
 	fr.PC++
 	return nil
 }
@@ -526,11 +446,7 @@ func hNew(m *Machine, fr *Frame, d *dinstr) error {
 	if err != nil {
 		return err
 	}
-	v := RefVal(o)
-	fr.Locals[d.dst] = v
-	if m.tracer != nil {
-		m.emitNew(d.in, fr, o, v)
-	}
+	fr.Locals[d.dst] = RefVal(o)
 	fr.PC++
 	return nil
 }
@@ -540,11 +456,7 @@ func hNewArray(m *Machine, fr *Frame, d *dinstr) error {
 	if err != nil {
 		return err
 	}
-	v := RefVal(o)
-	fr.Locals[d.dst] = v
-	if m.tracer != nil {
-		m.emitNew(d.in, fr, o, v)
-	}
+	fr.Locals[d.dst] = RefVal(o)
 	fr.PC++
 	return nil
 }
@@ -569,11 +481,7 @@ func hLoadField(m *Machine, fr *Frame, d *dinstr) error {
 	if base.IsArray() || int(d.slot) >= len(base.Fields) {
 		return m.noField(fr, d, base)
 	}
-	v := base.Fields[d.slot]
-	fr.Locals[d.dst] = v
-	if m.tracer != nil {
-		m.emitBase(d.in, fr, base, v)
-	}
+	fr.Locals[d.dst] = base.Fields[d.slot]
 	fr.PC++
 	return nil
 }
@@ -586,11 +494,7 @@ func hStoreField(m *Machine, fr *Frame, d *dinstr) error {
 	if base.IsArray() || int(d.slot) >= len(base.Fields) {
 		return m.noField(fr, d, base)
 	}
-	v := fr.Locals[d.b]
-	base.Fields[d.slot] = v
-	if m.tracer != nil {
-		m.emitBase(d.in, fr, base, v)
-	}
+	base.Fields[d.slot] = fr.Locals[d.b]
 	fr.PC++
 	return nil
 }
@@ -601,21 +505,13 @@ func (m *Machine) noField(fr *Frame, d *dinstr, base *Object) error {
 }
 
 func hLoadStatic(m *Machine, fr *Frame, d *dinstr) error {
-	v := m.Statics[d.slot]
-	fr.Locals[d.dst] = v
-	if m.tracer != nil {
-		m.emitV(d.in, fr, v)
-	}
+	fr.Locals[d.dst] = m.Statics[d.slot]
 	fr.PC++
 	return nil
 }
 
 func hStoreStatic(m *Machine, fr *Frame, d *dinstr) error {
-	v := fr.Locals[d.a]
-	m.Statics[d.slot] = v
-	if m.tracer != nil {
-		m.emitV(d.in, fr, v)
-	}
+	m.Statics[d.slot] = fr.Locals[d.a]
 	fr.PC++
 	return nil
 }
@@ -651,11 +547,7 @@ func hALoad(m *Machine, fr *Frame, d *dinstr) error {
 	if idx.K == ir.KindRef || idx.I < 0 || idx.I >= int64(len(arr.Elems)) {
 		return m.badIndex(fr, d, arr)
 	}
-	v := arr.Elems[idx.I]
-	fr.Locals[d.dst] = v
-	if m.tracer != nil {
-		m.emitIndexed(d.in, fr, arr, idx.I, v)
-	}
+	fr.Locals[d.dst] = arr.Elems[idx.I]
 	fr.PC++
 	return nil
 }
@@ -669,11 +561,7 @@ func hAStore(m *Machine, fr *Frame, d *dinstr) error {
 	if idx.K == ir.KindRef || idx.I < 0 || idx.I >= int64(len(arr.Elems)) {
 		return m.badIndex(fr, d, arr)
 	}
-	v := fr.Locals[d.c2]
-	arr.Elems[idx.I] = v
-	if m.tracer != nil {
-		m.emitIndexed(d.in, fr, arr, idx.I, v)
-	}
+	arr.Elems[idx.I] = fr.Locals[d.c2]
 	fr.PC++
 	return nil
 }
@@ -683,26 +571,16 @@ func hArrayLen(m *Machine, fr *Frame, d *dinstr) error {
 	if err != nil {
 		return err
 	}
-	v := IntVal(int64(len(arr.Elems)))
-	fr.Locals[d.dst] = v
-	if m.tracer != nil {
-		m.emitBase(d.in, fr, arr, v)
-	}
+	fr.Locals[d.dst] = IntVal(int64(len(arr.Elems)))
 	fr.PC++
 	return nil
 }
 
-// finishIf branches and reports the branch event. The event fires after a
-// taken branch retargets PC but before a fall-through advances it, matching
-// the reference switch ordering exactly.
+// finishIf branches.
 func finishIf(m *Machine, fr *Frame, d *dinstr, taken bool) error {
 	if taken {
 		fr.PC = int(d.target)
-	}
-	if m.tracer != nil {
-		m.emitTaken(d.in, fr, taken)
-	}
-	if !taken {
+	} else {
 		fr.PC++
 	}
 	return nil
@@ -919,7 +797,8 @@ func hReturnVal(m *Machine, fr *Frame, d *dinstr) error {
 		caller.Locals[fr.RetDst] = ret
 	}
 	if m.tracer != nil {
-		m.tracer.AfterCall(fr.CallIn, caller, fr.RetDst >= 0)
+		// Outside the Window the result is assigned but not reported.
+		m.tracer.AfterCall(fr.CallIn, caller, fr.RetDst >= 0 && m.kind == hookedTab)
 	}
 	caller.PC++
 	m.framePool = append(m.framePool, fr)
@@ -952,9 +831,6 @@ func hNative(m *Machine, fr *Frame, d *dinstr) error {
 	}
 	if d.dst >= 0 {
 		fr.Locals[d.dst] = v
-	}
-	if m.tracer != nil {
-		m.emitV(d.in, fr, v)
 	}
 	fr.PC++
 	return nil

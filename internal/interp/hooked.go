@@ -1,23 +1,23 @@
 package interp
 
-// The profiled handler table. Each handler executes its instruction exactly
-// as its plain counterpart (handlers.go) and then calls the machine's Hooks
-// with the resolved operands. The machine installs this table only for a
-// tracer that is itself a Hooks implementation (Machine.route), so the
-// handlers call m.hooks unconditionally.
+// The hooked handler table. Each handler executes its instruction exactly
+// as its plain counterpart (handlers.go) and then calls the machine's
+// tracer with the resolved operands. The machine runs this table only
+// while a tracer observes the step (Machine.schedule), so the handlers
+// call m.tracer unconditionally.
 
 import "lowutil/internal/ir"
 
 func pConstInt(m *Machine, fr *Frame, d *dinstr) error {
 	fr.Locals[d.dst] = IntVal(d.imm)
-	m.hooks.Const(d.in, fr)
+	m.tracer.Const(d.in, fr)
 	fr.PC++
 	return nil
 }
 
 func pConstNull(m *Machine, fr *Frame, d *dinstr) error {
 	fr.Locals[d.dst] = Null
-	m.hooks.Const(d.in, fr)
+	m.tracer.Const(d.in, fr)
 	fr.PC++
 	return nil
 }
@@ -25,7 +25,7 @@ func pConstNull(m *Machine, fr *Frame, d *dinstr) error {
 // hookUnary stores a one-operand result and reports it.
 func hookUnary(m *Machine, fr *Frame, d *dinstr, v Value) error {
 	fr.Locals[d.dst] = v
-	m.hooks.Unary(d.in, fr)
+	m.tracer.Unary(d.in, fr)
 	fr.PC++
 	return nil
 }
@@ -61,7 +61,7 @@ func pInstanceOf(m *Machine, fr *Frame, d *dinstr) error {
 // hookBin stores an arithmetic result and reports it.
 func hookBin(m *Machine, fr *Frame, d *dinstr, r int64) error {
 	fr.Locals[d.dst] = IntVal(r)
-	m.hooks.Binary(d.in, fr)
+	m.tracer.Binary(d.in, fr)
 	fr.PC++
 	return nil
 }
@@ -158,7 +158,7 @@ func pNew(m *Machine, fr *Frame, d *dinstr) error {
 		return err
 	}
 	fr.Locals[d.dst] = RefVal(o)
-	m.hooks.New(d.in, fr, o)
+	m.tracer.New(d.in, fr, o)
 	fr.PC++
 	return nil
 }
@@ -169,7 +169,7 @@ func pNewArray(m *Machine, fr *Frame, d *dinstr) error {
 		return err
 	}
 	fr.Locals[d.dst] = RefVal(o)
-	m.hooks.NewArray(d.in, fr, o)
+	m.tracer.NewArray(d.in, fr, o)
 	fr.PC++
 	return nil
 }
@@ -183,7 +183,7 @@ func pLoadField(m *Machine, fr *Frame, d *dinstr) error {
 		return m.noField(fr, d, base)
 	}
 	fr.Locals[d.dst] = base.Fields[d.slot]
-	m.hooks.LoadField(d.in, fr, base)
+	m.tracer.LoadField(d.in, fr, base)
 	fr.PC++
 	return nil
 }
@@ -198,14 +198,14 @@ func pStoreField(m *Machine, fr *Frame, d *dinstr) error {
 	}
 	v := fr.Locals[d.b]
 	base.Fields[d.slot] = v
-	m.hooks.StoreField(d.in, fr, base, v)
+	m.tracer.StoreField(d.in, fr, base, v)
 	fr.PC++
 	return nil
 }
 
 func pLoadStatic(m *Machine, fr *Frame, d *dinstr) error {
 	fr.Locals[d.dst] = m.Statics[d.slot]
-	m.hooks.LoadStatic(d.in, fr)
+	m.tracer.LoadStatic(d.in, fr)
 	fr.PC++
 	return nil
 }
@@ -213,7 +213,7 @@ func pLoadStatic(m *Machine, fr *Frame, d *dinstr) error {
 func pStoreStatic(m *Machine, fr *Frame, d *dinstr) error {
 	v := fr.Locals[d.a]
 	m.Statics[d.slot] = v
-	m.hooks.StoreStatic(d.in, fr, v)
+	m.tracer.StoreStatic(d.in, fr, v)
 	fr.PC++
 	return nil
 }
@@ -228,7 +228,7 @@ func pALoad(m *Machine, fr *Frame, d *dinstr) error {
 		return m.badIndex(fr, d, arr)
 	}
 	fr.Locals[d.dst] = arr.Elems[idx.I]
-	m.hooks.LoadElem(d.in, fr, arr, idx.I)
+	m.tracer.LoadElem(d.in, fr, arr, idx.I)
 	fr.PC++
 	return nil
 }
@@ -244,7 +244,7 @@ func pAStore(m *Machine, fr *Frame, d *dinstr) error {
 	}
 	v := fr.Locals[d.c2]
 	arr.Elems[idx.I] = v
-	m.hooks.StoreElem(d.in, fr, arr, idx.I, v)
+	m.tracer.StoreElem(d.in, fr, arr, idx.I, v)
 	fr.PC++
 	return nil
 }
@@ -255,17 +255,19 @@ func pArrayLen(m *Machine, fr *Frame, d *dinstr) error {
 		return err
 	}
 	fr.Locals[d.dst] = IntVal(int64(len(arr.Elems)))
-	m.hooks.ArrayLen(d.in, fr, arr)
+	m.tracer.ArrayLen(d.in, fr, arr)
 	fr.PC++
 	return nil
 }
 
-// hookIf is finishIf for the profiled table, with the same ordering.
+// hookIf is finishIf for the hooked table. It reports the branch after a
+// taken branch retargets PC but before a fall-through advances it, as the
+// reference engine does.
 func hookIf(m *Machine, fr *Frame, d *dinstr, taken bool) error {
 	if taken {
 		fr.PC = int(d.target)
 	}
-	m.hooks.Branch(d.in, fr)
+	m.tracer.Branch(d.in, fr, taken)
 	if !taken {
 		fr.PC++
 	}
@@ -340,7 +342,7 @@ func pNative(m *Machine, fr *Frame, d *dinstr) error {
 	if d.dst >= 0 {
 		fr.Locals[d.dst] = v
 	}
-	m.hooks.Native(d.in, fr)
+	m.tracer.Native(d.in, fr)
 	fr.PC++
 	return nil
 }

@@ -24,18 +24,24 @@ const (
 	// already-maintained step counter (benchmarked at well under 2%
 	// overhead on the profiler hot path).
 	cancelCheckMask = 1<<13 - 1
-	// MaxHeapCells bounds the heap cells — object fields plus array
-	// elements — one machine may allocate over a run. A Value is 24 bytes,
-	// so the budget keeps one machine's heap values under 400 MB, while the
-	// largest workload run (xalan at scale 32, about 2e5 cells) fits 80
-	// times over. The check runs before memory is allocated: an allocation
-	// bomb fails with ErrHeapLimit instead of ending the process with an
-	// out-of-memory fatal error, which no recover catches.
+	// MaxHeapCells bounds the cells one machine may keep over a run: a
+	// cell per object field, array element and printed value, and
+	// headerCells per object or array header. A cell is 24 bytes, a Value,
+	// so the budget keeps what one machine keeps under about 400 MB, while
+	// the largest workload run (xalan at scale 32: 201,600 field and
+	// element cells and 67,202 allocations, 470,409 cells in all) fits 35
+	// times over. The check runs before anything is kept: an allocation
+	// bomb or a print loop fails with ErrHeapLimit instead of ending the
+	// process with an out-of-memory fatal error, which no recover catches.
 	MaxHeapCells = 1 << 24
-	// DetachSteps is how many steps a loop on the profiled table runs
-	// before it offers its hook work to a Detacher. A detach's fixed cost,
-	// starting the consumer plus draining the batches queued when the loop
-	// ends, measured 0.3 ms at the median and 0.6 ms at the 90th percentile
+	// headerCells is what one object or array header costs against
+	// MaxHeapCells: an Object takes 96 bytes, four cells, before its fields
+	// or elements.
+	headerCells = 4
+	// DetachSteps is how many steps a traced loop runs before it offers
+	// its hook work to a Detacher. A detach's fixed cost, starting the
+	// consumer plus draining the batches queued when the loop ends,
+	// measured 0.3 ms at the median and 0.6 ms at the 90th percentile
 	// (DESIGN.md §11); this is the smallest power of two at which 0.6 ms is
 	// at most a tenth of the synchronous profiled time already spent, at
 	// about 35 ns a step (10 × 0.6 ms / 35 ns ≈ 171K steps).
@@ -46,8 +52,15 @@ const (
 // configuration fields may be set freely before Run.
 type Machine struct {
 	Prog *ir.Program
-	// Tracer, when non-nil, observes every executed instruction.
+	// Tracer, when non-nil, observes every executed instruction, or those
+	// inside the Window.
 	Tracer Tracer
+	// Window, when non-nil, confines the Tracer's instruction hooks, and
+	// the values AfterCall reports, to the steps in it; outside it the
+	// machine runs its plain handlers, and the call hooks alone keep the
+	// tracer's stack and contexts exact. It tracks one phase of a run,
+	// such as a server's steady state.
+	Window *StepWindow
 	// Ctx, when non-nil, is polled periodically by the main loop; once it
 	// is done the run stops with a VMError of kind ErrCanceled whose Cause
 	// is the context error. A nil Ctx costs nothing per step.
@@ -85,27 +98,29 @@ type Machine struct {
 	clock      int64
 	seq        int64
 	lastReturn Value
-	// cells counts allocated heap cells against MaxHeapCells.
+	// cells counts kept cells against MaxHeapCells.
 	cells int64
 
 	// Handler-table engine state: machine-local views of the per-method
-	// dispatch tables of the chosen kind (shared per program via
-	// ir.Program.TabCache), the per-method inline-cache slices
-	// (machine-private — the only mutable dispatch state), the base frame
-	// index of the innermost loopUntil, the single reusable event record
-	// handed to a plain-table tracer, the tracer and hooks the handlers
-	// call (the Tracer's, or after a detach the hooks Detach returned), the
-	// detach's join, and the step count from which the loop offers one.
-	// tabs and ics are indexed by Method.ID, built lazily.
+	// dispatch tables of the kind the machine runs and of the other kind
+	// (shared per program via ir.Program.TabCache), the per-method
+	// inline-cache slices (machine-private — the only mutable dispatch
+	// state — and shared by both kinds), the base frame index of the
+	// innermost loopUntil, the tracer the handlers call (the Tracer, or
+	// after a detach the tracer Detach returned), the detach's join, the
+	// step count from which the loop offers one, and stop, the step count
+	// past which the loop leaves its fast path: MaxSteps, or the next edge
+	// of the Window. tabs, spare and ics are indexed by Method.ID, built
+	// lazily.
 	tabs     [][]dinstr
+	spare    [][]dinstr
 	ics      [][]icSite
 	kind     tabKind
 	tracer   Tracer
-	hooks    Hooks
 	join     func()
 	detachAt int64
+	stop     int64
 	loopBase int
-	ev       Event
 
 	// framePool recycles frames popped by the return handlers. A popped
 	// frame is never revisited, so pushCall reuses the record and its locals
@@ -132,21 +147,21 @@ func (m *Machine) Depth() int { return len(m.frames) }
 // the machine's own; callers must not mutate it.
 func (m *Machine) Frames() []*Frame { return m.frames }
 
-// charge counts n heap cells about to be allocated by in, failing with
-// ErrHeapLimit before anything is allocated when the run would pass
-// MaxHeapCells.
-func (m *Machine) charge(in *ir.Instr, fr *Frame, n int64) error {
-	if n > MaxHeapCells-m.cells {
-		return m.fail(ErrHeapLimit, in, fr, "%d more cells with %d allocated (budget %d)", n, m.cells, int64(MaxHeapCells))
+// charge counts the n cells and the header cells that in is about to
+// keep, failing with ErrHeapLimit before anything is kept when the run
+// would pass MaxHeapCells.
+func (m *Machine) charge(in *ir.Instr, fr *Frame, n, header int64) error {
+	if n > MaxHeapCells-header-m.cells {
+		return m.fail(ErrHeapLimit, in, fr, "%d more cells and %d header cells with %d kept (budget %d)", n, header, m.cells, int64(MaxHeapCells))
 	}
-	m.cells += n
+	m.cells += n + header
 	return nil
 }
 
 // newObject allocates the class instance of OpNew in.
 func (m *Machine) newObject(in *ir.Instr, fr *Frame) (*Object, error) {
 	c := in.Class
-	if err := m.charge(in, fr, int64(c.NumFieldSlots())); err != nil {
+	if err := m.charge(in, fr, int64(c.NumFieldSlots()), headerCells); err != nil {
 		return nil, err
 	}
 	m.seq++
@@ -184,7 +199,7 @@ func (m *Machine) newArray(in *ir.Instr, fr *Frame) (*Object, error) {
 	case n.I < 0:
 		return nil, m.fail(ErrBounds, in, fr, "negative array length %d", n.I)
 	}
-	if err := m.charge(in, fr, n.I); err != nil {
+	if err := m.charge(in, fr, n.I, headerCells); err != nil {
 		return nil, err
 	}
 	m.seq++
@@ -255,39 +270,61 @@ func (m *Machine) start() *Frame {
 // applyDefaults fills zero limits, allocates the per-run tables and routes
 // the run to its handler table.
 func (m *Machine) applyDefaults() {
-	m.route()
+	m.tracer = m.Tracer
 	if m.MaxSteps == 0 {
 		m.MaxSteps = DefaultMaxSteps
 	}
 	if m.MaxDepth == 0 {
 		m.MaxDepth = DefaultMaxDepth
 	}
+	m.schedule(m.Steps)
 	m.initStatics()
 	if m.AllocsBySite == nil {
 		m.AllocsBySite = make([]int64, m.Prog.NumAllocSites())
 	}
 }
 
-// route chooses the handler table for the machine's Tracer: the profiled
-// table when the Tracer is itself a Hooks implementation, the plain table
-// otherwise. A wrapper embedding a Hooks implementation inherits its
-// methods, but Self names the embedded value rather than the wrapper, so
-// the wrapper keeps the plain table and its own Exec. Changing kind drops
-// the machine's cached table views.
-func (m *Machine) route() {
-	h, ok := m.Tracer.(Hooks)
-	if !ok || h.Self() != h {
-		h = nil
+// schedule picks the handler table for step k, the next to run: the
+// hooked table when a tracer observes k, the plain table otherwise. It
+// sets stop to the step count past which the loop must look again: the
+// next edge of the Window, or else MaxSteps.
+func (m *Machine) schedule(k int64) {
+	on, stop := m.tracer != nil, m.MaxSteps
+	if w := m.Window; on && w != nil {
+		on = w.contains(k)
+		switch {
+		case on:
+			stop = min(stop, w.Hi)
+		case k < w.Lo && w.Lo < w.Hi:
+			stop = min(stop, w.Lo)
+		}
 	}
+	m.stop = stop
 	kind := plainTab
-	if h != nil {
-		kind = profiledTab
+	if on {
+		kind = hookedTab
 	}
-	if kind != m.kind {
-		m.tabs, m.ics = nil, nil
-		m.kind = kind
+	if kind == m.kind {
+		return
 	}
-	m.tracer, m.hooks = m.Tracer, h
+	// Switch kinds, and re-point every live frame at its method's table
+	// of the new kind.
+	m.kind = kind
+	m.tabs, m.spare = m.spare, m.tabs
+	for _, fr := range m.frames {
+		fr.tab, fr.ics = m.methodTab(fr.Method)
+	}
+}
+
+// pastStop runs when the loop counts a step past stop, for the instruction
+// at fr.PC: it fails a run past MaxSteps, and otherwise crosses a Window
+// edge.
+func (m *Machine) pastStop(fr *Frame) error {
+	if m.Steps > m.MaxSteps {
+		return m.fail(ErrStepLimit, fr.tab[fr.PC].in, fr, "after %d steps", m.Steps-1)
+	}
+	m.schedule(m.Steps - 1)
+	return nil
 }
 
 // CallMethod invokes an arbitrary method with the given arguments and runs
@@ -328,7 +365,7 @@ func (m *Machine) loopUntil(base int) error {
 		m.loopBase = prevBase
 		if join := m.join; join != nil {
 			m.join = nil
-			m.route()
+			m.tracer = m.Tracer
 			join()
 		}
 	}()
@@ -344,8 +381,11 @@ func (m *Machine) loopUntil(base int) error {
 		}
 		d := &fr.tab[fr.PC]
 		m.Steps++
-		if m.Steps > m.MaxSteps {
-			return m.fail(ErrStepLimit, d.in, fr, "after %d steps", m.Steps-1)
+		if m.Steps > m.stop {
+			if err := m.pastStop(fr); err != nil {
+				return err
+			}
+			d = &fr.tab[fr.PC]
 		}
 		if m.Steps&cancelCheckMask == 0 {
 			select {
@@ -355,9 +395,9 @@ func (m *Machine) loopUntil(base int) error {
 				return err
 			default:
 			}
-			if dt, ok := m.hooks.(Detacher); ok && m.join == nil && m.Steps >= m.detachAt {
-				if h, join := dt.Detach(m.frames[base:]); h != nil {
-					m.tracer, m.hooks, m.join, m.Detached = h, h, join, true
+			if dt, ok := m.tracer.(Detacher); ok && m.join == nil && m.Steps >= m.detachAt {
+				if t, join := dt.Detach(m.frames[base:]); t != nil {
+					m.tracer, m.join, m.Detached = t, join, true
 				}
 			}
 		}
@@ -429,6 +469,9 @@ func (m *Machine) doNative(fr *Frame, in *ir.Instr) (Value, error) {
 	}
 	switch in.Native {
 	case ir.NativePrint, ir.NativePrintChar:
+		if err := m.charge(in, fr, 1, 0); err != nil {
+			return IntVal(0), err
+		}
 		m.Output = append(m.Output, argInt(0))
 		return IntVal(0), nil
 	case ir.NativeRand:

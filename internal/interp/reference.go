@@ -9,7 +9,7 @@ package interp
 import "lowutil/internal/ir"
 
 // RunReference executes the program's main method on the reference
-// switch-dispatch engine. Output, counters and every tracer event match
+// switch-dispatch engine. Output, counters and every tracer hook call match
 // Run exactly; only the dispatch mechanism differs.
 func (m *Machine) RunReference() error {
 	m.start()
@@ -49,11 +49,21 @@ func (m *Machine) loopReference() error {
 	return nil
 }
 
-// step executes one instruction. It advances fr.PC itself.
+// observer returns the tracer whose hooks see the step being run: the
+// machine's Tracer, or a NopTracer when it has none or its Window leaves
+// the step out.
+func (m *Machine) observer() Tracer {
+	if m.Tracer == nil || !m.Window.contains(m.Steps-1) {
+		return NopTracer{}
+	}
+	return m.Tracer
+}
+
+// step executes one instruction and reports it to the observing tracer's
+// hook for its opcode. It advances fr.PC itself.
 func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 	loc := fr.Locals
-	advance := true
-	var ev Event
+	t := m.observer()
 
 	switch in.Op {
 	case ir.OpConst:
@@ -62,11 +72,11 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 		} else {
 			loc[in.Dst] = IntVal(in.Imm)
 		}
-		ev.Val = loc[in.Dst]
+		t.Const(in, fr)
 
 	case ir.OpMove:
 		loc[in.Dst] = loc[in.A]
-		ev.Val = loc[in.Dst]
+		t.Unary(in, fr)
 
 	case ir.OpBin:
 		a, b := loc[in.A], loc[in.B]
@@ -105,7 +115,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 			return m.fail(ErrType, in, fr, "bad binop %v", in.Bin)
 		}
 		loc[in.Dst] = IntVal(r)
-		ev.Val = loc[in.Dst]
+		t.Binary(in, fr)
 
 	case ir.OpNeg:
 		a := loc[in.A]
@@ -113,7 +123,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 			return m.fail(ErrType, in, fr, "negation of reference")
 		}
 		loc[in.Dst] = IntVal(-a.I)
-		ev.Val = loc[in.Dst]
+		t.Unary(in, fr)
 
 	case ir.OpNot:
 		a := loc[in.A]
@@ -122,7 +132,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 		} else {
 			loc[in.Dst] = IntVal(1)
 		}
-		ev.Val = loc[in.Dst]
+		t.Unary(in, fr)
 
 	case ir.OpNew:
 		o, err := m.newObject(in, fr)
@@ -130,8 +140,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 			return err
 		}
 		loc[in.Dst] = RefVal(o)
-		ev.New = o
-		ev.Val = loc[in.Dst]
+		t.New(in, fr, o)
 
 	case ir.OpNewArray:
 		o, err := m.newArray(in, fr)
@@ -139,8 +148,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 			return err
 		}
 		loc[in.Dst] = RefVal(o)
-		ev.New = o
-		ev.Val = loc[in.Dst]
+		t.NewArray(in, fr, o)
 
 	case ir.OpLoadField:
 		base, err := m.refOperand(in, fr, in.A, false)
@@ -151,8 +159,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 			return m.fail(ErrType, in, fr, "object %s has no field %s", base, in.Field.QualifiedName())
 		}
 		loc[in.Dst] = base.Fields[in.Field.Slot]
-		ev.Base = base
-		ev.Val = loc[in.Dst]
+		t.LoadField(in, fr, base)
 
 	case ir.OpStoreField:
 		base, err := m.refOperand(in, fr, in.A, false)
@@ -163,16 +170,15 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 			return m.fail(ErrType, in, fr, "object %s has no field %s", base, in.Field.QualifiedName())
 		}
 		base.Fields[in.Field.Slot] = loc[in.B]
-		ev.Base = base
-		ev.Val = loc[in.B]
+		t.StoreField(in, fr, base, loc[in.B])
 
 	case ir.OpLoadStatic:
 		loc[in.Dst] = m.Statics[in.Static.Slot]
-		ev.Val = loc[in.Dst]
+		t.LoadStatic(in, fr)
 
 	case ir.OpStoreStatic:
 		m.Statics[in.Static.Slot] = loc[in.A]
-		ev.Val = loc[in.A]
+		t.StoreStatic(in, fr, loc[in.A])
 
 	case ir.OpALoad:
 		arr, err := m.refOperand(in, fr, in.A, true)
@@ -187,8 +193,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 			return m.fail(ErrBounds, in, fr, "index %d, length %d", idx.I, len(arr.Elems))
 		}
 		loc[in.Dst] = arr.Elems[idx.I]
-		ev.Base, ev.Index = arr, idx.I
-		ev.Val = loc[in.Dst]
+		t.LoadElem(in, fr, arr, idx.I)
 
 	case ir.OpAStore:
 		arr, err := m.refOperand(in, fr, in.A, true)
@@ -203,8 +208,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 			return m.fail(ErrBounds, in, fr, "index %d, length %d", idx.I, len(arr.Elems))
 		}
 		arr.Elems[idx.I] = loc[in.C2]
-		ev.Base, ev.Index = arr, idx.I
-		ev.Val = loc[in.C2]
+		t.StoreElem(in, fr, arr, idx.I, loc[in.C2])
 
 	case ir.OpArrayLen:
 		arr, err := m.refOperand(in, fr, in.A, true)
@@ -212,8 +216,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 			return err
 		}
 		loc[in.Dst] = IntVal(int64(len(arr.Elems)))
-		ev.Base = arr
-		ev.Val = loc[in.Dst]
+		t.ArrayLen(in, fr, arr)
 
 	case ir.OpIf:
 		taken, err := m.compare(in, fr)
@@ -222,13 +225,15 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 		}
 		if taken {
 			fr.PC = in.Target
-			advance = false
 		}
-		ev.Taken = taken
+		t.Branch(in, fr, taken)
+		if taken {
+			return nil
+		}
 
 	case ir.OpGoto:
 		fr.PC = in.Target
-		return nil // no tracer event for pure control transfer
+		return nil // no tracer hook for pure control transfer
 
 	case ir.OpInstanceOf:
 		v := loc[in.A]
@@ -240,7 +245,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 			res = 1
 		}
 		loc[in.Dst] = IntVal(res)
-		ev.Val = loc[in.Dst]
+		t.Unary(in, fr)
 
 	case ir.OpCall:
 		return m.doCall(fr, in)
@@ -256,19 +261,13 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 		if in.Dst >= 0 {
 			loc[in.Dst] = v
 		}
-		ev.Val = v
+		t.Native(in, fr)
 
 	default:
 		return m.fail(ErrType, in, fr, "unknown opcode")
 	}
 
-	if m.Tracer != nil {
-		ev.In, ev.Frame = in, fr
-		m.Tracer.Exec(&ev)
-	}
-	if advance {
-		fr.PC++
-	}
+	fr.PC++
 	return nil
 }
 
@@ -351,7 +350,8 @@ func (m *Machine) doReturn(fr *Frame, in *ir.Instr) error {
 		caller.Locals[fr.RetDst] = ret
 	}
 	if m.Tracer != nil {
-		m.Tracer.AfterCall(callIn, caller, in.HasA && fr.RetDst >= 0)
+		// Outside the Window the result is assigned but not reported.
+		m.Tracer.AfterCall(callIn, caller, in.HasA && fr.RetDst >= 0 && m.Window.contains(m.Steps-1))
 	}
 	caller.PC++
 	return nil

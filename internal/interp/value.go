@@ -2,14 +2,13 @@
 //
 // The machine plays the role of the instrumented IBM J9 JVM in the paper: it
 // interprets three-address code one instruction at a time, counts every
-// executed instruction instance (domain N), and exposes a Tracer hook that
-// receives a resolved event per instruction — the moral equivalent of the
+// executed instruction instance (domain N), and calls a Tracer's typed
+// hook with the resolved operands of each — the moral equivalent of the
 // JVM-level instrumentation in Figure 4 of the paper. Profilers (the
-// cost-benefit profiler, the client analyses) are Tracers; running with a
-// nil Tracer is the uninstrumented baseline used for overhead measurements.
-// The cost-benefit profiler also implements Hooks, and a machine traced by
-// it runs a profiled handler table that calls those rules directly, the way
-// the paper builds them into the VM; every other tracer receives Events.
+// cost-benefit profiler, the client analyses) are Tracers, and a traced
+// machine runs a hooked handler table that calls their rules directly, the
+// way the paper builds them into the VM; running with a nil Tracer is the
+// uninstrumented baseline used for overhead measurements.
 package interp
 
 import (

@@ -63,17 +63,40 @@ func TestWeightedBoundsNeverLooser(t *testing.T) {
 	}
 }
 
-// execRecorder marks every instruction the interpreter touches.
-type execRecorder struct {
-	interp.NopTracer
-	hit []bool
-}
+// execRecorder marks every instruction the interpreter touches but the
+// gotos, which report to no hook.
+type execRecorder struct{ hit []bool }
 
-func (r *execRecorder) Exec(ev *interp.Event) { r.hit[ev.In.ID] = true }
+func (r *execRecorder) Const(in *ir.Instr, _ *interp.Frame)                      { r.hit[in.ID] = true }
+func (r *execRecorder) Unary(in *ir.Instr, _ *interp.Frame)                      { r.hit[in.ID] = true }
+func (r *execRecorder) Binary(in *ir.Instr, _ *interp.Frame)                     { r.hit[in.ID] = true }
+func (r *execRecorder) New(in *ir.Instr, _ *interp.Frame, _ *interp.Object)      { r.hit[in.ID] = true }
+func (r *execRecorder) NewArray(in *ir.Instr, _ *interp.Frame, _ *interp.Object) { r.hit[in.ID] = true }
+func (r *execRecorder) LoadField(in *ir.Instr, _ *interp.Frame, _ *interp.Object) {
+	r.hit[in.ID] = true
+}
+func (r *execRecorder) LoadStatic(in *ir.Instr, _ *interp.Frame) { r.hit[in.ID] = true }
+func (r *execRecorder) StoreStatic(in *ir.Instr, _ *interp.Frame, _ interp.Value) {
+	r.hit[in.ID] = true
+}
+func (r *execRecorder) LoadElem(in *ir.Instr, _ *interp.Frame, _ *interp.Object, _ int64) {
+	r.hit[in.ID] = true
+}
+func (r *execRecorder) StoreField(in *ir.Instr, _ *interp.Frame, _ *interp.Object, _ interp.Value) {
+	r.hit[in.ID] = true
+}
+func (r *execRecorder) StoreElem(in *ir.Instr, _ *interp.Frame, _ *interp.Object, _ int64, _ interp.Value) {
+	r.hit[in.ID] = true
+}
+func (r *execRecorder) ArrayLen(in *ir.Instr, _ *interp.Frame, _ *interp.Object) { r.hit[in.ID] = true }
+func (r *execRecorder) Branch(in *ir.Instr, _ *interp.Frame, _ bool)             { r.hit[in.ID] = true }
+func (r *execRecorder) Native(in *ir.Instr, _ *interp.Frame)                     { r.hit[in.ID] = true }
 func (r *execRecorder) BeforeCall(in *ir.Instr, _ *interp.Frame, _ *ir.Method, _ *interp.Object) {
 	r.hit[in.ID] = true
 }
+func (r *execRecorder) EnterMethod(*interp.Frame, *interp.Object)  {}
 func (r *execRecorder) BeforeReturn(in *ir.Instr, _ *interp.Frame) { r.hit[in.ID] = true }
+func (r *execRecorder) AfterCall(*ir.Instr, *interp.Frame, bool)   {}
 
 // TestFreqCoversExecution is the soundness side of weight-0 pruning: every
 // instruction a real run executes must carry a positive static frequency

@@ -101,7 +101,7 @@ func acquireSlot() *slot {
 
 // Detach implements interp.Detacher. It declines when no slot is free or
 // the program's instruction IDs do not fit the log's words.
-func (p *Profiler) Detach(frames []*interp.Frame) (interp.Hooks, func()) {
+func (p *Profiler) Detach(frames []*interp.Frame) (interp.Tracer, func()) {
 	if p.Prog.NumInstrs() > maxLogID+1 {
 		return nil, nil
 	}
@@ -119,11 +119,11 @@ func (p *Profiler) Detach(frames []*interp.Frame) (interp.Hooks, func()) {
 	return l, l.join
 }
 
-// logHooks is the producer: the hooks a detached machine calls. Each
+// logHooks is the producer: the tracer a detached machine calls. Each hook
 // appends its event to the current batch and reads no frame. It shares no
 // allocation with the consumer, whose fields would otherwise sit on the
 // cache line the producer writes on every event. NopTracer supplies
-// EnterMethod, logged with BeforeCall, and Exec, never called on hooks.
+// EnterMethod, logged with BeforeCall.
 type logHooks struct {
 	interp.NopTracer
 	w      []uint32
@@ -198,7 +198,6 @@ func (l *logHooks) join() {
 
 // The hooks log a stored value as the object it references, the only part
 // of it they read; an array index fits a word, being below MaxHeapCells.
-func (l *logHooks) Self() interp.Hooks                   { return l }
 func (l *logHooks) Const(in *ir.Instr, _ *interp.Frame)  { l.put(logConst, in) }
 func (l *logHooks) Unary(in *ir.Instr, _ *interp.Frame)  { l.put(logUnary, in) }
 func (l *logHooks) Binary(in *ir.Instr, _ *interp.Frame) { l.put(logBinary, in) }
@@ -229,8 +228,8 @@ func (l *logHooks) StoreElem(in *ir.Instr, _ *interp.Frame, arr *interp.Object, 
 func (l *logHooks) ArrayLen(in *ir.Instr, _ *interp.Frame, arr *interp.Object) {
 	l.put1(logArrayLen, in, arr)
 }
-func (l *logHooks) Branch(in *ir.Instr, _ *interp.Frame) { l.put(logBranch, in) }
-func (l *logHooks) Native(in *ir.Instr, _ *interp.Frame) { l.put(logNative, in) }
+func (l *logHooks) Branch(in *ir.Instr, _ *interp.Frame, _ bool) { l.put(logBranch, in) }
+func (l *logHooks) Native(in *ir.Instr, _ *interp.Frame)         { l.put(logNative, in) }
 func (l *logHooks) BeforeCall(in *ir.Instr, _ *interp.Frame, callee *ir.Method, recv *interp.Object) {
 	l.putWord(logCall, in, uint32(callee.Code[0].ID), recv)
 }
@@ -314,7 +313,7 @@ func (c *consumer) replay(b *batch) {
 			p.ArrayLen(in, fr, objs[j])
 			j++
 		case logBranch:
-			p.Branch(in, fr)
+			p.Branch(in, fr, false) // the profiler reads no outcome, so the log keeps none
 		case logNative:
 			p.Native(in, fr)
 		case logCall:

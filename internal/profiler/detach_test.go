@@ -66,6 +66,23 @@ func withProcs(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
+// quiet returns the goroutine count once it has held still for 10 ms. A
+// goroutine an earlier test or subtest is done with, such as that
+// subtest's own, may still be returning; counting it in a baseline would
+// make the run look as if it ended a goroutine it never started.
+func quiet() int {
+	n, still := runtime.NumGoroutine(), 0
+	for i := 0; i < 1000 && still < 10; i++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
 // settle waits for the goroutine count to fall back to n: a joined
 // consumer has done all its work but may still be returning.
 func settle(t *testing.T, n int) {
@@ -119,7 +136,7 @@ func TestDetachedRunEnds(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			prog := compileEntry(t, c.entry)
-			before := runtime.NumGoroutine()
+			before := quiet()
 			p, m, err := profileRun(prog, c.setup)
 			var vm *interp.VMError
 			if !errors.As(err, &vm) || vm.Kind != c.kind {
@@ -146,7 +163,7 @@ func TestDetachedRunEnds(t *testing.T) {
 
 	t.Run("canceled", func(t *testing.T) {
 		prog := compileEntry(t, "forever")
-		before := runtime.NumGoroutine()
+		before := quiet()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		m := interp.New(prog)
@@ -164,7 +181,7 @@ func TestDetachedRunEnds(t *testing.T) {
 	t.Run("CallMethod", func(t *testing.T) {
 		prog := compileEntry(t, "main")
 		work := prog.ClassByName("Main").LookupMethod("work")
-		before := runtime.NumGoroutine()
+		before := quiet()
 		p := New(prog, Options{Slots: 16, TrackCR: true})
 		m := interp.New(prog)
 		m.Tracer = p
@@ -197,16 +214,13 @@ func TestDetachedRunEnds(t *testing.T) {
 }
 
 // cancelOnDetach is a profiler that cancels its run's context as soon as
-// the run detaches; the machine stops at its next poll. Its Self makes it
-// the machine's hooks.
+// the run detaches; the machine stops at its next poll.
 type cancelOnDetach struct {
 	*Profiler
 	cancel func()
 }
 
-func (c *cancelOnDetach) Self() interp.Hooks { return c }
-
-func (c *cancelOnDetach) Detach(frames []*interp.Frame) (interp.Hooks, func()) {
+func (c *cancelOnDetach) Detach(frames []*interp.Frame) (interp.Tracer, func()) {
 	h, join := c.Profiler.Detach(frames)
 	if h != nil {
 		c.cancel()
@@ -216,12 +230,10 @@ func (c *cancelOnDetach) Detach(frames []*interp.Frame) (interp.Hooks, func()) {
 
 // sabotaged is a profiler whose consumer panics on its first event: its
 // Detach clears the dense index, which only the consumer reads from then
-// on. Its Self makes it the machine's hooks.
+// on.
 type sabotaged struct{ *Profiler }
 
-func (s *sabotaged) Self() interp.Hooks { return s }
-
-func (s *sabotaged) Detach(frames []*interp.Frame) (interp.Hooks, func()) {
+func (s *sabotaged) Detach(frames []*interp.Frame) (interp.Tracer, func()) {
 	s.tIdx = nil
 	return s.Profiler.Detach(frames)
 }
@@ -231,7 +243,7 @@ func (s *sabotaged) Detach(frames []*interp.Frame) (interp.Hooks, func()) {
 func TestDetachedPanicReraised(t *testing.T) {
 	withProcs(t, 2)
 	prog := compileEntry(t, "main")
-	before := runtime.NumGoroutine()
+	before := quiet()
 	m := interp.New(prog)
 	m.Tracer = &sabotaged{New(prog, Options{Slots: 16})}
 	func() {

@@ -42,13 +42,32 @@ func sweepWorkloads() []*workloads.Workload {
 }
 
 // instanceCounter counts the instruction instances that touch a Gcost
-// node: one per Exec event, one per call whose result is assigned.
+// node: one per instruction hook, one per call whose result is assigned.
 type instanceCounter struct {
 	interp.NopTracer
 	n int64
 }
 
-func (c *instanceCounter) Exec(*interp.Event) { c.n++ }
+func (c *instanceCounter) Const(*ir.Instr, *interp.Frame)                     { c.n++ }
+func (c *instanceCounter) Unary(*ir.Instr, *interp.Frame)                     { c.n++ }
+func (c *instanceCounter) Binary(*ir.Instr, *interp.Frame)                    { c.n++ }
+func (c *instanceCounter) New(*ir.Instr, *interp.Frame, *interp.Object)       { c.n++ }
+func (c *instanceCounter) NewArray(*ir.Instr, *interp.Frame, *interp.Object)  { c.n++ }
+func (c *instanceCounter) LoadField(*ir.Instr, *interp.Frame, *interp.Object) { c.n++ }
+func (c *instanceCounter) LoadStatic(*ir.Instr, *interp.Frame)                { c.n++ }
+func (c *instanceCounter) StoreStatic(*ir.Instr, *interp.Frame, interp.Value) { c.n++ }
+func (c *instanceCounter) ArrayLen(*ir.Instr, *interp.Frame, *interp.Object)  { c.n++ }
+func (c *instanceCounter) Branch(*ir.Instr, *interp.Frame, bool)              { c.n++ }
+func (c *instanceCounter) Native(*ir.Instr, *interp.Frame)                    { c.n++ }
+func (c *instanceCounter) LoadElem(*ir.Instr, *interp.Frame, *interp.Object, int64) {
+	c.n++
+}
+func (c *instanceCounter) StoreField(*ir.Instr, *interp.Frame, *interp.Object, interp.Value) {
+	c.n++
+}
+func (c *instanceCounter) StoreElem(*ir.Instr, *interp.Frame, *interp.Object, int64, interp.Value) {
+	c.n++
+}
 
 func (c *instanceCounter) AfterCall(in *ir.Instr, _ *interp.Frame, hasValue bool) {
 	if hasValue && in.Dst >= 0 {
@@ -133,20 +152,20 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 }
 
 // diffModes compares, in every sweep mode, the product (a bare profiler on
-// the handler-table engine, which runs the profiled table's direct hook
+// the handler-table engine, which runs the hooked table's direct hook
 // calls) with a memo-free reference: the switch engine (RunReference)
-// delivering Events to Exec, with memo set to nil, the one switch that
-// turns off both the link memo and the heap-effect memo. They must agree on
-// the Gcost encoding, the step count and the conflict statistics, and the
+// calling the same hooks, with memo set to nil, the one switch that turns
+// off both the link memo and the heap-effect memo. They must agree on the
+// Gcost encoding, the step count and the conflict statistics, and the
 // product's node frequencies must sum to the instances an independent
-// counting tracer sees. The product run must have detached exactly when
-// detached is set.
+// counting tracer sees on the switch engine. The product run must have
+// detached exactly when detached is set.
 func diffModes(t *testing.T, name string, prog *ir.Program, detached bool) {
 	t.Helper()
 	counter := &instanceCounter{}
 	cm := interp.New(prog)
 	cm.Tracer = counter
-	if err := cm.Run(); err != nil {
+	if err := cm.RunReference(); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	for _, mode := range sweepModes {

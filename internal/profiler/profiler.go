@@ -1,9 +1,7 @@
 // Package profiler builds the cost-benefit dependence graph Gcost online,
 // implementing the instrumentation semantics of Figure 4 of the paper as an
-// interp.Tracer. The rules are the methods of interp.Hooks, one per opcode
-// class: a machine traced by a bare *Profiler calls them straight from its
-// profiled handler table, and Exec dispatches onto the same methods for the
-// reference engine and for tracers that wrap the profiler.
+// interp.Tracer. The rules are the tracer's hooks, one per opcode class,
+// which a traced machine calls straight from its hooked handler table.
 //
 // For every storage location l the profiler maintains a shadow location l'
 // holding the dependence-graph node that last wrote l: locals get shadow
@@ -109,10 +107,6 @@ type Profiler struct {
 	// AfterCall (the tracking stack pop).
 	pendingRet depgraph.Ref
 
-	// enabled gates graph construction for phase-restricted tracking;
-	// context bookkeeping continues while disabled.
-	enabled bool
-
 	// fsPool recycles frameShadow records: a frame's shadow dies with the
 	// frame at BeforeReturn (the machine never revisits a popped frame), so
 	// EnterMethod can reuse it instead of allocating per call. Frames
@@ -209,7 +203,6 @@ func New(prog *ir.Program, opts Options) *Profiler {
 		unabs:   opts.Unabstracted,
 		control: opts.TrackControl,
 		statics: make([]depgraph.Ref, len(prog.Statics)),
-		enabled: true,
 	}
 	if opts.TrackCR {
 		p.cr = contextenc.NewConflictTracker(p.slots, prog.NumInstrs())
@@ -235,13 +228,6 @@ func New(prog *ir.Program, opts Options) *Profiler {
 	}
 	return p
 }
-
-// SetEnabled toggles graph construction; used for phase-restricted tracking
-// ("track only the steady-state portion of a server's run").
-func (p *Profiler) SetEnabled(on bool) { p.enabled = on }
-
-// Enabled reports whether graph construction is active.
-func (p *Profiler) Enabled() bool { return p.enabled }
 
 // CR returns the conflict tracker (nil unless TrackCR was set).
 func (p *Profiler) CR() *contextenc.ConflictTracker { return p.cr }
@@ -445,14 +431,8 @@ func (p *Profiler) row(r depgraph.Ref) *memoRow {
 	return &p.memo[r]
 }
 
-// Self implements interp.Hooks.
-func (p *Profiler) Self() interp.Hooks { return p }
-
-// Const implements interp.Hooks: a constant depends on nothing.
+// Const implements interp.Tracer: a constant depends on nothing.
 func (p *Profiler) Const(in *ir.Instr, fr *interp.Frame) {
-	if !p.enabled {
-		return
-	}
 	fs := p.fshadow(fr)
 	r := p.eventRefFast(in, fs)
 	if r == 0 {
@@ -461,11 +441,8 @@ func (p *Profiler) Const(in *ir.Instr, fr *interp.Frame) {
 	fs.nodes[in.Dst] = r
 }
 
-// Unary implements interp.Hooks: the result depends on operand A.
+// Unary implements interp.Tracer: the result depends on operand A.
 func (p *Profiler) Unary(in *ir.Instr, fr *interp.Frame) {
-	if !p.enabled {
-		return
-	}
 	fs := p.fshadow(fr)
 	r := p.eventRefFast(in, fs)
 	if r == 0 {
@@ -475,11 +452,8 @@ func (p *Profiler) Unary(in *ir.Instr, fr *interp.Frame) {
 	fs.nodes[in.Dst] = r
 }
 
-// Binary implements interp.Hooks: the result depends on operands A and B.
+// Binary implements interp.Tracer: the result depends on operands A and B.
 func (p *Profiler) Binary(in *ir.Instr, fr *interp.Frame) {
-	if !p.enabled {
-		return
-	}
 	fs := p.fshadow(fr)
 	r := p.eventRefFast(in, fs)
 	if r == 0 {
@@ -503,18 +477,13 @@ func (p *Profiler) alloc(in *ir.Instr, fs *frameShadow, o *interp.Object) depgra
 	return n.Ref()
 }
 
-// New implements interp.Hooks.
+// New implements interp.Tracer.
 func (p *Profiler) New(in *ir.Instr, fr *interp.Frame, o *interp.Object) {
-	if p.enabled {
-		p.alloc(in, p.fshadow(fr), o)
-	}
+	p.alloc(in, p.fshadow(fr), o)
 }
 
-// NewArray implements interp.Hooks: the allocation consumes the length.
+// NewArray implements interp.Tracer: the allocation consumes the length.
 func (p *Profiler) NewArray(in *ir.Instr, fr *interp.Frame, o *interp.Object) {
-	if !p.enabled {
-		return
-	}
 	fs := p.fshadow(fr)
 	length := fs.nodes[in.A]
 	p.link(p.alloc(in, fs, o), 0, length)
@@ -575,12 +544,9 @@ func (p *Profiler) refTag(v interp.Value) depgraph.Ref {
 	return 0
 }
 
-// LoadField implements interp.Hooks: the value depends on the field's last
+// LoadField implements interp.Tracer: the value depends on the field's last
 // writer (and, in traditional slicing, on the base pointer).
 func (p *Profiler) LoadField(in *ir.Instr, fr *interp.Frame, base *interp.Object) {
-	if !p.enabled {
-		return
-	}
 	fs := p.fshadow(fr)
 	r := p.eventRef(in, fs)
 	os := p.oshadow(base)
@@ -596,12 +562,9 @@ func (p *Profiler) LoadField(in *ir.Instr, fr *interp.Frame, base *interp.Object
 	fs.nodes[in.Dst] = r
 }
 
-// StoreField implements interp.Hooks: the field's new writer depends on the
+// StoreField implements interp.Tracer: the field's new writer depends on the
 // stored value (and, in traditional slicing, on the base pointer).
 func (p *Profiler) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Object, v interp.Value) {
-	if !p.enabled {
-		return
-	}
 	fs := p.fshadow(fr)
 	r := p.eventRef(in, fs)
 	p.link(r, 0, fs.nodes[in.B])
@@ -617,11 +580,8 @@ func (p *Profiler) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Objec
 	}
 }
 
-// LoadStatic implements interp.Hooks.
+// LoadStatic implements interp.Tracer.
 func (p *Profiler) LoadStatic(in *ir.Instr, fr *interp.Frame) {
-	if !p.enabled {
-		return
-	}
 	fs := p.fshadow(fr)
 	r := p.eventRef(in, fs)
 	p.link(r, 0, p.statics[in.Static.Slot])
@@ -631,11 +591,8 @@ func (p *Profiler) LoadStatic(in *ir.Instr, fr *interp.Frame) {
 	fs.nodes[in.Dst] = r
 }
 
-// StoreStatic implements interp.Hooks.
+// StoreStatic implements interp.Tracer.
 func (p *Profiler) StoreStatic(in *ir.Instr, fr *interp.Frame, v interp.Value) {
-	if !p.enabled {
-		return
-	}
 	fs := p.fshadow(fr)
 	r := p.eventRef(in, fs)
 	p.link(r, 0, fs.nodes[in.A])
@@ -645,13 +602,10 @@ func (p *Profiler) StoreStatic(in *ir.Instr, fr *interp.Frame, v interp.Value) {
 	}
 }
 
-// LoadElem implements interp.Hooks: the value depends on the element's last
+// LoadElem implements interp.Tracer: the value depends on the element's last
 // writer and on the index (and, in traditional slicing, on the base
 // pointer).
 func (p *Profiler) LoadElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64) {
-	if !p.enabled {
-		return
-	}
 	fs := p.fshadow(fr)
 	r := p.eventRef(in, fs)
 	os := p.oshadow(arr)
@@ -668,13 +622,10 @@ func (p *Profiler) LoadElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, 
 	fs.nodes[in.Dst] = r
 }
 
-// StoreElem implements interp.Hooks: the element's new writer depends on
+// StoreElem implements interp.Tracer: the element's new writer depends on
 // the stored value and the index (and, in traditional slicing, on the base
 // pointer).
 func (p *Profiler) StoreElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64, v interp.Value) {
-	if !p.enabled {
-		return
-	}
 	fs := p.fshadow(fr)
 	r := p.eventRef(in, fs)
 	p.link(r, 0, fs.nodes[in.C2])
@@ -691,13 +642,10 @@ func (p *Profiler) StoreElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object,
 	}
 }
 
-// ArrayLen implements interp.Hooks. The length is metadata fixed at
+// ArrayLen implements interp.Tracer. The length is metadata fixed at
 // allocation; the read is modelled as a heap load whose last writer is the
 // allocation node.
 func (p *Profiler) ArrayLen(in *ir.Instr, fr *interp.Frame, arr *interp.Object) {
-	if !p.enabled {
-		return
-	}
 	fs := p.fshadow(fr)
 	r := p.eventRef(in, fs)
 	os := p.oshadow(arr)
@@ -708,11 +656,8 @@ func (p *Profiler) ArrayLen(in *ir.Instr, fr *interp.Frame, arr *interp.Object) 
 	fs.nodes[in.Dst] = r
 }
 
-// Branch implements interp.Hooks: the predicate consumes operands A and B.
-func (p *Profiler) Branch(in *ir.Instr, fr *interp.Frame) {
-	if !p.enabled {
-		return
-	}
+// Branch implements interp.Tracer: the predicate consumes operands A and B.
+func (p *Profiler) Branch(in *ir.Instr, fr *interp.Frame, _ bool) {
 	fs := p.fshadow(fr)
 	r := p.consumerRefFast(in)
 	if r == 0 {
@@ -725,12 +670,9 @@ func (p *Profiler) Branch(in *ir.Instr, fr *interp.Frame) {
 	}
 }
 
-// Native implements interp.Hooks: the native consumes its arguments and
+// Native implements interp.Tracer: the native consumes its arguments and
 // produces its destination.
 func (p *Profiler) Native(in *ir.Instr, fr *interp.Frame) {
-	if !p.enabled {
-		return
-	}
 	fs := p.fshadow(fr)
 	r := p.consumerRefFast(in)
 	if r == 0 {
@@ -745,43 +687,6 @@ func (p *Profiler) Native(in *ir.Instr, fr *interp.Frame) {
 	}
 	if in.Dst >= 0 {
 		fs.nodes[in.Dst] = r
-	}
-}
-
-// Exec implements interp.Tracer by dispatching the event onto the hook for
-// its opcode. It serves the reference engine and wrappers that embed the
-// profiler; a machine traced by the bare profiler calls the hooks itself.
-func (p *Profiler) Exec(ev *interp.Event) {
-	in, fr := ev.In, ev.Frame
-	switch in.Op {
-	case ir.OpConst:
-		p.Const(in, fr)
-	case ir.OpMove, ir.OpNeg, ir.OpNot, ir.OpInstanceOf:
-		p.Unary(in, fr)
-	case ir.OpBin:
-		p.Binary(in, fr)
-	case ir.OpNew:
-		p.New(in, fr, ev.New)
-	case ir.OpNewArray:
-		p.NewArray(in, fr, ev.New)
-	case ir.OpLoadField:
-		p.LoadField(in, fr, ev.Base)
-	case ir.OpStoreField:
-		p.StoreField(in, fr, ev.Base, ev.Val)
-	case ir.OpLoadStatic:
-		p.LoadStatic(in, fr)
-	case ir.OpStoreStatic:
-		p.StoreStatic(in, fr, ev.Val)
-	case ir.OpALoad:
-		p.LoadElem(in, fr, ev.Base, ev.Index)
-	case ir.OpAStore:
-		p.StoreElem(in, fr, ev.Base, ev.Index, ev.Val)
-	case ir.OpArrayLen:
-		p.ArrayLen(in, fr, ev.Base)
-	case ir.OpIf:
-		p.Branch(in, fr)
-	case ir.OpNative:
-		p.Native(in, fr)
 	}
 }
 
@@ -894,9 +799,6 @@ func (p *Profiler) AfterCall(in *ir.Instr, caller *interp.Frame, hasValue bool) 
 		return
 	}
 	fs := p.fshadow(caller)
-	if !p.enabled {
-		return
-	}
 	r := p.eventRefFast(in, fs)
 	if r == 0 {
 		r = p.eventRefSlow(in, fs)
@@ -905,7 +807,7 @@ func (p *Profiler) AfterCall(in *ir.Instr, caller *interp.Frame, hasValue bool) 
 	fs.nodes[in.Dst] = r
 }
 
-var _ interp.Hooks = (*Profiler)(nil)
+var _ interp.Detacher = (*Profiler)(nil)
 
 // NewFromGraph wraps a reloaded graph (depgraph.Decode) in a Profiler so
 // offline analyses can use the same access paths as live ones. The returned

@@ -85,10 +85,12 @@ type sampleTracer struct {
 	out   *uint64
 }
 
-func (s *sampleTracer) Exec(ev *interp.Event) {
-	s.Tracker.Exec(ev)
-	if ev.In == s.instr {
-		*s.out = s.Tracker.CostOf(ev.Frame, s.slot)
+// Binary samples after an arithmetic instruction, the kind Figure 1's b
+// is.
+func (s *sampleTracer) Binary(in *ir.Instr, fr *interp.Frame) {
+	s.Tracker.Binary(in, fr)
+	if in == s.instr {
+		*s.out = s.Tracker.CostOf(fr, s.slot)
 	}
 }
 
@@ -256,17 +258,17 @@ func TestFrequenciesMatchExecution(t *testing.T) {
 	}
 }
 
-// TestPhaseGating: disabling the profiler during a phase must keep that
-// phase's instances out of the graph.
+// TestPhaseGating: a profile over an empty step window must record no
+// instance, while the call hooks still run.
 func TestPhaseGating(t *testing.T) {
 	fig := testprogs.Figure3(50, 20)
 
 	pFull, _ := run(t, fig.Prog, Options{Slots: 8})
 
 	pGated := New(fig.Prog, Options{Slots: 8})
-	pGated.SetEnabled(false)
 	m := interp.New(fig.Prog)
 	m.Tracer = pGated
+	m.Window = &interp.StepWindow{}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -211,10 +211,19 @@ var heapBombs = []struct{ name, src string }{
 	{"loop", `class Main { static void main() { int i = 0; while (i < 5) { int[] a = new int[6000000]; a[0] = i; i = i + 1; } print(i); } }`},
 }
 
+// keepBombs keep more than the budget without one large allocation: a
+// print loop, and an array filled with zero-field objects, whose headers
+// alone cross it.
+var keepBombs = []struct{ name, src string }{
+	{"print loop", `class Main { static void main() { while (true) { print(1); } } }`},
+	{"empty objects", `class E { } class Main { static void main() { E[] a = new E[16777000]; int i = 0; while (i < a.length) { a[i] = new E(); i = i + 1; } print(i); } }`},
+}
+
 // TestHeapBudgetEnvelope sends each heap bomb through /v2/run,
-// /v2/profile, /v2/report and a profile job. Every row must fail with the
-// non-retryable 422 heap_limit envelope (the job with that error code),
-// and the next normal request must succeed in the same process.
+// /v2/profile, /v2/report and a profile job, and each keep bomb through
+// /v2/run. Every row must fail with the non-retryable 422 heap_limit
+// envelope (the job with that error code), and the next normal request
+// must succeed in the same process.
 func TestHeapBudgetEnvelope(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	normal := compileSession(t, ts.URL, workSrc)
@@ -251,6 +260,19 @@ func TestHeapBudgetEnvelope(t *testing.T) {
 			st := waitBatch(t, ts.URL, sub.Batch).Jobs[0]
 			if st.State != jobs.StateFailed || st.Err == nil || st.Err.Code != "heap_limit" || st.Err.Retryable {
 				t.Errorf("job ended %s with %+v, want failed with non-retryable heap_limit", st.State, st.Err)
+			}
+			next(t)
+		})
+	}
+	for _, bomb := range keepBombs {
+		id := compileSession(t, ts.URL, bomb.src)
+		t.Run(bomb.name+" /v2/run", func(t *testing.T) {
+			code, out := postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: id})
+			if code != http.StatusUnprocessableEntity {
+				t.Fatalf("status %d, want 422; body %.200s", code, out)
+			}
+			if eb := decodeEnvelope(t, out); eb.Code != "heap_limit" || eb.Retryable {
+				t.Errorf("envelope %+v, want non-retryable heap_limit", eb)
 			}
 			next(t)
 		})

@@ -199,18 +199,45 @@ type constTracer struct {
 	failed string
 }
 
-func (ct *constTracer) Exec(ev *interp.Event) {
-	p, ok := ct.preds[ev.In.ID]
+// check compares the value in wrote to its destination with the
+// prediction for in, if there is one.
+func (ct *constTracer) check(in *ir.Instr, fr *interp.Frame) {
+	p, ok := ct.preds[in.ID]
 	if !ok || ct.failed != "" {
 		return
 	}
+	v := fr.Locals[in.Dst]
 	var bad bool
 	if p.IsNull {
-		bad = !ev.Val.IsNull()
+		bad = !v.IsNull()
 	} else {
-		bad = ev.Val.K != ir.KindInt || ev.Val.I != p.I
+		bad = v.K != ir.KindInt || v.I != p.I
 	}
 	if bad {
-		ct.failed = ev.In.String()
+		ct.failed = in.String()
+	}
+}
+
+// The hooks of the instructions that write a destination slot.
+func (ct *constTracer) Const(in *ir.Instr, fr *interp.Frame)                 { ct.check(in, fr) }
+func (ct *constTracer) Unary(in *ir.Instr, fr *interp.Frame)                 { ct.check(in, fr) }
+func (ct *constTracer) Binary(in *ir.Instr, fr *interp.Frame)                { ct.check(in, fr) }
+func (ct *constTracer) New(in *ir.Instr, fr *interp.Frame, _ *interp.Object) { ct.check(in, fr) }
+func (ct *constTracer) NewArray(in *ir.Instr, fr *interp.Frame, _ *interp.Object) {
+	ct.check(in, fr)
+}
+func (ct *constTracer) LoadField(in *ir.Instr, fr *interp.Frame, _ *interp.Object) {
+	ct.check(in, fr)
+}
+func (ct *constTracer) LoadStatic(in *ir.Instr, fr *interp.Frame) { ct.check(in, fr) }
+func (ct *constTracer) LoadElem(in *ir.Instr, fr *interp.Frame, _ *interp.Object, _ int64) {
+	ct.check(in, fr)
+}
+func (ct *constTracer) ArrayLen(in *ir.Instr, fr *interp.Frame, _ *interp.Object) {
+	ct.check(in, fr)
+}
+func (ct *constTracer) Native(in *ir.Instr, fr *interp.Frame) {
+	if in.Dst >= 0 {
+		ct.check(in, fr)
 	}
 }

@@ -17,6 +17,7 @@ import (
 // Tracker is an interp.Tracer that performs taint-like cumulative cost
 // tracking. Costs saturate at MaxCost instead of overflowing.
 type Tracker struct {
+	interp.NopTracer
 	// Overflowed reports whether any cost saturated.
 	Overflowed bool
 
@@ -71,49 +72,51 @@ func (t *Tracker) add(a, b uint64) uint64 {
 // CostOf returns the tracked cumulative cost of local slot s in fr.
 func (t *Tracker) CostOf(fr *interp.Frame, s int) uint64 { return t.fcosts(fr).c[s] }
 
-// Exec implements interp.Tracer.
-func (t *Tracker) Exec(ev *interp.Event) {
-	in := ev.In
-	fc := t.fcosts(ev.Frame)
-	switch in.Op {
-	case ir.OpConst:
-		fc.c[in.Dst] = 1
-	case ir.OpMove:
-		fc.c[in.Dst] = t.add(fc.c[in.A], 1)
-	case ir.OpBin:
-		fc.c[in.Dst] = t.add(t.add(fc.c[in.A], fc.c[in.B]), 1)
-	case ir.OpNeg, ir.OpNot, ir.OpInstanceOf:
-		fc.c[in.Dst] = t.add(fc.c[in.A], 1)
-	case ir.OpNew:
-		fc.c[in.Dst] = 1
-	case ir.OpNewArray:
-		fc.c[in.Dst] = t.add(fc.c[in.A], 1)
-	case ir.OpLoadField:
-		oc := t.ocosts(ev.Base)
-		fc.c[in.Dst] = t.add(oc.c[in.Field.Slot], 1)
-	case ir.OpStoreField:
-		oc := t.ocosts(ev.Base)
-		oc.c[in.Field.Slot] = t.add(fc.c[in.B], 1)
-	case ir.OpLoadStatic:
-		fc.c[in.Dst] = t.add(t.statics[in.Static.Slot], 1)
-	case ir.OpStoreStatic:
-		t.statics[in.Static.Slot] = t.add(fc.c[in.A], 1)
-	case ir.OpALoad:
-		oc := t.ocosts(ev.Base)
-		fc.c[in.Dst] = t.add(t.add(oc.c[ev.Index], fc.c[in.B]), 1)
-	case ir.OpAStore:
-		oc := t.ocosts(ev.Base)
-		oc.c[ev.Index] = t.add(t.add(fc.c[in.C2], fc.c[in.B]), 1)
-	case ir.OpArrayLen:
-		fc.c[in.Dst] = 1
-	case ir.OpNative:
-		var sum uint64 = 1
-		for _, a := range in.Args {
-			sum = t.add(sum, fc.c[a])
-		}
-		if in.Dst >= 0 {
-			fc.c[in.Dst] = sum
-		}
+// set makes c the cost of in's destination.
+func (t *Tracker) set(in *ir.Instr, fr *interp.Frame, c uint64) { t.fcosts(fr).c[in.Dst] = c }
+
+// local returns the cost of local slot s of fr.
+func (t *Tracker) local(fr *interp.Frame, s int) uint64 { return t.fcosts(fr).c[s] }
+
+// The instruction hooks: a destination costs its operands' costs plus
+// one; a computed length or a fresh object costs one.
+func (t *Tracker) Const(in *ir.Instr, fr *interp.Frame) { t.set(in, fr, 1) }
+func (t *Tracker) Unary(in *ir.Instr, fr *interp.Frame) {
+	t.set(in, fr, t.add(t.local(fr, in.A), 1))
+}
+func (t *Tracker) Binary(in *ir.Instr, fr *interp.Frame) {
+	t.set(in, fr, t.add(t.add(t.local(fr, in.A), t.local(fr, in.B)), 1))
+}
+func (t *Tracker) New(in *ir.Instr, fr *interp.Frame, _ *interp.Object) { t.set(in, fr, 1) }
+func (t *Tracker) NewArray(in *ir.Instr, fr *interp.Frame, _ *interp.Object) {
+	t.set(in, fr, t.add(t.local(fr, in.A), 1))
+}
+func (t *Tracker) LoadField(in *ir.Instr, fr *interp.Frame, base *interp.Object) {
+	t.set(in, fr, t.add(t.ocosts(base).c[in.Field.Slot], 1))
+}
+func (t *Tracker) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Object, _ interp.Value) {
+	t.ocosts(base).c[in.Field.Slot] = t.add(t.local(fr, in.B), 1)
+}
+func (t *Tracker) LoadStatic(in *ir.Instr, fr *interp.Frame) {
+	t.set(in, fr, t.add(t.statics[in.Static.Slot], 1))
+}
+func (t *Tracker) StoreStatic(in *ir.Instr, fr *interp.Frame, _ interp.Value) {
+	t.statics[in.Static.Slot] = t.add(t.local(fr, in.A), 1)
+}
+func (t *Tracker) LoadElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64) {
+	t.set(in, fr, t.add(t.add(t.ocosts(arr).c[idx], t.local(fr, in.B)), 1))
+}
+func (t *Tracker) StoreElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64, _ interp.Value) {
+	t.ocosts(arr).c[idx] = t.add(t.add(t.local(fr, in.C2), t.local(fr, in.B)), 1)
+}
+func (t *Tracker) ArrayLen(in *ir.Instr, fr *interp.Frame, _ *interp.Object) { t.set(in, fr, 1) }
+func (t *Tracker) Native(in *ir.Instr, fr *interp.Frame) {
+	var sum uint64 = 1
+	for _, a := range in.Args {
+		sum = t.add(sum, t.local(fr, a))
+	}
+	if in.Dst >= 0 {
+		t.set(in, fr, sum)
 	}
 }
 

@@ -17,15 +17,17 @@ type sample struct {
 	got   uint64
 }
 
-func (s *sample) Exec(ev *interp.Event) {
-	s.Tracker.Exec(ev)
-	if ev.In == s.instr {
-		s.got = s.Tracker.CostOf(ev.Frame, s.slot)
+// Binary samples after an arithmetic instruction, the kind Figure 1's b
+// is.
+func (s *sample) Binary(in *ir.Instr, fr *interp.Frame) {
+	s.Tracker.Binary(in, fr)
+	if in == s.instr {
+		s.got = s.Tracker.CostOf(fr, s.slot)
 	}
 }
 
 // AfterCall also samples, since call instructions are reported through the
-// call hooks rather than Exec.
+// call hooks.
 func (s *sample) AfterCall(in *ir.Instr, caller *interp.Frame, hasValue bool) {
 	s.Tracker.AfterCall(in, caller, hasValue)
 	if in == s.instr {

@@ -57,8 +57,13 @@ go run ./cmd/lowutil fuzz -seed 1 -n 50
 go test -race -short -shuffle=on ./...
 # The detached profiler under both selections: at GOMAXPROCS 1 no run may
 # detach and at 2 every long run must, and either way Gcost must match the
-# synchronous reference byte for byte (-short keeps two workloads).
-go test -race -short -cpu 1,2 -count=1 -run '^TestEngineDifferentialDetached$' ./internal/profiler
+# synchronous reference byte for byte (-short keeps two workloads). The
+# same pass runs the step-window differentials (windows that close and
+# open after a detach) and the client differentials (every client's
+# golden on both engines, and the method-cost wrapper past the detach
+# threshold, which must decline to detach).
+go test -race -short -cpu 1,2 -count=1 -run '^(TestEngineDifferentialDetached|TestWindow|TestWindowDetached)$' ./internal/profiler
+go test -race -short -cpu 1,2 -count=1 -run '^(TestClientGolden|TestMethodCostIgnoresDetach)$' ./internal/clients
 # Smoke-run the dispatch benchmark (one iteration): catches handler-table
 # regressions that only manifest under the benchmark harness, without
 # paying for a timed run.
