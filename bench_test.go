@@ -1,11 +1,10 @@
-// Benchmarks regenerating the paper's evaluation artifacts. Each table and
-// figure has a bench (plus tests in internal/evalharness and
-// internal/casestudies that assert the shapes):
+// Wall-clock benchmarks of the paper's evaluation artifacts. The numbers
+// themselves come from `lowutil experiments` (internal/evalharness, whose
+// TestExperimentsGolden pins them in EXPERIMENTS.md); these time the same
+// pipelines:
 //
 //   - Table 1 columns O(×): BenchmarkOverhead_* (baseline vs. profiled wall
 //     clock per workload; the ratio is the overhead column)
-//   - Table 1 columns #N/#E/M/CR and part (c): BenchmarkTable1 (reported as
-//     custom metrics)
 //   - §4.2 case studies: BenchmarkCaseStudy_* (bloated vs. optimized; the
 //     ratio is the paper's improvement)
 //   - Figure 1: BenchmarkFigure1_TaintVsSlicing
@@ -138,39 +137,6 @@ func BenchmarkNodeIntern(b *testing.B) {
 			g.TouchFast(instrs[i%len(instrs)], i&15)
 		}
 	})
-}
-
-// ---- Table 1: graph characteristics and part (c), as custom metrics ----
-
-func BenchmarkTable1(b *testing.B) {
-	for _, w := range workloads.All() {
-		w := w
-		b.Run(w.Name, func(b *testing.B) {
-			prog, err := w.Compile(benchScale)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var p *profiler.Profiler
-			var m *interp.Machine
-			for i := 0; i < b.N; i++ {
-				p = profiler.New(prog, profiler.Options{Slots: 16, TrackCR: true})
-				m = interp.New(prog)
-				m.Tracer = p
-				if err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			dead := deadness.Analyze(p.G, m.Steps)
-			b.ReportMetric(float64(p.G.NumNodes()), "N")
-			b.ReportMetric(float64(p.G.NumDepEdges()), "E")
-			b.ReportMetric(float64(p.G.ApproxBytes())/1024, "M_KB")
-			b.ReportMetric(p.CR().AverageCR(), "CR")
-			b.ReportMetric(float64(m.Steps), "I")
-			b.ReportMetric(dead.IPD(), "IPD_pct")
-			b.ReportMetric(dead.IPP(), "IPP_pct")
-			b.ReportMetric(dead.NLD(), "NLD_pct")
-		})
-	}
 }
 
 // ---- §4.2 case studies: bloated vs. optimized ----

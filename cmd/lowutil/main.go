@@ -18,6 +18,7 @@
 //	lowutil batch      [flags]          all 18 workloads through the job queue
 //	lowutil fuzz       [flags]          randomized differential invariant fuzzing
 //	lowutil workloads  [-scale N] [NAME] list the built-in workloads, or print one's source
+//	lowutil experiments [-scale N] [-only a,b] [section ...]  the paper's evaluation
 //
 // Flags (fuzz): -seed root seed (default 1), -n programs (default 100),
 // -minutes time box, -max-failures early stop, -json machine-readable
@@ -61,6 +62,15 @@
 // any other command:
 //
 //	lowutil workloads -scale 2 eclipse > eclipse.mj && lowutil profile eclipse.mj
+//
+// experiments regenerates the paper's evaluation, section by section:
+// table1 (Table 1's graph sizes, CR and deadness), phases (§4.1's
+// phase-restricted tracking), ablations (§3.2's), casestudies (§4.2's six)
+// and overhead (Table 1's O column and §4.1's reduction, the one timed
+// section). With no section named it runs all five. -scale sets the
+// workload scale (default 8, EXPERIMENTS.md's); -only restricts every
+// section to the named rows. The first four sections print no wall-clock
+// number and are EXPERIMENTS.md's blocks byte for byte at the default scale.
 package main
 
 import (
@@ -71,8 +81,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"lowutil"
+	"lowutil/internal/evalharness"
 	"lowutil/internal/workloads"
 )
 
@@ -117,6 +129,8 @@ func main() {
 		err = cmdFuzz(args)
 	case "workloads":
 		err = cmdWorkloads(args)
+	case "experiments":
+		err = cmdExperiments(args)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -154,7 +168,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: lowutil <command> [flags] <file.mj>
-commands: run, disasm, vet, ssa, slice, audit, profile, nullcheck, copies, predicates, overwrites, caches, serve, batch, fuzz, workloads`)
+commands: run, disasm, vet, ssa, slice, audit, profile, nullcheck, copies, predicates, overwrites, caches, serve, batch, fuzz, workloads, experiments`)
 }
 
 // startProfiles starts a CPU profile and/or arranges a post-run heap profile
@@ -453,6 +467,38 @@ func cmdWorkloads(args []string) error {
 		return nil
 	}
 	return fmt.Errorf("expected at most one workload name, got %d args", fs.NArg())
+}
+
+// cmdExperiments renders the named evaluation sections (all of them when
+// none is named). A bad flag, a -scale below 1, an unknown section and an
+// -only name that is no row of the sections are usage errors, found
+// before anything runs.
+func cmdExperiments(args []string) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	o := evalharness.Options{}
+	fs.IntVar(&o.Scale, "scale", 8, "workload scale factor")
+	only := fs.String("only", "", "comma-separated row names (workloads or case studies), applied to every section")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: lowutil experiments [-scale N] [-only a,b] [%s]...\n", strings.Join(evalharness.Sections, "|"))
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return &usageError{err.Error()}
+	}
+	if *only != "" {
+		o.Only = strings.Split(*only, ",")
+	}
+	sections := fs.Args()
+	if len(sections) == 0 {
+		sections = evalharness.Sections
+	}
+	if err := evalharness.Check(o, sections); err != nil {
+		return &usageError{err.Error()}
+	}
+	return evalharness.Run(os.Stdout, o, sections...)
 }
 
 func cmdCaches(args []string) error {

@@ -287,3 +287,37 @@ func TestCmdErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestCmdExperiments renders one small section, and refuses bad input with
+// a usage error before anything runs.
+func TestCmdExperiments(t *testing.T) {
+	out, err := captureStdout(t, func() error {
+		return cmdExperiments([]string{"-scale", "1", "-only", "sunflow", "casestudies"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frag := range []string{"§4.2 case studies", "\nsunflow     work", "suspect rank", "  pattern: ", "  tool report:"} {
+		if !strings.Contains(out, frag) {
+			t.Errorf("experiments casestudies output lacks %q:\n%s", frag, out)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"scale 0", []string{"-scale", "0", "casestudies"}},
+		{"negative scale", []string{"-scale", "-3", "table1"}},
+		{"unknown section", []string{"nope"}},
+		{"unknown -only name", []string{"-only", "nope"}},
+		{"unknown case study", []string{"-only", "nope", "casestudies"}},
+		{"row of no named section", []string{"-only", "chart", "phases"}},
+		{"removed -s flag", []string{"-s", "-3", "casestudies"}},
+		{"removed -slots flag", []string{"-slots", "1099511627776"}},
+	} {
+		var ue *usageError
+		if err := cmdExperiments(c.args); !errors.As(err, &ue) {
+			t.Errorf("experiments %s (%v): got %v, want a usage error", c.name, c.args, err)
+		}
+	}
+}

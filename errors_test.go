@@ -3,10 +3,13 @@ package lowutil
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"lowutil/internal/interp"
+	"lowutil/internal/workloads"
 )
 
 // spinSrc loops forever so cancellation tests have something to interrupt.
@@ -45,6 +48,42 @@ func TestCompileErrorParse(t *testing.T) {
 	if ce.Line <= 0 {
 		t.Errorf("parse CompileError has no line: %+v", ce)
 	}
+}
+
+// FuzzCompile checks that Compile never panics and that every error it
+// returns carries a *CompileError in its chain, whichever front-end stage,
+// lexing, parsing, checking or lowering, refused the source.
+func FuzzCompile(f *testing.F) {
+	files, err := filepath.Glob("internal/fuzzgen/corpus/*.mj")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	for _, w := range workloads.All() {
+		f.Add(w.Source(1))
+	}
+	for _, src := range []string{
+		"class Main { static void main() { print(x); } }",
+		"class Main { static void main( } }",
+		"class A { }",
+		"class Main { static void main() { int[][] a = new int[2][]; a[0] = new boolean[1]; } }",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if _, err := Compile(src); err != nil {
+			var ce *CompileError
+			if !errors.As(err, &ce) {
+				t.Fatalf("error %v (%T) has no *CompileError in its chain", err, err)
+			}
+		}
+	})
 }
 
 func TestRunContextCanceled(t *testing.T) {

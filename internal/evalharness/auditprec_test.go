@@ -38,7 +38,7 @@ func TestAuditPrecisionRankCorrelation(t *testing.T) {
 		sum += r.Rho
 	}
 
-	if *updatePrecision {
+	if *update {
 		if testing.Short() {
 			t.Fatal("-update needs the full suite: rerun without -short")
 		}

@@ -1,325 +1,326 @@
-// Package evalharness regenerates the paper's evaluation artifacts: Table 1
-// (graph characteristics, tool overhead, context conflict ratios, and the
-// dead-value measurements IPD/IPP/NLD over the 18 DaCapo-alike workloads),
-// the phase-restricted-tracking overhead-reduction experiment, and the §3.2
-// design-choice ablations (thin vs. traditional slicing, abstract vs.
-// unabstracted graphs).
+// Package evalharness regenerates the paper's evaluation as the sections of
+// `lowutil experiments`:
+//
+//   - table1: Table 1's graph characteristics and context conflict ratios
+//     at s = 8 and s = 16 (parts a/b) and its dead-value measurements
+//     IPD/IPP/NLD (part c), over the 18 DaCapo-alike workloads;
+//   - phases: §4.1's phase-restricted tracking, as recorded work;
+//   - ablations: the §3.2 design choices, thin vs. traditional slicing and
+//     abstract vs. unabstracted graphs;
+//   - casestudies: the six §4.2 case studies;
+//   - overhead: the one timed section, Table 1's O column and §4.1's
+//     reduction.
+//
+// The first four print no wall-clock number, so their output depends only
+// on the code and the scale. EXPERIMENTS.md holds it verbatim at scale 8,
+// and TestExperimentsGolden keeps the two equal.
 package evalharness
 
 import (
 	"fmt"
 	"io"
-	"sync"
-	"time"
+	"slices"
+	"strings"
 
+	"lowutil/internal/casestudies"
 	"lowutil/internal/deadness"
 	"lowutil/internal/depgraph"
 	"lowutil/internal/interp"
+	"lowutil/internal/ir"
 	"lowutil/internal/par"
 	"lowutil/internal/profiler"
 	"lowutil/internal/workloads"
 )
 
-// SlotResult holds the Table 1 columns for one (workload, s) pair.
-type SlotResult struct {
-	S        int
-	Nodes    int
-	DepEdges int
-	RefEdges int
-	MemBytes int64
-	Overhead float64 // profiled wall-clock / baseline wall-clock, each the best of 3 runs
-	CR       float64
-}
+const (
+	// slots is the context-slot count s everywhere but Table 1's s = 8
+	// column.
+	slots = 16
+	// windowPercent is the share of a run's steps §4.1's window tracks, in
+	// the middle of the run.
+	windowPercent = 10
+	// unabstractedCap bounds the instance nodes per instruction in the
+	// unabstracted graph, so the ablation finishes on every workload.
+	unabstractedCap = 1 << 22
+)
 
-// Row is one Table 1 row.
-type Row struct {
-	Name  string
-	Scale int
+// table1Slots are Table 1's context-slot settings, parts (a) and (b).
+var table1Slots = [...]int{8, slots}
 
-	// Steps is #I — executed instruction instances in the baseline run.
-	Steps    int64
-	Allocs   int64
-	BaseTime time.Duration
-	BySlots  []SlotResult
+// The rows of the sections that run a fixed subset of the workloads.
+var (
+	phaseRows       = []string{"tradebeans", "tradesoap"}
+	slicingRows     = []string{"xalan", "eclipse", "bloat"}
+	abstractionRows = []string{"chart", "sunflow", "avrora"}
+)
 
-	// Part (c), computed on the largest-s graph.
-	IPD float64
-	IPP float64
-	NLD float64
-}
-
-// Options configures the harness.
+// Options selects what the experiments run on.
 type Options struct {
-	// Scale is the workload scale factor (1 for tests, larger for reports).
+	// Scale is the workload scale factor, at least 1.
 	Scale int
-	// Slots lists the context-slot settings to measure (paper: 8 and 16).
-	Slots []int
-	// Only restricts to the named workloads (nil = all 18).
+	// Only restricts every section to the named rows (nil = every row).
 	Only []string
-	// Progress, if non-nil, receives a line per workload.
-	Progress io.Writer
-	// Workers bounds the workload-sweep worker pool; 0 means GOMAXPROCS,
-	// 1 runs serially. Note that the overhead column is wall-clock based,
-	// so overhead measurements are only meaningful with Workers set to 1.
-	Workers int
 }
 
-func (o *Options) defaults() {
-	if o.Scale < 1 {
-		o.Scale = 1
+// Sections lists the experiment sections in print order.
+var Sections = []string{"table1", "phases", "ablations", "casestudies", "overhead"}
+
+// section returns the row names and the writer of the named section, and
+// false for an unknown one.
+func section(name string) ([]string, func(io.Writer, Options) error, bool) {
+	var all, studies []string
+	for _, w := range workloads.All() {
+		all = append(all, w.Name)
 	}
-	if len(o.Slots) == 0 {
-		o.Slots = []int{8, 16}
+	for _, cs := range casestudies.All() {
+		studies = append(studies, cs.Name)
 	}
+	switch name {
+	case "table1":
+		return all, writeTable1, true
+	case "phases":
+		return phaseRows, writePhases, true
+	case "ablations":
+		return slices.Concat(slicingRows, abstractionRows), writeAblations, true
+	case "casestudies":
+		return studies, writeCaseStudies, true
+	case "overhead":
+		return all, writeOverhead, true
+	}
+	return nil, nil, false
 }
 
-// Table1 runs the full experiment and returns one row per workload.
-func Table1(opts Options) ([]*Row, error) {
-	opts.defaults()
-	var list []*workloads.Workload
-	if len(opts.Only) == 0 {
-		list = workloads.All()
-	} else {
-		for _, name := range opts.Only {
-			w := workloads.ByName(name)
-			if w == nil {
-				return nil, fmt.Errorf("evalharness: unknown workload %q", name)
-			}
-			list = append(list, w)
+// Check reports the first input Run refuses: a scale below 1, a section
+// not in Sections, or an Only name that is no row of any of sections.
+func Check(opts Options, sections []string) error {
+	if opts.Scale < 1 {
+		return fmt.Errorf("scale %d must be at least 1", opts.Scale)
+	}
+	known := map[string]bool{}
+	for _, s := range sections {
+		rows, _, ok := section(s)
+		if !ok {
+			return fmt.Errorf("unknown section %q (sections: %s)", s, strings.Join(Sections, ", "))
+		}
+		for _, n := range rows {
+			known[n] = true
 		}
 	}
+	for _, n := range opts.Only {
+		if !known[n] {
+			return fmt.Errorf("unknown row %q: no row of %s", n, strings.Join(sections, ", "))
+		}
+	}
+	return nil
+}
 
-	// Workloads are independent, so the sweep fans out over the pool; each
-	// worker writes only its own row slot and rows keep Table 1 order. The
-	// first error by workload index wins, matching the serial behavior.
-	rows := make([]*Row, len(list))
-	errs := make([]error, len(list))
-	var progressMu sync.Mutex
-	par.ForEach(len(list), opts.Workers, func(i int) {
-		row, err := runOne(list[i], opts)
-		if err != nil {
-			errs[i] = err
-			return
+// Run renders the named sections to out, in the order given. A table
+// that Only leaves without rows is left out.
+func Run(out io.Writer, opts Options, sections ...string) error {
+	if err := Check(opts, sections); err != nil {
+		return err
+	}
+	for _, s := range sections {
+		_, write, _ := section(s)
+		if err := write(out, opts); err != nil {
+			return err
 		}
-		rows[i] = row
-		if opts.Progress != nil {
-			progressMu.Lock()
-			fmt.Fprintf(opts.Progress, "%-11s I=%-10d N=%-7d E=%-8d O=%.1fx IPD=%.1f%% IPP=%.1f%% NLD=%.1f%%\n",
-				row.Name, row.Steps, row.BySlots[len(row.BySlots)-1].Nodes,
-				row.BySlots[len(row.BySlots)-1].DepEdges,
-				row.BySlots[len(row.BySlots)-1].Overhead, row.IPD, row.IPP, row.NLD)
-			progressMu.Unlock()
+	}
+	return nil
+}
+
+// kept returns the names opts keeps, in order.
+func kept(opts Options, names []string) []string {
+	var out []string
+	for _, n := range names {
+		if len(opts.Only) == 0 || slices.Contains(opts.Only, n) {
+			out = append(out, n)
 		}
-	})
+	}
+	return out
+}
+
+// each runs f on every name opts keeps, across all CPUs, and returns the
+// results in names' order, or the first error in that order.
+func each[T any](opts Options, names []string, f func(string) (T, error)) ([]T, error) {
+	names = kept(opts, names)
+	out := make([]T, len(names))
+	errs := make([]error, len(names))
+	par.ForEach(len(names), 0, func(i int) { out[i], errs[i] = f(names[i]) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return rows, nil
+	return out, nil
 }
 
-func runOne(w *workloads.Workload, opts Options) (*Row, error) {
-	prog, err := w.Compile(opts.Scale)
-	if err != nil {
-		return nil, err
-	}
-
-	for _, s := range opts.Slots {
-		if limit := profiler.MaxSlots(prog.NumInstrs()); s > limit {
-			return nil, fmt.Errorf("%s: %d context slots exceed the profiling table budget (at most %d)", w.Name, s, limit)
-		}
-	}
-
-	// Each overhead ratio compares the best of 3 baseline (uninstrumented)
-	// runs with the best of 3 profiled runs. The runs interleave — the
-	// baseline, then one profiled run per slot count, three times over — so
-	// a stretch of contention on a shared host slows both sides alike.
-	best := make([]time.Duration, 1+len(opts.Slots)) // [0] is the baseline
-	profs := make([]*profiler.Profiler, len(opts.Slots))
-	var base *interp.Machine
-	var lastSteps int64
-	for rep := 0; rep < 3; rep++ {
-		for i := range best {
-			m := interp.New(prog)
-			what := "baseline"
-			if i > 0 {
-				profs[i-1] = profiler.New(prog, profiler.Options{Slots: opts.Slots[i-1], TrackCR: true})
-				m.Tracer = profs[i-1]
-				what = fmt.Sprintf("profiled s=%d", opts.Slots[i-1])
-			}
-			start := time.Now()
-			if err := m.Run(); err != nil {
-				return nil, fmt.Errorf("%s %s: %w", w.Name, what, err)
-			}
-			if d := time.Since(start); rep == 0 || d < best[i] {
-				best[i] = d
-			}
-			if i == 0 {
-				base = m
-			} else {
-				lastSteps = m.Steps
-			}
-		}
-	}
-	best[0] = max(best[0], time.Nanosecond)
-
-	row := &Row{Name: w.Name, Scale: opts.Scale, Steps: base.Steps, Allocs: base.Allocs, BaseTime: best[0]}
-	for i, p := range profs {
-		row.BySlots = append(row.BySlots, SlotResult{
-			S:        opts.Slots[i],
-			Nodes:    p.G.NumNodes(),
-			DepEdges: p.G.NumDepEdges(),
-			RefEdges: p.G.NumRefEdges(),
-			MemBytes: p.G.ApproxBytes(),
-			Overhead: float64(best[i+1]) / float64(best[0]),
-			CR:       p.CR().AverageCR(),
-		})
-	}
-
-	dead := deadness.Analyze(profs[len(profs)-1].G, lastSteps)
-	row.IPD = dead.IPD()
-	row.IPP = dead.IPP()
-	row.NLD = dead.NLD()
-	return row, nil
-}
-
-// Format renders rows in the paper's Table 1 layout.
-func Format(rows []*Row, out io.Writer) {
-	if len(rows) == 0 {
-		return
-	}
-	for _, sr := range rows[0].BySlots {
-		fmt.Fprintf(out, "---- s = %d ----\n", sr.S)
-		fmt.Fprintf(out, "%-11s %9s %9s %8s %7s %7s\n", "Program", "#N", "#E", "M(KB)", "O(x)", "CR")
-		for _, r := range rows {
-			var this *SlotResult
-			for i := range r.BySlots {
-				if r.BySlots[i].S == sr.S {
-					this = &r.BySlots[i]
-				}
-			}
-			if this == nil {
-				continue
-			}
-			fmt.Fprintf(out, "%-11s %9d %9d %8.1f %7.1f %7.3f\n",
-				r.Name, this.Nodes, this.DepEdges, float64(this.MemBytes)/1024, this.Overhead, this.CR)
-		}
-		fmt.Fprintln(out)
-	}
-	fmt.Fprintf(out, "---- part (c): instruction instances and deadness ----\n")
-	fmt.Fprintf(out, "%-11s %12s %8s %8s %8s\n", "Program", "#I", "IPD(%)", "IPP(%)", "NLD(%)")
-	for _, r := range rows {
-		fmt.Fprintf(out, "%-11s %12d %8.1f %8.1f %8.1f\n", r.Name, r.Steps, r.IPD, r.IPP, r.NLD)
-	}
-}
-
-// ---- Phase-restricted tracking (§4.1 overhead discussion) ----
-
-// PhaseResult reports the phase-restriction experiment for one workload.
-type PhaseResult struct {
-	Name          string
-	FullOverhead  float64
-	PhaseOverhead float64
-	// Reduction is FullOverhead / PhaseOverhead (paper: up to 10×).
-	Reduction  float64
-	FullNodes  int
-	PhaseNodes int
-	// FullEvents and PhaseEvents count the Gcost events each run recorded
-	// (the sum of node frequencies): the work the step window saves,
-	// deterministic where the wall-clock ratios are not.
-	FullEvents  int64
-	PhaseEvents int64
-}
-
-// PhaseExperiment profiles the workload twice — whole-program and restricted
-// to a step window over the middle fraction of the run — and reports the
-// overhead reduction.
-func PhaseExperiment(name string, scale int, fraction float64) (*PhaseResult, error) {
+func compile(name string, scale int) (*ir.Program, error) {
 	w := workloads.ByName(name)
 	if w == nil {
 		return nil, fmt.Errorf("evalharness: unknown workload %q", name)
 	}
-	prog, err := w.Compile(scale)
+	return w.Compile(scale)
+}
+
+// profile runs prog under a new profiler with opts, tracking only inside
+// win when win is non-nil.
+func profile(prog *ir.Program, opts profiler.Options, win *interp.StepWindow) (*profiler.Profiler, *interp.Machine, error) {
+	p := profiler.New(prog, opts)
+	m := interp.New(prog)
+	m.Tracer, m.Window = p, win
+	return p, m, m.Run()
+}
+
+// window returns §4.1's step window over a run of steps: its middle
+// windowPercent.
+func window(steps int64) *interp.StepWindow {
+	n := steps * windowPercent / 100
+	lo := (steps - n) / 2
+	return &interp.StepWindow{Lo: lo, Hi: lo + n}
+}
+
+// ---- Table 1 ----
+
+// SlotResult holds Table 1's (a)/(b) columns for one (workload, s) pair.
+type SlotResult struct {
+	S        int
+	Nodes    int
+	DepEdges int
+	MemBytes int64
+	CR       float64
+}
+
+// Row is one Table 1 row.
+type Row struct {
+	Name string
+	// Steps is #I: the instruction instances the run executed.
+	Steps   int64
+	BySlots [len(table1Slots)]SlotResult
+	// Part (c), on the s = 16 graph.
+	IPD, IPP, NLD float64
+}
+
+// Table1 profiles every workload opts keeps at each of Table 1's slot
+// settings and returns one row per workload, in Table 1's order.
+func Table1(opts Options) ([]*Row, error) {
+	if err := Check(opts, []string{"table1"}); err != nil {
+		return nil, err
+	}
+	names, _, _ := section("table1")
+	return each(opts, names, func(name string) (*Row, error) {
+		prog, err := compile(name, opts.Scale)
+		if err != nil {
+			return nil, err
+		}
+		row := &Row{Name: name}
+		for i, s := range table1Slots {
+			p, m, err := profile(prog, profiler.Options{Slots: s, TrackCR: true}, nil)
+			if err != nil {
+				return nil, fmt.Errorf("%s s=%d: %w", name, s, err)
+			}
+			row.BySlots[i] = SlotResult{
+				S:        s,
+				Nodes:    p.G.NumNodes(),
+				DepEdges: p.G.NumDepEdges(),
+				MemBytes: p.G.ApproxBytes(),
+				CR:       p.CR().AverageCR(),
+			}
+			if s == slots {
+				dead := deadness.Analyze(p.G, m.Steps)
+				row.Steps, row.IPD, row.IPP, row.NLD = m.Steps, dead.IPD(), dead.IPP(), dead.NLD()
+			}
+		}
+		return row, nil
+	})
+}
+
+func writeTable1(out io.Writer, opts Options) error {
+	rows, err := Table1(opts)
+	if err != nil || len(rows) == 0 {
+		return err
+	}
+	for i, s := range table1Slots {
+		fmt.Fprintf(out, "---- Table 1 (%c): s = %d, scale %d ----\n", 'a'+i, s, opts.Scale)
+		fmt.Fprintf(out, "%-11s %9s %9s %8s %7s\n", "Program", "#N", "#E", "M(KB)", "CR")
+		for _, r := range rows {
+			sr := r.BySlots[i]
+			fmt.Fprintf(out, "%-11s %9d %9d %8.1f %7.3f\n",
+				r.Name, sr.Nodes, sr.DepEdges, float64(sr.MemBytes)/1024, sr.CR)
+		}
+	}
+	fmt.Fprintf(out, "---- Table 1 (c): instruction instances and deadness, s = %d, scale %d ----\n", slots, opts.Scale)
+	fmt.Fprintf(out, "%-11s %12s %8s %8s %8s\n", "Program", "#I", "IPD(%)", "IPP(%)", "NLD(%)")
+	for _, r := range rows {
+		fmt.Fprintf(out, "%-11s %12d %8.1f %8.1f %8.1f\n", r.Name, r.Steps, r.IPD, r.IPP, r.NLD)
+	}
+	return nil
+}
+
+// ---- §4.1 phase-restricted tracking ----
+
+// PhaseResult is §4.1's experiment on one workload: a profile of the whole
+// run against one that tracks only the window, the middle windowPercent of
+// its steps.
+type PhaseResult struct {
+	Name   string
+	Steps  int64
+	Window interp.StepWindow
+	// FullEvents and PhaseEvents count the Gcost events each run recorded
+	// (the sum of node frequencies): the work the window saves.
+	FullEvents, PhaseEvents int64
+	FullNodes, PhaseNodes   int
+}
+
+// PhaseExperiment profiles the workload twice, whole and inside the window.
+func PhaseExperiment(name string, scale int) (*PhaseResult, error) {
+	prog, err := compile(name, scale)
 	if err != nil {
 		return nil, err
 	}
-
-	m := interp.New(prog)
-	if err := m.Run(); err != nil {
+	full, m, err := profile(prog, profiler.Options{Slots: slots}, nil)
+	if err != nil {
 		return nil, err
 	}
-	n := int64(float64(m.Steps) * fraction)
-	window := &interp.StepWindow{Lo: (m.Steps - n) / 2, Hi: (m.Steps-n)/2 + n}
-	timed := func(tr interp.Tracer, w *interp.StepWindow) (time.Duration, error) {
-		m := interp.New(prog)
-		m.Tracer, m.Window = tr, w
-		start := time.Now()
-		err := m.Run()
-		return time.Since(start), err
+	win := window(m.Steps)
+	gated, _, err := profile(prog, profiler.Options{Slots: slots}, win)
+	if err != nil {
+		return nil, err
 	}
-
-	// The best of five rounds, each running the plain, full and windowed
-	// profiles back to back. A run takes about a millisecond at scale 8,
-	// and a scheduler hiccup or a collection can cover several in a row,
-	// so the three kinds share every round instead of each owning a series
-	// one hiccup could cover.
-	var base, fullTime, gatedTime time.Duration
-	var full, gatedP *profiler.Profiler
-	for i := 0; i < 5; i++ {
-		full = profiler.New(prog, profiler.Options{Slots: 16})
-		gatedP = profiler.New(prog, profiler.Options{Slots: 16})
-		b, err := timed(nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		f, err := timed(full, nil)
-		if err != nil {
-			return nil, err
-		}
-		g, err := timed(gatedP, window)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 || b < base {
-			base = b
-		}
-		if i == 0 || f < fullTime {
-			fullTime = f
-		}
-		if i == 0 || g < gatedTime {
-			gatedTime = g
-		}
-	}
-	base = max(base, time.Nanosecond)
-
-	res := &PhaseResult{
-		Name:          name,
-		FullOverhead:  float64(fullTime) / float64(base),
-		PhaseOverhead: float64(gatedTime) / float64(base),
-		FullNodes:     full.G.NumNodes(),
-		PhaseNodes:    gatedP.G.NumNodes(),
-		FullEvents:    recordedEvents(full.G),
-		PhaseEvents:   recordedEvents(gatedP.G),
-	}
-	if res.PhaseOverhead > 0 {
-		res.Reduction = res.FullOverhead / res.PhaseOverhead
-	}
-	return res, nil
+	return &PhaseResult{
+		Name:        name,
+		Steps:       m.Steps,
+		Window:      *win,
+		FullEvents:  full.G.TotalFreq(),
+		PhaseEvents: gated.G.TotalFreq(),
+		FullNodes:   full.G.NumNodes(),
+		PhaseNodes:  gated.G.NumNodes(),
+	}, nil
 }
 
-// recordedEvents sums g's node frequencies: one per event the profiler
-// recorded.
-func recordedEvents(g *depgraph.Graph) int64 {
-	var n int64
-	g.Nodes(func(nd *depgraph.Node) { n += nd.Freq() })
-	return n
+func writePhases(out io.Writer, opts Options) error {
+	res, err := each(opts, phaseRows, func(name string) (*PhaseResult, error) {
+		return PhaseExperiment(name, opts.Scale)
+	})
+	if err != nil || len(res) == 0 {
+		return err
+	}
+	fmt.Fprintf(out, "---- §4.1 phase-restricted tracking: the middle %d%% of the steps, s = %d, scale %d ----\n",
+		windowPercent, slots, opts.Scale)
+	fmt.Fprintf(out, "%-11s %9s %17s %12s %12s %11s %11s\n",
+		"Program", "steps", "window", "full events", "win events", "full nodes", "win nodes")
+	for _, r := range res {
+		fmt.Fprintf(out, "%-11s %9d %17s %12d %12d %11d %11d\n", r.Name, r.Steps,
+			fmt.Sprintf("[%d, %d)", r.Window.Lo, r.Window.Hi),
+			r.FullEvents, r.PhaseEvents, r.FullNodes, r.PhaseNodes)
+	}
+	return nil
 }
 
 // ---- §3.2 ablations ----
 
 // SlicingAblation compares thin and traditional slicing on one workload:
-// edge counts and total backward-slice weight from every heap-store node.
+// edge counts and total backward-slice size from every heap-store node.
 type SlicingAblation struct {
 	Name             string
 	ThinEdges        int
@@ -330,20 +331,14 @@ type SlicingAblation struct {
 
 // ThinVsTraditional runs the ablation.
 func ThinVsTraditional(name string, scale int) (*SlicingAblation, error) {
-	w := workloads.ByName(name)
-	if w == nil {
-		return nil, fmt.Errorf("evalharness: unknown workload %q", name)
-	}
-	prog, err := w.Compile(scale)
+	prog, err := compile(name, scale)
 	if err != nil {
 		return nil, err
 	}
 	res := &SlicingAblation{Name: name}
 	for _, traditional := range []bool{false, true} {
-		p := profiler.New(prog, profiler.Options{Slots: 16, Traditional: traditional})
-		m := interp.New(prog)
-		m.Tracer = p
-		if err := m.Run(); err != nil {
+		p, _, err := profile(prog, profiler.Options{Slots: slots, Traditional: traditional}, nil)
+		if err != nil {
 			return nil, err
 		}
 		total := 0
@@ -353,11 +348,9 @@ func ThinVsTraditional(name string, scale int) (*SlicingAblation, error) {
 			}
 		})
 		if traditional {
-			res.TraditionalEdges = p.G.NumDepEdges()
-			res.TradSliceNodes = total
+			res.TraditionalEdges, res.TradSliceNodes = p.G.NumDepEdges(), total
 		} else {
-			res.ThinEdges = p.G.NumDepEdges()
-			res.ThinSliceNodes = total
+			res.ThinEdges, res.ThinSliceNodes = p.G.NumDepEdges(), total
 		}
 	}
 	return res, nil
@@ -374,37 +367,81 @@ type AbstractionAblation struct {
 	UnabstractedBytes int64
 }
 
-// AbstractVsConcrete runs the ablation. The unabstracted graph is capped to
-// keep the experiment tractable; the cap is reported through the node count
-// plateauing rather than by silent truncation of the workload.
-func AbstractVsConcrete(name string, scale int, capN int) (*AbstractionAblation, error) {
-	w := workloads.ByName(name)
-	if w == nil {
-		return nil, fmt.Errorf("evalharness: unknown workload %q", name)
-	}
-	prog, err := w.Compile(scale)
+// AbstractVsConcrete runs the ablation. The unabstracted graph is capped
+// at unabstractedCap instance nodes per instruction; past it, instances
+// fold into the last node, which shows as a plateau in the node count.
+func AbstractVsConcrete(name string, scale int) (*AbstractionAblation, error) {
+	prog, err := compile(name, scale)
 	if err != nil {
 		return nil, err
 	}
-	res := &AbstractionAblation{Name: name}
-
-	pa := profiler.New(prog, profiler.Options{Slots: 16})
-	ma := interp.New(prog)
-	ma.Tracer = pa
-	if err := ma.Run(); err != nil {
+	pa, m, err := profile(prog, profiler.Options{Slots: slots}, nil)
+	if err != nil {
 		return nil, err
 	}
-	res.Steps = ma.Steps
-	res.AbstractNodes = pa.G.NumNodes()
-	res.AbstractBytes = pa.G.ApproxBytes()
-
-	pu := profiler.New(prog, profiler.Options{Unabstracted: true, UnabstractedCap: capN})
-	mu := interp.New(prog)
-	mu.Tracer = pu
-	if err := mu.Run(); err != nil {
+	pu, _, err := profile(prog, profiler.Options{Unabstracted: true, UnabstractedCap: unabstractedCap}, nil)
+	if err != nil {
 		return nil, err
 	}
-	res.UnabstractedNodes = pu.G.NumNodes()
-	res.UnabstractedBytes = pu.G.ApproxBytes()
-	return res, nil
+	return &AbstractionAblation{
+		Name:              name,
+		Steps:             m.Steps,
+		AbstractNodes:     pa.G.NumNodes(),
+		UnabstractedNodes: pu.G.NumNodes(),
+		AbstractBytes:     pa.G.ApproxBytes(),
+		UnabstractedBytes: pu.G.ApproxBytes(),
+	}, nil
+}
+
+func writeAblations(out io.Writer, opts Options) error {
+	thin, err := each(opts, slicingRows, func(name string) (*SlicingAblation, error) {
+		return ThinVsTraditional(name, opts.Scale)
+	})
+	if err != nil {
+		return err
+	}
+	abs, err := each(opts, abstractionRows, func(name string) (*AbstractionAblation, error) {
+		return AbstractVsConcrete(name, opts.Scale)
+	})
+	if err != nil {
+		return err
+	}
+	if len(thin) > 0 {
+		fmt.Fprintf(out, "---- §3.2 ablation: thin vs traditional slicing, s = %d, scale %d ----\n", slots, opts.Scale)
+		fmt.Fprintf(out, "%-11s %12s %12s %14s %14s\n", "Program", "thin edges", "trad edges", "thin slices", "trad slices")
+		for _, r := range thin {
+			fmt.Fprintf(out, "%-11s %12d %12d %14d %14d\n",
+				r.Name, r.ThinEdges, r.TraditionalEdges, r.ThinSliceNodes, r.TradSliceNodes)
+		}
+	}
+	if len(abs) > 0 {
+		fmt.Fprintf(out, "---- §3.2 ablation: abstract (s = %d) vs unabstracted graphs, scale %d ----\n", slots, opts.Scale)
+		fmt.Fprintf(out, "%-11s %12s %12s %12s %12s %12s\n", "Program", "#I", "abs nodes", "conc nodes", "abs KB", "conc KB")
+		for _, r := range abs {
+			fmt.Fprintf(out, "%-11s %12d %12d %12d %12d %12d\n",
+				r.Name, r.Steps, r.AbstractNodes, r.UnabstractedNodes,
+				r.AbstractBytes/1024, r.UnabstractedBytes/1024)
+		}
+	}
+	return nil
+}
+
+// ---- §4.2 case studies ----
+
+func writeCaseStudies(out io.Writer, opts Options) error {
+	names, _, _ := section("casestudies")
+	res, err := each(opts, names, func(name string) (*casestudies.Result, error) {
+		return casestudies.ByName(name).Run(opts.Scale, slots)
+	})
+	if err != nil || len(res) == 0 {
+		return err
+	}
+	fmt.Fprintf(out, "---- §4.2 case studies: bloated → optimized work and allocations, suspect rank at s = %d, scale %d ----\n",
+		slots, opts.Scale)
+	for _, r := range res {
+		cs := casestudies.ByName(r.Name)
+		fmt.Fprintf(out, "%s\n  paper:   %s\n  pattern: %s\n  fix:     %s\n  tool report:\n    %s\n", r, cs.PaperResult, cs.Pattern, cs.Fix,
+			strings.ReplaceAll(strings.TrimSuffix(r.TopReport, "\n"), "\n", "\n    "))
+	}
+	return nil
 }

@@ -10,7 +10,7 @@ import (
 	"lowutil/internal/workloads"
 )
 
-var updatePrecision = flag.Bool("update", false, "rewrite testdata/precision.golden")
+var update = flag.Bool("update", false, "rewrite the goldens: testdata/*.golden and EXPERIMENTS.md's blocks")
 
 // precisionShort is the -short subset; the golden always holds all 18 rows,
 // and the short run checks just these against their recorded lines.
@@ -47,7 +47,7 @@ func TestPrecisionRankCorrelation(t *testing.T) {
 		sumFreq += r.RhoFreq
 	}
 
-	if *updatePrecision {
+	if *update {
 		if testing.Short() {
 			t.Fatal("-update needs the full suite: rerun without -short")
 		}

@@ -27,8 +27,8 @@
 // JSON API with session and profile caching.
 //
 // The experiment harnesses behind Table 1 and the six case studies live in
-// internal/evalharness and internal/casestudies and are driven by the
-// cmd/table1 and cmd/casestudies binaries.
+// internal/evalharness and internal/casestudies and are driven by
+// `lowutil experiments`.
 package lowutil
 
 import (
@@ -40,7 +40,6 @@ import (
 	"sort"
 	"strings"
 
-	"lowutil/internal/casestudies"
 	"lowutil/internal/clients"
 	"lowutil/internal/costben"
 	"lowutil/internal/deadness"
@@ -766,17 +765,4 @@ func (p *Program) SilentOverwrites(minWrites int64) ([]string, error) {
 // (none for k < 0).
 func (pr *Profile) Collections(k int) []Finding {
 	return findings(clients.RankCollections(pr.an, pr.height, nil), k)
-}
-
-// CaseStudyResult re-exports the case-study harness result for the CLI and
-// examples.
-type CaseStudyResult = casestudies.Result
-
-// RunCaseStudy executes one of the six §4.2 case studies by name.
-func RunCaseStudy(name string, scale, slots int) (*CaseStudyResult, error) {
-	cs := casestudies.ByName(name)
-	if cs == nil {
-		return nil, fmt.Errorf("lowutil: unknown case study %q", name)
-	}
-	return cs.Run(scale, slots)
 }

@@ -248,19 +248,6 @@ class Main {
 	}
 }
 
-func TestRunCaseStudyFacade(t *testing.T) {
-	res, err := RunCaseStudy("sunflow", 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WorkReduction <= 0 || res.SuspectRank == 0 {
-		t.Errorf("unexpected case-study result: %s", res)
-	}
-	if _, err := RunCaseStudy("nope", 1, 8); err == nil {
-		t.Error("want unknown case study error")
-	}
-}
-
 func TestFacadeMultiHopRanking(t *testing.T) {
 	prog, err := Compile(`
 class Raw { int v; }

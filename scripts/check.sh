@@ -48,6 +48,13 @@ go test ./internal/evalharness -run TestPrecisionRankCorrelation -short -count=1
 go test ./internal/escape -run TestEscapeSoundnessAllWorkloads -count=1
 go test ./internal/escape -run TestAuditGoldenWorkloads -count=1
 go test ./internal/evalharness -run TestAuditPrecisionRankCorrelation -short -count=1
+# The claim sheet's golden: the four deterministic sections of
+# `lowutil experiments` at scale 8 must equal EXPERIMENTS.md's fenced
+# blocks byte for byte, with profiles run synchronously (-cpu 1) and
+# detached (-cpu 2). The -short passes skip it. After an intended change,
+# rewrite the blocks with
+#   go test ./internal/evalharness -run TestExperimentsGolden -update
+go test ./internal/evalharness -run TestExperimentsGolden -cpu 1,2 -count=1
 # Short differential-fuzzing budget: a small deterministic batch through
 # every engine-pair invariant (see DESIGN.md §14). The long soak is
 # `make fuzz`.

@@ -38,7 +38,8 @@ for t in \
     ./internal/escape:FuzzEscapeMonotone \
     ./internal/parser:FuzzParse \
     ./internal/depgraph:FuzzDecode \
-    ./internal/lexer:FuzzLex; do
+    ./internal/lexer:FuzzLex \
+    .:FuzzCompile; do
     pkg="${t%%:*}"
     name="${t#*:}"
     echo "fuzz: $name ($pkg) for $FUZZTIME"
