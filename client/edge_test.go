@@ -16,7 +16,6 @@ import (
 
 	"lowutil"
 	"lowutil/client"
-	"lowutil/internal/jobs"
 	"lowutil/internal/server"
 )
 
@@ -114,19 +113,7 @@ func (p *seqRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func TestEventsReconnectAtExactSequence(t *testing.T) {
 	var lastSeq atomic.Int64
 	rec := &seqRecorder{lastSeq: &lastSeq, abortAfter: 2}
-	s := server.New(server.Config{
-		Logger: slog.New(slog.NewJSONHandler(io.Discard, nil)),
-		Jobs: jobs.Config{
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  4 * time.Millisecond,
-			FaultHook: func(jobID string, attempt int) error {
-				if attempt == 1 { // lengthen the event log with one retry
-					return jobs.Transient(errors.New("injected"))
-				}
-				return nil
-			},
-		},
-	})
+	s := server.New(server.Config{Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))})
 	rec.h = s.Handler()
 	ts := httptest.NewServer(rec)
 	t.Cleanup(func() {

@@ -30,8 +30,8 @@ func cmdBatch(args []string) error {
 	scale := fs.Int("scale", 1, "workload scale factor")
 	top := fs.Int("top", lowutil.DefaultTop, "findings per workload report")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent queue workers")
-	timeout := fs.Duration("timeout", 5*time.Minute, "overall batch deadline")
-	if err := fs.Parse(args); err != nil {
+	timeout := fs.Duration("timeout", 5*time.Minute, "overall batch deadline, which also bounds each job")
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
@@ -40,10 +40,17 @@ func cmdBatch(args []string) error {
 	if err := checkTop(*top); err != nil {
 		return err
 	}
+	if err := checkPositive("scale", *scale); err != nil {
+		return err
+	}
+	if err := checkPositive("workers", *workers); err != nil {
+		return err
+	}
 
 	srv := server.New(server.Config{
-		Logger: slog.New(slog.NewJSONHandler(io.Discard, nil)),
-		Jobs:   jobs.Config{Workers: *workers},
+		RequestTimeout: *timeout,
+		Logger:         slog.New(slog.NewJSONHandler(io.Discard, nil)),
+		Jobs:           jobs.Config{Workers: *workers},
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -25,7 +25,7 @@ func cmdFuzz(args []string) error {
 	maxFail := fs.Int("max-failures", 3, "stop after this many failing programs")
 	jsonOut := fs.Bool("json", false, "emit the summary as JSON")
 	verbose := fs.Bool("v", false, "progress lines to stderr")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {

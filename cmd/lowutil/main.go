@@ -88,55 +88,46 @@ import (
 	"lowutil/internal/workloads"
 )
 
+// commands maps each subcommand to its implementation.
+var commands = map[string]func(args []string) error{
+	"run":         cmdRun,
+	"disasm":      cmdDisasm,
+	"vet":         cmdVet,
+	"ssa":         cmdSSA,
+	"slice":       cmdSlice,
+	"audit":       cmdAudit,
+	"profile":     cmdProfile,
+	"nullcheck":   cmdNullcheck,
+	"copies":      cmdCopies,
+	"predicates":  cmdPredicates,
+	"overwrites":  cmdOverwrites,
+	"caches":      cmdCaches,
+	"serve":       cmdServe,
+	"batch":       cmdBatch,
+	"fuzz":        cmdFuzz,
+	"workloads":   cmdWorkloads,
+	"experiments": cmdExperiments,
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
-	args := os.Args[2:]
-	var err error
-	switch cmd {
-	case "run":
-		err = cmdRun(args)
-	case "disasm":
-		err = cmdDisasm(args)
-	case "vet":
-		err = cmdVet(args)
-	case "ssa":
-		err = cmdSSA(args)
-	case "slice":
-		err = cmdSlice(args)
-	case "audit":
-		err = cmdAudit(args)
-	case "profile":
-		err = cmdProfile(args)
-	case "nullcheck":
-		err = cmdNullcheck(args)
-	case "copies":
-		err = cmdCopies(args)
-	case "predicates":
-		err = cmdPredicates(args)
-	case "overwrites":
-		err = cmdOverwrites(args)
-	case "caches":
-		err = cmdCaches(args)
-	case "serve":
-		err = cmdServe(args)
-	case "batch":
-		err = cmdBatch(args)
-	case "fuzz":
-		err = cmdFuzz(args)
-	case "workloads":
-		err = cmdWorkloads(args)
-	case "experiments":
-		err = cmdExperiments(args)
-	case "help", "-h", "--help":
+	if cmd == "help" || cmd == "-h" || cmd == "--help" {
 		usage()
-	default:
+		return
+	}
+	run, ok := commands[cmd]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "lowutil: unknown command %q\n", cmd)
 		usage()
 		os.Exit(2)
+	}
+	err := run(os.Args[2:])
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the flag set has printed the command's usage
 	}
 	var usageErr *usageError
 	if errors.As(err, &usageErr) {
@@ -225,10 +216,30 @@ type usageError struct{ msg string }
 
 func (e *usageError) Error() string { return e.msg }
 
+// parseFlags parses args into fs, the one way every command reads its
+// flags: an undefined flag or a malformed value is a *usageError (exit 2),
+// and -h, after fs has printed the usage, is flag.ErrHelp (exit 0).
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return &usageError{err.Error()}
+}
+
 // checkTop rejects a negative -top.
 func checkTop(top int) error {
 	if top < 0 {
 		return &usageError{fmt.Sprintf("-top %d must not be negative", top)}
+	}
+	return nil
+}
+
+// checkPositive rejects a value below 1 for the named flag (-scale,
+// -workers).
+func checkPositive(name string, v int) error {
+	if v < 1 {
+		return &usageError{fmt.Sprintf("-%s %d must be at least 1", name, v)}
 	}
 	return nil
 }
@@ -268,7 +279,7 @@ func parseAnalysis(fs *flag.FlagSet, kind string, o *lowutil.Options, args []str
 }
 
 func oneFile(fs *flag.FlagSet, args []string) (string, error) {
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return "", err
 	}
 	if fs.NArg() != 1 {
@@ -449,7 +460,10 @@ func cmdProfile(args []string) error {
 func cmdWorkloads(args []string) error {
 	fs := flag.NewFlagSet("workloads", flag.ContinueOnError)
 	scale := fs.Int("scale", 1, "workload scale factor")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if err := checkPositive("scale", *scale); err != nil {
 		return err
 	}
 	switch fs.NArg() {
@@ -482,11 +496,8 @@ func cmdExperiments(args []string) error {
 		fmt.Fprintf(fs.Output(), "usage: lowutil experiments [-scale N] [-only a,b] [%s]...\n", strings.Join(evalharness.Sections, "|"))
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return &usageError{err.Error()}
+	if err := parseFlags(fs, args); err != nil {
+		return err
 	}
 	if *only != "" {
 		o.Only = strings.Split(*only, ",")

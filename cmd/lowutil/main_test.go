@@ -2,10 +2,12 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -192,12 +194,19 @@ func TestCmdFuzz(t *testing.T) {
 // printed.
 func captureStdout(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
-	old := os.Stdout
+	return capture(t, &os.Stdout, fn)
+}
+
+// capture runs fn with *stream (os.Stdout or os.Stderr) redirected and
+// returns what it printed.
+func capture(t *testing.T, stream **os.File, fn func() error) (string, error) {
+	t.Helper()
+	old := *stream
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*stream = w
 	done := make(chan []byte)
 	go func() {
 		out, _ := io.ReadAll(r)
@@ -205,7 +214,7 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 	}()
 	fnErr := fn()
 	w.Close()
-	os.Stdout = old
+	*stream = old
 	return string(<-done), fnErr
 }
 
@@ -268,22 +277,53 @@ func TestCmdErrors(t *testing.T) {
 			t.Errorf("%s -mode bogus: got %v, want an *OptionError on mode", name, err)
 		}
 	}
-	// A negative -top is a usage error on every command that has one.
+	// A negative -top is a usage error on every command that has one, and
+	// so is a scale or worker count below 1, found before anything runs.
 	for _, c := range []struct {
 		name string
 		run  func([]string) error
 		args []string
 	}{
-		{"profile", cmdProfile, []string{"-top", "-1", chartMJ}},
-		{"profile -hops 2", cmdProfile, []string{"-top", "-1", "-hops", "2", chartMJ}},
-		{"copies", cmdCopies, []string{"-top", "-1", chartMJ}},
-		{"slice", cmdSlice, []string{"-top", "-1", chartMJ}},
-		{"audit", cmdAudit, []string{"-top", "-1", chartMJ}},
-		{"batch", cmdBatch, []string{"-top", "-1"}},
+		{"profile -top -1", cmdProfile, []string{"-top", "-1", chartMJ}},
+		{"profile -top -1 -hops 2", cmdProfile, []string{"-top", "-1", "-hops", "2", chartMJ}},
+		{"copies -top -1", cmdCopies, []string{"-top", "-1", chartMJ}},
+		{"slice -top -1", cmdSlice, []string{"-top", "-1", chartMJ}},
+		{"audit -top -1", cmdAudit, []string{"-top", "-1", chartMJ}},
+		{"batch -top -1", cmdBatch, []string{"-top", "-1"}},
+		{"workloads -scale 0", cmdWorkloads, []string{"-scale", "0", "chart"}},
+		{"workloads -scale -2", cmdWorkloads, []string{"-scale", "-2"}},
+		{"batch -scale 0", cmdBatch, []string{"-scale", "0"}},
+		{"batch -workers 0", cmdBatch, []string{"-workers", "0"}},
+		{"batch -workers -4", cmdBatch, []string{"-workers", "-4"}},
 	} {
 		var ue *usageError
 		if err := c.run(c.args); !errors.As(err, &ue) {
-			t.Errorf("%s -top -1: got %v, want a usage error", c.name, err)
+			t.Errorf("%s: got %v, want a usage error", c.name, err)
+		}
+	}
+}
+
+// TestCmdFlagErrors: on every subcommand an undefined flag is a usage
+// error (exit 2), and -h prints the command's usage and is flag.ErrHelp,
+// which main answers with exit 0. Neither runs anything.
+func TestCmdFlagErrors(t *testing.T) {
+	names := make([]string, 0, len(commands))
+	for name := range commands {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		run := commands[name]
+		var ue *usageError
+		if _, err := capture(t, &os.Stderr, func() error { return run([]string{"-bogus", chartMJ}) }); !errors.As(err, &ue) {
+			t.Errorf("%s -bogus: got %v, want a usage error", name, err)
+		}
+		usage, err := capture(t, &os.Stderr, func() error { return run([]string{"-h"}) })
+		if !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("%s -h: got %v, want flag.ErrHelp", name, err)
+		}
+		if !strings.Contains(strings.ToLower(usage), "usage") {
+			t.Errorf("%s -h printed no usage: %q", name, usage)
 		}
 	}
 }

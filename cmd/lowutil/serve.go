@@ -24,7 +24,7 @@ func cmdServe(args []string) error {
 	inflight := fs.Int("inflight", 4, "max concurrently executing heavy requests")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request deadline")
 	drain := fs.Duration("drain", 10*time.Second, "shutdown grace period")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {

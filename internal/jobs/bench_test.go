@@ -36,7 +36,7 @@ var profileExec = ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (
 func BenchmarkJobThroughput(b *testing.B) {
 	all := workloads.All()
 	for i := 0; i < b.N; i++ {
-		q := New(Config{Executor: profileExec, Shards: 4, Workers: 4})
+		q := New(Config{Executor: profileExec, Workers: 4})
 		reqs := make([]Request, len(all))
 		for k, w := range all {
 			reqs[k] = Request{Spec: lowutil.Request{Kind: lowutil.KindProfile, Source: w.Source(1), Options: lowutil.Options{Slots: lowutil.DefaultSlots}}}

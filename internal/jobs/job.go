@@ -10,19 +10,16 @@ import (
 	"lowutil"
 )
 
-// State is a job's lifecycle position. Transitions:
+// State is a job's lifecycle position. A job runs at most once:
 //
 //	queued → running → done | failed
-//	running → retrying → queued   (transient failure, backoff pending)
-//	running → queued              (drain re-queue, attempt not consumed)
 type State string
 
 const (
-	StateQueued   State = "queued"
-	StateRunning  State = "running"
-	StateRetrying State = "retrying"
-	StateDone     State = "done"
-	StateFailed   State = "failed"
+	StateQueued  State = "queued"
+	StateRunning State = "running"
+	StateDone    State = "done"
+	StateFailed  State = "failed"
 )
 
 // Terminal reports whether the state is final.
@@ -41,12 +38,10 @@ type Event struct {
 
 // Event types.
 const (
-	EventQueued   = "queued"
-	EventStarted  = "started"
-	EventRetrying = "retrying"
-	EventRequeued = "requeued"
-	EventDone     = "done"
-	EventFailed   = "failed"
+	EventQueued  = "queued"
+	EventStarted = "started"
+	EventDone    = "done"
+	EventFailed  = "failed"
 )
 
 // Result is a completed job's payload: the same JSON body the synchronous
@@ -57,7 +52,8 @@ type Result struct {
 }
 
 // JobError is the terminal error of a failed job, in the same typed shape
-// as the /v2/* error envelope.
+// as the /v2/* error envelope. As there, only code canceled is retryable:
+// a job a drain interrupted can succeed in a new batch.
 type JobError struct {
 	Code      string `json:"code"`
 	Message   string `json:"message"`
@@ -90,7 +86,6 @@ type job struct {
 	priority int
 	seq      int64     // global submission order, ties within a priority
 	deadline time.Time // zero = none
-	shard    int
 
 	mu      sync.Mutex
 	state   State
@@ -101,7 +96,7 @@ type job struct {
 	err     *JobError
 }
 
-func newJob(id, batch string, index int, req Request, seq int64, shard int, now time.Time) *job {
+func newJob(id, batch string, index int, req Request, seq int64, now time.Time) *job {
 	j := &job{
 		id:       id,
 		batch:    batch,
@@ -110,7 +105,6 @@ func newJob(id, batch string, index int, req Request, seq int64, shard int, now 
 		hash:     req.Spec.Hash(),
 		priority: req.Priority,
 		seq:      seq,
-		shard:    shard,
 		state:    StateQueued,
 		changed:  make(chan struct{}),
 	}
@@ -128,14 +122,6 @@ func (j *job) append(ev Event) {
 	j.events = append(j.events, ev)
 	close(j.changed)
 	j.changed = make(chan struct{})
-}
-
-// transition applies a state change plus its event under the job lock.
-func (j *job) transition(state State, ev Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = state
-	j.append(ev)
 }
 
 // finish completes the job with a result or a terminal error.
@@ -171,26 +157,6 @@ func (j *job) status() *Status {
 }
 
 // ---- error classification ----
-
-// transientErr marks an error as retryable regardless of its type.
-type transientErr struct{ err error }
-
-func (e *transientErr) Error() string { return e.err.Error() }
-func (e *transientErr) Unwrap() error { return e.err }
-
-// Transient wraps err so IsTransient reports true: executors use it to
-// mark recoverable conditions (an evicted cache entry, a lost race) that a
-// retry with backoff is expected to clear.
-func Transient(err error) error { return &transientErr{err} }
-
-// IsTransient reports whether err was marked Transient or is a canceled
-// run (lowutil.ErrCanceled) — the two shapes the queue retries. A job
-// whose own deadline has expired is never retried even if the error is
-// transient.
-func IsTransient(err error) bool {
-	var te *transientErr
-	return errors.As(err, &te) || errors.Is(err, lowutil.ErrCanceled)
-}
 
 // errorCode maps an execution error onto the typed envelope code shared
 // with the server's /v2/* error responses.

@@ -1,29 +1,23 @@
 // Package jobs is the asynchronous batch-job subsystem behind POST
-// /v2/jobs: a sharded priority queue of analysis specs executed by a
-// bounded worker pool, with per-job deadlines, exponential-backoff retry
-// with deterministic jitter for transient failures, a content-addressed
-// result store, ordered per-job event logs for streaming progress, and a
-// graceful drain that re-queues in-flight work.
+// /v2/jobs: one priority heap of analysis requests drained by a fixed set
+// of worker goroutines, with per-job deadlines, a content-addressed result
+// store, ordered per-job event logs for streaming progress, and a drain
+// that cancels in-flight work.
 //
 // Architecture:
 //
-//   - Submission assigns each job to a shard by ID hash. Every shard owns
-//     a priority heap (priority desc, submission order asc) and one
-//     dispatch goroutine, so jobs of one shard start in deterministic
-//     order.
-//   - Shard dispatchers hand execution to a shared par.Pool, which bounds
-//     how many jobs run concurrently across all shards — shards own
-//     ordering, the pool owns parallelism.
+//   - Every queued job sits in one heap under the queue's lock, ordered
+//     by priority (highest first), then submission order. Priority is
+//     global: no job starts while a higher-priority one is queued.
+//   - Workers goroutines (default 4) each pop the best job, run it, and
+//     repeat, so Workers is exactly the bound on jobs running at once.
 //   - Results are stored content-addressed under lowutil.Request.Hash in
 //     an LRU; a resubmitted identical spec completes from the store
 //     without re-executing.
-//   - A transient failure (a canceled run, an evicted cache entry — see
-//     Transient) re-queues the job after base·2^(attempt-1) backoff,
-//     capped and jittered deterministically from the job ID, until
-//     MaxAttempts or the job's deadline.
-//   - Drain cancels in-flight executions, re-queues them without
-//     consuming an attempt, and stops the workers; Resume restarts them.
-//     Nothing is lost across a drain/resume cycle.
+//   - A job runs once. Its error is final and maps onto the /v2 envelope
+//     code (JobError), so its event stream ends with one done or failed.
+//   - Drain cancels in-flight executions, which fail with code canceled,
+//     and waits for the workers to exit. Queued jobs stay queued.
 package jobs
 
 import (
@@ -33,13 +27,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lowutil"
-	"lowutil/internal/par"
 )
 
 // Executor runs one request to completion under ctx. Implementations must
@@ -60,24 +52,12 @@ func (f ExecutorFunc) Execute(ctx context.Context, spec lowutil.Request) (*Resul
 // Config tunes a Queue. The zero value of every field selects a sensible
 // default; Executor is required.
 type Config struct {
-	// Shards is the number of ordering shards and dispatch goroutines
-	// (0 = 4). Jobs within one shard start in priority-then-submission
-	// order.
-	Shards int
-	// Workers bounds concurrently executing jobs across all shards
-	// (0 = Shards).
+	// Workers is the number of worker goroutines, and so the bound on
+	// jobs executing at once (0 = 4).
 	Workers int
 	// Depth bounds the total number of queued-but-not-terminal jobs; a
 	// submission that would exceed it fails with ErrQueueFull (0 = 1024).
 	Depth int
-	// MaxAttempts bounds execution attempts per job, the first included
-	// (0 = 4).
-	MaxAttempts int
-	// BaseBackoff is the delay before the first retry; attempt k waits
-	// Base·2^(k-1), capped at MaxBackoff, plus a deterministic jitter of
-	// up to half the delay derived from the job ID (0 = 25ms base, 2s cap).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// MaxResults bounds the content-addressed result store (0 = 256).
 	MaxResults int
 	// MaxJobs bounds retained job records; submissions over the bound
@@ -85,13 +65,6 @@ type Config struct {
 	MaxJobs int
 	// Executor runs the specs. Required.
 	Executor Executor
-	// Retryable optionally extends the transient classification: a
-	// non-nil hook is consulted after IsTransient.
-	Retryable func(error) bool
-	// FaultHook, when non-nil, runs before every execution attempt and
-	// its error (if any) replaces the attempt's outcome. Tests inject
-	// cancels and evictions here; production configs leave it nil.
-	FaultHook func(jobID string, attempt int) error
 }
 
 // ErrQueueFull rejects submissions over the Depth bound. Retryable: the
@@ -107,12 +80,10 @@ type Stats struct {
 	Deduped      int64 // jobs answered from an existing batch record
 	Completed    int64 // jobs finished in StateDone
 	Failed       int64 // jobs finished in StateFailed
-	Retries      int64 // transient failures that scheduled a backoff retry
-	Requeued     int64 // in-flight jobs re-queued by a drain
 	ResultHits   int64 // executions satisfied by the content-addressed store
 	ResultMisses int64 // executions that ran the executor
 	Evictions    int64 // results dropped by the store LRU bound
-	Queued       int64 // jobs currently waiting (incl. retry backoff)
+	Queued       int64 // jobs currently waiting in the heap
 	Running      int64 // jobs currently executing
 	Results      int   // results currently resident in the store
 }
@@ -120,25 +91,24 @@ type Stats struct {
 // Queue is the job queue. Create with New; submit with Submit; observe
 // with Status, Events, and Stats; stop with Drain.
 type Queue struct {
-	cfg    Config
-	pool   *par.Pool
-	shards []*shard
-	store  *store
+	cfg   Config
+	store *store
 
 	mu       sync.Mutex
+	ready    sync.Cond // signaled on q.mu when a job is pushed or the queue drains
+	heap     jobHeap
+	running  int
 	jobs     map[string]*job
 	order    []*job // submission order, for terminal-job eviction
 	batches  map[string]*batchRecord
 	seq      int64
 	draining bool
-	runCtx   context.Context
+	ctx      context.Context // canceled by Drain
 	cancel   context.CancelFunc
 	wg       sync.WaitGroup
 
 	submitted, deduped, completed, failed    atomic.Int64
-	retries, requeued                        atomic.Int64
 	resultHits, resultMisses, storeEvictions atomic.Int64
-	queued, running                          atomic.Int64
 }
 
 // batchRecord pins an idempotency key to the jobs it created, so a
@@ -147,50 +117,6 @@ type batchRecord struct {
 	id  string
 	sig string
 	ids []string
-}
-
-// shard is one ordering domain: a priority heap plus a wakeup channel for
-// its dispatch goroutine.
-type shard struct {
-	mu     sync.Mutex
-	heap   jobHeap
-	notify chan struct{}
-}
-
-func (s *shard) push(j *job) {
-	s.mu.Lock()
-	heap.Push(&s.heap, j)
-	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
-
-// pop removes the best queued job, or returns nil when ctx ends. The
-// ctx check comes first so a drain stops dispatch even while the heap is
-// non-empty (drain re-queues in-flight jobs, which must not immediately
-// re-dispatch).
-func (s *shard) pop(ctx context.Context) *job {
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		default:
-		}
-		s.mu.Lock()
-		if s.heap.Len() > 0 {
-			j := heap.Pop(&s.heap).(*job)
-			s.mu.Unlock()
-			return j
-		}
-		s.mu.Unlock()
-		select {
-		case <-s.notify:
-		case <-ctx.Done():
-			return nil
-		}
-	}
 }
 
 // jobHeap orders by priority (higher first), then submission order.
@@ -213,23 +139,11 @@ func New(cfg Config) *Queue {
 	if cfg.Executor == nil {
 		panic("jobs: Config.Executor is required")
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = cfg.Shards
+		cfg.Workers = 4
 	}
 	if cfg.Depth <= 0 {
 		cfg.Depth = 1024
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = 25 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 2 * time.Second
 	}
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 4096
@@ -239,48 +153,38 @@ func New(cfg Config) *Queue {
 		store:   newStore(cfg.MaxResults),
 		jobs:    make(map[string]*job),
 		batches: make(map[string]*batchRecord),
-		shards:  make([]*shard, cfg.Shards),
 	}
-	for i := range q.shards {
-		q.shards[i] = &shard{notify: make(chan struct{}, 1)}
+	q.ready.L = &q.mu
+	q.ctx, q.cancel = context.WithCancel(context.Background())
+	q.wg.Add(cfg.Workers)
+	for range cfg.Workers {
+		go q.work()
 	}
-	q.start()
 	return q
 }
 
-// start launches the pool and the shard dispatchers. The draining flag,
-// run context, and pool are all replaced under one critical section so
-// concurrent Resume calls cannot both observe the drained state and
-// double-start the dispatchers.
-func (q *Queue) start() {
-	q.mu.Lock()
-	q.startLocked()
-	q.mu.Unlock()
-}
+// work is one worker: it pops the best queued job, runs it, and repeats
+// until the queue drains.
+func (q *Queue) work() {
+	defer q.wg.Done()
+	for {
+		q.mu.Lock()
+		for len(q.heap) == 0 && !q.draining {
+			q.ready.Wait()
+		}
+		if q.draining {
+			q.mu.Unlock()
+			return
+		}
+		j := heap.Pop(&q.heap).(*job)
+		q.running++
+		q.mu.Unlock()
 
-// startLocked is start with q.mu held.
-func (q *Queue) startLocked() {
-	q.draining = false
-	q.runCtx, q.cancel = context.WithCancel(context.Background())
-	ctx := q.runCtx
-	q.pool = par.NewPool(q.cfg.Workers)
-	pool := q.pool
-	for _, s := range q.shards {
-		q.wg.Add(1)
-		go func(s *shard) {
-			defer q.wg.Done()
-			for {
-				j := s.pop(ctx)
-				if j == nil {
-					return
-				}
-				if !pool.Do(func() { q.runJob(ctx, j) }) {
-					// Pool closed under us: hand the job back untouched.
-					q.requeueDrained(j)
-					return
-				}
-			}
-		}(s)
+		q.runJob(j)
+
+		q.mu.Lock()
+		q.running--
+		q.mu.Unlock()
 	}
 }
 
@@ -292,8 +196,8 @@ type Request struct {
 	// Priority orders jobs within the queue — higher runs earlier; equal
 	// priorities run in submission order.
 	Priority int `json:"priority,omitempty"`
-	// Deadline bounds the job's total lifetime from submission, across all
-	// retry attempts (0 = no per-job deadline).
+	// Deadline bounds the job's total lifetime from submission, time in
+	// the queue included (0 = no per-job deadline).
 	Deadline time.Duration `json:"deadline,omitempty"`
 }
 
@@ -337,33 +241,28 @@ func (q *Queue) Submit(key string, reqs []Request) (string, []Submitted, error) 
 		q.deduped.Add(int64(len(rec.ids)))
 		return rec.id, subs, nil
 	}
-	if q.queued.Load()+q.running.Load()+int64(len(reqs)) > int64(q.cfg.Depth) {
+	if len(q.heap)+q.running+len(reqs) > q.cfg.Depth {
 		q.mu.Unlock()
 		return "", nil, ErrQueueFull
 	}
 	now := time.Now()
 	rec := &batchRecord{id: batchID, sig: sig, ids: make([]string, len(reqs))}
-	created := make([]*job, len(reqs))
 	subs := make([]Submitted, len(reqs))
 	for i, r := range reqs {
 		id := jobID(key, i, r.Spec)
 		q.seq++
-		j := newJob(id, batchID, i, r, q.seq, q.shardFor(id), now)
+		j := newJob(id, batchID, i, r, q.seq, now)
 		q.jobs[id] = j
+		q.order = append(q.order, j)
+		heap.Push(&q.heap, j)
 		rec.ids[i] = id
-		created[i] = j
 		subs[i] = Submitted{ID: id, Index: i}
 	}
-	q.order = append(q.order, created...)
 	q.batches[key] = rec
 	q.submitted.Add(int64(len(reqs)))
-	q.queued.Add(int64(len(reqs)))
+	q.ready.Broadcast()
 	q.gcLocked()
 	q.mu.Unlock()
-
-	for _, j := range created {
-		q.shards[j.shard].push(j)
-	}
 	return batchID, subs, nil
 }
 
@@ -429,24 +328,14 @@ func batchSig(key string, reqs []Request) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func (q *Queue) shardFor(id string) int {
-	f := fnv.New32a()
-	f.Write([]byte(id))
-	return int(f.Sum32() % uint32(len(q.shards)))
-}
-
-// runJob executes one attempt of j and decides its fate: done, failed,
-// retry after backoff, or drain re-queue.
-func (q *Queue) runJob(ctx context.Context, j *job) {
-	q.queued.Add(-1)
-	q.running.Add(1)
-	defer q.running.Add(-1)
-
+// runJob executes j once and finishes it: done with the result, or
+// failed with the error's envelope code. A drain cancels q.ctx, so an
+// in-flight job it interrupts fails with code canceled.
+func (q *Queue) runJob(j *job) {
 	j.mu.Lock()
-	j.attempt++
-	attempt := j.attempt
+	j.attempt = 1
 	j.state = StateRunning
-	j.append(Event{Type: EventStarted, Attempt: attempt})
+	j.append(Event{Type: EventStarted, Attempt: j.attempt})
 	j.mu.Unlock()
 
 	// The content-addressed store first: identical completed work is
@@ -459,138 +348,34 @@ func (q *Queue) runJob(ctx context.Context, j *job) {
 	}
 	q.resultMisses.Add(1)
 
-	var res *Result
-	var err error
-	if q.cfg.FaultHook != nil {
-		err = q.cfg.FaultHook(j.id, attempt)
+	ctx := q.ctx
+	if !j.deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, j.deadline)
+		defer cancel()
 	}
-	if err == nil {
-		jctx := ctx
-		if !j.deadline.IsZero() {
-			var cancel context.CancelFunc
-			jctx, cancel = context.WithDeadline(ctx, j.deadline)
-			defer cancel()
-		}
-		res, err = q.cfg.Executor.Execute(jctx, j.spec)
-	}
-	if err == nil {
-		q.storeEvictions.Add(int64(q.store.put(j.hash, res)))
-		q.completed.Add(1)
-		j.finish(res, nil, "")
+	res, err := q.cfg.Executor.Execute(ctx, j.spec)
+	if err != nil {
+		code := errorCode(err)
+		q.failed.Add(1)
+		j.finish(nil, &JobError{Code: code, Message: err.Error(), Retryable: code == "canceled"}, "")
 		return
 	}
-
-	// A drain canceled the attempt: hand the job back to the queue with
-	// the attempt refunded — drains must not eat retry budget.
-	if ctx.Err() != nil && q.isDraining() {
-		q.requeueDrained(j)
-		return
-	}
-
-	deadlineExpired := !j.deadline.IsZero() && !time.Now().Before(j.deadline)
-	retryable := IsTransient(err) || (q.cfg.Retryable != nil && q.cfg.Retryable(err))
-	if retryable && !deadlineExpired && attempt < q.cfg.MaxAttempts {
-		q.retries.Add(1)
-		delay := q.backoff(j.id, attempt)
-		j.transition(StateRetrying, Event{Type: EventRetrying, Attempt: attempt, Detail: delay.String()})
-		q.queued.Add(1)
-		time.AfterFunc(delay, func() {
-			j.mu.Lock()
-			j.state = StateQueued
-			j.mu.Unlock()
-			q.shards[j.shard].push(j)
-		})
-		return
-	}
-
-	code := errorCode(err)
-	if deadlineExpired {
-		code = "deadline"
-	}
-	q.failed.Add(1)
-	j.finish(nil, &JobError{Code: code, Message: err.Error(), Retryable: retryable && code != "deadline"}, "")
+	q.storeEvictions.Add(int64(q.store.put(j.hash, res)))
+	q.completed.Add(1)
+	j.finish(res, nil, "")
 }
 
-// backoff computes attempt k's delay: Base·2^(k-1) capped at MaxBackoff,
-// plus a deterministic jitter of up to half the delay derived from the job
-// ID and attempt — deterministic so tests and event logs are stable, and
-// spread across jobs so a burst of transient failures de-synchronizes.
-func (q *Queue) backoff(id string, attempt int) time.Duration {
-	d := q.cfg.BaseBackoff << (attempt - 1)
-	if d > q.cfg.MaxBackoff || d <= 0 {
-		d = q.cfg.MaxBackoff
-	}
-	f := fnv.New64a()
-	fmt.Fprintf(f, "%s\x00%d", id, attempt)
-	jitter := time.Duration(f.Sum64() % uint64(d/2+1))
-	return d + jitter
-}
-
-// requeueDrained puts a job interrupted by a drain back into queued
-// state. A job that was mid-execution gets its attempt refunded and moves
-// from the running count back to queued; a job the dispatcher popped but
-// never started is pushed back untouched.
-func (q *Queue) requeueDrained(j *job) {
-	j.mu.Lock()
-	wasRunning := j.state == StateRunning
-	if wasRunning && j.attempt > 0 {
-		j.attempt--
-	}
-	j.state = StateQueued
-	j.append(Event{Type: EventRequeued, Detail: "drain"})
-	j.mu.Unlock()
-	if wasRunning {
-		q.queued.Add(1) // the matching running decrement is runJob's defer
-	}
-	q.requeued.Add(1)
-	q.shards[j.shard].push(j)
-}
-
-func (q *Queue) isDraining() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.draining
-}
-
-// Drain stops the queue gracefully: in-flight executions are canceled and
-// their jobs re-queued with the attempt refunded, dispatchers and workers
-// exit, and every non-terminal job stays queued — Resume picks them all
-// up. Drain blocks until the workers have exited and is idempotent.
+// Drain stops the queue: in-flight executions are canceled and fail with
+// code canceled, the workers exit, and every queued job stays queued.
+// Drain blocks until the workers have exited and is idempotent.
 func (q *Queue) Drain() {
 	q.mu.Lock()
-	if q.draining {
-		q.mu.Unlock()
-		q.wg.Wait()
-		return
-	}
 	q.draining = true
-	cancel := q.cancel
-	pool := q.pool
+	q.ready.Broadcast()
 	q.mu.Unlock()
-	cancel()
+	q.cancel()
 	q.wg.Wait()
-	pool.Close()
-}
-
-// Resume restarts a drained queue's workers; queued jobs (including those
-// re-queued by the drain) execute as if never interrupted. The drained
-// check and the restart happen atomically, so concurrent Resume calls
-// start exactly one set of dispatchers.
-func (q *Queue) Resume() {
-	q.mu.Lock()
-	if !q.draining {
-		q.mu.Unlock()
-		return
-	}
-	q.startLocked()
-	q.mu.Unlock()
-	// Wake every shard in case jobs were pushed while no dispatcher ran.
-	for _, s := range q.shards {
-		select {
-		case s.notify <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // Status snapshots one job.
@@ -678,18 +463,19 @@ func (q *Queue) EvictResult(spec lowutil.Request) bool { return q.store.evict(sp
 
 // Stats snapshots the queue's counters.
 func (q *Queue) Stats() Stats {
+	q.mu.Lock()
+	queued, running := len(q.heap), q.running
+	q.mu.Unlock()
 	return Stats{
 		Submitted:    q.submitted.Load(),
 		Deduped:      q.deduped.Load(),
 		Completed:    q.completed.Load(),
 		Failed:       q.failed.Load(),
-		Retries:      q.retries.Load(),
-		Requeued:     q.requeued.Load(),
 		ResultHits:   q.resultHits.Load(),
 		ResultMisses: q.resultMisses.Load(),
 		Evictions:    q.storeEvictions.Load(),
-		Queued:       q.queued.Load(),
-		Running:      q.running.Load(),
+		Queued:       int64(queued),
+		Running:      int64(running),
 		Results:      q.store.len(),
 	}
 }

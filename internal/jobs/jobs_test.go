@@ -63,7 +63,7 @@ func waitTerminal(t *testing.T, q *Queue, id string) *Status {
 // and an identical spec in a later batch is served from the store.
 func TestSubmitRunsAndStores(t *testing.T) {
 	exec := &countExec{}
-	q := New(Config{Executor: exec, Shards: 2})
+	q := New(Config{Executor: exec})
 	defer q.Drain()
 
 	_, subs, err := q.Submit("batch-1", []Request{
@@ -133,70 +133,8 @@ func TestIdempotentSubmit(t *testing.T) {
 	}
 }
 
-// TestRetryBackoff: transient failures are retried with backoff until
-// success; the event log shows the retry trail in order.
-func TestRetryBackoff(t *testing.T) {
-	exec := &countExec{}
-	exec.fail = func(spec lowutil.Request, call int64) error {
-		if call <= 2 {
-			return Transient(errors.New("flaky"))
-		}
-		return nil
-	}
-	q := New(Config{Executor: exec, Shards: 1, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond})
-	defer q.Drain()
-
-	_, subs, err := q.Submit("k", []Request{{Spec: testSpec("r")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitTerminal(t, q, subs[0].ID)
-	if st.State != StateDone {
-		t.Fatalf("state=%s err=%+v", st.State, st.Err)
-	}
-	if st.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", st.Attempts)
-	}
-	var types []string
-	if err := q.Events(context.Background(), subs[0].ID, 0, func(ev Event) error {
-		types = append(types, ev.Type)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{EventQueued, EventStarted, EventRetrying, EventStarted, EventRetrying, EventStarted, EventDone}
-	if strings.Join(types, ",") != strings.Join(want, ",") {
-		t.Errorf("event trail = %v, want %v", types, want)
-	}
-	if stats := q.Stats(); stats.Retries != 2 {
-		t.Errorf("retries = %d, want 2", stats.Retries)
-	}
-}
-
-// TestRetryExhaustion: a persistently transient failure fails after
-// MaxAttempts with a retryable error code.
-func TestRetryExhaustion(t *testing.T) {
-	exec := &countExec{fail: func(lowutil.Request, int64) error { return Transient(errors.New("always down")) }}
-	q := New(Config{Executor: exec, MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
-	defer q.Drain()
-
-	_, subs, _ := q.Submit("k", []Request{{Spec: testSpec("f")}})
-	st := waitTerminal(t, q, subs[0].ID)
-	if st.State != StateFailed || st.Err == nil {
-		t.Fatalf("state=%s err=%+v, want failed", st.State, st.Err)
-	}
-	if st.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", st.Attempts)
-	}
-	if !st.Err.Retryable {
-		t.Errorf("exhausted transient failure should stay marked retryable: %+v", st.Err)
-	}
-	if n := exec.calls.Load(); n != 3 {
-		t.Errorf("executor ran %d times, want 3", n)
-	}
-}
-
-// TestPermanentFailureNoRetry: a non-transient error fails immediately.
+// TestPermanentFailureNoRetry: an executor error fails the job after its
+// one attempt, with a code that is not retryable.
 func TestPermanentFailureNoRetry(t *testing.T) {
 	exec := &countExec{fail: func(lowutil.Request, int64) error { return errors.New("broken spec") }}
 	q := New(Config{Executor: exec})
@@ -215,8 +153,8 @@ func TestPermanentFailureNoRetry(t *testing.T) {
 	}
 }
 
-// TestJobDeadline: a job whose per-job deadline expires fails with code
-// "deadline" and is not retried past it.
+// TestJobDeadline: a job whose per-job deadline expires fails with the
+// non-retryable code "deadline".
 func TestJobDeadline(t *testing.T) {
 	block := make(chan struct{})
 	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
@@ -227,7 +165,7 @@ func TestJobDeadline(t *testing.T) {
 			return fakeResult(spec.Source), nil
 		}
 	})
-	q := New(Config{Executor: exec, BaseBackoff: time.Millisecond})
+	q := New(Config{Executor: exec})
 	defer q.Drain()
 	defer close(block)
 
@@ -241,115 +179,156 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
-// TestPriorityOrdering: with one shard and one worker, higher-priority
-// jobs start before lower-priority ones submitted earlier.
+// TestPriorityOrdering: with one worker, jobs submitted while a gate job
+// holds it start in priority order, then submission order, across
+// batches: the heap is global.
 func TestPriorityOrdering(t *testing.T) {
-	var order []string
-	started := make(chan string, 8)
+	gateStarted := make(chan struct{})
 	gate := make(chan struct{})
+	var mu sync.Mutex
+	var order []string
 	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
 		if spec.Source == "gate" {
+			close(gateStarted)
 			<-gate // hold the only worker so the rest queue up
 		} else {
-			started <- spec.Source
+			mu.Lock()
+			order = append(order, spec.Source)
+			mu.Unlock()
 		}
 		return fakeResult(spec.Source), nil
 	})
-	q := New(Config{Executor: exec, Shards: 1, Workers: 1})
+	q := New(Config{Executor: exec, Workers: 1})
 	defer q.Drain()
 
 	if _, _, err := q.Submit("gate", []Request{{Spec: testSpec("gate")}}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // let the gate job occupy the worker
-	_, subs, err := q.Submit("work", []Request{
-		{Spec: testSpec("low"), Priority: 1},
-		{Spec: testSpec("mid"), Priority: 5},
-		{Spec: testSpec("high"), Priority: 9},
-	})
-	if err != nil {
-		t.Fatal(err)
+	<-gateStarted
+	var ids []string
+	for _, batch := range [][]Request{
+		{{Spec: testSpec("low"), Priority: 1}, {Spec: testSpec("mid-1"), Priority: 5}},
+		{{Spec: testSpec("high-1"), Priority: 9}, {Spec: testSpec("mid-2"), Priority: 5}, {Spec: testSpec("zero")}},
+		{{Spec: testSpec("mid-3"), Priority: 5}, {Spec: testSpec("high-2"), Priority: 9}},
+	} {
+		_, subs, err := q.Submit(fmt.Sprintf("work-%d", len(ids)), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range subs {
+			ids = append(ids, s.ID)
+		}
 	}
 	close(gate)
-	for _, s := range subs {
-		waitTerminal(t, q, s.ID)
+	for _, id := range ids {
+		waitTerminal(t, q, id)
 	}
-	close(started)
-	for src := range started {
-		order = append(order, src)
-	}
-	if strings.Join(order, ",") != "high,mid,low" {
-		t.Errorf("start order = %v, want high,mid,low", order)
+	want := "high-1,high-2,mid-1,mid-2,mid-3,low,zero"
+	if got := strings.Join(order, ","); got != want {
+		t.Errorf("start order = %s, want %s", got, want)
 	}
 }
 
-// TestDrainRequeuesInFlight: draining cancels a running job, re-queues it
-// without consuming an attempt, and Resume completes it.
-func TestDrainRequeuesInFlight(t *testing.T) {
-	release := make(chan struct{})
-	var interrupted atomic.Bool
+// TestWorkersBoundParallelism: Workers is the number of jobs that run at
+// once. Executor calls return in waves of eight, each wave only once its
+// eighth call has arrived, so a 16-job batch at Workers 8 completes only
+// if eight jobs really run together; a call left waiting fails its job.
+func TestWorkersBoundParallelism(t *testing.T) {
+	const workers = 8
+	var mu sync.Mutex
+	arrived, inFlight, peak := 0, 0, 0
+	wave := make(chan struct{})
 	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
+		mu.Lock()
+		arrived++
+		inFlight++
+		peak = max(peak, inFlight)
+		mine := wave
+		if arrived%workers == 0 {
+			close(wave)
+			wave = make(chan struct{})
+		}
+		mu.Unlock()
+		defer func() {
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+		}()
 		select {
-		case <-ctx.Done():
-			interrupted.Store(true)
-			return nil, fmt.Errorf("%w: %w", lowutil.ErrCanceled, ctx.Err())
-		case <-release:
+		case <-mine:
 			return fakeResult(spec.Source), nil
+		case <-time.After(5 * time.Second):
+			return nil, errors.New("fewer than eight calls in flight")
 		}
 	})
-	q := New(Config{Executor: exec, Shards: 1, Workers: 1})
+	q := New(Config{Executor: exec, Workers: workers})
+	defer q.Drain()
 
-	_, subs, err := q.Submit("k", []Request{{Spec: testSpec("d")}})
+	reqs := make([]Request, 2*workers)
+	for i := range reqs {
+		reqs[i] = Request{Spec: testSpec(fmt.Sprintf("job %d", i))}
+	}
+	_, subs, err := q.Submit("parallel", reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the job to be running, then drain under it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, _ := q.Status(subs[0].ID)
-		if st.State == StateRunning {
-			break
+	for _, s := range subs {
+		if st := waitTerminal(t, q, s.ID); st.State != StateDone {
+			t.Errorf("job %s: state=%s err=%+v", s.ID, st.State, st.Err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started")
-		}
-		time.Sleep(time.Millisecond)
 	}
-	q.Drain()
-	if !interrupted.Load() {
-		t.Fatal("drain did not cancel the in-flight execution")
+	mu.Lock()
+	defer mu.Unlock()
+	if peak != workers {
+		t.Errorf("peak concurrency %d, want exactly Workers = %d", peak, workers)
 	}
-	st, _ := q.Status(subs[0].ID)
-	if st.State != StateQueued {
-		t.Fatalf("after drain: state = %s, want queued", st.State)
-	}
-	if st.Attempts != 0 {
-		t.Errorf("after drain: attempts = %d, want 0 (refunded)", st.Attempts)
-	}
-	if stats := q.Stats(); stats.Requeued != 1 {
-		t.Errorf("requeued = %d, want 1", stats.Requeued)
-	}
+}
 
-	close(release)
-	q.Resume()
-	defer q.Drain()
-	fin := waitTerminal(t, q, subs[0].ID)
-	if fin.State != StateDone {
-		t.Fatalf("after resume: state=%s err=%+v", fin.State, fin.Err)
+// TestDrainCancelsInFlight: a drain cancels the running job, which fails
+// with the retryable code canceled and so ends its event stream, while a
+// job queued behind it stays queued.
+func TestDrainCancelsInFlight(t *testing.T) {
+	started := make(chan struct{})
+	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
+		close(started) // the one worker starts only the first job
+		<-ctx.Done()
+		return nil, fmt.Errorf("%w: %w", lowutil.ErrCanceled, ctx.Err())
+	})
+	q := New(Config{Executor: exec, Workers: 1})
+	_, subs, err := q.Submit("k", []Request{{Spec: testSpec("running")}, {Spec: testSpec("queued")}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	<-started
+	q.Drain()
+
+	st, _ := q.Status(subs[0].ID)
+	if st.State != StateFailed || st.Err == nil || st.Err.Code != "canceled" || !st.Err.Retryable {
+		t.Fatalf("drained job: state=%s err=%+v, want failed with retryable canceled", st.State, st.Err)
+	}
+	var types []string
+	if err := q.Events(context.Background(), subs[0].ID, 0, func(ev Event) error {
+		types = append(types, ev.Type)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(types, ","), "queued,started,failed"; got != want {
+		t.Errorf("drained job's events = %s, want %s", got, want)
+	}
+	if st, _ := q.Status(subs[1].ID); st.State != StateQueued || st.Attempts != 0 {
+		t.Errorf("queued job after drain: state=%s attempts=%d, want queued, never started", st.State, st.Attempts)
+	}
+	if stats := q.Stats(); stats.Running != 0 || stats.Queued != 1 || stats.Failed != 1 {
+		t.Errorf("stats after drain: %+v, want 0 running, 1 queued, 1 failed", stats)
+	}
+	q.Drain() // idempotent
 }
 
 // TestEventsReplayDeterministic: two full replays of a finished job's
 // stream are identical, and replay-from-seq resumes mid-stream.
 func TestEventsReplayDeterministic(t *testing.T) {
-	exec := &countExec{}
-	exec.fail = func(spec lowutil.Request, call int64) error {
-		if call == 1 {
-			return Transient(errors.New("blip"))
-		}
-		return nil
-	}
-	q := New(Config{Executor: exec, BaseBackoff: time.Millisecond})
+	q := New(Config{Executor: &countExec{}})
 	defer q.Drain()
 	_, subs, _ := q.Submit("k", []Request{{Spec: testSpec("e")}})
 	waitTerminal(t, q, subs[0].ID)
@@ -369,8 +348,8 @@ func TestEventsReplayDeterministic(t *testing.T) {
 	if strings.Join(a, "\n") != strings.Join(b, "\n") {
 		t.Errorf("replays differ:\n%v\nvs\n%v", a, b)
 	}
-	if len(a) < 4 {
-		t.Fatalf("expected a retry trail, got %v", a)
+	if len(a) != 3 {
+		t.Fatalf("want the queued, started, done trail, got %v", a)
 	}
 	// Resuming after seq 2 yields exactly the tail.
 	tail := replay(2)
@@ -394,7 +373,7 @@ func TestQueueFull(t *testing.T) {
 		<-block
 		return fakeResult(spec.Source), nil
 	})
-	q := New(Config{Executor: exec, Shards: 1, Workers: 1, Depth: 2})
+	q := New(Config{Executor: exec, Workers: 1, Depth: 2})
 	defer q.Drain()
 	defer close(block)
 
@@ -503,41 +482,5 @@ func TestBatchRecordGC(t *testing.T) {
 	// Every retained batch must reference at least one live job record.
 	if nBatches > nJobs {
 		t.Errorf("batch records = %d outlive the %d job records; q.batches is leaking", nBatches, nJobs)
-	}
-}
-
-// TestConcurrentResume: racing Resume calls after a drain must start
-// exactly one dispatcher set — a double start leaks the first run context
-// and its workers, deadlocking the next Drain.
-func TestConcurrentResume(t *testing.T) {
-	q := New(Config{Executor: &countExec{}, Shards: 2})
-	q.Drain()
-
-	var wg sync.WaitGroup
-	gate := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-gate
-			q.Resume()
-		}()
-	}
-	close(gate)
-	wg.Wait()
-
-	_, subs, err := q.Submit("after-resume", []Request{{Spec: testSpec("r")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waitTerminal(t, q, subs[0].ID); st.State != StateDone {
-		t.Fatalf("state=%s err=%+v", st.State, st.Err)
-	}
-	done := make(chan struct{})
-	go func() { q.Drain(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Drain hung: leaked dispatchers from a double Resume")
 	}
 }

@@ -15,39 +15,38 @@ import (
 // TestConcurrentSoak hammers the queue's whole public surface from many
 // goroutines at once: submitters under GC pressure (MaxJobs far below the
 // submission volume, so terminal records are evicted while new batches
-// arrive), a Drain/Resume flipper, and readers spinning on Status,
-// BatchStatus, Events, and Stats. The point is the schedule, not any one
-// assertion — under `go test -race` this patrols the locking around the
-// drain/restart critical section (a Resume racing a Drain once double-
-// started the dispatcher pool) and the record GC. Wall-clock bounded, with
-// a tighter budget under -short.
+// arrive) and readers spinning on Status, BatchStatus, Events, and Stats,
+// ending with a Drain while both are still at work. The point is the
+// schedule, not any one assertion — under `go test -race` this patrols the
+// locking around the heap, the workers' exit and the record GC.
+// Wall-clock bounded, with a tighter budget under -short.
 func TestConcurrentSoak(t *testing.T) {
 	dur := 1500 * time.Millisecond
 	if testing.Short() {
 		dur = 300 * time.Millisecond
 	}
+	probeRan := make(chan struct{})
 	exec := &countExec{fail: func(spec lowutil.Request, call int64) error {
-		// The end-of-test liveness probe must succeed deterministically;
-		// every soak job takes a fault roughly every 17th execution.
-		if call%17 == 0 && spec.Source != "soak final probe" {
-			return errors.New("injected transient failure")
+		// The liveness probe must succeed deterministically; every soak
+		// job takes a fault roughly every 17th execution.
+		if spec.Source == "soak probe" {
+			close(probeRan)
+			return nil
+		}
+		if call%17 == 0 {
+			return errors.New("injected failure")
 		}
 		return nil
 	}}
 	q := New(Config{
-		Executor:    exec,
-		Shards:      4,
-		Workers:     4,
-		Depth:       4096,
-		MaxAttempts: 2,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-		MaxJobs:     64,
-		MaxResults:  32,
+		Executor:   exec,
+		Workers:    4,
+		Depth:      4096,
+		MaxJobs:    64,
+		MaxResults: 32,
 	})
 
 	stop := make(chan struct{})
-	time.AfterFunc(dur, func() { close(stop) })
 	stopped := func() bool {
 		select {
 		case <-stop:
@@ -70,7 +69,7 @@ func TestConcurrentSoak(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stopped(); i++ {
 				key := fmt.Sprintf("soak-%d-%d", g, i)
-				reqs := []Request{{Spec: testSpec(fmt.Sprintf("src %d %d", g, i))}}
+				reqs := []Request{{Spec: testSpec(fmt.Sprintf("src %d %d", g, i)), Priority: i % 3}}
 				if i%3 == 0 {
 					reqs = append(reqs, Request{Spec: testSpec(fmt.Sprintf("src %d %d b", g, i))})
 				}
@@ -90,17 +89,6 @@ func TestConcurrentSoak(t *testing.T) {
 			}
 		}(g)
 	}
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for !stopped() {
-			q.Drain()
-			time.Sleep(time.Millisecond)
-			q.Resume()
-			time.Sleep(3 * time.Millisecond)
-		}
-	}()
 
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
@@ -124,33 +112,39 @@ func TestConcurrentSoak(t *testing.T) {
 		}()
 	}
 
-	wg.Wait()
-
-	// The flipper may have exited right after a Drain; Resume is a no-op on
-	// a running queue, so this always leaves the workers up.
-	q.Resume()
-
-	// Liveness: after the churn, a fresh job still runs to completion and
-	// the accounting still balances.
-	_, subs, err := q.Submit("soak-final", []Request{{Spec: testSpec("soak final probe")}})
-	if err != nil {
-		t.Fatalf("final submit: %v", err)
+	// Liveness: halfway through the churn, a job that outranks every soak
+	// job still gets a worker. (Its record may be evicted as soon as it
+	// finishes, so the executor reports the run.)
+	time.Sleep(dur / 2)
+	if _, _, err := q.Submit("soak-probe", []Request{{Spec: testSpec("soak probe"), Priority: 10}}); err != nil {
+		t.Fatalf("probe submit: %v", err)
 	}
 	submitted.Add(1)
-	st := waitTerminal(t, q, subs[0].ID)
-	if st.State != StateDone {
-		t.Errorf("final job state = %s, want %s (error %+v)", st.State, StateDone, st.Err)
+	select {
+	case <-probeRan:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the probe job never ran")
 	}
-	// Drain before checking the books: it waits for the workers to exit, so
-	// no job is mid-transition between the queued/running/completed
-	// counters when the snapshot is taken.
+
+	// Drain under load: submitters and readers keep going through it and
+	// for a while after, against a queue whose workers are gone.
+	time.Sleep(dur / 2)
 	q.Drain()
+	time.Sleep(10 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+
+	// The books balance: the drain waited for the workers to exit, so no
+	// job is mid-transition between the counters, and none is running.
 	stats := q.Stats()
 	if stats.Submitted != submitted.Load() {
 		t.Errorf("stats.Submitted = %d, want %d", stats.Submitted, submitted.Load())
 	}
-	if got := stats.Completed + stats.Failed + stats.Queued + stats.Running; got != stats.Submitted {
-		t.Errorf("job accounting leaks: done %d + failed %d + queued %d + running %d != submitted %d",
-			stats.Completed, stats.Failed, stats.Queued, stats.Running, stats.Submitted)
+	if stats.Running != 0 {
+		t.Errorf("%d jobs still running after the drain", stats.Running)
+	}
+	if got := stats.Completed + stats.Failed + stats.Queued; got != stats.Submitted {
+		t.Errorf("job accounting leaks: done %d + failed %d + queued %d != submitted %d",
+			stats.Completed, stats.Failed, stats.Queued, stats.Submitted)
 	}
 }

@@ -283,15 +283,9 @@ func TestHeapBudgetEnvelope(t *testing.T) {
 // contract: a 429 from a full job queue must tell clients when to come
 // back, since the SDK's backoff honors Retry-After before its own jitter.
 func TestQueueFullRetryAfter(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	_, ts := newTestServer(t, Config{
-		Jobs: jobs.Config{
-			Depth: 1, Shards: 1, Workers: 1,
-			FaultHook: func(string, int) error { <-block; return errors.New("never") },
-		},
-	})
-	postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "fill", Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: workSrc}}}})
+	_, ts := newTestServer(t, Config{Jobs: jobs.Config{Depth: 1, Workers: 1}})
+	// The spinning job fills the queue until the test's drain cancels it.
+	postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "fill", Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: spinSrc}}}})
 	code, hdr, body := postRaw(t, ts.URL+"/v2/jobs",
 		`{"key":"over","jobs":[{"kind":"compile","source":"class Main { static void main() { print(1); } }"}]}`)
 	if code != http.StatusTooManyRequests {

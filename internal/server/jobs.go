@@ -28,8 +28,11 @@ var errUnknownJob = errors.New("unknown job or batch")
 // jobs and a sequence of direct calls are byte-identical. cache_hit is
 // never set in job payloads: results are content-addressed, and whether a
 // run was memoized is scheduling noise that would break deterministic
-// replay.
+// replay. A job runs under RequestTimeout, as a synchronous request does,
+// so no job holds a worker longer than a request may hold the server.
 func (s *Server) executeJob(ctx context.Context, req lowutil.Request) (*jobs.Result, error) {
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	defer cancel()
 	sess, _, err := s.compileSession(req.Source, req.MainClass, req.MainMethod)
 	if err != nil {
 		return nil, err
@@ -56,7 +59,7 @@ type jobSubmission struct {
 	// Priority orders jobs in the queue — higher runs earlier.
 	Priority int `json:"priority,omitempty"`
 	// DeadlineMS bounds the job's total lifetime from submission in
-	// milliseconds, across retries (0 = none).
+	// milliseconds, time in the queue included (0 = none).
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 }
 

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"testing"
@@ -216,24 +214,11 @@ func TestJobEventsNDJSON(t *testing.T) {
 	}
 }
 
-// TestJobsFaultRecovery injects a transient failure on every first attempt
-// while a one-slot session LRU forces the two programs to evict each
-// other's compiled session between attempts; every job still completes
-// with the correct result.
+// TestJobsFaultRecovery: a one-slot session LRU makes two jobs on two
+// programs, running at once, evict each other's compiled session; every
+// job still completes, in one attempt, with the correct result.
 func TestJobsFaultRecovery(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		MaxSessions: 1,
-		Jobs: jobs.Config{
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  4 * time.Millisecond,
-			FaultHook: func(jobID string, attempt int) error {
-				if attempt == 1 {
-					return jobs.Transient(fmt.Errorf("%w: injected", lowutil.ErrCanceled))
-				}
-				return nil
-			},
-		},
-	})
+	_, ts := newTestServer(t, Config{MaxSessions: 1})
 	_, body := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{
 		Key: "faults",
 		Jobs: []jobSubmission{
@@ -247,33 +232,60 @@ func TestJobsFaultRecovery(t *testing.T) {
 	}
 	bs := waitBatch(t, ts.URL, jr.Batch)
 	for _, st := range bs.Jobs {
-		if st.State != jobs.StateDone {
-			t.Fatalf("job %s: %s (%+v)", st.ID, st.State, st.Err)
-		}
-		if st.Attempts != 2 {
-			t.Errorf("job %s ran %d attempts, want 2 (one injected failure)", st.ID, st.Attempts)
+		if st.State != jobs.StateDone || st.Attempts != 1 {
+			t.Fatalf("job %s: %s after %d attempts (%+v)", st.ID, st.State, st.Attempts, st.Err)
 		}
 	}
-	if got := metricValue(t, ts.URL, "lowutil_jobs_retries_total"); got != 2 {
-		t.Errorf("retries metric = %d, want 2", got)
+	if got := metricValue(t, ts.URL, "lowutil_session_evictions_total"); got == 0 {
+		t.Error("no session evictions; the one-slot LRU did not bite")
 	}
 	if got := metricValue(t, ts.URL, "lowutil_jobs_completed_total"); got != 2 {
 		t.Errorf("completed metric = %d, want 2", got)
 	}
 }
 
+// TestJobRequestTimeout: a job runs under the server's RequestTimeout,
+// as a synchronous request does, so a job that never terminates fails
+// with code deadline instead of holding its worker.
+func TestJobRequestTimeout(t *testing.T) {
+	_, ts := newTestServer(t, Config{RequestTimeout: 200 * time.Millisecond})
+	code, body := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{
+		Key:  "spin",
+		Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: spinSrc}}},
+	})
+	if code != http.StatusOK {
+		t.Fatalf("submit: %d: %s", code, body)
+	}
+	var jr jobsResponse
+	if err := json.Unmarshal(body, &jr); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, body := getBody(t, ts.URL+"/v2/jobs/"+jr.Jobs[0].ID)
+		var st jobs.Status
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State.Terminal() {
+			if st.State != jobs.StateFailed || st.Err == nil || st.Err.Code != "deadline" || st.Err.Retryable {
+				t.Fatalf("spin job: state=%s err=%+v, want failed with non-retryable deadline", st.State, st.Err)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("spin job still %s after 5s under a 200ms RequestTimeout", st.State)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestJobsQueueFullEnvelope: a queue at depth rejects with the retryable
 // at_capacity envelope and a Retry-After header.
 func TestJobsQueueFullEnvelope(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	_, ts := newTestServer(t, Config{
-		Jobs: jobs.Config{
-			Depth: 1, Shards: 1, Workers: 1,
-			FaultHook: func(string, int) error { <-block; return errors.New("never") },
-		},
-	})
-	postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "fill", Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: workSrc}}}})
+	_, ts := newTestServer(t, Config{Jobs: jobs.Config{Depth: 1, Workers: 1}})
+	// The spinning job fills the queue until the test's drain cancels it.
+	postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "fill", Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: spinSrc}}}})
 	code, body := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "over", Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindCompile, Source: workSrc}}}})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-depth submit: %d: %s", code, body)

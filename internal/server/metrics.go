@@ -78,12 +78,10 @@ func (m *metrics) render(w io.Writer, live, inFlight, capacity int, js jobs.Stat
 	writeCounter(w, "lowutil_jobs_deduped_total", "Batch jobs answered from an existing idempotent submission.", js.Deduped)
 	writeCounter(w, "lowutil_jobs_completed_total", "Batch jobs finished successfully.", js.Completed)
 	writeCounter(w, "lowutil_jobs_failed_total", "Batch jobs finished in failure.", js.Failed)
-	writeCounter(w, "lowutil_jobs_retries_total", "Transient job failures that scheduled a backoff retry.", js.Retries)
-	writeCounter(w, "lowutil_jobs_requeued_total", "In-flight jobs re-queued by a drain.", js.Requeued)
 	writeCounter(w, "lowutil_job_result_hits_total", "Job executions satisfied by the content-addressed result store.", js.ResultHits)
 	writeCounter(w, "lowutil_job_result_misses_total", "Job executions that ran the executor.", js.ResultMisses)
 	writeCounter(w, "lowutil_job_result_evictions_total", "Job results dropped by the store LRU bound.", js.Evictions)
-	writeGauge(w, "lowutil_jobs_queued", "Jobs currently waiting in the queue (incl. retry backoff).", int(js.Queued))
+	writeGauge(w, "lowutil_jobs_queued", "Jobs currently waiting in the queue.", int(js.Queued))
 	writeGauge(w, "lowutil_jobs_running", "Jobs currently executing.", int(js.Running))
 	writeGauge(w, "lowutil_job_results_live", "Job results currently resident in the store.", js.Results)
 	writeGauge(w, "lowutil_sessions_live", "Sessions currently resident in the cache.", live)

@@ -23,15 +23,16 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing heavy requests — profile,
 	// run, slice, load (0 = 4). Excess requests get 429.
 	MaxInFlight int
-	// RequestTimeout bounds each request's work (0 = 60s). The deadline
-	// context reaches the interpreter and every analysis fixpoint.
+	// RequestTimeout bounds each request's work, and each job's run
+	// (0 = 60s). The deadline context reaches the interpreter and every
+	// analysis fixpoint.
 	RequestTimeout time.Duration
 	// Logger receives one structured line per request (nil = slog default).
 	Logger *slog.Logger
-	// Jobs tunes the async batch-job queue behind POST /v2/jobs. The
-	// Executor field is ignored — the server installs its own, which
-	// resolves specs through the session LRU and memoized runs. The
-	// FaultHook field is honored (tests inject deterministic failures).
+	// Jobs tunes the async batch-job queue behind POST /v2/jobs: its
+	// Workers, Depth and record bounds. The Executor field is ignored —
+	// the server installs its own, which resolves specs through the
+	// session LRU and memoized runs, each under RequestTimeout.
 	Jobs jobs.Config
 }
 
@@ -74,9 +75,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Close drains the job queue gracefully: in-flight jobs are canceled and
-// re-queued (nothing is lost — a restarted server resumes them on
-// resubmission), workers exit. Call after http.Server.Shutdown.
+// Close drains the job queue: in-flight jobs are canceled and fail with
+// code canceled, queued jobs stay queued, and the workers exit. Call after
+// http.Server.Shutdown.
 func (s *Server) Close() { s.jobs.Drain() }
 
 func (s *Server) routes() {

@@ -62,6 +62,10 @@ go run ./cmd/lowutil fuzz -seed 1 -n 50
 # The analysis pipeline is parallel; -short keeps the race pass fast by
 # trimming the all-workload differential sweeps to a subset.
 go test -race -short -shuffle=on ./...
+# The job queue under the race detector at two GOMAXPROCS values, without
+# -short: TestConcurrentSoak runs its full 1.5 s of submitters, readers
+# and record GC against the one heap, then drains under load.
+go test -race -count=1 -cpu 1,4 ./internal/jobs
 # The detached profiler under both selections: at GOMAXPROCS 1 no run may
 # detach and at 2 every long run must, and either way Gcost must match the
 # synchronous reference byte for byte (-short keeps two workloads). The

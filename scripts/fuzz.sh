@@ -39,7 +39,8 @@ for t in \
     ./internal/parser:FuzzParse \
     ./internal/depgraph:FuzzDecode \
     ./internal/lexer:FuzzLex \
-    .:FuzzCompile; do
+    .:FuzzCompile \
+    ./internal/server:FuzzDecodeRequest; do
     pkg="${t%%:*}"
     name="${t#*:}"
     echo "fuzz: $name ($pkg) for $FUZZTIME"
