@@ -19,7 +19,7 @@ type Job struct {
 	// priorities run in submission order.
 	Priority int `json:"priority,omitempty"`
 	// DeadlineMS bounds the job's total lifetime from submission in
-	// milliseconds, across retries (0 = none).
+	// milliseconds, time in the queue included (0 = none).
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 }
 

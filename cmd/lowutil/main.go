@@ -125,36 +125,45 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	err := run(os.Args[2:])
-	if errors.Is(err, flag.ErrHelp) {
-		return // -h: the flag set has printed the command's usage
+	if code := report(cmd, run(os.Args[2:])); code != 0 {
+		os.Exit(code)
+	}
+}
+
+// report prints the outcome err of command cmd to stderr and returns the
+// exit code: 0 for success and for -h (the flag set has printed the usage),
+// 2 for a usage error, 1 for a failed run. Each error is printed once: a
+// flag the flag set refused is already on stderr, with the usage.
+func report(cmd string, err error) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
 	var usageErr *usageError
 	if errors.As(err, &usageErr) {
-		fmt.Fprintf(os.Stderr, "lowutil %s: %v\n", cmd, err)
-		os.Exit(2)
+		if !usageErr.printed {
+			fmt.Fprintf(os.Stderr, "lowutil %s: %v\n", cmd, err)
+		}
+		return 2
 	}
 	var optErr *lowutil.OptionError
 	if errors.As(err, &optErr) {
 		fmt.Fprintf(os.Stderr, "lowutil %s: %s\n", cmd, optErr.Msg)
-		os.Exit(2)
+		return 2
 	}
 	var slotsErr *lowutil.SlotsError
 	if errors.As(err, &slotsErr) {
 		// A slot count too large for the program is a bad -s, not a failed run.
 		fmt.Fprintf(os.Stderr, "lowutil %s: -s %d exceeds the profiling table budget for this program (at most %d)\n", cmd, slotsErr.Slots, slotsErr.Max)
-		os.Exit(2)
+		return 2
 	}
 	var heapErr *lowutil.HeapError
 	if errors.As(err, &heapErr) {
 		// A program that allocates past the interpreter's heap budget.
 		fmt.Fprintf(os.Stderr, "lowutil %s: %v\n", cmd, heapErr.Err)
-		os.Exit(1)
+		return 1
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lowutil: %v\n", err)
-		os.Exit(1)
-	}
+	fmt.Fprintf(os.Stderr, "lowutil: %v\n", err)
+	return 1
 }
 
 func usage() {
@@ -211,26 +220,30 @@ func compileFile(path string) (*lowutil.Program, error) {
 }
 
 // usageError is a flag value the command refuses; main reports it as a
-// usage error (exit 2).
-type usageError struct{ msg string }
+// usage error (exit 2). printed marks one the flag set has already printed.
+type usageError struct {
+	msg     string
+	printed bool
+}
 
 func (e *usageError) Error() string { return e.msg }
 
 // parseFlags parses args into fs, the one way every command reads its
-// flags: an undefined flag or a malformed value is a *usageError (exit 2),
-// and -h, after fs has printed the usage, is flag.ErrHelp (exit 0).
+// flags: an undefined flag or a malformed value is a *usageError (exit 2)
+// that fs has printed along with the usage, and -h, after fs has printed
+// the usage, is flag.ErrHelp (exit 0).
 func parseFlags(fs *flag.FlagSet, args []string) error {
 	err := fs.Parse(args)
 	if err == nil || errors.Is(err, flag.ErrHelp) {
 		return err
 	}
-	return &usageError{err.Error()}
+	return &usageError{msg: err.Error(), printed: true}
 }
 
 // checkTop rejects a negative -top.
 func checkTop(top int) error {
 	if top < 0 {
-		return &usageError{fmt.Sprintf("-top %d must not be negative", top)}
+		return &usageError{msg: fmt.Sprintf("-top %d must not be negative", top)}
 	}
 	return nil
 }
@@ -239,7 +252,7 @@ func checkTop(top int) error {
 // -workers).
 func checkPositive(name string, v int) error {
 	if v < 1 {
-		return &usageError{fmt.Sprintf("-%s %d must be at least 1", name, v)}
+		return &usageError{msg: fmt.Sprintf("-%s %d must be at least 1", name, v)}
 	}
 	return nil
 }
@@ -507,7 +520,7 @@ func cmdExperiments(args []string) error {
 		sections = evalharness.Sections
 	}
 	if err := evalharness.Check(o, sections); err != nil {
-		return &usageError{err.Error()}
+		return &usageError{msg: err.Error()}
 	}
 	return evalharness.Run(os.Stdout, o, sections...)
 }

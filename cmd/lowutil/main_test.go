@@ -304,8 +304,9 @@ func TestCmdErrors(t *testing.T) {
 }
 
 // TestCmdFlagErrors: on every subcommand an undefined flag is a usage
-// error (exit 2), and -h prints the command's usage and is flag.ErrHelp,
-// which main answers with exit 0. Neither runs anything.
+// error (exit 2) whose message reaches stderr once through main's printing
+// path, and -h prints the command's usage and is flag.ErrHelp, which main
+// answers with exit 0. Neither runs anything.
 func TestCmdFlagErrors(t *testing.T) {
 	names := make([]string, 0, len(commands))
 	for name := range commands {
@@ -315,12 +316,21 @@ func TestCmdFlagErrors(t *testing.T) {
 	for _, name := range names {
 		run := commands[name]
 		var ue *usageError
-		if _, err := capture(t, &os.Stderr, func() error { return run([]string{"-bogus", chartMJ}) }); !errors.As(err, &ue) {
-			t.Errorf("%s -bogus: got %v, want a usage error", name, err)
+		code := 0
+		out, err := capture(t, &os.Stderr, func() error {
+			err := run([]string{"-bogus", chartMJ})
+			code = report(name, err)
+			return err
+		})
+		if !errors.As(err, &ue) || code != 2 {
+			t.Errorf("%s -bogus: got %v (exit %d), want a usage error (exit 2)", name, err, code)
+		}
+		if n := strings.Count(out, "flag provided but not defined: -bogus"); n != 1 {
+			t.Errorf("%s -bogus: message printed %d times, want once:\n%s", name, n, out)
 		}
 		usage, err := capture(t, &os.Stderr, func() error { return run([]string{"-h"}) })
-		if !errors.Is(err, flag.ErrHelp) {
-			t.Errorf("%s -h: got %v, want flag.ErrHelp", name, err)
+		if !errors.Is(err, flag.ErrHelp) || report(name, err) != 0 {
+			t.Errorf("%s -h: got %v, want flag.ErrHelp (exit 0)", name, err)
 		}
 		if !strings.Contains(strings.ToLower(usage), "usage") {
 			t.Errorf("%s -h printed no usage: %q", name, usage)

@@ -16,7 +16,7 @@ import (
 )
 
 // cmdServe runs the HTTP profiling service until SIGINT/SIGTERM, then
-// drains in-flight requests and exits.
+// drains in-flight requests and jobs and exits.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:8347", "listen address")
@@ -53,15 +53,33 @@ func cmdServe(args []string) error {
 	case <-ctx.Done():
 	}
 	log.Info("shutting down", "grace", drain.String())
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
+	if err := shutdown(hs, srv, *drain); err != nil {
+		return err
 	}
-	srv.Close() // drain the job queue after the listener stops
-
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
+	}
+	return nil
+}
+
+// shutdown stops hs and drains srv's job queue within grace. The drain runs
+// next to hs.Shutdown, not after it: it fails every in-flight job with
+// canceled, which ends the event streams following those jobs, so their
+// connections go idle and Shutdown can return. A Shutdown that still runs
+// out of grace has drained all the same; it closes the connections left.
+func shutdown(hs *http.Server, srv *server.Server, grace time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	drained := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(drained)
+	}()
+	err := hs.Shutdown(ctx)
+	<-drained
+	if err != nil {
+		hs.Close()
+		return fmt.Errorf("shutdown: %w", err)
 	}
 	return nil
 }

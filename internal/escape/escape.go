@@ -810,6 +810,10 @@ func (r *Result) ssainfo(m *ir.Method) *ssa.MethodInfo {
 	return mi
 }
 
+// MethodSSA returns the unseeded SSA overlay the analysis built for m, or
+// nil when it never visited m. It visits every call-graph-reachable method.
+func (r *Result) MethodSSA(m *ir.Method) *ssa.MethodInfo { return r.ssaMI[m] }
+
 // ssaFacts computes the SSA span of the allocated reference inside its
 // allocating method: the last transitive use (through moves and phis) and,
 // for a no-escape site allocated inside a loop, whether every use stays in

@@ -8,21 +8,24 @@ import (
 	"lowutil/internal/ir"
 )
 
-// Analysis bundles the whole interprocedural pipeline: call graph,
-// points-to, summaries, and the static Gcost over-approximation.
+// Analysis bundles the interprocedural pipeline: call graph, points-to,
+// frequency weights and, for the slice report, the static Gcost
+// over-approximation.
 type Analysis struct {
-	Prog  *ir.Program
-	Cfg   Config
-	CG    *CallGraph
-	PT    *PointsTo
-	Sum   *Summaries
+	Prog *ir.Program
+	Cfg  Config
+	CG   *CallGraph
+	PT   *PointsTo
+
+	// Slice is the static Gcost. AnalyzeContext (and Analyze) builds it;
+	// AnalyzeHeapContext leaves it nil.
 	Slice *StaticGraph
 
 	// Freq estimates each instruction's execution frequency (indexed by
 	// Instr.ID) from the loop-nest forest with SCCP trip-count bounds: 0 for
 	// statically proven-dead code, otherwise the product of enclosing loops'
 	// trip counts (ssa.DefaultTrip per unbounded loop). Feeds
-	// Slice.BoundsWeighted.
+	// Slice.BoundsWeighted and the escape ranking.
 	Freq []float64
 }
 
@@ -37,11 +40,38 @@ func Analyze(prog *ir.Program, cfg Config) *Analysis {
 	return a
 }
 
-// AnalyzeContext runs the full pipeline over prog under cfg, polling ctx
-// between phases and inside every fixpoint loop. When ctx is done the
-// partially built state is discarded and the context error returned, so
+// AnalyzeContext runs the full pipeline over prog under cfg: the heap
+// prefix of AnalyzeHeapContext, then every reachable method's reaching
+// definitions and the static Gcost built from them. It polls ctx between
+// phases and inside every fixpoint loop. When ctx is done the partially
+// built state is discarded and the context error returned, so
 // long-running whole-program analyses honor per-request deadlines.
 func AnalyzeContext(ctx context.Context, prog *ir.Program, cfg Config) (*Analysis, error) {
+	a, err := AnalyzeHeapContext(ctx, prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	flows := make([]*ir.ReachingDefs, countMethods(prog))
+	for _, m := range a.CG.Methods() {
+		flows[m.ID] = ir.NewReachingDefs(m, nil)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if a.Slice, err = newStaticGraph(ctx, a.CG, a.PT, flows); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// AnalyzeHeapContext runs the part of the pipeline the audit and vet
+// surfaces read: the call graph, the points-to relation (the abstract heap)
+// and the frequency weights. It builds no static Gcost, so Slice is nil.
+// Cancellation behaves as in AnalyzeContext.
+func AnalyzeHeapContext(ctx context.Context, prog *ir.Program, cfg Config) (*Analysis, error) {
 	cg := NewCallGraph(prog, cfg.Mode)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -50,33 +80,7 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, cfg Config) (*Analysi
 	if err != nil {
 		return nil, err
 	}
-	flows := make(map[int]*methodFlow, len(cg.Methods()))
-	for _, m := range cg.Methods() {
-		flows[m.ID] = newMethodFlow(m)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sum, err := newSummaries(ctx, cg, pt, flows)
-	if err != nil {
-		return nil, err
-	}
-	slice, err := newStaticGraph(ctx, cg, pt, flows)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return &Analysis{
-		Prog:  prog,
-		Cfg:   cfg,
-		CG:    cg,
-		PT:    pt,
-		Sum:   sum,
-		Slice: slice,
-		Freq:  ipcpWeights(cg),
-	}, nil
+	return &Analysis{Prog: prog, Cfg: cfg, CG: cg, PT: pt, Freq: ipcpWeights(cg)}, nil
 }
 
 // Bounds returns the frequency-weighted static cost/benefit bounds — the

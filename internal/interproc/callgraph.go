@@ -2,9 +2,9 @@
 // graph with CHA and RTA resolution of virtual dispatch, an Andersen-style
 // flow-insensitive, field-sensitive points-to analysis whose heap abstraction
 // mirrors the paper's object-sensitive encoding (allocation sites optionally
-// qualified by one level of receiver-object context), per-method mod/ref and
-// dead-parameter summaries, and a static abstract thin slicer that
-// over-approximates the dynamic Gcost with zero execution.
+// qualified by one level of receiver-object context), interprocedural
+// constant propagation for the frequency weights, and a static abstract thin
+// slicer that over-approximates the dynamic Gcost with zero execution.
 //
 // The containment invariant the package maintains — checked on all workloads
 // by the differential soundness harness — is that every dependence, reference

@@ -68,9 +68,28 @@ type childKey struct {
 
 func depKey(use, def int) uint64 { return uint64(uint32(use))<<32 | uint64(uint32(def)) }
 
+// Loc is an abstract heap location: a static field slot, or an (abstract
+// object, field) pair. Field holds the static slot when Static is set, the
+// dense field ID otherwise (ElemField for array elements).
+type Loc struct {
+	Static bool
+	Obj    ObjID
+	Field  int
+}
+
+func locLess(a, b Loc) bool {
+	if a.Static != b.Static {
+		return b.Static // object locs first, static locs last
+	}
+	if a.Obj != b.Obj {
+		return a.Obj < b.Obj
+	}
+	return a.Field < b.Field
+}
+
 // newStaticGraph builds the static Gcost over-approximation, polling ctx
 // between phases and once per producer-fixpoint iteration.
-func newStaticGraph(ctx context.Context, cg *CallGraph, pt *PointsTo, flows map[int]*methodFlow) (*StaticGraph, error) {
+func newStaticGraph(ctx context.Context, cg *CallGraph, pt *PointsTo, flows []*ir.ReachingDefs) (*StaticGraph, error) {
 	prog := cg.Prog
 	sg := &StaticGraph{
 		Prog:      prog,
@@ -102,7 +121,7 @@ func newStaticGraph(ctx context.Context, cg *CallGraph, pt *PointsTo, flows map[
 // producers are, over every reachable call site targeting the method, the
 // reaching definitions of the actual — where a definition that is itself a
 // formal of the caller recurses into the caller's producers.
-func (sg *StaticGraph) computeProducers(ctx context.Context, flows map[int]*methodFlow) error {
+func (sg *StaticGraph) computeProducers(ctx context.Context, flows []*ir.ReachingDefs) error {
 	nm := countMethods(sg.Prog)
 	args := make([]map[int]bool, 0)
 	argIdx := make([][]int, nm) // methodID → slot → index into args, -1 unset
@@ -116,7 +135,8 @@ func (sg *StaticGraph) computeProducers(ctx context.Context, flows map[int]*meth
 		rets[m.ID] = make(map[int]bool)
 	}
 	addDef := func(set map[int]bool, caller *ir.Method, d int) bool {
-		if !isParamDef(caller, d) {
+		rd := flows[caller.ID]
+		if !rd.IsParamDef(d) {
 			id := caller.Code[d].ID
 			if !set[id] {
 				set[id] = true
@@ -124,9 +144,8 @@ func (sg *StaticGraph) computeProducers(ctx context.Context, flows map[int]*meth
 			}
 			return false
 		}
-		slot := paramOfDef(caller, d)
 		changed := false
-		for id := range args[argIdx[caller.ID][slot]] {
+		for id := range args[argIdx[caller.ID][rd.ParamOf(d)]] {
 			if !set[id] {
 				set[id] = true
 				changed = true
@@ -143,7 +162,7 @@ func (sg *StaticGraph) computeProducers(ctx context.Context, flows map[int]*meth
 			// Formals: pull from every reachable call site targeting m.
 			for _, c := range sg.CG.CallersOf(m) {
 				caller := c.Method
-				ops := flows[caller.ID].operands[c.PC]
+				ops := flows[caller.ID].Operands[c.PC]
 				for i := 0; i < len(ops) && i < m.Params; i++ {
 					set := args[argIdx[m.ID][i]]
 					for _, d := range ops[i].Defs {
@@ -154,13 +173,12 @@ func (sg *StaticGraph) computeProducers(ctx context.Context, flows map[int]*meth
 				}
 			}
 			// Return values: defs reaching a return operand.
-			mf := flows[m.ID]
 			for pc := range m.Code {
 				in := &m.Code[pc]
 				if in.Op != ir.OpReturn || !in.HasA {
 					continue
 				}
-				for _, op := range mf.operands[pc] {
+				for _, op := range flows[m.ID].Operands[pc] {
 					for _, d := range op.Defs {
 						if addDef(rets[m.ID], m, d) {
 							changed = true
@@ -239,19 +257,19 @@ func (sg *StaticGraph) addChildren(owner int, field int, m *ir.Method, valSlot i
 }
 
 // addEdges installs every edge class.
-func (sg *StaticGraph) addEdges(flows map[int]*methodFlow) {
+func (sg *StaticGraph) addEdges(flows []*ir.ReachingDefs) {
 	// Value-operand and producer edges.
 	for _, m := range sg.CG.Methods() {
-		mf := flows[m.ID]
+		rd := flows[m.ID]
 		for pc := range m.Code {
 			in := &m.Code[pc]
-			for _, op := range mf.operands[pc] {
+			for _, op := range rd.Operands[pc] {
 				if op.Base {
 					continue
 				}
 				for _, d := range op.Defs {
-					if isParamDef(m, d) {
-						for _, p := range sg.argProducers[m.ID][paramOfDef(m, d)] {
+					if rd.IsParamDef(d) {
+						for _, p := range sg.argProducers[m.ID][rd.ParamOf(d)] {
 							sg.addDep(in.ID, p)
 						}
 					} else {

@@ -21,7 +21,8 @@ type Config struct {
 	// MaxSessions bounds the compiled-session LRU (0 = 64).
 	MaxSessions int
 	// MaxInFlight bounds concurrently executing heavy requests — profile,
-	// run, slice, load (0 = 4). Excess requests get 429.
+	// report, slice, audit, vet, run, save, load (0 = 4). Excess requests
+	// get 429.
 	MaxInFlight int
 	// RequestTimeout bounds each request's work, and each job's run
 	// (0 = 60s). The deadline context reaches the interpreter and every
@@ -85,7 +86,7 @@ func (s *Server) routes() {
 	for _, kind := range []string{lowutil.KindProfile, lowutil.KindReport, lowutil.KindSlice, lowutil.KindAudit, lowutil.KindRun} {
 		s.mux.HandleFunc("POST /v2/"+kind, s.instrument(kind, true, s.handleKind(kind)))
 	}
-	s.mux.HandleFunc("POST /v2/vet", s.instrument("vet", false, s.handleVet))
+	s.mux.HandleFunc("POST /v2/vet", s.instrument("vet", true, s.handleVet))
 	s.mux.HandleFunc("POST /v2/ssa", s.instrument("ssa", false, s.handleSSA))
 	s.mux.HandleFunc("POST /v2/profile/save", s.instrument("save", true, s.handleSave))
 	s.mux.HandleFunc("POST /v2/profile/load", s.instrument("load", true, s.handleLoad))

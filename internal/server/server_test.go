@@ -361,11 +361,16 @@ func TestAdmissionControl(t *testing.T) {
 	if eb := decodeEnvelope(t, body); eb.Code != "at_capacity" || !eb.Retryable {
 		t.Errorf("429 envelope = %+v, want retryable at_capacity", eb)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v2/vet", sessionRequest{Session: id}); code != http.StatusOK {
+	// Vet runs audit's interprocedural pipeline and escape pass: heavy too.
+	code, body = postJSON(t, ts.URL+"/v2/vet", sessionRequest{Session: id})
+	if eb := decodeEnvelope(t, body); code != http.StatusTooManyRequests || eb.Code != "at_capacity" {
+		t.Errorf("vet under a full gate: %d %+v, want 429 at_capacity", code, eb)
+	}
+	if code, _ := postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: workSrc}); code != http.StatusOK {
 		t.Errorf("light endpoint rejected: %d", code)
 	}
-	if got := metricValue(t, ts.URL, "lowutil_rejected_total"); got != 1 {
-		t.Errorf("rejected = %d, want 1", got)
+	if got := metricValue(t, ts.URL, "lowutil_rejected_total"); got != 2 {
+		t.Errorf("rejected = %d, want 2", got)
 	}
 }
 

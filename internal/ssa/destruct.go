@@ -216,7 +216,7 @@ func Destruct(f *Func) {
 
 // DestructProgram rewrites every method of prog out of SSA (building SSA
 // per method first), reindexes and validates. It is the whole-program
-// round-trip used by the tests and the `lowutil ssa -roundtrip` command.
+// round trip the tests run.
 func DestructProgram(prog *ir.Program) error {
 	for _, c := range prog.Classes {
 		for _, m := range c.Methods {

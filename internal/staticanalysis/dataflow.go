@@ -1,9 +1,10 @@
 // Package staticanalysis implements a static dataflow framework over the
-// slot-based IR: per-method CFGs (built by internal/ir), dominators, and a
-// generic worklist engine instantiated for reaching definitions and def-use
-// chains. On top of the framework sits Vet, a zero-execution diagnostics
-// suite (dead stores, write-only fields, unused allocations, unreachable
-// code, possibly-uninitialized reads) surfaced as `lowutil vet`.
+// slot-based IR: per-method CFGs, dominators and reaching definitions (all
+// built by internal/ir, which shares them with internal/interproc), and a
+// generic gen/kill worklist engine. On top of the framework sits Vet, a
+// zero-execution diagnostics suite (dead stores, write-only fields, unused
+// allocations, unreachable code, possibly-uninitialized reads) surfaced as
+// `lowutil vet`.
 //
 // The paper's pipeline is purely dynamic — every executed instruction is
 // traced into Gcost. The framework here is the static layer that answers

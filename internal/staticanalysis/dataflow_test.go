@@ -103,81 +103,3 @@ func TestDominatorsDiamond(t *testing.T) {
 		t.Error("dominance must be reflexive")
 	}
 }
-
-func TestReachingDefsDiamond(t *testing.T) {
-	m := buildDiamond(t)
-	rd := NewReachingDefs(m, nil)
-	join := rd.CFG.BlockOf[5]
-	in := rd.ReachIn(join)
-	if !in.Has(2) || !in.Has(4) {
-		t.Error("both arm definitions of v1 must reach the join")
-	}
-	du := rd.DefUse()
-	wantUse := func(d int) {
-		t.Helper()
-		if len(du[d]) != 1 || du[d][0].PC != 5 || du[d][0].Base {
-			t.Errorf("uses of def %d = %v, want [{5 false}]", d, du[d])
-		}
-	}
-	wantUse(2)
-	wantUse(4)
-	if len(du[5]) != 0 {
-		t.Errorf("v2's def must have no uses, got %v", du[5])
-	}
-}
-
-func TestDefUseParamsAndBaseFlag(t *testing.T) {
-	b := ir.NewBuilder()
-	cls := b.Class("Main", nil)
-	fv := b.Field(cls, "v", ir.IntType)
-	m := b.Method(cls, "get", true, 1, ir.IntType)
-	mb := b.Body(m)
-	mb.LoadField(1, 0, fv) // pc0: v1 = v0.v  (v0 is a base-pointer read)
-	mb.Return(1)           // pc1
-	mn := b.Method(cls, "main", true, 0, nil)
-	b.Body(mn).ReturnVoid()
-	if _, err := b.Seal("Main", "main"); err != nil {
-		t.Fatal(err)
-	}
-
-	rd := NewReachingDefs(m, nil)
-	du := rd.DefUse()
-	pd := rd.ParamDef(0)
-	if !rd.IsParamDef(pd) || rd.IsParamDef(0) {
-		t.Fatal("IsParamDef misclassifies")
-	}
-	if len(du[pd]) != 1 || du[pd][0].PC != 0 || !du[pd][0].Base {
-		t.Errorf("param use = %v, want one base use at pc0", du[pd])
-	}
-	if len(du[0]) != 1 || du[0][0].PC != 1 || du[0][0].Base {
-		t.Errorf("load use = %v, want one value use at pc1", du[0])
-	}
-}
-
-func TestSolveLeavesUnreachableAtBottom(t *testing.T) {
-	b := ir.NewBuilder()
-	cls := b.Class("Main", nil)
-	m := b.Method(cls, "main", true, 0, nil)
-	mb := b.Body(m)
-	g := mb.Goto(0)
-	mb.Const(0, 7) // unreachable block
-	l := mb.PC()
-	mb.ReturnVoid()
-	mb.Patch(g, l)
-	if _, err := b.Seal("Main", "main"); err != nil {
-		t.Fatal(err)
-	}
-	cfg := ir.NewCFG(m)
-	dead := cfg.BlockOf[1]
-	if cfg.Reachable(dead) {
-		t.Fatal("pc1's block should be unreachable")
-	}
-	rd := NewReachingDefs(m, cfg)
-	if in := rd.ReachIn(dead); in.Has(1) {
-		t.Error("unreachable block must stay at the bottom element")
-	}
-	idom := Dominators(cfg)
-	if idom[dead] != -1 {
-		t.Errorf("idom of unreachable block = %d, want -1", idom[dead])
-	}
-}

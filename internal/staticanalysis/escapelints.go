@@ -4,22 +4,20 @@ import (
 	"fmt"
 
 	"lowutil/internal/escape"
-	"lowutil/internal/interproc"
 	"lowutil/internal/ir"
 )
 
-// escapeLints runs the SSA-based escape/lifetime analysis and converts its
-// shape verdicts into vet findings: confined-alloc-in-loop for non-escaping
-// allocations renewed every iteration of the loop they never leave, and
-// copy-chain for alloc → populate → copy-out → drop containers. Both
-// engines call this helper unchanged, so the two kinds are identical across
-// the dense and SSA vet pipelines by construction. A nil analysis disables
-// the checks (they are inherently whole-program).
-func escapeLints(an *interproc.Analysis) []Finding {
-	if an == nil {
+// escapeLints converts the escape/lifetime analysis's shape verdicts into
+// vet findings: confined-alloc-in-loop for non-escaping allocations renewed
+// every iteration of the loop they never leave, and copy-chain for alloc →
+// populate → copy-out → drop containers. Both engines call this helper
+// unchanged, so the two kinds are identical across the dense and SSA vet
+// pipelines by construction. A nil result (no analysis) disables the checks:
+// they are inherently whole-program.
+func escapeLints(r *escape.Result) []Finding {
+	if r == nil {
 		return nil
 	}
-	r := escape.Analyze(an)
 	var out []Finding
 	for i := range r.Sites {
 		si := &r.Sites[i]

@@ -1,8 +1,10 @@
 package staticanalysis
 
 import (
+	"context"
 	"fmt"
 
+	"lowutil/internal/escape"
 	"lowutil/internal/interproc"
 	"lowutil/internal/ir"
 )
@@ -100,28 +102,109 @@ var deadStoreOps = map[ir.Op]bool{
 
 // VetDense runs the full static diagnostics suite using the dense
 // (reaching-definitions) per-method engine. It predates the SSA engine in
-// vetssa.go and is kept both as the reference point for the differential
-// test and as a fallback (`lowutil vet -engine=dense`): every SSA finding
-// class is pinned to this engine's results, kind by kind.
-func VetDense(prog *ir.Program) []Finding {
-	return VetDenseWith(prog, interproc.Analyze(prog, interproc.Config{Mode: interproc.RTA}))
-}
+// vetssa.go and is kept as the reference point for the differential test:
+// every SSA finding class is pinned to this engine's results, kind by kind.
+func VetDense(prog *ir.Program) []Finding { return VetDenseWith(prog, rtaHeap(prog)) }
 
 // VetDenseWith is VetDense over a caller-supplied interprocedural analysis.
 // A nil analysis degrades every whole-program check to its single-method
 // approximation (the pre-call-graph behavior).
 func VetDenseWith(prog *ir.Program, an *interproc.Analysis) []Finding {
-	var out []Finding
-	out = append(out, writeOnlyFields(prog, an)...)
-	out = append(out, escapeLints(an)...)
-	unusedByPT := interprocUnusedObjects(an)
+	return vetWith(prog, an, vetMethod)
+}
+
+// vetWith runs the suite over prog with the given per-method engine: the
+// program-level findings (write-only fields and the escape lints), then
+// every method's, sorted.
+func vetWith(prog *ir.Program, an *interproc.Analysis, perMethod func(*ir.Method, *wholeProgram) []Finding) []Finding {
+	wp := newWholeProgram(an)
+	out := append(writeOnlyFields(prog, an), escapeLints(wp.esc)...)
 	for _, c := range prog.Classes {
 		for _, m := range c.Methods {
-			out = append(out, vetMethod(m, an, unusedByPT)...)
+			out = append(out, perMethod(m, wp)...)
 		}
 	}
 	sortFindings(out)
 	return out
+}
+
+// rtaHeap is both engines' default pipeline: an RTA call graph with
+// context-insensitive points-to. No vet check reads the static Gcost, so it
+// is not built.
+func rtaHeap(prog *ir.Program) *interproc.Analysis {
+	an, err := interproc.AnalyzeHeapContext(context.Background(), prog, interproc.Config{Mode: interproc.RTA})
+	if err != nil {
+		panic(err) // unreachable: the background context never cancels
+	}
+	return an
+}
+
+// wholeProgram holds the whole-program facts both engines read, built once
+// per vet run. Without an analysis it is empty, and every whole-program
+// check falls back to its single-method approximation or stays silent.
+type wholeProgram struct {
+	an *interproc.Analysis
+	// esc is the escape pass: the source of the escape lints, and of the
+	// SSA form the SSA engine reuses for every method it visited.
+	esc *escape.Result
+	// unusedByPT is interprocUnusedObjects.
+	unusedByPT map[int]bool
+	// paramRead[m][i] reports that the reachable method m reads formal i:
+	// some use, base or value, of its entry definition. A formal never read
+	// is dead.
+	paramRead map[*ir.Method][]bool
+}
+
+func newWholeProgram(an *interproc.Analysis) *wholeProgram {
+	if an == nil {
+		return &wholeProgram{}
+	}
+	return &wholeProgram{
+		an:         an,
+		esc:        escape.Analyze(an),
+		unusedByPT: interprocUnusedObjects(an),
+		paramRead:  paramsRead(an.CG),
+	}
+}
+
+// covers reports whether the interprocedural checks apply to m: there is
+// an analysis and m is on its call graph.
+func (wp *wholeProgram) covers(m *ir.Method) bool { return wp.an != nil && wp.an.CG.Reachable(m) }
+
+// paramsRead marks, per call-graph-reachable method, the formals whose entry
+// definition reaches some operand.
+func paramsRead(cg *interproc.CallGraph) map[*ir.Method][]bool {
+	read := make(map[*ir.Method][]bool, len(cg.Methods()))
+	for _, m := range cg.Methods() {
+		rd := ir.NewReachingDefs(m, nil)
+		read[m] = make([]bool, m.Params)
+		for _, ops := range rd.Operands {
+			for _, op := range ops {
+				for _, d := range op.Defs {
+					if rd.IsParamDef(d) {
+						read[m][rd.ParamOf(d)] = true
+					}
+				}
+			}
+		}
+	}
+	return read
+}
+
+// argIgnored reports whether argument position ai of call site in is dead
+// in every resolved target: the caller computes the value and no callee
+// reads it. False when the site resolves to no target.
+func (wp *wholeProgram) argIgnored(in *ir.Instr, ai int) bool {
+	ts := wp.an.CG.Targets(in)
+	if len(ts) == 0 {
+		return false
+	}
+	for _, t := range ts {
+		if read := wp.paramRead[t]; ai >= len(read) || read[ai] {
+			return false
+		}
+	}
+	return true
 }
 
 // writeOnlyFields finds instance and static fields stored somewhere but
@@ -244,13 +327,37 @@ func interprocUnusedObjects(an *interproc.Analysis) map[int]bool {
 	return unused
 }
 
+// Use is one read of a definition's value.
+type Use struct {
+	// PC is the reading instruction.
+	PC int
+	// Base marks a base-pointer read (the object/array operand of a field or
+	// element access), which thin slicing excludes from value flow.
+	Base bool
+}
+
+// defUse transposes m's reaching definitions into def-use chains: for each
+// definition d (a pc with a destination, or a parameter pseudo-def), the
+// uses its value can reach. Locals are frame-private, so the chains are
+// complete — there is no interprocedural aliasing to miss.
+func defUse(rd *ir.ReachingDefs) [][]Use {
+	uses := make([][]Use, len(rd.Method.Code)+rd.Method.Params)
+	for pc, ops := range rd.Operands {
+		for _, op := range ops {
+			for _, d := range op.Defs {
+				uses[d] = append(uses[d], Use{PC: pc, Base: op.Base})
+			}
+		}
+	}
+	return uses
+}
+
 // vetMethod runs the per-method checks: dead stores, unused allocations,
 // unreachable code, possibly-uninitialized reads, and (given an analysis)
 // callee-clobbered stores.
-func vetMethod(m *ir.Method, an *interproc.Analysis, unusedByPT map[int]bool) []Finding {
+func vetMethod(m *ir.Method, wp *wholeProgram) []Finding {
 	cfg := ir.NewCFG(m)
-	rd := NewReachingDefs(m, cfg)
-	du := rd.DefUse()
+	du := defUse(ir.NewReachingDefs(m, cfg))
 	var out []Finding
 
 	finding := func(kind Kind, pc int, format string, args ...any) Finding {
@@ -288,7 +395,7 @@ func vetMethod(m *ir.Method, an *interproc.Analysis, unusedByPT map[int]bool) []
 	// bail-outs go away: an object may be stored into the heap and passed
 	// between methods, and is still dead when no reachable instruction ever
 	// reads through it or consumes the reference.
-	covered := an != nil && an.CG.Reachable(m)
+	covered := wp.covers(m)
 	for pc := range m.Code {
 		in := &m.Code[pc]
 		if !in.IsAlloc() || !cfg.Reachable(cfg.BlockOf[pc]) {
@@ -298,7 +405,7 @@ func vetMethod(m *ir.Method, an *interproc.Analysis, unusedByPT map[int]bool) []
 		case allocIsUnused(m, du, pc):
 			out = append(out, finding(KindUnusedAlloc, pc,
 				"allocation (%s) never escapes and is never read", in))
-		case covered && unusedByPT[in.ID]:
+		case covered && wp.unusedByPT[in.ID]:
 			out = append(out, finding(KindUnusedAlloc, pc,
 				"allocation (%s) is never read through any alias", in))
 		}
@@ -317,7 +424,7 @@ func vetMethod(m *ir.Method, an *interproc.Analysis, unusedByPT map[int]bool) []
 			if in.Op == ir.OpConst && (in.IsNull || in.Imm == 0) {
 				continue
 			}
-			if len(du[pc]) == 0 || !usesAllClobbered(m, an, du[pc], in.Dst) {
+			if len(du[pc]) == 0 || !usesAllClobbered(m, wp, du[pc], in.Dst) {
 				continue
 			}
 			out = append(out, finding(KindCalleeClobbered, pc,
@@ -362,14 +469,14 @@ func vetMethod(m *ir.Method, an *interproc.Analysis, unusedByPT map[int]bool) []
 // call argument at a position every resolved target ignores. A slot may
 // appear at several argument positions of one call; all of them must be
 // ignored.
-func usesAllClobbered(m *ir.Method, an *interproc.Analysis, uses []Use, slot int) bool {
+func usesAllClobbered(m *ir.Method, wp *wholeProgram, uses []Use, slot int) bool {
 	for _, u := range uses {
 		c := &m.Code[u.PC]
 		if c.Op != ir.OpCall {
 			return false
 		}
 		for i, a := range c.Args {
-			if a == slot && !an.Sum.ArgIgnoredByAllTargets(c, i) {
+			if a == slot && !wp.argIgnored(c, i) {
 				return false
 			}
 		}

@@ -52,7 +52,7 @@ func TestVetCalleeClobberedStore(t *testing.T) {
 	if len(denseHits) != 1 || !strings.Contains(denseHits[0].Detail, "x") {
 		t.Errorf("dense engine should flag exactly the store of x, got %v", denseHits)
 	}
-	// Without whole-program summaries the check must stay silent.
+	// Without a whole-program analysis the check must stay silent.
 	for _, f := range VetWith(prog, nil) {
 		if f.Kind == KindCalleeClobbered {
 			t.Errorf("nil analysis must disable the check, got %v", f)

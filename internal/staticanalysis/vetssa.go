@@ -9,7 +9,7 @@ import (
 	"lowutil/internal/ssa"
 )
 
-// The SSA-backed vet engine. The dense engine (vetdense.go) answers every
+// The SSA-backed vet engine. The dense engine (vet.go) answers every
 // question by consulting a reaching-definitions relation; this engine walks
 // sparse def-use chains over pruned SSA instead, which buys three precision
 // improvements the dense lints cannot express:
@@ -35,25 +35,13 @@ import (
 // call graph with context-insensitive points-to; use VetWith to supply a
 // different pipeline, and VetDense for the dense (reaching-definitions)
 // engine.
-func Vet(prog *ir.Program) []Finding {
-	return VetWith(prog, interproc.Analyze(prog, interproc.Config{Mode: interproc.RTA}))
-}
+func Vet(prog *ir.Program) []Finding { return VetWith(prog, rtaHeap(prog)) }
 
 // VetWith is Vet over a caller-supplied interprocedural analysis. A nil
 // analysis degrades every whole-program check to its single-method
 // approximation.
 func VetWith(prog *ir.Program, an *interproc.Analysis) []Finding {
-	var out []Finding
-	out = append(out, writeOnlyFields(prog, an)...)
-	out = append(out, escapeLints(an)...)
-	unusedByPT := interprocUnusedObjects(an)
-	for _, c := range prog.Classes {
-		for _, m := range c.Methods {
-			out = append(out, vetMethodSSA(m, an, unusedByPT)...)
-		}
-	}
-	sortFindings(out)
-	return out
+	return vetWith(prog, an, vetMethodSSA)
 }
 
 func sortFindings(out []Finding) {
@@ -75,10 +63,21 @@ func sortFindings(out []Finding) {
 	})
 }
 
-// vetMethodSSA runs the per-method checks over the method's SSA form.
-func vetMethodSSA(m *ir.Method, an *interproc.Analysis, unusedByPT map[int]bool) []Finding {
+// methodSSA returns m's unseeded SSA form and SCCP result: the escape
+// pass's when it visited m, else a fresh build.
+func (wp *wholeProgram) methodSSA(m *ir.Method) (*ssa.Func, *ssa.SCCP) {
+	if wp.esc != nil {
+		if mi := wp.esc.MethodSSA(m); mi != nil {
+			return mi.F, mi.SCCP
+		}
+	}
 	f := ssa.Build(m, nil)
-	sc := ssa.RunSCCP(f)
+	return f, ssa.RunSCCP(f)
+}
+
+// vetMethodSSA runs the per-method checks over the method's SSA form.
+func vetMethodSSA(m *ir.Method, wp *wholeProgram) []Finding {
+	f, sc := wp.methodSSA(m)
 	cfg := f.CFG
 	var out []Finding
 
@@ -162,7 +161,7 @@ func vetMethodSSA(m *ir.Method, an *interproc.Analysis, unusedByPT map[int]bool)
 	// Unused allocations: every transitive use of the reference — through
 	// moves *and phis* — is a construction-only store base. The
 	// interprocedural arm is identical to the dense engine's.
-	covered := an != nil && an.CG.Reachable(m)
+	covered := wp.covers(m)
 	for pc := range m.Code {
 		in := &m.Code[pc]
 		if !in.IsAlloc() || !cfg.Reachable(cfg.BlockOf[pc]) {
@@ -172,7 +171,7 @@ func vetMethodSSA(m *ir.Method, an *interproc.Analysis, unusedByPT map[int]bool)
 		case allocUnusedSSA(f, f.DefOf[pc]):
 			out = append(out, finding(KindUnusedAlloc, pc,
 				"allocation (%s) never escapes and is never read", in))
-		case covered && unusedByPT[in.ID]:
+		case covered && wp.unusedByPT[in.ID]:
 			out = append(out, finding(KindUnusedAlloc, pc,
 				"allocation (%s) is never read through any alias", in))
 		}
@@ -192,7 +191,7 @@ func vetMethodSSA(m *ir.Method, an *interproc.Analysis, unusedByPT map[int]bool)
 			if deadVal(pc) {
 				continue // already a dead store
 			}
-			if effectiveUsesAllClobbered(f, m, an, f.DefOf[pc]) {
+			if effectiveUsesAllClobbered(f, wp, f.DefOf[pc]) {
 				out = append(out, finding(KindCalleeClobbered, pc,
 					"value of %s (%s) is passed only to parameters no callee reads",
 					m.LocalName(in.Dst), in))
@@ -277,7 +276,7 @@ func allocUnusedSSA(f *ssa.Func, root ssa.ValID) bool {
 // effectiveUsesAllClobbered resolves the value's uses through moves and phis
 // and reports whether at least one effective use exists and every one is an
 // OpCall argument position that all resolved targets ignore.
-func effectiveUsesAllClobbered(f *ssa.Func, m *ir.Method, an *interproc.Analysis, root ssa.ValID) bool {
+func effectiveUsesAllClobbered(f *ssa.Func, wp *wholeProgram, root ssa.ValID) bool {
 	visited := map[ssa.ValID]bool{root: true}
 	work := []ssa.ValID{root}
 	any := false
@@ -306,7 +305,7 @@ func effectiveUsesAllClobbered(f *ssa.Func, m *ir.Method, an *interproc.Analysis
 			}
 			// Uses order for OpCall is the Args order, so OpIdx is the
 			// argument position.
-			if !an.Sum.ArgIgnoredByAllTargets(in, u.OpIdx) {
+			if !wp.argIgnored(in, u.OpIdx) {
 				return false
 			}
 			any = true

@@ -206,7 +206,7 @@ func (p *Program) StaticAudit(ctx context.Context, opts ...Option) (string, erro
 	if err != nil {
 		return "", err
 	}
-	an, err := interproc.AnalyzeContext(ctx, p.prog, callGraphConfig(o))
+	an, err := interproc.AnalyzeHeapContext(ctx, p.prog, callGraphConfig(o))
 	if err != nil {
 		return "", wrapRunErr("audit", err)
 	}

@@ -33,6 +33,10 @@ sh scripts/apisurface.sh
 # static-vs-dynamic Gcost containment harness (-short subset — the full
 # 18-workload × {CHA, RTA} sweep already ran inside `go test ./...`).
 make lint
+# The dense (reaching-definitions) vet engine is the SSA engine's
+# reference; it reads the reaching definitions internal/ir shares with the
+# static Gcost, so the differential runs as its own step.
+go test ./internal/staticanalysis -run TestVetDifferential -count=1
 go test ./internal/interproc -run TestSoundnessAllWorkloads -short -count=1
 # Rank-correlation regression gate: the frequency-weighted static bounds
 # must keep matching the recorded precision baseline
@@ -47,6 +51,11 @@ go test ./internal/evalharness -run TestPrecisionRankCorrelation -short -count=1
 # `make audit-goldens`.
 go test ./internal/escape -run TestEscapeSoundnessAllWorkloads -count=1
 go test ./internal/escape -run TestAuditGoldenWorkloads -count=1
+# The slice goldens pin `lowutil slice`'s report (top 10, all 18 workloads,
+# RTA and CHA with receiver-object context). Regenerate after an intended
+# change with
+#   go test ./internal/interproc -run TestSliceGoldenWorkloads -update
+go test ./internal/interproc -run TestSliceGoldenWorkloads -count=1
 go test ./internal/evalharness -run TestAuditPrecisionRankCorrelation -short -count=1
 # The claim sheet's golden: the four deterministic sections of
 # `lowutil experiments` at scale 8 must equal EXPERIMENTS.md's fenced
