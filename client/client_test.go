@@ -317,18 +317,13 @@ func TestTypedErrors(t *testing.T) {
 		t.Fatalf("err = %v, want *client.CompileError with position", err)
 	}
 
-	// A full queue answers with the retryable at_capacity envelope. The
-	// spinning job fills it until the test's drain cancels it.
-	base2, _ := newService(t, server.Config{Jobs: jobs.Config{Depth: 1, Workers: 1}})
-	c2 := fastClient(base2, client.WithMaxRetries(0))
-	if _, err := c2.SubmitBatch(context.Background(), "fill", []client.Job{
-		{Spec: client.Spec{Kind: lowutil.KindRun, Source: spinSrc}},
-	}); err != nil {
-		t.Fatal(err)
+	// A batch over the queue's depth answers with the retryable
+	// at_capacity envelope.
+	over := make([]client.Job, jobs.Depth+1)
+	for i := range over {
+		over[i] = client.Job{Spec: client.Spec{Kind: lowutil.KindCompile, Source: workSrc}}
 	}
-	_, err = c2.SubmitBatch(context.Background(), "over", []client.Job{
-		{Spec: client.Spec{Kind: lowutil.KindCompile, Source: workSrc}},
-	})
+	_, err = c.SubmitBatch(context.Background(), "over", over)
 	var ae *client.Error
 	if !errors.As(err, &ae) || ae.Code != "at_capacity" || !ae.Retryable || ae.RetryAfter <= 0 {
 		t.Fatalf("err = %v, want retryable at_capacity with Retry-After", err)
@@ -355,7 +350,7 @@ func TestBatchAcceptance(t *testing.T) {
 
 	churned, _ := newService(t, server.Config{
 		MaxSessions: 4, // 18 workloads churn through a 4-slot session LRU
-		Jobs:        jobs.Config{Workers: 8},
+		JobWorkers:  8,
 	})
 	c := fastClient(churned)
 

@@ -104,21 +104,9 @@ func IsRetryable(err error) bool {
 	return false
 }
 
-// wireEnvelope is the service's {"error":{...}} body.
-type wireEnvelope struct {
-	Error struct {
-		Code      string `json:"code"`
-		Message   string `json:"message"`
-		Retryable bool   `json:"retryable"`
-		Stage     string `json:"stage,omitempty"`
-		Line      int    `json:"line,omitempty"`
-		Col       int    `json:"col,omitempty"`
-	} `json:"error"`
-}
-
 // decodeAPIError turns a non-2xx response into the matching typed error.
 func decodeAPIError(status int, h http.Header, body []byte) error {
-	var env wireEnvelope
+	var env Envelope
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code == "" {
 		// No parseable envelope (a proxy, a crash): 5xx and 429 are worth
 		// retrying, everything else is final.

@@ -12,12 +12,6 @@ import (
 	"strconv"
 )
 
-// submitPayload is the POST /v2/jobs body.
-type submitPayload struct {
-	Key  string `json:"key,omitempty"`
-	Jobs []Job  `json:"jobs"`
-}
-
 // SubmitBatch enqueues jobs under the idempotency key. An empty key gets
 // a generated one, shared by every retry of this call, so a retried
 // submission returns the original job IDs (flagged Duplicate) instead of
@@ -30,7 +24,7 @@ func (c *Client) SubmitBatch(ctx context.Context, key string, jobs []Job) (*Batc
 		key = newIdempotencyKey()
 	}
 	var out Batch
-	if err := c.doJSON(ctx, http.MethodPost, "/v2/jobs", submitPayload{Key: key, Jobs: jobs}, &out); err != nil {
+	if err := c.doJSON(ctx, http.MethodPost, "/v2/jobs", SubmitPayload{Key: key, Jobs: jobs}, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -47,9 +41,7 @@ func (c *Client) JobStatus(ctx context.Context, jobID string) (*JobStatus, error
 
 // BatchStatus fetches every job of a batch, in submission order.
 func (c *Client) BatchStatus(ctx context.Context, batchID string) ([]*JobStatus, error) {
-	var out struct {
-		Jobs []*JobStatus `json:"jobs"`
-	}
+	var out BatchStatus
 	if err := c.doJSON(ctx, http.MethodGet, "/v2/jobs/"+url.PathEscape(batchID), nil, &out); err != nil {
 		return nil, err
 	}
@@ -145,7 +137,7 @@ func (c *Client) streamOnce(ctx context.Context, jobID string, after int, fn fun
 			return last, false, &errStreamFn{err}
 		}
 		last = ev.Seq
-		if ev.Type == "done" || ev.Type == "failed" {
+		if ev.Type == EventDone || ev.Type == EventFailed {
 			return last, true, nil
 		}
 	}

@@ -12,12 +12,6 @@ import (
 // never duplicates state; profile runs are memoized per session and
 // configuration, so a retried profile joins the original run.
 
-type compilePayload struct {
-	Source     string `json:"source"`
-	MainClass  string `json:"main_class,omitempty"`
-	MainMethod string `json:"main_method,omitempty"`
-}
-
 // Compile compiles source on the service and returns its session — the
 // handle every other call takes. Sessions are content-addressed:
 // compiling the same source again returns the same session.
@@ -33,7 +27,7 @@ func (c *Client) CompileAt(ctx context.Context, source, mainClass, mainMethod st
 	}
 	var out CompileResult
 	err := c.doJSON(ctx, http.MethodPost, "/v2/compile",
-		compilePayload{Source: source, MainClass: mainClass, MainMethod: mainMethod}, &out)
+		CompilePayload{Source: source, MainClass: mainClass, MainMethod: mainMethod}, &out)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,6 @@ import (
 
 	"lowutil"
 	"lowutil/client"
-	"lowutil/internal/jobs"
 	"lowutil/internal/server"
 	"lowutil/internal/workloads"
 )
@@ -50,7 +49,7 @@ func cmdBatch(args []string) error {
 	srv := server.New(server.Config{
 		RequestTimeout: *timeout,
 		Logger:         slog.New(slog.NewJSONHandler(io.Discard, nil)),
-		Jobs:           jobs.Config{Workers: *workers},
+		JobWorkers:     *workers,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -109,7 +108,7 @@ func cmdBatch(args []string) error {
 			fmt.Printf("FAILED: job record evicted before its status was read\n\n")
 			continue
 		}
-		if st.State != "done" || st.Result == nil {
+		if st.State != client.StateDone || st.Result == nil {
 			failed++
 			if st.Err != nil {
 				fmt.Printf("FAILED (%s): %s\n\n", st.Err.Code, st.Err.Message)

@@ -1,8 +1,10 @@
-// Package jobs is the asynchronous batch-job subsystem behind POST
-// /v2/jobs: one priority heap of analysis requests drained by a fixed set
-// of worker goroutines, with per-job deadlines, a content-addressed result
-// store, ordered per-job event logs for streaming progress, and a drain
-// that cancels in-flight work.
+// Package jobs is the asynchronous batch-job queue behind POST /v2/jobs:
+// one priority heap of analysis requests drained by a fixed set of worker
+// goroutines, with per-job deadlines, ordered per-job event logs for
+// streaming progress, and a drain that ends every unfinished job. Its
+// snapshots are the SDK's wire types (package client): Submit answers a
+// client.Batch, Status a client.JobStatus and Events streams
+// client.Events, so the server encodes them as they are.
 //
 // Architecture:
 //
@@ -11,13 +13,17 @@
 //     global: no job starts while a higher-priority one is queued.
 //   - Workers goroutines (default 4) each pop the best job, run it, and
 //     repeat, so Workers is exactly the bound on jobs running at once.
-//   - Results are stored content-addressed under lowutil.Request.Hash in
-//     an LRU; a resubmitted identical spec completes from the store
-//     without re-executing.
-//   - A job runs once. Its error is final and maps onto the /v2 envelope
-//     code (JobError), so its event stream ends with one done or failed.
-//   - Drain cancels in-flight executions, which fail with code canceled,
-//     and waits for the workers to exit. Queued jobs stay queued.
+//   - A job runs once, and its event stream ends with one done or failed.
+//     The queue does not classify errors: a failed job's error is the
+//     *client.ErrorBody its executor's error carries, or code internal
+//     when it carries none.
+//   - The queue keeps no results beyond its job records: the server's
+//     executor answers a repeated spec from the session memo its
+//     synchronous endpoints read.
+//   - Drain cancels in-flight executions, fails every queued job with the
+//     retryable code canceled, and waits for the workers to exit. A
+//     submission after the drain fails its jobs the same way, so no job
+//     stays queued with no worker left to run it.
 package jobs
 
 import (
@@ -25,6 +31,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -32,40 +39,42 @@ import (
 	"time"
 
 	"lowutil"
+	"lowutil/client"
 )
 
-// Executor runs one request to completion under ctx. Implementations must
-// be safe for concurrent use; the server's executor is the same function
-// its synchronous endpoints call.
+// Executor runs one request to completion under ctx and returns its
+// payload, the body the synchronous endpoint for the spec's kind returns.
+// A failure should carry the *client.ErrorBody the job fails with.
+// Implementations must be safe for concurrent use; the server's executor
+// is the same function its synchronous endpoints call.
 type Executor interface {
-	Execute(ctx context.Context, spec lowutil.Request) (*Result, error)
+	Execute(ctx context.Context, spec lowutil.Request) (json.RawMessage, error)
 }
 
 // ExecutorFunc adapts a function to the Executor interface.
-type ExecutorFunc func(ctx context.Context, spec lowutil.Request) (*Result, error)
+type ExecutorFunc func(ctx context.Context, spec lowutil.Request) (json.RawMessage, error)
 
 // Execute implements Executor.
-func (f ExecutorFunc) Execute(ctx context.Context, spec lowutil.Request) (*Result, error) {
+func (f ExecutorFunc) Execute(ctx context.Context, spec lowutil.Request) (json.RawMessage, error) {
 	return f(ctx, spec)
 }
 
-// Config tunes a Queue. The zero value of every field selects a sensible
-// default; Executor is required.
+// Config tunes a Queue. Executor is required.
 type Config struct {
 	// Workers is the number of worker goroutines, and so the bound on
 	// jobs executing at once (0 = 4).
 	Workers int
-	// Depth bounds the total number of queued-but-not-terminal jobs; a
-	// submission that would exceed it fails with ErrQueueFull (0 = 1024).
-	Depth int
-	// MaxResults bounds the content-addressed result store (0 = 256).
-	MaxResults int
-	// MaxJobs bounds retained job records; submissions over the bound
-	// evict the oldest terminal jobs first (0 = 4096).
-	MaxJobs int
 	// Executor runs the specs. Required.
 	Executor Executor
 }
+
+// Depth bounds the jobs queued or running at once: a submission that
+// would exceed it fails whole with ErrQueueFull.
+const Depth = 1024
+
+// maxJobs bounds the job records a queue retains: a submission over it
+// evicts the oldest terminal records first.
+const maxJobs = 4096
 
 // ErrQueueFull rejects submissions over the Depth bound. Retryable: the
 // queue drains as workers finish.
@@ -76,23 +85,19 @@ var ErrBatchConflict = errors.New("jobs: batch key reused with different jobs")
 
 // Stats is a snapshot of the queue's counters.
 type Stats struct {
-	Submitted    int64 // jobs accepted, deduplicated submissions excluded
-	Deduped      int64 // jobs answered from an existing batch record
-	Completed    int64 // jobs finished in StateDone
-	Failed       int64 // jobs finished in StateFailed
-	ResultHits   int64 // executions satisfied by the content-addressed store
-	ResultMisses int64 // executions that ran the executor
-	Evictions    int64 // results dropped by the store LRU bound
-	Queued       int64 // jobs currently waiting in the heap
-	Running      int64 // jobs currently executing
-	Results      int   // results currently resident in the store
+	Submitted int64 // jobs accepted, deduplicated submissions excluded
+	Deduped   int64 // jobs answered from an existing batch record
+	Completed int64 // jobs finished in client.StateDone
+	Failed    int64 // jobs finished in client.StateFailed
+	Queued    int64 // jobs currently waiting in the heap
+	Running   int64 // jobs currently executing
 }
 
 // Queue is the job queue. Create with New; submit with Submit; observe
 // with Status, Events, and Stats; stop with Drain.
 type Queue struct {
-	cfg   Config
-	store *store
+	exec    Executor
+	maxJobs int // the record bound, maxJobs; in-package tests lower it
 
 	mu       sync.Mutex
 	ready    sync.Cond // signaled on q.mu when a job is pushed or the queue drains
@@ -107,8 +112,7 @@ type Queue struct {
 	cancel   context.CancelFunc
 	wg       sync.WaitGroup
 
-	submitted, deduped, completed, failed    atomic.Int64
-	resultHits, resultMisses, storeEvictions atomic.Int64
+	submitted, deduped, completed, failed atomic.Int64
 }
 
 // batchRecord pins an idempotency key to the jobs it created, so a
@@ -142,15 +146,9 @@ func New(cfg Config) *Queue {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = 1024
-	}
-	if cfg.MaxJobs <= 0 {
-		cfg.MaxJobs = 4096
-	}
 	q := &Queue{
-		cfg:     cfg,
-		store:   newStore(cfg.MaxResults),
+		exec:    cfg.Executor,
+		maxJobs: maxJobs,
 		jobs:    make(map[string]*job),
 		batches: make(map[string]*batchRecord),
 	}
@@ -188,82 +186,65 @@ func (q *Queue) work() {
 	}
 }
 
-// Request is one job submission: the analysis request plus its scheduling
-// envelope. The spec is a lowutil.Request, the type every synchronous
-// surface carries, so a job runs exactly what a direct call would.
-type Request struct {
-	Spec lowutil.Request `json:"spec"`
-	// Priority orders jobs within the queue — higher runs earlier; equal
-	// priorities run in submission order.
-	Priority int `json:"priority,omitempty"`
-	// Deadline bounds the job's total lifetime from submission, time in
-	// the queue included (0 = no per-job deadline).
-	Deadline time.Duration `json:"deadline,omitempty"`
-}
-
-// Submitted describes one job accepted (or deduplicated) by Submit.
-type Submitted struct {
-	ID        string `json:"id"`
-	Index     int    `json:"index"`
-	Duplicate bool   `json:"duplicate"`
-}
-
 // Submit enqueues a batch of jobs under the caller-chosen idempotency
-// key. Resubmitting the same key with the same requests returns the
-// original batch ID and job IDs with Duplicate set and enqueues nothing —
-// the contract that makes client retries of POST /v2/jobs safe. Reusing a
-// key with different contents fails with ErrBatchConflict.
-func (q *Queue) Submit(key string, reqs []Request) (string, []Submitted, error) {
-	if key == "" {
-		return "", nil, errors.New("jobs: empty idempotency key")
-	}
+// key; an empty key is derived from the batch content, so a blind retry
+// of a keyless batch still deduplicates. Resubmitting the same key with
+// the same jobs returns the original batch, every job flagged Duplicate,
+// and enqueues nothing — the contract that makes client retries of POST
+// /v2/jobs safe. Reusing a key with different contents fails with
+// ErrBatchConflict. Jobs submitted after a drain fail at once with code
+// canceled.
+func (q *Queue) Submit(key string, reqs []client.Job) (*client.Batch, error) {
 	if len(reqs) == 0 {
-		return "", nil, errors.New("jobs: empty batch")
+		return nil, errors.New("jobs: empty batch")
 	}
 	for i, r := range reqs {
 		if err := r.Spec.Validate(); err != nil {
-			return "", nil, fmt.Errorf("job %d: %w", i, err)
+			return nil, fmt.Errorf("job %d: %w", i, err)
 		}
+	}
+	if key == "" {
+		key = contentKey(reqs)
 	}
 	sig := batchSig(key, reqs)
-	batchID := "b" + sig[:23]
+	batch := &client.Batch{ID: "b" + sig[:23], Jobs: make([]client.Submitted, len(reqs))}
 
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if rec, ok := q.batches[key]; ok {
-		defer q.mu.Unlock()
 		if rec.sig != sig {
-			return "", nil, ErrBatchConflict
+			return nil, ErrBatchConflict
 		}
-		subs := make([]Submitted, len(rec.ids))
 		for i, id := range rec.ids {
-			subs[i] = Submitted{ID: id, Index: i, Duplicate: true}
+			batch.Jobs[i] = client.Submitted{ID: id, Index: i, Duplicate: true}
 		}
 		q.deduped.Add(int64(len(rec.ids)))
-		return rec.id, subs, nil
+		return batch, nil
 	}
-	if len(q.heap)+q.running+len(reqs) > q.cfg.Depth {
-		q.mu.Unlock()
-		return "", nil, ErrQueueFull
+	if len(q.heap)+q.running+len(reqs) > Depth {
+		return nil, ErrQueueFull
 	}
 	now := time.Now()
-	rec := &batchRecord{id: batchID, sig: sig, ids: make([]string, len(reqs))}
-	subs := make([]Submitted, len(reqs))
+	rec := &batchRecord{id: batch.ID, sig: sig, ids: make([]string, len(reqs))}
 	for i, r := range reqs {
-		id := jobID(key, i, r.Spec)
 		q.seq++
-		j := newJob(id, batchID, i, r, q.seq, now)
-		q.jobs[id] = j
+		j := newJob(jobID(key, i, r.Spec), batch.ID, i, r, q.seq, now)
+		q.jobs[j.id] = j
 		q.order = append(q.order, j)
-		heap.Push(&q.heap, j)
-		rec.ids[i] = id
-		subs[i] = Submitted{ID: id, Index: i}
+		if q.draining {
+			q.failed.Add(1)
+			j.finish(nil, drained())
+		} else {
+			heap.Push(&q.heap, j)
+		}
+		rec.ids[i] = j.id
+		batch.Jobs[i] = client.Submitted{ID: j.id, Index: i}
 	}
 	q.batches[key] = rec
 	q.submitted.Add(int64(len(reqs)))
 	q.ready.Broadcast()
 	q.gcLocked()
-	q.mu.Unlock()
-	return batchID, subs, nil
+	return batch, nil
 }
 
 // gcLocked evicts the oldest terminal job records over the MaxJobs bound
@@ -271,7 +252,7 @@ func (q *Queue) Submit(key string, reqs []Request) (string, []Submitted, error) 
 // whose jobs have all been evicted — otherwise q.batches grows one record
 // per idempotency key forever. Called with q.mu held.
 func (q *Queue) gcLocked() {
-	over := len(q.jobs) - q.cfg.MaxJobs
+	over := len(q.jobs) - q.maxJobs
 	if over <= 0 {
 		return
 	}
@@ -279,7 +260,7 @@ func (q *Queue) gcLocked() {
 	evicted := false
 	for _, j := range q.order {
 		j.mu.Lock()
-		terminal := j.state.Terminal()
+		terminal := j.terminal()
 		j.mu.Unlock()
 		if over > 0 && terminal {
 			delete(q.jobs, j.id)
@@ -319,34 +300,37 @@ func jobID(key string, index int, spec lowutil.Request) string {
 	return "j" + hex.EncodeToString(h.Sum(nil))[:23]
 }
 
-func batchSig(key string, reqs []Request) string {
+func batchSig(key string, reqs []client.Job) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\x00%d", key, len(reqs))
 	for _, r := range reqs {
-		fmt.Fprintf(h, "\x00%s\x00%d\x00%d", r.Spec.Hash(), r.Priority, r.Deadline)
+		fmt.Fprintf(h, "\x00%s\x00%d\x00%d", r.Spec.Hash(), r.Priority, deadline(r))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// runJob executes j once and finishes it: done with the result, or
-// failed with the error's envelope code. A drain cancels q.ctx, so an
-// in-flight job it interrupts fails with code canceled.
+// contentKey derives the idempotency key of a keyless submission from the
+// batch content.
+func contentKey(reqs []client.Job) string {
+	h := sha256.New()
+	for _, r := range reqs {
+		fmt.Fprintf(h, "%s\x00%d\x00%d\x00", r.Spec.Hash(), r.Priority, deadline(r))
+	}
+	return "content-" + hex.EncodeToString(h.Sum(nil))[:32]
+}
+
+// deadline is a job's lifetime bound. batchSig and contentKey hash it in
+// nanoseconds, and every job and batch ID derives from those bytes.
+func deadline(r client.Job) time.Duration { return time.Duration(r.DeadlineMS) * time.Millisecond }
+
+// runJob executes j once and finishes it: done with the executor's
+// payload, or failed with the envelope body its error carries. A drain
+// cancels q.ctx, which the server's executor reports as code canceled.
 func (q *Queue) runJob(j *job) {
 	j.mu.Lock()
-	j.attempt = 1
-	j.state = StateRunning
-	j.append(Event{Type: EventStarted, Attempt: j.attempt})
+	j.state = client.StateRunning
+	j.append(client.Event{Type: client.EventStarted})
 	j.mu.Unlock()
-
-	// The content-addressed store first: identical completed work is
-	// reused, not recomputed.
-	if res, ok := q.store.get(j.hash); ok {
-		q.resultHits.Add(1)
-		q.completed.Add(1)
-		j.finish(res, nil, "cached")
-		return
-	}
-	q.resultMisses.Add(1)
 
 	ctx := q.ctx
 	if !j.deadline.IsZero() {
@@ -354,24 +338,42 @@ func (q *Queue) runJob(j *job) {
 		ctx, cancel = context.WithDeadline(ctx, j.deadline)
 		defer cancel()
 	}
-	res, err := q.cfg.Executor.Execute(ctx, j.spec)
+	payload, err := q.exec.Execute(ctx, j.spec)
 	if err != nil {
-		code := errorCode(err)
 		q.failed.Add(1)
-		j.finish(nil, &JobError{Code: code, Message: err.Error(), Retryable: code == "canceled"}, "")
+		j.finish(nil, errorBody(err))
 		return
 	}
-	q.storeEvictions.Add(int64(q.store.put(j.hash, res)))
 	q.completed.Add(1)
-	j.finish(res, nil, "")
+	j.finish(&client.Result{Kind: j.spec.Kind, Payload: payload}, nil)
 }
 
-// Drain stops the queue: in-flight executions are canceled and fail with
-// code canceled, the workers exit, and every queued job stays queued.
-// Drain blocks until the workers have exited and is idempotent.
+// errorBody is the envelope body err carries, or code internal when it
+// carries none.
+func errorBody(err error) *client.ErrorBody {
+	var eb *client.ErrorBody
+	if errors.As(err, &eb) {
+		return eb
+	}
+	return &client.ErrorBody{Code: "internal", Message: err.Error()}
+}
+
+// drained is the error of a job a drain ended before it started. It is
+// retryable, as a canceled request is: the job can succeed in a new batch.
+func drained() *client.ErrorBody {
+	return &client.ErrorBody{Code: "canceled", Message: "jobs: queue drained before the job started", Retryable: true}
+}
+
+// Drain stops the queue: every queued job fails with code canceled,
+// in-flight executions are canceled, and the workers exit. Drain blocks
+// until they have exited and is idempotent.
 func (q *Queue) Drain() {
 	q.mu.Lock()
 	q.draining = true
+	for len(q.heap) > 0 {
+		q.failed.Add(1)
+		heap.Pop(&q.heap).(*job).finish(nil, drained())
+	}
 	q.ready.Broadcast()
 	q.mu.Unlock()
 	q.cancel()
@@ -379,7 +381,7 @@ func (q *Queue) Drain() {
 }
 
 // Status snapshots one job.
-func (q *Queue) Status(id string) (*Status, bool) {
+func (q *Queue) Status(id string) (*client.JobStatus, bool) {
 	q.mu.Lock()
 	j, ok := q.jobs[id]
 	q.mu.Unlock()
@@ -389,8 +391,9 @@ func (q *Queue) Status(id string) (*Status, bool) {
 	return j.status(), true
 }
 
-// BatchStatus snapshots every job of a batch, in submission order.
-func (q *Queue) BatchStatus(batchID string) ([]*Status, bool) {
+// BatchStatus snapshots every job of a batch still on record, in
+// submission order.
+func (q *Queue) BatchStatus(batchID string) (*client.BatchStatus, bool) {
 	q.mu.Lock()
 	var rec *batchRecord
 	for _, r := range q.batches {
@@ -410,9 +413,9 @@ func (q *Queue) BatchStatus(batchID string) ([]*Status, bool) {
 		}
 	}
 	q.mu.Unlock()
-	out := make([]*Status, len(js))
+	out := &client.BatchStatus{ID: batchID, Jobs: make([]*client.JobStatus, len(js))}
 	for i, j := range js {
-		out[i] = j.status()
+		out.Jobs[i] = j.status()
 	}
 	return out, true
 }
@@ -422,7 +425,7 @@ func (q *Queue) BatchStatus(batchID string) ([]*Status, bool) {
 // a terminal state, ctx ends, or fn returns an error (which Events
 // returns). The combination of dense per-job sequence numbers and
 // timestamp-free events makes any two replays of the same job identical.
-func (q *Queue) Events(ctx context.Context, id string, after int, fn func(Event) error) error {
+func (q *Queue) Events(ctx context.Context, id string, after int, fn func(client.Event) error) error {
 	q.mu.Lock()
 	j, ok := q.jobs[id]
 	q.mu.Unlock()
@@ -434,7 +437,7 @@ func (q *Queue) Events(ctx context.Context, id string, after int, fn func(Event)
 		j.mu.Lock()
 		events := j.events[min(next, len(j.events)):]
 		changed := j.changed
-		terminal := j.state.Terminal()
+		terminal := j.terminal()
 		j.mu.Unlock()
 		for _, ev := range events {
 			if err := fn(ev); err != nil {
@@ -456,26 +459,17 @@ func (q *Queue) Events(ctx context.Context, id string, after int, fn func(Event)
 	}
 }
 
-// EvictResult drops the content-addressed result for spec, reporting
-// whether one was resident. Tests use it to force the evicted-entry
-// recovery path; operators can use it to invalidate a result.
-func (q *Queue) EvictResult(spec lowutil.Request) bool { return q.store.evict(spec.Hash()) }
-
 // Stats snapshots the queue's counters.
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	queued, running := len(q.heap), q.running
 	q.mu.Unlock()
 	return Stats{
-		Submitted:    q.submitted.Load(),
-		Deduped:      q.deduped.Load(),
-		Completed:    q.completed.Load(),
-		Failed:       q.failed.Load(),
-		ResultHits:   q.resultHits.Load(),
-		ResultMisses: q.resultMisses.Load(),
-		Evictions:    q.storeEvictions.Load(),
-		Queued:       int64(queued),
-		Running:      int64(running),
-		Results:      q.store.len(),
+		Submitted: q.submitted.Load(),
+		Deduped:   q.deduped.Load(),
+		Completed: q.completed.Load(),
+		Failed:    q.failed.Load(),
+		Queued:    int64(queued),
+		Running:   int64(running),
 	}
 }

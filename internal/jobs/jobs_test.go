@@ -12,12 +12,22 @@ import (
 	"time"
 
 	"lowutil"
+	"lowutil/client"
 )
 
-// fakeResult wraps s as a Result payload.
-func fakeResult(s string) *Result {
+// fakeResult encodes s as a job payload.
+func fakeResult(s string) json.RawMessage {
 	raw, _ := json.Marshal(s)
-	return &Result{Kind: "test", Payload: raw}
+	return raw
+}
+
+// canceledBy is the envelope body the server's executor hands over for a
+// run its context ended: retryable canceled, or deadline.
+func canceledBy(ctx context.Context) error {
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return &client.ErrorBody{Code: "deadline", Message: ctx.Err().Error()}
+	}
+	return &client.ErrorBody{Code: "canceled", Message: ctx.Err().Error(), Retryable: true}
 }
 
 // countExec is an executor counting executions per spec source.
@@ -26,15 +36,15 @@ type countExec struct {
 	fail  func(spec lowutil.Request, call int64) error
 }
 
-func (e *countExec) Execute(ctx context.Context, spec lowutil.Request) (*Result, error) {
+func (e *countExec) Execute(ctx context.Context, spec lowutil.Request) (json.RawMessage, error) {
 	n := e.calls.Add(1)
 	if e.fail != nil {
 		if err := e.fail(spec, n); err != nil {
 			return nil, err
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %w", lowutil.ErrCanceled, err)
+	if ctx.Err() != nil {
+		return nil, canceledBy(ctx)
 	}
 	return fakeResult(spec.Source), nil
 }
@@ -42,7 +52,7 @@ func (e *countExec) Execute(ctx context.Context, spec lowutil.Request) (*Result,
 func testSpec(src string) lowutil.Request { return lowutil.Request{Kind: lowutil.KindRun, Source: src} }
 
 // waitTerminal polls until job id is terminal or the deadline passes.
-func waitTerminal(t *testing.T, q *Queue, id string) *Status {
+func waitTerminal(t *testing.T, q *Queue, id string) *client.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -50,7 +60,7 @@ func waitTerminal(t *testing.T, q *Queue, id string) *Status {
 		if !ok {
 			t.Fatalf("job %s unknown", id)
 		}
-		if st.State.Terminal() {
+		if st.Terminal() {
 			return st
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -59,43 +69,30 @@ func waitTerminal(t *testing.T, q *Queue, id string) *Status {
 	return nil
 }
 
-// TestSubmitRunsAndStores: a batch completes, results land in the store,
-// and an identical spec in a later batch is served from the store.
-func TestSubmitRunsAndStores(t *testing.T) {
+// TestSubmitRuns: every job of a batch runs once and completes with its
+// executor's payload, under its spec's kind.
+func TestSubmitRuns(t *testing.T) {
 	exec := &countExec{}
 	q := New(Config{Executor: exec})
 	defer q.Drain()
 
-	_, subs, err := q.Submit("batch-1", []Request{
+	b, err := q.Submit("batch-1", []client.Job{
 		{Spec: testSpec("a")}, {Spec: testSpec("b")},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range subs {
+	for i, s := range b.Jobs {
 		st := waitTerminal(t, q, s.ID)
-		if st.State != StateDone || st.Result == nil {
+		if st.State != client.StateDone || st.Result == nil {
 			t.Fatalf("job %s: state=%s err=%+v", s.ID, st.State, st.Err)
+		}
+		if want := string(fakeResult([]string{"a", "b"}[i])); st.Result.Kind != lowutil.KindRun || string(st.Result.Payload) != want {
+			t.Errorf("job %d: result %s %s, want %s %s", i, st.Result.Kind, st.Result.Payload, lowutil.KindRun, want)
 		}
 	}
 	if n := exec.calls.Load(); n != 2 {
 		t.Fatalf("executor ran %d times, want 2", n)
-	}
-
-	// Same spec, new batch: store hit, no third execution.
-	_, subs2, err := q.Submit("batch-2", []Request{{Spec: testSpec("a")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitTerminal(t, q, subs2[0].ID)
-	if st.State != StateDone {
-		t.Fatalf("state %s", st.State)
-	}
-	if n := exec.calls.Load(); n != 2 {
-		t.Errorf("executor ran %d times after store hit, want 2", n)
-	}
-	if stats := q.Stats(); stats.ResultHits != 1 {
-		t.Errorf("result hits = %d, want 1", stats.ResultHits)
 	}
 }
 
@@ -105,18 +102,19 @@ func TestIdempotentSubmit(t *testing.T) {
 	q := New(Config{Executor: &countExec{}})
 	defer q.Drain()
 
-	reqs := []Request{{Spec: testSpec("x")}, {Spec: testSpec("y")}}
-	b1, subs1, err := q.Submit("key", reqs)
+	reqs := []client.Job{{Spec: testSpec("x")}, {Spec: testSpec("y")}}
+	b1, err := q.Submit("key", reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, subs2, err := q.Submit("key", reqs)
+	b2, err := q.Submit("key", reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b1 != b2 {
-		t.Errorf("batch IDs differ: %s vs %s", b1, b2)
+	if b1.ID != b2.ID {
+		t.Errorf("batch IDs differ: %s vs %s", b1.ID, b2.ID)
 	}
+	subs1, subs2 := b1.Jobs, b2.Jobs
 	for i := range subs1 {
 		if subs1[i].ID != subs2[i].ID {
 			t.Errorf("job %d: IDs differ: %s vs %s", i, subs1[i].ID, subs2[i].ID)
@@ -128,39 +126,50 @@ func TestIdempotentSubmit(t *testing.T) {
 	if st := q.Stats(); st.Submitted != 2 || st.Deduped != 2 {
 		t.Errorf("submitted=%d deduped=%d, want 2/2", st.Submitted, st.Deduped)
 	}
-	if _, _, err := q.Submit("key", []Request{{Spec: testSpec("z")}}); !errors.Is(err, ErrBatchConflict) {
+	if _, err := q.Submit("key", []client.Job{{Spec: testSpec("z")}}); !errors.Is(err, ErrBatchConflict) {
 		t.Errorf("conflicting reuse: got %v, want ErrBatchConflict", err)
 	}
 }
 
 // TestPermanentFailureNoRetry: an executor error fails the job after its
-// one attempt, with a code that is not retryable.
+// one run. The queue does not classify errors: one that carries no
+// envelope body fails with the non-retryable code internal, and one that
+// carries a body fails with that body as it is.
 func TestPermanentFailureNoRetry(t *testing.T) {
-	exec := &countExec{fail: func(lowutil.Request, int64) error { return errors.New("broken spec") }}
+	body := &client.ErrorBody{Code: "compile_error", Message: "1:43: unexpected token ;", Line: 1, Col: 43}
+	exec := &countExec{fail: func(spec lowutil.Request, _ int64) error {
+		if spec.Source == "body" {
+			return fmt.Errorf("wrapped: %w", body)
+		}
+		return errors.New("broken spec")
+	}}
 	q := New(Config{Executor: exec})
 	defer q.Drain()
 
-	_, subs, _ := q.Submit("k", []Request{{Spec: testSpec("p")}})
-	st := waitTerminal(t, q, subs[0].ID)
-	if st.State != StateFailed {
+	b, _ := q.Submit("k", []client.Job{{Spec: testSpec("p")}, {Spec: testSpec("body")}})
+	st := waitTerminal(t, q, b.Jobs[0].ID)
+	if st.State != client.StateFailed {
 		t.Fatalf("state = %s, want failed", st.State)
 	}
-	if st.Attempts != 1 || exec.calls.Load() != 1 {
-		t.Errorf("attempts=%d calls=%d, want 1/1", st.Attempts, exec.calls.Load())
-	}
-	if st.Err.Code != "internal" || st.Err.Retryable {
+	if st.Err.Code != "internal" || st.Err.Retryable || st.Err.Message != "broken spec" {
 		t.Errorf("err = %+v, want non-retryable internal", st.Err)
+	}
+	if st := waitTerminal(t, q, b.Jobs[1].ID); st.Err != body {
+		t.Errorf("err = %+v, want the executor's body %+v", st.Err, body)
+	}
+	if n := exec.calls.Load(); n != 2 {
+		t.Errorf("executor ran %d times, want 2 (one run per job)", n)
 	}
 }
 
-// TestJobDeadline: a job whose per-job deadline expires fails with the
-// non-retryable code "deadline".
+// TestJobDeadline: a job runs under its per-job deadline, so an executor
+// that outlives it fails the job with the non-retryable code "deadline".
 func TestJobDeadline(t *testing.T) {
 	block := make(chan struct{})
-	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
+	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (json.RawMessage, error) {
 		select {
 		case <-ctx.Done():
-			return nil, fmt.Errorf("%w: %w", lowutil.ErrCanceled, ctx.Err())
+			return nil, canceledBy(ctx)
 		case <-block:
 			return fakeResult(spec.Source), nil
 		}
@@ -169,9 +178,9 @@ func TestJobDeadline(t *testing.T) {
 	defer q.Drain()
 	defer close(block)
 
-	_, subs, _ := q.Submit("k", []Request{{Spec: testSpec("slow"), Deadline: 30 * time.Millisecond}})
-	st := waitTerminal(t, q, subs[0].ID)
-	if st.State != StateFailed || st.Err == nil || st.Err.Code != "deadline" {
+	b, _ := q.Submit("k", []client.Job{{Spec: testSpec("slow"), DeadlineMS: 30}})
+	st := waitTerminal(t, q, b.Jobs[0].ID)
+	if st.State != client.StateFailed || st.Err == nil || st.Err.Code != "deadline" {
 		t.Fatalf("state=%s err=%+v, want deadline failure", st.State, st.Err)
 	}
 	if st.Err.Retryable {
@@ -187,7 +196,7 @@ func TestPriorityOrdering(t *testing.T) {
 	gate := make(chan struct{})
 	var mu sync.Mutex
 	var order []string
-	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
+	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (json.RawMessage, error) {
 		if spec.Source == "gate" {
 			close(gateStarted)
 			<-gate // hold the only worker so the rest queue up
@@ -201,21 +210,21 @@ func TestPriorityOrdering(t *testing.T) {
 	q := New(Config{Executor: exec, Workers: 1})
 	defer q.Drain()
 
-	if _, _, err := q.Submit("gate", []Request{{Spec: testSpec("gate")}}); err != nil {
+	if _, err := q.Submit("gate", []client.Job{{Spec: testSpec("gate")}}); err != nil {
 		t.Fatal(err)
 	}
 	<-gateStarted
 	var ids []string
-	for _, batch := range [][]Request{
+	for _, batch := range [][]client.Job{
 		{{Spec: testSpec("low"), Priority: 1}, {Spec: testSpec("mid-1"), Priority: 5}},
 		{{Spec: testSpec("high-1"), Priority: 9}, {Spec: testSpec("mid-2"), Priority: 5}, {Spec: testSpec("zero")}},
 		{{Spec: testSpec("mid-3"), Priority: 5}, {Spec: testSpec("high-2"), Priority: 9}},
 	} {
-		_, subs, err := q.Submit(fmt.Sprintf("work-%d", len(ids)), batch)
+		b, err := q.Submit(fmt.Sprintf("work-%d", len(ids)), batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range subs {
+		for _, s := range b.Jobs {
 			ids = append(ids, s.ID)
 		}
 	}
@@ -238,7 +247,7 @@ func TestWorkersBoundParallelism(t *testing.T) {
 	var mu sync.Mutex
 	arrived, inFlight, peak := 0, 0, 0
 	wave := make(chan struct{})
-	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
+	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (json.RawMessage, error) {
 		mu.Lock()
 		arrived++
 		inFlight++
@@ -264,16 +273,16 @@ func TestWorkersBoundParallelism(t *testing.T) {
 	q := New(Config{Executor: exec, Workers: workers})
 	defer q.Drain()
 
-	reqs := make([]Request, 2*workers)
+	reqs := make([]client.Job, 2*workers)
 	for i := range reqs {
-		reqs[i] = Request{Spec: testSpec(fmt.Sprintf("job %d", i))}
+		reqs[i] = client.Job{Spec: testSpec(fmt.Sprintf("job %d", i))}
 	}
-	_, subs, err := q.Submit("parallel", reqs)
+	b, err := q.Submit("parallel", reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range subs {
-		if st := waitTerminal(t, q, s.ID); st.State != StateDone {
+	for _, s := range b.Jobs {
+		if st := waitTerminal(t, q, s.ID); st.State != client.StateDone {
 			t.Errorf("job %s: state=%s err=%+v", s.ID, st.State, st.Err)
 		}
 	}
@@ -284,45 +293,117 @@ func TestWorkersBoundParallelism(t *testing.T) {
 	}
 }
 
-// TestDrainCancelsInFlight: a drain cancels the running job, which fails
-// with the retryable code canceled and so ends its event stream, while a
-// job queued behind it stays queued.
-func TestDrainCancelsInFlight(t *testing.T) {
-	started := make(chan struct{})
-	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
-		close(started) // the one worker starts only the first job
+// blockUntilCanceled is an executor that signals started and runs until
+// its context ends.
+func blockUntilCanceled(started chan<- struct{}) Executor {
+	return ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (json.RawMessage, error) {
+		started <- struct{}{}
 		<-ctx.Done()
-		return nil, fmt.Errorf("%w: %w", lowutil.ErrCanceled, ctx.Err())
+		return nil, canceledBy(ctx)
 	})
-	q := New(Config{Executor: exec, Workers: 1})
-	_, subs, err := q.Submit("k", []Request{{Spec: testSpec("running")}, {Spec: testSpec("queued")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	q.Drain()
+}
 
-	st, _ := q.Status(subs[0].ID)
-	if st.State != StateFailed || st.Err == nil || st.Err.Code != "canceled" || !st.Err.Retryable {
-		t.Fatalf("drained job: state=%s err=%+v, want failed with retryable canceled", st.State, st.Err)
-	}
+// eventTypes replays job id's events and joins their types.
+func eventTypes(t *testing.T, q *Queue, id string) string {
+	t.Helper()
 	var types []string
-	if err := q.Events(context.Background(), subs[0].ID, 0, func(ev Event) error {
+	if err := q.Events(context.Background(), id, 0, func(ev client.Event) error {
 		types = append(types, ev.Type)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := strings.Join(types, ","), "queued,started,failed"; got != want {
-		t.Errorf("drained job's events = %s, want %s", got, want)
+	return strings.Join(types, ",")
+}
+
+// TestDrainCancelsInFlight: a drain cancels the running job, which fails
+// with the retryable code canceled and so ends its event stream, and fails
+// the job queued behind it with the same code, before it ever started.
+func TestDrainCancelsInFlight(t *testing.T) {
+	started := make(chan struct{}, 2)
+	q := New(Config{Executor: blockUntilCanceled(started), Workers: 1})
+	b, err := q.Submit("k", []client.Job{{Spec: testSpec("running")}, {Spec: testSpec("queued")}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st, _ := q.Status(subs[1].ID); st.State != StateQueued || st.Attempts != 0 {
-		t.Errorf("queued job after drain: state=%s attempts=%d, want queued, never started", st.State, st.Attempts)
+	<-started // the one worker starts only the first job
+	q.Drain()
+
+	for i, want := range []string{"queued,started,failed", "queued,failed"} {
+		st, _ := q.Status(b.Jobs[i].ID)
+		if st.State != client.StateFailed || st.Err == nil || st.Err.Code != "canceled" || !st.Err.Retryable {
+			t.Fatalf("drained job %d: state=%s err=%+v, want failed with retryable canceled", i, st.State, st.Err)
+		}
+		if got := eventTypes(t, q, b.Jobs[i].ID); got != want {
+			t.Errorf("drained job %d's events = %s, want %s", i, got, want)
+		}
 	}
-	if stats := q.Stats(); stats.Running != 0 || stats.Queued != 1 || stats.Failed != 1 {
-		t.Errorf("stats after drain: %+v, want 0 running, 1 queued, 1 failed", stats)
+	if stats := q.Stats(); stats.Running != 0 || stats.Queued != 0 || stats.Failed != 2 {
+		t.Errorf("stats after drain: %+v, want 0 running, 0 queued, 2 failed", stats)
 	}
 	q.Drain() // idempotent
+}
+
+// TestDrainEndsFollowedQueuedJob: a client following a queued job's
+// events returns when the queue drains, with the job's last event failed
+// with code canceled. No worker is left to run the job, so a follower the
+// drain left waiting would wait forever.
+func TestDrainEndsFollowedQueuedJob(t *testing.T) {
+	started := make(chan struct{}, 2)
+	q := New(Config{Executor: blockUntilCanceled(started), Workers: 1})
+	b, err := q.Submit("k", []client.Job{{Spec: testSpec("spin 1")}, {Spec: testSpec("spin 2")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	following := make(chan struct{})
+	followed := make(chan error, 1)
+	var last client.Event
+	go func() {
+		followed <- q.Events(ctx, b.Jobs[1].ID, 0, func(ev client.Event) error {
+			if ev.Type == client.EventQueued {
+				close(following)
+			}
+			last = ev
+			return nil
+		})
+	}()
+	<-following
+	q.Drain()
+	if err := <-followed; err != nil {
+		t.Fatalf("follower of the queued job: %v", err)
+	}
+	if last.Type != client.EventFailed || !strings.HasPrefix(last.Detail, "canceled: ") {
+		t.Errorf("follower's last event = %+v, want failed with code canceled", last)
+	}
+}
+
+// TestSubmitAfterDrain: a batch submitted to a drained queue is accepted
+// and fails at once with code canceled, so no job stays queued with no
+// worker left to run it, and a resubmission still deduplicates.
+func TestSubmitAfterDrain(t *testing.T) {
+	exec := &countExec{}
+	q := New(Config{Executor: exec})
+	q.Drain()
+	b, err := q.Submit("late", []client.Job{{Spec: testSpec("late")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := q.Status(b.Jobs[0].ID)
+	if st.State != client.StateFailed || st.Err == nil || st.Err.Code != "canceled" || !st.Err.Retryable {
+		t.Fatalf("job submitted after the drain: state=%s err=%+v, want failed with retryable canceled", st.State, st.Err)
+	}
+	if got, want := eventTypes(t, q, b.Jobs[0].ID), "queued,failed"; got != want {
+		t.Errorf("events = %s, want %s", got, want)
+	}
+	if again, err := q.Submit("late", []client.Job{{Spec: testSpec("late")}}); err != nil || !again.Jobs[0].Duplicate {
+		t.Errorf("resubmission after the drain: %+v, %v; want the same job, flagged duplicate", again, err)
+	}
+	if stats := q.Stats(); stats.Queued != 0 || stats.Failed != 1 || exec.calls.Load() != 0 {
+		t.Errorf("stats %+v after %d runs, want nothing queued or run and 1 failed", stats, exec.calls.Load())
+	}
 }
 
 // TestEventsReplayDeterministic: two full replays of a finished job's
@@ -330,12 +411,13 @@ func TestDrainCancelsInFlight(t *testing.T) {
 func TestEventsReplayDeterministic(t *testing.T) {
 	q := New(Config{Executor: &countExec{}})
 	defer q.Drain()
-	_, subs, _ := q.Submit("k", []Request{{Spec: testSpec("e")}})
-	waitTerminal(t, q, subs[0].ID)
+	batch, _ := q.Submit("k", []client.Job{{Spec: testSpec("e")}})
+	id := batch.Jobs[0].ID
+	waitTerminal(t, q, id)
 
 	replay := func(after int) []string {
 		var out []string
-		if err := q.Events(context.Background(), subs[0].ID, after, func(ev Event) error {
+		if err := q.Events(context.Background(), id, after, func(ev client.Event) error {
 			b, _ := json.Marshal(ev)
 			out = append(out, string(b))
 			return nil
@@ -358,7 +440,7 @@ func TestEventsReplayDeterministic(t *testing.T) {
 	}
 	// Sequence numbers are dense from 1.
 	for i, line := range a {
-		var ev Event
+		var ev client.Event
 		json.Unmarshal([]byte(line), &ev)
 		if ev.Seq != i+1 {
 			t.Errorf("event %d has seq %d", i, ev.Seq)
@@ -366,45 +448,36 @@ func TestEventsReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestQueueFull: submissions over Depth are rejected with ErrQueueFull.
+// TestQueueFull: a batch that would take the jobs queued or running past
+// Depth is refused whole with ErrQueueFull.
 func TestQueueFull(t *testing.T) {
 	block := make(chan struct{})
-	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (*Result, error) {
+	exec := ExecutorFunc(func(ctx context.Context, spec lowutil.Request) (json.RawMessage, error) {
 		<-block
 		return fakeResult(spec.Source), nil
 	})
-	q := New(Config{Executor: exec, Workers: 1, Depth: 2})
+	q := New(Config{Executor: exec, Workers: 1})
 	defer q.Drain()
 	defer close(block)
 
-	if _, _, err := q.Submit("a", []Request{{Spec: testSpec("1")}, {Spec: testSpec("2")}}); err != nil {
+	batch := func(n int) []client.Job {
+		reqs := make([]client.Job, n)
+		for i := range reqs {
+			reqs[i] = client.Job{Spec: testSpec(fmt.Sprint(i))}
+		}
+		return reqs
+	}
+	if _, err := q.Submit("over", batch(Depth+1)); !errors.Is(err, ErrQueueFull) {
+		t.Errorf("a batch of Depth+1: got %v, want ErrQueueFull", err)
+	}
+	if _, err := q.Submit("a", batch(Depth)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := q.Submit("b", []Request{{Spec: testSpec("3")}}); !errors.Is(err, ErrQueueFull) {
-		t.Errorf("over-depth submit: got %v, want ErrQueueFull", err)
+	if _, err := q.Submit("b", batch(1)); !errors.Is(err, ErrQueueFull) {
+		t.Errorf("a submit past Depth: got %v, want ErrQueueFull", err)
 	}
-}
-
-// TestEvictedResultRecomputes: evicting a stored result forces the next
-// identical spec to execute again.
-func TestEvictedResultRecomputes(t *testing.T) {
-	exec := &countExec{}
-	q := New(Config{Executor: exec})
-	defer q.Drain()
-
-	spec := testSpec("v")
-	_, subs, _ := q.Submit("k1", []Request{{Spec: spec}})
-	waitTerminal(t, q, subs[0].ID)
-	if !q.EvictResult(spec) {
-		t.Fatal("expected a resident result to evict")
-	}
-	_, subs2, _ := q.Submit("k2", []Request{{Spec: spec}})
-	st := waitTerminal(t, q, subs2[0].ID)
-	if st.State != StateDone {
-		t.Fatalf("state=%s", st.State)
-	}
-	if n := exec.calls.Load(); n != 2 {
-		t.Errorf("executor ran %d times, want 2 (eviction forces recompute)", n)
+	if st := q.Stats(); st.Submitted != Depth {
+		t.Errorf("submitted = %d, want the one accepted batch of %d", st.Submitted, Depth)
 	}
 }
 
@@ -412,16 +485,16 @@ func TestEvictedResultRecomputes(t *testing.T) {
 func TestBatchStatus(t *testing.T) {
 	q := New(Config{Executor: &countExec{}})
 	defer q.Drain()
-	batch, subs, _ := q.Submit("k", []Request{{Spec: testSpec("1")}, {Spec: testSpec("2")}, {Spec: testSpec("3")}})
-	for _, s := range subs {
+	b, _ := q.Submit("k", []client.Job{{Spec: testSpec("1")}, {Spec: testSpec("2")}, {Spec: testSpec("3")}})
+	for _, s := range b.Jobs {
 		waitTerminal(t, q, s.ID)
 	}
-	sts, ok := q.BatchStatus(batch)
-	if !ok || len(sts) != 3 {
-		t.Fatalf("batch status: ok=%v n=%d", ok, len(sts))
+	bs, ok := q.BatchStatus(b.ID)
+	if !ok || bs.ID != b.ID || len(bs.Jobs) != 3 {
+		t.Fatalf("batch status: ok=%v %+v", ok, bs)
 	}
-	for i, st := range sts {
-		if st.Index != i || st.State != StateDone {
+	for i, st := range bs.Jobs {
+		if st.Index != i || st.State != client.StateDone {
 			t.Errorf("job %d: index=%d state=%s", i, st.Index, st.State)
 		}
 	}
@@ -436,14 +509,15 @@ func TestBatchStatus(t *testing.T) {
 func TestEventsNegativeAfter(t *testing.T) {
 	q := New(Config{Executor: &countExec{}})
 	defer q.Drain()
-	_, subs, _ := q.Submit("k", []Request{{Spec: testSpec("n")}})
-	waitTerminal(t, q, subs[0].ID)
+	b, _ := q.Submit("k", []client.Job{{Spec: testSpec("n")}})
+	id := b.Jobs[0].ID
+	waitTerminal(t, q, id)
 
 	var full, neg int
-	if err := q.Events(context.Background(), subs[0].ID, 0, func(Event) error { full++; return nil }); err != nil {
+	if err := q.Events(context.Background(), id, 0, func(client.Event) error { full++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Events(context.Background(), subs[0].ID, -7, func(Event) error { neg++; return nil }); err != nil {
+	if err := q.Events(context.Background(), id, -7, func(client.Event) error { neg++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if full == 0 || neg != full {
@@ -452,32 +526,33 @@ func TestEventsNegativeAfter(t *testing.T) {
 }
 
 // TestBatchRecordGC: batch records whose jobs have all been evicted by the
-// MaxJobs bound are dropped too — one record per idempotency key must not
+// record bound are dropped too — one record per idempotency key must not
 // accumulate forever.
 func TestBatchRecordGC(t *testing.T) {
-	q := New(Config{Executor: &countExec{}, MaxJobs: 4})
+	q := New(Config{Executor: &countExec{}})
+	q.maxJobs = 4
 	defer q.Drain()
 
 	const batches = 24
 	for i := 0; i < batches; i++ {
-		_, subs, err := q.Submit(fmt.Sprintf("key-%d", i), []Request{{Spec: testSpec(fmt.Sprintf("src-%d", i))}})
+		b, err := q.Submit(fmt.Sprintf("key-%d", i), []client.Job{{Spec: testSpec(fmt.Sprintf("src-%d", i))}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitTerminal(t, q, subs[0].ID)
+		waitTerminal(t, q, b.Jobs[0].ID)
 	}
 	// One more submission triggers GC over the fully-terminal backlog.
-	_, subs, err := q.Submit("key-final", []Request{{Spec: testSpec("final")}})
+	b, err := q.Submit("key-final", []client.Job{{Spec: testSpec("final")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitTerminal(t, q, subs[0].ID)
+	waitTerminal(t, q, b.Jobs[0].ID)
 
 	q.mu.Lock()
 	nBatches, nJobs := len(q.batches), len(q.jobs)
 	q.mu.Unlock()
 	if nJobs > 4+1 {
-		t.Errorf("job records = %d, want ≤ MaxJobs+1", nJobs)
+		t.Errorf("job records = %d, want ≤ the bound+1", nJobs)
 	}
 	// Every retained batch must reference at least one live job record.
 	if nBatches > nJobs {

@@ -10,13 +10,14 @@ import (
 	"time"
 
 	"lowutil"
+	"lowutil/client"
 )
 
 // TestConcurrentSoak hammers the queue's whole public surface from many
-// goroutines at once: submitters under GC pressure (MaxJobs far below the
-// submission volume, so terminal records are evicted while new batches
-// arrive) and readers spinning on Status, BatchStatus, Events, and Stats,
-// ending with a Drain while both are still at work. The point is the
+// goroutines at once: submitters under GC pressure (a record bound far
+// below the submission volume, so terminal records are evicted while new
+// batches arrive) and readers spinning on Status, BatchStatus, Events, and
+// Stats, ending with a Drain while both are still at work. The point is the
 // schedule, not any one assertion — under `go test -race` this patrols the
 // locking around the heap, the workers' exit and the record GC.
 // Wall-clock bounded, with a tighter budget under -short.
@@ -38,13 +39,8 @@ func TestConcurrentSoak(t *testing.T) {
 		}
 		return nil
 	}}
-	q := New(Config{
-		Executor:   exec,
-		Workers:    4,
-		Depth:      4096,
-		MaxJobs:    64,
-		MaxResults: 32,
-	})
+	q := New(Config{Executor: exec, Workers: 4})
+	q.maxJobs = 64
 
 	stop := make(chan struct{})
 	stopped := func() bool {
@@ -69,11 +65,11 @@ func TestConcurrentSoak(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stopped(); i++ {
 				key := fmt.Sprintf("soak-%d-%d", g, i)
-				reqs := []Request{{Spec: testSpec(fmt.Sprintf("src %d %d", g, i)), Priority: i % 3}}
+				reqs := []client.Job{{Spec: testSpec(fmt.Sprintf("src %d %d", g, i)), Priority: i % 3}}
 				if i%3 == 0 {
-					reqs = append(reqs, Request{Spec: testSpec(fmt.Sprintf("src %d %d b", g, i))})
+					reqs = append(reqs, client.Job{Spec: testSpec(fmt.Sprintf("src %d %d b", g, i))})
 				}
-				batch, subs, err := q.Submit(key, reqs)
+				b, err := q.Submit(key, reqs)
 				if errors.Is(err, ErrQueueFull) {
 					time.Sleep(time.Millisecond)
 					continue
@@ -82,9 +78,9 @@ func TestConcurrentSoak(t *testing.T) {
 					t.Errorf("submit %s: %v", key, err)
 					return
 				}
-				submitted.Add(int64(len(subs)))
+				submitted.Add(int64(len(b.Jobs)))
 				sampleMu.Lock()
-				sampleID, sampleBat = subs[0].ID, batch
+				sampleID, sampleBat = b.Jobs[0].ID, b.ID
 				sampleMu.Unlock()
 			}
 		}(g)
@@ -105,7 +101,7 @@ func TestConcurrentSoak(t *testing.T) {
 				q.Status(id)
 				q.BatchStatus(batch)
 				ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-				_ = q.Events(ctx, id, 0, func(Event) error { return nil })
+				_ = q.Events(ctx, id, 0, func(client.Event) error { return nil })
 				cancel()
 				time.Sleep(time.Millisecond)
 			}
@@ -116,7 +112,7 @@ func TestConcurrentSoak(t *testing.T) {
 	// job still gets a worker. (Its record may be evicted as soon as it
 	// finishes, so the executor reports the run.)
 	time.Sleep(dur / 2)
-	if _, _, err := q.Submit("soak-probe", []Request{{Spec: testSpec("soak probe"), Priority: 10}}); err != nil {
+	if _, err := q.Submit("soak-probe", []client.Job{{Spec: testSpec("soak probe"), Priority: 10}}); err != nil {
 		t.Fatalf("probe submit: %v", err)
 	}
 	submitted.Add(1)
@@ -127,7 +123,8 @@ func TestConcurrentSoak(t *testing.T) {
 	}
 
 	// Drain under load: submitters and readers keep going through it and
-	// for a while after, against a queue whose workers are gone.
+	// for a while after, against a queue whose workers are gone, so every
+	// batch submitted after it fails at once.
 	time.Sleep(dur / 2)
 	q.Drain()
 	time.Sleep(10 * time.Millisecond)
@@ -135,13 +132,14 @@ func TestConcurrentSoak(t *testing.T) {
 	wg.Wait()
 
 	// The books balance: the drain waited for the workers to exit, so no
-	// job is mid-transition between the counters, and none is running.
+	// job is mid-transition between the counters, none is running, and
+	// none is left queued.
 	stats := q.Stats()
 	if stats.Submitted != submitted.Load() {
 		t.Errorf("stats.Submitted = %d, want %d", stats.Submitted, submitted.Load())
 	}
-	if stats.Running != 0 {
-		t.Errorf("%d jobs still running after the drain", stats.Running)
+	if stats.Running != 0 || stats.Queued != 0 {
+		t.Errorf("%d jobs running and %d queued after the drain, want none", stats.Running, stats.Queued)
 	}
 	if got := stats.Completed + stats.Failed + stats.Queued; got != stats.Submitted {
 		t.Errorf("job accounting leaks: done %d + failed %d + queued %d != submitted %d",

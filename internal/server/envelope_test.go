@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"lowutil"
+	"lowutil/client"
 	"lowutil/internal/jobs"
 )
 
@@ -109,7 +110,7 @@ func TestErrorEnvelopeTable(t *testing.T) {
 // location-store entry at no node ("n": -1).
 func nodelessProfile(t *testing.T, base, id string) []byte {
 	t.Helper()
-	code, body := postJSON(t, base+"/v2/profile/save", sessionRequest{Session: id})
+	code, body := postJSON(t, base+"/v2/profile/save", client.ProfileRequest{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("save: %d %s", code, body)
 	}
@@ -152,7 +153,7 @@ func TestOversizedSlotsRejected(t *testing.T) {
 			}
 		}
 		job := lowutil.Request{Kind: lowutil.KindReport, Source: workSrc, Options: lowutil.Options{Slots: slots}}
-		code, out := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Jobs: []jobSubmission{{Request: job}}})
+		code, out := postJSON(t, ts.URL+"/v2/jobs", client.SubmitPayload{Jobs: []client.Job{{Spec: job}}})
 		if code != http.StatusBadRequest {
 			t.Fatalf("job slots=%d: status %d, want 400 at submission; body %s", slots, code, out)
 		}
@@ -162,14 +163,14 @@ func TestOversizedSlotsRejected(t *testing.T) {
 	}
 	// A count above the default but within budget is still accepted.
 	job := lowutil.Request{Kind: lowutil.KindReport, Source: workSrc, Options: lowutil.Options{Slots: 32}}
-	if code, out := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Jobs: []jobSubmission{{Request: job}}}); code != http.StatusOK {
+	if code, out := postJSON(t, ts.URL+"/v2/jobs", client.SubmitPayload{Jobs: []client.Job{{Spec: job}}}); code != http.StatusOK {
 		t.Fatalf("job slots=32: status %d, want 200; body %s", code, out)
 	}
-	code, out := postJSON(t, ts.URL+"/v2/profile", sessionRequest{Session: id})
+	code, out := postJSON(t, ts.URL+"/v2/profile", client.ProfileRequest{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("normal profile after rejections: %d %s", code, out)
 	}
-	var resp profileResponse
+	var resp client.ProfileResult
 	if err := json.Unmarshal(out, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestHeapBudgetEnvelope(t *testing.T) {
 	normal := compileSession(t, ts.URL, workSrc)
 	next := func(t *testing.T) {
 		t.Helper()
-		if code, out := postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: normal}); code != http.StatusOK {
+		if code, out := postJSON(t, ts.URL+"/v2/run", client.ProfileRequest{Session: normal}); code != http.StatusOK {
 			t.Fatalf("normal run after the bomb: %d %s", code, out)
 		}
 	}
@@ -237,7 +238,7 @@ func TestHeapBudgetEnvelope(t *testing.T) {
 		id := compileSession(t, ts.URL, bomb.src)
 		for _, path := range []string{"/v2/run", "/v2/profile", "/v2/report"} {
 			t.Run(bomb.name+" "+path, func(t *testing.T) {
-				code, out := postJSON(t, ts.URL+path, sessionRequest{Session: id})
+				code, out := postJSON(t, ts.URL+path, client.ProfileRequest{Session: id})
 				if code != http.StatusUnprocessableEntity {
 					t.Fatalf("status %d, want 422; body %s", code, out)
 				}
@@ -249,16 +250,16 @@ func TestHeapBudgetEnvelope(t *testing.T) {
 		}
 		t.Run(bomb.name+" job", func(t *testing.T) {
 			spec := lowutil.Request{Kind: lowutil.KindProfile, Source: bomb.src}
-			code, out := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Jobs: []jobSubmission{{Request: spec}}})
+			code, out := postJSON(t, ts.URL+"/v2/jobs", client.SubmitPayload{Jobs: []client.Job{{Spec: spec}}})
 			if code != http.StatusOK {
 				t.Fatalf("submit: %d %s", code, out)
 			}
-			var sub jobsResponse
+			var sub client.Batch
 			if err := json.Unmarshal(out, &sub); err != nil {
 				t.Fatal(err)
 			}
-			st := waitBatch(t, ts.URL, sub.Batch).Jobs[0]
-			if st.State != jobs.StateFailed || st.Err == nil || st.Err.Code != "heap_limit" || st.Err.Retryable {
+			st := waitBatch(t, ts.URL, sub.ID).Jobs[0]
+			if st.State != client.StateFailed || st.Err == nil || st.Err.Code != "heap_limit" || st.Err.Retryable {
 				t.Errorf("job ended %s with %+v, want failed with non-retryable heap_limit", st.State, st.Err)
 			}
 			next(t)
@@ -267,7 +268,7 @@ func TestHeapBudgetEnvelope(t *testing.T) {
 	for _, bomb := range keepBombs {
 		id := compileSession(t, ts.URL, bomb.src)
 		t.Run(bomb.name+" /v2/run", func(t *testing.T) {
-			code, out := postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: id})
+			code, out := postJSON(t, ts.URL+"/v2/run", client.ProfileRequest{Session: id})
 			if code != http.StatusUnprocessableEntity {
 				t.Fatalf("status %d, want 422; body %.200s", code, out)
 			}
@@ -283,11 +284,12 @@ func TestHeapBudgetEnvelope(t *testing.T) {
 // contract: a 429 from a full job queue must tell clients when to come
 // back, since the SDK's backoff honors Retry-After before its own jitter.
 func TestQueueFullRetryAfter(t *testing.T) {
-	_, ts := newTestServer(t, Config{Jobs: jobs.Config{Depth: 1, Workers: 1}})
-	// The spinning job fills the queue until the test's drain cancels it.
-	postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "fill", Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: spinSrc}}}})
-	code, hdr, body := postRaw(t, ts.URL+"/v2/jobs",
-		`{"key":"over","jobs":[{"kind":"compile","source":"class Main { static void main() { print(1); } }"}]}`)
+	_, ts := newTestServer(t, Config{})
+	raw, err := json.Marshal(overDepth())
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, hdr, body := postRaw(t, ts.URL+"/v2/jobs", string(raw))
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-depth submit: %d: %s", code, body)
 	}
@@ -305,7 +307,7 @@ func TestQueueFullRetryAfter(t *testing.T) {
 func TestRunDeadlineEnvelope(t *testing.T) {
 	_, ts := newTestServer(t, Config{RequestTimeout: 100 * time.Millisecond})
 	id := compileSession(t, ts.URL, spinSrc)
-	code, body := postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: id})
+	code, body := postJSON(t, ts.URL+"/v2/run", client.ProfileRequest{Session: id})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline run status = %d, want 504; body %s", code, body)
 	}

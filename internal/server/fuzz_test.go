@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"lowutil"
+	"lowutil/client"
 )
 
 // FuzzDecodeRequest feeds each input, as a request body, to the decoder of
@@ -30,10 +31,10 @@ func FuzzDecodeRequest(f *testing.F) {
 			f.Fatal(err)
 		}
 		for _, body := range []any{
-			compileRequest{Source: string(src)},
-			jobsRequest{Key: "seed", Jobs: []jobSubmission{
-				{Request: lowutil.Request{Kind: lowutil.KindProfile, Source: string(src)}},
-				{Request: lowutil.Request{Kind: lowutil.KindAudit, Source: string(src), Options: lowutil.Options{Mode: "cha"}}, Priority: 2},
+			client.CompilePayload{Source: string(src)},
+			client.SubmitPayload{Key: "seed", Jobs: []client.Job{
+				{Spec: lowutil.Request{Kind: lowutil.KindProfile, Source: string(src)}},
+				{Spec: lowutil.Request{Kind: lowutil.KindAudit, Source: string(src), Options: lowutil.Options{Mode: "cha"}}, Priority: 2},
 			}},
 		} {
 			raw, err := json.Marshal(body)
@@ -73,22 +74,22 @@ func FuzzDecodeRequest(f *testing.F) {
 		req := func() *http.Request {
 			return httptest.NewRequest(http.MethodPost, "/v2/", bytes.NewReader(body))
 		}
-		_, err := decode[compileRequest](req())
+		_, err := decode[client.CompilePayload](req())
 		check("compile", err)
-		_, err = decode[sessionRequest](req())
+		_, err = decode[client.ProfileRequest](req())
 		check("session", err)
 		_, err = decode[ssaRequest](req())
 		check("ssa", err)
 		_, err = decode[loadRequest](req())
 		check("load", err)
-		jr, err := decode[jobsRequest](req())
+		jr, err := decode[client.SubmitPayload](req())
 		check("jobs", err)
 		if err != nil {
 			return
 		}
 		for _, j := range jr.Jobs {
-			check("validate", j.Request.Validate())
-			check("slots", s.checkSlots(j.Request))
+			check("validate", j.Spec.Validate())
+			check("slots", s.checkSlots(j.Spec))
 		}
 	})
 }

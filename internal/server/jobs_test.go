@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lowutil"
+	"lowutil/client"
 	"lowutil/internal/jobs"
 )
 
@@ -29,7 +30,7 @@ func getBody(t *testing.T, url string) (int, []byte) {
 }
 
 // waitBatch polls GET /v2/jobs/{batch} until every job is terminal.
-func waitBatch(t *testing.T, base, batch string) batchStatusResponse {
+func waitBatch(t *testing.T, base, batch string) client.BatchStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -37,13 +38,13 @@ func waitBatch(t *testing.T, base, batch string) batchStatusResponse {
 		if code != http.StatusOK {
 			t.Fatalf("batch status: %d: %s", code, body)
 		}
-		var bs batchStatusResponse
+		var bs client.BatchStatus
 		if err := json.Unmarshal(body, &bs); err != nil {
 			t.Fatal(err)
 		}
 		done := true
 		for _, st := range bs.Jobs {
-			if !st.State.Terminal() {
+			if !st.Terminal() {
 				done = false
 			}
 		}
@@ -53,7 +54,7 @@ func waitBatch(t *testing.T, base, batch string) batchStatusResponse {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("batch never finished")
-	return batchStatusResponse{}
+	return client.BatchStatus{}
 }
 
 // TestJobsBatchMatchesSynchronous submits a profile job batch and asserts
@@ -62,26 +63,26 @@ func waitBatch(t *testing.T, base, batch string) batchStatusResponse {
 // never results.
 func TestJobsBatchMatchesSynchronous(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, body := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{
+	code, body := postJSON(t, ts.URL+"/v2/jobs", client.SubmitPayload{
 		Key: "batch-sync-diff",
-		Jobs: []jobSubmission{
-			{Request: lowutil.Request{Kind: lowutil.KindProfile, Source: workSrc}},
-			{Request: lowutil.Request{Kind: lowutil.KindReport, Source: workSrc, Options: lowutil.Options{Top: 5}}},
+		Jobs: []client.Job{
+			{Spec: lowutil.Request{Kind: lowutil.KindProfile, Source: workSrc}},
+			{Spec: lowutil.Request{Kind: lowutil.KindReport, Source: workSrc, Options: lowutil.Options{Top: 5}}},
 		},
 	})
 	if code != http.StatusOK {
 		t.Fatalf("submit: %d: %s", code, body)
 	}
-	var jr jobsResponse
+	var jr client.Batch
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
-	if len(jr.Jobs) != 2 || jr.Batch == "" {
+	if len(jr.Jobs) != 2 || jr.ID == "" {
 		t.Fatalf("submit response: %+v", jr)
 	}
-	bs := waitBatch(t, ts.URL, jr.Batch)
+	bs := waitBatch(t, ts.URL, jr.ID)
 	for _, st := range bs.Jobs {
-		if st.State != jobs.StateDone {
+		if st.State != client.StateDone {
 			t.Fatalf("job %s: %s (%+v)", st.ID, st.State, st.Err)
 		}
 	}
@@ -90,10 +91,10 @@ func TestJobsBatchMatchesSynchronous(t *testing.T) {
 	// memoized run: identical bytes.
 	_, ts2 := newTestServer(t, Config{})
 	id := compileSession(t, ts2.URL, workSrc)
-	_, syncProfile := postJSON(t, ts2.URL+"/v2/profile", sessionRequest{Session: id})
+	_, syncProfile := postJSON(t, ts2.URL+"/v2/profile", client.ProfileRequest{Session: id})
 	_, ts3 := newTestServer(t, Config{})
 	id3 := compileSession(t, ts3.URL, workSrc)
-	_, syncReport := postJSON(t, ts3.URL+"/v2/report", sessionRequest{Session: id3, Options: lowutil.Options{Top: 5}})
+	_, syncReport := postJSON(t, ts3.URL+"/v2/report", client.ProfileRequest{Session: id3, Options: lowutil.Options{Top: 5}})
 	if got, want := compact(t, bs.Jobs[0].Result.Payload), compact(t, syncProfile); got != want {
 		t.Errorf("async profile diverges from synchronous:\n%s\nvs\n%s", got, want)
 	}
@@ -117,14 +118,14 @@ func compact(t *testing.T, raw []byte) string {
 // IDs flagged duplicate; conflicting reuse maps to the 409 envelope.
 func TestJobsIdempotentSubmission(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := jobsRequest{Key: "idem", Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: workSrc}}}}
+	req := client.SubmitPayload{Key: "idem", Jobs: []client.Job{{Spec: lowutil.Request{Kind: lowutil.KindRun, Source: workSrc}}}}
 	_, body := postJSON(t, ts.URL+"/v2/jobs", req)
-	var first jobsResponse
+	var first client.Batch
 	json.Unmarshal(body, &first)
 	_, body = postJSON(t, ts.URL+"/v2/jobs", req)
-	var second jobsResponse
+	var second client.Batch
 	json.Unmarshal(body, &second)
-	if first.Batch != second.Batch || first.Jobs[0].ID != second.Jobs[0].ID {
+	if first.ID != second.ID || first.Jobs[0].ID != second.Jobs[0].ID {
 		t.Errorf("resubmission changed IDs: %+v vs %+v", first, second)
 	}
 	if !second.Jobs[0].Duplicate {
@@ -145,16 +146,16 @@ func TestJobsIdempotentSubmission(t *testing.T) {
 // and resumes exactly from ?after=.
 func TestJobEventsNDJSON(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	_, body := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{
+	_, body := postJSON(t, ts.URL+"/v2/jobs", client.SubmitPayload{
 		Key:  "events",
-		Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: workSrc}}},
+		Jobs: []client.Job{{Spec: lowutil.Request{Kind: lowutil.KindRun, Source: workSrc}}},
 	})
-	var jr jobsResponse
+	var jr client.Batch
 	json.Unmarshal(body, &jr)
-	waitBatch(t, ts.URL, jr.Batch)
+	waitBatch(t, ts.URL, jr.ID)
 	id := jr.Jobs[0].ID
 
-	stream := func(query string) (string, []jobs.Event) {
+	stream := func(query string) (string, []client.Event) {
 		resp, err := http.Get(ts.URL + "/v2/jobs/" + id + "/events" + query)
 		if err != nil {
 			t.Fatal(err)
@@ -164,10 +165,10 @@ func TestJobEventsNDJSON(t *testing.T) {
 			t.Fatalf("content type %q", ct)
 		}
 		raw, _ := io.ReadAll(resp.Body)
-		var evs []jobs.Event
+		var evs []client.Event
 		sc := bufio.NewScanner(bytes.NewReader(raw))
 		for sc.Scan() {
-			var ev jobs.Event
+			var ev client.Event
 			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 				t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 			}
@@ -181,7 +182,7 @@ func TestJobEventsNDJSON(t *testing.T) {
 	if full1 != full2 {
 		t.Errorf("replays differ:\n%s\nvs\n%s", full1, full2)
 	}
-	if len(evs) < 3 || evs[0].Type != jobs.EventQueued || evs[len(evs)-1].Type != jobs.EventDone {
+	if len(evs) < 3 || evs[0].Type != client.EventQueued || evs[len(evs)-1].Type != client.EventDone {
 		t.Fatalf("unexpected event trail: %+v", evs)
 	}
 	for i, ev := range evs {
@@ -216,24 +217,24 @@ func TestJobEventsNDJSON(t *testing.T) {
 
 // TestJobsFaultRecovery: a one-slot session LRU makes two jobs on two
 // programs, running at once, evict each other's compiled session; every
-// job still completes, in one attempt, with the correct result.
+// job still completes with the correct result.
 func TestJobsFaultRecovery(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxSessions: 1})
-	_, body := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{
+	_, body := postJSON(t, ts.URL+"/v2/jobs", client.SubmitPayload{
 		Key: "faults",
-		Jobs: []jobSubmission{
-			{Request: lowutil.Request{Kind: lowutil.KindProfile, Source: workSrc}},
-			{Request: lowutil.Request{Kind: lowutil.KindAudit, Source: "// variant\n" + workSrc}},
+		Jobs: []client.Job{
+			{Spec: lowutil.Request{Kind: lowutil.KindProfile, Source: workSrc}},
+			{Spec: lowutil.Request{Kind: lowutil.KindAudit, Source: "// variant\n" + workSrc}},
 		},
 	})
-	var jr jobsResponse
+	var jr client.Batch
 	if err := json.Unmarshal(body, &jr); err != nil || len(jr.Jobs) != 2 {
 		t.Fatalf("submit: %s (%v)", body, err)
 	}
-	bs := waitBatch(t, ts.URL, jr.Batch)
+	bs := waitBatch(t, ts.URL, jr.ID)
 	for _, st := range bs.Jobs {
-		if st.State != jobs.StateDone || st.Attempts != 1 {
-			t.Fatalf("job %s: %s after %d attempts (%+v)", st.ID, st.State, st.Attempts, st.Err)
+		if st.State != client.StateDone {
+			t.Fatalf("job %s: %s (%+v)", st.ID, st.State, st.Err)
 		}
 	}
 	if got := metricValue(t, ts.URL, "lowutil_session_evictions_total"); got == 0 {
@@ -249,26 +250,26 @@ func TestJobsFaultRecovery(t *testing.T) {
 // with code deadline instead of holding its worker.
 func TestJobRequestTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Config{RequestTimeout: 200 * time.Millisecond})
-	code, body := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{
+	code, body := postJSON(t, ts.URL+"/v2/jobs", client.SubmitPayload{
 		Key:  "spin",
-		Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: spinSrc}}},
+		Jobs: []client.Job{{Spec: lowutil.Request{Kind: lowutil.KindRun, Source: spinSrc}}},
 	})
 	if code != http.StatusOK {
 		t.Fatalf("submit: %d: %s", code, body)
 	}
-	var jr jobsResponse
+	var jr client.Batch
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, body := getBody(t, ts.URL+"/v2/jobs/"+jr.Jobs[0].ID)
-		var st jobs.Status
+		var st client.JobStatus
 		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatal(err)
 		}
-		if st.State.Terminal() {
-			if st.State != jobs.StateFailed || st.Err == nil || st.Err.Code != "deadline" || st.Err.Retryable {
+		if st.Terminal() {
+			if st.State != client.StateFailed || st.Err == nil || st.Err.Code != "deadline" || st.Err.Retryable {
 				t.Fatalf("spin job: state=%s err=%+v, want failed with non-retryable deadline", st.State, st.Err)
 			}
 			return
@@ -280,17 +281,96 @@ func TestJobRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestJobsQueueFullEnvelope: a queue at depth rejects with the retryable
-// at_capacity envelope and a Retry-After header.
+// overDepth is a batch one job over the queue's depth, which the queue
+// refuses whole.
+func overDepth() client.SubmitPayload {
+	b := client.SubmitPayload{Key: "over", Jobs: make([]client.Job, jobs.Depth+1)}
+	for i := range b.Jobs {
+		b.Jobs[i] = client.Job{Spec: lowutil.Request{Kind: lowutil.KindCompile, Source: workSrc}}
+	}
+	return b
+}
+
+// TestJobsQueueFullEnvelope: a batch over the queue's depth is refused
+// with the retryable at_capacity envelope and enqueues nothing.
 func TestJobsQueueFullEnvelope(t *testing.T) {
-	_, ts := newTestServer(t, Config{Jobs: jobs.Config{Depth: 1, Workers: 1}})
-	// The spinning job fills the queue until the test's drain cancels it.
-	postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "fill", Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindRun, Source: spinSrc}}}})
-	code, body := postJSON(t, ts.URL+"/v2/jobs", jobsRequest{Key: "over", Jobs: []jobSubmission{{Request: lowutil.Request{Kind: lowutil.KindCompile, Source: workSrc}}}})
+	_, ts := newTestServer(t, Config{})
+	code, body := postJSON(t, ts.URL+"/v2/jobs", overDepth())
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-depth submit: %d: %s", code, body)
 	}
 	if eb := decodeEnvelope(t, body); eb.Code != "at_capacity" || !eb.Retryable {
 		t.Errorf("429 envelope = %+v, want retryable at_capacity", eb)
+	}
+	if got := metricValue(t, ts.URL, "lowutil_jobs_submitted_total"); got != 0 {
+		t.Errorf("jobs submitted = %d, want 0", got)
+	}
+}
+
+// submitJobs posts a batch and returns the accepted submission.
+func submitJobs(t *testing.T, base string, p client.SubmitPayload) client.Batch {
+	t.Helper()
+	code, out := postJSON(t, base+"/v2/jobs", p)
+	if code != http.StatusOK {
+		t.Fatalf("submit: %d: %s", code, out)
+	}
+	var b client.Batch
+	if err := json.Unmarshal(out, &b); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestJobCompileErrorEnvelope: a failed job's error is the envelope body
+// the synchronous endpoint returns for the same failure, so a job's
+// compile error carries the position /v2/compile reports.
+func TestJobCompileErrorEnvelope(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, body := postJSON(t, ts.URL+"/v2/compile", client.CompilePayload{Source: badSrc})
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("compile: %d %s", code, body)
+	}
+	want := decodeEnvelope(t, body)
+	if want.Code != "compile_error" || want.Line <= 0 || want.Col <= 0 {
+		t.Fatalf("422 envelope = %+v, want a positioned compile_error", want)
+	}
+	b := submitJobs(t, ts.URL, client.SubmitPayload{Jobs: []client.Job{{Spec: lowutil.Request{Kind: lowutil.KindProfile, Source: badSrc}}}})
+	st := waitBatch(t, ts.URL, b.ID).Jobs[0]
+	if st.State != client.StateFailed || st.Err == nil || *st.Err != want {
+		t.Errorf("job ended %s with %+v, want failed with the 422 body %+v", st.State, st.Err, want)
+	}
+}
+
+// TestRepeatedReportJobReadsSessionMemo: a report job resubmitted under a
+// new key runs through the session memo, as a repeated synchronous request
+// does. Its payload is byte-identical to the first job's, the memo answers
+// it (one more profile cache hit), and the profiler does not run again.
+func TestRepeatedReportJobReadsSessionMemo(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	spec := client.Job{Spec: lowutil.Request{Kind: lowutil.KindReport, Source: workSrc, Options: lowutil.Options{Top: 5}}}
+	run := func(key string) *client.JobStatus {
+		t.Helper()
+		st := waitBatch(t, ts.URL, submitJobs(t, ts.URL, client.SubmitPayload{Key: key, Jobs: []client.Job{spec}}).ID).Jobs[0]
+		if st.State != client.StateDone {
+			t.Fatalf("job %s: %s (%+v)", key, st.State, st.Err)
+		}
+		return st
+	}
+	first := run("first")
+	hits := metricValue(t, ts.URL, "lowutil_profile_cache_hits_total")
+	misses := metricValue(t, ts.URL, "lowutil_profile_cache_misses_total")
+	steps := metricValue(t, ts.URL, "lowutil_profiled_steps_total")
+	second := run("second")
+	if !bytes.Equal(second.Result.Payload, first.Result.Payload) {
+		t.Errorf("repeated job's payload differs:\n%s\nvs\n%s", second.Result.Payload, first.Result.Payload)
+	}
+	if got := metricValue(t, ts.URL, "lowutil_profile_cache_hits_total"); got != hits+1 {
+		t.Errorf("profile cache hits = %d, want %d (the memo answers the repeated job)", got, hits+1)
+	}
+	if got := metricValue(t, ts.URL, "lowutil_profile_cache_misses_total"); got != misses {
+		t.Errorf("profile cache misses = %d, want %d", got, misses)
+	}
+	if got := metricValue(t, ts.URL, "lowutil_profiled_steps_total"); got != steps {
+		t.Errorf("profiled steps = %d, want %d (no second run)", got, steps)
 	}
 }

@@ -9,14 +9,14 @@ import (
 	"lowutil/internal/jobs"
 )
 
-// endpoints is the fixed label set for per-endpoint counters; building the
-// maps once at construction keeps the hot path lock-free (atomics only).
-var endpoints = []string{"compile", "profile", "report", "slice", "audit", "vet", "run", "save", "load", "jobs", "job", "events"}
-
 // metrics holds the server's counters. Everything is atomic; the rendered
 // /metrics page uses the Prometheus text exposition format so standard
 // scrapers work, with no dependency on a client library.
 type metrics struct {
+	// requests and failures hold the per-endpoint counters, by label.
+	// routes fills them as it registers each instrumented route, before
+	// the server serves, so the label set is the routes' and the hot path
+	// only touches the counters its handler captured (atomics, no lock).
 	requests map[string]*atomic.Int64
 	failures map[string]*atomic.Int64
 
@@ -35,28 +35,19 @@ type metrics struct {
 	rejected      atomic.Int64
 }
 
+// endpointCounters counts one endpoint's requests and error responses.
+type endpointCounters struct{ requests, failures *atomic.Int64 }
+
 func newMetrics() *metrics {
-	m := &metrics{
-		requests: make(map[string]*atomic.Int64, len(endpoints)),
-		failures: make(map[string]*atomic.Int64, len(endpoints)),
-	}
-	for _, e := range endpoints {
-		m.requests[e] = new(atomic.Int64)
-		m.failures[e] = new(atomic.Int64)
-	}
-	return m
+	return &metrics{requests: make(map[string]*atomic.Int64), failures: make(map[string]*atomic.Int64)}
 }
 
-func (m *metrics) request(endpoint string) {
-	if c := m.requests[endpoint]; c != nil {
-		c.Add(1)
-	}
-}
-
-func (m *metrics) failure(endpoint string) {
-	if c := m.failures[endpoint]; c != nil {
-		c.Add(1)
-	}
+// endpoint registers the counters labeled name and returns them. Only
+// route registration calls it.
+func (m *metrics) endpoint(name string) endpointCounters {
+	c := endpointCounters{new(atomic.Int64), new(atomic.Int64)}
+	m.requests[name], m.failures[name] = c.requests, c.failures
+	return c
 }
 
 // render writes the exposition page. live/inFlight/capacity and js are
@@ -78,12 +69,8 @@ func (m *metrics) render(w io.Writer, live, inFlight, capacity int, js jobs.Stat
 	writeCounter(w, "lowutil_jobs_deduped_total", "Batch jobs answered from an existing idempotent submission.", js.Deduped)
 	writeCounter(w, "lowutil_jobs_completed_total", "Batch jobs finished successfully.", js.Completed)
 	writeCounter(w, "lowutil_jobs_failed_total", "Batch jobs finished in failure.", js.Failed)
-	writeCounter(w, "lowutil_job_result_hits_total", "Job executions satisfied by the content-addressed result store.", js.ResultHits)
-	writeCounter(w, "lowutil_job_result_misses_total", "Job executions that ran the executor.", js.ResultMisses)
-	writeCounter(w, "lowutil_job_result_evictions_total", "Job results dropped by the store LRU bound.", js.Evictions)
 	writeGauge(w, "lowutil_jobs_queued", "Jobs currently waiting in the queue.", int(js.Queued))
 	writeGauge(w, "lowutil_jobs_running", "Jobs currently executing.", int(js.Running))
-	writeGauge(w, "lowutil_job_results_live", "Job results currently resident in the store.", js.Results)
 	writeGauge(w, "lowutil_sessions_live", "Sessions currently resident in the cache.", live)
 	writeGauge(w, "lowutil_inflight_requests", "Heavy requests currently holding an admission slot.", inFlight)
 	writeGauge(w, "lowutil_inflight_capacity", "Admission slots available in total.", capacity)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"lowutil"
+	"lowutil/client"
 	"lowutil/internal/jobs"
 	"lowutil/internal/par"
 )
@@ -30,11 +31,11 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Logger receives one structured line per request (nil = slog default).
 	Logger *slog.Logger
-	// Jobs tunes the async batch-job queue behind POST /v2/jobs: its
-	// Workers, Depth and record bounds. The Executor field is ignored —
-	// the server installs its own, which resolves specs through the
-	// session LRU and memoized runs, each under RequestTimeout.
-	Jobs jobs.Config
+	// JobWorkers bounds the batch jobs behind POST /v2/jobs that run at
+	// once (0 = 4). Each job resolves its spec through the session LRU
+	// and memoized runs, under RequestTimeout, as a synchronous request
+	// does.
+	JobWorkers int
 }
 
 // Server is the lowutil profiling service. Create with New, expose with
@@ -69,16 +70,15 @@ func New(cfg Config) *Server {
 		log:      log,
 		mux:      http.NewServeMux(),
 	}
-	jc := cfg.Jobs
-	jc.Executor = jobs.ExecutorFunc(s.executeJob)
-	s.jobs = jobs.New(jc)
+	s.jobs = jobs.New(jobs.Config{Workers: cfg.JobWorkers, Executor: jobs.ExecutorFunc(s.executeJob)})
 	s.routes()
 	return s
 }
 
-// Close drains the job queue: in-flight jobs are canceled and fail with
-// code canceled, queued jobs stay queued, and the workers exit. Call after
-// http.Server.Shutdown.
+// Close drains the job queue: in-flight jobs are canceled, every
+// unfinished job fails with the retryable code canceled, which ends the
+// event streams following it, and the workers exit. Call it beside or
+// after http.Server.Shutdown.
 func (s *Server) Close() { s.jobs.Drain() }
 
 func (s *Server) routes() {
@@ -92,7 +92,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v2/profile/load", s.instrument("load", true, s.handleLoad))
 	s.mux.HandleFunc("POST /v2/jobs", s.instrument("jobs", false, s.handleJobsSubmit))
 	s.mux.HandleFunc("GET /v2/jobs/{id}", s.instrument("job", false, s.handleJobStatus))
-	s.mux.HandleFunc("GET /v2/jobs/{id}/events", s.handleJobEvents)
+	s.mux.HandleFunc("GET /v2/jobs/{id}/events", s.handleJobEvents(s.met.endpoint("events")))
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -107,38 +107,22 @@ func (s *Server) routes() {
 // Handler returns the service's root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// errorBody is the unified typed error payload every /v2/* endpoint
-// returns, wrapped in an errorEnvelope. Code is a stable machine-readable
-// slug; Retryable tells clients whether backing off and retrying the same
-// request can succeed (the client SDK keys its retry loop off it).
-type errorBody struct {
-	Code      string `json:"code"`
-	Message   string `json:"message"`
-	Retryable bool   `json:"retryable"`
-	Stage     string `json:"stage,omitempty"`
-	Line      int    `json:"line,omitempty"`
-	Col       int    `json:"col,omitempty"`
-}
-
-// errorEnvelope wraps every error response: {"error":{...}}.
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
-}
-
 var errUnknownSession = errors.New("unknown session (expired from the cache or never compiled)")
 
 // instrument wraps a handler with request counting, per-request deadline,
 // admission control for heavy (execution- or analysis-bound) endpoints,
-// and the structured request log line.
+// and the structured request log line. It registers name's counters when
+// routes registers the handler, before the server serves.
 func (s *Server) instrument(name string, heavy bool, h func(ctx context.Context, r *http.Request) (any, error)) http.HandlerFunc {
+	c := s.met.endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.met.request(name)
+		c.requests.Add(1)
 		if heavy {
 			if !s.gate.TryAcquire() {
 				s.met.rejected.Add(1)
 				w.Header().Set("Retry-After", "1")
-				s.writeJSON(w, http.StatusTooManyRequests, errorEnvelope{Error: errorBody{
+				s.writeJSON(w, http.StatusTooManyRequests, client.Envelope{Error: client.ErrorBody{
 					Code: "at_capacity", Message: "server at capacity", Retryable: true,
 				}})
 				s.logLine(r, name, http.StatusTooManyRequests, start)
@@ -151,7 +135,7 @@ func (s *Server) instrument(name string, heavy bool, h func(ctx context.Context,
 		resp, err := h(ctx, r)
 		status := http.StatusOK
 		if err != nil {
-			s.met.failure(name)
+			c.failures.Add(1)
 			status = s.writeErr(w, err)
 		} else if raw, ok := resp.(json.RawMessage); ok {
 			w.Header().Set("Content-Type", "application/json")
@@ -186,15 +170,16 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) int {
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	s.writeJSON(w, status, errorEnvelope{Error: body})
+	s.writeJSON(w, status, client.Envelope{Error: body})
 	return status
 }
 
 // classifyErr is the single mapping from Go errors to (status, envelope
-// body). Cancellation is checked before profile errors: a run aborted by
-// the client's disconnect wraps ErrCanceled inside a ProfileError, and the
-// disconnect is the truth of the matter.
-func classifyErr(err error) (int, errorBody) {
+// body), for synchronous responses and failed jobs alike. Cancellation is
+// checked before profile errors: a run aborted by the client's disconnect
+// wraps ErrCanceled inside a ProfileError, and the disconnect is the truth
+// of the matter.
+func classifyErr(err error) (int, client.ErrorBody) {
 	var ce *lowutil.CompileError
 	var pe *lowutil.ProfileError
 	var badReq *badRequestError
@@ -202,7 +187,7 @@ func classifyErr(err error) (int, errorBody) {
 	var optErr *lowutil.OptionError
 	var heapErr *lowutil.HeapError
 	status := http.StatusInternalServerError
-	body := errorBody{Code: "internal", Message: err.Error()}
+	body := client.ErrorBody{Code: "internal", Message: err.Error()}
 	switch {
 	case errors.As(err, &ce):
 		status, body.Code = http.StatusUnprocessableEntity, "compile_error"
@@ -264,50 +249,7 @@ func (s *Server) session(id string) (*Session, error) {
 	return sess, nil
 }
 
-// ---- request/response payloads ----
-
-type compileRequest struct {
-	Source     string `json:"source"`
-	MainClass  string `json:"main_class,omitempty"`
-	MainMethod string `json:"main_method,omitempty"`
-}
-
-type compileResponse struct {
-	Session      string `json:"session"`
-	Instructions int    `json:"instructions"`
-	CacheHit     bool   `json:"cache_hit"`
-}
-
-type findingJSON struct {
-	Site            int     `json:"site"`
-	Where           string  `json:"where"`
-	Cost            float64 `json:"cost"`
-	Benefit         float64 `json:"benefit"`
-	Rate            float64 `json:"rate"`
-	ReachesConsumer bool    `json:"reaches_consumer"`
-	Allocs          int64   `json:"allocs"`
-}
-
-type profileResponse struct {
-	Session  string        `json:"session"`
-	CacheHit bool          `json:"cache_hit"`
-	Steps    int64         `json:"steps"`
-	Top      []findingJSON `json:"top"`
-}
-
-type reportResponse struct {
-	Session  string `json:"session"`
-	CacheHit bool   `json:"cache_hit"`
-	Report   string `json:"report"`
-}
-
-// sessionRequest names a session and the options of the analysis to run
-// on it: the body of every endpoint that reads a compiled session. Each
-// endpoint reads only the options its analysis reads.
-type sessionRequest struct {
-	Session string `json:"session"`
-	lowutil.Options
-}
+// ---- the bodies the client SDK does not model ----
 
 type vetResponse struct {
 	Session  string   `json:"session"`
@@ -334,14 +276,14 @@ type runResponse struct {
 }
 
 type loadRequest struct {
-	sessionRequest
+	client.ProfileRequest
 	Profile json.RawMessage `json:"profile"`
 }
 
 // ---- handlers ----
 
 func (s *Server) handleCompile(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[compileRequest](r)
+	req, err := decode[client.CompilePayload](r)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +294,7 @@ func (s *Server) handleCompile(ctx context.Context, r *http.Request) (any, error
 	if err != nil {
 		return nil, err
 	}
-	return compileResponse{Session: sess.ID, Instructions: sess.Prog.NumInstructions(), CacheHit: hit}, nil
+	return client.CompileResult{Session: sess.ID, Instructions: sess.Prog.NumInstructions(), CacheHit: hit}, nil
 }
 
 // compileSession returns the session for a program (entry point Main.main
@@ -389,7 +331,7 @@ func (s *Server) compileSession(src, mainClass, mainMethod string) (*Session, bo
 // decodes the session and options and runs the executor jobs run.
 func (s *Server) handleKind(kind string) func(ctx context.Context, r *http.Request) (any, error) {
 	return func(ctx context.Context, r *http.Request) (any, error) {
-		req, err := decode[sessionRequest](r)
+		req, err := decode[client.ProfileRequest](r)
 		if err != nil {
 			return nil, err
 		}
@@ -416,7 +358,7 @@ func (s *Server) execute(ctx context.Context, sess *Session, kind string, o lowu
 	}
 	switch kind {
 	case lowutil.KindCompile:
-		return compileResponse{Session: sess.ID, Instructions: sess.Prog.NumInstructions()}, nil
+		return client.CompileResult{Session: sess.ID, Instructions: sess.Prog.NumInstructions()}, nil
 	case lowutil.KindRun:
 		res, err := sess.Prog.RunContext(ctx)
 		if err != nil {
@@ -436,15 +378,15 @@ func (s *Server) execute(ctx context.Context, sess *Session, kind string, o lowu
 			return nil, err
 		}
 		if kind == lowutil.KindReport {
-			return reportResponse{Session: sess.ID, CacheHit: hit && hits, Report: pr.Report(o.Top)}, nil
+			return client.ReportResult{Session: sess.ID, CacheHit: hit && hits, Report: pr.Report(o.Top)}, nil
 		}
-		return newProfileResponse(sess.ID, hit && hits, pr, o.Top), nil
+		return client.ProfileResult{Session: sess.ID, CacheHit: hit && hits, Steps: pr.Steps(), Top: pr.TopStructures(o.Top)}, nil
 	case lowutil.KindSlice:
 		rep, err := sess.Prog.StaticSliceContext(ctx, lowutil.WithOptions(o))
 		if err != nil {
 			return nil, err
 		}
-		return reportResponse{Session: sess.ID, Report: rep}, nil
+		return client.ReportResult{Session: sess.ID, Report: rep}, nil
 	default: // lowutil.KindAudit: Resolve rejected every other kind
 		rep, hit, err := sess.audit(ctx, o)
 		if hit {
@@ -455,7 +397,7 @@ func (s *Server) execute(ctx context.Context, sess *Session, kind string, o lowu
 		if err != nil {
 			return nil, err
 		}
-		return reportResponse{Session: sess.ID, CacheHit: hit && hits, Report: rep}, nil
+		return client.ReportResult{Session: sess.ID, CacheHit: hit && hits, Report: rep}, nil
 	}
 }
 
@@ -480,23 +422,8 @@ func (s *Server) cachedProfile(ctx context.Context, sess *Session, o lowutil.Opt
 	return pr, hit, err
 }
 
-// newProfileResponse renders the /v2/profile payload for a finished run.
-func newProfileResponse(session string, hit bool, pr *lowutil.Profile, top int) profileResponse {
-	resp := profileResponse{
-		Session: session, CacheHit: hit, Top: []findingJSON{},
-		Steps: pr.Steps(),
-	}
-	for _, f := range pr.TopStructures(top) {
-		resp.Top = append(resp.Top, findingJSON{
-			Site: f.Site, Where: f.Where, Cost: f.Cost, Benefit: f.Benefit,
-			Rate: f.Rate, ReachesConsumer: f.ReachesConsumer, Allocs: f.Allocs,
-		})
-	}
-	return resp
-}
-
 func (s *Server) handleVet(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[sessionRequest](r)
+	req, err := decode[client.ProfileRequest](r)
 	if err != nil {
 		return nil, err
 	}
@@ -531,7 +458,7 @@ func (s *Server) handleSSA(ctx context.Context, r *http.Request) (any, error) {
 // portable profile envelope — the §3.2 offline-analysis deployment mode
 // over HTTP.
 func (s *Server) handleSave(ctx context.Context, r *http.Request) (any, error) {
-	req, err := decode[sessionRequest](r)
+	req, err := decode[client.ProfileRequest](r)
 	if err != nil {
 		return nil, err
 	}
@@ -576,7 +503,7 @@ func (s *Server) handleLoad(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, &badRequestError{err}
 	}
-	return reportResponse{Session: sess.ID, Report: pr.Report(o.Top)}, nil
+	return client.ReportResult{Session: sess.ID, Report: pr.Report(o.Top)}, nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

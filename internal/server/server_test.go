@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"lowutil"
+	"lowutil/client"
 	"lowutil/internal/parser"
 )
 
@@ -72,9 +73,9 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // decodeEnvelope parses the unified error envelope out of an error body.
-func decodeEnvelope(t *testing.T, body []byte) errorBody {
+func decodeEnvelope(t *testing.T, body []byte) client.ErrorBody {
 	t.Helper()
-	var env errorEnvelope
+	var env client.Envelope
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("malformed error envelope %s: %v", body, err)
 	}
@@ -104,11 +105,11 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 
 func compileSession(t *testing.T, base, src string) string {
 	t.Helper()
-	code, body := postJSON(t, base+"/v2/compile", compileRequest{Source: src})
+	code, body := postJSON(t, base+"/v2/compile", client.CompilePayload{Source: src})
 	if code != http.StatusOK {
 		t.Fatalf("compile: status %d: %s", code, body)
 	}
-	var cr compileResponse
+	var cr client.CompileResult
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +149,13 @@ func TestConcurrentProfiles(t *testing.T) {
 
 	const n = 8
 	var wg sync.WaitGroup
-	responses := make([]profileResponse, n)
+	responses := make([]client.ProfileResult, n)
 	codes := make([]int, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			code, body := postJSON(t, ts.URL+"/v2/profile", sessionRequest{Session: id})
+			code, body := postJSON(t, ts.URL+"/v2/profile", client.ProfileRequest{Session: id})
 			codes[i] = code
 			json.Unmarshal(body, &responses[i])
 		}(i)
@@ -188,11 +189,11 @@ func TestConcurrentProfiles(t *testing.T) {
 
 	// A later report request reuses the same memoized run: still no second
 	// profiler execution.
-	code, body := postJSON(t, ts.URL+"/v2/report", sessionRequest{Session: id})
+	code, body := postJSON(t, ts.URL+"/v2/report", client.ProfileRequest{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("report: status %d: %s", code, body)
 	}
-	var rr reportResponse
+	var rr client.ReportResult
 	json.Unmarshal(body, &rr)
 	if !rr.CacheHit || !strings.Contains(rr.Report, "top low-utility structures") {
 		t.Errorf("report cache_hit=%v report=%q", rr.CacheHit, rr.Report)
@@ -235,7 +236,7 @@ func TestConcurrentQueriesOneSession(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i], bodies[i] = postJSON(t, ts.URL+endpoints[i%len(endpoints)], sessionRequest{Session: id})
+			codes[i], bodies[i] = postJSON(t, ts.URL+endpoints[i%len(endpoints)], client.ProfileRequest{Session: id})
 		}(i)
 	}
 	wg.Wait()
@@ -247,13 +248,13 @@ func TestConcurrentQueriesOneSession(t *testing.T) {
 		}
 		switch ep {
 		case "/v2/report":
-			var rr reportResponse
+			var rr client.ReportResult
 			json.Unmarshal(body, &rr)
 			if rr.Report != wantReport {
 				t.Errorf("concurrent report differs from a lone run:\n%s", rr.Report)
 			}
 		case "/v2/profile":
-			var resp profileResponse
+			var resp client.ProfileResult
 			json.Unmarshal(body, &resp)
 			if len(resp.Top) != len(wantTop) || resp.Steps != pr.Steps() {
 				t.Fatalf("concurrent profile: %d findings, %d steps; want %d, %d",
@@ -279,17 +280,17 @@ func TestConcurrentQueriesOneSession(t *testing.T) {
 // is a session cache hit with the same ID.
 func TestCompileSessionCache(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, body := postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: workSrc})
+	code, body := postJSON(t, ts.URL+"/v2/compile", client.CompilePayload{Source: workSrc})
 	if code != http.StatusOK {
 		t.Fatalf("compile: %d %s", code, body)
 	}
-	var first compileResponse
+	var first client.CompileResult
 	json.Unmarshal(body, &first)
 	if first.CacheHit {
 		t.Error("first compile reported a cache hit")
 	}
-	_, body = postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: workSrc})
-	var second compileResponse
+	_, body = postJSON(t, ts.URL+"/v2/compile", client.CompilePayload{Source: workSrc})
+	var second client.CompileResult
 	json.Unmarshal(body, &second)
 	if !second.CacheHit || second.Session != first.Session {
 		t.Errorf("second compile: hit=%v session=%s want hit of %s", second.CacheHit, second.Session, first.Session)
@@ -307,7 +308,7 @@ func TestCancellation(t *testing.T) {
 	id := compileSession(t, ts.URL, spinSrc)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	buf, _ := json.Marshal(sessionRequest{Session: id})
+	buf, _ := json.Marshal(client.ProfileRequest{Session: id})
 	req := httptest.NewRequest("POST", "/v2/profile", bytes.NewReader(buf)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	start := time.Now()
@@ -336,7 +337,7 @@ func TestCancellation(t *testing.T) {
 	// The deadline path: a tight per-request timeout produces 504.
 	_, ts2 := newTestServer(t, Config{RequestTimeout: 100 * time.Millisecond})
 	id2 := compileSession(t, ts2.URL, spinSrc)
-	code, body := postJSON(t, ts2.URL+"/v2/profile", sessionRequest{Session: id2})
+	code, body := postJSON(t, ts2.URL+"/v2/profile", client.ProfileRequest{Session: id2})
 	if code != http.StatusGatewayTimeout {
 		t.Errorf("deadline status = %d, want 504; body %s", code, body)
 	}
@@ -354,7 +355,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatal("fresh gate full")
 	}
 	defer s.gate.Release()
-	code, body := postJSON(t, ts.URL+"/v2/profile", sessionRequest{Session: id})
+	code, body := postJSON(t, ts.URL+"/v2/profile", client.ProfileRequest{Session: id})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429; body %s", code, body)
 	}
@@ -362,11 +363,11 @@ func TestAdmissionControl(t *testing.T) {
 		t.Errorf("429 envelope = %+v, want retryable at_capacity", eb)
 	}
 	// Vet runs audit's interprocedural pipeline and escape pass: heavy too.
-	code, body = postJSON(t, ts.URL+"/v2/vet", sessionRequest{Session: id})
+	code, body = postJSON(t, ts.URL+"/v2/vet", client.ProfileRequest{Session: id})
 	if eb := decodeEnvelope(t, body); code != http.StatusTooManyRequests || eb.Code != "at_capacity" {
 		t.Errorf("vet under a full gate: %d %+v, want 429 at_capacity", code, eb)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: workSrc}); code != http.StatusOK {
+	if code, _ := postJSON(t, ts.URL+"/v2/compile", client.CompilePayload{Source: workSrc}); code != http.StatusOK {
 		t.Errorf("light endpoint rejected: %d", code)
 	}
 	if got := metricValue(t, ts.URL, "lowutil_rejected_total"); got != 2 {
@@ -383,7 +384,7 @@ func TestTooDeepCompileRejected(t *testing.T) {
 	const depth = 50 * parser.MaxNesting
 	src := "class Main { static void main() { int x = " +
 		strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + "; print(x); } }"
-	code, body := postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: src})
+	code, body := postJSON(t, ts.URL+"/v2/compile", client.CompilePayload{Source: src})
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("too-deep compile status = %d, want 422; body %.200s", code, body)
 	}
@@ -391,7 +392,7 @@ func TestTooDeepCompileRejected(t *testing.T) {
 		t.Errorf("422 envelope = %+v, want compile_error with position", eb)
 	}
 	id := compileSession(t, ts.URL, workSrc)
-	if code, body := postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: id}); code != http.StatusOK {
+	if code, body := postJSON(t, ts.URL+"/v2/run", client.ProfileRequest{Session: id}); code != http.StatusOK {
 		t.Errorf("request after the rejected compile: %d %s", code, body)
 	}
 }
@@ -411,7 +412,7 @@ func TestTokenFloodCompileRejected(t *testing.T) {
 		{strings.Repeat("(", n), 1, 1},
 		{"class Main { static void main() { Foo" + strings.Repeat("[]", n/2) + " x; } }", 1, 548},
 	} {
-		code, body := postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: c.src})
+		code, body := postJSON(t, ts.URL+"/v2/compile", client.CompilePayload{Source: c.src})
 		if code != http.StatusUnprocessableEntity {
 			t.Fatalf("flood compile status = %d, want 422; body %.200s", code, body)
 		}
@@ -419,7 +420,7 @@ func TestTokenFloodCompileRejected(t *testing.T) {
 			t.Errorf("422 envelope = %+v, want compile_error at %d:%d", eb, c.line, c.col)
 		}
 		id := compileSession(t, ts.URL, workSrc)
-		if code, body := postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: id}); code != http.StatusOK {
+		if code, body := postJSON(t, ts.URL+"/v2/run", client.ProfileRequest{Session: id}); code != http.StatusOK {
 			t.Errorf("request after the rejected compile: %d %s", code, body)
 		}
 	}
@@ -429,21 +430,21 @@ func TestTokenFloodCompileRejected(t *testing.T) {
 // arrives in the unified {"error":{code,message,retryable}} envelope.
 func TestErrorMapping(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, body := postJSON(t, ts.URL+"/v2/compile", compileRequest{Source: "class Main { static void main() { print(x); } }"})
+	code, body := postJSON(t, ts.URL+"/v2/compile", client.CompilePayload{Source: "class Main { static void main() { print(x); } }"})
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("compile error status = %d, want 422; body %s", code, body)
 	}
 	if eb := decodeEnvelope(t, body); eb.Code != "compile_error" || eb.Line <= 0 || eb.Retryable {
 		t.Errorf("422 envelope = %+v, want compile_error with position", eb)
 	}
-	code, body = postJSON(t, ts.URL+"/v2/profile", sessionRequest{Session: "deadbeef"})
+	code, body = postJSON(t, ts.URL+"/v2/profile", client.ProfileRequest{Session: "deadbeef"})
 	if code != http.StatusNotFound {
 		t.Errorf("unknown session status = %d, want 404", code)
 	}
 	if eb := decodeEnvelope(t, body); eb.Code != "not_found" || eb.Retryable {
 		t.Errorf("404 envelope = %+v, want not_found", eb)
 	}
-	code, body = postJSON(t, ts.URL+"/v2/profile", sessionRequest{})
+	code, body = postJSON(t, ts.URL+"/v2/profile", client.ProfileRequest{})
 	if code != http.StatusBadRequest {
 		t.Errorf("missing session status = %d, want 400", code)
 	}
@@ -460,15 +461,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := compileSession(t, ts.URL, workSrc)
 
-	code, envelope := postJSON(t, ts.URL+"/v2/profile/save", sessionRequest{Session: id})
+	code, envelope := postJSON(t, ts.URL+"/v2/profile/save", client.ProfileRequest{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("save: status %d: %s", code, envelope)
 	}
-	code, body := postJSON(t, ts.URL+"/v2/profile/load", loadRequest{sessionRequest: sessionRequest{Session: id}, Profile: envelope})
+	code, body := postJSON(t, ts.URL+"/v2/profile/load", loadRequest{ProfileRequest: client.ProfileRequest{Session: id}, Profile: envelope})
 	if code != http.StatusOK {
 		t.Fatalf("load: status %d: %s", code, body)
 	}
-	var lr reportResponse
+	var lr client.ReportResult
 	if err := json.Unmarshal(body, &lr); err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +487,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	// Loading the same envelope twice is deterministic.
-	_, body2 := postJSON(t, ts.URL+"/v2/profile/load", loadRequest{sessionRequest: sessionRequest{Session: id}, Profile: envelope})
+	_, body2 := postJSON(t, ts.URL+"/v2/profile/load", loadRequest{ProfileRequest: client.ProfileRequest{Session: id}, Profile: envelope})
 	if !bytes.Equal(body, body2) {
 		t.Error("two loads of the same envelope produced different responses")
 	}
@@ -494,14 +495,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// A load ranks with the request's tree_height, as /v2/report does on
 	// the same session; only the average CR, which a saved profile does not
 	// keep, may differ.
-	n1 := sessionRequest{Session: id, Options: lowutil.Options{TreeHeight: 1}}
+	n1 := client.ProfileRequest{Session: id, Options: lowutil.Options{TreeHeight: 1}}
 	report := func(path string, req any) string {
 		t.Helper()
 		code, body := postJSON(t, ts.URL+path, req)
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", path, code, body)
 		}
-		var rr reportResponse
+		var rr client.ReportResult
 		if err := json.Unmarshal(body, &rr); err != nil {
 			t.Fatal(err)
 		}
@@ -511,7 +512,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !strings.Contains(want, "(n=1)") {
 		t.Fatalf("/v2/report with tree_height 1 does not rank with n=1:\n%s", want)
 	}
-	if got := report("/v2/profile/load", loadRequest{sessionRequest: n1, Profile: envelope}); got != want {
+	if got := report("/v2/profile/load", loadRequest{ProfileRequest: n1, Profile: envelope}); got != want {
 		t.Errorf("load with tree_height 1:\n%s\nwant /v2/report's:\n%s", got, want)
 	}
 }
@@ -521,8 +522,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestMetricsAndHealth(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInFlight: 3})
 	id := compileSession(t, ts.URL, workSrc)
-	postJSON(t, ts.URL+"/v2/profile", sessionRequest{Session: id})
-	postJSON(t, ts.URL+"/v2/run", sessionRequest{Session: id})
+	postJSON(t, ts.URL+"/v2/profile", client.ProfileRequest{Session: id})
+	postJSON(t, ts.URL+"/v2/run", client.ProfileRequest{Session: id})
 
 	if got := metricValue(t, ts.URL, `lowutil_requests_total{endpoint="compile"}`); got != 1 {
 		t.Errorf("compile requests = %d, want 1", got)
@@ -555,6 +556,41 @@ func TestMetricsAndHealth(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestMetricsCountEveryRoute: /metrics has a request and a failure row
+// for every instrumented route, because its label set is built from the
+// routes as they are registered, and /v2/ssa counts its requests and
+// failures like every other endpoint.
+func TestMetricsCountEveryRoute(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := compileSession(t, ts.URL, workSrc)
+	for _, path := range []string{"/v2/profile", "/v2/report", "/v2/slice", "/v2/audit", "/v2/run", "/v2/vet", "/v2/ssa", "/v2/profile/save", "/v2/profile/load"} {
+		postJSON(t, ts.URL+path, client.ProfileRequest{Session: id})
+	}
+	b := submitJobs(t, ts.URL, client.SubmitPayload{Jobs: []client.Job{{Spec: lowutil.Request{Kind: lowutil.KindRun, Source: workSrc}}}})
+	waitBatch(t, ts.URL, b.ID)
+	getBody(t, ts.URL+"/v2/jobs/"+b.Jobs[0].ID+"/events")
+	for _, label := range []string{"compile", "profile", "report", "slice", "audit", "run", "vet", "ssa", "save", "load", "jobs", "job", "events"} {
+		if got := metricValue(t, ts.URL, fmt.Sprintf("lowutil_requests_total{endpoint=%q}", label)); got < 1 {
+			t.Errorf("%s requests = %d, want at least 1", label, got)
+		}
+		metricValue(t, ts.URL, fmt.Sprintf("lowutil_request_failures_total{endpoint=%q}", label))
+	}
+
+	// Three more /v2/ssa requests, one of them a 400: 4 requests, 1
+	// failure.
+	postJSON(t, ts.URL+"/v2/ssa", ssaRequest{Session: id})
+	postJSON(t, ts.URL+"/v2/ssa", ssaRequest{Session: id, Method: "Main.main"})
+	if code, _ := postJSON(t, ts.URL+"/v2/ssa", ssaRequest{Session: id, Method: "No.such"}); code != http.StatusBadRequest {
+		t.Fatalf("unknown method: %d, want 400", code)
+	}
+	if got := metricValue(t, ts.URL, `lowutil_requests_total{endpoint="ssa"}`); got != 4 {
+		t.Errorf("ssa requests = %d, want 4", got)
+	}
+	if got := metricValue(t, ts.URL, `lowutil_request_failures_total{endpoint="ssa"}`); got != 1 {
+		t.Errorf("ssa failures = %d, want 1", got)
+	}
+}
+
 // TestSessionEviction bounds the LRU and asserts the oldest session falls
 // out and 404s afterward.
 func TestSessionEviction(t *testing.T) {
@@ -564,10 +600,10 @@ func TestSessionEviction(t *testing.T) {
 		src := strings.Replace(workSrc, "int total = 0;", fmt.Sprintf("int total = %d;", i), 1)
 		ids[i] = compileSession(t, ts.URL, src)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v2/vet", sessionRequest{Session: ids[0]}); code != http.StatusNotFound {
+	if code, _ := postJSON(t, ts.URL+"/v2/vet", client.ProfileRequest{Session: ids[0]}); code != http.StatusNotFound {
 		t.Errorf("evicted session status = %d, want 404", code)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v2/vet", sessionRequest{Session: ids[2]}); code != http.StatusOK {
+	if code, _ := postJSON(t, ts.URL+"/v2/vet", client.ProfileRequest{Session: ids[2]}); code != http.StatusOK {
 		t.Errorf("fresh session status = %d, want 200", code)
 	}
 	if got := metricValue(t, ts.URL, "lowutil_session_evictions_total"); got != 1 {
@@ -579,15 +615,15 @@ func TestSessionEviction(t *testing.T) {
 func TestVetAndSlice(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := compileSession(t, ts.URL, workSrc)
-	code, body := postJSON(t, ts.URL+"/v2/vet", sessionRequest{Session: id})
+	code, body := postJSON(t, ts.URL+"/v2/vet", client.ProfileRequest{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("vet: %d %s", code, body)
 	}
-	code, body = postJSON(t, ts.URL+"/v2/slice", sessionRequest{Session: id, Options: lowutil.Options{Mode: "rta", Top: 5}})
+	code, body = postJSON(t, ts.URL+"/v2/slice", client.ProfileRequest{Session: id, Options: lowutil.Options{Mode: "rta", Top: 5}})
 	if code != http.StatusOK {
 		t.Fatalf("slice: %d %s", code, body)
 	}
-	var sr reportResponse
+	var sr client.ReportResult
 	json.Unmarshal(body, &sr)
 	if !strings.Contains(sr.Report, "static slice") {
 		t.Errorf("slice report missing header: %q", sr.Report)
@@ -604,13 +640,13 @@ func TestConcurrentAudits(t *testing.T) {
 
 	const n = 8
 	var wg sync.WaitGroup
-	responses := make([]reportResponse, n)
+	responses := make([]client.ReportResult, n)
 	codes := make([]int, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			code, body := postJSON(t, ts.URL+"/v2/audit", sessionRequest{Session: id})
+			code, body := postJSON(t, ts.URL+"/v2/audit", client.ProfileRequest{Session: id})
 			codes[i] = code
 			json.Unmarshal(body, &responses[i])
 		}(i)
@@ -644,11 +680,11 @@ func TestConcurrentAudits(t *testing.T) {
 
 	// An explicit default mode resolves to the same key: it joins the
 	// memoized analysis instead of running a second.
-	code, body := postJSON(t, ts.URL+"/v2/audit", sessionRequest{Session: id, Options: lowutil.Options{Mode: "rta"}})
+	code, body := postJSON(t, ts.URL+"/v2/audit", client.ProfileRequest{Session: id, Options: lowutil.Options{Mode: "rta"}})
 	if code != http.StatusOK {
 		t.Fatalf("explicit-mode audit: status %d: %s", code, body)
 	}
-	var rr reportResponse
+	var rr client.ReportResult
 	json.Unmarshal(body, &rr)
 	if !rr.CacheHit || rr.Report != responses[0].Report {
 		t.Errorf("explicit default mode: cache_hit=%v, want a hit on the default key", rr.CacheHit)
@@ -660,11 +696,11 @@ func TestConcurrentAudits(t *testing.T) {
 	// A differently-keyed request runs a second analysis — and because
 	// workSrc has fewer than 11 allocation sites, a top of 11 renders the
 	// same bytes as the default: the analysis is deterministic.
-	code, body = postJSON(t, ts.URL+"/v2/audit", sessionRequest{Session: id, Options: lowutil.Options{Mode: "rta", Top: 11}})
+	code, body = postJSON(t, ts.URL+"/v2/audit", client.ProfileRequest{Session: id, Options: lowutil.Options{Mode: "rta", Top: 11}})
 	if code != http.StatusOK {
 		t.Fatalf("distinct-key audit: status %d: %s", code, body)
 	}
-	rr = reportResponse{}
+	rr = client.ReportResult{}
 	json.Unmarshal(body, &rr)
 	if rr.CacheHit {
 		t.Error("distinct-key audit reported a cache hit")
@@ -687,7 +723,7 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the client is gone before the analysis starts
-	buf, _ := json.Marshal(sessionRequest{Session: id})
+	buf, _ := json.Marshal(client.ProfileRequest{Session: id})
 	req := httptest.NewRequest("POST", "/v2/audit", bytes.NewReader(buf)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
@@ -703,11 +739,11 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 	}
 
 	// The same key retries cleanly after the eviction.
-	code, body := postJSON(t, ts.URL+"/v2/audit", sessionRequest{Session: id})
+	code, body := postJSON(t, ts.URL+"/v2/audit", client.ProfileRequest{Session: id})
 	if code != http.StatusOK {
 		t.Fatalf("retry after cancel: status %d: %s", code, body)
 	}
-	var rr reportResponse
+	var rr client.ReportResult
 	json.Unmarshal(body, &rr)
 	if rr.CacheHit {
 		t.Error("retry after eviction reported a cache hit")
@@ -717,7 +753,7 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 	// 504 (the fixpoints poll the context before converging).
 	_, ts2 := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
 	id2 := compileSession(t, ts2.URL, workSrc)
-	code, body = postJSON(t, ts2.URL+"/v2/audit", sessionRequest{Session: id2})
+	code, body = postJSON(t, ts2.URL+"/v2/audit", client.ProfileRequest{Session: id2})
 	if code != http.StatusGatewayTimeout {
 		t.Errorf("deadline audit status = %d, want 504; body %s", code, body)
 	}
@@ -729,7 +765,7 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 func TestLegacyFieldIgnored(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := compileSession(t, ts.URL, workSrc)
-	if code, body := postJSON(t, ts.URL+"/v2/profile", sessionRequest{Session: id}); code != http.StatusOK {
+	if code, body := postJSON(t, ts.URL+"/v2/profile", client.ProfileRequest{Session: id}); code != http.StatusOK {
 		t.Fatalf("profile: %d %s", code, body)
 	}
 	resp, err := http.Post(ts.URL+"/v2/profile", "application/json",
@@ -738,7 +774,7 @@ func TestLegacyFieldIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var pr profileResponse
+	var pr client.ProfileResult
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("profile with legacy: status %d, decode %v", resp.StatusCode, err)
 	}

@@ -291,21 +291,24 @@ type Profile struct {
 	height int
 }
 
-// Finding is one ranked low-utility data structure.
+// Finding is one ranked low-utility data structure. Its JSON form is the
+// one the profiling service's /v2/profile response carries.
 type Finding struct {
 	// Site is the allocation-site index; Where locates it in the source
 	// ("Class.method:pc", with the source line when available).
-	Site  int
-	Where string
+	Site  int    `json:"site"`
+	Where string `json:"where"`
 	// Cost and Benefit are the aggregated n-RAC and n-RAB; Rate is their
 	// ratio. Fields whose values reach program output or control decisions
 	// contribute a large finite benefit weight.
-	Cost, Benefit, Rate float64
+	Cost    float64 `json:"cost"`
+	Benefit float64 `json:"benefit"`
+	Rate    float64 `json:"rate"`
 	// ReachesConsumer marks structures with at least one field whose values
 	// reach program output or control decisions.
-	ReachesConsumer bool
+	ReachesConsumer bool `json:"reaches_consumer"`
 	// Allocs is how many objects the site allocated.
-	Allocs int64
+	Allocs int64 `json:"allocs"`
 }
 
 func (f Finding) String() string {

@@ -73,8 +73,13 @@ go run ./cmd/lowutil fuzz -seed 1 -n 50
 go test -race -short -shuffle=on ./...
 # The job queue under the race detector at two GOMAXPROCS values, without
 # -short: TestConcurrentSoak runs its full 1.5 s of submitters, readers
-# and record GC against the one heap, then drains under load.
+# and record GC against the one heap, then drains under load. A drain and
+# a job's error body cross into the server (its executor classifies the
+# errors, its Close drains), so the same pass runs the server's job and
+# drain tests and serve's shutdown tests with followers attached.
 go test -race -count=1 -cpu 1,4 ./internal/jobs
+go test -race -count=1 -cpu 1,4 -run 'Job|Drain' ./internal/server
+go test -race -count=1 -cpu 1,4 -run TestServeShutdown ./cmd/lowutil
 # The detached profiler under both selections: at GOMAXPROCS 1 no run may
 # detach and at 2 every long run must, and either way Gcost must match the
 # synchronous reference byte for byte (-short keeps two workloads). The
