@@ -368,7 +368,7 @@ func cmdSSA(args []string) error {
 	if err != nil {
 		return err
 	}
-	dump, err := prog.SSADump(*method)
+	dump, err := prog.SSADumpContext(context.Background(), *method)
 	if err != nil {
 		return err
 	}

@@ -313,6 +313,35 @@ class Main {
 	}
 }
 
+// TestVetAndSSADumpContext: a canceled context stops vet and the SSA dump
+// with an ErrCanceled-wrapped error that keeps context.Canceled in the
+// chain, and an unknown method stays a plain error.
+func TestVetAndSSADumpContext(t *testing.T) {
+	prog, err := Compile(chainSource(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prog.VetContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prog.SSADumpContext(context.Background(), "Main.main"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := prog.VetContext(ctx); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled vet: want ErrCanceled wrapping context.Canceled, got %v", err)
+	}
+	for _, method := range []string{"", "Main.main"} {
+		if _, err := prog.SSADumpContext(ctx, method); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Errorf("canceled SSA dump of %q: want ErrCanceled wrapping context.Canceled, got %v", method, err)
+		}
+	}
+	if _, err := prog.SSADumpContext(context.Background(), "Main.nope"); err == nil || errors.Is(err, ErrCanceled) {
+		t.Errorf("unknown method: want a plain error, got %v", err)
+	}
+}
+
 func TestWithMaxSteps(t *testing.T) {
 	prog, err := Compile(spinSrc)
 	if err != nil {

@@ -163,7 +163,6 @@ type Result struct {
 	Sites []SiteInfo
 
 	bySite map[int]int // AllocSite → index into Sites
-	ssaMI  map[*ir.Method]*ssa.MethodInfo
 	az     *analyzer
 }
 
@@ -184,7 +183,6 @@ func AnalyzeContext(ctx context.Context, an *interproc.Analysis) (*Result, error
 	r := &Result{
 		An:     an,
 		bySite: make(map[int]int),
-		ssaMI:  make(map[*ir.Method]*ssa.MethodInfo),
 	}
 
 	// Enumerate reachable allocation sites, ascending by site index.
@@ -257,8 +255,10 @@ func AnalyzeContext(ctx context.Context, an *interproc.Analysis) (*Result, error
 	if err != nil {
 		return nil, err
 	}
+	seen := make(map[int]bool)
 	for _, m := range an.CG.Methods() {
-		f := r.ssainfo(m).F
+		mf := a.flow(m)
+		f := mf.f
 		for pc := range m.Code {
 			in := &m.Code[pc]
 			var bases objSet
@@ -266,10 +266,10 @@ func AnalyzeContext(ctx context.Context, an *interproc.Analysis) (*Result, error
 			isStore := false
 			switch in.Op {
 			case ir.OpStoreField:
-				bases, isStore = a.operandObjs(m, f, pc, 0), true
+				bases, isStore = a.operandObjs(mf, pc, 0), true
 				field = in.Field.ID
 			case ir.OpAStore:
-				bases, isStore = a.operandObjs(m, f, pc, 0), true
+				bases, isStore = a.operandObjs(mf, pc, 0), true
 			case ir.OpLoadField:
 				bases = a.loadBases[in]
 				field = in.Field.ID
@@ -285,10 +285,10 @@ func AnalyzeContext(ctx context.Context, an *interproc.Analysis) (*Result, error
 				// consumer is a statically witnessed non-zero benefit for
 				// every field the load resolves to.
 				if dv := f.DefOf[pc]; dv != ssa.None {
-					consumed = cons.valConsumed(m, f, dv, make([]bool, f.NumVals()))
+					consumed = cons.consumed(mf, dv)
 				}
 			}
-			seen := make(map[int]bool, len(bases))
+			clear(seen)
 			for o := range bases {
 				site := an.PT.Objects[o].Site.AllocSite
 				if seen[site] {
@@ -406,6 +406,44 @@ type analyzer struct {
 	// here: a caller that reuses one local slot for unrelated values would
 	// bleed those objects into the callee's formals.
 	params map[int][]objSet
+
+	// round numbers the value-flow rounds. A value's object set is computed
+	// once per round and method (methodFlow.objs); after the last round,
+	// which changed nothing, the sets are final.
+	round uint32
+	// flows[m] is method m's per-value scratch, allocated once.
+	flows map[*ir.Method]*methodFlow
+}
+
+// methodFlow is one method's reusable per-value state for the escape pass.
+// It keeps each walk over the method's values linear in the method's size,
+// however many accesses, loads or sites ask:
+//
+//   - sets[v] is value v's object set, valid when done[v] equals the
+//     analyzer's round. One Tarjan walk over the move and phi edges
+//     computes it for every value the walk reaches, and the members of a
+//     phi cycle share one set;
+//   - consumed[v] marks v as consumed in consumption round consRound;
+//   - sink[v] summarizes the stores v may reach, for the copy-chain shape;
+//   - seen[v] == epoch marks the values one span walk (ssaFacts) visited.
+type methodFlow struct {
+	m *ir.Method
+	f *ssa.Func
+
+	sets        []objSet
+	done, visit []uint32
+	index, low  []int32
+	stack       []ssa.ValID
+	next        int32
+
+	consumed  []uint32
+	consRound uint32
+
+	sink []int32
+
+	seen   []uint32
+	epoch  uint32
+	forest *ssa.Forest
 }
 
 func newAnalyzer(an *interproc.Analysis, r *Result) *analyzer {
@@ -418,6 +456,7 @@ func newAnalyzer(an *interproc.Analysis, r *Result) *analyzer {
 		statics:   make(map[int]objSet),
 		loadBases: make(map[*ir.Instr]objSet),
 		params:    make(map[int][]objSet),
+		flows:     make(map[*ir.Method]*methodFlow),
 	}
 	for o := range an.PT.Objects {
 		site := an.PT.Objects[o].Site
@@ -472,94 +511,204 @@ func addAll(dst objSet, src objSet) bool {
 	return changed
 }
 
-// valueObjs accumulates into out the abstract objects SSA value v may hold:
-// allocations resolve to their site's objects, moves and phis are followed,
-// loads read the heap-contents fixpoint over the resolved base objects,
-// call results read the callee return summaries, and parameters read the
-// call-site-bound formal sets. Everything else (arithmetic, constants,
-// natives) is integer-valued and contributes nothing.
-func (a *analyzer) valueObjs(m *ir.Method, f *ssa.Func, v ssa.ValID, seen []bool, out objSet) {
-	if v == ssa.None || seen[v] {
-		return
+// flow returns m's per-value state over the analysis's one SSA form of m.
+func (a *analyzer) flow(m *ir.Method) *methodFlow {
+	mf := a.flows[m]
+	if mf == nil {
+		f := a.an.Func(m)
+		n := f.NumVals()
+		mf = &methodFlow{
+			m: m, f: f,
+			sets: make([]objSet, n),
+			done: make([]uint32, n), visit: make([]uint32, n),
+			index: make([]int32, n), low: make([]int32, n),
+		}
+		a.flows[m] = mf
 	}
-	seen[v] = true
-	val := &f.Vals[v]
-	switch val.Kind {
-	case ssa.VParam:
-		if ps := a.params[m.ID]; val.Slot < len(ps) {
-			for o := range ps[val.Slot] {
-				out[o] = true
-			}
-		}
-	case ssa.VPhi:
-		for _, arg := range val.Args {
-			a.valueObjs(m, f, arg, seen, out)
-		}
-	case ssa.VInstr:
-		in := &m.Code[val.PC]
-		switch in.Op {
-		case ir.OpNew, ir.OpNewArray:
-			for _, o := range a.siteObjs[in] {
-				out[o] = true
-			}
-		case ir.OpMove:
-			if ops := f.Operands[val.PC]; len(ops) > 0 {
-				a.valueObjs(m, f, ops[0], seen, out)
-			}
-		case ir.OpLoadField:
-			for b := range a.loadBases[in] {
-				for o := range a.locs[heapLoc{b, in.Field.ID}] {
-					out[o] = true
-				}
-			}
-		case ir.OpALoad:
-			for b := range a.loadBases[in] {
-				for o := range a.locs[heapLoc{b, interproc.ElemField}] {
-					out[o] = true
-				}
-			}
-		case ir.OpLoadStatic:
-			for o := range a.statics[in.Static.Slot] {
-				out[o] = true
-			}
-		case ir.OpCall:
-			for _, t := range a.an.CG.Targets(in) {
-				for o := range a.rets[t.ID] {
-					out[o] = true
-				}
-			}
-		}
-	}
+	return mf
 }
 
 // operandObjs resolves the objects operand opIdx of the instruction at pc
 // may hold. Unreachable instructions have no SSA operands and resolve to
-// nothing (they cannot execute).
-func (a *analyzer) operandObjs(m *ir.Method, f *ssa.Func, pc, opIdx int) objSet {
-	ops := f.Operands[pc]
+// nothing (they cannot execute). The set is shared: callers must not
+// modify it.
+func (a *analyzer) operandObjs(mf *methodFlow, pc, opIdx int) objSet {
+	ops := mf.f.Operands[pc]
 	if opIdx >= len(ops) {
 		return nil
 	}
-	out := make(objSet)
-	a.valueObjs(m, f, ops[opIdx], make([]bool, f.NumVals()), out)
-	return out
+	return a.objs(mf, ops[opIdx])
+}
+
+// objs returns the abstract objects SSA value v may hold: allocations
+// resolve to their site's objects, moves and phis are followed, loads read
+// the heap-contents fixpoint over the resolved base objects, call results
+// read the callee return summaries, and parameters read the
+// call-site-bound formal sets. Everything else (arithmetic, constants,
+// natives) is integer-valued and contributes nothing. The set is computed
+// once per round and shared.
+func (a *analyzer) objs(mf *methodFlow, v ssa.ValID) objSet {
+	if v == ssa.None {
+		return nil
+	}
+	if mf.done[v] != a.round {
+		mf.next = 0
+		a.strong(mf, v)
+	}
+	return mf.sets[v]
+}
+
+// valueDeps calls fn with each value whose objects v copies: the arguments
+// of a phi and the source of a move.
+func valueDeps(mf *methodFlow, v ssa.ValID, fn func(w ssa.ValID)) {
+	val := &mf.f.Vals[v]
+	switch val.Kind {
+	case ssa.VPhi:
+		for _, w := range val.Args {
+			if w != ssa.None {
+				fn(w)
+			}
+		}
+	case ssa.VInstr:
+		if mf.m.Code[val.PC].Op == ir.OpMove {
+			if ops := mf.f.Operands[val.PC]; len(ops) > 0 {
+				fn(ops[0])
+			}
+		}
+	}
+}
+
+// ownObjs calls add with the objects value v holds by itself, before the
+// values it copies (valueDeps) are taken in.
+func (a *analyzer) ownObjs(mf *methodFlow, v ssa.ValID, add func(interproc.ObjID)) {
+	val := &mf.f.Vals[v]
+	switch val.Kind {
+	case ssa.VParam:
+		if ps := a.params[mf.m.ID]; val.Slot < len(ps) {
+			for o := range ps[val.Slot] {
+				add(o)
+			}
+		}
+	case ssa.VInstr:
+		in := &mf.m.Code[val.PC]
+		switch in.Op {
+		case ir.OpNew, ir.OpNewArray:
+			for _, o := range a.siteObjs[in] {
+				add(o)
+			}
+		case ir.OpLoadField, ir.OpALoad:
+			field := interproc.ElemField
+			if in.Op == ir.OpLoadField {
+				field = in.Field.ID
+			}
+			for b := range a.loadBases[in] {
+				for o := range a.locs[heapLoc{b, field}] {
+					add(o)
+				}
+			}
+		case ir.OpLoadStatic:
+			for o := range a.statics[in.Static.Slot] {
+				add(o)
+			}
+		case ir.OpCall:
+			for _, t := range a.an.CG.Targets(in) {
+				for o := range a.rets[t.ID] {
+					add(o)
+				}
+			}
+		}
+	}
+}
+
+// strong is Tarjan's strongly-connected-components walk from v over
+// valueDeps. When it closes a component, every member gets one set: the
+// members' own objects plus the sets of the components they copy from,
+// which the walk has already closed. A component that only copies one set
+// shares it instead of copying it.
+func (a *analyzer) strong(mf *methodFlow, v ssa.ValID) {
+	r := a.round
+	mf.visit[v] = r
+	mf.index[v], mf.low[v] = mf.next, mf.next
+	mf.next++
+	mf.stack = append(mf.stack, v)
+	valueDeps(mf, v, func(w ssa.ValID) {
+		switch {
+		case mf.visit[w] != r:
+			a.strong(mf, w)
+			mf.low[v] = min(mf.low[v], mf.low[w])
+		case mf.done[w] != r: // on the stack
+			mf.low[v] = min(mf.low[v], mf.index[w])
+		}
+	})
+	if mf.low[v] != mf.index[v] {
+		return
+	}
+	top := len(mf.stack) - 1
+	for mf.stack[top] != v {
+		top--
+	}
+	members := mf.stack[top:]
+	var set objSet
+	owned := false
+	own := func() {
+		if !owned {
+			c := make(objSet, len(set))
+			for o := range set {
+				c[o] = true
+			}
+			set, owned = c, true
+		}
+	}
+	for _, u := range members {
+		a.ownObjs(mf, u, func(o interproc.ObjID) {
+			own()
+			set[o] = true
+		})
+		valueDeps(mf, u, func(w ssa.ValID) {
+			src := mf.sets[w]
+			if mf.done[w] != r || len(src) == 0 {
+				return // a member, or nothing to add
+			}
+			if set == nil {
+				set = src
+				return
+			}
+			own()
+			for o := range src {
+				set[o] = true
+			}
+		})
+	}
+	for _, u := range members {
+		mf.sets[u] = set
+		mf.done[u] = r
+	}
+	mf.stack = mf.stack[:top]
 }
 
 // solveValueFlow saturates the mutually recursive return summaries, heap
-// contents, and static contents, polling ctx once per outer iteration.
+// contents, and static contents, polling ctx once per outer iteration. A
+// round reads each value's object set as it stood when the round first
+// asked for it; facts it adds later are seen by the next round. The
+// iteration only stops after a round that changed nothing, whose sets all
+// read the final state, so every equation holds there and, since each fact
+// was derived from facts already justified, the result is the least
+// fixpoint.
 func (a *analyzer) solveValueFlow(ctx context.Context) error {
 	for changed := true; changed; {
 		changed = false
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		a.round++
 		for _, m := range a.an.CG.Methods() {
-			f := a.r.ssainfo(m).F
+			mf := a.flow(m)
+			f := mf.f
 			for pc := range m.Code {
 				in := &m.Code[pc]
 				switch in.Op {
 				case ir.OpLoadField, ir.OpALoad:
-					bases := a.operandObjs(m, f, pc, 0)
+					bases := a.operandObjs(mf, pc, 0)
 					if len(bases) == 0 {
 						continue
 					}
@@ -572,27 +721,27 @@ func (a *analyzer) solveValueFlow(ctx context.Context) error {
 						changed = true
 					}
 				case ir.OpStoreField:
-					vals := a.operandObjs(m, f, pc, 1)
+					vals := a.operandObjs(mf, pc, 1)
 					if len(vals) == 0 {
 						continue
 					}
-					for b := range a.operandObjs(m, f, pc, 0) {
+					for b := range a.operandObjs(mf, pc, 0) {
 						if addAll(a.loc(b, in.Field.ID), vals) {
 							changed = true
 						}
 					}
 				case ir.OpAStore:
-					vals := a.operandObjs(m, f, pc, 2)
+					vals := a.operandObjs(mf, pc, 2)
 					if len(vals) == 0 {
 						continue
 					}
-					for b := range a.operandObjs(m, f, pc, 0) {
+					for b := range a.operandObjs(mf, pc, 0) {
 						if addAll(a.loc(b, interproc.ElemField), vals) {
 							changed = true
 						}
 					}
 				case ir.OpStoreStatic:
-					vals := a.operandObjs(m, f, pc, 0)
+					vals := a.operandObjs(mf, pc, 0)
 					if len(vals) == 0 {
 						continue
 					}
@@ -603,7 +752,7 @@ func (a *analyzer) solveValueFlow(ctx context.Context) error {
 					if !in.HasA {
 						continue
 					}
-					vals := a.operandObjs(m, f, pc, 0)
+					vals := a.operandObjs(mf, pc, 0)
 					if len(vals) == 0 {
 						continue
 					}
@@ -613,7 +762,7 @@ func (a *analyzer) solveValueFlow(ctx context.Context) error {
 				case ir.OpCall:
 					nops := len(f.Operands[pc])
 					for i := 0; i < nops; i++ {
-						vals := a.operandObjs(m, f, pc, i)
+						vals := a.operandObjs(mf, pc, i)
 						if len(vals) == 0 {
 							continue
 						}
@@ -687,11 +836,16 @@ type consumption struct {
 	r         *Result
 	paramCons map[*ir.Method][]bool
 	retCons   map[*ir.Method]bool
+	// round numbers the consumption rounds; methodFlow.consumed holds one
+	// method's verdicts for the round that computed them.
+	round uint32
 }
 
-// solveConsumption saturates the summaries: both maps only grow, and
-// valConsumed is monotone in them, so iterating to a fixed point yields
-// the least solution.
+// solveConsumption saturates the summaries: both maps only grow, and the
+// consumed values are monotone in them, so iterating to a fixed point
+// yields the least solution. A round marks each method's consumed values
+// once, with the summaries as they stood when it reached the method; the
+// round that changes nothing marks them all from the final summaries.
 func (r *Result) solveConsumption(ctx context.Context) (*consumption, error) {
 	c := &consumption{
 		r:         r,
@@ -704,15 +858,18 @@ func (r *Result) solveConsumption(ctx context.Context) (*consumption, error) {
 	}
 	for changed := true; changed; {
 		changed = false
+		c.round++
 		for _, m := range methods {
-			f := r.ssainfo(m).F
+			mf := r.az.flow(m)
+			f := mf.f
+			c.mark(mf)
 			for pc := range m.Code {
 				in := &m.Code[pc]
 				if in.Op != ir.OpCall {
 					continue
 				}
 				dv := f.DefOf[pc]
-				if dv == ssa.None || !c.valConsumed(m, f, dv, make([]bool, f.NumVals())) {
+				if dv == ssa.None || !c.consumed(mf, dv) {
 					continue
 				}
 				for _, t := range r.An.CG.Targets(in) {
@@ -728,7 +885,7 @@ func (r *Result) solveConsumption(ctx context.Context) (*consumption, error) {
 				if val.Kind != ssa.VParam || val.Slot >= len(pc) || pc[val.Slot] {
 					continue
 				}
-				if c.valConsumed(m, f, ssa.ValID(v), make([]bool, f.NumVals())) {
+				if c.consumed(mf, ssa.ValID(v)) {
 					pc[val.Slot] = true
 					changed = true
 				}
@@ -741,44 +898,79 @@ func (r *Result) solveConsumption(ctx context.Context) (*consumption, error) {
 	return c, nil
 }
 
-// valConsumed walks v's transitive SSA uses — through moves, phis,
+// consumed reports whether v's transitive SSA uses — through moves, phis,
 // arithmetic, calls (into consuming parameter slots), and returns (into
-// consuming callers) — and reports whether any reaches a predicate or a
-// native consumer. Heap writes stop the walk, mirroring the dynamic
-// benefit traversal's stopping rule.
-func (c *consumption) valConsumed(m *ir.Method, f *ssa.Func, v ssa.ValID, visited []bool) bool {
-	if visited[v] {
-		return false
+// consuming callers) — reach a predicate or a native consumer, as of the
+// last round that marked v's method.
+func (c *consumption) consumed(mf *methodFlow, v ssa.ValID) bool {
+	return mf.consRound == c.round && mf.consumed[v] == c.round
+}
+
+// mark computes, once per round, every consumed value of mf's method, in
+// one backward walk: the operands of each consumer are consumed, and so is
+// everything that flows into a consumed value. Heap writes stop the flow,
+// mirroring the dynamic benefit traversal's stopping rule.
+func (c *consumption) mark(mf *methodFlow) {
+	r := c.round
+	if mf.consRound == r {
+		return
 	}
-	visited[v] = true
-	for _, u := range f.Uses(v) {
-		if u.IsPhi() {
-			if c.valConsumed(m, f, u.Phi, visited) {
-				return true
-			}
-			continue
+	mf.consRound = r
+	if mf.consumed == nil {
+		mf.consumed = make([]uint32, mf.f.NumVals())
+	}
+	m, f := mf.m, mf.f
+	var work []ssa.ValID
+	add := func(v ssa.ValID) {
+		if v != ssa.None && mf.consumed[v] != r {
+			mf.consumed[v] = r
+			work = append(work, v)
 		}
-		in := &m.Code[u.PC]
+	}
+	for pc := range m.Code {
+		ops := f.Operands[pc]
+		in := &m.Code[pc]
 		switch in.Op {
 		case ir.OpIf, ir.OpNative:
-			return true
+			for _, v := range ops {
+				add(v)
+			}
 		case ir.OpCall:
-			for _, t := range c.r.An.CG.Targets(in) {
-				if pc := c.paramCons[t]; u.OpIdx < len(pc) && pc[u.OpIdx] {
-					return true
+			ts := c.r.An.CG.Targets(in)
+			for i, v := range ops {
+				for _, t := range ts {
+					if pc := c.paramCons[t]; i < len(pc) && pc[i] {
+						add(v)
+						break
+					}
 				}
 			}
 		case ir.OpReturn:
 			if c.retCons[m] {
-				return true
-			}
-		case ir.OpMove, ir.OpBin, ir.OpNeg, ir.OpNot, ir.OpArrayLen:
-			if dv := f.DefOf[u.PC]; dv != ssa.None && c.valConsumed(m, f, dv, visited) {
-				return true
+				for _, v := range ops {
+					add(v)
+				}
 			}
 		}
 	}
-	return false
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		val := &f.Vals[v]
+		switch val.Kind {
+		case ssa.VPhi:
+			for _, a := range val.Args {
+				add(a)
+			}
+		case ssa.VInstr:
+			switch m.Code[val.PC].Op {
+			case ir.OpMove, ir.OpBin, ir.OpNeg, ir.OpNot, ir.OpArrayLen:
+				for _, o := range f.Operands[val.PC] {
+					add(o)
+				}
+			}
+		}
+	}
 }
 
 // region derives the lifetime region from the escape state and the extent
@@ -799,63 +991,56 @@ func (r *Result) region(si *SiteInfo) Region {
 	}
 }
 
-// ssainfo lazily builds the SSA overlay (with SCCP and the loop forest) for
-// one method.
-func (r *Result) ssainfo(m *ir.Method) *ssa.MethodInfo {
-	if mi, ok := r.ssaMI[m]; ok {
-		return mi
-	}
-	mi := ssa.AnalyzeMethod(m)
-	r.ssaMI[m] = mi
-	return mi
-}
-
-// MethodSSA returns the unseeded SSA overlay the analysis built for m, or
-// nil when it never visited m. It visits every call-graph-reachable method.
-func (r *Result) MethodSSA(m *ir.Method) *ssa.MethodInfo { return r.ssaMI[m] }
-
 // ssaFacts computes the SSA span of the allocated reference inside its
 // allocating method: the last transitive use (through moves and phis) and,
 // for a no-escape site allocated inside a loop, whether every use stays in
 // the allocating loop's body — the iteration-confinement fact behind the
-// confined-alloc-in-loop lint.
+// confined-alloc-in-loop lint. The walk visits each value of the span once,
+// marking it with a fresh epoch of the method's one visited array.
 func (r *Result) ssaFacts(si *SiteInfo) {
 	m := si.Site.Method
-	mi := r.ssainfo(m)
-	f := mi.F
+	mf := r.az.flow(m)
+	f := mf.f
 	def := f.DefOf[si.Site.PC]
 	if def == ssa.None {
 		return
 	}
-	allocBlock := f.CFG.BlockOf[si.Site.PC]
-	li := mi.Forest.LoopOf[allocBlock]
+	if mf.forest == nil {
+		// Only the loops' blocks are read, not their trip counts, so the
+		// forest needs no constant propagation.
+		mf.forest = ssa.BuildForest(f, nil)
+		mf.seen = make([]uint32, f.NumVals())
+	}
+	mf.epoch++
+	li := mf.forest.LoopOf[f.CFG.BlockOf[si.Site.PC]]
 	inLoopBody := func(b int) bool {
 		if li < 0 {
 			return false
 		}
-		for _, lb := range mi.Forest.Loops[li].Blocks {
-			if lb == b {
-				return true
-			}
-		}
-		return false
+		body := mf.forest.Loops[li].Blocks // ascending
+		k := sort.SearchInts(body, b)
+		return k < len(body) && body[k] == b
 	}
 
 	confined := li >= 0
 	lastUse := -1
-	visited := make([]bool, f.NumVals())
-	var walk func(v ssa.ValID)
-	walk = func(v ssa.ValID) {
-		if visited[v] {
-			return
+	work := []ssa.ValID{def}
+	mf.seen[def] = mf.epoch
+	visit := func(v ssa.ValID) {
+		if mf.seen[v] != mf.epoch {
+			mf.seen[v] = mf.epoch
+			work = append(work, v)
 		}
-		visited[v] = true
+	}
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
 		for _, u := range f.Uses(v) {
 			if u.IsPhi() {
 				if !inLoopBody(f.Vals[u.Phi].Block) {
 					confined = false
 				}
-				walk(u.Phi)
+				visit(u.Phi)
 				continue
 			}
 			if u.PC > lastUse {
@@ -866,12 +1051,11 @@ func (r *Result) ssaFacts(si *SiteInfo) {
 			}
 			if m.Code[u.PC].Op == ir.OpMove {
 				if d := f.DefOf[u.PC]; d != ssa.None {
-					walk(d)
+					visit(d)
 				}
 			}
 		}
 	}
-	walk(def)
 	si.LastUse = lastUse
 	si.InLoop = si.State == NoEscape && li >= 0 && confined
 }
@@ -880,13 +1064,14 @@ func (r *Result) ssaFacts(si *SiteInfo) {
 // alias it, using the SSA-resolved base sets.
 func (r *Result) indexSiteLoads() map[int][]*ir.Instr {
 	out := make(map[int][]*ir.Instr)
+	seen := make(map[int]bool)
 	for _, m := range r.An.CG.Methods() {
 		for pc := range m.Code {
 			in := &m.Code[pc]
 			if in.Op != ir.OpLoadField && in.Op != ir.OpALoad {
 				continue
 			}
-			seen := make(map[int]bool, 1)
+			clear(seen)
 			for o := range r.az.loadBases[in] {
 				site := r.An.PT.Objects[o].Site.AllocSite
 				if !seen[site] {
@@ -905,58 +1090,108 @@ func (r *Result) indexSiteLoads() map[int][]*ir.Instr {
 // field) — the copy-out leg of the copy-chain shape.
 func (r *Result) copiedOut(si *SiteInfo, loads []*ir.Instr) bool {
 	for _, ld := range loads {
-		m := ld.Method
-		f := r.ssainfo(m).F
-		def := f.DefOf[ld.PC]
+		mf := r.az.flow(ld.Method)
+		def := mf.f.DefOf[ld.PC]
 		if def == ssa.None {
 			continue
 		}
-		visited := make([]bool, f.NumVals())
-		if r.flowsToForeignStore(si, m, f, def, visited) {
+		switch s := r.sinks(mf)[def]; s {
+		case noStore:
+		case manyStores:
 			return true
+		default:
+			if int(s) != si.Site.AllocSite {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-func (r *Result) flowsToForeignStore(si *SiteInfo, m *ir.Method, f *ssa.Func, v ssa.ValID, visited []bool) bool {
-	if visited[v] {
-		return false
+// The store summary of a value: the join, over every store its value may
+// flow into (through moves, phis and arithmetic), of the allocation sites
+// whose structure the store writes. noStore and manyStores bracket the
+// lattice; one site in between is its allocation-site index. A static
+// store, or stores into two different sites, is manyStores: some store is
+// then foreign to every site.
+const (
+	noStore    int32 = -1
+	manyStores int32 = -2
+)
+
+func joinStores(a, b int32) int32 {
+	switch {
+	case a == noStore || a == b:
+		return b
+	case b == noStore:
+		return a
 	}
-	visited[v] = true
-	for _, u := range f.Uses(v) {
-		if u.IsPhi() {
-			if r.flowsToForeignStore(si, m, f, u.Phi, visited) {
-				return true
-			}
+	return manyStores
+}
+
+// sinks computes, once per method, every value's store summary: seeded at
+// the stored-value operand of each store, then joined backwards along the
+// value flow. A value's summary rises at most twice, so the walk is linear
+// in the method's size.
+func (r *Result) sinks(mf *methodFlow) []int32 {
+	if mf.sink != nil {
+		return mf.sink
+	}
+	m, f := mf.m, mf.f
+	sink := make([]int32, f.NumVals())
+	for v := range sink {
+		sink[v] = noStore
+	}
+	var work []ssa.ValID
+	raise := func(v ssa.ValID, s int32) {
+		if j := joinStores(sink[v], s); j != sink[v] {
+			sink[v] = j
+			work = append(work, v)
+		}
+	}
+	for pc := range m.Code {
+		ops := f.Operands[pc]
+		if len(ops) == 0 {
 			continue
 		}
-		if u.Base {
-			continue
-		}
-		in := &m.Code[u.PC]
-		switch in.Op {
-		case ir.OpMove, ir.OpBin, ir.OpNeg, ir.OpNot:
-			// The loaded value, possibly transformed, keeps flowing.
-			if d := f.DefOf[u.PC]; d != ssa.None && r.flowsToForeignStore(si, m, f, d, visited) {
-				return true
-			}
+		switch m.Code[pc].Op {
 		case ir.OpStoreStatic:
-			return true
+			raise(ops[0], manyStores)
 		case ir.OpStoreField, ir.OpAStore:
-			// Only the stored value counts (the array index of OpAStore is
-			// operand 1; the value is operand 2).
-			if in.Op == ir.OpAStore && u.OpIdx != 2 {
-				continue
+			// Only the stored value counts: operand 1 of a field store,
+			// operand 2 of an array store (operand 1 is its index).
+			val := ops[len(ops)-1]
+			s := noStore
+			for o := range r.az.operandObjs(mf, pc, 0) {
+				s = joinStores(s, int32(r.An.PT.Objects[o].Site.AllocSite))
 			}
-			for o := range r.az.operandObjs(m, f, u.PC, 0) {
-				if r.An.PT.Objects[o].Site.AllocSite != si.Site.AllocSite {
-					return true
+			if s != noStore {
+				raise(val, s)
+			}
+		}
+	}
+	for len(work) > 0 {
+		w := work[len(work)-1]
+		work = work[:len(work)-1]
+		val := &f.Vals[w]
+		switch val.Kind {
+		case ssa.VPhi:
+			for _, a := range val.Args {
+				if a != ssa.None {
+					raise(a, sink[w])
+				}
+			}
+		case ssa.VInstr:
+			switch m.Code[val.PC].Op {
+			case ir.OpMove, ir.OpBin, ir.OpNeg, ir.OpNot:
+				for _, o := range f.Operands[val.PC] {
+					raise(o, sink[w])
 				}
 			}
 		}
 	}
-	return false
+	mf.sink = sink
+	return sink
 }
 
 // Site returns the audit record of one allocation site, or nil when the

@@ -6,11 +6,14 @@ import (
 	"strings"
 
 	"lowutil/internal/ir"
+	"lowutil/internal/ssa"
 )
 
 // Analysis bundles the interprocedural pipeline: call graph, points-to,
 // frequency weights and, for the slice report, the static Gcost
-// over-approximation.
+// over-approximation. It also owns the SSA form of every method it is
+// asked about (Func), so the passes that read one analysis build each form
+// once.
 type Analysis struct {
 	Prog *ir.Program
 	Cfg  Config
@@ -27,6 +30,24 @@ type Analysis struct {
 	// trip counts (ssa.DefaultTrip per unbounded loop). Feeds
 	// Slice.BoundsWeighted and the escape ranking.
 	Freq []float64
+
+	// funcs[m.ID] is method m's SSA form once some pass asked for it.
+	funcs []*ssa.Func
+}
+
+// Func returns m's SSA form, building it the first time any pass asks: the
+// constant-propagation fixpoint behind Freq re-runs SCCP over it on every
+// visit, and the escape pass and vet read the same form. A form depends
+// only on its method and readers never write it, so one per method serves
+// them all. It lives as long as the Analysis, and nothing is kept on the
+// method itself. Func is not safe for concurrent use.
+func (a *Analysis) Func(m *ir.Method) *ssa.Func {
+	if f := a.funcs[m.ID]; f != nil {
+		return f
+	}
+	f := ssa.Build(m, nil)
+	a.funcs[m.ID] = f
+	return f
 }
 
 // Analyze runs the full pipeline over prog under cfg.
@@ -80,7 +101,11 @@ func AnalyzeHeapContext(ctx context.Context, prog *ir.Program, cfg Config) (*Ana
 	if err != nil {
 		return nil, err
 	}
-	return &Analysis{Prog: prog, Cfg: cfg, CG: cg, PT: pt, Freq: ipcpWeights(cg)}, nil
+	a := &Analysis{Prog: prog, Cfg: cfg, CG: cg, PT: pt, funcs: make([]*ssa.Func, countMethods(prog))}
+	if a.Freq, err = a.ipcpWeights(ctx); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // Bounds returns the frequency-weighted static cost/benefit bounds — the

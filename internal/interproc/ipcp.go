@@ -1,6 +1,8 @@
 package interproc
 
 import (
+	"context"
+
 	"lowutil/internal/ir"
 	"lowutil/internal/ssa"
 )
@@ -22,13 +24,10 @@ import (
 // fixpoint terminates; on it, every fact is justified by all call sites that
 // remain executable, which is what makes seeding sound (backed dynamically
 // by TestFreqCoversExecution).
-type ipcpState struct {
-	cg *CallGraph
-
-	info  map[int]*ssa.MethodInfo // last SCCP run per method ID
-	facts map[int][]ipcpCell      // parameter lattice per method ID
-	seen  map[int]bool            // method ever entered the worklist
-}
+//
+// A revisit re-runs only SCCP, over the method's one SSA form
+// (Analysis.Func); the loop forest, whose trip counts read the final
+// verdicts, is built once per method after the fixpoint.
 
 // ipcpCell is the parameter lattice: unseen (no executable call site yet),
 // one known constant, or overdefined.
@@ -68,62 +67,72 @@ func (c ipcpCell) fact() ssa.ParamFact {
 // ipcpRun computes the fixpoint and returns the per-method analysis results.
 // Methods absent from the result are proven never to execute: either
 // call-graph-unreachable, or reachable only through call sites SCCP rules
-// out.
-func ipcpRun(cg *CallGraph) map[int]*ssa.MethodInfo {
-	st := &ipcpState{
-		cg:    cg,
-		info:  make(map[int]*ssa.MethodInfo),
-		facts: make(map[int][]ipcpCell),
-		seen:  make(map[int]bool),
-	}
+// out. It polls ctx once per worklist visit.
+func (a *Analysis) ipcpRun(ctx context.Context) (map[int]*ssa.MethodInfo, error) {
+	cg := a.CG
+	sccp := make(map[int]*ssa.SCCP)   // last SCCP run per method ID
+	facts := make(map[int][]ipcpCell) // parameter lattice per method ID
+	seen := make(map[int]bool)        // method ever entered the worklist
 	for _, m := range cg.Methods() {
-		st.facts[m.ID] = make([]ipcpCell, m.Params)
+		facts[m.ID] = make([]ipcpCell, m.Params)
 	}
 	entry := cg.Prog.Main
-	st.seen[entry.ID] = true
+	seen[entry.ID] = true
 	work := []*ir.Method{entry}
 	for len(work) > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		m := work[len(work)-1]
 		work = work[:len(work)-1]
-		facts := make([]ssa.ParamFact, m.Params)
-		for i, c := range st.facts[m.ID] {
-			facts[i] = c.fact()
+		pf := make([]ssa.ParamFact, m.Params)
+		for i, c := range facts[m.ID] {
+			pf[i] = c.fact()
 		}
-		mi := ssa.AnalyzeMethodSeeded(m, facts)
-		st.info[m.ID] = mi
+		f := a.Func(m)
+		sc := ssa.RunSCCPSeeded(f, pf)
+		sccp[m.ID] = sc
 		// Propagate actuals out of every executable call site.
 		for pc := range m.Code {
 			in := &m.Code[pc]
-			if in.Op != ir.OpCall || !mi.SCCP.Executable(pc) {
+			if in.Op != ir.OpCall || !sc.Executable(pc) {
 				continue
 			}
 			for _, t := range cg.Targets(in) {
-				tf := st.facts[t.ID]
+				tf := facts[t.ID]
 				changed := false
-				ops := mi.F.Operands[pc]
+				ops := f.Operands[pc]
 				for i := 0; i < len(ops) && i < t.Params; i++ {
-					c, known := mi.SCCP.ConstOf(ops[i])
+					c, known := sc.ConstOf(ops[i])
 					if tf[i].meet(known, c) {
 						changed = true
 					}
 				}
-				if changed || !st.seen[t.ID] {
-					st.seen[t.ID] = true
+				if changed || !seen[t.ID] {
+					seen[t.ID] = true
 					work = append(work, t)
 				}
 			}
 		}
 	}
-	return st.info
+	info := make(map[int]*ssa.MethodInfo, len(sccp))
+	for id, sc := range sccp {
+		info[id] = &ssa.MethodInfo{F: sc.F, SCCP: sc, Forest: ssa.BuildForest(sc.F, sc)}
+	}
+	return info, nil
 }
 
 // ipcpWeights computes the interprocedurally-seeded frequency weights for
-// prog: per-block loop-nest weights (with call-graph parameter constants
-// feeding the trip counts) scaled by the method's static invocation
-// frequency. Instructions of methods the fixpoint never reaches weigh 0 —
-// they provably never run.
-func ipcpWeights(cg *CallGraph) []float64 {
-	info := ipcpRun(cg)
+// the program: per-block loop-nest weights (with call-graph parameter
+// constants feeding the trip counts) scaled by the method's static
+// invocation frequency. Instructions of methods the fixpoint never reaches
+// weigh 0 — they provably never run.
+func (a *Analysis) ipcpWeights(ctx context.Context) ([]float64, error) {
+	info, err := a.ipcpRun(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cg := a.CG
 	entry := callFrequencies(cg, info)
 	w := make([]float64, len(cg.Prog.Instrs))
 	for id, mi := range info {
@@ -136,7 +145,7 @@ func ipcpWeights(cg *CallGraph) []float64 {
 			w[m.Code[pc].ID] = bw
 		}
 	}
-	return w
+	return w, nil
 }
 
 // callFrequencies estimates each reached method's invocation frequency, the

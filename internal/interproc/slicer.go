@@ -402,7 +402,7 @@ func (b *LocBound) WriteOnly() bool { return b.Stores > 0 && b.Loads == 0 }
 func (sg *StaticGraph) Bounds() []LocBound { return sg.BoundsWeighted(nil) }
 
 // BoundsWeighted is Bounds under a static execution-frequency estimate: freq
-// maps every instruction ID to its loop-nest frequency weight (ssa.Weights).
+// maps every instruction ID to its loop-nest frequency weight (Analysis.Freq).
 // The weights tighten the bounds in two ways, both sound with respect to the
 // dynamic-graph containment invariant:
 //

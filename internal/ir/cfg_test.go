@@ -150,3 +150,25 @@ func TestCFGEmptyBody(t *testing.T) {
 		t.Errorf("empty body must yield an empty CFG: %+v", cfg)
 	}
 }
+
+func TestDomTreeDiamond(t *testing.T) {
+	d := NewDomTree(NewCFG(buildDiamondMethod(t)))
+	// Entry dominates everything; neither arm dominates the join.
+	for b := 1; b < 4; b++ {
+		if d.Idom[b] != 0 {
+			t.Errorf("idom[%d] = %d, want 0", b, d.Idom[b])
+		}
+	}
+	if !d.Dominates(0, 3) {
+		t.Error("entry must dominate the join")
+	}
+	if d.Dominates(1, 3) || d.Dominates(2, 3) {
+		t.Error("no single arm may dominate the join")
+	}
+	if !d.Dominates(3, 3) {
+		t.Error("dominance must be reflexive")
+	}
+	if d.Dominates(3, 0) {
+		t.Error("the join must not dominate the entry")
+	}
+}

@@ -1,10 +1,9 @@
 package ir
 
-// This file hosts the dominator machinery the SSA layer is built on. The
-// immediate-dominator computation started life in internal/staticanalysis
-// (PR 1); it lives here now so that internal/ssa can use it without a
-// dependency cycle (staticanalysis depends on ssa for its sparse vet
-// checks). staticanalysis re-exports Dominators for its existing callers.
+// This file hosts the dominator machinery the SSA layer is built on: the
+// immediate dominators, the dominator tree with its dominance frontiers,
+// and constant-time dominance queries from the tree's pre- and postorder
+// numbers.
 
 // Dominators computes the immediate dominator of every reachable block with
 // the Cooper–Harvey–Kennedy iterative algorithm over the reverse postorder.
@@ -73,6 +72,11 @@ type DomTree struct {
 	// b's dominance stops, i.e. the join points needing phis for defs in b —
 	// in ascending block order, deduplicated.
 	Frontier [][]int
+
+	// pre[b] and post[b] number block b in a preorder and a postorder walk
+	// of the tree (-1 for unreachable blocks): a dominates b iff a's
+	// subtree interval [pre, post] encloses b's.
+	pre, post []int32
 }
 
 // NewDomTree computes the dominator tree and dominance frontiers of cfg.
@@ -86,6 +90,7 @@ func NewDomTree(cfg *CFG) *DomTree {
 		}
 		d.Children[d.Idom[b]] = append(d.Children[d.Idom[b]], b)
 	}
+	d.number()
 	// Dominance frontiers (Cooper–Harvey–Kennedy): for every join block,
 	// walk each predecessor's idom chain up to the join's idom.
 	d.Frontier = make([][]int, nb)
@@ -115,19 +120,45 @@ func NewDomTree(cfg *CFG) *DomTree {
 	return d
 }
 
-// Dominates reports whether block a dominates block b (reflexively).
+// number walks the tree depth-first from the entry and records each
+// block's preorder and postorder numbers.
+func (d *DomTree) number() {
+	nb := len(d.Idom)
+	d.pre, d.post = make([]int32, nb), make([]int32, nb)
+	for b := range d.pre {
+		d.pre[b], d.post[b] = -1, -1
+	}
+	if nb == 0 {
+		return
+	}
+	type frame struct{ b, child int }
+	var pre, post int32
+	d.pre[0] = pre
+	pre++
+	stack := []frame{{b: 0}}
+	for len(stack) > 0 {
+		fr := &stack[len(stack)-1]
+		if kids := d.Children[fr.b]; fr.child < len(kids) {
+			c := kids[fr.child]
+			fr.child++
+			d.pre[c] = pre
+			pre++
+			stack = append(stack, frame{b: c})
+			continue
+		}
+		d.post[fr.b] = post
+		post++
+		stack = stack[:len(stack)-1]
+	}
+}
+
+// Dominates reports whether block a dominates block b (reflexively), in
+// constant time: a's subtree holds b exactly when a comes no later than b
+// in the preorder and no earlier in the postorder. An unreachable block
+// dominates nothing and is dominated by nothing.
 func (d *DomTree) Dominates(a, b int) bool {
-	if d.Idom[b] == -1 {
+	if d.pre[a] < 0 || d.pre[b] < 0 {
 		return false
 	}
-	if a == 0 {
-		return true
-	}
-	for b != 0 {
-		if a == b {
-			return true
-		}
-		b = d.Idom[b]
-	}
-	return a == 0
+	return d.pre[a] <= d.pre[b] && d.post[b] <= d.post[a]
 }

@@ -22,8 +22,8 @@ type Config struct {
 	// MaxSessions bounds the compiled-session LRU (0 = 64).
 	MaxSessions int
 	// MaxInFlight bounds concurrently executing heavy requests — profile,
-	// report, slice, audit, vet, run, save, load (0 = 4). Excess requests
-	// get 429.
+	// report, slice, audit, vet, ssa, run, save, load (0 = 4). Excess
+	// requests get 429.
 	MaxInFlight int
 	// RequestTimeout bounds each request's work, and each job's run
 	// (0 = 60s). The deadline context reaches the interpreter and every
@@ -87,7 +87,7 @@ func (s *Server) routes() {
 		s.mux.HandleFunc("POST /v2/"+kind, s.instrument(kind, true, s.handleKind(kind)))
 	}
 	s.mux.HandleFunc("POST /v2/vet", s.instrument("vet", true, s.handleVet))
-	s.mux.HandleFunc("POST /v2/ssa", s.instrument("ssa", false, s.handleSSA))
+	s.mux.HandleFunc("POST /v2/ssa", s.instrument("ssa", true, s.handleSSA))
 	s.mux.HandleFunc("POST /v2/profile/save", s.instrument("save", true, s.handleSave))
 	s.mux.HandleFunc("POST /v2/profile/load", s.instrument("load", true, s.handleLoad))
 	s.mux.HandleFunc("POST /v2/jobs", s.instrument("jobs", false, s.handleJobsSubmit))
@@ -431,8 +431,12 @@ func (s *Server) handleVet(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	fs, err := sess.Prog.VetContext(ctx)
+	if err != nil {
+		return nil, err
+	}
 	findings := []string{}
-	for _, f := range sess.Prog.Vet() {
+	for _, f := range fs {
 		findings = append(findings, f.Message)
 	}
 	return vetResponse{Session: sess.ID, Findings: findings}, nil
@@ -447,7 +451,10 @@ func (s *Server) handleSSA(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	dump, err := sess.Prog.SSADump(req.Method)
+	dump, err := sess.Prog.SSADumpContext(ctx, req.Method)
+	if errors.Is(err, lowutil.ErrCanceled) {
+		return nil, err
+	}
 	if err != nil {
 		return nil, &badRequestError{err}
 	}

@@ -362,16 +362,21 @@ func TestAdmissionControl(t *testing.T) {
 	if eb := decodeEnvelope(t, body); eb.Code != "at_capacity" || !eb.Retryable {
 		t.Errorf("429 envelope = %+v, want retryable at_capacity", eb)
 	}
-	// Vet runs audit's interprocedural pipeline and escape pass: heavy too.
+	// Vet runs audit's interprocedural pipeline and escape pass, and the SSA
+	// dump analyzes every method: heavy too.
 	code, body = postJSON(t, ts.URL+"/v2/vet", client.ProfileRequest{Session: id})
 	if eb := decodeEnvelope(t, body); code != http.StatusTooManyRequests || eb.Code != "at_capacity" {
 		t.Errorf("vet under a full gate: %d %+v, want 429 at_capacity", code, eb)
 	}
+	code, body = postJSON(t, ts.URL+"/v2/ssa", ssaRequest{Session: id})
+	if eb := decodeEnvelope(t, body); code != http.StatusTooManyRequests || eb.Code != "at_capacity" {
+		t.Errorf("ssa under a full gate: %d %+v, want 429 at_capacity", code, eb)
+	}
 	if code, _ := postJSON(t, ts.URL+"/v2/compile", client.CompilePayload{Source: workSrc}); code != http.StatusOK {
 		t.Errorf("light endpoint rejected: %d", code)
 	}
-	if got := metricValue(t, ts.URL, "lowutil_rejected_total"); got != 2 {
-		t.Errorf("rejected = %d, want 2", got)
+	if got := metricValue(t, ts.URL, "lowutil_rejected_total"); got != 3 {
+		t.Errorf("rejected = %d, want 3", got)
 	}
 }
 
@@ -756,6 +761,43 @@ func TestAuditCancellationAndDeadline(t *testing.T) {
 	code, body = postJSON(t, ts2.URL+"/v2/audit", client.ProfileRequest{Session: id2})
 	if code != http.StatusGatewayTimeout {
 		t.Errorf("deadline audit status = %d, want 504; body %s", code, body)
+	}
+}
+
+// TestVetAndSSADeadline: vet and the SSA dump honor the request deadline.
+// On a program whose analysis outlasts RequestTimeout both answer 504
+// deadline, release their admission slot, and the next request on the
+// same server succeeds.
+func TestVetAndSSADeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("-short: compiles and analyzes a 20,000-branch method")
+	}
+	s, ts := newTestServer(t, Config{RequestTimeout: 50 * time.Millisecond})
+	var src strings.Builder
+	src.WriteString("class Main { static void main() { int x = hash(1); int y = 0;\n")
+	for k := 0; k < 20000; k++ {
+		fmt.Fprintf(&src, "if (x < %d) { y = y + %d; }\n", k, k)
+	}
+	src.WriteString("print(y); } }\n")
+	big := compileSession(t, ts.URL, src.String())
+	for _, path := range []string{"/v2/vet", "/v2/ssa"} {
+		code, body := postJSON(t, ts.URL+path, ssaRequest{Session: big})
+		if code != http.StatusGatewayTimeout {
+			t.Errorf("%s past the deadline: status %d, want 504; body %.200s", path, code, body)
+			continue
+		}
+		if eb := decodeEnvelope(t, body); eb.Code != "deadline" || eb.Retryable {
+			t.Errorf("%s: 504 envelope = %+v, want non-retryable deadline", path, eb)
+		}
+	}
+	if n := s.gate.InFlight(); n != 0 {
+		t.Errorf("%d admission slots still held after the deadlines", n)
+	}
+	small := compileSession(t, ts.URL, workSrc)
+	for _, path := range []string{"/v2/vet", "/v2/ssa"} {
+		if code, body := postJSON(t, ts.URL+path, ssaRequest{Session: small}); code != http.StatusOK {
+			t.Errorf("%s after the deadlines: status %d; body %.200s", path, code, body)
+		}
 	}
 }
 

@@ -105,22 +105,6 @@ func ValueNumbers(f *Func, rep []ValID) []ValID {
 	for v := range out {
 		out[v] = ValID(v)
 	}
-	// Scope stack of hash tables, one per dominator-tree level: lookups walk
-	// outward, inserts go to the innermost scope and are popped with it.
-	type scope struct {
-		b    int
-		tbl  map[vnKey]ValID
-		kids int
-	}
-	var stack []scope
-	lookup := func(k vnKey) (ValID, bool) {
-		for i := len(stack) - 1; i >= 0; i-- {
-			if v, ok := stack[i].tbl[k]; ok {
-				return v, true
-			}
-		}
-		return None, false
-	}
 	keyFor := func(pc int) (vnKey, bool) {
 		in := &f.M.Code[pc]
 		k := vnKey{op: in.Op, a: -1, b: -1}
@@ -146,8 +130,15 @@ func ValueNumbers(f *Func, rep []ValID) []ValID {
 		}
 		return k, true
 	}
-	visit := func(b int) scope {
-		sc := scope{b: b, tbl: make(map[vnKey]ValID)}
+	// One table for the whole walk of the dominator tree, plus an undo log.
+	// A key is inserted only when no dominating computation holds it, so
+	// leaving a block's subtree deletes exactly the keys the block inserted
+	// and restores the table its dominators see.
+	tbl := make(map[vnKey]ValID)
+	var undo []vnKey
+	type frame struct{ b, kids, mark int }
+	visit := func(b int) frame {
+		fr := frame{b: b, mark: len(undo)}
 		blk := &f.CFG.Blocks[b]
 		for pc := blk.Start; pc < blk.End; pc++ {
 			v := f.DefOf[pc]
@@ -158,21 +149,16 @@ func ValueNumbers(f *Func, rep []ValID) []ValID {
 			if !ok {
 				continue
 			}
-			// Check this block's own scope first — it is not on the stack
-			// until visit returns — then the enclosing dominators.
-			if w, ok := sc.tbl[k]; ok {
+			if w, ok := tbl[k]; ok {
 				out[v] = w
 				continue
 			}
-			if w, ok := lookup(k); ok {
-				out[v] = w
-				continue
-			}
-			sc.tbl[k] = v
+			tbl[k] = v
+			undo = append(undo, k)
 		}
-		return sc
+		return fr
 	}
-	stack = append(stack, visit(0))
+	stack := []frame{visit(0)}
 	for len(stack) > 0 {
 		fr := &stack[len(stack)-1]
 		kids := f.Dom.Children[fr.b]
@@ -182,6 +168,10 @@ func ValueNumbers(f *Func, rep []ValID) []ValID {
 			stack = append(stack, visit(b))
 			continue
 		}
+		for _, k := range undo[fr.mark:] {
+			delete(tbl, k)
+		}
+		undo = undo[:fr.mark]
 		stack = stack[:len(stack)-1]
 	}
 	return out

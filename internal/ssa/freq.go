@@ -35,14 +35,9 @@ type MethodInfo struct {
 }
 
 // AnalyzeMethod builds SSA, SCCP and the loop forest for one method.
-func AnalyzeMethod(m *ir.Method) *MethodInfo { return AnalyzeMethodSeeded(m, nil) }
-
-// AnalyzeMethodSeeded is AnalyzeMethod with interprocedural parameter facts
-// seeding the SCCP pass — constant parameters then fold into branch verdicts
-// and loop trip counts.
-func AnalyzeMethodSeeded(m *ir.Method, params []ParamFact) *MethodInfo {
+func AnalyzeMethod(m *ir.Method) *MethodInfo {
 	f := Build(m, nil)
-	sc := RunSCCPSeeded(f, params)
+	sc := RunSCCP(f)
 	return &MethodInfo{F: f, SCCP: sc, Forest: BuildForest(f, sc)}
 }
 
@@ -62,24 +57,6 @@ func (mi *MethodInfo) BlockWeight(b int) float64 {
 		}
 		if w > MaxWeight {
 			return MaxWeight
-		}
-	}
-	return w
-}
-
-// Weights computes the per-instruction static frequency weight of every
-// instruction in prog, indexed by ir.Instr.ID. Instructions that provably
-// never execute (their block is CFG-unreachable or SCCP proves no branch
-// path reaches it) weigh 0; every other instruction weighs the product of
-// its enclosing loops' trip counts.
-func Weights(prog *ir.Program) []float64 {
-	w := make([]float64, len(prog.Instrs))
-	for _, c := range prog.Classes {
-		for _, m := range c.Methods {
-			mi := AnalyzeMethod(m)
-			for pc := range m.Code {
-				w[m.Code[pc].ID] = mi.BlockWeight(mi.F.CFG.BlockOf[pc])
-			}
 		}
 	}
 	return w

@@ -141,7 +141,7 @@ func indexOf(ft *Forest, lp *Loop) int {
 // weighs one.
 func TestWeightsDeadBlock(t *testing.T) {
 	var deadPC, livePC int
-	prog, _ := buildMain(t, 0, func(_ *ir.Builder, bb *ir.BodyBuilder) {
+	_, m := buildMain(t, 0, func(_ *ir.Builder, bb *ir.BodyBuilder) {
 		bb.Const(0, 0)
 		bb.Const(1, 7)
 		j := bb.If(0, ir.Ne, 0, 0)
@@ -152,21 +152,12 @@ func TestWeightsDeadBlock(t *testing.T) {
 		livePC = bb.Native(-1, ir.NativePrint, 1)
 		bb.ReturnVoid()
 	})
-	w := Weights(prog)
-	var deadID, liveID int
-	for _, in := range prog.Instrs {
-		if in.PC == deadPC {
-			deadID = in.ID
-		}
-		if in.PC == livePC {
-			liveID = in.ID
-		}
+	mi := AnalyzeMethod(m)
+	if w := mi.BlockWeight(mi.F.CFG.BlockOf[deadPC]); w != 0 {
+		t.Fatalf("dead instruction weighs %g, want 0", w)
 	}
-	if w[deadID] != 0 {
-		t.Fatalf("dead instruction weighs %g, want 0", w[deadID])
-	}
-	if w[liveID] != 1 {
-		t.Fatalf("live instruction weighs %g, want 1", w[liveID])
+	if w := mi.BlockWeight(mi.F.CFG.BlockOf[livePC]); w != 1 {
+		t.Fatalf("live instruction weighs %g, want 1", w)
 	}
 }
 

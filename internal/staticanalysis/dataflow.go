@@ -208,27 +208,3 @@ func Solve(p *Problem) *Solution {
 	}
 	return sol
 }
-
-// Dominators computes the immediate dominator of every reachable block.
-// idom[entry] == entry; idom[b] == -1 for unreachable blocks. The
-// implementation lives in internal/ir (the SSA layer shares it); this
-// wrapper keeps the historical staticanalysis entry point.
-func Dominators(cfg *ir.CFG) []int { return ir.Dominators(cfg) }
-
-// Dominates reports whether block a dominates block b under idom (as
-// returned by Dominators).
-func Dominates(idom []int, a, b int) bool {
-	if a == 0 {
-		return idom[b] != -1
-	}
-	for b != -1 {
-		if a == b {
-			return true
-		}
-		if b == 0 {
-			return false
-		}
-		b = idom[b]
-	}
-	return false
-}

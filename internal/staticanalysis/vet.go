@@ -7,6 +7,7 @@ import (
 	"lowutil/internal/escape"
 	"lowutil/internal/interproc"
 	"lowutil/internal/ir"
+	"lowutil/internal/ssa"
 )
 
 // Kind classifies a vet finding.
@@ -104,48 +105,67 @@ var deadStoreOps = map[ir.Op]bool{
 // (reaching-definitions) per-method engine. It predates the SSA engine in
 // vetssa.go and is kept as the reference point for the differential test:
 // every SSA finding class is pinned to this engine's results, kind by kind.
-func VetDense(prog *ir.Program) []Finding { return VetDenseWith(prog, rtaHeap(prog)) }
+func VetDense(prog *ir.Program) []Finding {
+	return VetDenseWith(prog, background(rtaHeap(context.Background(), prog)))
+}
 
 // VetDenseWith is VetDense over a caller-supplied interprocedural analysis.
 // A nil analysis degrades every whole-program check to its single-method
 // approximation (the pre-call-graph behavior).
 func VetDenseWith(prog *ir.Program, an *interproc.Analysis) []Finding {
-	return vetWith(prog, an, vetMethod)
+	return background(vetWith(context.Background(), prog, an, vetMethod))
+}
+
+// background unwraps the result of a call made under the background
+// context, which never cancels and leaves the pipeline no other failure.
+func background[T any](v T, err error) T {
+	if err != nil {
+		panic(err) // unreachable: the background context never cancels
+	}
+	return v
 }
 
 // vetWith runs the suite over prog with the given per-method engine: the
 // program-level findings (write-only fields and the escape lints), then
-// every method's, sorted.
-func vetWith(prog *ir.Program, an *interproc.Analysis, perMethod func(*ir.Method, *wholeProgram) []Finding) []Finding {
-	wp := newWholeProgram(an)
+// every method's, sorted. It polls ctx before each method and once after
+// the last, so a deadline that passed during the run fails it.
+func vetWith(ctx context.Context, prog *ir.Program, an *interproc.Analysis, perMethod func(*ir.Method, *wholeProgram) []Finding) ([]Finding, error) {
+	wp, err := newWholeProgram(ctx, an)
+	if err != nil {
+		return nil, err
+	}
 	out := append(writeOnlyFields(prog, an), escapeLints(wp.esc)...)
 	for _, c := range prog.Classes {
 		for _, m := range c.Methods {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			out = append(out, perMethod(m, wp)...)
 		}
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	sortFindings(out)
-	return out
+	return out, nil
 }
 
 // rtaHeap is both engines' default pipeline: an RTA call graph with
 // context-insensitive points-to. No vet check reads the static Gcost, so it
 // is not built.
-func rtaHeap(prog *ir.Program) *interproc.Analysis {
-	an, err := interproc.AnalyzeHeapContext(context.Background(), prog, interproc.Config{Mode: interproc.RTA})
-	if err != nil {
-		panic(err) // unreachable: the background context never cancels
-	}
-	return an
+func rtaHeap(ctx context.Context, prog *ir.Program) (*interproc.Analysis, error) {
+	return interproc.AnalyzeHeapContext(ctx, prog, interproc.Config{Mode: interproc.RTA})
 }
 
 // wholeProgram holds the whole-program facts both engines read, built once
 // per vet run. Without an analysis it is empty, and every whole-program
 // check falls back to its single-method approximation or stays silent.
 type wholeProgram struct {
+	// an is the interprocedural analysis, and the owner of every method's
+	// SSA form (an.Func) the SSA engine, the escape pass and paramsRead
+	// read.
 	an *interproc.Analysis
-	// esc is the escape pass: the source of the escape lints, and of the
-	// SSA form the SSA engine reuses for every method it visited.
+	// esc is the escape pass, the source of the escape lints.
 	esc *escape.Result
 	// unusedByPT is interprocUnusedObjects.
 	unusedByPT map[int]bool
@@ -155,16 +175,20 @@ type wholeProgram struct {
 	paramRead map[*ir.Method][]bool
 }
 
-func newWholeProgram(an *interproc.Analysis) *wholeProgram {
+func newWholeProgram(ctx context.Context, an *interproc.Analysis) (*wholeProgram, error) {
 	if an == nil {
-		return &wholeProgram{}
+		return &wholeProgram{}, nil
+	}
+	esc, err := escape.AnalyzeContext(ctx, an)
+	if err != nil {
+		return nil, err
 	}
 	return &wholeProgram{
 		an:         an,
-		esc:        escape.Analyze(an),
+		esc:        esc,
 		unusedByPT: interprocUnusedObjects(an),
-		paramRead:  paramsRead(an.CG),
-	}
+		paramRead:  paramsRead(an),
+	}, nil
 }
 
 // covers reports whether the interprocedural checks apply to m: there is
@@ -172,17 +196,31 @@ func newWholeProgram(an *interproc.Analysis) *wholeProgram {
 func (wp *wholeProgram) covers(m *ir.Method) bool { return wp.an != nil && wp.an.CG.Reachable(m) }
 
 // paramsRead marks, per call-graph-reachable method, the formals whose entry
-// definition reaches some operand.
-func paramsRead(cg *interproc.CallGraph) map[*ir.Method][]bool {
-	read := make(map[*ir.Method][]bool, len(cg.Methods()))
-	for _, m := range cg.Methods() {
-		rd := ir.NewReachingDefs(m, nil)
+// definition reaches some operand: in SSA form, the formal's parameter
+// value is an operand of a reachable instruction, directly or through phis.
+// One walk of the SSA uses from the parameter values answers it.
+func paramsRead(an *interproc.Analysis) map[*ir.Method][]bool {
+	read := make(map[*ir.Method][]bool, len(an.CG.Methods()))
+	var work []ssa.ValID
+	for _, m := range an.CG.Methods() {
+		f := an.Func(m)
 		read[m] = make([]bool, m.Params)
-		for _, ops := range rd.Operands {
-			for _, op := range ops {
-				for _, d := range op.Defs {
-					if rd.IsParamDef(d) {
-						read[m][rd.ParamOf(d)] = true
+		seen := make(map[ssa.ValID]bool)
+		for v := range f.Vals {
+			if val := &f.Vals[v]; val.Kind == ssa.VParam && val.Slot < m.Params {
+				work = append(work[:0], ssa.ValID(v))
+				for len(work) > 0 && !read[m][val.Slot] {
+					w := work[len(work)-1]
+					work = work[:len(work)-1]
+					for _, u := range f.Uses(w) {
+						if !u.IsPhi() {
+							read[m][val.Slot] = true
+							break
+						}
+						if !seen[u.Phi] {
+							seen[u.Phi] = true
+							work = append(work, u.Phi)
+						}
 					}
 				}
 			}

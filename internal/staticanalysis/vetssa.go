@@ -1,6 +1,7 @@
 package staticanalysis
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -35,13 +36,25 @@ import (
 // call graph with context-insensitive points-to; use VetWith to supply a
 // different pipeline, and VetDense for the dense (reaching-definitions)
 // engine.
-func Vet(prog *ir.Program) []Finding { return VetWith(prog, rtaHeap(prog)) }
+func Vet(prog *ir.Program) []Finding { return background(VetContext(context.Background(), prog)) }
+
+// VetContext is Vet under ctx: the call graph, points-to, constant
+// propagation and escape fixpoints poll it, and so does the per-method
+// loop, before each method and after the last. When ctx is done the
+// partial findings are discarded and the context error returned.
+func VetContext(ctx context.Context, prog *ir.Program) ([]Finding, error) {
+	an, err := rtaHeap(ctx, prog)
+	if err != nil {
+		return nil, err
+	}
+	return vetWith(ctx, prog, an, vetMethodSSA)
+}
 
 // VetWith is Vet over a caller-supplied interprocedural analysis. A nil
 // analysis degrades every whole-program check to its single-method
 // approximation.
 func VetWith(prog *ir.Program, an *interproc.Analysis) []Finding {
-	return vetWith(prog, an, vetMethodSSA)
+	return background(vetWith(context.Background(), prog, an, vetMethodSSA))
 }
 
 func sortFindings(out []Finding) {
@@ -63,15 +76,17 @@ func sortFindings(out []Finding) {
 	})
 }
 
-// methodSSA returns m's unseeded SSA form and SCCP result: the escape
-// pass's when it visited m, else a fresh build.
+// methodSSA returns m's SSA form and its unseeded SCCP result. The form is
+// the analysis's one form of m, the same one its constant propagation and
+// escape pass read, also for a method off the call graph; without an
+// analysis it is built here.
 func (wp *wholeProgram) methodSSA(m *ir.Method) (*ssa.Func, *ssa.SCCP) {
-	if wp.esc != nil {
-		if mi := wp.esc.MethodSSA(m); mi != nil {
-			return mi.F, mi.SCCP
-		}
+	var f *ssa.Func
+	if wp.an != nil {
+		f = wp.an.Func(m)
+	} else {
+		f = ssa.Build(m, nil)
 	}
-	f := ssa.Build(m, nil)
 	return f, ssa.RunSCCP(f)
 }
 

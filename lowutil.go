@@ -110,13 +110,27 @@ type VetFinding struct {
 	Message string
 }
 
-// Vet runs the static diagnostics suite — no execution involved — and
-// returns the findings sorted by (class, method, pc) so output is stable
-// across runs. Zero findings means the program is clean under all five
-// checks. Vet runs sparse analyses over SSA form, with transitive
-// dead-store chains and SCCP-proven unreachable code.
+// Vet is VetContext under the background context, which never cancels.
 func (p *Program) Vet() []VetFinding {
-	fs := staticanalysis.Vet(p.prog)
+	out, err := p.VetContext(context.Background())
+	if err != nil {
+		panic(err) // unreachable: the background context never cancels
+	}
+	return out
+}
+
+// VetContext runs the static diagnostics suite — no execution involved —
+// and returns the findings sorted by (class, method, pc) so output is
+// stable across runs. Zero findings means the program is clean under all
+// its checks. Vet runs sparse analyses over SSA form, with transitive
+// dead-store chains and SCCP-proven unreachable code. The analysis
+// fixpoints and the per-method loop poll ctx, so deadlines and
+// cancellation abort it with an ErrCanceled-wrapped error.
+func (p *Program) VetContext(ctx context.Context) ([]VetFinding, error) {
+	fs, err := staticanalysis.VetContext(ctx, p.prog)
+	if err != nil {
+		return nil, wrapRunErr("vet", err)
+	}
 	out := make([]VetFinding, 0, len(fs))
 	for _, f := range fs {
 		out = append(out, VetFinding{
@@ -128,14 +142,17 @@ func (p *Program) Vet() []VetFinding {
 			Message: f.String(),
 		})
 	}
-	return out
+	return out, nil
 }
 
-// SSADump renders the SSA-form analysis of one method ("Class.method"), or
-// of every method when method is empty: blocks with phis and SSA names,
-// SCCP verdicts (constants, dead blocks), value-numbering redundancies, and
-// the loop forest with inferred trip counts and frequency weights.
-func (p *Program) SSADump(method string) (string, error) {
+// SSADumpContext renders the SSA-form analysis of one method
+// ("Class.method"), or of every method when method is empty: blocks with
+// phis and SSA names, SCCP verdicts (constants, dead blocks),
+// value-numbering redundancies, and the loop forest with inferred trip
+// counts and frequency weights. It polls ctx before each method and after
+// the last, so deadlines and cancellation abort it with an
+// ErrCanceled-wrapped error; an unknown method fails with a plain error.
+func (p *Program) SSADumpContext(ctx context.Context, method string) (string, error) {
 	var b strings.Builder
 	found := false
 	for _, c := range p.prog.Classes {
@@ -143,12 +160,18 @@ func (p *Program) SSADump(method string) (string, error) {
 			if method != "" && m.QualifiedName() != method {
 				continue
 			}
+			if err := ctx.Err(); err != nil {
+				return "", wrapRunErr("ssa", err)
+			}
 			if found {
 				b.WriteByte('\n')
 			}
 			ssa.AnalyzeMethod(m).Dump(&b)
 			found = true
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return "", wrapRunErr("ssa", err)
 	}
 	if !found {
 		return "", fmt.Errorf("lowutil: no method %q", method)

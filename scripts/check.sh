@@ -34,9 +34,18 @@ sh scripts/apisurface.sh
 # 18-workload × {CHA, RTA} sweep already ran inside `go test ./...`).
 make lint
 # The dense (reaching-definitions) vet engine is the SSA engine's
-# reference; it reads the reaching definitions internal/ir shares with the
-# static Gcost, so the differential runs as its own step.
+# reference. With the slice surface's static Gcost it is one of the two
+# readers of internal/ir's reaching definitions (vet's SSA engine and the
+# audit read none), so the differential runs as its own step.
 go test ./internal/staticanalysis -run TestVetDifferential -count=1
+# Linear-work gate of the static surfaces: from n to 4n lines of a
+# chain of branches (2,000 → 8,000) and of a loop of field loads
+# (1,500 → 6,000), compile, vet, audit and the SSA dump may allocate at
+# most 5× the bytes and spend at most 6× the CPU time (each the minimum of
+# three runs; CPU time is noisy on a shared host, so a surface fails after
+# three such measurements in a row exceed a bound). The slice surface is
+# still quadratic and not gated.
+go test . -run TestStaticScaling -count=1
 go test ./internal/interproc -run TestSoundnessAllWorkloads -short -count=1
 # Rank-correlation regression gate: the frequency-weighted static bounds
 # must keep matching the recorded precision baseline

@@ -1,6 +1,7 @@
 package lowutil
 
 import (
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -46,7 +47,7 @@ func TestSSADumpGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		dump, err := prog.SSADump("")
+		dump, err := prog.SSADumpContext(context.Background(), "")
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
