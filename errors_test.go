@@ -317,7 +317,7 @@ class Main {
 // with an ErrCanceled-wrapped error that keeps context.Canceled in the
 // chain, and an unknown method stays a plain error.
 func TestVetAndSSADumpContext(t *testing.T) {
-	prog, err := Compile(chainSource(50))
+	prog, err := Compile(workloads.ByName("chart").Source(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -621,10 +621,10 @@ func (a *analyzer) ownObjs(mf *methodFlow, v ssa.ValID, add func(interproc.ObjID
 }
 
 // strong is Tarjan's strongly-connected-components walk from v over
-// valueDeps. When it closes a component, every member gets one set: the
-// members' own objects plus the sets of the components they copy from,
-// which the walk has already closed. A component that only copies one set
-// shares it instead of copying it.
+// valueDeps. When it closes a component, its members share one new set:
+// the members' own objects plus the sets of the components they copy
+// from, which the walk has already closed. A component with no objects
+// keeps a nil set.
 func (a *analyzer) strong(mf *methodFlow, v ssa.ValID) {
 	r := a.round
 	mf.visit[v] = r
@@ -649,33 +649,19 @@ func (a *analyzer) strong(mf *methodFlow, v ssa.ValID) {
 	}
 	members := mf.stack[top:]
 	var set objSet
-	owned := false
-	own := func() {
-		if !owned {
-			c := make(objSet, len(set))
-			for o := range set {
-				c[o] = true
-			}
-			set, owned = c, true
+	add := func(o interproc.ObjID) {
+		if set == nil {
+			set = make(objSet)
 		}
+		set[o] = true
 	}
 	for _, u := range members {
-		a.ownObjs(mf, u, func(o interproc.ObjID) {
-			own()
-			set[o] = true
-		})
+		a.ownObjs(mf, u, add)
 		valueDeps(mf, u, func(w ssa.ValID) {
-			src := mf.sets[w]
-			if mf.done[w] != r || len(src) == 0 {
-				return // a member, or nothing to add
-			}
-			if set == nil {
-				set = src
-				return
-			}
-			own()
-			for o := range src {
-				set[o] = true
+			if mf.done[w] == r { // closed earlier, not a member
+				for o := range mf.sets[w] {
+					add(o)
+				}
 			}
 		})
 	}

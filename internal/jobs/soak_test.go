@@ -110,19 +110,10 @@ func TestConcurrentSoak(t *testing.T) {
 
 	// Liveness: halfway through the churn, a job that outranks every soak
 	// job still gets a worker. (Its record may be evicted as soon as it
-	// finishes, so the executor reports the run.) The submitters hold the
-	// queue at its depth whenever the workers fall behind, so the probe,
-	// like them, retries ErrQueueFull until it is admitted: a full queue is
-	// backpressure, not the liveness this checks.
+	// finishes, so the executor reports the run.)
 	time.Sleep(dur / 2)
-	for admit := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		_, err := q.Submit("soak-probe", []client.Job{{Spec: testSpec("soak probe"), Priority: 10}})
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrQueueFull) || time.Now().After(admit) {
-			t.Fatalf("probe submit: %v", err)
-		}
+	if _, err := q.Submit("soak-probe", []client.Job{{Spec: testSpec("soak probe"), Priority: 10}}); err != nil {
+		t.Fatalf("probe submit: %v", err)
 	}
 	submitted.Add(1)
 	select {

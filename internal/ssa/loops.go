@@ -101,67 +101,39 @@ func BuildForest(f *Func, sc *SCCP) *Forest {
 		ft.Loops = append(ft.Loops, Loop{Header: h, Blocks: body, Parent: -1, Trip: -1})
 	}
 
-	// Nesting: loops sorted by header RPO give outer-before-inner for shared
-	// blocks; assign each block to the smallest containing loop and derive
-	// parents from header containment.
-	contains := make([]map[int]bool, len(ft.Loops))
-	for i := range ft.Loops {
-		contains[i] = make(map[int]bool, len(ft.Loops[i].Blocks))
-		for _, b := range ft.Loops[i].Blocks {
-			contains[i][b] = true
+	// Nesting. Natural loops with distinct headers are disjoint or nested,
+	// and an enclosing loop's header strictly dominates the enclosed one's,
+	// so it comes first in reverse postorder. Visiting the loops in their
+	// headers' RPO, LoopOf[b] is always the innermost loop visited so far
+	// that contains b: a loop's parent is its header's LoopOf just before the
+	// loop claims its own blocks. The work is the total size of the bodies.
+	for _, h := range cfg.RPO {
+		if len(latches[h]) == 0 {
+			continue
 		}
-	}
-	for i := range ft.Loops {
-		// Parent: the smallest loop strictly containing this one. Loops with
-		// the same header were merged, so distinct loops sharing blocks nest
-		// (natural loops in a reducible CFG are disjoint or nested), and a
-		// strict-size requirement rules out parent cycles even on irreducible
-		// inputs.
-		best, bestSize := -1, 1<<30
-		for j := range ft.Loops {
-			if i == j || !contains[j][ft.Loops[i].Header] {
-				continue
-			}
-			if len(ft.Loops[j].Blocks) > len(ft.Loops[i].Blocks) && len(ft.Loops[j].Blocks) < bestSize {
-				best, bestSize = j, len(ft.Loops[j].Blocks)
-			}
+		i := sort.SearchInts(headers, h)
+		lp := &ft.Loops[i]
+		lp.Parent, lp.Depth = ft.LoopOf[h], 1
+		if lp.Parent >= 0 {
+			lp.Depth = ft.Loops[lp.Parent].Depth + 1
 		}
-		ft.Loops[i].Parent = best
-	}
-	var depth func(i int) int
-	depth = func(i int) int {
-		if ft.Loops[i].Depth > 0 {
-			return ft.Loops[i].Depth
-		}
-		d := 1
-		if p := ft.Loops[i].Parent; p >= 0 {
-			d = depth(p) + 1
-		}
-		ft.Loops[i].Depth = d
-		return d
-	}
-	for i := range ft.Loops {
-		depth(i)
-	}
-	for i := range ft.Loops {
-		for _, b := range ft.Loops[i].Blocks {
-			if ft.LoopOf[b] < 0 || ft.Loops[ft.LoopOf[b]].Depth < ft.Loops[i].Depth {
-				ft.LoopOf[b] = i
-			}
+		for _, b := range lp.Blocks {
+			ft.LoopOf[b] = i
 		}
 	}
 
 	if sc != nil {
 		rep := CopyProp(f)
 		for i := range ft.Loops {
-			ft.Loops[i].Trip = inferTrip(f, sc, rep, &ft.Loops[i], inBodyFn(contains[i]))
+			// Restamp the body: the collection above left i only on blocks
+			// of loop i, so inBody[b] == i now holds exactly for them.
+			for _, b := range ft.Loops[i].Blocks {
+				inBody[b] = i
+			}
+			ft.Loops[i].Trip = inferTrip(f, sc, rep, &ft.Loops[i], func(b int) bool { return inBody[b] == i })
 		}
 	}
 	return ft
-}
-
-func inBodyFn(set map[int]bool) func(int) bool {
-	return func(b int) bool { return set[b] }
 }
 
 // inferTrip matches the canonical counted-loop shape and returns the exact
@@ -199,7 +171,7 @@ func inferTrip(f *Func, sc *SCCP, rep []ValID, lp *Loop, inBody func(int) bool) 
 			if !boundConst || bound.IsNull {
 				continue
 			}
-			init, step, ok := matchInduction(f, sc, rep, lp, iv)
+			init, step, ok := matchInduction(f, sc, rep, lp, inBody, iv)
 			if !ok {
 				continue
 			}
@@ -224,23 +196,19 @@ func inferTrip(f *Func, sc *SCCP, rep []ValID, lp *Loop, inBody func(int) bool) 
 
 // matchInduction recognizes iv as a header phi with a constant init argument
 // from outside the loop and a self-increment `iv + step` (constant step)
-// from inside it.
-func matchInduction(f *Func, sc *SCCP, rep []ValID, lp *Loop, iv ValID) (init Const, step int64, ok bool) {
+// from inside it. inBody tests membership in lp.
+func matchInduction(f *Func, sc *SCCP, rep []ValID, lp *Loop, inBody func(int) bool, iv ValID) (init Const, step int64, ok bool) {
 	v := &f.Vals[iv]
 	if v.Kind != VPhi || v.Block != lp.Header {
 		return Const{}, 0, false
 	}
 	preds := f.CFG.Blocks[lp.Header].Preds
 	haveInit, haveStep := false, false
-	inBody := make(map[int]bool, len(lp.Blocks))
-	for _, b := range lp.Blocks {
-		inBody[b] = true
-	}
 	for j, a := range v.Args {
 		if a == None {
 			continue
 		}
-		fromInside := j < len(preds) && inBody[preds[j]]
+		fromInside := j < len(preds) && inBody(preds[j])
 		if !fromInside {
 			c, isC := sc.ConstOf(a)
 			if !isC || c.IsNull {

@@ -1,6 +1,8 @@
 package ssa
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"lowutil/internal/ir"
@@ -178,5 +180,80 @@ func TestWeightsLoopDefault(t *testing.T) {
 	body := mi.F.CFG.BlockOf[4] // the increment
 	if w := mi.BlockWeight(body); w != DefaultTrip {
 		t.Fatalf("unknown-bound loop body weighs %g, want %d", w, DefaultTrip)
+	}
+}
+
+// checkNesting recomputes the forest's nesting from the loop bodies alone:
+// a loop's parent is the smallest strictly larger loop holding its header,
+// its depth counts the loops up that chain, and a block's LoopOf is the
+// deepest loop holding it.
+func checkNesting(t *testing.T, name string, ft *Forest) {
+	t.Helper()
+	holds := func(lp *Loop, b int) bool {
+		for _, x := range lp.Blocks {
+			if x == b {
+				return true
+			}
+		}
+		return false
+	}
+	for i := range ft.Loops {
+		lp := &ft.Loops[i]
+		parent := -1
+		for j := range ft.Loops {
+			if j != i && len(ft.Loops[j].Blocks) > len(lp.Blocks) && holds(&ft.Loops[j], lp.Header) &&
+				(parent < 0 || len(ft.Loops[j].Blocks) < len(ft.Loops[parent].Blocks)) {
+				parent = j
+			}
+		}
+		depth := 1
+		for p := parent; p >= 0; p = ft.Loops[p].Parent {
+			depth++
+		}
+		if lp.Parent != parent || lp.Depth != depth {
+			t.Fatalf("%s: loop %d (header %d) has parent %d depth %d, containment says %d and %d",
+				name, i, lp.Header, lp.Parent, lp.Depth, parent, depth)
+		}
+	}
+	for b := range ft.LoopOf {
+		want := -1
+		for i := range ft.Loops {
+			if holds(&ft.Loops[i], b) && (want < 0 || ft.Loops[i].Depth > ft.Loops[want].Depth) {
+				want = i
+			}
+		}
+		if ft.LoopOf[b] != want {
+			t.Fatalf("%s: LoopOf[%d] = %d, containment says %d", name, b, ft.LoopOf[b], want)
+		}
+	}
+}
+
+// TestForestNestingMatchesContainment checks BuildForest's one pass over
+// the headers in reverse postorder against the nesting read off the loop
+// bodies, on every method of the workloads and on random programs with
+// loops nested three deep.
+func TestForestNestingMatchesContainment(t *testing.T) {
+	loops := 0
+	forEachWorkload(t, func(t *testing.T, prog *ir.Program) {
+		for _, c := range prog.Classes {
+			for _, m := range c.Methods {
+				ft := AnalyzeMethod(m).Forest
+				loops += len(ft.Loops)
+				checkNesting(t, m.QualifiedName(), ft)
+			}
+		}
+	})
+	for seed := int64(0); seed < 300; seed++ {
+		prog := genProgram(rand.New(rand.NewSource(seed)))
+		for _, c := range prog.Classes {
+			for _, m := range c.Methods {
+				ft := AnalyzeMethod(m).Forest
+				loops += len(ft.Loops)
+				checkNesting(t, fmt.Sprintf("seed %d %s", seed, m.QualifiedName()), ft)
+			}
+		}
+	}
+	if loops == 0 {
+		t.Fatal("no loops checked")
 	}
 }
