@@ -5,8 +5,6 @@
 //
 //   - Table 1 columns O(×): BenchmarkOverhead_* (baseline vs. profiled wall
 //     clock per workload; the ratio is the overhead column)
-//   - §4.2 case studies: BenchmarkCaseStudy_* (bloated vs. optimized; the
-//     ratio is the paper's improvement)
 //   - Figure 1: BenchmarkFigure1_TaintVsSlicing
 //   - §3.2/§4.1 ablations: BenchmarkThinVsTraditional,
 //     BenchmarkAbstractVsConcrete, BenchmarkPhaseRestricted
@@ -17,7 +15,6 @@ import (
 	"context"
 	"testing"
 
-	"lowutil/internal/casestudies"
 	"lowutil/internal/costben"
 	"lowutil/internal/deadness"
 	"lowutil/internal/depgraph"
@@ -25,7 +22,6 @@ import (
 	"lowutil/internal/interp"
 	"lowutil/internal/interproc"
 	"lowutil/internal/ir"
-	"lowutil/internal/mjc"
 	"lowutil/internal/profiler"
 	"lowutil/internal/ssa"
 	"lowutil/internal/staticanalysis"
@@ -137,36 +133,6 @@ func BenchmarkNodeIntern(b *testing.B) {
 			g.TouchFast(instrs[i%len(instrs)], i&15)
 		}
 	})
-}
-
-// ---- §4.2 case studies: bloated vs. optimized ----
-
-func BenchmarkCaseStudy(b *testing.B) {
-	for _, cs := range casestudies.All() {
-		cs := cs
-		for _, variant := range []string{"bloated", "optimized"} {
-			variant := variant
-			b.Run(cs.Name+"/"+variant, func(b *testing.B) {
-				src := cs.Bloated(benchScale)
-				if variant == "optimized" {
-					src = cs.Optimized(benchScale)
-				}
-				prog, err := mjc.Compile(src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var work int64
-				for i := 0; i < b.N; i++ {
-					m := interp.New(prog)
-					if err := m.Run(); err != nil {
-						b.Fatal(err)
-					}
-					work = m.Steps + m.NativeWork
-				}
-				b.ReportMetric(float64(work), "work/run")
-			})
-		}
-	}
 }
 
 // ---- Figure 1: taint-like tracking vs. dependence-graph cost ----

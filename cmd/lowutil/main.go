@@ -65,12 +65,14 @@
 //
 // experiments regenerates the paper's evaluation, section by section:
 // table1 (Table 1's graph sizes, CR and deadness), phases (§4.1's
-// phase-restricted tracking), ablations (§3.2's), casestudies (§4.2's six)
-// and overhead (Table 1's O column and §4.1's reduction, the one timed
-// section). With no section named it runs all five. -scale sets the
-// workload scale (default 8, EXPERIMENTS.md's); -only restricts every
-// section to the named rows. The first four sections print no wall-clock
-// number and are EXPERIMENTS.md's blocks byte for byte at the default scale.
+// phase-restricted tracking), ablations (§3.2's), casestudies (§4.2's six:
+// each workload against the paper's fix of it, and the rank of its best
+// planted allocation site) and overhead (Table 1's O column and §4.1's
+// reduction, the one timed section). With no section named it runs all
+// five. -scale sets the workload scale (default 8, EXPERIMENTS.md's); -only
+// restricts every section to the named rows. The first four sections print
+// no wall-clock number and are EXPERIMENTS.md's blocks byte for byte at the
+// default scale.
 package main
 
 import (

@@ -276,26 +276,6 @@ func (s *SiteReport) String() string {
 		s.Site.AllocSite, s.Site.Method.QualifiedName(), s.Site.PC, s.NRAC, ben, s.Rate, s.AllocFreq)
 }
 
-// FormatTop renders the top k site reports as a table.
-func FormatTop(reports []*SiteReport, k int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-5s %-32s %12s %12s %10s %9s\n", "site", "where", "n-RAC", "n-RAB", "rate", "allocs")
-	for i, r := range reports {
-		if i >= k {
-			break
-		}
-		ben := fmt.Sprintf("%12.1f", r.NRAB)
-		if r.NRAB == InfiniteRAB {
-			ben = fmt.Sprintf("%12s", "inf")
-		}
-		fmt.Fprintf(&sb, "%-5d %-32s %12.1f %s %10.2f %9d\n",
-			r.Site.AllocSite,
-			fmt.Sprintf("%s:%d", r.Site.Method.QualifiedName(), r.Site.PC),
-			r.NRAC, ben, r.Rate, r.AllocFreq)
-	}
-	return sb.String()
-}
-
 // NodeCostRow is one line of the Figure 3(c)-style table: an abstract node
 // of a method with its execution frequency and abstract cost (Definition 4).
 type NodeCostRow struct {

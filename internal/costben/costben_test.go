@@ -278,7 +278,7 @@ func TestRateSemantics(t *testing.T) {
 	}
 }
 
-func TestFormatTopIsStable(t *testing.T) {
+func TestRankBySiteIsStable(t *testing.T) {
 	p, _, _ := profiled(t, `
 class A { int x; }
 class Main {
@@ -288,13 +288,14 @@ class Main {
   }
 }`, 16)
 	an := NewAnalysis(p.G)
-	r1 := FormatTop(an.RankBySite(4), 5)
-	r2 := FormatTop(an.RankBySite(4), 5)
-	if r1 != r2 {
-		t.Error("report not deterministic")
+	r1, r2 := an.RankBySite(4), an.RankBySite(4)
+	if len(r1) == 0 || len(r1) != len(r2) {
+		t.Fatalf("rankings of %d and %d sites, want the same non-zero length", len(r1), len(r2))
 	}
-	if r1 == "" {
-		t.Error("empty report")
+	for i := range r1 {
+		if r1[i].String() != r2[i].String() {
+			t.Errorf("rank %d not deterministic: %s vs %s", i+1, r1[i], r2[i])
+		}
 	}
 }
 

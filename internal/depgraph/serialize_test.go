@@ -47,10 +47,14 @@ func TestRoundTripPreservesAnalyses(t *testing.T) {
 	// Cost-benefit ranking must match exactly.
 	a1 := costben.NewAnalysis(p.G)
 	a2 := costben.NewAnalysis(g2)
-	r1 := costben.FormatTop(a1.RankBySite(4), 10)
-	r2 := costben.FormatTop(a2.RankBySite(4), 10)
-	if r1 != r2 {
-		t.Errorf("rankings differ after round trip:\n--- live ---\n%s--- loaded ---\n%s", r1, r2)
+	r1, r2 := a1.RankBySite(4), a2.RankBySite(4)
+	if len(r1) == 0 || len(r1) != len(r2) {
+		t.Fatalf("rankings of %d and %d sites after round trip, want the same non-zero length", len(r1), len(r2))
+	}
+	for i := range r1 {
+		if r1[i].String() != r2[i].String() {
+			t.Errorf("rank %d differs after round trip:\n  live:   %s\n  loaded: %s", i+1, r1[i], r2[i])
+		}
 	}
 
 	// Deadness must match exactly.

@@ -7,7 +7,8 @@
 //   - phases: §4.1's phase-restricted tracking, as recorded work;
 //   - ablations: the §3.2 design choices, thin vs. traditional slicing and
 //     abstract vs. unabstracted graphs;
-//   - casestudies: the six §4.2 case studies;
+//   - casestudies: the six §4.2 case studies, each workload against its
+//     fixed variant;
 //   - overhead: the one timed section, Table 1's O column and §4.1's
 //     reduction.
 //
@@ -17,12 +18,14 @@
 package evalharness
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 
-	"lowutil/internal/casestudies"
+	"lowutil"
 	"lowutil/internal/deadness"
 	"lowutil/internal/depgraph"
 	"lowutil/internal/interp"
@@ -42,6 +45,8 @@ const (
 	// unabstractedCap bounds the instance nodes per instruction in the
 	// unabstracted graph, so the ablation finishes on every workload.
 	unabstractedCap = 1 << 22
+	// caseStudyTop is how many findings a case study prints.
+	caseStudyTop = 8
 )
 
 // table1Slots are Table 1's context-slot settings, parts (a) and (b).
@@ -50,6 +55,7 @@ var table1Slots = [...]int{8, slots}
 // The rows of the sections that run a fixed subset of the workloads.
 var (
 	phaseRows       = []string{"tradebeans", "tradesoap"}
+	caseStudyRows   = []string{"sunflow", "eclipse", "bloat", "derby", "tomcat", "tradebeans"}
 	slicingRows     = []string{"xalan", "eclipse", "bloat"}
 	abstractionRows = []string{"chart", "sunflow", "avrora"}
 )
@@ -68,12 +74,9 @@ var Sections = []string{"table1", "phases", "ablations", "casestudies", "overhea
 // section returns the row names and the writer of the named section, and
 // false for an unknown one.
 func section(name string) ([]string, func(io.Writer, Options) error, bool) {
-	var all, studies []string
+	var all []string
 	for _, w := range workloads.All() {
 		all = append(all, w.Name)
-	}
-	for _, cs := range casestudies.All() {
-		studies = append(studies, cs.Name)
 	}
 	switch name {
 	case "table1":
@@ -83,7 +86,7 @@ func section(name string) ([]string, func(io.Writer, Options) error, bool) {
 	case "ablations":
 		return slices.Concat(slicingRows, abstractionRows), writeAblations, true
 	case "casestudies":
-		return studies, writeCaseStudies, true
+		return caseStudyRows, writeCaseStudies, true
 	case "overhead":
 		return all, writeOverhead, true
 	}
@@ -428,20 +431,114 @@ func writeAblations(out io.Writer, opts Options) error {
 
 // ---- §4.2 case studies ----
 
+// CaseStudy is §4.2's experiment on one workload: the program against its
+// fixed variant, and where the profile of the program ranks its plants.
+type CaseStudy struct {
+	Name string
+	// Work is executed steps plus synthetic native work.
+	Work, FixedWork     int64
+	Allocs, FixedAllocs int64
+	// SuspectRank is the 1-based rank of the first finding at a planted
+	// allocation site, 0 if no finding is.
+	SuspectRank int
+	// Top is the head of the program's ranking.
+	Top []lowutil.Finding
+}
+
+func (c *CaseStudy) String() string {
+	return fmt.Sprintf("%-11s work %9d → %9d (-%5.1f%%)  allocs %7d → %7d (-%5.1f%%)  suspect rank %d",
+		c.Name, c.Work, c.FixedWork, percentSaved(c.Work, c.FixedWork),
+		c.Allocs, c.FixedAllocs, percentSaved(c.Allocs, c.FixedAllocs), c.SuspectRank)
+}
+
+// percentSaved is the share of before that after saves, in percent.
+func percentSaved(before, after int64) float64 {
+	if before == 0 {
+		return 0
+	}
+	return 100 * float64(before-after) / float64(before)
+}
+
+// CaseStudyExperiment runs the workload and its fixed variant through the
+// facade, checks that both print the same output, and profiles the
+// workload at s = slots.
+func CaseStudyExperiment(name string, scale int) (*CaseStudy, error) {
+	w := workloads.ByName(name)
+	if w == nil || w.Fix == nil {
+		return nil, fmt.Errorf("evalharness: %q has no case study", name)
+	}
+	fixedSrc, err := w.FixedSource(scale)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := lowutil.Compile(w.Source(scale))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	fixed, err := lowutil.Compile(fixedSrc)
+	if err != nil {
+		return nil, fmt.Errorf("%s fixed: %w", name, err)
+	}
+	ctx := context.Background()
+	before, err := prog.RunContext(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	after, err := fixed.RunContext(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("%s fixed: %w", name, err)
+	}
+	if !slices.Equal(before.Output, after.Output) {
+		return nil, fmt.Errorf("%s: the fix changed the output: %v → %v", name, before.Output, after.Output)
+	}
+
+	// Both compilations of the source number its allocation sites alike,
+	// so the sites the plants name on this one are the findings' sites.
+	irProg, err := compile(name, scale)
+	if err != nil {
+		return nil, err
+	}
+	planted, err := w.PlantSites(irProg)
+	if err != nil {
+		return nil, err
+	}
+	pr, err := prog.ProfileContext(ctx, lowutil.WithSlots(slots))
+	if err != nil {
+		return nil, fmt.Errorf("%s profile: %w", name, err)
+	}
+	ranking := pr.TopStructures(math.MaxInt)
+	cs := &CaseStudy{
+		Name:        name,
+		Work:        before.Steps + before.NativeWork,
+		FixedWork:   after.Steps + after.NativeWork,
+		Allocs:      before.Allocs,
+		FixedAllocs: after.Allocs,
+		Top:         ranking[:min(caseStudyTop, len(ranking))],
+	}
+	for i, f := range ranking {
+		if planted[f.Site] {
+			cs.SuspectRank = i + 1
+			break
+		}
+	}
+	return cs, nil
+}
+
 func writeCaseStudies(out io.Writer, opts Options) error {
-	names, _, _ := section("casestudies")
-	res, err := each(opts, names, func(name string) (*casestudies.Result, error) {
-		return casestudies.ByName(name).Run(opts.Scale, slots)
+	res, err := each(opts, caseStudyRows, func(name string) (*CaseStudy, error) {
+		return CaseStudyExperiment(name, opts.Scale)
 	})
 	if err != nil || len(res) == 0 {
 		return err
 	}
-	fmt.Fprintf(out, "---- §4.2 case studies: bloated → optimized work and allocations, suspect rank at s = %d, scale %d ----\n",
+	fmt.Fprintf(out, "---- §4.2 case studies: workload → fixed work and allocations, suspect rank by planted site at s = %d, scale %d ----\n",
 		slots, opts.Scale)
 	for _, r := range res {
-		cs := casestudies.ByName(r.Name)
-		fmt.Fprintf(out, "%s\n  paper:   %s\n  pattern: %s\n  fix:     %s\n  tool report:\n    %s\n", r, cs.PaperResult, cs.Pattern, cs.Fix,
-			strings.ReplaceAll(strings.TrimSuffix(r.TopReport, "\n"), "\n", "\n    "))
+		w := workloads.ByName(r.Name)
+		fmt.Fprintf(out, "%s\n  paper:   %s\n  pattern: %s\n  fix:     %s\n  tool report:\n", r, w.Fix.PaperResult, w.Profile, w.Fix.Text)
+		for i, f := range r.Top {
+			fmt.Fprintf(out, "    %d. %s\n", i+1, f)
+		}
 	}
 	return nil
 }

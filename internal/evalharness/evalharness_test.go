@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lowutil/internal/profiler"
+	"lowutil/internal/workloads"
 )
 
 func TestTable1SmallSubset(t *testing.T) {
@@ -168,6 +169,66 @@ func TestAbstractVsConcreteAblation(t *testing.T) {
 	if res.UnabstractedBytes <= res.AbstractBytes {
 		t.Errorf("unabstracted memory (%d) should exceed abstract (%d)",
 			res.UnabstractedBytes, res.AbstractBytes)
+	}
+}
+
+// TestSixStudiesRegistered: the case-study rows are, in §4.2's order, the
+// six workloads that carry the paper's fix, and only they run as one.
+func TestSixStudiesRegistered(t *testing.T) {
+	want := []string{"sunflow", "eclipse", "bloat", "derby", "tomcat", "tradebeans"}
+	if !slices.Equal(caseStudyRows, want) {
+		t.Errorf("case-study rows = %v, want %v", caseStudyRows, want)
+	}
+	for _, w := range workloads.All() {
+		if (w.Fix != nil) != slices.Contains(want, w.Name) {
+			t.Errorf("%s: carries a fix = %v, is a case-study row = %v", w.Name, w.Fix != nil, slices.Contains(want, w.Name))
+		}
+		if w.Fix != nil && (w.Profile == "" || w.Fix.PaperResult == "" || w.Fix.Text == "") {
+			t.Errorf("%s: case study lacks its pattern, paper result or fix text", w.Name)
+		}
+	}
+	if _, err := CaseStudyExperiment("chart", 1); err == nil {
+		t.Error("chart has no case study, but CaseStudyExperiment ran one")
+	}
+}
+
+// TestAllStudiesImproveAndDetect is §4.2 at scale 1: for every case study
+// the fixed variant prints the workload's output (CaseStudyExperiment
+// checks it) with strictly less work and no more allocations, and a
+// planted allocation site ranks in the top 5 of the workload's profile.
+func TestAllStudiesImproveAndDetect(t *testing.T) {
+	for _, name := range caseStudyRows {
+		t.Run(name, func(t *testing.T) {
+			cs, err := CaseStudyExperiment(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cs.FixedWork >= cs.Work {
+				t.Errorf("work %d → %d, want less", cs.Work, cs.FixedWork)
+			}
+			if cs.FixedAllocs > cs.Allocs {
+				t.Errorf("allocations %d → %d, want no more", cs.Allocs, cs.FixedAllocs)
+			}
+			if cs.SuspectRank < 1 || cs.SuspectRank > 5 {
+				t.Errorf("best planted site ranks %d, want 1 to 5:\n%v", cs.SuspectRank, cs.Top)
+			}
+		})
+	}
+}
+
+// TestScaleParameterization: a case study's work grows with its scale.
+func TestScaleParameterization(t *testing.T) {
+	r1, err := CaseStudyExperiment("sunflow", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3, err := CaseStudyExperiment("sunflow", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r3.Work < 2*r1.Work || r3.FixedWork < 2*r1.FixedWork {
+		t.Errorf("scale 3 work %d → %d should be ~3x scale 1's %d → %d",
+			r3.Work, r3.FixedWork, r1.Work, r1.FixedWork)
 	}
 }
 

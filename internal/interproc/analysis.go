@@ -33,6 +33,10 @@ type Analysis struct {
 
 	// funcs[m.ID] is method m's SSA form once some pass asked for it.
 	funcs []*ssa.Func
+	// unseeded[m.ID] is the constant-propagation fixpoint's last SCCP run
+	// of m when the fixpoint proved no parameter of m constant: that run
+	// then equals an unseeded one.
+	unseeded []*ssa.SCCP
 }
 
 // Func returns m's SSA form, building it the first time any pass asks: the
@@ -48,6 +52,17 @@ func (a *Analysis) Func(m *ir.Method) *ssa.Func {
 	f := ssa.Build(m, nil)
 	a.funcs[m.ID] = f
 	return f
+}
+
+// SCCP returns the unseeded SCCP result of m's form, as ssa.RunSCCP
+// computes it. For a method the constant-propagation fixpoint reached and
+// proved no parameter constant, it is that fixpoint's own last run; any
+// other method gets a new run. SCCP is not safe for concurrent use.
+func (a *Analysis) SCCP(m *ir.Method) *ssa.SCCP {
+	if sc := a.unseeded[m.ID]; sc != nil {
+		return sc
+	}
+	return ssa.RunSCCP(a.Func(m))
 }
 
 // Analyze runs the full pipeline over prog under cfg.
@@ -101,7 +116,8 @@ func AnalyzeHeapContext(ctx context.Context, prog *ir.Program, cfg Config) (*Ana
 	if err != nil {
 		return nil, err
 	}
-	a := &Analysis{Prog: prog, Cfg: cfg, CG: cg, PT: pt, funcs: make([]*ssa.Func, countMethods(prog))}
+	n := countMethods(prog)
+	a := &Analysis{Prog: prog, Cfg: cfg, CG: cg, PT: pt, funcs: make([]*ssa.Func, n), unseeded: make([]*ssa.SCCP, n)}
 	if a.Freq, err = a.ipcpWeights(ctx); err != nil {
 		return nil, err
 	}

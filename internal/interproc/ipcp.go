@@ -2,6 +2,7 @@ package interproc
 
 import (
 	"context"
+	"slices"
 
 	"lowutil/internal/ir"
 	"lowutil/internal/ssa"
@@ -27,7 +28,9 @@ import (
 //
 // A revisit re-runs only SCCP, over the method's one SSA form
 // (Analysis.Func); the loop forest, whose trip counts read the final
-// verdicts, is built once per method after the fixpoint.
+// verdicts, is built once per method after the fixpoint. A method's last
+// run is seeded with its final facts, so when none of them is a constant
+// it is the unseeded run vet reads too (Analysis.SCCP).
 
 // ipcpCell is the parameter lattice: unseen (no executable call site yet),
 // one known constant, or overdefined.
@@ -118,6 +121,9 @@ func (a *Analysis) ipcpRun(ctx context.Context) (map[int]*ssa.MethodInfo, error)
 	info := make(map[int]*ssa.MethodInfo, len(sccp))
 	for id, sc := range sccp {
 		info[id] = &ssa.MethodInfo{F: sc.F, SCCP: sc, Forest: ssa.BuildForest(sc.F, sc)}
+		if !slices.ContainsFunc(facts[id], func(c ipcpCell) bool { return c.state == ipcpConst }) {
+			a.unseeded[id] = sc
+		}
 	}
 	return info, nil
 }

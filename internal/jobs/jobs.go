@@ -73,7 +73,7 @@ type Config struct {
 const Depth = 1024
 
 // maxJobs bounds the job records a queue retains: a submission over it
-// evicts the oldest terminal records first.
+// evicts terminal records, the first to finish first.
 const maxJobs = 4096
 
 // ErrQueueFull rejects submissions over the Depth bound. Retryable: the
@@ -99,28 +99,32 @@ type Queue struct {
 	exec    Executor
 	maxJobs int // the record bound, maxJobs; in-package tests lower it
 
-	mu       sync.Mutex
-	ready    sync.Cond // signaled on q.mu when a job is pushed or the queue drains
-	heap     jobHeap
-	running  int
-	jobs     map[string]*job
-	order    []*job // submission order, for terminal-job eviction
-	batches  map[string]*batchRecord
-	seq      int64
-	draining bool
-	ctx      context.Context // canceled by Drain
-	cancel   context.CancelFunc
-	wg       sync.WaitGroup
+	mu      sync.Mutex
+	ready   sync.Cond // signaled on q.mu when a job is pushed or the queue drains
+	heap    jobHeap
+	running int
+	jobs    map[string]*job
+	// done holds the terminal jobs still on record, in the order they
+	// finished: the order gcLocked evicts them in.
+	done      []*job
+	batches   map[string]*batchRecord // by idempotency key
+	batchByID map[string]*batchRecord
+	seq       int64
+	draining  bool
+	ctx       context.Context // canceled by Drain
+	cancel    context.CancelFunc
+	wg        sync.WaitGroup
 
 	submitted, deduped, completed, failed atomic.Int64
 }
 
 // batchRecord pins an idempotency key to the jobs it created, so a
-// retried submission returns the same IDs without enqueuing anything.
+// retried submission returns the same IDs without enqueuing anything. It
+// lives as long as one of its job records does.
 type batchRecord struct {
-	id  string
-	sig string
-	ids []string
+	key, id, sig string
+	ids          []string
+	live         int // job records of the batch still on record
 }
 
 // jobHeap orders by priority (higher first), then submission order.
@@ -147,10 +151,11 @@ func New(cfg Config) *Queue {
 		cfg.Workers = 4
 	}
 	q := &Queue{
-		exec:    cfg.Executor,
-		maxJobs: maxJobs,
-		jobs:    make(map[string]*job),
-		batches: make(map[string]*batchRecord),
+		exec:      cfg.Executor,
+		maxJobs:   maxJobs,
+		jobs:      make(map[string]*job),
+		batches:   make(map[string]*batchRecord),
+		batchByID: make(map[string]*batchRecord),
 	}
 	q.ready.L = &q.mu
 	q.ctx, q.cancel = context.WithCancel(context.Background())
@@ -182,6 +187,7 @@ func (q *Queue) work() {
 
 		q.mu.Lock()
 		q.running--
+		q.done = append(q.done, j)
 		q.mu.Unlock()
 	}
 }
@@ -225,68 +231,42 @@ func (q *Queue) Submit(key string, reqs []client.Job) (*client.Batch, error) {
 		return nil, ErrQueueFull
 	}
 	now := time.Now()
-	rec := &batchRecord{id: batch.ID, sig: sig, ids: make([]string, len(reqs))}
+	rec := &batchRecord{key: key, id: batch.ID, sig: sig, ids: make([]string, len(reqs)), live: len(reqs)}
 	for i, r := range reqs {
 		q.seq++
 		j := newJob(jobID(key, i, r.Spec), batch.ID, i, r, q.seq, now)
 		q.jobs[j.id] = j
-		q.order = append(q.order, j)
 		if q.draining {
 			q.failed.Add(1)
 			j.finish(nil, drained())
+			q.done = append(q.done, j)
 		} else {
 			heap.Push(&q.heap, j)
 		}
 		rec.ids[i] = j.id
 		batch.Jobs[i] = client.Submitted{ID: j.id, Index: i}
 	}
-	q.batches[key] = rec
+	q.batches[key], q.batchByID[rec.id] = rec, rec
 	q.submitted.Add(int64(len(reqs)))
 	q.ready.Broadcast()
 	q.gcLocked()
 	return batch, nil
 }
 
-// gcLocked evicts the oldest terminal job records over the MaxJobs bound
-// (queued and running jobs are never dropped), then drops batch records
-// whose jobs have all been evicted — otherwise q.batches grows one record
-// per idempotency key forever. Called with q.mu held.
+// gcLocked evicts terminal job records, the first to finish first, while
+// the records exceed the bound, and drops a batch record with its last
+// job record. Queued and running jobs are not in q.done, so they are never
+// evicted. It costs what it evicts. Called with q.mu held.
 func (q *Queue) gcLocked() {
-	over := len(q.jobs) - q.maxJobs
-	if over <= 0 {
-		return
-	}
-	kept := q.order[:0]
-	evicted := false
-	for _, j := range q.order {
-		j.mu.Lock()
-		terminal := j.terminal()
-		j.mu.Unlock()
-		if over > 0 && terminal {
-			delete(q.jobs, j.id)
-			evicted = true
-			over--
-			continue
-		}
-		kept = append(kept, j)
-	}
-	for i := len(kept); i < len(q.order); i++ {
-		q.order[i] = nil
-	}
-	q.order = kept
-	if !evicted {
-		return
-	}
-	for key, rec := range q.batches {
-		live := false
-		for _, id := range rec.ids {
-			if _, ok := q.jobs[id]; ok {
-				live = true
-				break
-			}
-		}
-		if !live {
-			delete(q.batches, key)
+	for len(q.jobs) > q.maxJobs && len(q.done) > 0 {
+		j := q.done[0]
+		q.done[0] = nil
+		q.done = q.done[1:]
+		delete(q.jobs, j.id)
+		rec := q.batchByID[j.batch]
+		if rec.live--; rec.live == 0 {
+			delete(q.batches, rec.key)
+			delete(q.batchByID, rec.id)
 		}
 	}
 }
@@ -372,7 +352,9 @@ func (q *Queue) Drain() {
 	q.draining = true
 	for len(q.heap) > 0 {
 		q.failed.Add(1)
-		heap.Pop(&q.heap).(*job).finish(nil, drained())
+		j := heap.Pop(&q.heap).(*job)
+		j.finish(nil, drained())
+		q.done = append(q.done, j)
 	}
 	q.ready.Broadcast()
 	q.mu.Unlock()
@@ -395,13 +377,7 @@ func (q *Queue) Status(id string) (*client.JobStatus, bool) {
 // submission order.
 func (q *Queue) BatchStatus(batchID string) (*client.BatchStatus, bool) {
 	q.mu.Lock()
-	var rec *batchRecord
-	for _, r := range q.batches {
-		if r.id == batchID {
-			rec = r
-			break
-		}
-	}
+	rec := q.batchByID[batchID]
 	if rec == nil {
 		q.mu.Unlock()
 		return nil, false

@@ -559,3 +559,120 @@ func TestBatchRecordGC(t *testing.T) {
 		t.Errorf("batch records = %d outlive the %d job records; q.batches is leaking", nBatches, nJobs)
 	}
 }
+
+// gateExec holds the only worker on the spec "gate" until release is
+// closed or a drain cancels it, and records the order the other specs run
+// in.
+type gateExec struct {
+	started, release chan struct{}
+	mu               sync.Mutex
+	ran              []string
+}
+
+func newGateExec() *gateExec {
+	return &gateExec{started: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (e *gateExec) Execute(ctx context.Context, spec lowutil.Request) (json.RawMessage, error) {
+	if spec.Source == "gate" {
+		close(e.started)
+		select {
+		case <-e.release:
+		case <-ctx.Done():
+			return nil, canceledBy(ctx)
+		}
+	} else {
+		e.mu.Lock()
+		e.ran = append(e.ran, spec.Source)
+		e.mu.Unlock()
+	}
+	return fakeResult(spec.Source), nil
+}
+
+// submitOne submits one job under key src and returns its ID.
+func submitOne(t *testing.T, q *Queue, src string, priority int) string {
+	t.Helper()
+	b, err := q.Submit(src, []client.Job{{Spec: testSpec(src), Priority: priority}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Jobs[0].ID
+}
+
+// waitRetired polls until n finished jobs are queued for eviction: a
+// worker queues a job just after the job finishes.
+func waitRetired(t *testing.T, q *Queue, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		q.mu.Lock()
+		got := len(q.done)
+		q.mu.Unlock()
+		if got >= n {
+			return
+		}
+	}
+	t.Fatalf("fewer than %d finished jobs queued for eviction", n)
+}
+
+// TestGCKeepsUnfinishedJobs: however far the records exceed the bound, a
+// queued or running job's record, and its batch record, stay.
+func TestGCKeepsUnfinishedJobs(t *testing.T) {
+	exec := newGateExec()
+	q := New(Config{Executor: exec, Workers: 1})
+	q.maxJobs = 1
+	defer q.Drain()
+
+	ids := []string{submitOne(t, q, "gate", 0)} // running
+	<-exec.started
+	for i := range 5 {
+		ids = append(ids, submitOne(t, q, fmt.Sprintf("queued-%d", i), 0))
+	}
+	for i, id := range ids {
+		st, ok := q.Status(id)
+		if !ok {
+			t.Fatalf("job %d evicted before it finished", i)
+		}
+		if _, ok := q.BatchStatus(st.Batch); !ok {
+			t.Errorf("batch of job %d dropped before the job finished", i)
+		}
+	}
+	close(exec.release)
+	for _, id := range ids {
+		waitTerminal(t, q, id)
+	}
+}
+
+// TestGCEvictsFirstFinishedFirst: eviction takes terminal records in the
+// order the jobs finished, not the order they were submitted. Behind a
+// gate job, "low" is submitted before "high" but finishes after it.
+func TestGCEvictsFirstFinishedFirst(t *testing.T) {
+	exec := newGateExec()
+	q := New(Config{Executor: exec, Workers: 1})
+	q.maxJobs = 2
+	defer q.Drain()
+
+	gate := submitOne(t, q, "gate", 0)
+	<-exec.started
+	low, high := submitOne(t, q, "low", 1), submitOne(t, q, "high", 2)
+	close(exec.release)
+	waitRetired(t, q, 3)
+	if got := strings.Join(exec.ran, ","); got != "high,low" {
+		t.Fatalf("ran %s, want high,low", got)
+	}
+
+	// Four records over a bound of two: the first two to finish go.
+	last := submitOne(t, q, "last", 0)
+	for _, c := range []struct {
+		name, id string
+		kept     bool
+	}{{"gate", gate, false}, {"high", high, false}, {"low", low, true}, {"last", last, true}} {
+		if _, ok := q.Status(c.id); ok != c.kept {
+			t.Errorf("%s: on record = %v, want %v", c.name, ok, c.kept)
+		}
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.batches) != 2 || len(q.batchByID) != 2 {
+		t.Errorf("batch records: %d by key, %d by ID, want the two of the jobs on record", len(q.batches), len(q.batchByID))
+	}
+}

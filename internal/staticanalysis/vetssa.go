@@ -76,17 +76,16 @@ func sortFindings(out []Finding) {
 	})
 }
 
-// methodSSA returns m's SSA form and its unseeded SCCP result. The form is
-// the analysis's one form of m, the same one its constant propagation and
-// escape pass read, also for a method off the call graph; without an
-// analysis it is built here.
+// methodSSA returns m's SSA form and its unseeded SCCP result. Both are the
+// analysis's (Analysis.Func, Analysis.SCCP): the one form of m its constant
+// propagation and escape pass read, also for a method off the call graph,
+// and the fixpoint's own SCCP run where that equals an unseeded one.
+// Without an analysis both are computed here.
 func (wp *wholeProgram) methodSSA(m *ir.Method) (*ssa.Func, *ssa.SCCP) {
-	var f *ssa.Func
 	if wp.an != nil {
-		f = wp.an.Func(m)
-	} else {
-		f = ssa.Build(m, nil)
+		return wp.an.Func(m), wp.an.SCCP(m)
 	}
+	f := ssa.Build(m, nil)
 	return f, ssa.RunSCCP(f)
 }
 

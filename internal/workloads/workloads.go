@@ -17,6 +17,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"lowutil/internal/ir"
 	"lowutil/internal/mjc"
@@ -30,7 +31,37 @@ type Workload struct {
 	Profile string
 	// Source renders the MJ program at the given scale (≥ 1).
 	Source func(scale int) string
+	// Plants name the planted low-utility structures by allocation site;
+	// a workload that plants none names none.
+	Plants []Plant
+	// Fix is the paper's fix of the planted bloat, for the six workloads
+	// with a §4.2 case study; nil for the others.
+	Fix *Fix
 }
+
+// Plant is a planted allocation site: every new or new[] that Method
+// (qualified, "Class.method") performs on Line of the rendered source.
+// Scale changes no line, so a plant names the same sites at every scale.
+type Plant struct {
+	Method string
+	Line   int
+}
+
+// Fix is one §4.2 case study: the paper's result and fix, and the fix
+// itself as exact replacements over the workload's rendered source. The
+// edits change the code the fix names and its call sites; a class or
+// method the fix leaves unused stays in the source.
+type Fix struct {
+	// PaperResult quotes the paper's measured improvement; Text names the
+	// change the paper made.
+	PaperResult, Text string
+	// Edits apply in order; each Old occurs exactly once in the source it
+	// applies to.
+	Edits []Edit
+}
+
+// Edit replaces Old with New.
+type Edit struct{ Old, New string }
 
 // registry holds all workloads, keyed by name.
 var registry = map[string]*Workload{}
@@ -70,6 +101,41 @@ func All() []*Workload {
 
 // ByName returns a workload or nil.
 func ByName(name string) *Workload { return registry[name] }
+
+// FixedSource renders the program with the paper's fix applied. It fails
+// on a workload without a Fix, and on an edit whose Old does not occur
+// exactly once.
+func (w *Workload) FixedSource(scale int) (string, error) {
+	if w.Fix == nil {
+		return "", fmt.Errorf("workload %s has no fix", w.Name)
+	}
+	src := w.Source(scale)
+	for i, e := range w.Fix.Edits {
+		if n := strings.Count(src, e.Old); n != 1 {
+			return "", fmt.Errorf("workload %s: fix edit %d matches %d times, want once", w.Name, i, n)
+		}
+		src = strings.Replace(src, e.Old, e.New, 1)
+	}
+	return src, nil
+}
+
+// PlantSites returns the allocation-site indices of w's plants in prog, a
+// compilation of w.Source. It fails on a plant that names no allocation.
+func (w *Workload) PlantSites(prog *ir.Program) (map[int]bool, error) {
+	sites := map[int]bool{}
+	for _, p := range w.Plants {
+		found := false
+		for _, in := range prog.AllocSites {
+			if in.Line == p.Line && in.Method.QualifiedName() == p.Method {
+				sites[in.AllocSite], found = true, true
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("workload %s: plant %s line %d allocates nothing", w.Name, p.Method, p.Line)
+		}
+	}
+	return sites, nil
+}
 
 // Compile compiles the workload at the given scale.
 func (w *Workload) Compile(scale int) (*ir.Program, error) {
@@ -168,6 +234,7 @@ class Main {
 	register(&Workload{
 		Name:    "bloat",
 		Profile: "debug strings built for never-true asserts; comparator objects per node pair (high IPD)",
+		Plants:  []Plant{{"CharBuf.init", 8}, {"Node.describe", 29}, {"NodeComparator.compare", 44}, {"NodeComparator.compare", 47}, {"Main.main", 73}},
 		Source: func(scale int) string {
 			return fmt.Sprintf(`
 // bloat-alike: every AST node operation builds a toString-style char buffer
@@ -251,11 +318,34 @@ class Main {
   }
 }`, 12*scale)
 		},
+		Fix: &Fix{
+			PaperResult: "37% running time reduction, 68% fewer objects",
+			Text: "construct the debug strings only under the debug flag and reuse a single " +
+				"comparator via recursion on this",
+			Edits: []Edit{
+				{`    NodeComparator lc = new NodeComparator();
+    int l = lc.compare(a.left, b.left);
+`, "    int l = this.compare(a.left, b.left);\n"},
+				{`    NodeComparator rc = new NodeComparator();
+    return rc.compare(a.right, b.right);
+`, "    return this.compare(a.right, b.right);\n"},
+				{"    int acc = 0;\n", "    NodeComparator cmp = new NodeComparator();\n    int acc = 0;\n"},
+				{"      NodeComparator cmp = new NodeComparator();\n", ""},
+				{`      CharBuf msg = t1.describe();          // dead unless debugging
+      if (debugging) { print(msg.len); }    // never true in production
+`, `      if (debugging) {
+        CharBuf msg = t1.describe();
+        print(msg.len);
+      }
+`},
+			},
+		},
 	})
 
 	register(&Workload{
 		Name:    "chart",
 		Profile: "lists populated with point structures only to read their sizes (the paper's motivating example)",
+		Plants:  []Plant{{"Series.init", 12}, {"Main.main", 25}, {"Main.main", 28}},
 		Source: func(scale int) string {
 			return fmt.Sprintf(`
 // chart-alike: datasets are assembled from expensively computed points, but
@@ -491,6 +581,7 @@ class Main {
 	register(&Workload{
 		Name:    "xalan",
 		Profile: "document transformation copying values between node representations (copy-heavy)",
+		Plants:  []Plant{{"Pipeline.toDom", 11}, {"Pipeline.toOut", 23}},
 		Source: func(scale int) string {
 			return fmt.Sprintf(`
 // xalan-alike: each transform stage copies node payloads into a new
@@ -568,6 +659,7 @@ class Main {
 	register(&Workload{
 		Name:    "hsqldb",
 		Profile: "in-memory table with some dead (never-queried) columns",
+		Plants:  []Plant{{"Table.insert", 16}},
 		Source: func(scale int) string {
 			return fmt.Sprintf(`
 // hsqldb-alike: rows carry several columns; queries touch the key and one

@@ -50,6 +50,7 @@ class Main {
 	register(&Workload{
 		Name:    "eclipse",
 		Profile: "visitor objects per traversal + hashtable rehash recomputing entry hashes (high IPD)",
+		Plants:  []Plant{{"TreeIterator.init", 18}, {"TreeIterator.next", 31}, {"HashtableOfArray.rehash", 72}, {"HashtableOfArray.rehash", 73}, {"Main.main", 101}, {"Main.main", 102}},
 		Source: func(scale int) string {
 			return fmt.Sprintf(`
 // eclipse-alike: workspace traversals allocate stateless visitor and
@@ -174,6 +175,69 @@ class Main {
   }
 }`, 8*scale)
 		},
+		Fix: &Fix{
+			PaperResult: "14.5% running time reduction (151s → 129s), 2% fewer objects",
+			Text: "replace the visitor implementation with a worklist implementation and cache " +
+				"entry hash codes in an int array used during rehash",
+			Edits: []Edit{
+				{"class HashtableOfArray {\n", `class Worklist {
+  Resource[] stack;
+  void init(int cap) { this.stack = new Resource[cap]; }
+  int traverse(Resource root) {
+    int count = 0;
+    int sp = 1;
+    this.stack[0] = root;
+    while (sp > 0) {
+      sp = sp - 1;
+      Resource r = this.stack[sp];
+      count = count + 1;
+      for (int i = 0; i < r.nChildren; i = i + 1) {
+        this.stack[sp] = r.children[i];
+        sp = sp + 1;
+      }
+    }
+    return count;
+  }
+}
+class HashtableOfArray {
+  int[] hashes;                      // cached key hashes, read by rehash
+`},
+				{"    this.values = new int[cap];\n", "    this.values = new int[cap];\n    this.hashes = new int[cap];\n"},
+				{`  void put(int[] key, int value) {
+    if (this.size * 2 >= this.keys.length) { this.rehash(); }
+    int h = this.hashKey(key) % this.keys.length;
+`, `  void put(int[] key, int value) { this.putHashed(key, this.hashKey(key), value); }
+  void putHashed(int[] key, int hc, int value) {
+    if (this.size * 2 >= this.keys.length) { this.rehash(); }
+    int h = hc % this.keys.length;
+`},
+				{"    this.values[h] = value;\n", "    this.values[h] = value;\n    this.hashes[h] = hc;\n"},
+				{"    int[] oldVals = this.values;\n", "    int[] oldVals = this.values;\n    int[] oldHashes = this.hashes;\n"},
+				{"    this.values = new int[oldKeys.length * 2];\n",
+					"    this.values = new int[oldKeys.length * 2];\n    this.hashes = new int[oldKeys.length * 2];\n"},
+				{"this.put(oldKeys[i], oldVals[i]);", "this.putHashed(oldKeys[i], oldHashes[i], oldVals[i]);"},
+				{`    int visits = 0;
+    for (int t = 0; t < traversals; t = t + 1) {
+      Visitor v = new Visitor();          // fresh stateless visitor
+      TreeIterator it = new TreeIterator(); // fresh iterator machinery
+      it.init(root);
+      Resource r = it.next();
+      while (r != null) {
+        boolean more = v.visit(r);
+        if (!more) { break; }
+        r = it.next();
+      }
+      visits = visits + v.visited;
+    }
+`, `    Worklist wl = new Worklist();
+    wl.init(256);
+    int visits = 0;
+    for (int t = 0; t < traversals; t = t + 1) {
+      visits = visits + wl.traverse(root);
+    }
+`},
+			},
+		},
 	})
 
 	register(&Workload{
@@ -223,6 +287,7 @@ class Main {
 	register(&Workload{
 		Name:    "batik",
 		Profile: "per-operation geometry clones whose originals are discarded",
+		Plants:  []Plant{{"Transform.translate", 7}, {"Transform.scale", 13}, {"Transform.rotate90", 19}},
 		Source: func(scale int) string {
 			return fmt.Sprintf(`
 // batik-alike: path transforms clone point objects per operation instead of
@@ -274,6 +339,7 @@ class Main {
 	register(&Workload{
 		Name:    "derby",
 		Profile: "container metadata array rewritten on every page write; id keys re-derived per access",
+		Plants:  []Plant{{"FileContainer.init", 8}, {"ContextMap.init", 31}},
 		Source: func(scale int) string {
 			return fmt.Sprintf(`
 // derby-alike: FileContainer keeps an info array that is regenerated on
@@ -348,11 +414,52 @@ class Main {
   }
 }`, 60*scale)
 		},
+		Fix: &Fix{
+			PaperResult: "6% running time reduction, 8.6% fewer objects",
+			Text: "update the array only before it is read, and replace the derived keys with " +
+				"plain integer IDs",
+			Edits: []Edit{
+				{"  int pages;\n", "  int pages;\n  int lastPage;\n  int lastData;\n"},
+				{`    // the bloat: rebuild container metadata on every write
+    this.info[0] = this.pages;
+    this.info[1] = pageNo;
+    this.info[2] = hash(pageNo) % 4096;
+    this.info[3] = data & 255;
+    this.info[4] = this.info[0] + this.info[1];
+    this.info[5] = hash(data) % 4096;
+    this.info[6] = 2;
+    this.info[7] = 1;
+    this.pages = this.pages + 1;
+  }
+  int checkpoint() {
+`, `    this.lastPage = pageNo;
+    this.lastData = data;
+    this.pages = this.pages + 1;
+  }
+  int checkpoint() {
+    this.info[0] = this.pages - 1;
+    this.info[1] = this.lastPage;
+    this.info[2] = hash(this.lastPage) % 4096;
+    this.info[3] = this.lastData & 255;
+    this.info[4] = this.info[0] + this.info[1];
+    this.info[5] = hash(this.lastData) % 4096;
+    this.info[6] = 2;
+    this.info[7] = 1;
+`},
+				{`    int k = 17;
+    k = k * 31 + mgr;
+    k = k * 31 + kind;
+    k = k * 31 + hash(mgr * 7 + kind);
+    return k;
+`, "    return mgr * 31 + kind;\n"},
+			},
+		},
 	})
 
 	register(&Workload{
 		Name:    "sunflow",
 		Profile: "vector clones per arithmetic op + float↔int bit round-trips (high IPD)",
+		Plants:  []Plant{{"Vec.cloneV", 17}, {"Shader.init", 25}},
 		Source: func(scale int) string {
 			return fmt.Sprintf(`
 // sunflow-alike: every vector op starts by cloning, and shading values are
@@ -402,11 +509,61 @@ class Main {
   }
 }`, 60*scale)
 		},
+		Fix: &Fix{
+			PaperResult: "9%–15% running time reduction",
+			Text: "eliminate unnecessary clones (in-place vector arithmetic on reused objects) " +
+				"and bookkeep the packed values directly to avoid back-and-forth conversions",
+			Edits: []Edit{
+				{`  Vec add(Vec o) {
+    Vec r = this.cloneV();
+    r.x = r.x + o.x; r.y = r.y + o.y; r.z = r.z + o.z;
+    return r;
+  }
+  Vec mul(int f) {
+    Vec r = this.cloneV();
+    r.x = r.x * f; r.y = r.y * f; r.z = r.z * f;
+    return r;
+  }
+  Vec cloneV() {
+    Vec r = new Vec();
+    r.x = this.x; r.y = this.y; r.z = this.z;
+    return r;
+  }
+`, `  void set(Vec o) { this.x = o.x; this.y = o.y; this.z = o.z; }
+  void addIn(Vec o) { this.x = this.x + o.x; this.y = this.y + o.y; this.z = this.z + o.z; }
+  void mulIn(int f) { this.x = this.x * f; this.y = this.y * f; this.z = this.z * f; }
+`},
+				{"this.slots[i] = floatToIntBits(v);", "this.slots[i] = v;"},
+				{"return intBitsToFloat(this.slots[i]);", "return this.slots[i];"},
+				{`    int lum = 0;
+    for (int r = 0; r < rays; r = r + 1) {
+      Vec dir = new Vec();
+`, `    Vec dir = new Vec();
+    Vec n = new Vec();
+    Vec acc = new Vec();
+    int lum = 0;
+    for (int r = 0; r < rays; r = r + 1) {
+`},
+				{`      Vec n = new Vec();
+      n.x = 1; n.y = 2; n.z = 3;
+      Vec h = dir.add(n).mul(2).add(dir).mul(3);   // clone chains
+      int shade = h.dot(n);
+`, `      n.x = 1; n.y = 2; n.z = 3;
+      acc.set(dir);
+      acc.addIn(n);
+      acc.mulIn(2);
+      acc.addIn(dir);
+      acc.mulIn(3);
+      int shade = acc.dot(n);
+`},
+			},
+		},
 	})
 
 	register(&Workload{
 		Name:    "tomcat",
 		Profile: "mapper context array rebuilt per registration; per-request type-name comparisons",
+		Plants:  []Plant{{"Mapper.addContext", 8}},
 		Source: func(scale int) string {
 			return fmt.Sprintf(`
 // tomcat-alike: util.Mapper reallocates and copies the sorted context array
@@ -471,11 +628,59 @@ class Main {
   }
 }`, 50*scale)
 		},
+		Fix: &Fix{
+			PaperResult: "~2% running time reduction (3 seconds)",
+			Text:        "keep two arrays and reuse them back and forth; compare type tags directly",
+			Edits: []Edit{
+				{`  int[] contexts;
+  void init() { this.contexts = new int[0]; }
+  void addContext(int c) {
+    int[] neu = new int[this.contexts.length + 1];  // fresh array per add
+    int i = 0;
+    while (i < this.contexts.length && this.contexts[i] < c) {
+      neu[i] = this.contexts[i];
+      i = i + 1;
+    }
+    neu[i] = c;
+    while (i < this.contexts.length) {
+`, `  int[] contexts;
+  int[] spare;
+  int size;
+  void init() { this.contexts = new int[0]; this.spare = new int[0]; }
+  void addContext(int c) {
+    int[] neu = this.spare;
+    if (neu.length <= this.size) { neu = new int[2 * this.size + 2]; }
+    int i = 0;
+    while (i < this.size && this.contexts[i] < c) {
+      neu[i] = this.contexts[i];
+      i = i + 1;
+    }
+    neu[i] = c;
+    while (i < this.size) {
+`},
+				{"    this.contexts = neu;\n", "    this.spare = this.contexts;\n    this.contexts = neu;\n    this.size = this.size + 1;\n"},
+				{"    int hi = this.contexts.length - 1;\n", "    int hi = this.size - 1;\n"},
+				{"    if (this.contexts.length == 0) { return -1; }\n", "    if (this.size == 0) { return -1; }\n"},
+				{`    // slow path: derive and compare type names per request
+    int intName = this.typeNameOf(0);
+    int boolName = this.typeNameOf(1);
+    int longName = this.typeNameOf(2);
+    int name = this.typeNameOf(kind);
+    if (name == intName) { return key * 2; }
+    if (name == boolName) { return key & 1; }
+    if (name == longName) { return key * 4; }
+`, `    if (kind == 0) { return key * 2; }
+    if (kind == 1) { return key & 1; }
+    if (kind == 2) { return key * 4; }
+`},
+			},
+		},
 	})
 
 	register(&Workload{
 		Name:    "tradebeans",
 		Profile: "ID wrapper objects + redundant database round-trips per key request",
+		Plants:  []Plant{{"KeyBlock.iterator", 27}, {"AccountService.allocate", 36}},
 		Source: func(scale int) string {
 			return fmt.Sprintf(`
 // tradebeans-alike: KeyBlock wraps plain integer ranges in objects and
@@ -536,11 +741,33 @@ class Main {
   }
 }`, 25*scale)
 		},
+		Fix: &Fix{
+			PaperResult: "2.5% running time reduction (350s → 341s), 2.3% fewer objects",
+			Text:        "drop the redundant queries and represent the IDs with a plain int range",
+			Edits: []Edit{
+				{`    KeyBlock kb = new KeyBlock();
+    kb.lo = this.nextId;
+    kb.hi = this.nextId + n;
+    kb.account = 7;
+    kb.refresh();
+    this.nextId = this.nextId + n;
+    KeyBlockIter it = kb.iterator();
+    int last = 0;
+    while (it.hasNext()) { last = it.next(); }
+`, `    int lo = this.nextId;
+    int hi = this.nextId + n;
+    this.nextId = hi;
+    int last = 0;
+    for (int id = lo; id < hi; id = id + 1) { last = id; }
+`},
+			},
+		},
 	})
 
 	register(&Workload{
 		Name:    "tradesoap",
 		Profile: "bean conversions copying the same data between representations (convertXBean)",
+		Plants:  []Plant{{"SoapLayer.toWire", 8}, {"SoapLayer.fromWire", 17}},
 		Source: func(scale int) string {
 			return fmt.Sprintf(`
 // tradesoap-alike: the SOAP path converts each bean through wire and back,

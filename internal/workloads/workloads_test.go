@@ -1,10 +1,12 @@
 package workloads
 
 import (
+	"slices"
 	"testing"
 
 	"lowutil/internal/deadness"
 	"lowutil/internal/interp"
+	"lowutil/internal/mjc"
 	"lowutil/internal/profiler"
 )
 
@@ -120,5 +122,72 @@ func TestProfilesHoldShape(t *testing.T) {
 func TestByNameUnknown(t *testing.T) {
 	if ByName("nope") != nil {
 		t.Error("unknown workload should be nil")
+	}
+}
+
+// unplanted are the workloads that plant no low-utility structure: every
+// structure they build feeds their output or their control decisions.
+var unplanted = []string{"antlr", "fop", "pmd", "jython", "luindex", "lusearch", "avrora"}
+
+// TestPlantsNameAllocations: at scales 1 and 8, every plant names a method
+// that allocates on the plant's line, and only the unplanted workloads
+// name no plant.
+func TestPlantsNameAllocations(t *testing.T) {
+	var none []string
+	for _, w := range All() {
+		if len(w.Plants) == 0 {
+			none = append(none, w.Name)
+		}
+		for _, scale := range []int{1, 8} {
+			prog, err := w.Compile(scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sites, err := w.PlantSites(prog)
+			if err != nil {
+				t.Errorf("scale %d: %v", scale, err)
+			} else if len(sites) < len(w.Plants) {
+				t.Errorf("%s scale %d: %d plants name only %d sites", w.Name, scale, len(w.Plants), len(sites))
+			}
+		}
+	}
+	if !slices.Equal(none, unplanted) {
+		t.Errorf("workloads without plants = %v, want %v", none, unplanted)
+	}
+}
+
+// TestFixesApply: at scales 1 and 8, every edit of every fix matches its
+// source exactly once and the fixed program compiles; a workload without a
+// fix, and an edit that does not match, are refused.
+func TestFixesApply(t *testing.T) {
+	fixed := 0
+	for _, w := range All() {
+		if w.Fix == nil {
+			if _, err := w.FixedSource(1); err == nil {
+				t.Errorf("%s has no fix, but FixedSource succeeded", w.Name)
+			}
+			continue
+		}
+		fixed++
+		if w.Fix.PaperResult == "" || w.Fix.Text == "" || len(w.Fix.Edits) == 0 {
+			t.Errorf("%s: fix lacks its paper result, text or edits", w.Name)
+		}
+		for _, scale := range []int{1, 8} {
+			src, err := w.FixedSource(scale)
+			if err != nil {
+				t.Fatalf("scale %d: %v", scale, err)
+			}
+			if _, err := mjc.Compile(src); err != nil {
+				t.Errorf("%s scale %d: fixed program: %v", w.Name, scale, err)
+			}
+		}
+	}
+	if fixed != 6 {
+		t.Errorf("%d workloads carry a fix, want §4.2's six", fixed)
+	}
+	twice := &Workload{Name: "twice", Source: ByName("sunflow").Source,
+		Fix: &Fix{Edits: []Edit{{"this.", "that."}}}}
+	if _, err := twice.FixedSource(1); err == nil {
+		t.Error("an edit that matches many times was applied")
 	}
 }

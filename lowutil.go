@@ -26,9 +26,9 @@
 // `lowutil serve` (internal/server) exposes this facade as a concurrent HTTP
 // JSON API with session and profile caching.
 //
-// The experiment harnesses behind Table 1 and the six case studies live in
-// internal/evalharness and internal/casestudies and are driven by
-// `lowutil experiments`.
+// The experiment harness behind Table 1 and the six case studies lives in
+// internal/evalharness, over the workloads of internal/workloads, and is
+// driven by `lowutil experiments`.
 package lowutil
 
 import (
