@@ -1,20 +1,26 @@
 package clients_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
 	"lowutil/internal/clients"
+	"lowutil/internal/depgraph"
 	"lowutil/internal/escape"
 	"lowutil/internal/interp"
 	"lowutil/internal/ir"
 	"lowutil/internal/mjc"
 	"lowutil/internal/profiler"
+	"lowutil/internal/taint"
 	"lowutil/internal/workloads"
 )
 
@@ -75,8 +81,8 @@ func traced(prog *ir.Program, tr interp.Tracer, run func(*interp.Machine) error)
 // clientOutputs renders every tracer client's output, run on one engine:
 // the null diagnosis of examples/nullorigin, the typestate violations of
 // examples/typestate, and, on each of the 18 workloads at scale 1, the
-// copy chains, constant predicates, silent overwrites, method costs and
-// escaped allocation sites.
+// copy chains, constant predicates, silent overwrites, method costs,
+// escaped allocation sites, the null and copy graphs and the taint costs.
 func clientOutputs(t *testing.T, run func(*interp.Machine) error) string {
 	t.Helper()
 	var b strings.Builder
@@ -123,7 +129,7 @@ func clientOutputs(t *testing.T, run func(*interp.Machine) error) string {
 	return b.String()
 }
 
-// workloadOutputs renders the five workload clients' outputs on prog.
+// workloadOutputs renders the seven workload clients' outputs on prog.
 func workloadOutputs(t *testing.T, prog *ir.Program, run func(*interp.Machine) error) string {
 	t.Helper()
 	var b strings.Builder
@@ -132,7 +138,9 @@ func workloadOutputs(t *testing.T, prog *ir.Program, run func(*interp.Machine) e
 	rw := clients.NewRewriteTracker(prog)
 	mc := clients.NewMethodCostTracker(profiler.New(prog, profiler.Options{Slots: 16}))
 	obs := escape.NewObserver()
-	for _, tr := range []interp.Tracer{cp, pt, rw, mc, obs} {
+	nt := clients.NewNullTracker(prog)
+	tt := &printedCosts{Tracker: taint.New(prog), h: sha256.New()}
+	for _, tr := range []interp.Tracer{cp, pt, rw, mc, obs, nt, tt} {
 		if _, err := traced(prog, tr, run); err != nil {
 			t.Fatalf("%T: %v", tr, err)
 		}
@@ -148,7 +156,41 @@ func workloadOutputs(t *testing.T, prog *ir.Program, run func(*interp.Machine) e
 	}
 	b.WriteString(methodCosts(mc))
 	fmt.Fprintf(&b, "-- escaped sites\n%v\n", obs.EscapedSites())
+	fmt.Fprintf(&b, "-- null graph: %s\n", graphDigest(nt.G))
+	fmt.Fprintf(&b, "-- copy graph: %s\n", graphDigest(cp.G))
+	fmt.Fprintf(&b, "-- taint: overflowed %v, printed costs sha256 %x\n", tt.Overflowed, tt.h.Sum(nil))
 	return b.String()
+}
+
+// graphDigest renders g's node count, dep-edge count and total frequency,
+// and a sha256 of its sorted node list: each node's instruction ID, d,
+// frequency and deps.
+func graphDigest(g *depgraph.Graph) string {
+	var lines []string
+	g.Nodes(func(n *depgraph.Node) {
+		var deps []string
+		n.Deps(func(d *depgraph.Node) { deps = append(deps, d.String()) })
+		sort.Strings(deps)
+		lines = append(lines, fmt.Sprintf("%d %d %d %v", n.In.ID, n.D, n.Freq(), deps))
+	})
+	sort.Strings(lines)
+	return fmt.Sprintf("%d nodes, %d edges, %d events, sha256 %x",
+		g.NumNodes(), g.NumDepEdges(), g.TotalFreq(), sha256.Sum256([]byte(strings.Join(lines, "\n"))))
+}
+
+// printedCosts is a taint tracker that hashes, at every native call, the
+// cost of each argument: the taint cost of every printed value.
+type printedCosts struct {
+	*taint.Tracker
+	h hash.Hash
+}
+
+// Native implements interp.Tracer.
+func (p *printedCosts) Native(in *ir.Instr, fr *interp.Frame) {
+	for _, a := range in.Args {
+		p.h.Write(binary.LittleEndian.AppendUint64(nil, p.CostOf(fr, a)))
+	}
+	p.Tracker.Native(in, fr)
 }
 
 // methodCosts renders a method-cost report.
