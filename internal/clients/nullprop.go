@@ -9,11 +9,15 @@
 //   - always-true / always-false predicate detection
 //   - collection ranking by cost-benefit rate
 //
-// Each client is an interp.Tracer with a small bounded abstract domain,
-// demonstrating that "by carefully selecting domain D and abstraction
-// functions f_a, it is possible to require only a small amount of memory for
-// the graph and yet preserve necessary information needed for a target
-// analysis".
+// Null propagation and copy profiling follow values: each is a rule over
+// package shadow's tracer, stating only its domain D and its abstraction
+// function f_a, with D small and bounded, since "by carefully selecting
+// domain D and abstraction functions f_a, it is possible to require only a
+// small amount of memory for the graph and yet preserve necessary
+// information needed for a target analysis". The typestate, rewrite and
+// predicate clients are tracers that count events, and the method-cost
+// client wraps the profiler. Collection ranking is not a tracer: it reads
+// a profile's cost-benefit analysis.
 package clients
 
 import (
@@ -24,6 +28,7 @@ import (
 	"lowutil/internal/depgraph"
 	"lowutil/internal/interp"
 	"lowutil/internal/ir"
+	"lowutil/internal/shadow"
 )
 
 // Null-propagation abstract domain: D = {notnull, null}.
@@ -35,179 +40,42 @@ const (
 // NullTracker implements the null-propagation client. It builds an abstract
 // dependence graph whose nodes are instructions annotated with whether the
 // produced value was null, and answers "where did this null come from and
-// how did it get here?" after a NullPointerException.
+// how did it get here?" after a NullPointerException. It is a rule over
+// the shadow tracer, whose cells are the nodes that last defined each
+// location.
 type NullTracker struct {
-	interp.NopTracer
+	*shadow.Tracer[*depgraph.Node]
 	G *depgraph.Graph
-
-	statics  []*depgraph.Node
-	pendArgs []*depgraph.Node
-	havePend bool
-	pendRet  *depgraph.Node
 }
 
 // NewNullTracker returns a tracker for prog.
 func NewNullTracker(prog *ir.Program) *NullTracker {
-	return &NullTracker{
-		G:       depgraph.New(prog),
-		statics: make([]*depgraph.Node, len(prog.Statics)),
-	}
+	nt := &NullTracker{G: depgraph.New(prog)}
+	nt.Tracer = shadow.New[*depgraph.Node](prog, nt)
+	return nt
 }
 
-type nullFrameShadow struct{ nodes []*depgraph.Node }
-type nullObjShadow struct{ slots []*depgraph.Node }
-
-func (nt *NullTracker) fshadow(fr *interp.Frame) *nullFrameShadow {
-	if fs, ok := fr.Shadow.(*nullFrameShadow); ok {
-		return fs
-	}
-	fs := &nullFrameShadow{nodes: make([]*depgraph.Node, len(fr.Locals))}
-	fr.Shadow = fs
-	return fs
-}
-
-func (nt *NullTracker) oshadow(o *interp.Object) *nullObjShadow {
-	if os, ok := o.Shadow.(*nullObjShadow); ok {
-		return os
-	}
-	n := len(o.Fields)
-	if o.IsArray() {
-		n = len(o.Elems)
-	}
-	os := &nullObjShadow{slots: make([]*depgraph.Node, n)}
-	o.Shadow = os
-	return os
-}
-
-// abstraction: d = null iff the produced value is the null reference.
-func dOf(v interp.Value) int {
-	if v.IsNull() {
-		return dNull
-	}
-	return dNotNull
-}
-
-// def makes the node for in, annotated by whether the value it wrote to
-// its destination is null, as the destination's new shadow, depending on
-// dep. Only reference-relevant flows matter, but tracking every value
-// uniformly is simpler and still bounded by 2|I| nodes.
-func (nt *NullTracker) def(in *ir.Instr, fr *interp.Frame, dep *depgraph.Node) *depgraph.Node {
-	n := nt.G.Touch(in, dOf(fr.Locals[in.Dst]))
-	nt.G.AddDep(n, dep)
-	nt.fshadow(fr).nodes[in.Dst] = n
-	return n
-}
-
-// The hooks: every value-producing instruction defines its destination,
-// depending on its operands or on the location it loads; a store's node
-// becomes the location's shadow. A move copies its operand's annotation,
-// and the other unary operations produce ints.
-func (nt *NullTracker) Const(in *ir.Instr, fr *interp.Frame) { nt.def(in, fr, nil) }
-func (nt *NullTracker) Unary(in *ir.Instr, fr *interp.Frame) {
-	nt.def(in, fr, nt.fshadow(fr).nodes[in.A])
-}
-func (nt *NullTracker) Binary(in *ir.Instr, fr *interp.Frame) {
-	fs := nt.fshadow(fr)
-	b := fs.nodes[in.B] // read before def overwrites a destination that is B
-	nt.G.AddDep(nt.def(in, fr, fs.nodes[in.A]), b)
-}
-func (nt *NullTracker) ArrayLen(in *ir.Instr, fr *interp.Frame, _ *interp.Object) {
-	nt.def(in, fr, nt.fshadow(fr).nodes[in.A])
-}
-func (nt *NullTracker) New(in *ir.Instr, fr *interp.Frame, _ *interp.Object) { nt.def(in, fr, nil) }
-func (nt *NullTracker) NewArray(in *ir.Instr, fr *interp.Frame, _ *interp.Object) {
-	nt.def(in, fr, nil)
-}
-func (nt *NullTracker) LoadField(in *ir.Instr, fr *interp.Frame, base *interp.Object) {
-	nt.def(in, fr, nt.slot(base, in.Field.Slot))
-}
-func (nt *NullTracker) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Object, v interp.Value) {
-	nt.store(base, in.Field.Slot, nt.use(in, fr, in.B, v))
-}
-func (nt *NullTracker) LoadStatic(in *ir.Instr, fr *interp.Frame) {
-	nt.def(in, fr, nt.statics[in.Static.Slot])
-}
-func (nt *NullTracker) StoreStatic(in *ir.Instr, fr *interp.Frame, v interp.Value) {
-	nt.statics[in.Static.Slot] = nt.use(in, fr, in.A, v)
-}
-func (nt *NullTracker) LoadElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64) {
-	nt.def(in, fr, nt.slot(arr, int(idx)))
-}
-func (nt *NullTracker) StoreElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64, v interp.Value) {
-	nt.store(arr, int(idx), nt.use(in, fr, in.C2, v))
-}
-func (nt *NullTracker) Native(in *ir.Instr, fr *interp.Frame) {
-	if in.Dst >= 0 {
-		nt.def(in, fr, nil)
-	}
-}
-
-// use makes the node for a store of v, read from local slot s.
-func (nt *NullTracker) use(in *ir.Instr, fr *interp.Frame, s int, v interp.Value) *depgraph.Node {
-	n := nt.G.Touch(in, dOf(v))
-	nt.G.AddDep(n, nt.fshadow(fr).nodes[s])
-	return n
-}
-
-// slot returns the shadow of o's field or element i, nil if it has none.
-func (nt *NullTracker) slot(o *interp.Object, i int) *depgraph.Node {
-	if os := nt.oshadow(o); i < len(os.slots) {
-		return os.slots[i]
-	}
-	return nil
-}
-
-// store makes n the shadow of o's field or element i.
-func (nt *NullTracker) store(o *interp.Object, i int, n *depgraph.Node) {
-	if os := nt.oshadow(o); i < len(os.slots) {
-		os.slots[i] = n
-	}
-}
-
-// BeforeCall implements interp.Tracer.
-func (nt *NullTracker) BeforeCall(in *ir.Instr, caller *interp.Frame, callee *ir.Method, recv *interp.Object) {
-	fs := nt.fshadow(caller)
-	nt.pendArgs = nt.pendArgs[:0]
-	for _, a := range in.Args {
-		nt.pendArgs = append(nt.pendArgs, fs.nodes[a])
-	}
-	nt.havePend = true
-}
-
-// EnterMethod implements interp.Tracer.
-func (nt *NullTracker) EnterMethod(fr *interp.Frame, recv *interp.Object) {
-	fs := &nullFrameShadow{nodes: make([]*depgraph.Node, fr.Method.NumLocals)}
-	if nt.havePend {
-		copy(fs.nodes, nt.pendArgs)
-		nt.havePend = false
-	}
-	fr.Shadow = fs
-}
-
-// BeforeReturn implements interp.Tracer.
-func (nt *NullTracker) BeforeReturn(in *ir.Instr, fr *interp.Frame) {
-	if in.HasA {
-		nt.pendRet = nt.fshadow(fr).nodes[in.A]
-	} else {
-		nt.pendRet = nil
-	}
-}
-
-// AfterCall implements interp.Tracer.
-func (nt *NullTracker) AfterCall(in *ir.Instr, caller *interp.Frame, hasValue bool) {
-	ret := nt.pendRet
-	nt.pendRet = nil
-	if !hasValue || in == nil || in.Dst < 0 {
-		return
-	}
-	fs := nt.fshadow(caller)
+// Cell is f_a: the node of in annotated with d = null iff v is the null
+// reference, depending on the nodes of the values v flows from. Tracking
+// every value uniformly is simpler than tracking only references, and
+// still bounded by 2|I| nodes. A new array's length and a native's
+// arguments do not flow into its value, nor does an array access's index.
+func (nt *NullTracker) Cell(in *ir.Instr, _ *interp.Object, v interp.Value, ops []*depgraph.Node) *depgraph.Node {
 	d := dNotNull
-	if caller.Locals[in.Dst].IsNull() {
+	if v.IsNull() {
 		d = dNull
 	}
 	n := nt.G.Touch(in, d)
-	nt.G.AddDep(n, ret)
-	fs.nodes[in.Dst] = n
+	switch in.Op {
+	case ir.OpNewArray, ir.OpNative:
+	case ir.OpALoad, ir.OpAStore:
+		nt.G.AddDep(n, ops[0])
+	default:
+		for _, op := range ops {
+			nt.G.AddDep(n, op)
+		}
+	}
+	return n
 }
 
 // NullReport explains a NullPointerException: the instruction that
@@ -242,8 +110,7 @@ func (nt *NullTracker) Diagnose(err error) (*NullReport, bool) {
 	if in.Op == ir.OpCall {
 		baseSlot = in.Args[0]
 	}
-	fs := nt.fshadow(vmErr.Frame)
-	start := fs.nodes[baseSlot]
+	start := nt.Local(vmErr.Frame, baseSlot)
 	if start == nil || start.D != dNull {
 		return nil, false
 	}
