@@ -238,6 +238,42 @@ class Main {
 	}
 }
 
+// TestCopyChainStackHopsPerChain: two chains from one source each count
+// the stack hops on their own path. The value of a.f reaches b.g through
+// three stack copies (the load's temporary into x, then y and z) and c.h
+// through one (the load's temporary into w).
+func TestCopyChainStackHopsPerChain(t *testing.T) {
+	prog := compile(t, `
+class A { int f; }
+class B { int g; }
+class C { int h; }
+class Main {
+  static void main() {
+    A a = new A();
+    a.f = 7;
+    B b = new B();
+    C c = new C();
+    int x = a.f;
+    int y = x;
+    int z = y;
+    b.g = z;
+    int w = a.f;
+    c.h = w;
+  }
+}`)
+	cp := NewCopyProfiler(prog)
+	m := interp.New(prog)
+	m.Tracer = cp
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got := FormatChains(cp.Chains(), 10)
+	want := "O0.f0 -> O1.f1 ×1 (3 stack hops)\nO0.f0 -> O2.f2 ×1 (1 stack hops)\n"
+	if got != want {
+		t.Errorf("chains:\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestMethodCosts: an expensive pure computation method must out-rank a
 // cheap accessor.
 func TestMethodCosts(t *testing.T) {
