@@ -179,8 +179,8 @@ func TestSlotsErrorBeforeAllocation(t *testing.T) {
 }
 
 // TestHeapErrorTyped: a program that allocates past the interpreter's
-// heap budget fails both plain and profiled runs with a *HeapError (inside
-// the run's *ProfileError) that still exposes the VM error.
+// heap budget fails plain, profiled and client runs with a *HeapError
+// (inside the run's *ProfileError) that still exposes the VM error.
 func TestHeapErrorTyped(t *testing.T) {
 	prog, err := Compile(`class Main { static void main() { int[] a = new int[1099511627776]; print(a.length); } }`)
 	if err != nil {
@@ -188,7 +188,15 @@ func TestHeapErrorTyped(t *testing.T) {
 	}
 	_, runErr := prog.RunContext(context.Background())
 	_, profErr := prog.ProfileContext(context.Background())
-	for name, err := range map[string]error{"run": runErr, "profile": profErr} {
+	_, nullErr := prog.DiagnoseNull()
+	_, tsErr := prog.Typestate(&TypestateProtocol{StateNames: []string{"s"}}, "Main")
+	_, _, copyErr := prog.CopyChains(10)
+	_, predErr := prog.ConstantPredicates(1)
+	_, owErr := prog.SilentOverwrites(1)
+	for name, err := range map[string]error{
+		"run": runErr, "profile": profErr, "DiagnoseNull": nullErr, "Typestate": tsErr,
+		"CopyChains": copyErr, "ConstantPredicates": predErr, "SilentOverwrites": owErr,
+	} {
 		var he *HeapError
 		var pe *ProfileError
 		var vm *interp.VMError

@@ -643,6 +643,15 @@ func (pr *Profile) CacheReports(minAccesses int64) []CacheReport {
 
 // ---- Client analyses ----
 
+// runTraced runs the program under a client tracer. A failed run is
+// wrapped as RunContext wraps it: a *ProfileError of stage "run", with a
+// *HeapError inside for a run stopped by the heap budget.
+func (p *Program) runTraced(tr interp.Tracer) error {
+	m := interp.New(p.prog)
+	m.Tracer = tr
+	return wrapRunErr("run", m.Run())
+}
+
 // NullDiagnosis explains a NullPointerException.
 type NullDiagnosis struct {
 	// Report is the rendered origin-and-flow explanation.
@@ -656,15 +665,13 @@ type NullDiagnosis struct {
 // succeeds it returns (nil, nil).
 func (p *Program) DiagnoseNull() (*NullDiagnosis, error) {
 	nt := clients.NewNullTracker(p.prog)
-	m := interp.New(p.prog)
-	m.Tracer = nt
-	err := m.Run()
+	err := p.runTraced(nt)
 	if err == nil {
 		return nil, nil
 	}
 	rep, ok := nt.Diagnose(err)
 	if !ok {
-		return nil, err // not a (diagnosable) NPE: surface the VM error
+		return nil, err // not a (diagnosable) NPE: surface the run error
 	}
 	return &NullDiagnosis{
 		Report:      rep.String(),
@@ -711,9 +718,7 @@ func (p *Program) Typestate(proto *TypestateProtocol, classes ...string) ([]stri
 		}
 	}
 	ts := clients.NewTypestateTracker(p.prog, cp, sites...)
-	m := interp.New(p.prog)
-	m.Tracer = ts
-	if err := m.Run(); err != nil {
+	if err := p.runTraced(ts); err != nil {
 		return nil, err
 	}
 	out := make([]string, 0, len(ts.Violations))
@@ -735,9 +740,7 @@ type CopyChain struct {
 // dynamic count (none for k < 0), plus the total number of executed copies.
 func (p *Program) CopyChains(k int) ([]CopyChain, int64, error) {
 	cp := clients.NewCopyProfiler(p.prog)
-	m := interp.New(p.prog)
-	m.Tracer = cp
-	if err := m.Run(); err != nil {
+	if err := p.runTraced(cp); err != nil {
 		return nil, 0, err
 	}
 	chains := cp.Chains()
@@ -756,9 +759,7 @@ func (p *Program) CopyChains(k int) ([]CopyChain, int64, error) {
 // at least minExec times with a single outcome.
 func (p *Program) ConstantPredicates(minExec int64) ([]string, error) {
 	pt := clients.NewPredicateTracker(p.prog)
-	m := interp.New(p.prog)
-	m.Tracer = pt
-	if err := m.Run(); err != nil {
+	if err := p.runTraced(pt); err != nil {
 		return nil, err
 	}
 	var out []string
@@ -772,9 +773,7 @@ func (p *Program) ConstantPredicates(minExec int64) ([]string, error) {
 // writes are mostly never read before the next write.
 func (p *Program) SilentOverwrites(minWrites int64) ([]string, error) {
 	rw := clients.NewRewriteTracker(p.prog)
-	m := interp.New(p.prog)
-	m.Tracer = rw
-	if err := m.Run(); err != nil {
+	if err := p.runTraced(rw); err != nil {
 		return nil, err
 	}
 	var out []string
