@@ -235,19 +235,6 @@ func (p *Profiler) CR() *contextenc.ConflictTracker { return p.cr }
 // Slots returns the configured s.
 func (p *Profiler) Slots() int { return p.slots.S }
 
-// ShadowNodes exposes the frame's shadow locals: for each local slot, the
-// node that last wrote it (nil if untracked). Wrapping clients use it to
-// observe tracking data without re-implementing Figure 4; the slice is
-// materialized per call, so it is not for per-event use.
-func (p *Profiler) ShadowNodes(fr *interp.Frame) []*depgraph.Node {
-	refs := p.fshadow(fr).nodes
-	out := make([]*depgraph.Node, len(refs))
-	for i, r := range refs {
-		out[i] = p.G.At(r)
-	}
-	return out
-}
-
 // fshadow returns (creating if needed) the frame's shadow state.
 func (p *Profiler) fshadow(fr *interp.Frame) *frameShadow {
 	if fr == p.curFrame {
@@ -771,10 +758,11 @@ func (p *Profiler) BeforeReturn(in *ir.Instr, fr *interp.Frame) {
 	} else {
 		p.pendingRet = 0
 	}
-	// The frame pops right after this hook; reclaim its shadow. fr.Shadow
-	// stays attached because wrapping tracers (e.g. MethodCostTracker) peek
-	// at it synchronously after delegating here — the record is only reused
-	// at the next EnterMethod, by which point the pop has fully completed.
+	// The frame pops right after this hook; reclaim its shadow for the
+	// next EnterMethod. Nothing reads the popped frame's shadow: a wrapping
+	// tracer (MethodCostTracker) reads the staged return node through
+	// StagedReturn, and the machine clears fr.Shadow when it reuses the
+	// frame.
 	if fs, ok := fr.Shadow.(*frameShadow); ok {
 		p.fsPool = append(p.fsPool, fs)
 	}
