@@ -118,6 +118,28 @@ func TestFreezeCachedAndInvalidated(t *testing.T) {
 	}
 }
 
+// TestLocIDSkipsUnaccessedLocations: LocID answers through the graph's
+// location index, so a location entry that holds only points-to children,
+// or that was first loaded after the snapshot was taken, is not in it.
+func TestLocIDSkipsUnaccessedLocations(t *testing.T) {
+	g, nodes := buildDiamond(t)
+	s1 := g.Freeze()
+	loc := Loc{Alloc: nodes[4], Field: 1}
+	g.AddChild(loc, nodes[0])
+	s2 := g.Freeze()
+	g.AddLocLoad(loc, nodes[3])
+	s3 := g.Freeze()
+	for _, c := range []struct {
+		name string
+		s    *Snapshot
+		want bool
+	}{{"before the entry", s1, false}, {"children only", s2, false}, {"loaded", s3, true}} {
+		if _, ok := c.s.LocID(loc); ok != c.want {
+			t.Errorf("%s: LocID found %v, want %v", c.name, ok, c.want)
+		}
+	}
+}
+
 func TestCondenseReverseTopological(t *testing.T) {
 	g, nodes := buildDiamond(t)
 	g.AddDep(nodes[0], nodes[3]) // close a cycle 0→{1,2}→3→0 in dep direction

@@ -28,6 +28,7 @@
 package depgraph
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"unsafe"
@@ -576,20 +577,20 @@ func nodeLess(a, b *Node) bool {
 	return a.D < b.D
 }
 
-// locLess orders abstract locations: statics first (by field), then by the
+// locCmp orders abstract locations: statics first (by field), then by the
 // owning allocation node (nodeLess) and field.
-func locLess(a, b Loc) bool {
+func locCmp(a, b Loc) int {
 	switch {
-	case a.Alloc == nil && b.Alloc == nil:
-		return a.Field < b.Field
+	case a.Alloc == b.Alloc:
+		return cmp.Compare(a.Field, b.Field)
 	case a.Alloc == nil:
-		return true
+		return -1
 	case b.Alloc == nil:
-		return false
-	case a.Alloc != b.Alloc:
-		return nodeLess(a.Alloc, b.Alloc)
+		return 1
+	case nodeLess(a.Alloc, b.Alloc):
+		return -1
 	default:
-		return a.Field < b.Field
+		return 1
 	}
 }
 
@@ -597,7 +598,7 @@ func locLess(a, b Loc) bool {
 // order.
 func (g *Graph) StoresOf(loc Loc, f func(*Node)) {
 	s := g.Freeze()
-	if li, ok := s.locID[loc]; ok {
+	if li, ok := s.LocID(loc); ok {
 		for _, id := range s.Store[s.StoreStart[li]:s.StoreStart[li+1]] {
 			f(s.Nodes[id])
 		}
@@ -608,7 +609,7 @@ func (g *Graph) StoresOf(loc Loc, f func(*Node)) {
 // order.
 func (g *Graph) LoadsOf(loc Loc, f func(*Node)) {
 	s := g.Freeze()
-	if li, ok := s.locID[loc]; ok {
+	if li, ok := s.LocID(loc); ok {
 		for _, id := range s.Load[s.LoadStart[li]:s.LoadStart[li+1]] {
 			f(s.Nodes[id])
 		}
@@ -628,7 +629,7 @@ func (g *Graph) FieldsOf(owner *Node, f func(field int)) {
 }
 
 // Locs calls f for every abstract location that was ever loaded or stored,
-// in locLess order.
+// in locCmp order.
 func (g *Graph) Locs(f func(Loc)) {
 	for _, loc := range g.Freeze().Locs {
 		f(loc)

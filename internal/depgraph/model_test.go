@@ -183,7 +183,7 @@ func (m *mapModel) sorted() []*mNode {
 	return out
 }
 
-// locs returns every location that was ever loaded or stored, in locLess
+// locs returns every location that was ever loaded or stored, in locCmp
 // order; withChildren adds the children-only locations.
 func (m *mapModel) locs(withChildren bool) []mLoc {
 	seen := make(map[mLoc]struct{})
@@ -644,6 +644,7 @@ func (r *modelRun) compareSnapshot(phase string, s *Snapshot) {
 	}
 	sorted := m.sorted()
 	check("node count", s.NumNodes(), len(sorted))
+	check("int32s left in the slab", len(s.slab), 0)
 	row := func(start, data []int32, i int) []string {
 		out := []string{}
 		for _, id := range data[start[i]:start[i+1]] {
