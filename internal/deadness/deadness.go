@@ -48,8 +48,9 @@ type Result struct {
 	DeadNodes int
 	Nodes     int
 
-	// Out maps every node to its outcome mask.
-	Out map[*depgraph.Node]Outcome
+	// Out holds every node's outcome mask, indexed by the node's dense ID in
+	// the graph's frozen snapshot (depgraph.Snapshot.ID).
+	Out []Outcome
 }
 
 // IPD returns the percentage of instruction instances producing ultimately
@@ -114,11 +115,10 @@ func Analyze(g *depgraph.Graph, totalInstances int64) *Result {
 		outOf[ci] = out
 	}
 
-	res := &Result{Out: make(map[*depgraph.Node]Outcome, s.NumNodes())}
-	for i, n := range s.Nodes {
-		res.Nodes++
+	res := &Result{Nodes: s.NumNodes(), Out: make([]Outcome, s.NumNodes())}
+	for i := range s.Nodes {
 		out := outOf[c.CompOf[i]]
-		res.Out[n] = out
+		res.Out[i] = out
 		if s.Consumer[i] {
 			continue
 		}

@@ -38,7 +38,7 @@ func TestFrozenMatchesLegacyAllWorkloads(t *testing.T) {
 			}
 
 			frozen := Analyze(p.G, m.Steps)
-			ref := analyzeReference(p.G, m.Steps)
+			ref, refOut := analyzeReference(p.G, m.Steps)
 
 			if frozen.Instances != ref.Instances ||
 				frozen.TotalInstances != ref.TotalInstances ||
@@ -48,12 +48,17 @@ func TestFrozenMatchesLegacyAllWorkloads(t *testing.T) {
 				frozen.Nodes != ref.Nodes {
 				t.Fatalf("aggregates differ:\n frozen %+v\n ref    %+v", frozen, ref)
 			}
-			if len(frozen.Out) != len(ref.Out) {
-				t.Fatalf("Out: %d vs %d nodes", len(frozen.Out), len(ref.Out))
+			if len(frozen.Out) != len(refOut) {
+				t.Fatalf("Out: %d vs %d nodes", len(frozen.Out), len(refOut))
 			}
-			for n, out := range ref.Out {
-				if frozen.Out[n] != out {
-					t.Fatalf("outcome of %v: frozen %b, reference %b", n, frozen.Out[n], out)
+			s := p.G.Freeze()
+			for n, out := range refOut {
+				id, ok := s.ID(n)
+				if !ok {
+					t.Fatalf("reference node %v is not in the snapshot", n)
+				}
+				if frozen.Out[id] != out {
+					t.Fatalf("outcome of %v: frozen %b, reference %b", n, frozen.Out[id], out)
 				}
 			}
 		})
@@ -143,7 +148,8 @@ func referenceSCC(g *depgraph.Graph) (comps [][]*depgraph.Node, compOf map[*depg
 
 // analyzeReference is the original map-based propagation over
 // referenceSCC, kept as the reference the frozen path is compared against.
-func analyzeReference(g *depgraph.Graph, totalInstances int64) *Result {
+// It returns the aggregates and every node's outcome.
+func analyzeReference(g *depgraph.Graph, totalInstances int64) (*Result, map[*depgraph.Node]Outcome) {
 	comps, compOf := referenceSCC(g)
 
 	// comps is in reverse topological order: every def→use edge goes from a
@@ -182,11 +188,12 @@ func analyzeReference(g *depgraph.Graph, totalInstances int64) *Result {
 		outOf[ci] = out
 	}
 
-	res := &Result{Out: make(map[*depgraph.Node]Outcome, g.NumNodes())}
+	res := &Result{}
+	outs := make(map[*depgraph.Node]Outcome, g.NumNodes())
 	g.Nodes(func(n *depgraph.Node) {
 		res.Nodes++
 		out := outOf[compOf[n]]
-		res.Out[n] = out
+		outs[n] = out
 		if n.IsConsumer() {
 			return
 		}
@@ -203,5 +210,5 @@ func analyzeReference(g *depgraph.Graph, totalInstances int64) *Result {
 	if res.TotalInstances == 0 {
 		res.TotalInstances = res.Instances
 	}
-	return res
+	return res, outs
 }

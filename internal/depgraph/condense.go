@@ -8,7 +8,7 @@ package depgraph
 // (backward) and heap writers/consumers (forward) end traversals — and the
 // deadness analysis uses the unrestricted forward form.
 
-import "sort"
+import "slices"
 
 // Condensation is the SCC quotient of a snapshot under one edge family.
 // Components are emitted in reverse topological order: every condensed edge
@@ -131,35 +131,48 @@ func (s *Snapshot) Condense(forward bool, boundary []bool) *Condensation {
 		cursor[ci]++
 	}
 
-	// Condensed edges, deduplicated, grouped by source component.
-	type edge struct{ from, to int32 }
-	var edges []edge
+	// Condensed edges: bucket them by source component, walking each
+	// component's members, then sort and deduplicate each row in place.
+	c.EdgeStart = make([]int32, c.NumComps+1)
 	for v := int32(0); v < int32(n); v++ {
 		cv := compOf[v]
 		for _, t := range rowOf(v) {
-			if ct := compOf[t]; ct != cv {
-				edges = append(edges, edge{cv, ct})
+			if compOf[t] != cv {
+				c.EdgeStart[cv+1]++
 			}
 		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].from != edges[j].from {
-			return edges[i].from < edges[j].from
-		}
-		return edges[i].to < edges[j].to
-	})
-	c.EdgeStart = make([]int32, c.NumComps+1)
-	c.Edges = make([]int32, 0, len(edges))
-	for i, e := range edges {
-		if i > 0 && edges[i-1] == e {
-			continue
-		}
-		c.EdgeStart[e.from+1]++
-		c.Edges = append(c.Edges, e.to)
 	}
 	for ci := 0; ci < c.NumComps; ci++ {
 		c.EdgeStart[ci+1] += c.EdgeStart[ci]
 	}
+	c.Edges = make([]int32, c.EdgeStart[c.NumComps])
+	k := 0
+	for ci := int32(0); ci < int32(c.NumComps); ci++ {
+		for _, v := range c.Members(ci) {
+			for _, t := range rowOf(v) {
+				if ct := compOf[t]; ct != ci {
+					c.Edges[k] = ct
+					k++
+				}
+			}
+		}
+	}
+	w, lo := int32(0), int32(0)
+	for ci := 0; ci < c.NumComps; ci++ {
+		hi := c.EdgeStart[ci+1]
+		row := c.Edges[lo:hi]
+		slices.Sort(row)
+		c.EdgeStart[ci] = w
+		for _, t := range row {
+			if w == c.EdgeStart[ci] || c.Edges[w-1] != t {
+				c.Edges[w] = t
+				w++
+			}
+		}
+		lo = hi
+	}
+	c.EdgeStart[c.NumComps] = w
+	c.Edges = c.Edges[:w]
 	return c
 }
 
