@@ -164,7 +164,8 @@ func report(cmd string, err error) int {
 		fmt.Fprintf(os.Stderr, "lowutil %s: %v\n", cmd, heapErr.Err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "lowutil: %v\n", err)
+	// The facade's errors already begin "lowutil: "; print it once.
+	fmt.Fprintf(os.Stderr, "lowutil %s: %s\n", cmd, strings.TrimPrefix(err.Error(), "lowutil: "))
 	return 1
 }
 

@@ -341,6 +341,37 @@ func TestCmdFlagErrors(t *testing.T) {
 	}
 }
 
+// TestCmdErrorPrintedOnce: a failed run and an unknown method reach stderr
+// through main's printing path as one "lowutil <cmd>: …" line, without the
+// facade's own "lowutil: " prefix a second time.
+func TestCmdErrorPrintedOnce(t *testing.T) {
+	div := filepath.Join(t.TempDir(), "div.mj")
+	src := "class Main { static void main() { int z = 0; print(1 / z); } }"
+	if err := os.WriteFile(div, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const divByZero = "run: vm: division by zero at Main.main pc 3 (v2 = v1 / v0)\n"
+	for _, c := range []struct {
+		cmd  string
+		args []string
+		want string
+	}{
+		{"run", []string{div}, "lowutil run: " + divByZero},
+		{"profile", []string{div}, "lowutil profile: " + divByZero},
+		{"copies", []string{div}, "lowutil copies: " + divByZero},
+		{"ssa", []string{"-m", "Foo.bar", chartMJ}, "lowutil ssa: no method \"Foo.bar\"\n"},
+	} {
+		code := 0
+		out, _ := capture(t, &os.Stderr, func() error {
+			code = report(c.cmd, commands[c.cmd](c.args))
+			return nil
+		})
+		if out != c.want || code != 1 {
+			t.Errorf("%s %v: printed %q (exit %d), want %q (exit 1)", c.cmd, c.args, out, code, c.want)
+		}
+	}
+}
+
 // TestCmdExperiments renders one small section, and refuses bad input with
 // a usage error before anything runs.
 func TestCmdExperiments(t *testing.T) {
