@@ -109,11 +109,21 @@ func TestConcurrentSoak(t *testing.T) {
 	}
 
 	// Liveness: halfway through the churn, a job that outranks every soak
-	// job still gets a worker. (Its record may be evicted as soon as it
-	// finishes, so the executor reports the run.)
+	// job still gets a worker. The submitters keep the queue at Depth, so
+	// the probe, like them, waits out a full queue, for at most 5 s. (Its
+	// record may be evicted as soon as it finishes, so the executor reports
+	// the run.)
 	time.Sleep(dur / 2)
-	if _, err := q.Submit("soak-probe", []client.Job{{Spec: testSpec("soak probe"), Priority: 10}}); err != nil {
-		t.Fatalf("probe submit: %v", err)
+	admitBy := time.Now().Add(5 * time.Second)
+	for {
+		_, err := q.Submit("soak-probe", []client.Job{{Spec: testSpec("soak probe"), Priority: 10}})
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrQueueFull) || time.Now().After(admitBy) {
+			t.Fatalf("probe submit: %v", err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	submitted.Add(1)
 	select {
