@@ -37,7 +37,7 @@ var goldenPrograms = []struct {
 }
 
 // profileGraph profiles prog with the facade's profiler options.
-func profileGraph(t *testing.T, prog *ir.Program) *depgraph.Graph {
+func profileGraph(t testing.TB, prog *ir.Program) *depgraph.Graph {
 	t.Helper()
 	p := profiler.New(prog, profiler.Options{Slots: 16, TrackCR: true})
 	m := interp.New(prog)
