@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -56,15 +55,14 @@ func TestCmdProfileSaveLoad(t *testing.T) {
 	}
 
 	// A reload ranks with the requested -n: its report is the direct run's,
-	// except the average CR, which a saved profile does not keep.
-	avgCR := regexp.MustCompile(`avg CR [0-9.]+`)
+	// byte for byte.
 	run := func(args ...string) string {
 		t.Helper()
 		out, err := captureStdout(t, func() error { return cmdProfile(args) })
 		if err != nil {
 			t.Fatalf("profile %v: %v", args, err)
 		}
-		return avgCR.ReplaceAllString(out, "avg CR -")
+		return out
 	}
 	direct := run("-n", "1", "-save", saved, chartMJ)
 	if !strings.Contains(direct, "(n=1)") {

@@ -111,8 +111,16 @@ func (g *Graph) Encode(w io.Writer) error {
 }
 
 // Decode reconstructs a graph serialized by Encode against prog, which
-// must be the same program (checked by fingerprint).
+// must be the same program (checked by fingerprint), into a graph sized as
+// New sizes it.
 func Decode(r io.Reader, prog *ir.Program) (*Graph, error) {
+	return DecodeSized(r, prog, defaultMaxD)
+}
+
+// DecodeSized is Decode into a graph sized as NewSized(prog, maxD) sizes
+// it: a profile saved from a run with s slots reloads with maxD = s-1, so
+// its ApproxBytes equals the live graph's.
+func DecodeSized(r io.Reader, prog *ir.Program, maxD int) (*Graph, error) {
 	var sg serialGraph
 	if err := json.NewDecoder(r).Decode(&sg); err != nil {
 		return nil, fmt.Errorf("depgraph: decode: %w", err)
@@ -125,7 +133,7 @@ func Decode(r io.Reader, prog *ir.Program) (*Graph, error) {
 			sg.NumInstrs, prog.NumInstrs(), sg.NumSites, prog.NumAllocSites())}
 	}
 
-	g := New(prog)
+	g := NewSized(prog, maxD)
 	nodes := make([]*Node, len(sg.Nodes))
 	for i, sn := range sg.Nodes {
 		if sn.Instr < 0 || sn.Instr >= prog.NumInstrs() {

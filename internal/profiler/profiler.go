@@ -796,17 +796,3 @@ func (p *Profiler) AfterCall(in *ir.Instr, caller *interp.Frame, hasValue bool) 
 }
 
 var _ interp.Detacher = (*Profiler)(nil)
-
-// NewFromGraph wraps a reloaded graph (depgraph.Decode) in a Profiler so
-// offline analyses can use the same access paths as live ones. The returned
-// profiler must not be attached to a machine.
-func NewFromGraph(prog *ir.Program, g *depgraph.Graph) *Profiler {
-	return &Profiler{
-		G:       g,
-		Prog:    prog,
-		slots:   contextenc.NewSlots(16),
-		thin:    true,
-		statics: make([]depgraph.Ref, len(prog.Statics)),
-		cr:      contextenc.NewConflictTracker(contextenc.NewSlots(16), prog.NumInstrs()),
-	}
-}

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -498,8 +497,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	// A load ranks with the request's tree_height, as /v2/report does on
-	// the same session; only the average CR, which a saved profile does not
-	// keep, may differ.
+	// the same session, and renders its report byte for byte.
 	n1 := client.ProfileRequest{Session: id, Options: lowutil.Options{TreeHeight: 1}}
 	report := func(path string, req any) string {
 		t.Helper()
@@ -511,7 +509,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(body, &rr); err != nil {
 			t.Fatal(err)
 		}
-		return regexp.MustCompile(`avg CR [0-9.]+`).ReplaceAllString(rr.Report, "avg CR -")
+		return rr.Report
 	}
 	want := report("/v2/report", n1)
 	if !strings.Contains(want, "(n=1)") {

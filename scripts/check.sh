@@ -90,6 +90,12 @@ go test -race -short -shuffle=on ./...
 go test -race -count=1 -cpu 1,4 ./internal/jobs
 go test -race -count=1 -cpu 1,4 -run 'Job|Drain' ./internal/server
 go test -race -count=1 -cpu 1,4 -run TestServeShutdown ./cmd/lowutil
+# A finished profile's derived views (graph stats, deadness, ranking, static
+# cross-check) are built once, on first use, and shared by every reader:
+# the same flags run concurrent cold queries on one profile, in process and
+# on one server session.
+go test -race -count=1 -cpu 1,4 -run '^TestConcurrentQueriesOnOneProfile$' .
+go test -race -count=1 -cpu 1,4 -run '^TestConcurrentQueriesOneSession$' ./internal/server
 # The detached profiler under both selections: at GOMAXPROCS 1 no run may
 # detach and at 2 every long run must, and either way Gcost must match the
 # synchronous reference byte for byte (-short keeps two workloads). The
