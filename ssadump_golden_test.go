@@ -13,7 +13,7 @@ import (
 	"lowutil/internal/workloads"
 )
 
-var updateSSA = flag.Bool("update", false, "rewrite testdata/ssadump.golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // TestSSADumpGolden pins the bytes of `lowutil ssa`: the SSA dump of every
 // method of the 18 workloads at scale 1 and of the CLI's testdata
@@ -55,7 +55,7 @@ func TestSSADumpGolden(t *testing.T) {
 	}
 
 	path := filepath.Join("testdata", "ssadump.golden")
-	if *updateSSA {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
