@@ -244,6 +244,7 @@ var profileQueries = []struct {
 	{"GraphStats", func(pr *Profile) string { return fmt.Sprint(pr.GraphStats()) }},
 	{"StaticCrossCheck", func(pr *Profile) string { return fmt.Sprint(pr.StaticCrossCheck()) }},
 	{"TopStructuresMultiHop", func(pr *Profile) string { return fmt.Sprint(pr.TopStructuresMultiHop(DefaultTop, 2)) }},
+	{"TopStructuresMultiHop(3)", func(pr *Profile) string { return fmt.Sprint(pr.TopStructuresMultiHop(DefaultTop, 3)) }},
 	{"Save", func(pr *Profile) string {
 		var buf bytes.Buffer
 		if err := pr.Save(&buf); err != nil {

@@ -328,9 +328,9 @@ func (pt *PredicateTracker) Constants(minExec int64) []ConstantPredicate {
 
 // ---- Collection ranking ----
 
-// IsContainerClass is the default predicate for collection ranking: a class
-// with an array-typed field, or whose name suggests a container.
-func IsContainerClass(c *ir.Class) bool {
+// isContainer is collection ranking's test for a container: a class with
+// an array-typed field, or whose name suggests a container.
+func isContainer(c *ir.Class) bool {
 	for cl := c; cl != nil; cl = cl.Super {
 		for _, f := range cl.Fields {
 			if f.Type.IsArray() {
@@ -347,16 +347,12 @@ func IsContainerClass(c *ir.Class) bool {
 	return false
 }
 
-// RankCollections ranks container allocation sites by cost-benefit rate —
-// the §3.2 client that "searches for problematic collections by ranking
-// collection objects based on their RAC/RAB rates".
-func RankCollections(a *costben.Analysis, height int, isContainer func(*ir.Class) bool) []*costben.SiteReport {
-	if isContainer == nil {
-		isContainer = IsContainerClass
-	}
-	all := a.RankBySite(height)
+// RankCollections keeps the container allocation sites of a per-site
+// ranking, in its order — the §3.2 client that "searches for problematic
+// collections by ranking collection objects based on their RAC/RAB rates".
+func RankCollections(ranked []*costben.SiteReport) []*costben.SiteReport {
 	var out []*costben.SiteReport
-	for _, r := range all {
+	for _, r := range ranked {
 		if r.Site.Op == ir.OpNew && isContainer(r.Site.Class) {
 			out = append(out, r)
 		}

@@ -425,7 +425,7 @@ class Main {
 		t.Fatal(err)
 	}
 	a := costben.NewAnalysis(p.G)
-	ranked := RankCollections(a, costben.DefaultTreeHeight, nil)
+	ranked := RankCollections(a.RankBySite(costben.DefaultTreeHeight))
 	if len(ranked) < 2 {
 		t.Fatalf("expected >= 2 container sites, got %d", len(ranked))
 	}

@@ -44,17 +44,21 @@ type Config struct {
 // Analysis computes the paper's metrics over a finished Gcost. It freezes
 // the graph into a CSR snapshot and answers every query from it, with
 // HRAC/HRAB for all nodes computed in one condensed DP sweep; a node or
-// location the snapshot does not hold has metric 0. Every query is safe for
-// concurrent use.
+// location the snapshot does not hold has metric 0. Every location metric,
+// tree aggregate and ranking takes a hop count (§3.2's multi-hop
+// alternative; 1 is the paper's definition, and a count below 1 counts as
+// 1). Every query is safe for concurrent use.
 type Analysis struct {
 	G   *depgraph.Graph
 	cfg Config
 
-	// snap is the frozen graph; dp holds the snapshot-memoized DP arrays,
-	// attached on first use by data.
-	snap   *depgraph.Snapshot
-	dpOnce sync.Once
-	dp     *dpData
+	// snap is the frozen graph. mu guards the tables derived from it, each
+	// built once, on first use: dp, the one-hop DP arrays and location
+	// tables, and khop, the location tables of each hop count above one.
+	snap *depgraph.Snapshot
+	mu   sync.Mutex
+	dp   *dpData
+	khop map[int]*locTables
 }
 
 // NewAnalysis wraps a finished graph with the default configuration.
@@ -67,13 +71,33 @@ func NewAnalysisWith(g *depgraph.Graph, cfg Config) *Analysis {
 	return &Analysis{G: g, cfg: cfg, snap: g.Freeze()}
 }
 
-// data returns the dense HRAC/HRAB/RAC/RAB arrays; safe for concurrent
-// callers, and cached on the snapshot across analyses.
+// data returns the one-hop DP arrays, building them on first use.
 func (a *Analysis) data() *dpData {
-	a.dpOnce.Do(func() {
-		a.dp = dpFor(a.snap)
-	})
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.dp == nil {
+		a.dp = newDP(a.snap)
+	}
 	return a.dp
+}
+
+// tables returns the location tables of a hop count, building them on
+// first use: the DP's at one hop (or below), k-hop ones above.
+func (a *Analysis) tables(hops int) *locTables {
+	if hops <= 1 {
+		return &a.data().locTables
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	t := a.khop[hops]
+	if t == nil {
+		t = hopTables(a.snap, hops)
+		if a.khop == nil {
+			a.khop = make(map[int]*locTables)
+		}
+		a.khop[hops] = t
+	}
+	return t
 }
 
 // HRAC returns the heap-relative abstract cost of a node.
@@ -88,47 +112,41 @@ func (a *Analysis) HRAC(n *depgraph.Node) int64 {
 // value reached a consumer.
 func (a *Analysis) HRAB(n *depgraph.Node) (int64, bool) {
 	if id, ok := a.snap.ID(n); ok {
-		return a.data().hrab[id], a.data().consumed[id]
+		d := a.data()
+		return d.hrab[id], d.consumed[id]
 	}
 	return 0, false
 }
 
 // RAC returns the relative abstract cost of an abstract location: the mean
-// HRAC of the store nodes that write it (Definition 5). Locations never
-// written have RAC 0.
-func (a *Analysis) RAC(loc depgraph.Loc) float64 {
-	return locMetric(a.snap, a.data().rac, loc)
+// HRAC of the store nodes that write it (Definition 5), over hops
+// heap-to-heap hops. Locations never written have RAC 0.
+func (a *Analysis) RAC(loc depgraph.Loc, hops int) float64 {
+	return locMetric(a.snap, a.tables(hops).rac, loc)
 }
 
 // RAB returns the relative abstract benefit of an abstract location: the
-// mean HRAB of the load nodes that read it (Definition 6); InfiniteRAB if
-// any read value reaches a predicate or native consumer; 0 if the location
-// is never read.
-func (a *Analysis) RAB(loc depgraph.Loc) float64 {
-	return locMetric(a.snap, a.data().rab, loc)
+// mean HRAB of the load nodes that read it (Definition 6), over hops
+// heap-to-heap hops; InfiniteRAB if any read value reaches a predicate or
+// native consumer; 0 if the location is never read.
+func (a *Analysis) RAB(loc depgraph.Loc, hops int) float64 {
+	return locMetric(a.snap, a.tables(hops).rab, loc)
 }
 
 // NRAC computes the n-RAC of the data structure rooted at root: the sum of
-// RACs of every field of every object strictly inside its object reference
-// tree RT_n (Definition 7; depth < n, so that the field's target — if any —
-// is still within RT_n).
-func (a *Analysis) NRAC(root *depgraph.Node, height int) float64 {
-	v, _ := aggregateFrozen(a.snap, a.data().rac, root, height)
+// the RACs of every field of every object strictly inside its object
+// reference tree RT_n (Definition 7; depth < n, so that the field's target
+// — if any — is still within RT_n).
+func (a *Analysis) NRAC(root *depgraph.Node, height, hops int) float64 {
+	v, _ := aggregateFrozen(a.snap, a.tables(hops).rac, root, height)
 	return v
 }
 
 // NRAB computes the n-RAB, symmetric to NRAC. Fields whose values reach
-// consumers contribute the finite ConsumedRAB weight; the second result of
-// NRABDetail reports whether any such field exists.
-func (a *Analysis) NRAB(root *depgraph.Node, height int) float64 {
-	v, _ := a.NRABDetail(root, height)
-	return v
-}
-
-// NRABDetail is NRAB plus the consumed flag: true when at least one
-// aggregated field's values reach a predicate or native consumer.
-func (a *Analysis) NRABDetail(root *depgraph.Node, height int) (float64, bool) {
-	return aggregateFrozen(a.snap, a.data().rab, root, height)
+// consumers contribute the finite ConsumedRAB weight, and the flag reports
+// whether any such field exists.
+func (a *Analysis) NRAB(root *depgraph.Node, height, hops int) (float64, bool) {
+	return aggregateFrozen(a.snap, a.tables(hops).rab, root, height)
 }
 
 // StructureReport is one ranked entry of the low-utility report: a data
@@ -170,9 +188,9 @@ func Rate(nrac, nrab float64) float64 {
 }
 
 // RankStructures computes the full low-utility ranking over every allocation
-// node in the graph, most suspicious first. Ties break by higher cost, then
-// by site ID for determinism.
-func (a *Analysis) RankStructures(height int) []*StructureReport {
+// node in the graph at the given hop count, most suspicious first. Ties
+// break by higher cost, then by site ID for determinism.
+func (a *Analysis) RankStructures(height, hops int) []*StructureReport {
 	if height <= 0 {
 		height = DefaultTreeHeight
 	}
@@ -182,12 +200,12 @@ func (a *Analysis) RankStructures(height int) []*StructureReport {
 			allocs = append(allocs, n)
 		}
 	}
-	a.data() // build the shared DP arrays before workers start
+	t := a.tables(hops) // build the shared tables before workers start
 	out := make([]*StructureReport, len(allocs))
 	par.ForEach(len(allocs), a.cfg.Workers, func(i int) {
 		n := allocs[i]
-		cost := a.NRAC(n, height)
-		ben, consumed := a.NRABDetail(n, height)
+		cost, _ := aggregateFrozen(a.snap, t.rac, n, height)
+		ben, consumed := aggregateFrozen(a.snap, t.rab, n, height)
 		out[i] = &StructureReport{
 			Alloc:     n,
 			Site:      n.In,
@@ -219,11 +237,16 @@ func sortStructures(rs []*StructureReport) {
 	})
 }
 
-// RankBySite aggregates RankStructures entries per static allocation site
-// (summing across contexts), most suspicious first. This is the per-site
-// view used when comparing against planted bloat.
+// RankBySite is RankBySiteHops at one hop, the paper's ranking.
 func (a *Analysis) RankBySite(height int) []*SiteReport {
-	return bySite(a.RankStructures(height))
+	return a.RankBySiteHops(height, 1)
+}
+
+// RankBySiteHops aggregates RankStructures entries per static allocation
+// site (summing across contexts), most suspicious first. This is the
+// per-site view used when comparing against planted bloat.
+func (a *Analysis) RankBySiteHops(height, hops int) []*SiteReport {
+	return bySite(a.RankStructures(height, hops))
 }
 
 // bySite folds a structure ranking into the per-site ranking.

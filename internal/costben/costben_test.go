@@ -87,7 +87,7 @@ class Main {
 		}
 	}
 	loc := depgraph.Loc{Alloc: bAlloc, Field: fy.ID}
-	rac := a.RAC(loc)
+	rac := a.RAC(loc, 1)
 	// Hop work: the three Bin instructions plus their constant operands
 	// (1, 2, 3 — each a Const node feeding the hop) plus the store itself.
 	// Crucially, the 400-iteration expensive() work must NOT appear: it is
@@ -97,7 +97,7 @@ class Main {
 	}
 	// The benefit: b.y is loaded once and printed (a native consumer), so
 	// RAB must be infinite.
-	if rab := a.RAB(loc); rab != InfiniteRAB {
+	if rab := a.RAB(loc, 1); rab != InfiniteRAB {
 		t.Errorf("RAB(b.y) = %v, want infinite (reaches print)", rab)
 	}
 }
@@ -126,7 +126,7 @@ class Main {
 			}
 		}
 	}
-	rac := a.RAC(depgraph.Loc{Alloc: bAlloc, Field: fy.ID})
+	rac := a.RAC(depgraph.Loc{Alloc: bAlloc, Field: fy.ID}, 1)
 	if rac < 300 {
 		t.Errorf("RAC = %v, want >= 300 (the loop)", rac)
 	}
@@ -158,7 +158,7 @@ class Main {
 			}
 		}
 	}
-	rab := a.RAB(depgraph.Loc{Alloc: aAlloc, Field: fx.ID})
+	rab := a.RAB(depgraph.Loc{Alloc: aAlloc, Field: fx.ID}, 1)
 	if rab != 1 {
 		t.Errorf("RAB of copy-only field = %v, want exactly 1", rab)
 	}
@@ -187,10 +187,10 @@ class Main {
 			}
 		}
 	}
-	if rab := an.RAB(depgraph.Loc{Alloc: aAlloc, Field: fw.ID}); rab != 0 {
+	if rab := an.RAB(depgraph.Loc{Alloc: aAlloc, Field: fw.ID}, 1); rab != 0 {
 		t.Errorf("RAB(unread) = %v, want 0", rab)
 	}
-	if rac := an.RAC(depgraph.Loc{Alloc: aAlloc, Field: fr.ID}); rac != 0 {
+	if rac := an.RAC(depgraph.Loc{Alloc: aAlloc, Field: fr.ID}, 1); rac != 0 {
 		t.Errorf("RAC(unwritten) = %v, want 0", rac)
 	}
 }
@@ -229,9 +229,9 @@ class Main {
 		t.Errorf("depths = %v", tree)
 	}
 
-	r1 := a.NRAC(outerAlloc, 1)
-	r2 := a.NRAC(outerAlloc, 2)
-	r3 := a.NRAC(outerAlloc, 3)
+	r1 := a.NRAC(outerAlloc, 1, 1)
+	r2 := a.NRAC(outerAlloc, 2, 1)
+	r3 := a.NRAC(outerAlloc, 3, 1)
 	if !(r1 > 0 && r2 > r1 && r3 > r2) {
 		t.Errorf("n-RAC must grow with n: %v %v %v", r1, r2, r3)
 	}
@@ -261,7 +261,7 @@ class Main {
 		t.Errorf("cycle tree size = %d, want 2", len(tree))
 	}
 	// And aggregation must terminate with a finite number.
-	if v := an.NRAC(aAlloc, 10); math.IsNaN(v) || math.IsInf(v, 0) {
+	if v := an.NRAC(aAlloc, 10, 1); math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Errorf("NRAC over cycle = %v", v)
 	}
 }
@@ -340,7 +340,8 @@ class Main {
 	// them exactly.
 	var benefits []float64
 	for _, n := range nodes {
-		benefits = append(benefits, an.NRAB(n, DefaultTreeHeight))
+		b, _ := an.NRAB(n, DefaultTreeHeight, 1)
+		benefits = append(benefits, b)
 	}
 	hasConsumed, hasZero := false, false
 	for _, b := range benefits {
@@ -356,7 +357,7 @@ class Main {
 	}
 	// The context-level ranking puts the dead abstraction strictly above
 	// the live one.
-	ranked := an.RankStructures(DefaultTreeHeight)
+	ranked := an.RankStructures(DefaultTreeHeight, 1)
 	var first *StructureReport
 	for _, r := range ranked {
 		if r.Site.AllocSite == cellSite {

@@ -1,13 +1,14 @@
 package costben
 
 // Differential proof for the frozen DP path: on every workload, every
-// metric the analysis exposes — per-node HRAC/HRAB, per-location RAC/RAB
-// and RACK/RABK, per-structure NRAC/NRAB and NRACK/NRABK, and both
-// rankings — must be bit-identical between the per-query reference below
-// and the snapshot path, and the parallel ranking must be bit-identical to
-// the serial one.
+// metric the analysis exposes — per-node HRAC/HRAB, and for 1, 2 and 3
+// hops per-location RAC/RAB, per-structure NRAC/NRAB and both rankings —
+// must be bit-identical between the per-query reference below and the
+// snapshot path, and the parallel ranking must be bit-identical to the
+// serial one.
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -201,15 +202,15 @@ func (q *perQuery) NRABK(root *depgraph.Node, height, hops int) (float64, bool) 
 }
 
 // RankStructures ranks every allocation node serially from the per-query
-// metrics, in the product's ranking order.
-func (q *perQuery) RankStructures(height int) []*StructureReport {
+// k-hop metrics, in the product's ranking order.
+func (q *perQuery) RankStructures(height, hops int) []*StructureReport {
 	var out []*StructureReport
 	q.g.Nodes(func(n *depgraph.Node) {
 		if n.Eff != depgraph.EffAlloc {
 			return
 		}
-		cost := q.NRAC(n, height)
-		ben, consumed := q.NRABDetail(n, height)
+		cost := q.NRACK(n, height, hops)
+		ben, consumed := q.NRABK(n, height, hops)
 		out = append(out, &StructureReport{
 			Alloc: n, Site: n.In, NRAC: cost, NRAB: ben,
 			Rate: Rate(cost, ben), Consumed: consumed, AllocFreq: n.Freq(),
@@ -279,70 +280,59 @@ func TestFrozenMatchesLegacyAllWorkloads(t *testing.T) {
 				}
 			})
 
-			// Per-location metrics.
-			g.Locs(func(loc depgraph.Loc) {
-				if fr, lr := frozen.RAC(loc), ref.RAC(loc); fr != lr {
-					t.Fatalf("RAC(%v) = %v frozen, %v reference", loc, fr, lr)
-				}
-				if fr, lr := frozen.RAB(loc), ref.RAB(loc); fr != lr {
-					t.Fatalf("RAB(%v) = %v frozen, %v reference", loc, fr, lr)
-				}
-			})
-
-			// Per-structure aggregates.
-			g.Nodes(func(n *depgraph.Node) {
-				if n.Eff != depgraph.EffAlloc {
-					return
-				}
-				if fc, lc := frozen.NRAC(n, DefaultTreeHeight), ref.NRAC(n, DefaultTreeHeight); fc != lc {
-					t.Fatalf("NRAC(%v) = %v frozen, %v reference", n, fc, lc)
-				}
-				fb, fcons := frozen.NRABDetail(n, DefaultTreeHeight)
-				lb, lcons := ref.NRABDetail(n, DefaultTreeHeight)
-				if fb != lb || fcons != lcons {
-					t.Fatalf("NRAB(%v) = %v,%v frozen, %v,%v reference", n, fb, fcons, lb, lcons)
-				}
-			})
-
-			// k-hop metrics (hops 1 is the single-hop definition).
+			// Every metric at 1, 2 and 3 hops, against the reference's k-hop
+			// forms; at one hop, those equal its one-hop forms.
 			for hops := 1; hops <= 3; hops++ {
 				g.Locs(func(loc depgraph.Loc) {
-					if fr, lr := frozen.RACK(loc, hops), ref.RACK(loc, hops); fr != lr {
-						t.Fatalf("RACK(%v, %d) = %v frozen, %v reference", loc, hops, fr, lr)
+					rac, rab := ref.RACK(loc, hops), ref.RABK(loc, hops)
+					if hops == 1 && (ref.RAC(loc) != rac || ref.RAB(loc) != rab) {
+						t.Fatalf("reference RAC/RAB(%v) = %v,%v, one-hop RACK/RABK %v,%v", loc, ref.RAC(loc), ref.RAB(loc), rac, rab)
 					}
-					if fr, lr := frozen.RABK(loc, hops), ref.RABK(loc, hops); fr != lr {
-						t.Fatalf("RABK(%v, %d) = %v frozen, %v reference", loc, hops, fr, lr)
+					if fr := frozen.RAC(loc, hops); fr != rac {
+						t.Fatalf("RAC(%v, %d) = %v frozen, %v reference", loc, hops, fr, rac)
+					}
+					if fr := frozen.RAB(loc, hops); fr != rab {
+						t.Fatalf("RAB(%v, %d) = %v frozen, %v reference", loc, hops, fr, rab)
 					}
 				})
 				g.Nodes(func(n *depgraph.Node) {
 					if n.Eff != depgraph.EffAlloc {
 						return
 					}
-					if fc, lc := frozen.NRACK(n, DefaultTreeHeight, hops), ref.NRACK(n, DefaultTreeHeight, hops); fc != lc {
-						t.Fatalf("NRACK(%v, %d) = %v frozen, %v reference", n, hops, fc, lc)
-					}
-					fb, fcons := frozen.NRABK(n, DefaultTreeHeight, hops)
+					lc := ref.NRACK(n, DefaultTreeHeight, hops)
 					lb, lcons := ref.NRABK(n, DefaultTreeHeight, hops)
+					if hops == 1 {
+						ob, ocons := ref.NRABDetail(n, DefaultTreeHeight)
+						if oc := ref.NRAC(n, DefaultTreeHeight); oc != lc || ob != lb || ocons != lcons {
+							t.Fatalf("reference NRAC/NRAB(%v) = %v,%v,%v, one-hop NRACK/NRABK %v,%v,%v", n, oc, ob, ocons, lc, lb, lcons)
+						}
+					}
+					if fc := frozen.NRAC(n, DefaultTreeHeight, hops); fc != lc {
+						t.Fatalf("NRAC(%v, %d) = %v frozen, %v reference", n, hops, fc, lc)
+					}
+					fb, fcons := frozen.NRAB(n, DefaultTreeHeight, hops)
 					if fb != lb || fcons != lcons {
-						t.Fatalf("NRABK(%v, %d) = %v,%v frozen, %v,%v reference", n, hops, fb, fcons, lb, lcons)
+						t.Fatalf("NRAB(%v, %d) = %v,%v frozen, %v,%v reference", n, hops, fb, fcons, lb, lcons)
 					}
 				})
-			}
 
-			// Full rankings.
-			fr := frozen.RankStructures(DefaultTreeHeight)
-			lr := ref.RankStructures(DefaultTreeHeight)
-			if len(fr) != len(lr) {
-				t.Fatalf("RankStructures: %d vs %d entries", len(fr), len(lr))
-			}
-			for i := range fr {
-				f, l := fr[i], lr[i]
-				if f.Alloc != l.Alloc || f.NRAC != l.NRAC || f.NRAB != l.NRAB ||
-					f.Rate != l.Rate || f.Consumed != l.Consumed || f.AllocFreq != l.AllocFreq {
-					t.Fatalf("RankStructures entry %d differs:\n frozen %v\n ref    %v", i, f, l)
+				fr := frozen.RankStructures(DefaultTreeHeight, hops)
+				lr := ref.RankStructures(DefaultTreeHeight, hops)
+				if len(fr) != len(lr) {
+					t.Fatalf("RankStructures at %d hops: %d vs %d entries", hops, len(fr), len(lr))
+				}
+				for i := range fr {
+					f, l := fr[i], lr[i]
+					if f.Alloc != l.Alloc || f.NRAC != l.NRAC || f.NRAB != l.NRAB ||
+						f.Rate != l.Rate || f.Consumed != l.Consumed || f.AllocFreq != l.AllocFreq {
+						t.Fatalf("RankStructures at %d hops, entry %d differs:\n frozen %v\n ref    %v", hops, i, f, l)
+					}
+				}
+				sameReports(t, fmt.Sprintf("RankBySiteHops(%d)", hops), frozen.RankBySiteHops(DefaultTreeHeight, hops), bySite(lr))
+				if hops == 1 {
+					sameReports(t, "RankBySite", frozen.RankBySite(DefaultTreeHeight), bySite(lr))
 				}
 			}
-			sameReports(t, "RankBySite", frozen.RankBySite(DefaultTreeHeight), bySite(lr))
 		})
 	}
 }

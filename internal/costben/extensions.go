@@ -17,48 +17,15 @@ import (
 	"lowutil/internal/depgraph"
 )
 
-// hopKey memoizes the k-hop tables on the snapshot, one per hop count.
-type hopKey struct{ hops int }
-
-// hopTables holds RACK/RABK of every location, indexed like Snapshot.Locs.
-type hopTables struct{ rac, rab []float64 }
-
-// hopsFor returns the (possibly cached) k-hop tables of s.
-func hopsFor(s *depgraph.Snapshot, hops int) *hopTables {
-	if hops < 1 {
-		hops = 1
-	}
-	return s.Memo(hopKey{hops}, func() any {
-		h := &hopTables{}
-		h.rac, h.rab = locMeans(s,
-			func(id int32) int64 { return depgraph.HRACK(s.Nodes[id], hops) },
-			func(id int32) (int64, bool) { return depgraph.HRABK(s.Nodes[id], hops) })
-		return h
-	}).(*hopTables)
-}
-
-// RACK is the k-hop relative abstract cost of a location: the mean k-hop
-// HRAC of its store nodes. RACK(loc, 1) == RAC(loc).
-func (a *Analysis) RACK(loc depgraph.Loc, hops int) float64 {
-	return locMetric(a.snap, hopsFor(a.snap, hops).rac, loc)
-}
-
-// RABK is the k-hop relative abstract benefit, the forward dual of RACK.
-func (a *Analysis) RABK(loc depgraph.Loc, hops int) float64 {
-	return locMetric(a.snap, hopsFor(a.snap, hops).rab, loc)
-}
-
-// NRACK and NRABK aggregate the k-hop metrics over the reference tree, like
-// NRAC/NRAB.
-func (a *Analysis) NRACK(root *depgraph.Node, height, hops int) float64 {
-	v, _ := aggregateFrozen(a.snap, hopsFor(a.snap, hops).rac, root, height)
-	return v
-}
-
-// NRABK is the benefit dual of NRACK; consumed fields contribute
-// ConsumedRAB, and the flag reports whether any existed.
-func (a *Analysis) NRABK(root *depgraph.Node, height, hops int) (float64, bool) {
-	return aggregateFrozen(a.snap, hopsFor(a.snap, hops).rab, root, height)
+// hopTables computes the location tables of s at hops > 1: the mean k-hop
+// HRAC of each location's stores and the mean k-hop HRAB of its loads
+// (depgraph.HRACK and HRABK, one bounded walk per node).
+func hopTables(s *depgraph.Snapshot, hops int) *locTables {
+	t := &locTables{}
+	t.rac, t.rab = locMeans(s,
+		func(id int32) int64 { return depgraph.HRACK(s.Nodes[id], hops) },
+		func(id int32) (int64, bool) { return depgraph.HRABK(s.Nodes[id], hops) })
+	return t
 }
 
 // ---- Cache effectiveness ----

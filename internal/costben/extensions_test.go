@@ -42,18 +42,15 @@ class Main {
 	}
 	loc := depgraph.Loc{Alloc: bAlloc, Field: fy.ID}
 
-	oneHop := an.RACK(loc, 1)
-	twoHop := an.RACK(loc, 2)
-	if oneHop != an.RAC(loc) {
-		t.Errorf("RACK(1) = %v must equal RAC = %v", oneHop, an.RAC(loc))
-	}
+	oneHop := an.RAC(loc, 1)
+	twoHop := an.RAC(loc, 2)
 	if oneHop >= 500 {
 		t.Errorf("one-hop cost %v should exclude the 500-loop", oneHop)
 	}
 	if twoHop < 500 {
 		t.Errorf("two-hop cost %v should include the 500-loop", twoHop)
 	}
-	if an.RACK(loc, 3) < twoHop {
+	if an.RAC(loc, 3) < twoHop {
 		t.Errorf("cost must be monotone in hops")
 	}
 }
@@ -91,8 +88,8 @@ class Main {
 		}
 	}
 	loc := depgraph.Loc{Alloc: aAlloc, Field: fx.ID}
-	oneHop := an.RABK(loc, 1)
-	twoHop := an.RABK(loc, 2)
+	oneHop := an.RAB(loc, 1)
+	twoHop := an.RAB(loc, 2)
 	if oneHop == InfiniteRAB {
 		t.Fatalf("one-hop benefit should be finite (value parked in b.y)")
 	}
@@ -207,7 +204,7 @@ class Main {
 				loc = l
 			}
 		})
-		return an.RAC(loc)
+		return an.RAC(loc, 1)
 	}
 	ignoring := costWith(false)
 	considering := costWith(true)

@@ -28,32 +28,28 @@ import (
 	"lowutil/internal/depgraph"
 )
 
-// dpData holds every snapshot-derived array the frozen analysis reads:
-// per-node HRAC/HRAB (dense node ID index) and per-location RAC/RAB (dense
-// Locs index). All of it is a pure function of the immutable snapshot, so
-// it is memoized on the snapshot itself — repeated analyses over the same
-// graph pay only once.
+// dpData holds the one-hop arrays the frozen analysis reads: per-node
+// HRAC/HRAB (dense node ID index) and the per-location RAC/RAB tables.
 type dpData struct {
 	hrac     []int64
 	hrab     []int64
 	consumed []bool
-	rac      []float64
-	rab      []float64
+	locTables
 }
 
-type dpKey struct{}
+// locTables holds the RAC and RAB of every location at one hop count,
+// indexed like Snapshot.Locs.
+type locTables struct{ rac, rab []float64 }
 
-// dpFor returns the (possibly cached) DP arrays for s.
-func dpFor(s *depgraph.Snapshot) *dpData {
-	return s.Memo(dpKey{}, func() any {
-		d := &dpData{}
-		d.hrac, _ = closureSums(s, false)
-		d.hrab, d.consumed = closureSums(s, true)
-		d.rac, d.rab = locMeans(s,
-			func(id int32) int64 { return d.hrac[id] },
-			func(id int32) (int64, bool) { return d.hrab[id], d.consumed[id] })
-		return d
-	}).(*dpData)
+// newDP computes the one-hop arrays of s.
+func newDP(s *depgraph.Snapshot) *dpData {
+	d := &dpData{}
+	d.hrac, _ = closureSums(s, false)
+	d.hrab, d.consumed = closureSums(s, true)
+	d.rac, d.rab = locMeans(s,
+		func(id int32) int64 { return d.hrac[id] },
+		func(id int32) (int64, bool) { return d.hrab[id], d.consumed[id] })
+	return d
 }
 
 // locMeans computes the per-location means over the store/load CSR rows

@@ -19,7 +19,6 @@ package depgraph
 import (
 	"cmp"
 	"slices"
-	"sync"
 )
 
 // Snapshot is the frozen CSR form of a Graph. All adjacency rows are sorted
@@ -79,28 +78,6 @@ type Snapshot struct {
 	// are carved from, less what the build has taken; empty once Freeze
 	// returns.
 	slab []int32
-
-	memoMu sync.Mutex
-	memo   map[any]any
-}
-
-// Memo returns the value cached under key, building it on first use. The
-// snapshot is immutable, so derived results (condensations, DP arrays,
-// per-location aggregates) are valid for its whole lifetime; clients key
-// them here instead of recomputing per analysis. build runs under the memo
-// lock and must not call Memo on the same snapshot.
-func (s *Snapshot) Memo(key any, build func() any) any {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	if v, ok := s.memo[key]; ok {
-		return v
-	}
-	v := build()
-	if s.memo == nil {
-		s.memo = make(map[any]any)
-	}
-	s.memo[key] = v
-	return v
 }
 
 // Freeze returns the cached CSR snapshot of the graph, building it if the

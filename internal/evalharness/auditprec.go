@@ -72,8 +72,8 @@ func AuditPrecision(name string, scale int) (*AuditPrecisionRow, error) {
 			s = &locScore{}
 			perField[k] = s
 		}
-		s.cost += ca.RAC(l)
-		if rab := ca.RAB(l); rab == costben.InfiniteRAB {
+		s.cost += ca.RAC(l, 1)
+		if rab := ca.RAB(l, 1); rab == costben.InfiniteRAB {
 			s.consumed = true
 		} else {
 			s.benefit += rab

@@ -96,8 +96,8 @@ func Precision(name string, scale int) (*PrecisionRow, error) {
 			s = &locScore{}
 			dyn[k] = s
 		}
-		s.cost += ca.RAC(l)
-		if rab := ca.RAB(l); rab == costben.InfiniteRAB {
+		s.cost += ca.RAC(l, 1)
+		if rab := ca.RAB(l, 1); rab == costben.InfiniteRAB {
 			s.consumed = true
 		} else {
 			s.benefit += rab

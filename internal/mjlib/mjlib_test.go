@@ -168,7 +168,7 @@ class Main {
 		t.Fatal(err)
 	}
 	an := costben.NewAnalysis(p.G)
-	ranked := an.RankStructures(costben.DefaultTreeHeight)
+	ranked := an.RankStructures(costben.DefaultTreeHeight, 1)
 
 	// Find the two IntMap abstractions (same site cannot happen here: two
 	// distinct sites in Main.main).

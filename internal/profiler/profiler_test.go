@@ -107,10 +107,10 @@ func TestFigure3Shapes(t *testing.T) {
 		t.Fatalf("array alloc nodes = %d, want 1", len(arrAllocs))
 	}
 	elemLoc := depgraph.Loc{Alloc: arrAllocs[0], Field: depgraph.ElemField}
-	if rab := a.RAB(elemLoc); rab != 0 {
+	if rab := a.RAB(elemLoc, 1); rab != 0 {
 		t.Errorf("RAB(array elements) = %v, want 0 (never read)", rab)
 	}
-	if rac := a.RAC(elemLoc); rac <= 0 {
+	if rac := a.RAC(elemLoc, 1); rac <= 0 {
 		t.Errorf("RAC(array elements) = %v, want > 0", rac)
 	}
 
@@ -119,8 +119,8 @@ func TestFigure3Shapes(t *testing.T) {
 		t.Fatalf("A alloc nodes = %d, want 1", len(aAllocs))
 	}
 	tLoc := depgraph.Loc{Alloc: aAllocs[0], Field: fig.FieldT.ID}
-	rac := a.RAC(tLoc)
-	rab := a.RAB(tLoc)
+	rac := a.RAC(tLoc, 1)
+	rab := a.RAB(tLoc, 1)
 	if rac < float64(fig.K) {
 		t.Errorf("RAC(A.t) = %v, want >= %d (the expensive loop)", rac, fig.K)
 	}

@@ -39,6 +39,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -356,12 +357,30 @@ type Finding struct {
 }
 
 func (f Finding) String() string {
-	marker := ""
+	var buf [256]byte
+	return string(f.appendText(buf[:0]))
+}
+
+// appendText appends the finding as String renders it:
+// "site %d (%s): cost=%.1f benefit=%.1f rate=%.4f allocs=%d", then a
+// marker for a structure that reaches a consumer.
+func (f Finding) appendText(b []byte) []byte {
+	b = append(b, "site "...)
+	b = strconv.AppendInt(b, int64(f.Site), 10)
+	b = append(b, " ("...)
+	b = append(b, f.Where...)
+	b = append(b, "): cost="...)
+	b = strconv.AppendFloat(b, f.Cost, 'f', 1, 64)
+	b = append(b, " benefit="...)
+	b = strconv.AppendFloat(b, f.Benefit, 'f', 1, 64)
+	b = append(b, " rate="...)
+	b = strconv.AppendFloat(b, f.Rate, 'f', 4, 64)
+	b = append(b, " allocs="...)
+	b = strconv.AppendInt(b, f.Allocs, 10)
 	if f.ReachesConsumer {
-		marker = " (reaches output/control)"
+		b = append(b, " (reaches output/control)"...)
 	}
-	return fmt.Sprintf("site %d (%s): cost=%.1f benefit=%.1f rate=%.4f allocs=%d%s",
-		f.Site, f.Where, f.Cost, f.Benefit, f.Rate, f.Allocs, marker)
+	return b
 }
 
 // TopStructures returns the k most suspicious data structures; k < 0
@@ -397,15 +416,24 @@ func findings(ranked []*costben.SiteReport, k int) []Finding {
 // clampTop bounds a caller's top-k to [0, n].
 func clampTop(k, n int) int { return max(0, min(k, n)) }
 
+// siteWhere locates an allocation site: "Class.method:pc", then the source
+// line when known and the class a new allocates.
 func siteWhere(site *ir.Instr) string {
-	w := fmt.Sprintf("%s:%d", site.Method.QualifiedName(), site.PC)
+	var buf [128]byte
+	b := append(buf[:0], site.Method.Class.Name...)
+	b = append(b, '.')
+	b = append(b, site.Method.Name...)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(site.PC), 10)
 	if site.Line > 0 {
-		w += fmt.Sprintf(" line %d", site.Line)
+		b = append(b, " line "...)
+		b = strconv.AppendInt(b, int64(site.Line), 10)
 	}
 	if site.Op == ir.OpNew {
-		w += " new " + site.Class.Name
+		b = append(b, " new "...)
+		b = append(b, site.Class.Name...)
 	}
-	return w
+	return string(b)
 }
 
 // Report renders the top k findings plus summary statistics; k < 0 lists
@@ -419,8 +447,10 @@ func (pr *Profile) Report(k int) string {
 	fmt.Fprintf(&sb, "instances: %d; IPD %.1f%%  IPP %.1f%%  NLD %.1f%%\n",
 		ds.Instances, ds.IPD, ds.IPP, ds.NLD)
 	fmt.Fprintf(&sb, "top low-utility structures (n=%d):\n", pr.height)
+	var buf [256]byte
 	for i, f := range pr.TopStructures(k) {
-		fmt.Fprintf(&sb, "%3d. %s\n", i+1, f)
+		line := fmt.Appendf(buf[:0], "%3d. ", i+1)
+		sb.Write(append(f.appendText(line), '\n'))
 	}
 	if checks := pr.crossCheck(); len(checks) > 0 {
 		sb.WriteString("static cross-check (zero-benefit fields):\n")
@@ -476,14 +506,13 @@ func (pr *Profile) buildCrossCheck() []FieldCrossCheck {
 		if loc.Alloc == nil || loc.Field == depgraph.ElemField {
 			return
 		}
-		rep := pr.an.CacheAnalysis(loc)
 		a := perField[loc.Field]
 		if a == nil {
 			a = &acc{}
 			perField[loc.Field] = a
 		}
-		a.stores += rep.Stores
-		a.loads += rep.Loads
+		pr.g.StoresOf(loc, func(n *depgraph.Node) { a.stores += n.Freq() })
+		pr.g.LoadsOf(loc, func(n *depgraph.Node) { a.loads += n.Freq() })
 	})
 	var out []FieldCrossCheck
 	for id, a := range perField {
@@ -646,55 +675,13 @@ func (p *Program) checkEnvelope(env *profileEnvelope) error {
 // TopStructuresMultiHop ranks data structures using k-hop relative costs and
 // benefits instead of the default single hop (§3.2's multi-hop design
 // alternative): a structure whose expensive producer hides behind one heap
-// indirection is exposed at hops = 2. k < 0 lists none.
+// indirection is exposed at hops = 2. At hops ≤ 1 it is TopStructures.
+// k < 0 lists none.
 func (pr *Profile) TopStructuresMultiHop(k, hops int) []Finding {
-	type entry struct {
-		site     *ir.Instr
-		alloc    int
-		cost     float64
-		ben      float64
-		consumed bool
-		freq     int64
+	if hops <= 1 {
+		return pr.TopStructures(k)
 	}
-	perSite := make(map[int]*entry)
-	pr.g.Nodes(func(n *depgraph.Node) {
-		if n.Eff != depgraph.EffAlloc {
-			return
-		}
-		cost := pr.an.NRACK(n, pr.height, hops)
-		ben, consumed := pr.an.NRABK(n, pr.height, hops)
-		e := perSite[n.In.AllocSite]
-		if e == nil {
-			e = &entry{site: n.In, alloc: n.In.AllocSite}
-			perSite[n.In.AllocSite] = e
-		}
-		e.cost += cost
-		e.ben += ben
-		e.consumed = e.consumed || consumed
-		e.freq += n.Freq()
-	})
-	out := make([]Finding, 0, len(perSite))
-	for _, e := range perSite {
-		out = append(out, Finding{
-			Site:            e.alloc,
-			Where:           siteWhere(e.site),
-			Cost:            e.cost,
-			Benefit:         e.ben,
-			Rate:            costben.Rate(e.cost, e.ben),
-			ReachesConsumer: e.consumed,
-			Allocs:          e.freq,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rate != out[j].Rate {
-			return out[i].Rate > out[j].Rate
-		}
-		if out[i].Cost != out[j].Cost {
-			return out[i].Cost > out[j].Cost
-		}
-		return out[i].Site < out[j].Site
-	})
-	return out[:clampTop(k, len(out))]
+	return findings(pr.an.RankBySiteHops(pr.height, hops), k)
 }
 
 // CacheReport assesses one heap location as a cache (§3.2's
@@ -883,5 +870,5 @@ func (p *Program) SilentOverwrites(minWrites int64) ([]string, error) {
 // with an array-typed field or a collection-like name. It returns the top k
 // (none for k < 0).
 func (pr *Profile) Collections(k int) []Finding {
-	return findings(clients.RankCollections(pr.an, pr.height, nil), k)
+	return findings(clients.RankCollections(pr.ranking()), k)
 }
