@@ -252,7 +252,7 @@ func checkTop(top int) error {
 }
 
 // checkPositive rejects a value below 1 for the named flag (-scale,
-// -workers).
+// -workers, -hops).
 func checkPositive(name string, v int) error {
 	if v < 1 {
 		return &usageError{msg: fmt.Sprintf("-%s %d must be at least 1", name, v)}
@@ -418,6 +418,9 @@ func cmdProfile(args []string) error {
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after the run to this file")
 	path, err := parseAnalysis(fs, lowutil.KindProfile, o, args)
 	if err != nil {
+		return err
+	}
+	if err := checkPositive("hops", *hops); err != nil {
 		return err
 	}
 	prog, err := compileFile(path)

@@ -279,7 +279,8 @@ func TestCmdErrors(t *testing.T) {
 		}
 	}
 	// A negative -top is a usage error on every command that has one, and
-	// so is a scale or worker count below 1, found before anything runs.
+	// so is a scale, worker or hop count below 1, found before anything
+	// runs.
 	for _, c := range []struct {
 		name string
 		run  func([]string) error
@@ -287,6 +288,8 @@ func TestCmdErrors(t *testing.T) {
 	}{
 		{"profile -top -1", cmdProfile, []string{"-top", "-1", chartMJ}},
 		{"profile -top -1 -hops 2", cmdProfile, []string{"-top", "-1", "-hops", "2", chartMJ}},
+		{"profile -hops 0", cmdProfile, []string{"-hops", "0", chartMJ}},
+		{"profile -hops -3", cmdProfile, []string{"-hops", "-3", chartMJ}},
 		{"copies -top -1", cmdCopies, []string{"-top", "-1", chartMJ}},
 		{"slice -top -1", cmdSlice, []string{"-top", "-1", chartMJ}},
 		{"audit -top -1", cmdAudit, []string{"-top", "-1", chartMJ}},
