@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"lowutil"
-	"lowutil/internal/deadness"
 	"lowutil/internal/depgraph"
 	"lowutil/internal/interp"
 	"lowutil/internal/ir"
@@ -205,33 +204,29 @@ type Row struct {
 }
 
 // Table1 profiles every workload opts keeps at each of Table 1's slot
-// settings and returns one row per workload, in Table 1's order.
+// settings and returns one row per workload, in Table 1's order, read off
+// each profile's graph stats and deadness views.
 func Table1(opts Options) ([]*Row, error) {
 	if err := Check(opts, []string{"table1"}); err != nil {
 		return nil, err
 	}
 	names, _, _ := section("table1")
 	return each(opts, names, func(name string) (*Row, error) {
-		prog, err := compile(name, opts.Scale)
+		prog, err := lowutil.Compile(workloads.ByName(name).Source(opts.Scale))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		row := &Row{Name: name}
 		for i, s := range table1Slots {
-			p, m, err := profile(prog, profiler.Options{Slots: s, TrackCR: true}, nil)
+			pr, err := prog.ProfileContext(context.Background(), lowutil.WithSlots(s))
 			if err != nil {
 				return nil, fmt.Errorf("%s s=%d: %w", name, s, err)
 			}
-			row.BySlots[i] = SlotResult{
-				S:        s,
-				Nodes:    p.G.NumNodes(),
-				DepEdges: p.G.NumDepEdges(),
-				MemBytes: p.G.ApproxBytes(),
-				CR:       p.CR().AverageCR(),
-			}
+			gs := pr.GraphStats()
+			row.BySlots[i] = SlotResult{S: s, Nodes: gs.Nodes, DepEdges: gs.DepEdges, MemBytes: gs.Bytes, CR: gs.AvgCR}
 			if s == slots {
-				dead := deadness.Analyze(p.G, m.Steps)
-				row.Steps, row.IPD, row.IPP, row.NLD = m.Steps, dead.IPD(), dead.IPP(), dead.NLD()
+				dead := pr.Deadness()
+				row.Steps, row.IPD, row.IPP, row.NLD = dead.Instances, dead.IPD, dead.IPP, dead.NLD
 			}
 		}
 		return row, nil
