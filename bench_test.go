@@ -294,6 +294,36 @@ func BenchmarkInterpreterRaw(b *testing.B) {
 	b.ReportMetric(float64(steps)/float64(b.Elapsed().Seconds())/1e6, "Minstr/s")
 }
 
+// ---- front end: source to sealed IR ----
+
+// BenchmarkCompile times Compile over the 18 scale-1 workloads (one op
+// compiles all 18) and over chainSource(4000), one method of 20,007
+// instructions. B/op is where the IR's layout and the builder show.
+func BenchmarkCompile(b *testing.B) {
+	var srcs []string
+	for _, w := range workloads.All() {
+		srcs = append(srcs, w.Source(benchScale))
+	}
+	for _, c := range []struct {
+		name string
+		srcs []string
+	}{
+		{"workloads", srcs},
+		{"chain4000", []string{chainSource(4000)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, src := range c.srcs {
+					if _, err := Compile(src); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // ---- interprocedural static analysis costs (no execution) ----
 
 func BenchmarkPointsTo(b *testing.B) {

@@ -193,12 +193,12 @@ func (rw *RewriteTracker) read(o *interp.Object, field, slot int) {
 
 // StoreField implements interp.Tracer.
 func (rw *RewriteTracker) StoreField(in *ir.Instr, _ *interp.Frame, base *interp.Object, _ interp.Value) {
-	rw.write(base, in.Field.ID, in.Field.Slot)
+	rw.write(base, in.Field().ID, in.Field().Slot)
 }
 
 // LoadField implements interp.Tracer.
 func (rw *RewriteTracker) LoadField(in *ir.Instr, _ *interp.Frame, base *interp.Object) {
-	rw.read(base, in.Field.ID, in.Field.Slot)
+	rw.read(base, in.Field().ID, in.Field().Slot)
 }
 
 // StoreElem implements interp.Tracer.
@@ -353,7 +353,7 @@ func isContainer(c *ir.Class) bool {
 func RankCollections(ranked []*costben.SiteReport) []*costben.SiteReport {
 	var out []*costben.SiteReport
 	for _, r := range ranked {
-		if r.Site.Op == ir.OpNew && isContainer(r.Site.Class) {
+		if r.Site.Op == ir.OpNew && isContainer(r.Site.Class()) {
 			out = append(out, r)
 		}
 	}

@@ -132,8 +132,8 @@ class Main {
 	// The File allocation is the only OpNew in Main.main.
 	site := -1
 	for _, in := range prog.Instrs {
-		if in.Op == ir.OpNew && in.Class.Name == "File" {
-			site = in.AllocSite
+		if in.Op == ir.OpNew && in.Class().Name == "File" {
+			site = int(in.AllocSite)
 		}
 	}
 	if site < 0 {
@@ -433,18 +433,18 @@ class Main {
 	var usedSite, wastedSite = -1, -1
 	seen := 0
 	for _, in := range prog.Instrs {
-		if in.Op == ir.OpNew && in.Class.Name == "IntList" {
+		if in.Op == ir.OpNew && in.Class().Name == "IntList" {
 			if seen == 0 {
-				usedSite = in.AllocSite
+				usedSite = int(in.AllocSite)
 			} else {
-				wastedSite = in.AllocSite
+				wastedSite = int(in.AllocSite)
 			}
 			seen++
 		}
 	}
 	pos := map[int]int{}
 	for i, r := range ranked {
-		pos[r.Site.AllocSite] = i
+		pos[int(r.Site.AllocSite)] = i
 	}
 	if pos[wastedSite] > pos[usedSite] {
 		t.Errorf("wasted list (pos %d) should out-rank used list (pos %d)",

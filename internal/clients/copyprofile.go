@@ -150,7 +150,7 @@ func location(in *ir.Instr, o *interp.Object) Origin {
 	if in.Op == ir.OpALoad || in.Op == ir.OpAStore {
 		return Origin{Site: o.Site, Field: depgraph.ElemField}
 	}
-	return Origin{Site: o.Site, Field: in.Field.ID}
+	return Origin{Site: o.Site, Field: in.Field().ID}
 }
 
 // Chain summarizes one heap-to-heap copy relation.

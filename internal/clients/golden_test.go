@@ -105,8 +105,8 @@ func clientOutputs(t *testing.T, run func(*interp.Machine) error) string {
 	}
 	var sites []int
 	for _, in := range prog.Instrs {
-		if in.Op == ir.OpNew && in.Class.Name == "File" {
-			sites = append(sites, in.AllocSite)
+		if in.Op == ir.OpNew && in.Class().Name == "File" {
+			sites = append(sites, int(in.AllocSite))
 		}
 	}
 	ts := clients.NewTypestateTracker(prog, typestateProtocol(), sites...)
@@ -187,8 +187,8 @@ type printedCosts struct {
 
 // Native implements interp.Tracer.
 func (p *printedCosts) Native(in *ir.Instr, fr *interp.Frame) {
-	for _, a := range in.Args {
-		p.h.Write(binary.LittleEndian.AppendUint64(nil, p.CostOf(fr, a)))
+	for _, a := range in.Args() {
+		p.h.Write(binary.LittleEndian.AppendUint64(nil, p.CostOf(fr, int(a))))
 	}
 	p.Tracker.Native(in, fr)
 }

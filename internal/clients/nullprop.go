@@ -108,9 +108,9 @@ func (nt *NullTracker) Diagnose(err error) (*NullReport, bool) {
 	in := vmErr.In
 	baseSlot := in.A
 	if in.Op == ir.OpCall {
-		baseSlot = in.Args[0]
+		baseSlot = in.Args()[0]
 	}
-	start := nt.Local(vmErr.Frame, baseSlot)
+	start := nt.Local(vmErr.Frame, int(baseSlot))
 	if start == nil || start.D != dNull {
 		return nil, false
 	}

@@ -120,7 +120,7 @@ func (ts *TypestateTracker) encode(site int, s State) int {
 // protocol's initial state. Past allocation, typestate only cares about
 // calls, which arrive via BeforeCall.
 func (ts *TypestateTracker) New(in *ir.Instr, _ *interp.Frame, o *interp.Object) {
-	if ts.Sites[in.AllocSite] {
+	if ts.Sites[int(in.AllocSite)] {
 		o.Shadow = &tsShadow{state: ts.Proto.Init}
 	}
 }

@@ -31,8 +31,8 @@ type contextMirror struct {
 
 func (c *contextMirror) observe(in *ir.Instr, g contextenc.Encoded) {
 	if c.Profiler.G.Lookup(in, c.slots.Slot(g)) != nil {
-		c.model.Observe(in.ID, g)
-		c.replay.Observe(in.ID, g)
+		c.model.Observe(int(in.ID), g)
+		c.replay.Observe(int(in.ID), g)
 	}
 }
 
@@ -163,7 +163,7 @@ func TestProfiledCRMatchesMapModel(t *testing.T) {
 		mirror.G.Nodes(func(n *depgraph.Node) {
 			if n.D >= 0 {
 				contextNodes++
-				if !mirror.model.Visited(n.In.ID, n.D) {
+				if !mirror.model.Visited(int(n.In.ID), n.D) {
 					t.Errorf("%s: node %s has no observation in the model", w.Name, n)
 				}
 			}

@@ -253,10 +253,10 @@ func (a *Analysis) RankBySiteHops(height, hops int) []*SiteReport {
 func bySite(ranked []*StructureReport) []*SiteReport {
 	perSite := make(map[int]*SiteReport)
 	for _, r := range ranked {
-		s := perSite[r.Site.AllocSite]
+		s := perSite[int(r.Site.AllocSite)]
 		if s == nil {
 			s = &SiteReport{Site: r.Site}
-			perSite[r.Site.AllocSite] = s
+			perSite[int(r.Site.AllocSite)] = s
 		}
 		s.NRAC += r.NRAC
 		s.NRAB += r.NRAB

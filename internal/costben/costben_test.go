@@ -32,9 +32,9 @@ func profiled(t *testing.T, src string, slots int) (*profiler.Profiler, *interp.
 
 func siteOfNthNew(prog *ir.Program, class string, n int) int {
 	for _, in := range prog.Instrs {
-		if in.Op == ir.OpNew && in.Class.Name == class {
+		if in.Op == ir.OpNew && in.Class().Name == class {
 			if n == 0 {
-				return in.AllocSite
+				return int(in.AllocSite)
 			}
 			n--
 		}
@@ -360,7 +360,7 @@ class Main {
 	ranked := an.RankStructures(DefaultTreeHeight, 1)
 	var first *StructureReport
 	for _, r := range ranked {
-		if r.Site.AllocSite == cellSite {
+		if int(r.Site.AllocSite) == cellSite {
 			first = r
 			break
 		}

@@ -162,7 +162,7 @@ func siteOfNthNewArray(prog *ir.Program, n int) int {
 	for _, in := range prog.Instrs {
 		if in.Op == ir.OpNewArray {
 			if n == 0 {
-				return in.AllocSite
+				return int(in.AllocSite)
 			}
 			n--
 		}

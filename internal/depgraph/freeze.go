@@ -124,7 +124,7 @@ func (s *Snapshot) order() {
 	all := s.G.all
 	maxInstr := -1
 	for _, nd := range all {
-		maxInstr = max(maxInstr, nd.In.ID)
+		maxInstr = max(maxInstr, int(nd.In.ID))
 	}
 	// end[i+1] first counts instruction i's nodes; after the prefix sum
 	// end[i] is where its bucket starts, and after placement where it ends.

@@ -193,8 +193,8 @@ func TestSortedIterationHelpers(t *testing.T) {
 
 	collect := func() [][]int {
 		var stores, loads, fields []int
-		g.StoresOf(loc, func(n *Node) { stores = append(stores, n.In.ID) })
-		g.LoadsOf(loc, func(n *Node) { loads = append(loads, n.In.ID) })
+		g.StoresOf(loc, func(n *Node) { stores = append(stores, int(n.In.ID)) })
+		g.LoadsOf(loc, func(n *Node) { loads = append(loads, int(n.In.ID)) })
 		g.FieldsOf(nodes[0], func(field int) { fields = append(fields, field) })
 		var locs []Loc
 		g.Locs(func(l Loc) { locs = append(locs, l) })

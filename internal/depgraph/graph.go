@@ -337,7 +337,7 @@ func (g *Graph) At(r Ref) *Node {
 // touch Freq; call Touch for that.
 func (g *Graph) Node(in *ir.Instr, d int) *Node {
 	if dd := d + 1; uint(dd) < uint(g.width) {
-		slot := &g.idx[in.ID*g.width+dd]
+		slot := &g.idx[int(in.ID)*g.width+dd]
 		if *slot != 0 {
 			return g.all[*slot-1]
 		}
@@ -346,7 +346,7 @@ func (g *Graph) Node(in *ir.Instr, d int) *Node {
 		g.Invalidate()
 		return n
 	}
-	k := nodeKey{in.ID, d}
+	k := nodeKey{int(in.ID), d}
 	if n, ok := g.overflow[k]; ok {
 		return n
 	}
@@ -359,12 +359,12 @@ func (g *Graph) Node(in *ir.Instr, d int) *Node {
 // Lookup returns the node for (in, d) or nil.
 func (g *Graph) Lookup(in *ir.Instr, d int) *Node {
 	if dd := d + 1; uint(dd) < uint(g.width) {
-		if slot := g.idx[in.ID*g.width+dd]; slot != 0 {
+		if slot := g.idx[int(in.ID)*g.width+dd]; slot != 0 {
 			return g.all[slot-1]
 		}
 		return nil
 	}
-	return g.overflow[nodeKey{in.ID, d}]
+	return g.overflow[nodeKey{int(in.ID), d}]
 }
 
 // Touch increments the node's frequency and returns it.
@@ -384,7 +384,7 @@ func (g *Graph) Touch(in *ir.Instr, d int) *Node {
 // take touchSlow.
 func (g *Graph) TouchFast(in *ir.Instr, d int) *Node {
 	if dd := d + 1; uint(dd) < uint(g.width) {
-		if v := g.idx[in.ID*g.width+dd]; v != 0 {
+		if v := g.idx[int(in.ID)*g.width+dd]; v != 0 {
 			g.freq[v-1]++
 			return g.all[v-1]
 		}

@@ -30,11 +30,11 @@ type mNode struct {
 	effLoc mLoc
 }
 
-func (n *mNode) String() string { return nodeName(n.in.ID, n.d) }
+func (n *mNode) String() string { return nodeName(int(n.in.ID), n.d) }
 
 func nodeName(instr, d int) string { return fmt.Sprintf("i%d^%d", instr, d) }
 
-func denseName(n *Node) string { return nodeName(n.In.ID, n.D) }
+func denseName(n *Node) string { return nodeName(int(n.In.ID), n.D) }
 
 // mLoc is a model location; a nil alloc is a static field.
 type mLoc struct {
@@ -88,7 +88,7 @@ func newMapModel(prog *ir.Program, maxD int) *mapModel {
 
 // node interns (in, d), reporting whether it was created.
 func (m *mapModel) node(in *ir.Instr, d int) (*mNode, bool) {
-	k := nodeKey{in.ID, d}
+	k := nodeKey{int(in.ID), d}
 	if n, ok := m.nodes[k]; ok {
 		return n, false
 	}
@@ -280,7 +280,7 @@ func (m *mapModel) encode() []byte {
 	sg := serialGraph{Version: serialVersion, NumInstrs: m.prog.NumInstrs(), NumSites: m.prog.NumAllocSites()}
 	for _, n := range nodes {
 		sg.Nodes = append(sg.Nodes, serialNode{
-			Instr: n.in.ID, D: n.d, Freq: n.freq, Eff: uint8(n.eff),
+			Instr: int(n.in.ID), D: n.d, Freq: n.freq, Eff: uint8(n.eff),
 			EffAlloc: nodeIdx(n.effLoc.alloc), EffField: n.effLoc.field,
 		})
 		for _, d := range sortedNodes(m.deps[n]) {
@@ -567,7 +567,7 @@ func (r *modelRun) compare(phase string) {
 	for _, in := range r.prog.Instrs {
 		for d := -4; d <= 8; d++ {
 			n := g.Lookup(in, d)
-			mn := m.nodes[nodeKey{in.ID, d}]
+			mn := m.nodes[nodeKey{int(in.ID), d}]
 			if (n == nil) != (mn == nil) || (n != nil && (n.In != in || n.D != d)) {
 				r.t.Fatalf("%s: Lookup(i%d, %d) = %v, model %v", phase, in.ID, d, n, mn)
 			}

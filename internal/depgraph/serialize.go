@@ -72,7 +72,7 @@ func (g *Graph) Encode(w io.Writer) error {
 	}
 	for i, nd := range s.Nodes {
 		sg.Nodes = append(sg.Nodes, serialNode{
-			Instr:    nd.In.ID,
+			Instr:    int(nd.In.ID),
 			D:        nd.D,
 			Freq:     nd.Freq(),
 			Eff:      uint8(nd.Eff),

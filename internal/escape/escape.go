@@ -196,7 +196,7 @@ func AnalyzeContext(ctx context.Context, an *interproc.Analysis) (*Result, error
 	}
 	sort.Slice(allocs, func(i, j int) bool { return allocs[i].AllocSite < allocs[j].AllocSite })
 	for _, in := range allocs {
-		r.bySite[in.AllocSite] = len(r.Sites)
+		r.bySite[int(in.AllocSite)] = len(r.Sites)
 		r.Sites = append(r.Sites, SiteInfo{Site: in, LastUse: -1})
 	}
 
@@ -212,7 +212,7 @@ func AnalyzeContext(ctx context.Context, an *interproc.Analysis) (*Result, error
 
 	// Join object states into site states.
 	for o := 0; o < an.PT.NumObjects(); o++ {
-		idx, ok := r.bySite[an.PT.Objects[o].Site.AllocSite]
+		idx, ok := r.bySite[int(an.PT.Objects[o].Site.AllocSite)]
 		if !ok {
 			continue
 		}
@@ -267,12 +267,12 @@ func AnalyzeContext(ctx context.Context, an *interproc.Analysis) (*Result, error
 			switch in.Op {
 			case ir.OpStoreField:
 				bases, isStore = a.operandObjs(mf, pc, 0), true
-				field = in.Field.ID
+				field = in.Field().ID
 			case ir.OpAStore:
 				bases, isStore = a.operandObjs(mf, pc, 0), true
 			case ir.OpLoadField:
 				bases = a.loadBases[in]
-				field = in.Field.ID
+				field = in.Field().ID
 			case ir.OpALoad:
 				bases = a.loadBases[in]
 			default:
@@ -290,7 +290,7 @@ func AnalyzeContext(ctx context.Context, an *interproc.Analysis) (*Result, error
 			}
 			clear(seen)
 			for o := range bases {
-				site := an.PT.Objects[o].Site.AllocSite
+				site := int(an.PT.Objects[o].Site.AllocSite)
 				if seen[site] {
 					continue // one instruction charges a site once
 				}
@@ -361,7 +361,7 @@ func AnalyzeContext(ctx context.Context, an *interproc.Analysis) (*Result, error
 		si.Region = r.region(si)
 		r.ssaFacts(si)
 		si.CopyChain = si.State != GlobalEscape && si.Stores > 0 &&
-			r.copiedOut(si, siteLoads[si.Site.AllocSite])
+			r.copiedOut(si, siteLoads[int(si.Site.AllocSite)])
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -599,7 +599,7 @@ func (a *analyzer) ownObjs(mf *methodFlow, v ssa.ValID, add func(interproc.ObjID
 		case ir.OpLoadField, ir.OpALoad:
 			field := interproc.ElemField
 			if in.Op == ir.OpLoadField {
-				field = in.Field.ID
+				field = in.Field().ID
 			}
 			for b := range a.loadBases[in] {
 				for o := range a.locs[heapLoc{b, field}] {
@@ -607,7 +607,7 @@ func (a *analyzer) ownObjs(mf *methodFlow, v ssa.ValID, add func(interproc.ObjID
 				}
 			}
 		case ir.OpLoadStatic:
-			for o := range a.statics[in.Static.Slot] {
+			for o := range a.statics[in.Static().Slot] {
 				add(o)
 			}
 		case ir.OpCall:
@@ -712,7 +712,7 @@ func (a *analyzer) solveValueFlow(ctx context.Context) error {
 						continue
 					}
 					for b := range a.operandObjs(mf, pc, 0) {
-						if addAll(a.loc(b, in.Field.ID), vals) {
+						if addAll(a.loc(b, in.Field().ID), vals) {
 							changed = true
 						}
 					}
@@ -731,7 +731,7 @@ func (a *analyzer) solveValueFlow(ctx context.Context) error {
 					if len(vals) == 0 {
 						continue
 					}
-					if addAll(a.set(a.statics, in.Static.Slot), vals) {
+					if addAll(a.set(a.statics, in.Static().Slot), vals) {
 						changed = true
 					}
 				case ir.OpReturn:
@@ -1059,7 +1059,7 @@ func (r *Result) indexSiteLoads() map[int][]*ir.Instr {
 			}
 			clear(seen)
 			for o := range r.az.loadBases[in] {
-				site := r.An.PT.Objects[o].Site.AllocSite
+				site := int(r.An.PT.Objects[o].Site.AllocSite)
 				if !seen[site] {
 					seen[site] = true
 					out[site] = append(out[site], in)
@@ -1086,7 +1086,7 @@ func (r *Result) copiedOut(si *SiteInfo, loads []*ir.Instr) bool {
 		case manyStores:
 			return true
 		default:
-			if int(s) != si.Site.AllocSite {
+			if s != si.Site.AllocSite {
 				return true
 			}
 		}
@@ -1219,9 +1219,9 @@ func (r *Result) SiteName(si *SiteInfo) string {
 
 func allocTypeName(site *ir.Instr) string {
 	if site.Op == ir.OpNew {
-		return site.Class.Name
+		return site.Class().Name
 	}
-	return site.Elem.String() + "[]"
+	return site.Elem().String() + "[]"
 }
 
 // Report renders the deterministic audit report: lattice and lifetime

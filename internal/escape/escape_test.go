@@ -26,7 +26,7 @@ func findSite(t *testing.T, r *Result, className, methodName string) *SiteInfo {
 	t.Helper()
 	for i := range r.Sites {
 		si := &r.Sites[i]
-		if si.Site.Op == ir.OpNew && si.Site.Class.Name == className && si.Site.Method.Name == methodName {
+		if si.Site.Op == ir.OpNew && si.Site.Class().Name == className && si.Site.Method.Name == methodName {
 			return si
 		}
 	}
@@ -96,7 +96,7 @@ func TestGlobalEscapeThroughStatics(t *testing.T) {
 	var derived, arr *SiteInfo
 	for i := range r.Sites {
 		si := &r.Sites[i]
-		if si.Site.Op == ir.OpNew && si.Site.Class.Name == "Derived" {
+		if si.Site.Op == ir.OpNew && si.Site.Class().Name == "Derived" {
 			derived = si
 		}
 		if si.Site.Op == ir.OpNewArray {
@@ -263,11 +263,11 @@ func TestObserverRecordsDynamicEscapes(t *testing.T) {
 	for _, s := range obs.EscapedSites() {
 		escaped[s] = true
 	}
-	if !escaped[ret.Site.AllocSite] {
+	if !escaped[int(ret.Site.AllocSite)] {
 		t.Errorf("observer missed the returned Box (site %d): escaped=%v",
 			ret.Site.AllocSite, obs.EscapedSites())
 	}
-	if escaped[local.Site.AllocSite] {
+	if escaped[int(local.Site.AllocSite)] {
 		t.Errorf("observer flagged the frame-local Box (site %d)", local.Site.AllocSite)
 	}
 

@@ -66,7 +66,7 @@ func AuditPrecision(name string, scale int) (*AuditPrecisionRow, error) {
 		if stores == 0 {
 			return
 		}
-		k := siteKey{Site: l.Alloc.In.AllocSite, Field: l.Field}
+		k := siteKey{Site: int(l.Alloc.In.AllocSite), Field: l.Field}
 		s := perField[k]
 		if s == nil {
 			s = &locScore{}
@@ -92,8 +92,8 @@ func AuditPrecision(name string, scale int) (*AuditPrecisionRow, error) {
 	var sites []int
 	for i := range res.Sites {
 		if site := res.Sites[i].Site.AllocSite; site >= 0 {
-			if _, ok := dyn[site]; ok {
-				sites = append(sites, site)
+			if _, ok := dyn[int(site)]; ok {
+				sites = append(sites, int(site))
 			}
 		}
 	}

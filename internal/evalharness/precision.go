@@ -89,7 +89,7 @@ func Precision(name string, scale int) (*PrecisionRow, error) {
 		}
 		k := siteKey{Site: -1, Field: l.Field}
 		if l.Alloc != nil {
-			k.Site = l.Alloc.In.ID
+			k.Site = int(l.Alloc.In.ID)
 		}
 		s := dyn[k]
 		if s == nil {
@@ -112,7 +112,7 @@ func Precision(name string, scale int) (*PrecisionRow, error) {
 			b := &bounds[i]
 			k := siteKey{Site: -1, Field: b.Key.Field}
 			if !b.Key.Static {
-				k.Site = an.PT.Objects[b.Key.Obj].Site.ID
+				k.Site = int(an.PT.Objects[b.Key.Obj].Site.ID)
 			}
 			s := out[k]
 			if s == nil {

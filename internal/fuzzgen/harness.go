@@ -340,13 +340,13 @@ func containment(g *depgraph.Graph, an *interproc.Analysis) error {
 	}
 	g.Nodes(func(n *depgraph.Node) {
 		n.Deps(func(d *depgraph.Node) {
-			if !an.Slice.HasDep(n.In.ID, d.In.ID) {
+			if !an.Slice.HasDep(int(n.In.ID), int(d.In.ID)) {
 				note("dynamic dep i%d -> i%d (%s -> %s) not in static slice",
 					n.In.ID, d.In.ID, n.In, d.In)
 			}
 		})
 		n.RefEdges(func(al *depgraph.Node) {
-			if !an.Slice.HasRef(n.In.ID, al.In.ID) {
+			if !an.Slice.HasRef(int(n.In.ID), int(al.In.ID)) {
 				note("dynamic ref i%d -> i%d not in static slice", n.In.ID, al.In.ID)
 			}
 		})
@@ -360,10 +360,10 @@ func containment(g *depgraph.Graph, an *interproc.Analysis) error {
 	for _, o := range owners {
 		ownerID := -1
 		if o != nil {
-			ownerID = o.In.ID
+			ownerID = int(o.In.ID)
 		}
 		g.Children(o, func(field int, child *depgraph.Node) {
-			if !an.Slice.HasChild(ownerID, field, child.In.ID) {
+			if !an.Slice.HasChild(ownerID, field, int(child.In.ID)) {
 				note("dynamic child (%d,%d) -> i%d not in static slice", ownerID, field, child.In.ID)
 			}
 		})

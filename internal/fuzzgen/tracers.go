@@ -127,7 +127,7 @@ func fuzzProtocol(prog *ir.Program) (*clients.Protocol, []int) {
 	var sites []int
 	for _, in := range prog.Instrs {
 		if in.Op == ir.OpNew {
-			sites = append(sites, in.AllocSite)
+			sites = append(sites, int(in.AllocSite))
 		}
 	}
 	return p, sites

@@ -188,8 +188,8 @@ func buildTab(meth *ir.Method, kind tabKind) mtab {
 		in := &meth.Code[i]
 		d := &tab[i]
 		d.in = in
-		d.dst, d.a, d.b, d.c2 = int32(in.Dst), int32(in.A), int32(in.B), int32(in.C2)
-		d.target = int32(in.Target)
+		d.dst, d.a, d.b, d.c2 = in.Dst, in.A, in.B, in.C2
+		d.target = in.Target
 		d.imm = in.Imm
 
 		switch in.Op {
@@ -202,7 +202,7 @@ func buildTab(meth *ir.Method, kind tabKind) mtab {
 		case ir.OpMove:
 			d.fn = pick(hMove, pMove)
 		case ir.OpBin:
-			switch in.Bin {
+			switch in.Bin() {
 			case ir.Add:
 				d.fn = pick(hAdd, pAdd)
 			case ir.Sub:
@@ -235,16 +235,16 @@ func buildTab(meth *ir.Method, kind tabKind) mtab {
 		case ir.OpNewArray:
 			d.fn = pick(hNewArray, pNewArray)
 		case ir.OpLoadField:
-			d.slot = int32(in.Field.Slot)
+			d.slot = int32(in.Field().Slot)
 			d.fn = pick(hLoadField, pLoadField)
 		case ir.OpStoreField:
-			d.slot = int32(in.Field.Slot)
+			d.slot = int32(in.Field().Slot)
 			d.fn = pick(hStoreField, pStoreField)
 		case ir.OpLoadStatic:
-			d.slot = int32(in.Static.Slot)
+			d.slot = int32(in.Static().Slot)
 			d.fn = pick(hLoadStatic, pLoadStatic)
 		case ir.OpStoreStatic:
-			d.slot = int32(in.Static.Slot)
+			d.slot = int32(in.Static().Slot)
 			d.fn = pick(hStoreStatic, pStoreStatic)
 		case ir.OpALoad:
 			d.fn = pick(hALoad, pALoad)
@@ -253,7 +253,7 @@ func buildTab(meth *ir.Method, kind tabKind) mtab {
 		case ir.OpArrayLen:
 			d.fn = pick(hArrayLen, pArrayLen)
 		case ir.OpIf:
-			switch in.Cmp {
+			switch in.Cmp() {
 			case ir.Eq:
 				d.fn = pick(hIfEq, pIfEq)
 			case ir.Ne:
@@ -274,11 +274,11 @@ func buildTab(meth *ir.Method, kind tabKind) mtab {
 		case ir.OpInstanceOf:
 			d.fn = pick(hInstanceOf, pInstanceOf)
 		case ir.OpCall:
-			d.callee = in.Callee
-			if in.Callee.Static {
+			d.callee = in.Callee()
+			if in.Callee().Static {
 				d.fn = hCallStatic
 			} else {
-				d.a = int32(in.Args[0]) // receiver slot
+				d.a = in.Args()[0] // receiver slot
 				d.icIdx = int32(vcount)
 				vcount++
 				d.fn = hCallVirtual
@@ -422,7 +422,7 @@ func hBadBin(m *Machine, fr *Frame, d *dinstr) error {
 	if _, _, err := binOperands(m, fr, d); err != nil {
 		return err
 	}
-	return m.fail(ErrType, d.in, fr, "bad binop %v", d.in.Bin)
+	return m.fail(ErrType, d.in, fr, "bad binop %v", d.in.Bin())
 }
 
 func hNeg(m *Machine, fr *Frame, d *dinstr) error {
@@ -501,7 +501,7 @@ func hStoreField(m *Machine, fr *Frame, d *dinstr) error {
 
 // noField fails a field access on an object without the field.
 func (m *Machine) noField(fr *Frame, d *dinstr, base *Object) error {
-	return m.fail(ErrType, d.in, fr, "object %s has no field %s", base, d.in.Field.QualifiedName())
+	return m.fail(ErrType, d.in, fr, "object %s has no field %s", base, d.in.Field().QualifiedName())
 }
 
 func hLoadStatic(m *Machine, fr *Frame, d *dinstr) error {
@@ -665,7 +665,7 @@ func hInstanceOf(m *Machine, fr *Frame, d *dinstr) error {
 	if v.K != ir.KindRef {
 		return m.fail(ErrType, d.in, fr, "instanceof on non-reference")
 	}
-	return finishBin(m, fr, d, isInstance(v, d.in.Class))
+	return finishBin(m, fr, d, isInstance(v, d.in.Class()))
 }
 
 // isInstance is instanceof's result for a reference v: 1 when v is a
@@ -745,6 +745,7 @@ func (m *Machine) pushCall(fr *Frame, d *dinstr, callee *ir.Method, recv *Object
 	if m.tracer != nil {
 		m.tracer.BeforeCall(d.in, fr, callee, recv)
 	}
+	args := d.in.Args()
 	var nf *Frame
 	if n := len(m.framePool); n > 0 {
 		nf = m.framePool[n-1]
@@ -756,7 +757,7 @@ func (m *Machine) pushCall(fr *Frame, d *dinstr, callee *ir.Method, recv *Object
 			// Argument slots are overwritten below; only the rest needs
 			// clearing to erase the previous tenant's values.
 			nf.Locals = nf.Locals[:callee.NumLocals]
-			clear(nf.Locals[len(d.in.Args):])
+			clear(nf.Locals[len(args):])
 		}
 		nf.PC = 0
 		nf.RetDst = int(d.dst)
@@ -770,7 +771,7 @@ func (m *Machine) pushCall(fr *Frame, d *dinstr, callee *ir.Method, recv *Object
 			CallIn: d.in,
 		}
 	}
-	for i, a := range d.in.Args {
+	for i, a := range args {
 		nf.Locals[i] = fr.Locals[a]
 	}
 	nf.tab, nf.ics = m.methodTab(callee)

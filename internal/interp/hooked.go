@@ -55,7 +55,7 @@ func pInstanceOf(m *Machine, fr *Frame, d *dinstr) error {
 	if v.K != ir.KindRef {
 		return m.fail(ErrType, d.in, fr, "instanceof on non-reference")
 	}
-	return hookUnary(m, fr, d, IntVal(isInstance(v, d.in.Class)))
+	return hookUnary(m, fr, d, IntVal(isInstance(v, d.in.Class())))
 }
 
 // hookBin stores an arithmetic result and reports it.

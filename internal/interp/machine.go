@@ -160,7 +160,7 @@ func (m *Machine) charge(in *ir.Instr, fr *Frame, n, header int64) error {
 
 // newObject allocates the class instance of OpNew in.
 func (m *Machine) newObject(in *ir.Instr, fr *Frame) (*Object, error) {
-	c := in.Class
+	c := in.Class()
 	if err := m.charge(in, fr, int64(c.NumFieldSlots()), headerCells); err != nil {
 		return nil, err
 	}
@@ -173,7 +173,7 @@ func (m *Machine) newObject(in *ir.Instr, fr *Frame) (*Object, error) {
 			fields[slot] = Null
 		}
 	}
-	return &Object{Class: c, Fields: fields, Site: in.AllocSite, Seq: m.seq}, nil
+	return &Object{Class: c, Fields: fields, Site: int(in.AllocSite), Seq: m.seq}, nil
 }
 
 // initStatics allocates static storage and nulls reference-typed slots.
@@ -205,8 +205,8 @@ func (m *Machine) newArray(in *ir.Instr, fr *Frame) (*Object, error) {
 	m.seq++
 	m.Allocs++
 	m.AllocsBySite[in.AllocSite]++
-	o := &Object{Elems: make([]Value, n.I), ElemT: in.Elem, Site: in.AllocSite, Seq: m.seq}
-	if in.Elem.IsRef() {
+	o := &Object{Elems: make([]Value, n.I), ElemT: in.Elem(), Site: int(in.AllocSite), Seq: m.seq}
+	if in.Elem().IsRef() {
 		for i := range o.Elems {
 			o.Elems[i] = Null
 		}
@@ -412,7 +412,7 @@ func (m *Machine) compare(in *ir.Instr, fr *Frame) (bool, error) {
 	a, b := fr.Locals[in.A], fr.Locals[in.B]
 	if a.K == ir.KindRef || b.K == ir.KindRef {
 		// Reference comparison: only identity equality is defined.
-		if in.Cmp != ir.Eq && in.Cmp != ir.Ne {
+		if in.Cmp() != ir.Eq && in.Cmp() != ir.Ne {
 			return false, m.fail(ErrType, in, fr, "ordered comparison of references")
 		}
 		var ar, br *Object
@@ -425,15 +425,15 @@ func (m *Machine) compare(in *ir.Instr, fr *Frame) (bool, error) {
 		if a.K != b.K {
 			// Comparing ref with int: only null-vs-0 idiom is tolerated as
 			// inequality.
-			return in.Cmp == ir.Ne, nil
+			return in.Cmp() == ir.Ne, nil
 		}
 		eq := ar == br
-		if in.Cmp == ir.Eq {
+		if in.Cmp() == ir.Eq {
 			return eq, nil
 		}
 		return !eq, nil
 	}
-	switch in.Cmp {
+	switch in.Cmp() {
 	case ir.Eq:
 		return a.I == b.I, nil
 	case ir.Ne:
@@ -451,9 +451,10 @@ func (m *Machine) compare(in *ir.Instr, fr *Frame) (bool, error) {
 }
 
 func (m *Machine) doNative(fr *Frame, in *ir.Instr) (Value, error) {
+	args := in.Args()
 	arg := func(i int) Value {
-		if i < len(in.Args) {
-			return fr.Locals[in.Args[i]]
+		if i < len(args) {
+			return fr.Locals[args[i]]
 		}
 		return IntVal(0)
 	}
@@ -467,7 +468,7 @@ func (m *Machine) doNative(fr *Frame, in *ir.Instr) (Value, error) {
 		}
 		return v.I
 	}
-	switch in.Native {
+	switch in.Native() {
 	case ir.NativePrint, ir.NativePrintChar:
 		if err := m.charge(in, fr, 1, 0); err != nil {
 			return IntVal(0), err
@@ -495,14 +496,14 @@ func (m *Machine) doNative(fr *Frame, in *ir.Instr) (Value, error) {
 	case ir.NativeDBQuery:
 		m.NativeWork += DBQueryCost
 		var h uint64 = 0x9E3779B97F4A7C15
-		for i := range in.Args {
+		for i := range args {
 			h = mix64(h ^ uint64(argInt(i)))
 		}
 		return IntVal(int64(h >> 1)), nil
 	case ir.NativeHash:
 		return IntVal(int64(mix64(uint64(argInt(0))) >> 1)), nil
 	default:
-		return IntVal(0), m.fail(ErrNative, in, fr, "unknown native %v", in.Native)
+		return IntVal(0), m.fail(ErrNative, in, fr, "unknown native %v", in.Native())
 	}
 }
 

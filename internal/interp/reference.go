@@ -84,7 +84,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 			return m.fail(ErrType, in, fr, "arithmetic on reference")
 		}
 		var r int64
-		switch in.Bin {
+		switch in.Bin() {
 		case ir.Add:
 			r = a.I + b.I
 		case ir.Sub:
@@ -112,7 +112,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 		case ir.Shr:
 			r = a.I >> (uint64(b.I) & 63)
 		default:
-			return m.fail(ErrType, in, fr, "bad binop %v", in.Bin)
+			return m.fail(ErrType, in, fr, "bad binop %v", in.Bin())
 		}
 		loc[in.Dst] = IntVal(r)
 		t.Binary(in, fr)
@@ -155,10 +155,10 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		if base.IsArray() || in.Field.Slot >= len(base.Fields) {
-			return m.fail(ErrType, in, fr, "object %s has no field %s", base, in.Field.QualifiedName())
+		if base.IsArray() || in.Field().Slot >= len(base.Fields) {
+			return m.fail(ErrType, in, fr, "object %s has no field %s", base, in.Field().QualifiedName())
 		}
-		loc[in.Dst] = base.Fields[in.Field.Slot]
+		loc[in.Dst] = base.Fields[in.Field().Slot]
 		t.LoadField(in, fr, base)
 
 	case ir.OpStoreField:
@@ -166,18 +166,18 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		if base.IsArray() || in.Field.Slot >= len(base.Fields) {
-			return m.fail(ErrType, in, fr, "object %s has no field %s", base, in.Field.QualifiedName())
+		if base.IsArray() || in.Field().Slot >= len(base.Fields) {
+			return m.fail(ErrType, in, fr, "object %s has no field %s", base, in.Field().QualifiedName())
 		}
-		base.Fields[in.Field.Slot] = loc[in.B]
+		base.Fields[in.Field().Slot] = loc[in.B]
 		t.StoreField(in, fr, base, loc[in.B])
 
 	case ir.OpLoadStatic:
-		loc[in.Dst] = m.Statics[in.Static.Slot]
+		loc[in.Dst] = m.Statics[in.Static().Slot]
 		t.LoadStatic(in, fr)
 
 	case ir.OpStoreStatic:
-		m.Statics[in.Static.Slot] = loc[in.A]
+		m.Statics[in.Static().Slot] = loc[in.A]
 		t.StoreStatic(in, fr, loc[in.A])
 
 	case ir.OpALoad:
@@ -224,7 +224,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 			return err
 		}
 		if taken {
-			fr.PC = in.Target
+			fr.PC = int(in.Target)
 		}
 		t.Branch(in, fr, taken)
 		if taken {
@@ -232,7 +232,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 		}
 
 	case ir.OpGoto:
-		fr.PC = in.Target
+		fr.PC = int(in.Target)
 		return nil // no tracer hook for pure control transfer
 
 	case ir.OpInstanceOf:
@@ -241,7 +241,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 			return m.fail(ErrType, in, fr, "instanceof on non-reference")
 		}
 		res := int64(0)
-		if v.Ref != nil && !v.Ref.IsArray() && v.Ref.Class.IsSubclassOf(in.Class) {
+		if v.Ref != nil && !v.Ref.IsArray() && v.Ref.Class.IsSubclassOf(in.Class()) {
 			res = 1
 		}
 		loc[in.Dst] = IntVal(res)
@@ -273,7 +273,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 
 // refOperand loads a non-null reference from slot s, failing with the
 // appropriate VM error otherwise. wantArray selects array vs instance.
-func (m *Machine) refOperand(in *ir.Instr, fr *Frame, s int, wantArray bool) (*Object, error) {
+func (m *Machine) refOperand(in *ir.Instr, fr *Frame, s int32, wantArray bool) (*Object, error) {
 	v := fr.Locals[s]
 	if v.K != ir.KindRef {
 		return nil, m.fail(ErrType, in, fr, "expected reference in slot %d, got int", s)
@@ -288,10 +288,10 @@ func (m *Machine) refOperand(in *ir.Instr, fr *Frame, s int, wantArray bool) (*O
 }
 
 func (m *Machine) doCall(fr *Frame, in *ir.Instr) error {
-	callee := in.Callee
+	callee := in.Callee()
 	var recv *Object
 	if !callee.Static {
-		v := fr.Locals[in.Args[0]]
+		v := fr.Locals[in.Args()[0]]
 		if v.K != ir.KindRef {
 			return m.fail(ErrType, in, fr, "receiver is not a reference")
 		}
@@ -318,10 +318,10 @@ func (m *Machine) doCall(fr *Frame, in *ir.Instr) error {
 	nf := &Frame{
 		Method: callee,
 		Locals: make([]Value, callee.NumLocals),
-		RetDst: in.Dst,
+		RetDst: int(in.Dst),
 		CallIn: in,
 	}
-	for i, a := range in.Args {
+	for i, a := range in.Args() {
 		nf.Locals[i] = fr.Locals[a]
 	}
 	m.frames = append(m.frames, nf)

@@ -148,9 +148,9 @@ func (a *Analysis) LocName(l Loc) string {
 
 func allocTypeName(site *ir.Instr) string {
 	if site.Op == ir.OpNew {
-		return site.Class.Name
+		return site.Class().Name
 	}
-	return site.Elem.String() + "[]"
+	return site.Elem().String() + "[]"
 }
 
 // Report renders the deterministic slice report: pipeline statistics and the

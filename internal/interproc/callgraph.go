@@ -104,7 +104,7 @@ func NewCallGraph(prog *ir.Program, mode Mode) *CallGraph {
 			for pc := range m.Code {
 				in := &m.Code[pc]
 				if mode == RTA && in.Op == ir.OpNew {
-					instantiated[in.Class.ID] = true
+					instantiated[in.Class().ID] = true
 				}
 				if in.Op != ir.OpCall {
 					continue
@@ -152,7 +152,7 @@ func NewCallGraph(prog *ir.Program, mode Mode) *CallGraph {
 			ts := cg.resolve(in, instantiated)
 			cg.targets[in.ID] = ts
 			cg.numEdges += len(ts)
-			if !in.Callee.Static && countOverrides(prog, in.Callee) > 1 {
+			if !in.Callee().Static && countOverrides(prog, in.Callee()) > 1 {
 				cg.virtSites++
 			}
 			if len(ts) > cg.maxFanout {
@@ -172,7 +172,7 @@ func NewCallGraph(prog *ir.Program, mode Mode) *CallGraph {
 // resolve returns the possible callees of an OpCall site given the current
 // instantiated-class set, sorted by method ID.
 func (cg *CallGraph) resolve(in *ir.Instr, instantiated []bool) []*ir.Method {
-	callee := in.Callee
+	callee := in.Callee()
 	if callee.Static {
 		return []*ir.Method{callee}
 	}

@@ -262,43 +262,43 @@ func (s *ptSolver) build() {
 			in := &m.Code[pc]
 			switch in.Op {
 			case ir.OpNew, ir.OpNewArray:
-				dst := s.localVar(m, in.Dst)
+				dst := s.localVar(m, int(in.Dst))
 				if pt.Cfg.ObjCtx && !m.Static {
 					// Contextualized by the receiver: one abstract object per
 					// receiver allocation site that reaches this.
 					this := s.localVar(m, 0)
 					s.allocsOf[this] = append(s.allocsOf[this], allocC{in: in, dst: dst})
 					for _, o := range pt.pts[this].ids {
-						s.addObj(dst, s.obj(in, pt.Objects[o].Site.AllocSite))
+						s.addObj(dst, s.obj(in, int(pt.Objects[o].Site.AllocSite)))
 					}
 				} else {
 					s.addObj(dst, s.obj(in, NoCtx))
 				}
 			case ir.OpMove:
-				s.copyEdge(s.localVar(m, in.A), s.localVar(m, in.Dst))
+				s.copyEdge(s.localVar(m, int(in.A)), s.localVar(m, int(in.Dst)))
 			case ir.OpLoadField:
-				base := s.localVar(m, in.A)
-				dst := s.localVar(m, in.Dst)
-				s.addLoad(base, in.Field.ID, dst)
+				base := s.localVar(m, int(in.A))
+				dst := s.localVar(m, int(in.Dst))
+				s.addLoad(base, in.Field().ID, dst)
 			case ir.OpStoreField:
-				base := s.localVar(m, in.A)
-				src := s.localVar(m, in.B)
-				s.addStore(base, in.Field.ID, src)
+				base := s.localVar(m, int(in.A))
+				src := s.localVar(m, int(in.B))
+				s.addStore(base, in.Field().ID, src)
 			case ir.OpALoad:
-				s.addLoad(s.localVar(m, in.A), ElemField, s.localVar(m, in.Dst))
+				s.addLoad(s.localVar(m, int(in.A)), ElemField, s.localVar(m, int(in.Dst)))
 			case ir.OpAStore:
-				s.addStore(s.localVar(m, in.A), ElemField, s.localVar(m, in.C2))
+				s.addStore(s.localVar(m, int(in.A)), ElemField, s.localVar(m, int(in.C2)))
 			case ir.OpLoadStatic:
-				s.copyEdge(pt.staticVar[in.Static.Slot], s.localVar(m, in.Dst))
+				s.copyEdge(pt.staticVar[in.Static().Slot], s.localVar(m, int(in.Dst)))
 			case ir.OpStoreStatic:
-				s.copyEdge(s.localVar(m, in.A), pt.staticVar[in.Static.Slot])
+				s.copyEdge(s.localVar(m, int(in.A)), pt.staticVar[in.Static().Slot])
 			case ir.OpCall:
-				if in.Callee.Static {
+				if in.Callee().Static {
 					for _, t := range pt.CG.Targets(in) {
 						s.bindCall(m, in, t, false)
 					}
 				} else {
-					recv := s.localVar(m, in.Args[0])
+					recv := s.localVar(m, int(in.Args()[0]))
 					s.dispatchOf[recv] = append(s.dispatchOf[recv], in)
 					for _, o := range pt.pts[recv].ids {
 						s.dispatch(m, in, o)
@@ -306,7 +306,7 @@ func (s *ptSolver) build() {
 				}
 			case ir.OpReturn:
 				if in.HasA && pt.retBase[m.ID] >= 0 {
-					s.copyEdge(s.localVar(m, in.A), pt.retBase[m.ID])
+					s.copyEdge(s.localVar(m, int(in.A)), pt.retBase[m.ID])
 				}
 			}
 		}
@@ -332,7 +332,7 @@ func (s *ptSolver) addStore(base, field, src int) {
 // object-by-object through dispatch, keeping unrelated receiver classes out
 // of this.
 func (s *ptSolver) bindCall(caller *ir.Method, in *ir.Instr, t *ir.Method, virtual bool) {
-	key := callTarget{in.ID, t.ID}
+	key := callTarget{int(in.ID), t.ID}
 	if s.boundCalls[key] {
 		return
 	}
@@ -344,11 +344,11 @@ func (s *ptSolver) bindCall(caller *ir.Method, in *ir.Instr, t *ir.Method, virtu
 	if virtual {
 		start = 1 // the receiver is bound per-object in dispatch
 	}
-	for i := start; i < len(in.Args) && i < t.Params; i++ {
-		s.copyEdge(s.localVar(caller, in.Args[i]), s.pt.varBase[t.ID]+i)
+	for i := start; i < len(in.Args()) && i < t.Params; i++ {
+		s.copyEdge(s.localVar(caller, int(in.Args()[i])), s.pt.varBase[t.ID]+i)
 	}
 	if in.Dst >= 0 && s.pt.retBase[t.ID] >= 0 {
-		s.copyEdge(s.pt.retBase[t.ID], s.localVar(caller, in.Dst))
+		s.copyEdge(s.pt.retBase[t.ID], s.localVar(caller, int(in.Dst)))
 	}
 }
 
@@ -358,7 +358,7 @@ func (s *ptSolver) dispatch(caller *ir.Method, in *ir.Instr, o ObjID) {
 	if site.Op != ir.OpNew {
 		return // arrays have no methods
 	}
-	t := site.Class.LookupMethod(in.Callee.Name)
+	t := site.Class().LookupMethod(in.Callee().Name)
 	if t == nil {
 		return
 	}
@@ -417,7 +417,7 @@ func (s *ptSolver) solve(ctx context.Context) error {
 		}
 		for _, ac := range s.allocsOf[v] {
 			for _, o := range delta {
-				s.addObj(ac.dst, s.obj(ac.in, s.pt.Objects[o].Site.AllocSite))
+				s.addObj(ac.dst, s.obj(ac.in, int(s.pt.Objects[o].Site.AllocSite)))
 			}
 		}
 		for _, dst := range s.copyOut[v] {

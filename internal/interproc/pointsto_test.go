@@ -86,10 +86,10 @@ func TestPointsToDispatchFilter(t *testing.T) {
 	single := func(slot, wantPC int) {
 		t.Helper()
 		got := pt.VarPT(mm, slot)
-		if len(got) != 1 || pt.Objects[got[0]].Site.PC != wantPC {
+		if len(got) != 1 || int(pt.Objects[got[0]].Site.PC) != wantPC {
 			var pcs []int
 			for _, o := range got {
-				pcs = append(pcs, pt.Objects[o].Site.PC)
+				pcs = append(pcs, int(pt.Objects[o].Site.PC))
 			}
 			t.Errorf("pt(v%d) sites at pcs %v, want exactly pc %d", slot, pcs, wantPC)
 		}

@@ -137,7 +137,7 @@ func (sg *StaticGraph) computeProducers(ctx context.Context, flows []*ir.Reachin
 	addDef := func(set map[int]bool, caller *ir.Method, d int) bool {
 		rd := flows[caller.ID]
 		if !rd.IsParamDef(d) {
-			id := caller.Code[d].ID
+			id := int(caller.Code[d].ID)
 			if !set[id] {
 				set[id] = true
 				return true
@@ -214,7 +214,7 @@ func sortedKeys(set map[int]bool) []int {
 func locOf(in *ir.Instr, o ObjID) Loc {
 	switch in.Op {
 	case ir.OpLoadField, ir.OpStoreField:
-		return Loc{Obj: o, Field: in.Field.ID}
+		return Loc{Obj: o, Field: in.Field().ID}
 	default: // array element access
 		return Loc{Obj: o, Field: ElemField}
 	}
@@ -227,20 +227,20 @@ func (sg *StaticGraph) indexLocs() {
 			in := &m.Code[pc]
 			switch in.Op {
 			case ir.OpStoreField, ir.OpAStore:
-				for _, o := range sg.PT.VarPT(m, in.A) {
+				for _, o := range sg.PT.VarPT(m, int(in.A)) {
 					l := locOf(in, o)
 					sg.locStores[l] = append(sg.locStores[l], in)
 				}
 			case ir.OpStoreStatic:
-				l := Loc{Static: true, Field: in.Static.Slot}
+				l := Loc{Static: true, Field: in.Static().Slot}
 				sg.locStores[l] = append(sg.locStores[l], in)
 			case ir.OpLoadField, ir.OpALoad:
-				for _, o := range sg.PT.VarPT(m, in.A) {
+				for _, o := range sg.PT.VarPT(m, int(in.A)) {
 					l := locOf(in, o)
 					sg.locLoads[l] = append(sg.locLoads[l], in)
 				}
 			case ir.OpLoadStatic:
-				l := Loc{Static: true, Field: in.Static.Slot}
+				l := Loc{Static: true, Field: in.Static().Slot}
 				sg.locLoads[l] = append(sg.locLoads[l], in)
 			}
 		}
@@ -270,10 +270,10 @@ func (sg *StaticGraph) addEdges(flows []*ir.ReachingDefs) {
 				for _, d := range op.Defs {
 					if rd.IsParamDef(d) {
 						for _, p := range sg.argProducers[m.ID][rd.ParamOf(d)] {
-							sg.addDep(in.ID, p)
+							sg.addDep(int(in.ID), p)
 						}
 					} else {
-						sg.addDep(in.ID, m.Code[d].ID)
+						sg.addDep(int(in.ID), int(m.Code[d].ID))
 					}
 				}
 			}
@@ -282,29 +282,29 @@ func (sg *StaticGraph) addEdges(flows []*ir.ReachingDefs) {
 				if in.Dst >= 0 {
 					for _, t := range sg.CG.Targets(in) {
 						for _, r := range sg.retProducers[t.ID] {
-							sg.addDep(in.ID, r)
+							sg.addDep(int(in.ID), r)
 						}
 					}
 				}
 			case ir.OpArrayLen:
 				// The length was written by the allocation itself.
-				for _, o := range sg.PT.VarPT(m, in.A) {
-					sg.addDep(in.ID, sg.PT.Objects[o].Site.ID)
+				for _, o := range sg.PT.VarPT(m, int(in.A)) {
+					sg.addDep(int(in.ID), int(sg.PT.Objects[o].Site.ID))
 				}
 			case ir.OpStoreField:
-				for _, o := range sg.PT.VarPT(m, in.A) {
+				for _, o := range sg.PT.VarPT(m, int(in.A)) {
 					site := sg.PT.Objects[o].Site
-					sg.addRef(in.ID, site.ID)
-					sg.addChildren(site.ID, in.Field.ID, m, in.B)
+					sg.addRef(int(in.ID), int(site.ID))
+					sg.addChildren(int(site.ID), in.Field().ID, m, int(in.B))
 				}
 			case ir.OpAStore:
-				for _, o := range sg.PT.VarPT(m, in.A) {
+				for _, o := range sg.PT.VarPT(m, int(in.A)) {
 					site := sg.PT.Objects[o].Site
-					sg.addRef(in.ID, site.ID)
-					sg.addChildren(site.ID, ElemField, m, in.C2)
+					sg.addRef(int(in.ID), int(site.ID))
+					sg.addChildren(int(site.ID), ElemField, m, int(in.C2))
 				}
 			case ir.OpStoreStatic:
-				sg.addChildren(-1, in.Static.Slot, m, in.A)
+				sg.addChildren(-1, in.Static().Slot, m, int(in.A))
 			}
 		}
 	}
@@ -313,7 +313,7 @@ func (sg *StaticGraph) addEdges(flows []*ir.ReachingDefs) {
 		stores := sg.locStores[l]
 		for _, ld := range loads {
 			for _, st := range stores {
-				sg.addDep(ld.ID, st.ID)
+				sg.addDep(int(ld.ID), int(st.ID))
 			}
 		}
 	}

@@ -54,7 +54,7 @@ func TestStaticSliceEdges(t *testing.T) {
 	prog, mm, id := sliceProgram(t)
 	an := Analyze(prog, Config{Mode: RTA})
 	sg := an.Slice
-	iid := func(m *ir.Method, pc int) int { return m.Code[pc].ID }
+	iid := func(m *ir.Method, pc int) int { return int(m.Code[pc].ID) }
 
 	fref := prog.ClassByName("Holder").LookupField("ref")
 

@@ -38,13 +38,13 @@ func checkContainment(t *testing.T, name string, g *depgraph.Graph, an *Analysis
 	}
 	g.Nodes(func(n *depgraph.Node) {
 		n.Deps(func(d *depgraph.Node) {
-			if !an.Slice.HasDep(n.In.ID, d.In.ID) {
+			if !an.Slice.HasDep(int(n.In.ID), int(d.In.ID)) {
 				report("%s: dynamic dep %v -> %v (i%d -> i%d: %s -> %s) not in static slice",
 					label, n, d, n.In.ID, d.In.ID, n.In, d.In)
 			}
 		})
 		n.RefEdges(func(al *depgraph.Node) {
-			if !an.Slice.HasRef(n.In.ID, al.In.ID) {
+			if !an.Slice.HasRef(int(n.In.ID), int(al.In.ID)) {
 				report("%s: dynamic ref %v -> %v not in static slice", label, n, al)
 			}
 		})
@@ -58,10 +58,10 @@ func checkContainment(t *testing.T, name string, g *depgraph.Graph, an *Analysis
 	for _, o := range owners {
 		ownerID := -1
 		if o != nil {
-			ownerID = o.In.ID
+			ownerID = int(o.In.ID)
 		}
 		g.Children(o, func(field int, child *depgraph.Node) {
-			if !an.Slice.HasChild(ownerID, field, child.In.ID) {
+			if !an.Slice.HasChild(ownerID, field, int(child.In.ID)) {
 				report("%s: dynamic child (%d,%d) -> i%d not in static slice",
 					label, ownerID, field, child.In.ID)
 			}

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Builder incrementally constructs a Program. Typical use:
 //
@@ -16,6 +19,7 @@ import "fmt"
 // The Builder assigns instruction IDs, allocation-site IDs and field slots;
 // Seal validates the result.
 type Builder struct {
+	syms        map[any]*sym // interned per entity an instruction names
 	classes     []*Class
 	statics     []*StaticField
 	classByName map[string]*Class
@@ -27,6 +31,7 @@ type Builder struct {
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
 	return &Builder{
+		syms:        make(map[any]*sym),
 		classByName: make(map[string]*Class),
 		refTypes:    make(map[*Class]*Type),
 		arrTypes:    make(map[*Type]*Type),
@@ -96,24 +101,65 @@ func (b *Builder) Method(c *Class, name string, static bool, params int, returns
 
 // BodyBuilder emits instructions into a method. It also tracks the high-water
 // mark of local slots so NumLocals is maintained automatically.
+//
+// The body grows in chunks that are never re-copied: a chunk that fills is
+// kept and a new one started, each twice the size of the one before up to
+// maxChunk instructions. Seal copies every body once into exactly sized
+// storage, so no *Instr exists before then; until Seal, an instruction is
+// addressed by its PC (Patch).
 type BodyBuilder struct {
-	m    *Method
-	line int
+	b      *Builder
+	m      *Method
+	line   int
+	n      int       // instructions emitted
+	allocs int       // of which OpNew or OpNewArray
+	chunks [][]Instr // the body in order; chunk k holds chunkCap(k)
+	args   []int32   // call and native arguments, windowed by A and B
+}
+
+// A body's first chunk holds firstChunk instructions; chunk k ≥ 1 holds
+// firstChunk<<(k-1), so chunk k starts where its size does, up to maxChunk
+// (64 KB of instructions). From there every chunk holds maxChunk.
+const (
+	firstChunk = 16
+	maxChunk   = 1024
+	growChunks = 6 // log2(maxChunk / firstChunk)
+)
+
+// chunkCap returns the capacity of a body's chunk k.
+func chunkCap(k int) int {
+	if k == 0 {
+		return firstChunk
+	}
+	return firstChunk << min(k-1, growChunks)
+}
+
+// chunkOf returns the chunk holding pc and pc's index within it.
+func chunkOf(pc int) (k, i int) {
+	if pc >= maxChunk {
+		return pc/maxChunk + growChunks, pc % maxChunk
+	}
+	k = bits.Len(uint(pc / firstChunk))
+	if k == 0 {
+		return 0, pc
+	}
+	return k, pc - firstChunk<<(k-1)
 }
 
 // Body returns a BodyBuilder for m. A method may only be built once.
 func (b *Builder) Body(m *Method) *BodyBuilder {
-	if len(m.Code) != 0 {
+	if len(m.Code) != 0 || m.body != nil {
 		panic(fmt.Sprintf("ir: method %s already has a body", m.QualifiedName()))
 	}
-	return &BodyBuilder{m: m}
+	m.body = &BodyBuilder{b: b, m: m}
+	return m.body
 }
 
 // Line sets the source line recorded on subsequently emitted instructions.
 func (bb *BodyBuilder) Line(line int) *BodyBuilder { bb.line = line; return bb }
 
 // PC returns the index the next emitted instruction will have.
-func (bb *BodyBuilder) PC() int { return len(bb.m.Code) }
+func (bb *BodyBuilder) PC() int { return bb.n }
 
 func (bb *BodyBuilder) touch(slots ...int) {
 	for _, s := range slots {
@@ -124,161 +170,223 @@ func (bb *BodyBuilder) touch(slots ...int) {
 }
 
 func (bb *BodyBuilder) emit(in Instr) int {
-	in.Line = bb.line
-	in.PC = len(bb.m.Code)
-	bb.m.Code = append(bb.m.Code, in)
-	return in.PC
+	k := len(bb.chunks) - 1
+	if k < 0 || len(bb.chunks[k]) == cap(bb.chunks[k]) {
+		k++
+		bb.chunks = append(bb.chunks, make([]Instr, 0, chunkCap(k)))
+	}
+	pc := bb.n
+	in.Method = bb.m
+	in.Line = int32(bb.line)
+	in.PC = int32(pc)
+	in.AllocSite = -1
+	if in.IsAlloc() {
+		bb.allocs++
+	}
+	bb.chunks[k] = append(bb.chunks[k], in)
+	bb.n++
+	return pc
+}
+
+// slots returns an instruction of op over local slots dst, a, b2 and c2,
+// each -1 when unused.
+func slots(op Op, dst, a, b2, c2 int) Instr {
+	return Instr{Op: op, Dst: int32(dst), A: int32(a), B: int32(b2), C2: int32(c2)}
+}
+
+// sym returns the record interned for the entity s names.
+func (b *Builder) sym(key any, s sym) *sym {
+	if p, ok := b.syms[key]; ok {
+		return p
+	}
+	p := &s
+	b.syms[key] = p
+	return p
 }
 
 // Const emits dst = imm.
 func (bb *BodyBuilder) Const(dst int, imm int64) int {
 	bb.touch(dst)
-	return bb.emit(Instr{Op: OpConst, Dst: dst, Imm: imm, A: -1, B: -1, C2: -1, AllocSite: -1})
+	in := slots(OpConst, dst, -1, -1, -1)
+	in.Imm = imm
+	return bb.emit(in)
 }
 
 // Null emits dst = null.
 func (bb *BodyBuilder) Null(dst int) int {
 	bb.touch(dst)
-	return bb.emit(Instr{Op: OpConst, Dst: dst, IsNull: true, A: -1, B: -1, C2: -1, AllocSite: -1})
+	in := slots(OpConst, dst, -1, -1, -1)
+	in.IsNull = true
+	return bb.emit(in)
 }
 
 // Move emits dst = src.
 func (bb *BodyBuilder) Move(dst, src int) int {
 	bb.touch(dst, src)
-	return bb.emit(Instr{Op: OpMove, Dst: dst, A: src, B: -1, C2: -1, AllocSite: -1})
+	return bb.emit(slots(OpMove, dst, src, -1, -1))
 }
 
 // Bin emits dst = a op b2.
 func (bb *BodyBuilder) Bin(dst int, op BinOp, a, b2 int) int {
 	bb.touch(dst, a, b2)
-	return bb.emit(Instr{Op: OpBin, Dst: dst, Bin: op, A: a, B: b2, C2: -1, AllocSite: -1})
+	in := slots(OpBin, dst, a, b2, -1)
+	in.opr = uint8(op)
+	return bb.emit(in)
 }
 
 // Neg emits dst = -a.
 func (bb *BodyBuilder) Neg(dst, a int) int {
 	bb.touch(dst, a)
-	return bb.emit(Instr{Op: OpNeg, Dst: dst, A: a, B: -1, C2: -1, AllocSite: -1})
+	return bb.emit(slots(OpNeg, dst, a, -1, -1))
 }
 
 // Not emits dst = !a.
 func (bb *BodyBuilder) Not(dst, a int) int {
 	bb.touch(dst, a)
-	return bb.emit(Instr{Op: OpNot, Dst: dst, A: a, B: -1, C2: -1, AllocSite: -1})
+	return bb.emit(slots(OpNot, dst, a, -1, -1))
 }
 
 // New emits dst = new cls. The allocation-site index is assigned at Seal.
 func (bb *BodyBuilder) New(dst int, cls *Class) int {
 	bb.touch(dst)
-	return bb.emit(Instr{Op: OpNew, Dst: dst, Class: cls, A: -1, B: -1, C2: -1, AllocSite: -1})
+	in := slots(OpNew, dst, -1, -1, -1)
+	in.sym = bb.b.sym(cls, sym{class: cls})
+	return bb.emit(in)
 }
 
 // NewArray emits dst = new elem[lenSlot].
 func (bb *BodyBuilder) NewArray(dst int, elem *Type, lenSlot int) int {
 	bb.touch(dst, lenSlot)
-	return bb.emit(Instr{Op: OpNewArray, Dst: dst, Elem: elem, A: lenSlot, B: -1, C2: -1, AllocSite: -1})
+	in := slots(OpNewArray, dst, lenSlot, -1, -1)
+	in.sym = bb.b.sym(elem, sym{elem: elem})
+	return bb.emit(in)
 }
 
 // LoadField emits dst = obj.f.
 func (bb *BodyBuilder) LoadField(dst, obj int, f *Field) int {
 	bb.touch(dst, obj)
-	return bb.emit(Instr{Op: OpLoadField, Dst: dst, A: obj, Field: f, B: -1, C2: -1, AllocSite: -1})
+	in := slots(OpLoadField, dst, obj, -1, -1)
+	in.sym = bb.b.sym(f, sym{field: f})
+	return bb.emit(in)
 }
 
 // StoreField emits obj.f = src.
 func (bb *BodyBuilder) StoreField(obj int, f *Field, src int) int {
 	bb.touch(obj, src)
-	return bb.emit(Instr{Op: OpStoreField, A: obj, Field: f, B: src, Dst: -1, C2: -1, AllocSite: -1})
+	in := slots(OpStoreField, -1, obj, src, -1)
+	in.sym = bb.b.sym(f, sym{field: f})
+	return bb.emit(in)
 }
 
 // LoadStatic emits dst = sf.
 func (bb *BodyBuilder) LoadStatic(dst int, sf *StaticField) int {
 	bb.touch(dst)
-	return bb.emit(Instr{Op: OpLoadStatic, Dst: dst, Static: sf, A: -1, B: -1, C2: -1, AllocSite: -1})
+	in := slots(OpLoadStatic, dst, -1, -1, -1)
+	in.sym = bb.b.sym(sf, sym{static: sf})
+	return bb.emit(in)
 }
 
 // StoreStatic emits sf = src.
 func (bb *BodyBuilder) StoreStatic(sf *StaticField, src int) int {
 	bb.touch(src)
-	return bb.emit(Instr{Op: OpStoreStatic, Static: sf, A: src, Dst: -1, B: -1, C2: -1, AllocSite: -1})
+	in := slots(OpStoreStatic, -1, src, -1, -1)
+	in.sym = bb.b.sym(sf, sym{static: sf})
+	return bb.emit(in)
 }
 
 // ALoad emits dst = arr[idx].
 func (bb *BodyBuilder) ALoad(dst, arr, idx int) int {
 	bb.touch(dst, arr, idx)
-	return bb.emit(Instr{Op: OpALoad, Dst: dst, A: arr, B: idx, C2: -1, AllocSite: -1})
+	return bb.emit(slots(OpALoad, dst, arr, idx, -1))
 }
 
 // AStore emits arr[idx] = src.
 func (bb *BodyBuilder) AStore(arr, idx, src int) int {
 	bb.touch(arr, idx, src)
-	return bb.emit(Instr{Op: OpAStore, A: arr, B: idx, C2: src, Dst: -1, AllocSite: -1})
+	return bb.emit(slots(OpAStore, -1, arr, idx, src))
 }
 
 // ArrayLen emits dst = len(arr).
 func (bb *BodyBuilder) ArrayLen(dst, arr int) int {
 	bb.touch(dst, arr)
-	return bb.emit(Instr{Op: OpArrayLen, Dst: dst, A: arr, B: -1, C2: -1, AllocSite: -1})
+	return bb.emit(slots(OpArrayLen, dst, arr, -1, -1))
 }
 
 // If emits "if a cmp b2 goto target". The target may be patched later with
 // Patch.
 func (bb *BodyBuilder) If(a int, cmp Cmp, b2, target int) int {
 	bb.touch(a, b2)
-	return bb.emit(Instr{Op: OpIf, A: a, Cmp: cmp, B: b2, Target: target, Dst: -1, C2: -1, AllocSite: -1})
+	in := slots(OpIf, -1, a, b2, -1)
+	in.opr = uint8(cmp)
+	in.Target = int32(target)
+	return bb.emit(in)
 }
 
 // Goto emits an unconditional jump.
 func (bb *BodyBuilder) Goto(target int) int {
-	return bb.emit(Instr{Op: OpGoto, Target: target, Dst: -1, A: -1, B: -1, C2: -1, AllocSite: -1})
+	in := slots(OpGoto, -1, -1, -1, -1)
+	in.Target = int32(target)
+	return bb.emit(in)
 }
 
 // Patch rewrites the jump target of the branch instruction at pc.
 func (bb *BodyBuilder) Patch(pc, target int) {
-	in := &bb.m.Code[pc]
+	k, i := chunkOf(pc)
+	in := &bb.chunks[k][i]
 	if in.Op != OpIf && in.Op != OpGoto {
 		panic(fmt.Sprintf("ir: patching non-branch at pc %d in %s", pc, bb.m.QualifiedName()))
 	}
-	in.Target = target
+	in.Target = int32(target)
+}
+
+// call emits an OpCall or OpNative whose arguments are the next window of
+// the method's argument slab.
+func (bb *BodyBuilder) call(in Instr, args []int) int {
+	bb.touch(args...)
+	if in.Dst >= 0 {
+		bb.touch(int(in.Dst))
+	}
+	in.A, in.B = int32(len(bb.args)), int32(len(args))
+	for _, a := range args {
+		bb.args = append(bb.args, int32(a))
+	}
+	return bb.emit(in)
 }
 
 // Call emits dst = callee(args...). dst may be -1 for void calls. For
 // instance methods, args[0] is the receiver.
 func (bb *BodyBuilder) Call(dst int, callee *Method, args ...int) int {
-	bb.touch(args...)
-	if dst >= 0 {
-		bb.touch(dst)
-	}
-	as := make([]int, len(args))
-	copy(as, args)
-	return bb.emit(Instr{Op: OpCall, Dst: dst, Callee: callee, Args: as, A: -1, B: -1, C2: -1, AllocSite: -1})
+	in := slots(OpCall, dst, -1, -1, -1)
+	in.sym = bb.b.sym(callee, sym{callee: callee})
+	return bb.call(in, args)
 }
 
 // Native emits dst = native(args...). dst may be -1.
 func (bb *BodyBuilder) Native(dst int, fn NativeFn, args ...int) int {
-	bb.touch(args...)
-	if dst >= 0 {
-		bb.touch(dst)
-	}
-	as := make([]int, len(args))
-	copy(as, args)
-	return bb.emit(Instr{Op: OpNative, Dst: dst, Native: fn, Args: as, A: -1, B: -1, C2: -1, AllocSite: -1})
+	in := slots(OpNative, dst, -1, -1, -1)
+	in.opr = uint8(fn)
+	return bb.call(in, args)
 }
 
 // Return emits return src.
 func (bb *BodyBuilder) Return(src int) int {
 	bb.touch(src)
-	return bb.emit(Instr{Op: OpReturn, A: src, HasA: true, Dst: -1, B: -1, C2: -1, AllocSite: -1})
+	in := slots(OpReturn, -1, src, -1, -1)
+	in.HasA = true
+	return bb.emit(in)
 }
 
 // ReturnVoid emits a void return.
 func (bb *BodyBuilder) ReturnVoid() int {
-	return bb.emit(Instr{Op: OpReturn, Dst: -1, A: -1, B: -1, C2: -1, AllocSite: -1})
+	return bb.emit(slots(OpReturn, -1, -1, -1, -1))
 }
 
 // InstanceOf emits dst = a instanceof cls.
 func (bb *BodyBuilder) InstanceOf(dst, a int, cls *Class) int {
 	bb.touch(dst, a)
-	return bb.emit(Instr{Op: OpInstanceOf, Dst: dst, A: a, Class: cls, B: -1, C2: -1, AllocSite: -1})
+	in := slots(OpInstanceOf, dst, a, -1, -1)
+	in.sym = bb.b.sym(cls, sym{class: cls})
+	return bb.emit(in)
 }
 
 // Seal finalizes the program: assigns field slots (including inheritance),
@@ -339,24 +447,44 @@ func (b *Builder) Seal(mainClass, mainMethod string) (*Program, error) {
 	}
 	p.NumFields = b.nextField
 
-	// Number methods, instructions and allocation sites.
+	// Number methods, and copy every body once into one exactly sized slab
+	// of instructions and one of arguments; then number instructions and
+	// allocation sites into exactly sized tables.
+	var nInstrs, nAllocs, nArgs int
+	for _, c := range b.classes {
+		for _, m := range c.Methods {
+			if bb := m.body; bb != nil {
+				nInstrs += bb.n
+				nAllocs += bb.allocs
+				nArgs += len(bb.args)
+			}
+		}
+	}
+	code := make([]Instr, 0, nInstrs)
+	args := make([]int32, 0, nArgs)
 	nextMethod := 0
 	for _, c := range b.classes {
 		for _, m := range c.Methods {
 			m.ID = nextMethod
 			nextMethod++
-			for i := range m.Code {
-				in := &m.Code[i]
-				in.ID = len(p.Instrs)
-				in.Method = m
-				if in.IsAlloc() {
-					in.AllocSite = len(p.AllocSites)
-					p.AllocSites = append(p.AllocSites, in)
-				}
-				p.Instrs = append(p.Instrs, in)
+			bb := m.body
+			if bb == nil {
+				continue
 			}
+			start := len(code)
+			for _, ch := range bb.chunks {
+				code = append(code, ch...)
+			}
+			m.Code = code[start:len(code):len(code)]
+			start = len(args)
+			args = append(args, bb.args...)
+			m.args = args[start:len(args):len(args)]
+			m.body = nil
 		}
 	}
+	p.Instrs = make([]*Instr, 0, nInstrs)
+	p.AllocSites = make([]*Instr, 0, nAllocs)
+	p.number()
 
 	mc := b.classByName[mainClass]
 	if mc == nil {

@@ -131,7 +131,9 @@ func TestCFGFallsOff(t *testing.T) {
 	b := NewBuilder()
 	cls := b.Class("Main", nil)
 	m := b.Method(cls, "main", true, 0, nil)
-	b.Body(m).Const(0, 1)
+	mb := b.Body(m)
+	mb.Const(0, 1)
+	m.Code = mb.chunks[0]
 	cfg := NewCFG(m)
 	if cfg.NumBlocks() != 1 || !cfg.Blocks[0].FallsOff {
 		t.Errorf("block must be marked FallsOff: %+v", cfg.Blocks)

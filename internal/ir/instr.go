@@ -193,40 +193,116 @@ func NativeByName(name string) (NativeFn, bool) {
 
 // Instr is a single three-address instruction. Operand meaning depends on Op
 // (see the Op constants). Local operands are frame-local slot indices.
+//
+// An Instr is 64 bytes, one cache line: its pointers and the immediate
+// first, nine int32 fields, then four bytes. The op-specific operator (Bin,
+// Cmp or Native) shares one byte, the one entity an op names (Class, Elem,
+// Field, Static or Callee) sits behind one pointer to a record the Builder
+// interns per entity, and call and native arguments are a window of the
+// method's argument slab held in A and B, which those ops use for no slot.
 type Instr struct {
-	Op Op
+	// Method is the containing method (set when the body is built).
+	Method *Method
+	sym    *sym  // the named entity; nil for ops that name none
+	Imm    int64 // OpConst immediate
 
-	Dst int // destination local slot (-1 when unused)
-	A   int // first operand local slot (-1 when unused)
-	B   int // second operand local slot (-1 when unused)
-	C2  int // third operand local slot (OpAStore value; -1 when unused)
-
-	Imm    int64        // OpConst immediate
-	IsNull bool         // OpConst: produce null instead of Imm
-	Bin    BinOp        // OpBin
-	Cmp    Cmp          // OpIf
-	Target int          // OpIf / OpGoto: index into Method.Code
-	Class  *Class       // OpNew / OpInstanceOf
-	Elem   *Type        // OpNewArray element type
-	Field  *Field       // OpLoadField / OpStoreField
-	Static *StaticField // OpLoadStatic / OpStoreStatic
-	Callee *Method      // OpCall (virtual dispatch re-resolves by name)
-	Native NativeFn     // OpNative
-	Args   []int        // OpCall / OpNative argument local slots
-	HasA   bool         // OpReturn: returns a value
+	Dst int32 // destination local slot (-1 when unused)
+	// A is the first operand local slot (-1 when unused); for OpCall and
+	// OpNative it is where the argument window starts (see Args).
+	A int32
+	// B is the second operand local slot (-1 when unused); for OpCall and
+	// OpNative it is the number of arguments.
+	B      int32
+	C2     int32 // third operand local slot (OpAStore value; -1 when unused)
+	Target int32 // OpIf / OpGoto: index into Method.Code
 
 	// ID is the globally unique static-instruction identifier — the element
 	// of domain I that this instruction contributes.
-	ID int
+	ID int32
 	// AllocSite is the dense allocation-site index for OpNew/OpNewArray
 	// (domain O); -1 otherwise.
-	AllocSite int
-	// Method is the containing method (set when the program is sealed).
-	Method *Method
+	AllocSite int32
 	// PC is the instruction's index within Method.Code.
-	PC int
+	PC int32
 	// Line is an optional source line for diagnostics (0 when unknown).
-	Line int
+	Line int32
+
+	Op     Op
+	opr    uint8 // OpBin's BinOp, OpIf's Cmp or OpNative's NativeFn
+	IsNull bool  // OpConst: produce null instead of Imm
+	HasA   bool  // OpReturn: returns a value
+}
+
+// sym is the one entity an instruction names. The Builder interns one per
+// class, element type, field, static and callee, so every instruction that
+// names the same entity shares it; an Instr's accessors read through it.
+type sym struct {
+	class  *Class       // OpNew / OpInstanceOf
+	elem   *Type        // OpNewArray element type
+	field  *Field       // OpLoadField / OpStoreField
+	static *StaticField // OpLoadStatic / OpStoreStatic
+	callee *Method      // OpCall (virtual dispatch re-resolves by name)
+}
+
+// Class returns the class of an OpNew or OpInstanceOf, or nil.
+func (in *Instr) Class() *Class {
+	if in.sym == nil {
+		return nil
+	}
+	return in.sym.class
+}
+
+// Elem returns the element type of an OpNewArray, or nil.
+func (in *Instr) Elem() *Type {
+	if in.sym == nil {
+		return nil
+	}
+	return in.sym.elem
+}
+
+// Field returns the field of an OpLoadField or OpStoreField, or nil.
+func (in *Instr) Field() *Field {
+	if in.sym == nil {
+		return nil
+	}
+	return in.sym.field
+}
+
+// Static returns the static field of an OpLoadStatic or OpStoreStatic, or
+// nil.
+func (in *Instr) Static() *StaticField {
+	if in.sym == nil {
+		return nil
+	}
+	return in.sym.static
+}
+
+// Callee returns the declared callee of an OpCall, or nil.
+func (in *Instr) Callee() *Method {
+	if in.sym == nil {
+		return nil
+	}
+	return in.sym.callee
+}
+
+// Bin returns an OpBin's operator.
+func (in *Instr) Bin() BinOp { return BinOp(in.opr) }
+
+// Cmp returns an OpIf's comparison.
+func (in *Instr) Cmp() Cmp { return Cmp(in.opr) }
+
+// Native returns an OpNative's native method.
+func (in *Instr) Native() NativeFn { return NativeFn(in.opr) }
+
+// Args returns the argument local slots of an OpCall or OpNative, and nil
+// for every other op. The slice is a window of the method's argument slab:
+// a pass that renames slots may write through it, but not append to it.
+func (in *Instr) Args() []int32 {
+	if in.Op != OpCall && in.Op != OpNative {
+		return nil
+	}
+	end := in.A + in.B
+	return in.Method.args[in.A:end:end]
 }
 
 // IsPredicate reports whether the instruction is an if predicate.
@@ -265,45 +341,46 @@ func (in *Instr) WritesHeap() bool {
 // Def returns the local slot the instruction writes, or -1. For OpCall the
 // destination is assigned when the callee returns, but it is still this
 // instruction's definition for dataflow purposes.
-func (in *Instr) Def() int { return in.Dst }
+func (in *Instr) Def() int { return int(in.Dst) }
 
 // Uses calls f for every local slot the instruction reads. base is true for
 // base-pointer operands — the object/array reference of a field or element
 // access — which thin slicing excludes from value flow; every other operand
 // is a value use. A slot read twice (e.g. v0[v0]) is reported twice.
 func (in *Instr) Uses(f func(slot int, base bool)) {
+	a, b := int(in.A), int(in.B)
 	switch in.Op {
 	case OpMove, OpNeg, OpNot, OpNewArray, OpInstanceOf:
-		f(in.A, false)
+		f(a, false)
 	case OpBin:
-		f(in.A, false)
-		f(in.B, false)
+		f(a, false)
+		f(b, false)
 	case OpLoadField:
-		f(in.A, true)
+		f(a, true)
 	case OpStoreField:
-		f(in.A, true)
-		f(in.B, false)
+		f(a, true)
+		f(b, false)
 	case OpStoreStatic:
-		f(in.A, false)
+		f(a, false)
 	case OpALoad:
-		f(in.A, true)
-		f(in.B, false)
+		f(a, true)
+		f(b, false)
 	case OpAStore:
-		f(in.A, true)
-		f(in.B, false)
-		f(in.C2, false)
+		f(a, true)
+		f(b, false)
+		f(int(in.C2), false)
 	case OpArrayLen:
-		f(in.A, true)
+		f(a, true)
 	case OpIf:
-		f(in.A, false)
-		f(in.B, false)
+		f(a, false)
+		f(b, false)
 	case OpCall, OpNative:
-		for _, a := range in.Args {
-			f(a, false)
+		for _, s := range in.Args() {
+			f(int(s), false)
 		}
 	case OpReturn:
 		if in.HasA {
-			f(in.A, false)
+			f(a, false)
 		}
 	}
 }
@@ -319,23 +396,23 @@ func (in *Instr) String() string {
 	case OpMove:
 		return fmt.Sprintf("v%d = v%d", in.Dst, in.A)
 	case OpBin:
-		return fmt.Sprintf("v%d = v%d %s v%d", in.Dst, in.A, in.Bin, in.B)
+		return fmt.Sprintf("v%d = v%d %s v%d", in.Dst, in.A, in.Bin(), in.B)
 	case OpNeg:
 		return fmt.Sprintf("v%d = -v%d", in.Dst, in.A)
 	case OpNot:
 		return fmt.Sprintf("v%d = !v%d", in.Dst, in.A)
 	case OpNew:
-		return fmt.Sprintf("v%d = new %s [site %d]", in.Dst, in.Class.Name, in.AllocSite)
+		return fmt.Sprintf("v%d = new %s [site %d]", in.Dst, in.Class().Name, in.AllocSite)
 	case OpNewArray:
-		return fmt.Sprintf("v%d = new %s[v%d] [site %d]", in.Dst, in.Elem, in.A, in.AllocSite)
+		return fmt.Sprintf("v%d = new %s[v%d] [site %d]", in.Dst, in.Elem(), in.A, in.AllocSite)
 	case OpLoadField:
-		return fmt.Sprintf("v%d = v%d.%s", in.Dst, in.A, in.Field.Name)
+		return fmt.Sprintf("v%d = v%d.%s", in.Dst, in.A, in.Field().Name)
 	case OpStoreField:
-		return fmt.Sprintf("v%d.%s = v%d", in.A, in.Field.Name, in.B)
+		return fmt.Sprintf("v%d.%s = v%d", in.A, in.Field().Name, in.B)
 	case OpLoadStatic:
-		return fmt.Sprintf("v%d = %s", in.Dst, in.Static.QualifiedName())
+		return fmt.Sprintf("v%d = %s", in.Dst, in.Static().QualifiedName())
 	case OpStoreStatic:
-		return fmt.Sprintf("%s = v%d", in.Static.QualifiedName(), in.A)
+		return fmt.Sprintf("%s = v%d", in.Static().QualifiedName(), in.A)
 	case OpALoad:
 		return fmt.Sprintf("v%d = v%d[v%d]", in.Dst, in.A, in.B)
 	case OpAStore:
@@ -343,20 +420,20 @@ func (in *Instr) String() string {
 	case OpArrayLen:
 		return fmt.Sprintf("v%d = len(v%d)", in.Dst, in.A)
 	case OpIf:
-		return fmt.Sprintf("if v%d %s v%d goto %d", in.A, in.Cmp, in.B, in.Target)
+		return fmt.Sprintf("if v%d %s v%d goto %d", in.A, in.Cmp(), in.B, in.Target)
 	case OpGoto:
 		return fmt.Sprintf("goto %d", in.Target)
 	case OpCall:
-		return fmt.Sprintf("v%d = call %s %v", in.Dst, in.Callee.QualifiedName(), in.Args)
+		return fmt.Sprintf("v%d = call %s %v", in.Dst, in.Callee().QualifiedName(), in.Args())
 	case OpReturn:
 		if in.HasA {
 			return fmt.Sprintf("return v%d", in.A)
 		}
 		return "return"
 	case OpNative:
-		return fmt.Sprintf("v%d = native %s %v", in.Dst, in.Native, in.Args)
+		return fmt.Sprintf("v%d = native %s %v", in.Dst, in.Native(), in.Args())
 	case OpInstanceOf:
-		return fmt.Sprintf("v%d = v%d instanceof %s", in.Dst, in.A, in.Class.Name)
+		return fmt.Sprintf("v%d = v%d instanceof %s", in.Dst, in.A, in.Class().Name)
 	default:
 		return in.Op.String()
 	}

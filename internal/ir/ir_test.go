@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func buildLinear(t *testing.T) (*Builder, *Class) {
@@ -35,7 +36,7 @@ func TestSealAssignsInstrAndSiteIDs(t *testing.T) {
 		t.Fatalf("NumAllocSites = %d, want 3", got)
 	}
 	for i, in := range prog.Instrs {
-		if in.ID != i {
+		if int(in.ID) != i {
 			t.Errorf("instr %d has ID %d", i, in.ID)
 		}
 		if in.Method != m {
@@ -43,7 +44,7 @@ func TestSealAssignsInstrAndSiteIDs(t *testing.T) {
 		}
 	}
 	for i, site := range prog.AllocSites {
-		if site.AllocSite != i {
+		if int(site.AllocSite) != i {
 			t.Errorf("alloc site %d has index %d", i, site.AllocSite)
 		}
 	}
@@ -144,7 +145,7 @@ func TestValidateCatchesVoidMismatch(t *testing.T) {
 	m := b.Method(cls, "main", true, 0, nil)
 	mb := b.Body(m)
 	mb.Const(0, 1)
-	mb.m.Code = append(mb.m.Code, Instr{Op: OpReturn, A: 0, HasA: true, Dst: -1, B: -1, C2: -1})
+	mb.emit(Instr{Op: OpReturn, A: 0, HasA: true, Dst: -1, B: -1, C2: -1})
 	if _, err := b.Seal("Main", "main"); err == nil || !strings.Contains(err.Error(), "value return from void") {
 		t.Fatalf("want void-mismatch error, got %v", err)
 	}
@@ -285,4 +286,64 @@ func TestLocalNameFallback(t *testing.T) {
 	if m.LocalName(0) != "this" || m.LocalName(1) != "x" || m.LocalName(5) != "v5" {
 		t.Errorf("LocalName fallback broken: %q %q %q", m.LocalName(0), m.LocalName(1), m.LocalName(5))
 	}
+}
+
+// TestInstrSize pins the compact layout: one instruction is one 64-byte
+// cache line, so a compiled program is mostly 64 bytes an instruction.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got > 64 {
+		t.Fatalf("unsafe.Sizeof(Instr{}) = %d, want at most 64", got)
+	}
+}
+
+// TestInstrPointersIntoCode checks that every pointer in Program.Instrs and
+// AllocSites points into its method's Code, after Seal and after Reindex,
+// and that both tables are sized exactly.
+func TestInstrPointersIntoCode(t *testing.T) {
+	b, cls := buildLinear(t)
+	other := b.Class("Other", nil)
+	callee := b.Method(cls, "id", true, 1, IntType)
+	cb := b.Body(callee)
+	cb.New(1, other)
+	cb.Return(0)
+	m := b.Method(cls, "main", true, 0, nil)
+	mb := b.Body(m)
+	for i := 0; i < 300; i++ { // spans several builder chunks
+		mb.Const(0, int64(i))
+		mb.Call(1, callee, 0)
+		mb.NewArray(2, IntType, 1)
+	}
+	mb.ReturnVoid()
+	prog, err := b.Seal("Main", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if len(prog.Instrs) != cap(prog.Instrs) || len(prog.AllocSites) != cap(prog.AllocSites) {
+			t.Errorf("%s: Instrs %d/%d, AllocSites %d/%d: not sized exactly", when,
+				len(prog.Instrs), cap(prog.Instrs), len(prog.AllocSites), cap(prog.AllocSites))
+		}
+		for i, in := range prog.Instrs {
+			if code := in.Method.Code; in != &code[in.PC] {
+				t.Fatalf("%s: Instrs[%d] does not point at %s's Code[%d]", when, i, in.Method.QualifiedName(), in.PC)
+			}
+		}
+		for i, in := range prog.AllocSites {
+			if in != prog.Instrs[in.ID] || int(in.AllocSite) != i {
+				t.Fatalf("%s: AllocSites[%d] is not instruction %d's site", when, i, in.ID)
+			}
+		}
+	}
+	check("Seal")
+	if n := len(prog.AllocSites); n != 301 {
+		t.Fatalf("%d allocation sites, want 301", n)
+	}
+	if got := m.Code[1].Args(); len(got) != 1 || got[0] != 0 {
+		t.Errorf("call args = %v, want [0]", got)
+	}
+	// A pass that rewrites a body in place replaces Code; Reindex renumbers.
+	m.Code = append([]Instr{m.Code[0]}, m.Code...)
+	prog.Reindex()
+	check("Reindex")
 }

@@ -75,14 +75,14 @@ func TestValidateOperandSlotRanges(t *testing.T) {
 	cases := []func(*Builder, *Class, *Method){
 		func(b *Builder, c *Class, m *Method) { // bad dst
 			mb := b.Body(m)
-			mb.m.Code = append(mb.m.Code, Instr{Op: OpConst, Dst: 99, A: -1, B: -1, C2: -1})
-			mb.m.Code = append(mb.m.Code, Instr{Op: OpReturn, Dst: -1, A: -1, B: -1, C2: -1})
+			mb.emit(Instr{Op: OpConst, Dst: 99, A: -1, B: -1, C2: -1})
+			mb.emit(Instr{Op: OpReturn, Dst: -1, A: -1, B: -1, C2: -1})
 		},
 		func(b *Builder, c *Class, m *Method) { // bad astore operand
 			mb := b.Body(m)
 			mb.Const(0, 1)
-			mb.m.Code = append(mb.m.Code, Instr{Op: OpAStore, A: 0, B: 0, C2: 50, Dst: -1})
-			mb.m.Code = append(mb.m.Code, Instr{Op: OpReturn, Dst: -1, A: -1, B: -1, C2: -1})
+			mb.emit(Instr{Op: OpAStore, A: 0, B: 0, C2: 50, Dst: -1})
+			mb.emit(Instr{Op: OpReturn, Dst: -1, A: -1, B: -1, C2: -1})
 		},
 	}
 	for i, build := range cases {

@@ -175,6 +175,9 @@ type Method struct {
 	Code      []Instr
 	ID        int // dense method index within the Program
 
+	args []int32      // argument slab: calls' and natives' Args windows
+	body *BodyBuilder // the body under construction, until Seal
+
 	// LocalNames optionally names local slots for diagnostics; may be short.
 	LocalNames []string
 }

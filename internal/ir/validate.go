@@ -14,20 +14,38 @@ func Validate(p *Program) error { return p.validate() }
 // same numbering scheme Seal uses. Class, method and field IDs are untouched
 // (passes may not add or remove declarations, only rewrite bodies).
 func (p *Program) Reindex() {
-	p.Instrs = p.Instrs[:0]
-	p.AllocSites = p.AllocSites[:0]
+	var n, allocs int
+	for _, c := range p.Classes {
+		for _, m := range c.Methods {
+			n += len(m.Code)
+			for i := range m.Code {
+				if m.Code[i].IsAlloc() {
+					allocs++
+				}
+			}
+		}
+	}
+	p.Instrs = make([]*Instr, 0, n)
+	p.AllocSites = make([]*Instr, 0, allocs)
+	p.number()
+}
+
+// number appends every instruction to Instrs and every allocation to
+// AllocSites, in class and method order, and sets each instruction's ID,
+// Method, PC and AllocSite to match. Both tables arrive empty, with room
+// for exactly what they will hold.
+func (p *Program) number() {
 	for _, c := range p.Classes {
 		for _, m := range c.Methods {
 			for i := range m.Code {
 				in := &m.Code[i]
-				in.ID = len(p.Instrs)
+				in.ID = int32(len(p.Instrs))
 				in.Method = m
-				in.PC = i
+				in.PC = int32(i)
+				in.AllocSite = -1
 				if in.IsAlloc() {
-					in.AllocSite = len(p.AllocSites)
+					in.AllocSite = int32(len(p.AllocSites))
 					p.AllocSites = append(p.AllocSites, in)
-				} else {
-					in.AllocSite = -1
 				}
 				p.Instrs = append(p.Instrs, in)
 			}
@@ -67,8 +85,8 @@ func validateMethod(m *Method) error {
 	errf := func(pc int, format string, args ...any) error {
 		return fmt.Errorf("ir: %s pc %d (%s): %s", m.QualifiedName(), pc, m.Code[pc].String(), fmt.Sprintf(format, args...))
 	}
-	checkSlot := func(pc, s int, what string) error {
-		if s < 0 || s >= m.NumLocals {
+	checkSlot := func(pc int, s int32, what string) error {
+		if s < 0 || int(s) >= m.NumLocals {
 			return errf(pc, "%s slot %d out of range [0,%d)", what, s, m.NumLocals)
 		}
 		return nil
@@ -77,7 +95,7 @@ func validateMethod(m *Method) error {
 		in := &m.Code[pc]
 		switch in.Op {
 		case OpIf, OpGoto:
-			if in.Target < 0 || in.Target >= n {
+			if in.Target < 0 || int(in.Target) >= n {
 				return errf(pc, "branch target %d out of range [0,%d)", in.Target, n)
 			}
 		}
@@ -103,7 +121,7 @@ func validateMethod(m *Method) error {
 			if err := checkSlot(pc, in.A, "base"); err != nil {
 				return err
 			}
-			if in.Field == nil {
+			if in.Field() == nil {
 				return errf(pc, "nil field")
 			}
 		case OpStoreField:
@@ -113,48 +131,53 @@ func validateMethod(m *Method) error {
 			if err := checkSlot(pc, in.B, "src"); err != nil {
 				return err
 			}
-			if in.Field == nil {
+			if in.Field() == nil {
 				return errf(pc, "nil field")
 			}
 		case OpLoadStatic:
-			if in.Static == nil {
+			if in.Static() == nil {
 				return errf(pc, "nil static")
 			}
 		case OpStoreStatic:
-			if in.Static == nil {
+			if in.Static() == nil {
 				return errf(pc, "nil static")
 			}
 			if err := checkSlot(pc, in.A, "src"); err != nil {
 				return err
 			}
 		case OpAStore:
-			for _, s := range [][2]any{{in.A, "arr"}, {in.B, "idx"}, {in.C2, "src"}} {
-				if err := checkSlot(pc, s[0].(int), s[1].(string)); err != nil {
-					return err
-				}
+			if err := checkSlot(pc, in.A, "arr"); err != nil {
+				return err
+			}
+			if err := checkSlot(pc, in.B, "idx"); err != nil {
+				return err
+			}
+			if err := checkSlot(pc, in.C2, "src"); err != nil {
+				return err
 			}
 		case OpNew, OpInstanceOf:
-			if in.Class == nil {
+			if in.Class() == nil {
 				return errf(pc, "nil class")
 			}
 		case OpCall:
-			if in.Callee == nil {
+			callee := in.Callee()
+			if callee == nil {
 				return errf(pc, "nil callee")
 			}
-			if len(in.Args) != in.Callee.Params {
+			if len(in.Args()) != callee.Params {
 				return errf(pc, "call passes %d args, callee %s takes %d",
-					len(in.Args), in.Callee.QualifiedName(), in.Callee.Params)
+					len(in.Args()), callee.QualifiedName(), callee.Params)
 			}
-			if in.Dst >= 0 && in.Callee.Returns == nil {
-				return errf(pc, "call stores result of void method %s", in.Callee.QualifiedName())
+			if in.Dst >= 0 && callee.Returns == nil {
+				return errf(pc, "call stores result of void method %s", callee.QualifiedName())
 			}
-			for _, a := range in.Args {
+			for _, a := range in.Args() {
 				if err := checkSlot(pc, a, "arg"); err != nil {
 					return err
 				}
 			}
 		case OpNative:
-			for _, a := range in.Args {
+			for _, a := range in.Args() {
 				if err := checkSlot(pc, a, "arg"); err != nil {
 					return err
 				}

@@ -113,9 +113,9 @@ func TestValidateRejectsCallArgOutOfRange(t *testing.T) {
 	m := b.Method(cls, "main", true, 0, nil)
 	mb := b.Body(m)
 	mb.Const(0, 1)
-	call := mb.Call(-1, callee, 0)
+	mb.Call(-1, callee, 0)
 	mb.ReturnVoid()
-	m.Code[call].Args[0] = 99 // past the frame the builder sized
+	mb.args[0] = 99 // past the frame the builder sized
 	if _, err := b.Seal("Main", "main"); err == nil ||
 		!strings.Contains(err.Error(), "arg slot 99 out of range") {
 		t.Fatalf("want call-arg bounds error, got %v", err)
@@ -130,9 +130,9 @@ func TestValidateRejectsNativeArgOutOfRange(t *testing.T) {
 	m := b.Method(cls, "main", true, 0, nil)
 	mb := b.Body(m)
 	mb.Const(0, 1)
-	nat := mb.Native(-1, NativePrint, 0)
+	mb.Native(-1, NativePrint, 0)
 	mb.ReturnVoid()
-	m.Code[nat].Args[0] = -3
+	mb.args[0] = -3
 	if _, err := b.Seal("Main", "main"); err == nil ||
 		!strings.Contains(err.Error(), "arg slot -3 out of range") {
 		t.Fatalf("want native-arg bounds error, got %v", err)

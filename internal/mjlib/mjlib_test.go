@@ -175,7 +175,7 @@ class Main {
 	var usedRate, wastedRate float64 = -1, -1
 	seen := 0
 	for _, r := range ranked {
-		if r.Site.Op.String() == "new" && r.Site.Class != nil && r.Site.Class.Name == "IntMap" {
+		if r.Site.Op.String() == "new" && r.Site.Class() != nil && r.Site.Class().Name == "IntMap" {
 			if seen == 0 {
 				// ranked is by rate desc; first IntMap hit is the worse one
 			}
@@ -187,8 +187,8 @@ class Main {
 	// Identify sites in allocation order: used first, wasted second.
 	var sites []int
 	for _, in := range prog.Instrs {
-		if in.Op.String() == "new" && in.Class != nil && in.Class.Name == "IntMap" {
-			sites = append(sites, in.AllocSite)
+		if in.Op.String() == "new" && in.Class() != nil && in.Class().Name == "IntMap" {
+			sites = append(sites, int(in.AllocSite))
 		}
 	}
 	if len(sites) != 2 {
@@ -196,7 +196,7 @@ class Main {
 	}
 	rateOf := func(site int) float64 {
 		for _, r := range an.RankBySite(costben.DefaultTreeHeight) {
-			if r.Site.AllocSite == site {
+			if int(r.Site.AllocSite) == site {
 				return r.Rate
 			}
 		}

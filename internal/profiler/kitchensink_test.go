@@ -123,9 +123,10 @@ func TestUnabstractedCapFolds(t *testing.T) {
 	maxPerInstr := 0
 	counts := map[int]int{}
 	p.G.Nodes(func(n *depgraph.Node) {
-		counts[n.In.ID]++
-		if counts[n.In.ID] > maxPerInstr {
-			maxPerInstr = counts[n.In.ID]
+		id := int(n.In.ID)
+		counts[id]++
+		if counts[id] > maxPerInstr {
+			maxPerInstr = counts[id]
 		}
 	})
 	if maxPerInstr > 4 {

@@ -301,7 +301,7 @@ func (p *Profiler) node(in *ir.Instr, fs *frameShadow) *depgraph.Node {
 		n = p.G.TouchFast(in, c)
 	} else {
 		if p.cr != nil {
-			p.cr.Observe(in.ID, fs.ctx)
+			p.cr.Observe(int(in.ID), fs.ctx)
 		}
 		n = p.G.TouchFast(in, fs.slot)
 	}
@@ -328,7 +328,7 @@ func (p *Profiler) eventRefFast(in *ir.Instr, fs *frameShadow) depgraph.Ref {
 	if !p.fast {
 		return 0
 	}
-	off := in.ID*p.tW + fs.slot + 1
+	off := int(in.ID)*p.tW + fs.slot + 1
 	if v := p.tIdx[off]; v != 0 && (p.tLast == nil || p.tLast[off] == fs.ctx) {
 		p.tFreq[v-1]++
 		return depgraph.Ref(v)
@@ -342,7 +342,7 @@ func (p *Profiler) eventRefFast(in *ir.Instr, fs *frameShadow) depgraph.Ref {
 func (p *Profiler) eventRefSlow(in *ir.Instr, fs *frameShadow) depgraph.Ref {
 	if p.fast {
 		if p.cr != nil {
-			p.cr.Observe(in.ID, fs.ctx)
+			p.cr.Observe(int(in.ID), fs.ctx)
 		}
 		n := p.G.Touch(in, fs.slot)
 		p.tFreq = p.G.DenseTables().Freq
@@ -357,7 +357,7 @@ func (p *Profiler) consumerRefFast(in *ir.Instr) depgraph.Ref {
 	if !p.fast {
 		return 0
 	}
-	if v := p.tIdx[in.ID*p.tW]; v != 0 {
+	if v := p.tIdx[int(in.ID)*p.tW]; v != 0 {
 		p.tFreq[v-1]++
 		return depgraph.Ref(v)
 	}
@@ -537,14 +537,14 @@ func (p *Profiler) LoadField(in *ir.Instr, fr *interp.Frame, base *interp.Object
 	fs := p.fshadow(fr)
 	r := p.eventRef(in, fs)
 	os := p.oshadow(base)
-	if in.Field.Slot < len(os.slots) {
-		p.link(r, 0, os.slots[in.Field.Slot])
+	if in.Field().Slot < len(os.slots) {
+		p.link(r, 0, os.slots[in.Field().Slot])
 	}
 	if !p.thin {
 		p.link(r, 1, fs.nodes[in.A]) // base-pointer use (traditional)
 	}
 	if p.fresh(r, os.tag, 0) {
-		p.load(r, os.tag, in.Field.ID)
+		p.load(r, os.tag, in.Field().ID)
 	}
 	fs.nodes[in.Dst] = r
 }
@@ -559,11 +559,11 @@ func (p *Profiler) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Objec
 		p.link(r, 1, fs.nodes[in.A])
 	}
 	os := p.oshadow(base)
-	if in.Field.Slot < len(os.slots) {
-		os.slots[in.Field.Slot] = r
+	if in.Field().Slot < len(os.slots) {
+		os.slots[in.Field().Slot] = r
 	}
 	if val := p.refTag(v); p.fresh(r, os.tag, val) {
-		p.store(r, os.tag, val, in.Field.ID)
+		p.store(r, os.tag, val, in.Field().ID)
 	}
 }
 
@@ -571,9 +571,9 @@ func (p *Profiler) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Objec
 func (p *Profiler) LoadStatic(in *ir.Instr, fr *interp.Frame) {
 	fs := p.fshadow(fr)
 	r := p.eventRef(in, fs)
-	p.link(r, 0, p.statics[in.Static.Slot])
+	p.link(r, 0, p.statics[in.Static().Slot])
 	if p.fresh(r, 0, 0) {
-		p.load(r, 0, in.Static.Slot)
+		p.load(r, 0, in.Static().Slot)
 	}
 	fs.nodes[in.Dst] = r
 }
@@ -583,9 +583,9 @@ func (p *Profiler) StoreStatic(in *ir.Instr, fr *interp.Frame, v interp.Value) {
 	fs := p.fshadow(fr)
 	r := p.eventRef(in, fs)
 	p.link(r, 0, fs.nodes[in.A])
-	p.statics[in.Static.Slot] = r
+	p.statics[in.Static().Slot] = r
 	if val := p.refTag(v); p.fresh(r, 0, val) {
-		p.store(r, 0, val, in.Static.Slot)
+		p.store(r, 0, val, in.Static().Slot)
 	}
 }
 
@@ -665,7 +665,7 @@ func (p *Profiler) Native(in *ir.Instr, fr *interp.Frame) {
 	if r == 0 {
 		r = p.consumerRefSlow(in)
 	}
-	for i, a := range in.Args {
+	for i, a := range in.Args() {
 		if i < controlSlot {
 			p.link(r, i, fs.nodes[a])
 		} else {
@@ -682,11 +682,12 @@ func (p *Profiler) Native(in *ir.Instr, fr *interp.Frame) {
 // receiver's allocation site; unchanged for static callees).
 func (p *Profiler) BeforeCall(in *ir.Instr, caller *interp.Frame, callee *ir.Method, recv *interp.Object) {
 	fs := p.fshadow(caller)
-	if cap(p.pendingArgs) < len(in.Args) {
-		p.pendingArgs = make([]depgraph.Ref, len(in.Args))
+	args := in.Args()
+	if cap(p.pendingArgs) < len(args) {
+		p.pendingArgs = make([]depgraph.Ref, len(args))
 	}
-	p.pendingArgs = p.pendingArgs[:len(in.Args)]
-	for i, a := range in.Args {
+	p.pendingArgs = p.pendingArgs[:len(args)]
+	for i, a := range args {
 		p.pendingArgs[i] = fs.nodes[a]
 	}
 	if recv != nil {

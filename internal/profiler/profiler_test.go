@@ -138,7 +138,7 @@ func TestFigure3Shapes(t *testing.T) {
 	ranking := a.RankBySite(costben.DefaultTreeHeight)
 	pos := map[int]int{}
 	for i, r := range ranking {
-		pos[r.Site.AllocSite] = i
+		pos[int(r.Site.AllocSite)] = i
 	}
 	if pos[fig.SiteA] > pos[fig.SiteList] {
 		t.Errorf("ranking: site A at %d, list at %d; want A more suspicious", pos[fig.SiteA], pos[fig.SiteList])
@@ -158,7 +158,7 @@ func TestFigure6LowUtilityList(t *testing.T) {
 		t.Fatal("empty ranking")
 	}
 	top := ranking[0]
-	if top.Site.AllocSite != fig.SiteList && top.Site.AllocSite != fig.SiteArr {
+	if site := int(top.Site.AllocSite); site != fig.SiteList && site != fig.SiteArr {
 		t.Errorf("top suspicious site = %d, want list (%d) or its array (%d)\n%v",
 			top.Site.AllocSite, fig.SiteList, fig.SiteArr, ranking[:min(5, len(ranking))])
 	}
@@ -390,11 +390,11 @@ func TestCRTracking(t *testing.T) {
 	}
 
 	p1, _ := run(t, prog, Options{Slots: 1, TrackCR: true})
-	if cr := p1.CR().CR(get.Code[loadPC].ID); cr != 1.0 {
+	if cr := p1.CR().CR(int(get.Code[loadPC].ID)); cr != 1.0 {
 		t.Errorf("CR with 1 slot = %v, want 1.0", cr)
 	}
 	p64, _ := run(t, prog, Options{Slots: 64, TrackCR: true})
-	if cr := p64.CR().CR(get.Code[loadPC].ID); cr != 0 {
+	if cr := p64.CR().CR(int(get.Code[loadPC].ID)); cr != 0 {
 		t.Errorf("CR with 64 slots = %v, want 0", cr)
 	}
 }

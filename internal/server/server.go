@@ -21,9 +21,9 @@ import (
 type Config struct {
 	// MaxSessions bounds the compiled-session LRU (0 = 64).
 	MaxSessions int
-	// MaxInFlight bounds concurrently executing heavy requests — profile,
-	// report, slice, audit, vet, ssa, run, save, load (0 = 4). Excess
-	// requests get 429.
+	// MaxInFlight bounds concurrently executing heavy requests — compile,
+	// profile, report, slice, audit, vet, ssa, run, save, load (0 = 4).
+	// Excess requests get 429.
 	MaxInFlight int
 	// RequestTimeout bounds each request's work, and each job's run
 	// (0 = 60s). The deadline context reaches the interpreter and every
@@ -82,7 +82,7 @@ func New(cfg Config) *Server {
 func (s *Server) Close() { s.jobs.Drain() }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v2/compile", s.instrument("compile", false, s.handleCompile))
+	s.mux.HandleFunc("POST /v2/compile", s.instrument("compile", true, s.handleCompile))
 	for _, kind := range []string{lowutil.KindProfile, lowutil.KindReport, lowutil.KindSlice, lowutil.KindAudit, lowutil.KindRun} {
 		s.mux.HandleFunc("POST /v2/"+kind, s.instrument(kind, true, s.handleKind(kind)))
 	}

@@ -345,8 +345,8 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl fills the gate and asserts heavy endpoints shed
-// load with 429 while light ones still serve.
+// TestAdmissionControl fills the gate and asserts heavy endpoints, compile
+// among them, shed load with 429 while light ones still serve.
 func TestAdmissionControl(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInFlight: 1})
 	id := compileSession(t, ts.URL, workSrc)
@@ -371,11 +371,19 @@ func TestAdmissionControl(t *testing.T) {
 	if eb := decodeEnvelope(t, body); code != http.StatusTooManyRequests || eb.Code != "at_capacity" {
 		t.Errorf("ssa under a full gate: %d %+v, want 429 at_capacity", code, eb)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v2/compile", client.CompilePayload{Source: workSrc}); code != http.StatusOK {
-		t.Errorf("light endpoint rejected: %d", code)
+	// Compile, on a session-cache miss, allocates with the source's size:
+	// heavy too.
+	src, _ := json.Marshal(client.CompilePayload{Source: workSrc})
+	code, hdr, body := postRaw(t, ts.URL+"/v2/compile", string(src))
+	if eb := decodeEnvelope(t, body); code != http.StatusTooManyRequests || eb.Code != "at_capacity" || hdr.Get("Retry-After") == "" {
+		t.Errorf("compile under a full gate: %d %+v (Retry-After %q), want 429 at_capacity", code, eb, hdr.Get("Retry-After"))
 	}
-	if got := metricValue(t, ts.URL, "lowutil_rejected_total"); got != 3 {
-		t.Errorf("rejected = %d, want 3", got)
+	job := client.SubmitPayload{Key: "light", Jobs: []client.Job{{Spec: lowutil.Request{Kind: lowutil.KindRun, Source: workSrc}}}}
+	if code, body := postJSON(t, ts.URL+"/v2/jobs", job); code != http.StatusOK {
+		t.Errorf("light endpoint rejected: %d %s", code, body)
+	}
+	if got := metricValue(t, ts.URL, "lowutil_rejected_total"); got != 4 {
+		t.Errorf("rejected = %d, want 4", got)
 	}
 }
 

@@ -116,19 +116,19 @@ func (t *Tracer[C]) NewArray(in *ir.Instr, fr *interp.Frame, o *interp.Object) {
 }
 
 func (t *Tracer[C]) LoadField(in *ir.Instr, fr *interp.Frame, base *interp.Object) {
-	t.def(in, fr, t.frame(fr), base, t.one(t.object(base)[in.Field.Slot]))
+	t.def(in, fr, t.frame(fr), base, t.one(t.object(base)[in.Field().Slot]))
 }
 
 func (t *Tracer[C]) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Object, v interp.Value) {
-	t.object(base)[in.Field.Slot] = t.rule.Cell(in, base, v, t.one(t.frame(fr)[in.B]))
+	t.object(base)[in.Field().Slot] = t.rule.Cell(in, base, v, t.one(t.frame(fr)[in.B]))
 }
 
 func (t *Tracer[C]) LoadStatic(in *ir.Instr, fr *interp.Frame) {
-	t.def(in, fr, t.frame(fr), nil, t.one(t.statics[in.Static.Slot]))
+	t.def(in, fr, t.frame(fr), nil, t.one(t.statics[in.Static().Slot]))
 }
 
 func (t *Tracer[C]) StoreStatic(in *ir.Instr, fr *interp.Frame, v interp.Value) {
-	t.statics[in.Static.Slot] = t.rule.Cell(in, nil, v, t.one(t.frame(fr)[in.A]))
+	t.statics[in.Static().Slot] = t.rule.Cell(in, nil, v, t.one(t.frame(fr)[in.A]))
 }
 
 func (t *Tracer[C]) LoadElem(in *ir.Instr, fr *interp.Frame, arr *interp.Object, idx int64) {
@@ -152,7 +152,7 @@ func (t *Tracer[C]) Native(in *ir.Instr, fr *interp.Frame) {
 	}
 	loc := t.frame(fr)
 	ops := t.ops[:0]
-	for _, a := range in.Args {
+	for _, a := range in.Args() {
 		ops = append(ops, loc[a])
 	}
 	t.ops = ops
@@ -166,7 +166,7 @@ func (t *Tracer[C]) Native(in *ir.Instr, fr *interp.Frame) {
 func (t *Tracer[C]) BeforeCall(in *ir.Instr, caller *interp.Frame, _ *ir.Method, _ *interp.Object) {
 	loc := t.frame(caller)
 	t.args = t.args[:0]
-	for _, a := range in.Args {
+	for _, a := range in.Args() {
 		t.args = append(t.args, loc[a])
 	}
 }

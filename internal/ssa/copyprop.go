@@ -115,14 +115,14 @@ func ValueNumbers(f *Func, rep []ValID) []ValID {
 		case ir.OpNeg, ir.OpNot:
 			k.a = opnum(0)
 		case ir.OpBin:
-			k.sub = uint8(in.Bin)
+			k.sub = uint8(in.Bin())
 			k.a, k.b = opnum(0), opnum(1)
-			if commutative(in.Bin) && k.a > k.b {
+			if commutative(in.Bin()) && k.a > k.b {
 				k.a, k.b = k.b, k.a
 			}
 		case ir.OpInstanceOf:
 			k.a = opnum(0)
-			k.identity = in.Class.ID
+			k.identity = in.Class().ID
 		default:
 			// Moves are handled by copy propagation; loads, allocations,
 			// calls and natives are not pure.

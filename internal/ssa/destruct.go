@@ -95,9 +95,9 @@ func Destruct(f *Func) {
 	}
 
 	var code []ir.Instr
-	emitCopies := func(cp [][2]int, line int) {
+	emitCopies := func(cp [][2]int, line int32) {
 		for _, c := range sequentialize(cp, getScratch) {
-			code = append(code, ir.Instr{Op: ir.OpMove, Dst: c[0], A: c[1], B: -1, C2: -1, Line: line})
+			code = append(code, ir.Instr{Op: ir.OpMove, Dst: int32(c[0]), A: int32(c[1]), B: -1, C2: -1, Line: line})
 		}
 	}
 
@@ -106,7 +106,7 @@ func Destruct(f *Func) {
 	type splitEdge struct {
 		copies  [][2]int
 		toBlock int
-		line    int
+		line    int32
 	}
 	var splits []splitEdge
 	// patches[i] redirects code[i].Target to a block start (toSplit < 0) or a
@@ -155,7 +155,7 @@ func Destruct(f *Func) {
 			}
 			setUses(&in, ops)
 			if d := f.DefOf[pc]; d != None {
-				in.Dst = slotOf[d]
+				in.Dst = int32(slotOf[d])
 			}
 			last := pc == blk.Last()
 			switch {
@@ -200,12 +200,12 @@ func Destruct(f *Func) {
 	}
 	for _, p := range patches {
 		if p.toSplit >= 0 {
-			code[p.idx].Target = splitStart[p.toSplit]
+			code[p.idx].Target = int32(splitStart[p.toSplit])
 		} else {
 			if newStart[p.toBlock] < 0 {
 				panic(fmt.Sprintf("ssa: %s: branch into unreachable block %d", m.QualifiedName(), p.toBlock))
 			}
-			code[p.idx].Target = newStart[p.toBlock]
+			code[p.idx].Target = int32(newStart[p.toBlock])
 		}
 	}
 
@@ -275,10 +275,10 @@ func sequentialize(copies [][2]int, tmp func() int) [][2]int {
 // Instr.Uses reports them.
 func setUses(in *ir.Instr, ops []int) {
 	i := 0
-	next := func() int {
+	next := func() int32 {
 		s := ops[i]
 		i++
-		return s
+		return int32(s)
 	}
 	switch in.Op {
 	case ir.OpMove, ir.OpNeg, ir.OpNot, ir.OpNewArray, ir.OpInstanceOf:
@@ -298,11 +298,10 @@ func setUses(in *ir.Instr, ops []int) {
 		in.B = next()
 		in.C2 = next()
 	case ir.OpCall, ir.OpNative:
-		args := make([]int, len(in.Args))
+		args := in.Args() // a window of the method's slab, renamed in place
 		for k := range args {
 			args[k] = next()
 		}
-		in.Args = args
 	case ir.OpReturn:
 		if in.HasA {
 			in.A = next()

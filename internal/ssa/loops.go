@@ -175,7 +175,7 @@ func inferTrip(f *Func, sc *SCCP, rep []ValID, lp *Loop, inBody func(int) bool) 
 			if !ok {
 				continue
 			}
-			cmp := in.Cmp
+			cmp := in.Cmp()
 			if side == 1 {
 				cmp = flipCmp(cmp)
 			}
@@ -227,7 +227,7 @@ func matchInduction(f *Func, sc *SCCP, rep []ValID, lp *Loop, inBody func(int) b
 			return Const{}, 0, false
 		}
 		in := &f.M.Code[av.PC]
-		if in.Op != ir.OpBin || (in.Bin != ir.Add && in.Bin != ir.Sub) {
+		if in.Op != ir.OpBin || (in.Bin() != ir.Add && in.Bin() != ir.Sub) {
 			return Const{}, 0, false
 		}
 		x, y := rep[f.Operands[av.PC][0]], rep[f.Operands[av.PC][1]]
@@ -239,10 +239,10 @@ func matchInduction(f *Func, sc *SCCP, rep []ValID, lp *Loop, inBody func(int) b
 				return Const{}, 0, false
 			}
 			s = c.I
-			if in.Bin == ir.Sub {
+			if in.Bin() == ir.Sub {
 				s = -s
 			}
-		case y == iv && in.Bin == ir.Add:
+		case y == iv && in.Bin() == ir.Add:
 			c, isC := sc.ConstOf(x)
 			if !isC || c.IsNull {
 				return Const{}, 0, false

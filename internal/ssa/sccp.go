@@ -308,7 +308,7 @@ func (s *SCCP) evalInstr(in *ir.Instr, ops []ValID) (cellState, Const) {
 	case ir.OpBin:
 		a, b := get(0), get(1)
 		if a.state == constant && b.state == constant && !a.c.IsNull && !b.c.IsNull {
-			if r, ok := foldBin(in.Bin, a.c.I, b.c.I); ok {
+			if r, ok := foldBin(in.Bin(), a.c.I, b.c.I); ok {
 				return constant, Const{I: r}
 			}
 			return bottom, Const{} // division by zero: a runtime error, not a value
@@ -380,7 +380,7 @@ func (s *SCCP) evalIf(in *ir.Instr, ops []ValID) (taken, fall bool) {
 	if a.state != constant || b.state != constant {
 		return true, true
 	}
-	res, ok := foldCmp(in.Cmp, a.c, b.c)
+	res, ok := foldCmp(in.Cmp(), a.c, b.c)
 	if !ok {
 		return true, true
 	}

@@ -175,7 +175,7 @@ func TestSCCPAgreesWithInterp(t *testing.T) {
 						continue
 					}
 					if cst, ok := sc.ConstOf(v); ok {
-						preds[m.Code[pc].ID] = cst
+						preds[int(m.Code[pc].ID)] = cst
 					}
 				}
 			}
@@ -202,7 +202,7 @@ type constTracer struct {
 // check compares the value in wrote to its destination with the
 // prediction for in, if there is one.
 func (ct *constTracer) check(in *ir.Instr, fr *interp.Frame) {
-	p, ok := ct.preds[in.ID]
+	p, ok := ct.preds[int(in.ID)]
 	if !ok || ct.failed != "" {
 		return
 	}

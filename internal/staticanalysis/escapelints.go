@@ -27,8 +27,8 @@ func escapeLints(r *escape.Result) []Finding {
 				Kind:   KindConfinedAllocInLoop,
 				Class:  site.Method.Class.Name,
 				Method: site.Method.Name,
-				PC:     site.PC,
-				Line:   site.Line,
+				PC:     int(site.PC),
+				Line:   int(site.Line),
 				Detail: fmt.Sprintf("allocation of %s never leaves its loop iteration: hoist or reuse one instance", allocLintName(site)),
 			})
 		}
@@ -37,8 +37,8 @@ func escapeLints(r *escape.Result) []Finding {
 				Kind:   KindCopyChain,
 				Class:  site.Method.Class.Name,
 				Method: site.Method.Name,
-				PC:     site.PC,
-				Line:   site.Line,
+				PC:     int(site.PC),
+				Line:   int(site.Line),
 				Detail: fmt.Sprintf("%s is a copy chain: populated, copied out into another structure, then dropped", allocLintName(site)),
 			})
 		}
@@ -48,7 +48,7 @@ func escapeLints(r *escape.Result) []Finding {
 
 func allocLintName(site *ir.Instr) string {
 	if site.Op == ir.OpNew {
-		return "new " + site.Class.Name
+		return "new " + site.Class().Name
 	}
-	return "new " + site.Elem.String() + "[]"
+	return "new " + site.Elem().String() + "[]"
 }

@@ -261,22 +261,22 @@ func writeOnlyFields(prog *ir.Program, an *interproc.Analysis) []Finding {
 		reachable := an == nil || an.CG.Reachable(in.Method)
 		switch in.Op {
 		case ir.OpLoadField:
-			loadedAnywhere[in.Field] = true
+			loadedAnywhere[in.Field()] = true
 			if reachable {
-				loaded[in.Field] = true
+				loaded[in.Field()] = true
 			}
 		case ir.OpStoreField:
 			if reachable {
-				stored[in.Field] = true
+				stored[in.Field()] = true
 			}
 		case ir.OpLoadStatic:
-			staticLoadedAnywhere[in.Static] = true
+			staticLoadedAnywhere[in.Static()] = true
 			if reachable {
-				staticLoaded[in.Static] = true
+				staticLoaded[in.Static()] = true
 			}
 		case ir.OpStoreStatic:
 			if reachable {
-				staticStored[in.Static] = true
+				staticStored[in.Static()] = true
 			}
 		}
 	}
@@ -333,15 +333,15 @@ func interprocUnusedObjects(an *interproc.Analysis) map[int]bool {
 			in := &m.Code[pc]
 			switch in.Op {
 			case ir.OpLoadField, ir.OpALoad, ir.OpArrayLen:
-				mark(m, in.A)
+				mark(m, int(in.A))
 			case ir.OpIf:
-				mark(m, in.A)
-				mark(m, in.B)
+				mark(m, int(in.A))
+				mark(m, int(in.B))
 			case ir.OpInstanceOf:
-				mark(m, in.A)
+				mark(m, int(in.A))
 			case ir.OpNative:
-				for _, a := range in.Args {
-					mark(m, a)
+				for _, a := range in.Args() {
+					mark(m, int(a))
 				}
 			}
 		}
@@ -349,8 +349,8 @@ func interprocUnusedObjects(an *interproc.Analysis) map[int]bool {
 	unused := make(map[int]bool)
 	objsBySite := make(map[int][]interproc.ObjID)
 	for id := range an.PT.Objects {
-		site := an.PT.Objects[id].Site
-		objsBySite[site.ID] = append(objsBySite[site.ID], interproc.ObjID(id))
+		site := int(an.PT.Objects[id].Site.ID)
+		objsBySite[site] = append(objsBySite[site], interproc.ObjID(id))
 	}
 	for siteID, objs := range objsBySite {
 		dead := true
@@ -404,7 +404,7 @@ func vetMethod(m *ir.Method, wp *wholeProgram) []Finding {
 			Class:  m.Class.Name,
 			Method: m.Name,
 			PC:     pc,
-			Line:   m.Code[pc].Line,
+			Line:   int(m.Code[pc].Line),
 			Detail: fmt.Sprintf(format, args...),
 		}
 	}
@@ -422,7 +422,7 @@ func vetMethod(m *ir.Method, wp *wholeProgram) []Finding {
 		}
 		if len(du[pc]) == 0 {
 			out = append(out, finding(KindDeadStore, pc,
-				"value of %s (%s) is never used", m.LocalName(in.Dst), in))
+				"value of %s (%s) is never used", m.LocalName(int(in.Dst)), in))
 		}
 	}
 
@@ -443,7 +443,7 @@ func vetMethod(m *ir.Method, wp *wholeProgram) []Finding {
 		case allocIsUnused(m, du, pc):
 			out = append(out, finding(KindUnusedAlloc, pc,
 				"allocation (%s) never escapes and is never read", in))
-		case covered && wp.unusedByPT[in.ID]:
+		case covered && wp.unusedByPT[int(in.ID)]:
 			out = append(out, finding(KindUnusedAlloc, pc,
 				"allocation (%s) is never read through any alias", in))
 		}
@@ -467,7 +467,7 @@ func vetMethod(m *ir.Method, wp *wholeProgram) []Finding {
 			}
 			out = append(out, finding(KindCalleeClobbered, pc,
 				"value of %s (%s) is passed only to parameters no callee reads",
-				m.LocalName(in.Dst), in))
+				m.LocalName(int(in.Dst)), in))
 		}
 	}
 
@@ -507,13 +507,13 @@ func vetMethod(m *ir.Method, wp *wholeProgram) []Finding {
 // call argument at a position every resolved target ignores. A slot may
 // appear at several argument positions of one call; all of them must be
 // ignored.
-func usesAllClobbered(m *ir.Method, wp *wholeProgram, uses []Use, slot int) bool {
+func usesAllClobbered(m *ir.Method, wp *wholeProgram, uses []Use, slot int32) bool {
 	for _, u := range uses {
 		c := &m.Code[u.PC]
 		if c.Op != ir.OpCall {
 			return false
 		}
-		for i, a := range c.Args {
+		for i, a := range c.Args() {
 			if a == slot && !wp.argIgnored(c, i) {
 				return false
 			}
@@ -600,7 +600,7 @@ func uninitReads(m *ir.Method, cfg *ir.CFG) []Finding {
 					Class:  m.Class.Name,
 					Method: m.Name,
 					PC:     pc,
-					Line:   in.Line,
+					Line:   int(in.Line),
 					Detail: fmt.Sprintf("%s may be read before initialization (%s)", m.LocalName(s), in),
 				})
 			})
@@ -621,9 +621,9 @@ func WriteOnlyFieldIDs(prog *ir.Program) map[int]bool {
 	for _, in := range prog.Instrs {
 		switch in.Op {
 		case ir.OpLoadField:
-			loaded[in.Field.ID] = true
+			loaded[in.Field().ID] = true
 		case ir.OpStoreField:
-			stored[in.Field.ID] = true
+			stored[in.Field().ID] = true
 		}
 	}
 	out := make(map[int]bool)

@@ -101,7 +101,7 @@ func vetMethodSSA(m *ir.Method, wp *wholeProgram) []Finding {
 			Class:  m.Class.Name,
 			Method: m.Name,
 			PC:     pc,
-			Line:   m.Code[pc].Line,
+			Line:   int(m.Code[pc].Line),
 			Detail: fmt.Sprintf(format, args...),
 		}
 	}
@@ -165,10 +165,10 @@ func vetMethodSSA(m *ir.Method, wp *wholeProgram) []Finding {
 		in := &m.Code[pc]
 		if len(f.Uses(f.DefOf[pc])) == 0 {
 			out = append(out, finding(KindDeadStore, pc,
-				"value of %s (%s) is never used", m.LocalName(in.Dst), in))
+				"value of %s (%s) is never used", m.LocalName(int(in.Dst)), in))
 		} else {
 			out = append(out, finding(KindDeadStore, pc,
-				"value of %s (%s) feeds only dead computations", m.LocalName(in.Dst), in))
+				"value of %s (%s) feeds only dead computations", m.LocalName(int(in.Dst)), in))
 		}
 	}
 
@@ -185,7 +185,7 @@ func vetMethodSSA(m *ir.Method, wp *wholeProgram) []Finding {
 		case allocUnusedSSA(f, f.DefOf[pc]):
 			out = append(out, finding(KindUnusedAlloc, pc,
 				"allocation (%s) never escapes and is never read", in))
-		case covered && wp.unusedByPT[in.ID]:
+		case covered && wp.unusedByPT[int(in.ID)]:
 			out = append(out, finding(KindUnusedAlloc, pc,
 				"allocation (%s) is never read through any alias", in))
 		}
@@ -208,7 +208,7 @@ func vetMethodSSA(m *ir.Method, wp *wholeProgram) []Finding {
 			if effectiveUsesAllClobbered(f, wp, f.DefOf[pc]) {
 				out = append(out, finding(KindCalleeClobbered, pc,
 					"value of %s (%s) is passed only to parameters no callee reads",
-					m.LocalName(in.Dst), in))
+					m.LocalName(int(in.Dst)), in))
 			}
 		}
 	}
@@ -370,7 +370,7 @@ func uninitReadsSSA(f *ssa.Func, sc *ssa.SCCP) []Finding {
 				Class:  m.Class.Name,
 				Method: m.Name,
 				PC:     pc,
-				Line:   in.Line,
+				Line:   int(in.Line),
 				Detail: fmt.Sprintf("%s may be read before initialization (%s)", m.LocalName(f.Vals[v].Slot), in),
 			})
 			break

@@ -173,9 +173,9 @@ func Figure3(n, k int64) *Figure3Markers {
 	}
 	return &Figure3Markers{
 		Prog:      prog,
-		SiteList:  main.Code[siteListPC].AllocSite,
-		SiteArr:   main.Code[siteArrPC].AllocSite,
-		SiteA:     main.Code[siteAPC].AllocSite,
+		SiteList:  int(main.Code[siteListPC].AllocSite),
+		SiteArr:   int(main.Code[siteArrPC].AllocSite),
+		SiteA:     int(main.Code[siteAPC].AllocSite),
 		FieldT:    fieldT,
 		FieldData: fieldData,
 		FieldSize: fieldSize,
@@ -310,8 +310,8 @@ func Figure6(n, m int64) *Figure6Markers {
 	}
 	return &Figure6Markers{
 		Prog:     prog,
-		SiteList: dirList.Code[pcList].AllocSite,
-		SiteArr:  dirList.Code[pcArr].AllocSite,
+		SiteList: int(dirList.Code[pcList].AllocSite),
+		SiteArr:  int(dirList.Code[pcArr].AllocSite),
 	}
 }
 

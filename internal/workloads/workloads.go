@@ -126,8 +126,8 @@ func (w *Workload) PlantSites(prog *ir.Program) (map[int]bool, error) {
 	for _, p := range w.Plants {
 		found := false
 		for _, in := range prog.AllocSites {
-			if in.Line == p.Line && in.Method.QualifiedName() == p.Method {
-				sites[in.AllocSite], found = true, true
+			if int(in.Line) == p.Line && in.Method.QualifiedName() == p.Method {
+				sites[int(in.AllocSite)], found = true, true
 			}
 		}
 		if !found {

@@ -401,7 +401,7 @@ func findings(ranked []*costben.SiteReport, k int) []Finding {
 	out := make([]Finding, 0, k)
 	for _, r := range ranked[:k] {
 		out = append(out, Finding{
-			Site:            r.Site.AllocSite,
+			Site:            int(r.Site.AllocSite),
 			Where:           siteWhere(r.Site),
 			Cost:            r.NRAC,
 			Benefit:         r.NRAB,
@@ -431,7 +431,7 @@ func siteWhere(site *ir.Instr) string {
 	}
 	if site.Op == ir.OpNew {
 		b = append(b, " new "...)
-		b = append(b, site.Class.Name...)
+		b = append(b, site.Class().Name...)
 	}
 	return string(b)
 }
@@ -794,8 +794,8 @@ func (p *Program) Typestate(proto *TypestateProtocol, classes ...string) ([]stri
 	}
 	var sites []int
 	for _, in := range p.prog.Instrs {
-		if in.Op == ir.OpNew && want[in.Class.Name] {
-			sites = append(sites, in.AllocSite)
+		if in.Op == ir.OpNew && want[in.Class().Name] {
+			sites = append(sites, int(in.AllocSite))
 		}
 	}
 	ts := clients.NewTypestateTracker(p.prog, cp, sites...)

@@ -54,6 +54,50 @@ func loopsSource(n int) string {
 	return b.String()
 }
 
+// Bounds on one Compile of chainSource(4000): 142 KB of source, 20,007
+// instructions in one method. The sealed array of 64-byte instructions
+// alone is 9 bytes a source byte. Instructions of 184 bytes kept 32–33
+// bytes a source byte, and emit's append growth re-copied them until
+// Compile allocated 26.5 MB; plain append of 64-byte instructions would
+// still allocate about 13 MB.
+const (
+	maxCompileKeptPerSrcByte = 12
+	maxCompileAllocBytes     = 12 << 20
+)
+
+// TestCompileBytes pins what Compile keeps and what it allocates on the
+// chain: kept is the live heap's growth across the compile, with the
+// program still reachable, after two collections on each side. It runs
+// alone (not parallel), so no other test's garbage lands in the window.
+func TestCompileBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	src := chainSource(4000)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	kept := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(src))
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("chain n=4000: %d source bytes, %d instructions: keeps %.1f bytes a source byte, allocates %.1f MB",
+		len(src), p.NumInstructions(), kept, float64(alloc)/(1<<20))
+	if kept > maxCompileKeptPerSrcByte {
+		t.Errorf("Compile keeps %.1f bytes a source byte (at most %d)", kept, maxCompileKeptPerSrcByte)
+	}
+	if alloc > maxCompileAllocBytes {
+		t.Errorf("Compile allocates %.1f MB (at most %d MB)", float64(alloc)/(1<<20), maxCompileAllocBytes>>20)
+	}
+}
+
 // cost is what one call of a surface spent: the process's CPU time and the
 // bytes it allocated.
 type cost struct {
