@@ -537,14 +537,15 @@ func (p *Profiler) LoadField(in *ir.Instr, fr *interp.Frame, base *interp.Object
 	fs := p.fshadow(fr)
 	r := p.eventRef(in, fs)
 	os := p.oshadow(base)
-	if in.Field().Slot < len(os.slots) {
-		p.link(r, 0, os.slots[in.Field().Slot])
+	f := in.Field()
+	if f.Slot < len(os.slots) {
+		p.link(r, 0, os.slots[f.Slot])
 	}
 	if !p.thin {
 		p.link(r, 1, fs.nodes[in.A]) // base-pointer use (traditional)
 	}
 	if p.fresh(r, os.tag, 0) {
-		p.load(r, os.tag, in.Field().ID)
+		p.load(r, os.tag, f.ID)
 	}
 	fs.nodes[in.Dst] = r
 }
@@ -559,11 +560,12 @@ func (p *Profiler) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Objec
 		p.link(r, 1, fs.nodes[in.A])
 	}
 	os := p.oshadow(base)
-	if in.Field().Slot < len(os.slots) {
-		os.slots[in.Field().Slot] = r
+	f := in.Field()
+	if f.Slot < len(os.slots) {
+		os.slots[f.Slot] = r
 	}
 	if val := p.refTag(v); p.fresh(r, os.tag, val) {
-		p.store(r, os.tag, val, in.Field().ID)
+		p.store(r, os.tag, val, f.ID)
 	}
 }
 
@@ -571,9 +573,10 @@ func (p *Profiler) StoreField(in *ir.Instr, fr *interp.Frame, base *interp.Objec
 func (p *Profiler) LoadStatic(in *ir.Instr, fr *interp.Frame) {
 	fs := p.fshadow(fr)
 	r := p.eventRef(in, fs)
-	p.link(r, 0, p.statics[in.Static().Slot])
+	slot := in.Static().Slot
+	p.link(r, 0, p.statics[slot])
 	if p.fresh(r, 0, 0) {
-		p.load(r, 0, in.Static().Slot)
+		p.load(r, 0, slot)
 	}
 	fs.nodes[in.Dst] = r
 }
@@ -583,9 +586,10 @@ func (p *Profiler) StoreStatic(in *ir.Instr, fr *interp.Frame, v interp.Value) {
 	fs := p.fshadow(fr)
 	r := p.eventRef(in, fs)
 	p.link(r, 0, fs.nodes[in.A])
-	p.statics[in.Static().Slot] = r
+	slot := in.Static().Slot
+	p.statics[slot] = r
 	if val := p.refTag(v); p.fresh(r, 0, val) {
-		p.store(r, 0, val, in.Static().Slot)
+		p.store(r, 0, val, slot)
 	}
 }
 

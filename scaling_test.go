@@ -55,11 +55,10 @@ func loopsSource(n int) string {
 }
 
 // Bounds on one Compile of chainSource(4000): 142 KB of source, 20,007
-// instructions in one method. The sealed array of 64-byte instructions
-// alone is 9 bytes a source byte. Instructions of 184 bytes kept 32–33
-// bytes a source byte, and emit's append growth re-copied them until
-// Compile allocated 26.5 MB; plain append of 64-byte instructions would
-// still allocate about 13 MB.
+// instructions in one method, whose 64-byte instructions alone take about
+// 9 bytes a source byte. The allocation bound holds the builder to chunks:
+// growing the body by plain append, even of 64-byte instructions, would
+// allocate about 13 MB.
 const (
 	maxCompileKeptPerSrcByte = 12
 	maxCompileAllocBytes     = 12 << 20
