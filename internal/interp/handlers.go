@@ -73,6 +73,7 @@ type dinstr struct {
 	// callee is the static call target, or the declared callee of a virtual
 	// site (dispatch is by name on the receiver's dynamic class).
 	callee *ir.Method
+	args   []int32 // OpCall and OpNative: the argument slots
 }
 
 // mtab is one decoded method table plus the number of virtual call sites it
@@ -275,10 +276,11 @@ func buildTab(meth *ir.Method, kind tabKind) mtab {
 			d.fn = pick(hInstanceOf, pInstanceOf)
 		case ir.OpCall:
 			d.callee = in.Callee()
-			if in.Callee().Static {
+			d.args = in.Args()
+			if d.callee.Static {
 				d.fn = hCallStatic
 			} else {
-				d.a = in.Args()[0] // receiver slot
+				d.a = d.args[0] // receiver slot
 				d.icIdx = int32(vcount)
 				vcount++
 				d.fn = hCallVirtual
@@ -290,6 +292,7 @@ func buildTab(meth *ir.Method, kind tabKind) mtab {
 				d.fn = hReturnVoid
 			}
 		case ir.OpNative:
+			d.args = in.Args()
 			d.fn = pick(hNative, pNative)
 		default:
 			d.fn = hBadOp
@@ -745,7 +748,6 @@ func (m *Machine) pushCall(fr *Frame, d *dinstr, callee *ir.Method, recv *Object
 	if m.tracer != nil {
 		m.tracer.BeforeCall(d.in, fr, callee, recv)
 	}
-	args := d.in.Args()
 	var nf *Frame
 	if n := len(m.framePool); n > 0 {
 		nf = m.framePool[n-1]
@@ -757,7 +759,7 @@ func (m *Machine) pushCall(fr *Frame, d *dinstr, callee *ir.Method, recv *Object
 			// Argument slots are overwritten below; only the rest needs
 			// clearing to erase the previous tenant's values.
 			nf.Locals = nf.Locals[:callee.NumLocals]
-			clear(nf.Locals[len(args):])
+			clear(nf.Locals[len(d.args):])
 		}
 		nf.PC = 0
 		nf.RetDst = int(d.dst)
@@ -771,7 +773,7 @@ func (m *Machine) pushCall(fr *Frame, d *dinstr, callee *ir.Method, recv *Object
 			CallIn: d.in,
 		}
 	}
-	for i, a := range args {
+	for i, a := range d.args {
 		nf.Locals[i] = fr.Locals[a]
 	}
 	nf.tab, nf.ics = m.methodTab(callee)
@@ -826,7 +828,7 @@ func hReturnVoid(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func hNative(m *Machine, fr *Frame, d *dinstr) error {
-	v, err := m.doNative(fr, d.in)
+	v, err := m.doNative(fr, d.in, d.args)
 	if err != nil {
 		return err
 	}

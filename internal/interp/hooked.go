@@ -335,7 +335,7 @@ func pIfGe(m *Machine, fr *Frame, d *dinstr) error {
 }
 
 func pNative(m *Machine, fr *Frame, d *dinstr) error {
-	v, err := m.doNative(fr, d.in)
+	v, err := m.doNative(fr, d.in, d.args)
 	if err != nil {
 		return err
 	}

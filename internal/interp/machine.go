@@ -450,8 +450,8 @@ func (m *Machine) compare(in *ir.Instr, fr *Frame) (bool, error) {
 	return false, m.fail(ErrType, in, fr, "bad comparison")
 }
 
-func (m *Machine) doNative(fr *Frame, in *ir.Instr) (Value, error) {
-	args := in.Args()
+// doNative runs the native method of in over the argument slots args.
+func (m *Machine) doNative(fr *Frame, in *ir.Instr, args []int32) (Value, error) {
 	arg := func(i int) Value {
 		if i < len(args) {
 			return fr.Locals[args[i]]

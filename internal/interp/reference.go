@@ -254,7 +254,7 @@ func (m *Machine) step(fr *Frame, in *ir.Instr) error {
 		return m.doReturn(fr, in)
 
 	case ir.OpNative:
-		v, err := m.doNative(fr, in)
+		v, err := m.doNative(fr, in, in.Args())
 		if err != nil {
 			return err
 		}

@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Builder incrementally constructs a Program. Typical use:
 //
@@ -26,6 +23,14 @@ type Builder struct {
 	refTypes    map[*Class]*Type
 	arrTypes    map[*Type]*Type
 	nextField   int
+
+	// Bodies are built one at a time, each appending to one log of
+	// instructions and one of call and native arguments; cur is the body
+	// being built.
+	log  [][]Instr // chunks of logChunk instructions, never re-copied
+	n    int       // instructions in the log
+	args []int32
+	cur  *BodyBuilder
 }
 
 // NewBuilder returns an empty Builder.
@@ -102,56 +107,32 @@ func (b *Builder) Method(c *Class, name string, static bool, params int, returns
 // BodyBuilder emits instructions into a method. It also tracks the high-water
 // mark of local slots so NumLocals is maintained automatically.
 //
-// The body grows in chunks that are never re-copied: a chunk that fills is
-// kept and a new one started, each twice the size of the one before up to
-// maxChunk instructions. Seal copies every body once into exactly sized
-// storage, so no *Instr exists before then; until Seal, an instruction is
-// addressed by its PC (Patch).
+// A body is a run of the Builder's log, which grows in chunks that are
+// never re-copied. Seal copies the log once into exactly sized storage, so
+// no *Instr exists before then; until Seal, an instruction is addressed by
+// its PC (Patch).
 type BodyBuilder struct {
 	b      *Builder
 	m      *Method
 	line   int
-	n      int       // instructions emitted
-	allocs int       // of which OpNew or OpNewArray
-	chunks [][]Instr // the body in order; chunk k holds chunkCap(k)
-	args   []int32   // call and native arguments, windowed by A and B
+	start  int // the body's first instruction in the log
+	n      int // instructions emitted
+	allocs int // of which OpNew or OpNewArray
+	arg0   int // the body's first argument in the argument log
+	nargs  int
 }
 
-// A body's first chunk holds firstChunk instructions; chunk k ≥ 1 holds
-// firstChunk<<(k-1), so chunk k starts where its size does, up to maxChunk
-// (64 KB of instructions). From there every chunk holds maxChunk.
-const (
-	firstChunk = 16
-	maxChunk   = 1024
-	growChunks = 6 // log2(maxChunk / firstChunk)
-)
-
-// chunkCap returns the capacity of a body's chunk k.
-func chunkCap(k int) int {
-	if k == 0 {
-		return firstChunk
-	}
-	return firstChunk << min(k-1, growChunks)
-}
-
-// chunkOf returns the chunk holding pc and pc's index within it.
-func chunkOf(pc int) (k, i int) {
-	if pc >= maxChunk {
-		return pc/maxChunk + growChunks, pc % maxChunk
-	}
-	k = bits.Len(uint(pc / firstChunk))
-	if k == 0 {
-		return 0, pc
-	}
-	return k, pc - firstChunk<<(k-1)
-}
+// logChunk is the number of instructions in a chunk of the log: 4 KB, so a
+// small program leaves little of its last chunk empty.
+const logChunk = 63
 
 // Body returns a BodyBuilder for m. A method may only be built once.
 func (b *Builder) Body(m *Method) *BodyBuilder {
 	if len(m.Code) != 0 || m.body != nil {
 		panic(fmt.Sprintf("ir: method %s already has a body", m.QualifiedName()))
 	}
-	m.body = &BodyBuilder{b: b, m: m}
+	m.body = &BodyBuilder{b: b, m: m, start: b.n, arg0: len(b.args)}
+	b.cur = m.body
 	return m.body
 }
 
@@ -170,10 +151,12 @@ func (bb *BodyBuilder) touch(slots ...int) {
 }
 
 func (bb *BodyBuilder) emit(in Instr) int {
-	k := len(bb.chunks) - 1
-	if k < 0 || len(bb.chunks[k]) == cap(bb.chunks[k]) {
-		k++
-		bb.chunks = append(bb.chunks, make([]Instr, 0, chunkCap(k)))
+	b := bb.b
+	if b.cur != bb {
+		panic(fmt.Sprintf("ir: emitting into %s after the body of %s began", bb.m.QualifiedName(), b.cur.m.QualifiedName()))
+	}
+	if b.n%logChunk == 0 {
+		b.log = append(b.log, make([]Instr, 0, logChunk))
 	}
 	pc := bb.n
 	in.Method = bb.m
@@ -183,7 +166,9 @@ func (bb *BodyBuilder) emit(in Instr) int {
 	if in.IsAlloc() {
 		bb.allocs++
 	}
-	bb.chunks[k] = append(bb.chunks[k], in)
+	k := len(b.log) - 1
+	b.log[k] = append(b.log[k], in)
+	b.n++
 	bb.n++
 	return pc
 }
@@ -331,8 +316,11 @@ func (bb *BodyBuilder) Goto(target int) int {
 
 // Patch rewrites the jump target of the branch instruction at pc.
 func (bb *BodyBuilder) Patch(pc, target int) {
-	k, i := chunkOf(pc)
-	in := &bb.chunks[k][i]
+	if pc < 0 || pc >= bb.n {
+		panic(fmt.Sprintf("ir: patching pc %d outside the %d instructions of %s", pc, bb.n, bb.m.QualifiedName()))
+	}
+	at := bb.start + pc
+	in := &bb.b.log[at/logChunk][at%logChunk]
 	if in.Op != OpIf && in.Op != OpGoto {
 		panic(fmt.Sprintf("ir: patching non-branch at pc %d in %s", pc, bb.m.QualifiedName()))
 	}
@@ -346,10 +334,11 @@ func (bb *BodyBuilder) call(in Instr, args []int) int {
 	if in.Dst >= 0 {
 		bb.touch(int(in.Dst))
 	}
-	in.A, in.B = int32(len(bb.args)), int32(len(args))
+	in.A, in.B = int32(bb.nargs), int32(len(args))
 	for _, a := range args {
-		bb.args = append(bb.args, int32(a))
+		bb.b.args = append(bb.b.args, int32(a))
 	}
+	bb.nargs += len(args)
 	return bb.emit(in)
 }
 
@@ -447,22 +436,18 @@ func (b *Builder) Seal(mainClass, mainMethod string) (*Program, error) {
 	}
 	p.NumFields = b.nextField
 
-	// Number methods, and copy every body once into one exactly sized slab
-	// of instructions and one of arguments; then number instructions and
-	// allocation sites into exactly sized tables.
-	var nInstrs, nAllocs, nArgs int
-	for _, c := range b.classes {
-		for _, m := range c.Methods {
-			if bb := m.body; bb != nil {
-				nInstrs += bb.n
-				nAllocs += bb.allocs
-				nArgs += len(bb.args)
-			}
-		}
+	// Copy the log once into one exactly sized slab of instructions, and
+	// the arguments into one of arguments; give each method its run of
+	// both, then number methods, instructions and allocation sites, the
+	// last two into exactly sized tables.
+	code := make([]Instr, 0, b.n)
+	for _, ch := range b.log {
+		code = append(code, ch...)
 	}
-	code := make([]Instr, 0, nInstrs)
-	args := make([]int32, 0, nArgs)
-	nextMethod := 0
+	args := make([]int32, len(b.args))
+	copy(args, b.args)
+	b.log, b.args, b.cur = nil, nil, nil
+	var nAllocs, nextMethod int
 	for _, c := range b.classes {
 		for _, m := range c.Methods {
 			m.ID = nextMethod
@@ -471,18 +456,15 @@ func (b *Builder) Seal(mainClass, mainMethod string) (*Program, error) {
 			if bb == nil {
 				continue
 			}
-			start := len(code)
-			for _, ch := range bb.chunks {
-				code = append(code, ch...)
-			}
-			m.Code = code[start:len(code):len(code)]
-			start = len(args)
-			args = append(args, bb.args...)
-			m.args = args[start:len(args):len(args)]
+			end := bb.start + bb.n
+			m.Code = code[bb.start:end:end]
+			end = bb.arg0 + bb.nargs
+			m.args = args[bb.arg0:end:end]
+			nAllocs += bb.allocs
 			m.body = nil
 		}
 	}
-	p.Instrs = make([]*Instr, 0, nInstrs)
+	p.Instrs = make([]*Instr, 0, len(code))
 	p.AllocSites = make([]*Instr, 0, nAllocs)
 	p.number()
 

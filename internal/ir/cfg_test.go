@@ -133,7 +133,7 @@ func TestCFGFallsOff(t *testing.T) {
 	m := b.Method(cls, "main", true, 0, nil)
 	mb := b.Body(m)
 	mb.Const(0, 1)
-	m.Code = mb.chunks[0]
+	m.Code = b.log[0]
 	cfg := NewCFG(m)
 	if cfg.NumBlocks() != 1 || !cfg.Blocks[0].FallsOff {
 		t.Errorf("block must be marked FallsOff: %+v", cfg.Blocks)

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -313,10 +314,15 @@ func TestInstrPointersIntoCode(t *testing.T) {
 		mb.Call(1, callee, 0)
 		mb.NewArray(2, IntType, 1)
 	}
+	jump := mb.Goto(0)
+	mb.Patch(jump, jump+1) // the body starts past the log's first instruction
 	mb.ReturnVoid()
 	prog, err := b.Seal("Main", "main")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := m.Code[jump].Target; int(got) != jump+1 {
+		t.Errorf("patched goto targets %d, want %d", got, jump+1)
 	}
 	check := func(when string) {
 		t.Helper()
@@ -346,4 +352,20 @@ func TestInstrPointersIntoCode(t *testing.T) {
 	m.Code = append([]Instr{m.Code[0]}, m.Code...)
 	prog.Reindex()
 	check("Reindex")
+}
+
+// TestBodiesBuiltOneAtATime pins the builder's contract: a body is one run
+// of the builder's log, so emitting into a body after another has begun
+// panics.
+func TestBodiesBuiltOneAtATime(t *testing.T) {
+	b, cls := buildLinear(t)
+	first := b.Body(b.Method(cls, "first", true, 0, nil))
+	first.Const(0, 1)
+	b.Body(b.Method(cls, "main", true, 0, nil))
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "after the body of Main.main began") {
+			t.Fatalf("recover() = %v, want the interleaving panic", r)
+		}
+	}()
+	first.ReturnVoid()
 }

@@ -115,7 +115,7 @@ func TestValidateRejectsCallArgOutOfRange(t *testing.T) {
 	mb.Const(0, 1)
 	mb.Call(-1, callee, 0)
 	mb.ReturnVoid()
-	mb.args[0] = 99 // past the frame the builder sized
+	b.args[0] = 99 // past the frame the builder sized
 	if _, err := b.Seal("Main", "main"); err == nil ||
 		!strings.Contains(err.Error(), "arg slot 99 out of range") {
 		t.Fatalf("want call-arg bounds error, got %v", err)
@@ -132,7 +132,7 @@ func TestValidateRejectsNativeArgOutOfRange(t *testing.T) {
 	mb.Const(0, 1)
 	mb.Native(-1, NativePrint, 0)
 	mb.ReturnVoid()
-	mb.args[0] = -3
+	b.args[0] = -3
 	if _, err := b.Seal("Main", "main"); err == nil ||
 		!strings.Contains(err.Error(), "arg slot -3 out of range") {
 		t.Fatalf("want native-arg bounds error, got %v", err)
