@@ -122,8 +122,10 @@ type BodyBuilder struct {
 	nargs  int
 }
 
-// logChunk is the number of instructions in a chunk of the log: 4 KB, so a
-// small program leaves little of its last chunk empty.
+// logChunk is the number of instructions in a chunk of the log. 63
+// instructions and the allocator's 8-byte header fill a 4 KB size class
+// (64 would take a 4,864-byte one), and a small program leaves little of
+// its last chunk empty.
 const logChunk = 63
 
 // Body returns a BodyBuilder for m. A method may only be built once.
